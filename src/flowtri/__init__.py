@@ -9,7 +9,8 @@ from .dag import (D1, D2, D3, Dag, Edge, G, bypass, contract_idle_edges,
                   zigzag, zigzag_rotations)
 from .dkk import coherence_graph, conflict, dkk_triangulation, exceptional_routes
 from .equatorial import (differs_from_dkk, enumerate_transversals,
-                         equatorial_facets, equatorial_flow_triangulation, t_eq)
+                         equatorial_facets, equatorial_flow_triangulation,
+                         join_route_simplex, t_eq)
 from .geometry import (Triangulation, count_lattice_points, ehrhart_hstar,
                        f_vector, h_polynomial, is_gorenstein, normalized_volume,
                        verify_triangulation)

@@ -44,7 +44,8 @@ def _load_graph(path: str) -> dagmod.Dag:
         raise InputError(f"bad graph file {path}: {exc}") from exc
     report = dagmod.validate(dag)
     if not report.ok:
-        raise InputError("invalid graph: " + "; ".join(report.violations))
+        raise InputError("invalid graph: " + "; ".join(
+            f"{kind}: {message}" for kind, message in report.violations))
     return dag
 
 
@@ -130,8 +131,7 @@ def cmd_dkk(args) -> tuple[dict, int]:
     tri = dkkmod.dkk_triangulation(dag, framing)
     report["routes"] = len(tri.labels)
     report["simplices"] = [[list(tri.labels[i]) for i in s] for s in tri.simplices]
-    report["exceptional_routes"] = [list(r)
-                                    for r in dkkmod.exceptional_routes(dag, framing)]
+    report["exceptional_routes"] = [list(r) for r in dkkmod.exceptional_routes(tri)]
     check = geo.verify_triangulation(tri, dagmod.dimension(dag),
                                      geo.normalized_volume(dag))
     report["triangulation_ok"] = check.ok
@@ -149,17 +149,18 @@ def cmd_equatorial(args) -> tuple[dict, int]:
         return report, FAILED
     report["decomposition"] = [list(r) for r in decomp]
     facets = eqmod.equatorial_facets(dag, decomp)
-    routes = rmod.enumerate_routes(dag)
+    framed = dkkmod.dkk_triangulation(dag, rmod.decomposition_framing(dag, decomp))
+    routes = framed.labels
     report["facets"] = [{"transversal": list(f.transversal),
                          "routes": [list(routes[i]) for i in sorted(f.routes)]}
                         for f in facets]
-    sphere = eqmod.t_eq(dag, decomp)
+    sphere = eqmod.t_eq(framed, facets)
     report["sphere"] = {
         "maximal_faces": [[list(routes[i]) for i in f] for f in sphere.maximal_faces],
         "f_vector": list(geo.f_vector(sphere)),
         "euler_characteristic": sphere.euler_characteristic(),
     }
-    tri = eqmod.equatorial_flow_triangulation(dag, decomp)
+    tri = eqmod.join_route_simplex(framed, decomp, sphere)
     report["simplices"] = [[list(routes[i]) for i in s] for s in tri.simplices]
     h = geo.h_polynomial(tri.complex)
     hs = geo.ehrhart_hstar(dag)
@@ -169,7 +170,7 @@ def cmd_equatorial(args) -> tuple[dict, int]:
         all(c == 0 for c in hs.h_star[len(h):])
     code = OK if report["h_equals_h_star"] else FAILED
     if args.exhaustive_dkk:
-        cmp = eqmod.differs_from_dkk(dag, decomp, exhaustive=True)
+        cmp = eqmod.differs_from_dkk(dag, decomp, tri, exhaustive=True)
         report["dkk_comparison"] = {
             "framings_checked": cmp.framings_checked,
             "matching_framings": len(cmp.matching_framings),
@@ -193,16 +194,10 @@ def cmd_quotient(args) -> tuple[dict, int]:
     refl = qmod.verify_reflexive(q)
     report["reflexive"] = refl.ok
     report["reflexive_issues"] = list(refl.issues)
-    failures = []
-    pairs = 0
-    for s in rmod.enumerate_routes(dag):
-        for m in eqmod.enumerate_transversals(decomp):
-            pairs += 1
-            ok, lhs, rhs = qmod.check_transversal_identity(dag, decomp, s, m)
-            if not ok:
-                failures.append({"route": list(s), "transversal": list(m),
-                                 "lhs": lhs, "rhs": rhs})
-    report["identity_pairs"] = pairs
+    checks = qmod.check_transversal_identity(dag, decomp, q)
+    failures = [{"route": list(s), "transversal": list(m), "lhs": lhs, "rhs": rhs}
+                for s, m, lhs, rhs in checks if lhs != rhs]
+    report["identity_pairs"] = len(checks)
     report["identity_failures"] = failures
     good = refl.ok and not failures
     return report, OK if good else FAILED
@@ -253,26 +248,12 @@ def _order_polytope_count(poset: plmod.Poset, t: int) -> int:
     return total
 
 
-def _random_dag(rng: random.Random, max_edges: int) -> dagmod.Dag:
-    while True:
-        inner = rng.randint(1, 3)
-        m = rng.randint(inner + 1, max_edges)
-        edges = []
-        for i in range(m):
-            tail = rng.randint(0, inner)
-            head = rng.randint(tail + 1, inner + 1)
-            edges.append((f"e{i}", tail, head))
-        dag = dagmod.make_dag(inner, edges)
-        if dagmod.validate(dag).ok:
-            return dag
-
-
 def cmd_fuzz(args) -> tuple[dict, int]:
     rng = random.Random(args.seed)
     failures = []
     balanced = 0
     for k in range(args.count):
-        dag = _random_dag(rng, args.max_edges)
+        dag = dagmod.random_dag(rng, args.max_edges)
         if not dagmod.degree_equality(dag):
             try:
                 rmod.route_decomposition(dag)

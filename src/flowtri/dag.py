@@ -8,7 +8,7 @@ are identified by string ids; parallel edges are ordinary.
 
 from __future__ import annotations
 
-import json
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -229,39 +229,46 @@ def contract_idle_edges(dag: Dag) -> tuple[Dag, dict[str, str | None]]:
 # ---------------------------------------------------------------------------
 # JSON interface
 
-def dag_to_json(dag: Dag) -> dict:
-    def enc(v: int) -> str | int:
-        if v == SOURCE:
-            return "s"
-        if v == dag.sink:
-            return "t"
-        return v
+def vertex_to_json(v: int, sink: int) -> str | int:
+    """JSON name of a vertex: ``"s"``, ``"t"`` or the inner vertex number."""
+    return "s" if v == SOURCE else "t" if v == sink else v
 
+
+def vertex_from_json(v, sink: int) -> int:
+    """Inverse of :func:`vertex_to_json`; inner vertices may come as strings."""
+    return SOURCE if v == "s" else sink if v == "t" else int(v)
+
+
+def dag_to_json(dag: Dag) -> dict:
     return {
         "inner_count": dag.inner_count,
-        "edges": [{"id": e.id, "tail": enc(e.tail), "head": enc(e.head)} for e in dag.edges],
+        "edges": [{"id": e.id, "tail": vertex_to_json(e.tail, dag.sink),
+                   "head": vertex_to_json(e.head, dag.sink)} for e in dag.edges],
     }
 
 
 def dag_from_json(data: Mapping) -> Dag:
     n = int(data["inner_count"])
-
-    def dec(v) -> int:
-        if v == "s":
-            return SOURCE
-        if v == "t":
-            return n + 1
-        return int(v)
-
-    edges = [(str(e["id"]), dec(e["tail"]), dec(e["head"])) for e in data["edges"]]
+    edges = [(str(e["id"]), vertex_from_json(e["tail"], n + 1),
+              vertex_from_json(e["head"], n + 1)) for e in data["edges"]]
     return make_dag(n, edges)
 
 
-def load_dag(path: str) -> tuple[Dag, dict]:
-    """Read a graph file; returns the DAG and the raw JSON document."""
-    with open(path) as fh:
-        data = json.load(fh)
-    return dag_from_json(data), data
+def random_dag(rng: random.Random, max_edges: int = 8) -> Dag:
+    """Uniform-ish valid DAG with 1-3 inner vertices: random tail<head
+    pairs, resampled until the structural validation passes.  The draw
+    order is fixed, since ``flowtri fuzz`` replays graphs from its seed."""
+    while True:
+        inner = rng.randint(1, 3)
+        m = rng.randint(inner + 1, max_edges)
+        edges = []
+        for i in range(m):
+            tail = rng.randint(0, inner)
+            head = rng.randint(tail + 1, inner + 1)
+            edges.append((f"e{i}", tail, head))
+        dag = make_dag(inner, edges)
+        if validate(dag).ok:
+            return dag
 
 
 # ---------------------------------------------------------------------------

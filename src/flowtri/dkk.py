@@ -10,49 +10,45 @@ pairwise non-conflicting routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .dag import SOURCE, Dag, dimension
 from .geometry import SimplicialComplex, Triangulation
-from .routes import Framing, Route, enumerate_routes, indicator_vector, route_vertices
+from .routes import Framing, Route, enumerate_routes, indicator_vector
 
 
-def _cmp_in(dag: Dag, framing: Framing, p: Route, q: Route, v: int) -> int:
-    """Compare the s->v prefixes of p and q at their first divergence
-    (scanning backwards from v); -1 means p's prefix is the smaller one."""
-    ep = {dag.edge_by_id[e].head: e for e in p}
-    eq = {dag.edge_by_id[e].head: e for e in q}
+def _cmp(dag: Dag, framing: Framing, p_at: Mapping[int, str],
+         q_at: Mapping[int, str], v: int, forward: bool) -> int:
+    """Compare two routes through v at their first divergence, scanning
+    forwards from v (out-orders) or backwards from v (in-orders); -1 means
+    p's side is the smaller one.  ``p_at`` and ``q_at`` map a vertex to the
+    route's edge leaving it (forwards) or entering it (backwards)."""
+    pos, stop = (framing.out_pos, dag.sink) if forward else (framing.in_pos, SOURCE)
     w = v
-    while w != SOURCE:
-        a, b = ep[w], eq[w]
+    while w != stop:
+        a, b = p_at[w], q_at[w]
         if a != b:
-            return -1 if framing.in_pos(w, a) < framing.in_pos(w, b) else 1
-        w = dag.edge_by_id[a].tail
+            return -1 if pos(w, a) < pos(w, b) else 1
+        e = dag.edge_by_id[a]
+        w = e.head if forward else e.tail
     return 0
 
 
-def _cmp_out(dag: Dag, framing: Framing, p: Route, q: Route, v: int) -> int:
-    ep = {dag.edge_by_id[e].tail: e for e in p}
-    eq = {dag.edge_by_id[e].tail: e for e in q}
-    w = v
-    while w != dag.sink:
-        a, b = ep[w], eq[w]
-        if a != b:
-            return -1 if framing.out_pos(w, a) < framing.out_pos(w, b) else 1
-        w = dag.edge_by_id[a].head
-    return 0
+def _steps(dag: Dag, route: Route) -> tuple[dict[int, str], dict[int, str]]:
+    """Vertex -> the route's edge entering it, and vertex -> its edge
+    leaving it."""
+    edges = [dag.edge_by_id[e] for e in route]
+    return {e.head: e.id for e in edges}, {e.tail: e.id for e in edges}
 
 
 def conflict(dag: Dag, framing: Framing, p: Route, q: Route) -> bool:
     """True iff some shared inner vertex orders the prefixes and suffixes
     of p and q in opposite directions."""
-    shared = set(route_vertices(dag, p)) & set(route_vertices(dag, q))
-    for v in shared:
-        if v == SOURCE or v == dag.sink:
-            continue
-        if _cmp_in(dag, framing, p, q, v) * _cmp_out(dag, framing, p, q, v) == -1:
+    p_in, p_out = _steps(dag, p)
+    q_in, q_out = _steps(dag, q)
+    for v in (p_out.keys() & q_out.keys()) - {SOURCE}:
+        if (_cmp(dag, framing, p_in, q_in, v, False)
+                * _cmp(dag, framing, p_out, q_out, v, True) == -1):
             return True
     return False
 
@@ -61,14 +57,10 @@ def coherent(dag: Dag, framing: Framing, p: Route, q: Route) -> bool:
     return not conflict(dag, framing, p, q)
 
 
-@dataclass(frozen=True)
-class CoherenceGraph:
-    routes: tuple[Route, ...]
-    adjacency: tuple[frozenset[int], ...]   # indices of coherent partners
-
-
-def coherence_graph(dag: Dag, framing: Framing) -> CoherenceGraph:
-    routes = enumerate_routes(dag)
+def coherence_graph(dag: Dag, framing: Framing,
+                    routes: Sequence[Route]) -> tuple[frozenset[int], ...]:
+    """Adjacency of the coherence graph: entry i holds the indices of the
+    routes coherent with ``routes[i]``."""
     n = len(routes)
     adj: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
@@ -76,13 +68,7 @@ def coherence_graph(dag: Dag, framing: Framing) -> CoherenceGraph:
             if coherent(dag, framing, routes[i], routes[j]):
                 adj[i].add(j)
                 adj[j].add(i)
-    return CoherenceGraph(routes, tuple(frozenset(a) for a in adj))
-
-
-def exceptional_routes(dag: Dag, framing: Framing) -> tuple[Route, ...]:
-    g = coherence_graph(dag, framing)
-    n = len(g.routes)
-    return tuple(g.routes[i] for i in range(n) if len(g.adjacency[i]) == n - 1)
+    return tuple(frozenset(a) for a in adj)
 
 
 def _bron_kerbosch(adj: Sequence[frozenset[int]], r: set[int], p: set[int],
@@ -97,12 +83,12 @@ def _bron_kerbosch(adj: Sequence[frozenset[int]], r: set[int], p: set[int],
         x.add(v)
 
 
-def max_cliques(dag: Dag, framing: Framing) -> tuple[tuple[int, ...], ...]:
-    """All maximal cliques of the coherence graph, as sorted route-index
-    tuples in canonical order.  Each must have dimension+1 members."""
-    g = coherence_graph(dag, framing)
+def max_cliques(dag: Dag, adj: Sequence[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
+    """All maximal cliques of a coherence graph (see ``coherence_graph``),
+    as sorted route-index tuples in canonical order.  Each must have
+    dimension+1 members."""
     cliques: list[tuple[int, ...]] = []
-    _bron_kerbosch(g.adjacency, set(), set(range(len(g.routes))), set(), cliques)
+    _bron_kerbosch(adj, set(), set(range(len(adj))), set(), cliques)
     cliques.sort()
     want = dimension(dag) + 1
     for c in cliques:
@@ -115,9 +101,15 @@ def max_cliques(dag: Dag, framing: Framing) -> tuple[tuple[int, ...], ...]:
 
 def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:
     routes = enumerate_routes(dag)
-    cliques = max_cliques(dag, framing)
     return Triangulation(
-        complex=SimplicialComplex(cliques),
+        complex=SimplicialComplex(max_cliques(dag, coherence_graph(dag, framing, routes))),
         labels=routes,
         coords=tuple(indicator_vector(dag, r) for r in routes),
     )
+
+
+def exceptional_routes(tri: Triangulation) -> tuple[Route, ...]:
+    """Routes lying in every maximal simplex of a framed triangulation,
+    i.e. the routes coherent with every other route."""
+    common = set.intersection(*map(set, tri.simplices))
+    return tuple(tri.labels[i] for i in sorted(common))

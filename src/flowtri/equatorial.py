@@ -11,15 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import factorial
 from typing import Iterator, Sequence
 
-from .dag import Dag, degree_equality, dimension, idle_edges
-from .dkk import dkk_triangulation, max_cliques
+from .dag import Dag, degree_equality, idle_edges
+from .dkk import coherence_graph, dkk_triangulation, max_cliques
 from .geometry import SimplicialComplex, Triangulation, complex_from_faces
 from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
-                     enumerate_routes, indicator_vector)
+                     enumerate_routes)
 
 Transversal = tuple[str, ...]     # entry i is the chosen edge of route i
+
+MAX_FRAMINGS = 100_000            # bound on the exhaustive framing sweep
 
 
 @dataclass(frozen=True)
@@ -33,11 +36,10 @@ def enumerate_transversals(decomp: Sequence[Route]) -> Iterator[Transversal]:
     return product(*decomp)
 
 
-def routes_avoiding(dag: Dag, transversals: Sequence[Transversal]) -> frozenset[int]:
-    """Indices of routes touching no edge of any given transversal."""
-    banned = {e for m in transversals for e in m}
-    routes = enumerate_routes(dag)
-    return frozenset(i for i, r in enumerate(routes) if not banned & set(r))
+def routes_avoiding(routes: Sequence[Route], m: Transversal) -> frozenset[int]:
+    """Indices of the routes touching no edge of the transversal."""
+    banned = set(m)
+    return frozenset(i for i, r in enumerate(routes) if banned.isdisjoint(r))
 
 
 def common_face(dag: Dag, decomp: Sequence[Route], routeset: Sequence[Route]) -> bool:
@@ -47,17 +49,11 @@ def common_face(dag: Dag, decomp: Sequence[Route], routeset: Sequence[Route]) ->
     return not any(set(r) <= union for r in decomp)
 
 
-def is_facet_transversal(dag: Dag, decomp: Sequence[Route], m: Transversal) -> bool:
-    """Facet criterion: every inner vertex sees a route that dodges m."""
-    banned = set(m)
-    routes = enumerate_routes(dag)
-    touched: set[int] = set()
-    for r in routes:
-        if banned & set(r):
-            continue
-        for e in r:
-            edge = dag.edge_by_id[e]
-            touched.add(edge.head)
+def is_facet_transversal(dag: Dag, routes: Sequence[Route],
+                         avoided: frozenset[int]) -> bool:
+    """Facet criterion: every inner vertex lies on one of the ``avoided``
+    routes (the indices ``routes_avoiding`` returns for the transversal)."""
+    touched = {dag.edge_by_id[e].head for i in avoided for e in routes[i]}
     return all(v in touched for v in dag.inner_vertices)
 
 
@@ -67,55 +63,52 @@ def equatorial_facets(dag: Dag, decomp: Sequence[Route]) -> tuple[EquatorialFace
     Distinct transversals frequently carve out the same face; the first
     transversal in lexicographic order is kept as the representative.
     """
+    if not degree_equality(dag):
+        raise NotGorensteinError("not Gorenstein: degree equality fails")
     idle = idle_edges(dag)
     if idle:
         raise ValueError(f"idle edges present (contract them first): {idle}")
+    routes = enumerate_routes(dag)
     seen: dict[frozenset[int], Transversal] = {}
     for m in enumerate_transversals(decomp):
-        if not is_facet_transversal(dag, decomp, m):
-            continue
-        avoided = routes_avoiding(dag, [m])
-        seen.setdefault(avoided, m)
+        avoided = routes_avoiding(routes, m)
+        if is_facet_transversal(dag, routes, avoided):
+            seen.setdefault(avoided, m)
     return tuple(EquatorialFace(m, rs)
                  for rs, m in sorted(seen.items(), key=lambda kv: sorted(kv[0])))
 
 
-def t_eq(dag: Dag, decomp: Sequence[Route]) -> SimplicialComplex:
+def t_eq(framed: Triangulation, facets: Sequence[EquatorialFace]) -> SimplicialComplex:
     """The equatorial sphere: the decomposition framing's triangulation
-    restricted to the equatorial complex.
+    ``framed`` restricted to the equatorial complex with the given facets.
 
-    Computed by intersecting each maximal clique with each facet's route
+    Computed by intersecting each maximal simplex with each facet's route
     set and keeping the maximal results.
     """
-    if not degree_equality(dag):
-        raise NotGorensteinError("not Gorenstein: degree equality fails")
-    framing = decomposition_framing(dag, decomp)
-    cliques = max_cliques(dag, framing)
-    facets = equatorial_facets(dag, decomp)
-    pieces = {tuple(sorted(set(c) & f.routes)) for c in cliques for f in facets}
+    pieces = {tuple(sorted(set(c) & f.routes)) for c in framed.simplices for f in facets}
     return complex_from_faces(pieces)
+
+
+def join_route_simplex(framed: Triangulation, decomp: Sequence[Route],
+                       sphere: SimplicialComplex) -> Triangulation:
+    """Join of the equatorial sphere with the route simplex, on the routes
+    and coordinates of the decomposition framing's triangulation."""
+    idx = {r: i for i, r in enumerate(framed.labels)}
+    simplex = tuple(sorted(idx[r] for r in decomp))
+    maximal = tuple(sorted(tuple(sorted(set(f) | set(simplex)))
+                           for f in sphere.maximal_faces)) or (simplex,)
+    want = len(framed.simplices[0])
+    for f in maximal:
+        if len(f) != want:
+            raise AssertionError(f"join simplex {f} has size {len(f)}, expected {want}")
+    return Triangulation(SimplicialComplex(maximal), framed.labels, framed.coords)
 
 
 def equatorial_flow_triangulation(dag: Dag, decomp: Sequence[Route]) -> Triangulation:
     """Join of the equatorial sphere with the route simplex."""
-    routes = enumerate_routes(dag)
-    idx = {r: i for i, r in enumerate(routes)}
-    simplex = tuple(sorted(idx[r] for r in decomp))
-    sphere = t_eq(dag, decomp)
-    if sphere.maximal_faces:
-        maximal = tuple(sorted(tuple(sorted(set(f) | set(simplex)))
-                               for f in sphere.maximal_faces))
-    else:
-        maximal = (simplex,)
-    d = dimension(dag)
-    for f in maximal:
-        if len(f) != d + 1:
-            raise AssertionError(f"join simplex {f} has size {len(f)}, expected {d + 1}")
-    return Triangulation(
-        complex=SimplicialComplex(maximal),
-        labels=routes,
-        coords=tuple(indicator_vector(dag, r) for r in routes),
-    )
+    facets = equatorial_facets(dag, decomp)
+    framed = dkk_triangulation(dag, decomposition_framing(dag, decomp))
+    return join_route_simplex(framed, decomp, t_eq(framed, facets))
 
 
 @dataclass(frozen=True)
@@ -142,27 +135,22 @@ def _all_framings(dag: Dag) -> Iterator[Framing]:
 
 
 def framing_count(dag: Dag) -> int:
-    from math import factorial
     n = 1
     for v in dag.inner_vertices:
         n *= factorial(dag.indeg(v)) * factorial(dag.outdeg(v))
     return n
 
 
-def differs_from_dkk(dag: Dag, decomp: Sequence[Route], exhaustive: bool,
-                     max_framings: int = 100_000) -> DkkComparisonReport:
-    """Compare the equatorial flow triangulation against framed
-    triangulations: just the decomposition framing's one, or all framings
-    when exhaustive."""
-    target = equatorial_flow_triangulation(dag, decomp).as_face_set()
-    if not exhaustive:
-        got = dkk_triangulation(dag, decomposition_framing(dag, decomp)).as_face_set()
-        return DkkComparisonReport(False, 1, (0,) if got == target else ())
-    total = framing_count(dag)
-    if total > max_framings:
-        raise ValueError(f"exhaustive bound exceeded: {total} framings > {max_framings}")
-    matches = []
-    for i, fr in enumerate(_all_framings(dag)):
-        if dkk_triangulation(dag, fr).as_face_set() == target:
-            matches.append(i)
-    return DkkComparisonReport(True, total, tuple(matches))
+def differs_from_dkk(dag: Dag, decomp: Sequence[Route], tri: Triangulation,
+                     exhaustive: bool) -> DkkComparisonReport:
+    """Compare the equatorial flow triangulation ``tri`` of (dag, decomp)
+    against framed triangulations: just the decomposition framing's one, or
+    all framings (at most MAX_FRAMINGS) when exhaustive."""
+    total = framing_count(dag) if exhaustive else 1
+    if total > MAX_FRAMINGS:
+        raise ValueError(f"exhaustive bound exceeded: {total} framings > {MAX_FRAMINGS}")
+    framings = _all_framings(dag) if exhaustive else [decomposition_framing(dag, decomp)]
+    target = set(tri.simplices)
+    matches = tuple(i for i, fr in enumerate(framings)
+                    if set(max_cliques(dag, coherence_graph(dag, fr, tri.labels))) == target)
+    return DkkComparisonReport(exhaustive, total, matches)

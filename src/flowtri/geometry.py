@@ -311,8 +311,8 @@ class TriangulationReport:
         return not self.issues
 
 
-def verify_triangulation(tri: Triangulation, dim: int, normalized_volume: int,
-                         check_pairs: bool = True) -> TriangulationReport:
+def verify_triangulation(tri: Triangulation, dim: int,
+                         normalized_volume: int) -> TriangulationReport:
     """Check purity, unimodularity, pairwise common faces and total volume.
 
     ``normalized_volume`` is the carrier's d! * (Ehrhart leading
@@ -333,12 +333,11 @@ def verify_triangulation(tri: Triangulation, dim: int, normalized_volume: int,
     if len(tri.simplices) != normalized_volume:
         issues.append(
             f"{len(tri.simplices)} simplices but normalized volume {normalized_volume}")
-    if check_pairs:
-        for s, t in combinations(tri.simplices, 2):
-            shared = [(s.index(v), t.index(v)) for v in s if v in t]
-            if not simplices_meet_in_common_face(tri.simplex_coords(s),
-                                                 tri.simplex_coords(t), shared):
-                issues.append(f"simplices {s} and {t} do not meet in a common face")
+    for s, t in combinations(tri.simplices, 2):
+        shared = [(s.index(v), t.index(v)) for v in s if v in t]
+        if not simplices_meet_in_common_face(tri.simplex_coords(s),
+                                             tri.simplex_coords(t), shared):
+            issues.append(f"simplices {s} and {t} do not meet in a common face")
     return TriangulationReport(tuple(issues))
 
 

@@ -16,9 +16,10 @@ from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
-from .dag import SOURCE, Dag, degree_equality, make_dag
+from .dag import (SOURCE, Dag, degree_equality, make_dag, vertex_from_json,
+                  vertex_to_json)
 from .dkk import dkk_triangulation
-from .equatorial import equatorial_flow_triangulation
+from .equatorial import equatorial_facets, join_route_simplex, t_eq
 from .geometry import SimplicialComplex, Triangulation, Vector
 from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
                      is_route_decomposition)
@@ -50,6 +51,21 @@ class Poset:
         for a, b in self.covers:
             out[b].append(a)
         return {p: tuple(sorted(es)) for p, es in out.items()}
+
+    @cached_property
+    def heights(self) -> dict[str, int]:
+        """p -> number of elements on the longest chain ending at p."""
+        out: dict[str, int] = {}
+
+        def h(p: str) -> int:
+            if p not in out:
+                lows = self.down_covers[p]
+                out[p] = 1 + (max(map(h, lows)) if lows else 0)
+            return out[p]
+
+        for p in self.elements:
+            h(p)
+        return out
 
     @cached_property
     def up_sets(self) -> dict[str, frozenset[str]]:
@@ -117,16 +133,7 @@ def poset_from_json(data: Mapping) -> Poset:
 
 def is_graded(poset: Poset) -> tuple[bool, dict[str, int]]:
     """Ranks 1..r when all maximal chains share one length, else (False, {})."""
-    height: dict[str, int] = {}
-
-    def h(p: str) -> int:
-        if p not in height:
-            lows = poset.down_covers[p]
-            height[p] = 1 + (max(map(h, lows)) if lows else 0)
-        return height[p]
-
-    for p in poset.elements:
-        h(p)
+    height = poset.heights
     if not poset.elements:
         return True, {}
     graded = all(height[b] == height[a] + 1 for a, b in poset.covers)
@@ -182,21 +189,12 @@ class PlanarEmbedding:
 
 
 def embedding_from_json(dag: Dag, data: Mapping) -> PlanarEmbedding:
-    def dec(v) -> int:
-        if v == "s":
-            return SOURCE
-        if v == "t":
-            return dag.sink
-        return int(v)
-
-    return PlanarEmbedding({dec(v): tuple(r) for v, r in data["rotations"].items()})
+    return PlanarEmbedding({vertex_from_json(v, dag.sink): tuple(r)
+                            for v, r in data["rotations"].items()})
 
 
 def embedding_to_json(dag: Dag, emb: PlanarEmbedding) -> dict:
-    def enc(v: int):
-        return "s" if v == SOURCE else "t" if v == dag.sink else v
-
-    return {"rotations": {str(enc(v)): list(r)
+    return {"rotations": {str(vertex_to_json(v, dag.sink)): list(r)
                           for v, r in sorted(emb.rotations.items())}}
 
 
@@ -311,27 +309,22 @@ def hasse_edges(poset: Poset) -> tuple[tuple[str, str, str], ...]:
     return tuple(sorted(out))
 
 
-def poset_to_dag(poset: Poset,
-                 hasse_rotations: Mapping[str, Sequence[str]] | None = None
-                 ) -> tuple[Dag, PlanarEmbedding]:
+def poset_to_dag(poset: Poset) -> tuple[Dag, PlanarEmbedding]:
     """Rebuild the DAG whose bounded faces realize the poset.
 
     Traces the faces of the bottom-to-top Hasse drawing of the poset with
-    bottom and top adjoined; faces become vertices, each cover becomes the
-    edge from the face on its left to the face on its right, and the
-    unbounded face splits into the source (left arc) and sink (right arc).
+    bottom and top adjoined (layered by height, see ``_layered_rotations``);
+    faces become vertices, each cover becomes the edge from the face on its
+    left to the face on its right, and the unbounded face splits into the
+    source (left arc) and sink (right arc).
     """
     if any(p in (BOTTOM, TOP) for p in poset.elements):
         raise ValueError(f"element names {BOTTOM}/{TOP} are reserved")
     edges = hasse_edges(poset)
     ends = {eid: (a, b) for eid, a, b in edges}
-    if hasse_rotations is None:
-        hasse_rotations = _layered_rotations(poset, edges)
-    verts = set(ends_flat(ends))
-    if set(hasse_rotations) != verts:
-        raise ValueError("Hasse rotations must cover every element plus ends")
+    hasse_rotations = _layered_rotations(poset, edges)
     orbits, face_of = _trace(ends, hasse_rotations)
-    if len(verts) - len(ends) + len(orbits) != 2:
+    if len(hasse_rotations) - len(ends) + len(orbits) != 2:
         raise ValueError("Hasse rotation system is not planar (Euler check fails)")
     outer = face_of[(hasse_rotations[BOTTOM][-1], 1)]
 
@@ -387,30 +380,13 @@ def poset_to_dag(poset: Poset,
     return dag, emb
 
 
-def ends_flat(ends: Mapping[str, tuple[str, str]]) -> Iterable[str]:
-    for a, b in ends.values():
-        yield a
-        yield b
-
-
 def _layered_rotations(poset: Poset, edges) -> dict[str, tuple[str, ...]]:
     """Rotations of a layered drawing: x-position by name within the height
     layer; counterclockwise = upward covers right to left, then downward
     covers left to right."""
-    height: dict[str, int] = {BOTTOM: 0}
-
-    def h(p: str) -> int:
-        if p not in height:
-            lows = poset.down_covers[p]
-            height[p] = 1 + (max(map(h, lows)) if lows else 0)
-        return height[p]
-
-    for p in poset.elements:
-        h(p)
-    height[TOP] = 1 + max(height.values())
     layers: dict[int, list[str]] = {}
     for p in poset.elements:
-        layers.setdefault(height[p], []).append(p)
+        layers.setdefault(poset.heights[p], []).append(p)
     x = {p: i for layer in layers.values() for i, p in enumerate(sorted(layer))}
     x[BOTTOM] = x[TOP] = 0
 
@@ -693,13 +669,15 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding) -> EquivalenceReport:
             out.add(frozenset(as_route(tri.labels[i]) for i in simplex))
         return frozenset(out)
 
+    framed = dkk_triangulation(dag, df)
     canon = mapped(canonical_triangulation(dual.poset))
-    dkk = dkk_triangulation(dag, pf).as_face_set()
+    dkk = (framed if pf == df else dkk_triangulation(dag, pf)).as_face_set()
     for s in sorted(map(sorted, canon - dkk)) + sorted(map(sorted, dkk - canon)):
         issues.append(f"chain/clique triangulations differ at {s}")
 
     eq_tri = equatorial_order_triangulation(dual.poset)
-    flow_tri = equatorial_flow_triangulation(dag, decomp)
+    flow_tri = join_route_simplex(framed, decomp,
+                                  t_eq(framed, equatorial_facets(dag, decomp)))
     order_faces = mapped(eq_tri)
     flow_faces = flow_tri.as_face_set()
     for s in sorted(map(sorted, order_faces - flow_faces)) + \

@@ -10,13 +10,12 @@ whose facets come from facet transversals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import Mapping, Sequence
 
 from .dag import Dag, degree_equality
-from .equatorial import Transversal, equatorial_facets
+from .equatorial import Transversal, enumerate_transversals, equatorial_facets
 from .geometry import rank
 from .routes import NotGorensteinError, Route, enumerate_routes
 
@@ -31,6 +30,7 @@ class LeveledSpace:
     """Product of per-inner-vertex blocks with route-label coordinates."""
 
     blocks: tuple[tuple[int, tuple[int, ...]], ...]   # (vertex, sorted labels)
+    labels: Mapping[str, int]                         # edge_labels of the decomposition
 
     @cached_property
     def index(self) -> dict[tuple[int, int], int]:
@@ -44,46 +44,30 @@ class LeveledSpace:
     def dim(self) -> int:
         return sum(len(labels) for _, labels in self.blocks)
 
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.dim
-
 
 def leveled_space(dag: Dag, decomp: Sequence[Route]) -> LeveledSpace:
+    """One block per inner vertex, holding the labels of its in-edges; the
+    space keeps the edge labels for ``phi`` and the functionals."""
     labels = edge_labels(dag, decomp)
     blocks = []
     for v in dag.inner_vertices:
         inlv = tuple(sorted({labels[e.id] for e in dag.in_edges(v)}))
-        assert len(inlv) == dag.indeg(v), "in-labels are distinct for a decomposition"
+        if len(inlv) != dag.indeg(v):
+            raise AssertionError(f"two in-edges of {v} carry the same route label")
         blocks.append((v, inlv))
-    return LeveledSpace(tuple(blocks))
+    return LeveledSpace(tuple(blocks), labels)
 
 
-def phi_edge(dag: Dag, space: LeveledSpace, labels: Mapping[str, int], eid: str):
-    """Image of a single edge's basis vector (as a sparse dict)."""
-    e = dag.edge_by_id[eid]
-    l = labels[eid]
-    out: dict[int, int] = {}
-    if 1 <= e.head <= dag.inner_count:
-        out[space.index[(e.head, l)]] = out.get(space.index[(e.head, l)], 0) + 1
-    if 1 <= e.tail <= dag.inner_count:
-        out[space.index[(e.tail, l)]] = out.get(space.index[(e.tail, l)], 0) - 1
-    return out
-
-
-def phi(dag: Dag, decomp: Sequence[Route], x) -> tuple:
-    """Linear projection of a flow vector, or of a route's indicator.
-
-    ``x`` may be a route (tuple of edge ids) or a mapping edge id -> value.
-    """
-    space = leveled_space(dag, decomp)
-    labels = edge_labels(dag, decomp)
-    if isinstance(x, tuple):
-        x = {eid: 1 for eid in x}
-    vec = [0 * Fraction(1)] * space.dim if any(
-        isinstance(v, Fraction) for v in x.values()) else [0] * space.dim
-    for eid, value in x.items():
-        for pos, coeff in phi_edge(dag, space, labels, eid).items():
-            vec[pos] += coeff * value
+def phi(dag: Dag, space: LeveledSpace, route: Route) -> tuple[int, ...]:
+    """Linear projection of a route's indicator vector: each edge adds its
+    label's basis vector in its head block and subtracts it in its tail
+    block (source and sink have no block)."""
+    vec = [0] * space.dim
+    for eid in route:
+        e = dag.edge_by_id[eid]
+        for v, sign in ((e.head, 1), (e.tail, -1)):
+            if 1 <= v <= dag.inner_count:
+                vec[space.index[(v, space.labels[eid])]] += sign
     return tuple(vec)
 
 
@@ -105,50 +89,54 @@ class QuotientPolytope:
 
 
 def quotient_vertices(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
+    """Images of the routes outside the decomposition, keyed by route index;
+    the decomposition routes project to the origin."""
     if not degree_equality(dag):
         raise NotGorensteinError("not Gorenstein: degree equality fails")
     space = leveled_space(dag, decomp)
-    routes = enumerate_routes(dag)
     members = set(decomp)
     verts = []
-    for i, r in enumerate(routes):
-        img = phi(dag, decomp, r)
-        if r in members:
-            assert all(v == 0 for v in img), "decomposition route must project to 0"
-        else:
+    for i, r in enumerate(enumerate_routes(dag)):
+        img = phi(dag, space, r)
+        if r not in members:
             verts.append((i, img))
-    coords = [c for _, c in verts]
-    assert len(set(coords)) == len(coords), "projected vertices must be distinct"
+        elif any(img):
+            raise AssertionError(f"decomposition route {r} does not project to 0")
+    if len({c for _, c in verts}) != len(verts):
+        raise AssertionError("projected vertices are not distinct")
     return QuotientPolytope(space, tuple(verts), ())
 
 
-def _route_left_edges(route: Route, chosen: str) -> tuple[str, ...]:
-    return route[:route.index(chosen)]
-
-
-def transversal_functional(dag: Dag, decomp: Sequence[Route],
+def transversal_functional(dag: Dag, space: LeveledSpace, decomp: Sequence[Route],
                            m: Transversal) -> tuple[int, ...]:
     """0/1 functional with support on (vertex, label) pairs reached by the
-    pre-transversal prefix of each decomposition route."""
-    space = leveled_space(dag, decomp)
-    labels = edge_labels(dag, decomp)
+    pre-transversal prefix of each decomposition route (every prefix edge
+    ends at an inner vertex)."""
     coeffs = [0] * space.dim
     for route, chosen in zip(decomp, m):
-        for eid in _route_left_edges(route, chosen):
-            e = dag.edge_by_id[eid]
-            if 1 <= e.head <= dag.inner_count:
-                coeffs[space.index[(e.head, labels[eid])]] = 1
+        for eid in route[:route.index(chosen)]:
+            coeffs[space.index[(dag.edge_by_id[eid].head, space.labels[eid])]] = 1
     return tuple(coeffs)
 
 
-def check_transversal_identity(dag: Dag, decomp: Sequence[Route], s: Route,
-                               m: Transversal) -> tuple[bool, int, int]:
-    """Evaluate the facet functional at the projected route and compare it
-    with 1 - (number of transversal edges the route uses)."""
-    lhs = sum(c * x for c, x in zip(transversal_functional(dag, decomp, m),
-                                    phi(dag, decomp, s)))
-    rhs = 1 - len(set(s) & set(m))
-    return lhs == rhs, lhs, rhs
+def check_transversal_identity(dag: Dag, decomp: Sequence[Route], q: QuotientPolytope
+                               ) -> tuple[tuple[Route, Transversal, int, int], ...]:
+    """Both sides of the facet identity for every route s and every
+    transversal m: m's functional at the projected route, and 1 - (number of
+    edges of m on s).  Rows are (s, m, lhs, rhs), routes in enumeration
+    order and transversals in lexicographic order within each route;
+    ``q`` supplies the space and the route images (``quotient_vertices``)."""
+    functionals = [(m, transversal_functional(dag, q.space, decomp, m))
+                   for m in enumerate_transversals(decomp)]
+    images = dict(q.vertices)
+    origin = (0,) * q.space.dim
+    rows = []
+    for i, s in enumerate(enumerate_routes(dag)):
+        img, used = images.get(i, origin), set(s)
+        for m, coeffs in functionals:
+            lhs = sum(c * x for c, x in zip(coeffs, img))
+            rows.append((s, m, lhs, 1 - len(used.intersection(m))))
+    return tuple(rows)
 
 
 def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
@@ -156,7 +144,7 @@ def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
     q = quotient_vertices(dag, decomp)
     seen: dict[tuple[int, ...], Transversal] = {}
     for face in equatorial_facets(dag, decomp):
-        coeffs = transversal_functional(dag, decomp, face.transversal)
+        coeffs = transversal_functional(dag, q.space, decomp, face.transversal)
         seen.setdefault(coeffs, face.transversal)
     facets = tuple((m, c) for c, m in sorted(seen.items()))
     want = sum(dag.indeg(v) - 1 for v in dag.inner_vertices)

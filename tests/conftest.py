@@ -5,25 +5,11 @@ from __future__ import annotations
 import random
 
 from flowtri.dag import (Dag, contract_idle_edges, gorenstein_completion,
-                         make_dag, validate)
-from flowtri.routes import Route
-
-
-def random_dag(rng: random.Random, max_edges: int = 8,
-               max_inner: int = 3) -> Dag:
-    """Uniform-ish valid DAG: random tail<head pairs, resampled until the
-    structural validation passes."""
-    while True:
-        inner = rng.randint(1, max_inner)
-        m = rng.randint(inner + 1, max_edges)
-        edges = [(f"e{i}", 0, 0) for i in range(m)]
-        for i in range(m):
-            tail = rng.randint(0, inner)
-            head = rng.randint(tail + 1, inner + 1)
-            edges[i] = (f"e{i}", tail, head)
-        dag = make_dag(inner, edges)
-        if validate(dag).ok:
-            return dag
+                         random_dag, validate)
+from flowtri.dkk import dkk_triangulation
+from flowtri.equatorial import equatorial_facets, t_eq
+from flowtri.geometry import SimplicialComplex
+from flowtri.routes import Route, decomposition_framing
 
 
 def random_balanced_dag(rng: random.Random, max_edges: int = 9) -> Dag:
@@ -36,6 +22,12 @@ def random_balanced_dag(rng: random.Random, max_edges: int = 9) -> Dag:
             continue
         if dag.inner_count and len(dag.edges) <= max_edges and validate(dag).ok:
             return dag
+
+
+def sphere(dag: Dag, decomp: tuple[Route, ...]) -> SimplicialComplex:
+    """T_eq of a decomposition, from its framed triangulation and facets."""
+    framed = dkk_triangulation(dag, decomposition_framing(dag, decomp))
+    return t_eq(framed, equatorial_facets(dag, decomp))
 
 
 def trimmed(seq) -> tuple:
@@ -89,7 +81,7 @@ def sphere_oracle(dag: Dag, decomp: tuple[Route, ...]) -> set[frozenset[int]]:
 
     from flowtri.dkk import coherent
     from flowtri.equatorial import common_face
-    from flowtri.routes import decomposition_framing, enumerate_routes
+    from flowtri.routes import enumerate_routes
 
     routes = enumerate_routes(dag)
     framing = decomposition_framing(dag, decomp)

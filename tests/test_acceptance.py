@@ -8,23 +8,23 @@ import pytest
 
 from flowtri.cli import main
 from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, degree_equality,
-                         dimension, stacked_rotations)
+                         dimension, random_dag, stacked_rotations)
 from flowtri.dkk import dkk_triangulation
 from flowtri.equatorial import (differs_from_dkk, enumerate_transversals,
                                 equatorial_facets, equatorial_flow_triangulation,
-                                framing_count, t_eq)
+                                framing_count)
 from flowtri.geometry import (SimplicialComplex, Triangulation,
                               count_lattice_points, ehrhart_hstar, f_vector,
                               h_polynomial, normalized_volume,
                               verify_triangulation)
 from flowtri.planar import PlanarEmbedding, verify_equivalence
 from flowtri.quotient import (check_transversal_identity, quotient_facets,
-                              scaled, verify_reflexive)
+                              quotient_vertices, scaled, verify_reflexive)
 from flowtri.routes import (NotGorensteinError, decomposition_framing,
                             enumerate_routes, is_route_decomposition,
                             route_decomposition)
-from tests.conftest import (has_route_partition, random_balanced_dag,
-                            random_dag, trimmed)
+from tests.conftest import (has_route_partition, random_balanced_dag, sphere,
+                            trimmed)
 
 
 def report(n: int, desc: str, ok: bool) -> None:
@@ -83,20 +83,22 @@ def test_criterion_4_sphere_structure():
     ok = True
     for dag, euler, fv in ((D1(), 2, (1, 2)), (D2(), 0, (1, 6, 6)),
                            (D3(), 0, (1, 6, 6))):
-        sphere = t_eq(dag, route_decomposition(dag))
-        ok = ok and sphere.is_pure() and sphere.ridges_in_two_facets()
-        ok = ok and sphere.euler_characteristic() == euler
-        ok = ok and f_vector(sphere) == fv
+        s = sphere(dag, route_decomposition(dag))
+        ok = ok and s.is_pure() and s.ridges_in_two_facets()
+        ok = ok and s.euler_characteristic() == euler
+        ok = ok and f_vector(s) == fv
     report(4, "equatorial spheres: pure pseudomanifolds, S^0 for D1 and"
               " hexagons (6 vertices, 6 edges) for D2/D3", ok)
 
 
 def test_criterion_5_not_dkk():
     d3, d1 = D3(), D1()
-    sweep = differs_from_dkk(d3, route_decomposition(d3), exhaustive=True)
+    dec3, dec1 = route_decomposition(d3), route_decomposition(d1)
+    sweep = differs_from_dkk(d3, dec3, equatorial_flow_triangulation(d3, dec3),
+                             exhaustive=True)
     ok = (framing_count(d3) == 36 and sweep.exhaustive
           and sweep.framings_checked == 36 and not sweep.matching_framings)
-    ok = ok and differs_from_dkk(d1, route_decomposition(d1),
+    ok = ok and differs_from_dkk(d1, dec1, equatorial_flow_triangulation(d1, dec1),
                                  exhaustive=False).is_dkk
     report(5, "D3 equatorial flow triangulation differs from all 36 framed"
               " triangulations; D1's coincides with its framed one", ok)
@@ -107,13 +109,11 @@ def test_criterion_6_transversal_identity():
     counts = []
     for dag in (D1(), D2(), D3()):
         decomp = route_decomposition(dag)
-        pairs = 0
-        for s, m in product(enumerate_routes(dag),
-                            enumerate_transversals(decomp)):
-            holds, lhs, rhs = check_transversal_identity(dag, decomp, s, m)
-            ok = ok and holds
-            pairs += 1
-        counts.append(pairs)
+        rows = check_transversal_identity(dag, decomp, quotient_vertices(dag, decomp))
+        ok = ok and all(lhs == rhs for _, _, lhs, rhs in rows)
+        ok = ok and [(s, m) for s, m, _, _ in rows] == list(
+            product(enumerate_routes(dag), enumerate_transversals(decomp)))
+        counts.append(len(rows))
     ok = ok and counts == [16, 72, 72]
     report(6, "facet-functional identity holds for every (route, transversal)"
               f" pair: {counts[0]}+{counts[1]}+{counts[2]} pairs, zero"

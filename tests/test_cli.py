@@ -134,6 +134,18 @@ def test_invalid_graph_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_structurally_invalid_graph_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "backwards.json"
+    path.write_text(json.dumps(dag_to_json(make_dag(
+        1, [("a", 0, 1), ("b", 0, 1), ("c", 1, 2), ("d", 1, 0)]))))
+    assert path.read_text().count('"head": "s"') == 1     # an edge from 1 back to s
+    for command in ("analyze", "dkk"):
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == 2 and out == ""
+        message = json.loads(err)["error"]
+        assert message.startswith("invalid graph: ") and "'d'" in message
+
+
 def test_byte_identical_output(capsys, d2_file):
     _, first, _ = run(capsys, ["equatorial", d2_file])
     _, second, _ = run(capsys, ["equatorial", d2_file])

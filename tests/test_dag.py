@@ -6,8 +6,7 @@ import pytest
 from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
                          dag_from_json, dag_to_json, degree_equality,
                          dimension, gorenstein_completion, idle_edges,
-                         make_dag, validate, zigzag)
-from tests.conftest import random_dag
+                         make_dag, random_dag, validate, zigzag)
 
 
 def test_catalog_shapes():

@@ -21,10 +21,15 @@ def test_conflict_d1():
     assert not conflict(d1, fr, ("a", "c"), ("b", "d"))
 
 
+def _cliques(dag):
+    return max_cliques(dag, coherence_graph(dag, _decomp_framing(dag),
+                                            enumerate_routes(dag)))
+
+
 def test_cliques_d1():
     d1 = D1()
     routes = enumerate_routes(d1)
-    cliques = max_cliques(d1, _decomp_framing(d1))
+    cliques = _cliques(d1)
     named = {frozenset(routes[i] for i in c) for c in cliques}
     assert named == {
         frozenset({("a", "c"), ("a", "d"), ("b", "d")}),
@@ -34,23 +39,24 @@ def test_cliques_d1():
 
 def test_exceptional_routes_d1():
     d1 = D1()
-    assert set(exceptional_routes(d1, _decomp_framing(d1))) == {
+    tri = dkk_triangulation(d1, _decomp_framing(d1))
+    assert set(exceptional_routes(tri)) == {
         ("a", "c"), ("b", "d")}
 
 
 def test_cliques_d2():
     d2 = D2()
-    cliques = max_cliques(d2, _decomp_framing(d2))
+    cliques = _cliques(d2)
     assert len(cliques) == 6
     assert all(len(c) == 4 for c in cliques)
 
 
 def test_coherence_graph_shape():
     d3 = D3()
-    g = coherence_graph(d3, _decomp_framing(d3))
-    assert len(g.routes) == 9
-    assert all(i not in g.adjacency[i] for i in range(9))
-    assert all(i in g.adjacency[j] for i in range(9) for j in g.adjacency[i])
+    adj = coherence_graph(d3, _decomp_framing(d3), enumerate_routes(d3))
+    assert len(adj) == 9
+    assert all(i not in adj[i] for i in range(9))
+    assert all(i in adj[j] for i in range(9) for j in adj[i])
 
 
 def test_dkk_is_unimodular_triangulation():

@@ -6,11 +6,11 @@ from flowtri.dag import D1, D2, D3, G, dimension, make_dag
 from flowtri.equatorial import (common_face, differs_from_dkk,
                                 enumerate_transversals, equatorial_facets,
                                 equatorial_flow_triangulation, framing_count,
-                                is_facet_transversal, routes_avoiding, t_eq)
+                                is_facet_transversal, routes_avoiding)
 from flowtri.geometry import (ehrhart_hstar, f_vector, h_polynomial,
                               normalized_volume, verify_triangulation)
 from flowtri.routes import enumerate_routes, route_decomposition
-from tests.conftest import random_balanced_dag, sphere_oracle, trimmed
+from tests.conftest import random_balanced_dag, sphere, sphere_oracle, trimmed
 
 
 def test_enumerate_transversals():
@@ -22,9 +22,9 @@ def test_enumerate_transversals():
 def test_routes_avoiding():
     d1, d2 = D1(), D2()
     r1, r2 = enumerate_routes(d1), enumerate_routes(d2)
-    got = routes_avoiding(d1, [("a", "d")])
+    got = routes_avoiding(r1, ("a", "d"))
     assert {r1[i] for i in got} == {("b", "c")}
-    got = routes_avoiding(d2, [("a", "d")])
+    got = routes_avoiding(r2, ("a", "d"))
     assert {r2[i] for i in got} == {("b", "c", "e"), ("b", "c", "f")}
 
 
@@ -37,9 +37,9 @@ def test_common_face():
 
 def test_is_facet_transversal():
     d2 = D2()
-    decomp = route_decomposition(d2)
-    assert not is_facet_transversal(d2, decomp, ("c", "d"))
-    assert is_facet_transversal(d2, decomp, ("a", "d"))
+    routes = enumerate_routes(d2)
+    assert not is_facet_transversal(d2, routes, routes_avoiding(routes, ("c", "d")))
+    assert is_facet_transversal(d2, routes, routes_avoiding(routes, ("a", "d")))
 
 
 def test_equatorial_facets_counts():
@@ -56,19 +56,19 @@ def test_facets_require_idle_free_graph():
 
 def test_sphere_d1_is_two_points():
     d1 = D1()
-    sphere = t_eq(d1, route_decomposition(d1))
-    assert f_vector(sphere) == (1, 2)
-    assert sphere.euler_characteristic() == 2
+    s = sphere(d1, route_decomposition(d1))
+    assert f_vector(s) == (1, 2)
+    assert s.euler_characteristic() == 2
 
 
 def test_sphere_d3_is_hexagon():
     d3 = D3()
     routes = enumerate_routes(d3)
-    sphere = t_eq(d3, route_decomposition(d3))
-    assert f_vector(sphere) == (1, 6, 6)
-    assert sphere.euler_characteristic() == 0
+    s = sphere(d3, route_decomposition(d3))
+    assert f_vector(s) == (1, 6, 6)
+    assert s.euler_characteristic() == 0
     named = {frozenset("".join(routes[i]) for i in f)
-             for f in sphere.maximal_faces}
+             for f in s.maximal_faces}
     verts = {v for f in named for v in f}
     assert verts == {"ae", "af", "bd", "bf", "cd", "ce"}
 
@@ -76,8 +76,7 @@ def test_sphere_d3_is_hexagon():
 def test_sphere_matches_brute_force_oracle():
     for dag in (D1(), D2(), D3()):
         decomp = route_decomposition(dag)
-        sphere = t_eq(dag, decomp)
-        assert {frozenset(f) for f in sphere.maximal_faces} == \
+        assert {frozenset(f) for f in sphere(dag, decomp).maximal_faces} == \
             sphere_oracle(dag, decomp)
 
 
@@ -85,11 +84,11 @@ def test_sphere_properties_random():
     rng = random.Random(31)
     for _ in range(15):
         dag = random_balanced_dag(rng, max_edges=8)
-        sphere = t_eq(dag, route_decomposition(dag))
-        assert sphere.is_pure()
-        assert sphere.ridges_in_two_facets()
+        s = sphere(dag, route_decomposition(dag))
+        assert s.is_pure()
+        assert s.ridges_in_two_facets()
         want = sum(dag.indeg(v) - 1 for v in dag.inner_vertices)
-        assert all(len(f) == want for f in sphere.maximal_faces) or not want
+        assert all(len(f) == want for f in s.maximal_faces) or not want
 
 
 def test_join_triangulation_d1():
@@ -120,7 +119,9 @@ def test_no_inner_vertices_gives_plain_simplex():
 def test_d3_differs_from_every_dkk():
     d3 = D3()
     assert framing_count(d3) == 36
-    rep = differs_from_dkk(d3, route_decomposition(d3), exhaustive=True)
+    decomp = route_decomposition(d3)
+    rep = differs_from_dkk(d3, decomp, equatorial_flow_triangulation(d3, decomp),
+                           exhaustive=True)
     assert rep.exhaustive and rep.framings_checked == 36
     assert not rep.matching_framings
     assert not rep.is_dkk
@@ -128,5 +129,7 @@ def test_d3_differs_from_every_dkk():
 
 def test_d1_equals_its_dkk():
     d1 = D1()
-    rep = differs_from_dkk(d1, route_decomposition(d1), exhaustive=True)
+    decomp = route_decomposition(d1)
+    rep = differs_from_dkk(d1, decomp, equatorial_flow_triangulation(d1, decomp),
+                           exhaustive=True)
     assert rep.is_dkk

@@ -25,7 +25,7 @@ def test_phi_kills_decomposition_routes():
     for dag in (D1(), D2(), D3()):
         decomp = route_decomposition(dag)
         for r in decomp:
-            assert all(v == 0 for v in phi(dag, decomp, r))
+            assert all(v == 0 for v in phi(dag, leveled_space(dag, decomp), r))
 
 
 def test_quotient_d1_is_segment():
@@ -61,13 +61,12 @@ def test_scaled_quotient_fails_reflexivity():
 def test_transversal_identity_exhaustive_catalog():
     for dag in (D1(), D2(), D3()):
         decomp = route_decomposition(dag)
-        routes = [r for r in enumerate_routes(dag) if r not in set(decomp)]
-        pairs = 0
-        for s, m in product(routes, enumerate_transversals(decomp)):
-            ok, lhs, rhs = check_transversal_identity(dag, decomp, s, m)
-            assert ok, (s, m, lhs, rhs)
-            pairs += 1
-        assert pairs == len(routes) * _transversal_count(decomp)
+        rows = check_transversal_identity(dag, decomp, quotient_vertices(dag, decomp))
+        for s, m, lhs, rhs in rows:
+            assert lhs == rhs, (s, m, lhs, rhs)
+        assert [(s, m) for s, m, _, _ in rows] == list(
+            product(enumerate_routes(dag), enumerate_transversals(decomp)))
+        assert len(rows) == len(enumerate_routes(dag)) * _transversal_count(decomp)
 
 
 def _transversal_count(decomp):
@@ -80,19 +79,19 @@ def _transversal_count(decomp):
 def test_transversal_identity_value_example():
     d1 = D1()
     decomp = route_decomposition(d1)          # ((a, c), (b, d))
+    sides = {(s, m): (lhs, rhs) for s, m, lhs, rhs in check_transversal_identity(
+        d1, decomp, quotient_vertices(d1, decomp))}
     # route (a, d) crosses the transversal (a, d) twice: rhs = 1 - 2
-    ok, lhs, rhs = check_transversal_identity(d1, decomp, ("a", "d"), ("a", "d"))
-    assert ok and lhs == rhs == -1
+    assert sides[(("a", "d"), ("a", "d"))] == (-1, -1)
     # and dodges the transversal (c, b) entirely: rhs = 1
-    ok, lhs, rhs = check_transversal_identity(d1, decomp, ("a", "d"), ("c", "b"))
-    assert ok and lhs == rhs == 1
+    assert sides[(("a", "d"), ("c", "b"))] == (1, 1)
 
 
 def test_functional_support():
     d2 = D2()
     decomp = route_decomposition(d2)          # ((a, c, e), (b, d, f))
     space = leveled_space(d2, decomp)
-    coeffs = transversal_functional(d2, decomp, ("e", "b"))
+    coeffs = transversal_functional(d2, space, decomp, ("e", "b"))
     support = {pair for pair, k in space.index.items() if coeffs[k]}
     # prefix of route 1 before e passes vertices 1 and 2 at label 1
     assert support == {(1, 1), (2, 1)}
