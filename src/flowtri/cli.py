@@ -194,7 +194,7 @@ def cmd_quotient(args) -> tuple[dict, int]:
     refl = qmod.verify_reflexive(q)
     report["reflexive"] = refl.ok
     report["reflexive_issues"] = list(refl.issues)
-    checks = qmod.check_transversal_identity(dag, decomp, q)
+    checks = qmod.check_transversal_identity(q)
     failures = [{"route": list(s), "transversal": list(m), "lhs": lhs, "rhs": rhs}
                 for s, m, lhs, rhs in checks if lhs != rhs]
     report["identity_pairs"] = len(checks)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .dag import (SOURCE, Dag, degree_equality, make_dag, vertex_from_json,
                   vertex_to_json)
 from .dkk import dkk_triangulation
-from .equatorial import equatorial_facets, join_route_simplex, t_eq
+from .equatorial import equatorial_flow_triangulation
 from .geometry import SimplicialComplex, Triangulation, Vector
 from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
                      is_route_decomposition)
@@ -669,15 +669,13 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding) -> EquivalenceReport:
             out.add(frozenset(as_route(tri.labels[i]) for i in simplex))
         return frozenset(out)
 
-    framed = dkk_triangulation(dag, df)
     canon = mapped(canonical_triangulation(dual.poset))
-    dkk = (framed if pf == df else dkk_triangulation(dag, pf)).as_face_set()
+    dkk = dkk_triangulation(dag, pf).as_face_set()
     for s in sorted(map(sorted, canon - dkk)) + sorted(map(sorted, dkk - canon)):
         issues.append(f"chain/clique triangulations differ at {s}")
 
     eq_tri = equatorial_order_triangulation(dual.poset)
-    flow_tri = join_route_simplex(framed, decomp,
-                                  t_eq(framed, equatorial_facets(dag, decomp)))
+    flow_tri = equatorial_flow_triangulation(dag, decomp)
     order_faces = mapped(eq_tri)
     flow_faces = flow_tri.as_face_set()
     for s in sorted(map(sorted, order_faces - flow_faces)) + \

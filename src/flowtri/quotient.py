@@ -9,7 +9,7 @@ whose facets come from facet transversals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 from typing import Mapping, Sequence
@@ -74,7 +74,9 @@ def phi(dag: Dag, space: LeveledSpace, route: Route) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class QuotientPolytope:
     space: LeveledSpace
+    routes: tuple[Route, ...]                            # enumerate_routes(dag)
     vertices: tuple[tuple[int, tuple[int, ...]], ...]   # (route index, coords)
+    functionals: Mapping[Transversal, tuple[int, ...]]  # every transversal, lexicographic
     facets: tuple[tuple[Transversal, tuple[int, ...]], ...]  # (transversal, coeffs)
 
     def to_json(self) -> dict:
@@ -89,14 +91,16 @@ class QuotientPolytope:
 
 
 def quotient_vertices(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
-    """Images of the routes outside the decomposition, keyed by route index;
-    the decomposition routes project to the origin."""
+    """Images of the routes outside the decomposition, keyed by route index
+    (the decomposition routes project to the origin), and the functional of
+    every transversal; the facets are left empty."""
     if not degree_equality(dag):
         raise NotGorensteinError("not Gorenstein: degree equality fails")
     space = leveled_space(dag, decomp)
+    routes = enumerate_routes(dag)
     members = set(decomp)
     verts = []
-    for i, r in enumerate(enumerate_routes(dag)):
+    for i, r in enumerate(routes):
         img = phi(dag, space, r)
         if r not in members:
             verts.append((i, img))
@@ -104,7 +108,9 @@ def quotient_vertices(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
             raise AssertionError(f"decomposition route {r} does not project to 0")
     if len({c for _, c in verts}) != len(verts):
         raise AssertionError("projected vertices are not distinct")
-    return QuotientPolytope(space, tuple(verts), ())
+    functionals = {m: transversal_functional(dag, space, decomp, m)
+                   for m in enumerate_transversals(decomp)}
+    return QuotientPolytope(space, tuple(routes), tuple(verts), functionals, ())
 
 
 def transversal_functional(dag: Dag, space: LeveledSpace, decomp: Sequence[Route],
@@ -119,21 +125,20 @@ def transversal_functional(dag: Dag, space: LeveledSpace, decomp: Sequence[Route
     return tuple(coeffs)
 
 
-def check_transversal_identity(dag: Dag, decomp: Sequence[Route], q: QuotientPolytope
+def check_transversal_identity(q: QuotientPolytope
                                ) -> tuple[tuple[Route, Transversal, int, int], ...]:
     """Both sides of the facet identity for every route s and every
     transversal m: m's functional at the projected route, and 1 - (number of
     edges of m on s).  Rows are (s, m, lhs, rhs), routes in enumeration
-    order and transversals in lexicographic order within each route;
-    ``q`` supplies the space and the route images (``quotient_vertices``)."""
-    functionals = [(m, transversal_functional(dag, q.space, decomp, m))
-                   for m in enumerate_transversals(decomp)]
+    order and transversals in lexicographic order within each route; ``q``
+    (from ``quotient_vertices``) supplies the routes, their images and the
+    functionals."""
     images = dict(q.vertices)
     origin = (0,) * q.space.dim
     rows = []
-    for i, s in enumerate(enumerate_routes(dag)):
+    for i, s in enumerate(q.routes):
         img, used = images.get(i, origin), set(s)
-        for m, coeffs in functionals:
+        for m, coeffs in q.functionals.items():
             lhs = sum(c * x for c, x in zip(coeffs, img))
             rows.append((s, m, lhs, 1 - len(used.intersection(m))))
     return tuple(rows)
@@ -144,14 +149,13 @@ def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
     q = quotient_vertices(dag, decomp)
     seen: dict[tuple[int, ...], Transversal] = {}
     for face in equatorial_facets(dag, decomp):
-        coeffs = transversal_functional(dag, q.space, decomp, face.transversal)
-        seen.setdefault(coeffs, face.transversal)
+        seen.setdefault(q.functionals[face.transversal], face.transversal)
     facets = tuple((m, c) for c, m in sorted(seen.items()))
     want = sum(dag.indeg(v) - 1 for v in dag.inner_vertices)
     got = rank([list(c) for _, c in q.vertices]) if q.vertices else 0
     if got != want:
         raise AssertionError(f"quotient rank {got} != expected dimension {want}")
-    return QuotientPolytope(q.space, q.vertices, facets)
+    return replace(q, facets=facets)
 
 
 @dataclass(frozen=True)
@@ -208,4 +212,4 @@ def verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
 def scaled(q: QuotientPolytope, factor: int) -> QuotientPolytope:
     """Dilate the vertex set (facets kept); negative control helper."""
     verts = tuple((i, tuple(factor * x for x in v)) for i, v in q.vertices)
-    return QuotientPolytope(q.space, verts, q.facets)
+    return replace(q, vertices=verts)

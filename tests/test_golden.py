@@ -1,10 +1,11 @@
 """Golden stdout digests for every subcommand on the catalog graphs.
 
 Each case runs ``cli.main`` in-process and compares the exit code and the
-sha256 of stdout with values recorded from an earlier release.  A change
-that is meant to keep the CLI output byte-identical must keep this file
-passing unchanged; a change that alters output on purpose re-records the
-affected digests and says why.
+sha256 of stdout with values recorded at commit 1ca9209, the parent of the
+change that added this file.  A change that is meant to keep the CLI output
+byte-identical must keep this file passing unchanged; a change that alters
+output on purpose re-records the affected digests and names its commit and
+its reason.
 """
 
 import hashlib

@@ -61,7 +61,7 @@ def test_scaled_quotient_fails_reflexivity():
 def test_transversal_identity_exhaustive_catalog():
     for dag in (D1(), D2(), D3()):
         decomp = route_decomposition(dag)
-        rows = check_transversal_identity(dag, decomp, quotient_vertices(dag, decomp))
+        rows = check_transversal_identity(quotient_vertices(dag, decomp))
         for s, m, lhs, rhs in rows:
             assert lhs == rhs, (s, m, lhs, rhs)
         assert [(s, m) for s, m, _, _ in rows] == list(
@@ -80,7 +80,7 @@ def test_transversal_identity_value_example():
     d1 = D1()
     decomp = route_decomposition(d1)          # ((a, c), (b, d))
     sides = {(s, m): (lhs, rhs) for s, m, lhs, rhs in check_transversal_identity(
-        d1, decomp, quotient_vertices(d1, decomp))}
+        quotient_vertices(d1, decomp))}
     # route (a, d) crosses the transversal (a, d) twice: rhs = 1 - 2
     assert sides[(("a", "d"), ("a", "d"))] == (-1, -1)
     # and dodges the transversal (c, b) entirely: rhs = 1
