@@ -18,7 +18,7 @@ from .planar import (PlanarEmbedding, Poset, canonical_triangulation,
                      flow_to_order, is_equatorial_chain, is_graded, make_poset,
                      order_to_flow, planar_dual, planar_framing, poset_to_dag,
                      equatorial_order_triangulation, topmost_route_decomposition,
-                     truncated_dual, verify_equivalence)
+                     verify_equivalence)
 from .quotient import (check_transversal_identity, phi, quotient_facets,
                        quotient_vertices, transversal_functional,
                        verify_reflexive)

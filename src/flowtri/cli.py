@@ -53,10 +53,20 @@ def _load_decomposition(dag: dagmod.Dag, path: str | None) -> tuple[rmod.Route, 
     if path is None:
         return rmod.route_decomposition(dag)
     data = _load_json(path)
+    if not isinstance(data, list) or not all(
+            isinstance(r, list) and all(isinstance(e, str) for e in r) for r in data):
+        raise InputError(f"{path} is not a JSON list of routes of edge ids")
     decomp = tuple(tuple(r) for r in data)
     if not rmod.is_route_decomposition(dag, decomp):
         raise InputError(f"{path} is not a route decomposition of the graph")
     return decomp
+
+
+def _require_idle_free(dag: dagmod.Dag) -> None:
+    """Equatorial facets are defined on idle-free graphs only."""
+    idle = dagmod.idle_edges(dag)
+    if idle:
+        raise InputError(f"idle edges present (contract them first): {list(idle)}")
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -147,10 +157,11 @@ def cmd_equatorial(args) -> tuple[dict, int]:
     except rmod.NotGorensteinError as exc:
         report["error"] = str(exc)
         return report, FAILED
+    _require_idle_free(dag)
     report["decomposition"] = [list(r) for r in decomp]
-    facets = eqmod.equatorial_facets(dag, decomp)
     framed = dkkmod.dkk_triangulation(dag, rmod.decomposition_framing(dag, decomp))
     routes = framed.labels
+    facets = eqmod.equatorial_facets(dag, decomp, routes)
     report["facets"] = [{"transversal": list(f.transversal),
                          "routes": [list(routes[i]) for i in sorted(f.routes)]}
                         for f in facets]
@@ -188,6 +199,7 @@ def cmd_quotient(args) -> tuple[dict, int]:
     except rmod.NotGorensteinError as exc:
         report["error"] = str(exc)
         return report, FAILED
+    _require_idle_free(dag)
     q = qmod.quotient_facets(dag, decomp)
     report["polytope"] = q.to_json()
     report["dimension"] = sum(dag.indeg(v) - 1 for v in dag.inner_vertices)
@@ -208,10 +220,10 @@ def cmd_order(args) -> tuple[dict, int]:
     report: dict = {"command": "order", "digest": _digest(args.graph)}
     try:
         emb = plmod.embedding_from_json(dag, _load_json(args.embedding))
-        plmod.validate_embedding(dag, emb)
+        dual = plmod.planar_dual(dag, emb)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad embedding: {exc}") from exc
-    poset = plmod.truncated_dual(dag, emb)
+    poset = dual.poset
     report["poset"] = plmod.poset_to_json(poset)
     graded, ranks = plmod.is_graded(poset)
     report["graded"] = graded
@@ -227,7 +239,8 @@ def cmd_order(args) -> tuple[dict, int]:
     if not dagmod.degree_equality(dag):
         report["equivalence"] = "skipped: degree equality fails"
         return report, OK if counts_ok else FAILED
-    ver = plmod.verify_equivalence(dag, emb)
+    _require_idle_free(dag)
+    ver = plmod.verify_equivalence(dag, emb, dual)
     report["equivalence"] = {
         "ok": ver.ok,
         "issues": list(ver.issues),

@@ -90,6 +90,8 @@ def make_dag(inner_count: int, edges: Iterable[tuple[str, int, int]]) -> Dag:
 def validate(dag: Dag) -> ValidationReport:
     """Check the structural invariants; failures are reported, not raised."""
     bad: list[tuple[str, str]] = []
+    if dag.inner_count < 0:
+        bad.append(("inner-count", f"inner_count {dag.inner_count} is negative"))
     seen: set[str] = set()
     for e in dag.edges:
         if e.id in seen:
@@ -99,9 +101,9 @@ def validate(dag: Dag) -> ValidationReport:
             bad.append(("vertex-range", f"edge {e.id!r} touches unknown vertex"))
         elif e.tail >= e.head:
             bad.append(("self-loop/order", f"edge {e.id!r} does not go forward"))
-    if dag.outdeg(SOURCE) == 0 and (dag.inner_count > 0 or dag.edges):
+    if dag.outdeg(SOURCE) == 0:
         bad.append(("source", "s has no outgoing edge"))
-    if dag.indeg(dag.sink) == 0 and (dag.inner_count > 0 or dag.edges):
+    if dag.indeg(dag.sink) == 0:
         bad.append(("sink", "t has no incoming edge"))
     for v in dag.inner_vertices:
         if dag.indeg(v) == 0 or dag.outdeg(v) == 0:
@@ -221,7 +223,8 @@ def contract_idle_edges(dag: Dag) -> tuple[Dag, dict[str, str | None]]:
             t = keep
     # renumber surviving vertices to 0..n'+1 preserving relative order
     renum = {v: i for i, v in enumerate(sorted(verts))}
-    assert renum[s] == 0 and renum[t] == len(verts) - 1
+    if renum[s] != 0 or renum[t] != len(verts) - 1:
+        raise AssertionError("contraction moved the source or the sink off the ends")
     new_edges = [(eid, renum[edges[eid][0]], renum[edges[eid][1]]) for eid in order if eid in edges]
     return make_dag(len(verts) - 2, new_edges), mapping
 

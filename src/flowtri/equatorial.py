@@ -17,8 +17,7 @@ from typing import Iterator, Sequence
 from .dag import Dag, degree_equality, idle_edges
 from .dkk import coherence_graph, dkk_triangulation, max_cliques
 from .geometry import SimplicialComplex, Triangulation, complex_from_faces
-from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
-                     enumerate_routes)
+from .routes import Framing, NotGorensteinError, Route, decomposition_framing
 
 Transversal = tuple[str, ...]     # entry i is the chosen edge of route i
 
@@ -28,7 +27,7 @@ MAX_FRAMINGS = 100_000            # bound on the exhaustive framing sweep
 @dataclass(frozen=True)
 class EquatorialFace:
     transversal: Transversal
-    routes: frozenset[int]        # indices into enumerate_routes(dag)
+    routes: frozenset[int]        # indices into the route list
 
 
 def enumerate_transversals(decomp: Sequence[Route]) -> Iterator[Transversal]:
@@ -57,8 +56,10 @@ def is_facet_transversal(dag: Dag, routes: Sequence[Route],
     return all(v in touched for v in dag.inner_vertices)
 
 
-def equatorial_facets(dag: Dag, decomp: Sequence[Route]) -> tuple[EquatorialFace, ...]:
-    """Facets of the equatorial complex, deduplicated by avoided-route set.
+def equatorial_facets(dag: Dag, decomp: Sequence[Route],
+                      routes: Sequence[Route]) -> tuple[EquatorialFace, ...]:
+    """Facets of the equatorial complex over ``routes`` (the graph's route
+    list, ``enumerate_routes(dag)``), deduplicated by avoided-route set.
 
     Distinct transversals frequently carve out the same face; the first
     transversal in lexicographic order is kept as the representative.
@@ -68,7 +69,6 @@ def equatorial_facets(dag: Dag, decomp: Sequence[Route]) -> tuple[EquatorialFace
     idle = idle_edges(dag)
     if idle:
         raise ValueError(f"idle edges present (contract them first): {idle}")
-    routes = enumerate_routes(dag)
     seen: dict[frozenset[int], Transversal] = {}
     for m in enumerate_transversals(decomp):
         avoided = routes_avoiding(routes, m)
@@ -106,8 +106,8 @@ def join_route_simplex(framed: Triangulation, decomp: Sequence[Route],
 
 def equatorial_flow_triangulation(dag: Dag, decomp: Sequence[Route]) -> Triangulation:
     """Join of the equatorial sphere with the route simplex."""
-    facets = equatorial_facets(dag, decomp)
     framed = dkk_triangulation(dag, decomposition_framing(dag, decomp))
+    facets = equatorial_facets(dag, decomp, framed.labels)
     return join_route_simplex(framed, decomp, t_eq(framed, facets))
 
 

@@ -454,7 +454,6 @@ def is_gorenstein(dag: Dag) -> bool:
     while trimmed and trimmed[-1] == 0:
         trimmed.pop()
     palindromic = trimmed == trimmed[::-1]
-    if not idle_edges(dag):
-        assert degree_equality(dag) == palindromic, \
-            "degree equality and h*-palindromicity disagree"
+    if not idle_edges(dag) and degree_equality(dag) != palindromic:
+        raise AssertionError("degree equality and h*-palindromicity disagree")
     return palindromic

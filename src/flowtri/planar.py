@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .dag import (SOURCE, Dag, degree_equality, make_dag, vertex_from_json,
                   vertex_to_json)
 from .dkk import dkk_triangulation
-from .equatorial import equatorial_flow_triangulation
+from .equatorial import equatorial_facets, join_route_simplex, t_eq
 from .geometry import SimplicialComplex, Triangulation, Vector
 from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
                      is_route_decomposition)
@@ -84,6 +84,17 @@ class Poset:
             build(p)
         return out
 
+    @cached_property
+    def graded(self) -> bool:
+        """Every cover climbs one height and all maximal elements share one."""
+        h = self.heights
+        return (all(h[b] == h[a] + 1 for a, b in self.covers)
+                and len({h[p] for p in self.maximal}) <= 1)
+
+    @cached_property
+    def filters(self) -> tuple[frozenset[str], ...]:
+        return filters(self)
+
     def leq(self, a: str, b: str) -> bool:
         return b in self.up_sets[a]
 
@@ -133,17 +144,12 @@ def poset_from_json(data: Mapping) -> Poset:
 
 def is_graded(poset: Poset) -> tuple[bool, dict[str, int]]:
     """Ranks 1..r when all maximal chains share one length, else (False, {})."""
-    height = poset.heights
-    if not poset.elements:
-        return True, {}
-    graded = all(height[b] == height[a] + 1 for a, b in poset.covers)
-    graded = graded and len({height[p] for p in poset.maximal}) == 1
-    return (graded, dict(height)) if graded else (False, {})
+    return (True, dict(poset.heights)) if poset.graded else (False, {})
 
 
 def filters(poset: Poset) -> tuple[frozenset[str], ...]:
     """All upward-closed subsets, smallest first (closure under up-covers
-    suffices to certify upward closure)."""
+    suffices to certify upward closure); ``Poset.filters`` caches them."""
     out = []
     for k in range(len(poset.elements) + 1):
         for sub in combinations(poset.elements, k):
@@ -156,25 +162,14 @@ def filters(poset: Poset) -> tuple[frozenset[str], ...]:
 def order_polytope_vertices(poset: Poset) -> tuple[Vector, ...]:
     """Indicator vector of each filter over the sorted element list."""
     elems = tuple(sorted(poset.elements))
-    return tuple(tuple(int(p in f) for p in elems) for f in filters(poset))
-
-
-def posets_isomorphic(p: Poset, q: Poset) -> bool:
-    """Brute-force cover-preserving bijection search (desk scale)."""
-    if len(p.elements) != len(q.elements) or len(p.covers) != len(q.covers):
-        return False
-    qc = set(q.covers)
-    for perm in permutations(q.elements):
-        m = dict(zip(p.elements, perm))
-        if all((m[a], m[b]) in qc for a, b in p.covers):
-            return True
-    return not p.covers and not q.covers and len(p.elements) == len(q.elements)
+    return tuple(tuple(int(p in f) for p in elems) for f in poset.filters)
 
 
 # ---------------------------------------------------------------------------
 # Rotation systems and face tracing
 
 Dart = tuple[str, int]              # (edge id, +1 with the edge / -1 against)
+Trace = tuple[list[tuple[Dart, ...]], dict[Dart, int]]   # (face orbits, dart -> face)
 
 
 @dataclass(frozen=True)
@@ -189,8 +184,11 @@ class PlanarEmbedding:
 
 
 def embedding_from_json(dag: Dag, data: Mapping) -> PlanarEmbedding:
+    rotations = data["rotations"]
+    if not isinstance(rotations, Mapping):
+        raise TypeError("rotations must map each vertex to a list of edge ids")
     return PlanarEmbedding({vertex_from_json(v, dag.sink): tuple(r)
-                            for v, r in data["rotations"].items()})
+                            for v, r in rotations.items()})
 
 
 def embedding_to_json(dag: Dag, emb: PlanarEmbedding) -> dict:
@@ -198,8 +196,7 @@ def embedding_to_json(dag: Dag, emb: PlanarEmbedding) -> dict:
                           for v, r in sorted(emb.rotations.items())}}
 
 
-def _trace(edge_ends: Mapping[str, tuple], rotations: Mapping) -> tuple[
-        list[tuple[Dart, ...]], dict[Dart, int]]:
+def _trace(edge_ends: Mapping[str, tuple], rotations: Mapping) -> Trace:
     """Face orbits of a rotation system.
 
     The successor of a dart leaves the dart's arrival vertex along the edge
@@ -231,7 +228,8 @@ def _trace(edge_ends: Mapping[str, tuple], rotations: Mapping) -> tuple[
     return orbits, face_of
 
 
-def validate_embedding(dag: Dag, emb: PlanarEmbedding) -> None:
+def validate_embedding(dag: Dag, emb: PlanarEmbedding) -> Trace:
+    """Check the rotation system and return its face trace."""
     rots = emb.rotations
     if set(rots) != set(range(dag.sink + 1)):
         raise ValueError("rotation system must cover every vertex")
@@ -245,10 +243,10 @@ def validate_embedding(dag: Dag, emb: PlanarEmbedding) -> None:
         flips = sum(kinds[i] != kinds[i - 1] for i in range(len(kinds)))
         if flips != 2:
             raise ValueError(f"in/out edges are not contiguous at {v}")
-    ends = {e.id: (e.tail, e.head) for e in dag.edges}
-    orbits, _ = _trace(ends, rots)
+    orbits, face_of = _trace({e.id: (e.tail, e.head) for e in dag.edges}, rots)
     if (dag.sink + 1) - len(dag.edges) + len(orbits) != 2:
         raise ValueError("rotation system is not planar (Euler check fails)")
+    return orbits, face_of
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +263,9 @@ def planar_dual(dag: Dag, emb: PlanarEmbedding) -> PlanarDual:
 
     The unbounded face plays bottom for the lowest edges and top for the
     highest ones; it is reported via the markers, never as an element.
+    This is where an embedding is validated and its faces traced.
     """
-    validate_embedding(dag, emb)
-    ends = {e.id: (e.tail, e.head) for e in dag.edges}
-    orbits, face_of = _trace(ends, emb.rotations)
+    orbits, face_of = validate_embedding(dag, emb)
     outer = face_of[(emb.rotations[SOURCE][-1], 1)]
     names: dict[int, str] = {}
     used: set[str] = set()
@@ -290,10 +287,6 @@ def planar_dual(dag: Dag, emb: PlanarEmbedding) -> PlanarDual:
                      if c[0] != BOTTOM and c[1] != TOP})
     return PlanarDual(Poset(tuple(sorted(names.values())), tuple(covers)),
                       cover_of_edge)
-
-
-def truncated_dual(dag: Dag, emb: PlanarEmbedding) -> Poset:
-    return planar_dual(dag, emb).poset
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +397,8 @@ def _layered_rotations(poset: Poset, edges) -> dict[str, tuple[str, ...]]:
 # Planar framing and the integral equivalences
 
 def planar_framing(dag: Dag, emb: PlanarEmbedding) -> Framing:
-    """Top-to-bottom orders on in(v) and out(v) read off the rotations."""
-    validate_embedding(dag, emb)
+    """Top-to-bottom orders on in(v) and out(v) read off the rotations of
+    a validated embedding (see ``planar_dual``)."""
     ins: dict[int, tuple[str, ...]] = {}
     outs: dict[int, tuple[str, ...]] = {}
     for v in dag.inner_vertices:
@@ -420,13 +413,12 @@ def planar_framing(dag: Dag, emb: PlanarEmbedding) -> Framing:
     return Framing(ins, outs)
 
 
-def flow_to_order(dag: Dag, emb: PlanarEmbedding, flow) -> dict[str, object]:
+def flow_to_order(dual: PlanarDual, flow) -> dict[str, object]:
     """Potential on the dual elements whose increments along covers are the
     edge flows; chain-independence is enforced.  ``flow`` may be a route
     (iterable of edge ids) or a mapping edge id -> value."""
     if not isinstance(flow, Mapping):
         flow = {eid: 1 for eid in flow}
-    dual = planar_dual(dag, emb)
     f: dict[str, object] = {BOTTOM: 0}
     changed = True
     while changed:
@@ -465,20 +457,12 @@ def route_of_flow(dag: Dag, flow: Mapping[str, object]) -> Route:
     return tuple(route)
 
 
-def filter_of_route(dag: Dag, emb: PlanarEmbedding, route: Route) -> frozenset[str]:
-    """The filter whose indicator vertex corresponds to the route: dual
-    elements above the route's drawing."""
-    f = flow_to_order(dag, emb, route)
-    return frozenset(p for p, val in f.items()
-                     if p not in (BOTTOM, TOP) and val == 1)
-
-
 # ---------------------------------------------------------------------------
 # Triangulations of the order polytope
 
 def _filter_triangulation(poset: Poset, maximal_chains) -> Triangulation:
     elems = tuple(sorted(poset.elements))
-    fs = filters(poset)
+    fs = poset.filters
     idx = {f: i for i, f in enumerate(fs)}
     labels = tuple(tuple(sorted(f)) for f in fs)
     coords = tuple(tuple(int(p in f) for p in elems) for f in fs)
@@ -567,28 +551,30 @@ def is_equatorial_chain(poset: Poset, chain: Sequence[frozenset[str]]) -> bool:
         any(ranks[a] == j - 1 and ranks[b] == j and jump[a] == jump[b]
             for a, b in poset.covers)
         for j in range(2, r + 1))
-    assert by_map == by_jumps, "equatoriality tests disagree"
+    if by_map != by_jumps:
+        raise AssertionError(f"equatoriality tests disagree on {fs}")
     return by_map
 
 
 def maximal_equatorial_chains(poset: Poset) -> tuple[tuple[frozenset[str], ...], ...]:
-    """Inclusion-maximal equatorial chains of nonempty proper filters."""
-    proper = [f for f in filters(poset) if f and len(f) < len(poset.elements)]
-    proper.sort(key=lambda f: (len(f), tuple(sorted(f))))
+    """Inclusion-maximal equatorial chains of nonempty proper filters.  Equatorial
+    chains are closed under subsets, so failed chains are never extended."""
+    proper = [f for f in poset.filters if f and len(f) < len(poset.elements)]
     good: list[tuple[frozenset[str], ...]] = []
 
     def extend(chain: list[frozenset[str]], start: int) -> None:
-        if chain and is_equatorial_chain(poset, chain):
-            good.append(tuple(chain))
         for i in range(start, len(proper)):
             if not chain or chain[-1] < proper[i]:
                 chain.append(proper[i])
-                extend(chain, i + 1)
+                if is_equatorial_chain(poset, chain):
+                    good.append(tuple(chain))
+                    extend(chain, i + 1)
                 chain.pop()
 
     extend([], 0)
-    keep = [c for c in good
-            if not any(set(c) < set(d) for d in good if d != c)]
+    # by that closure, a chain that is not maximal is a longer one minus one filter
+    covered = {frozenset(c) - {f} for c in good for f in c}
+    keep = [c for c in good if frozenset(c) not in covered]
     return tuple(sorted(keep, key=lambda c: tuple(sorted(map(sorted, c)))))
 
 
@@ -606,11 +592,12 @@ def equatorial_order_triangulation(poset: Poset) -> Triangulation:
 # ---------------------------------------------------------------------------
 # The route decomposition of the embedding, and the grand comparison
 
-def topmost_route_decomposition(dag: Dag, emb: PlanarEmbedding) -> tuple[Route, ...]:
-    """Repeatedly peel the route running along the top of what remains."""
+def topmost_route_decomposition(dag: Dag, emb: PlanarEmbedding,
+                                framing: Framing) -> tuple[Route, ...]:
+    """Repeatedly peel the route running along the top of what remains,
+    following the planar framing ``framing`` of the embedding."""
     if not degree_equality(dag):
         raise NotGorensteinError("not Gorenstein: degree equality fails")
-    framing = planar_framing(dag, emb)
     live = {e.id for e in dag.edges}
     decomp: list[Route] = []
     while live:
@@ -625,7 +612,8 @@ def topmost_route_decomposition(dag: Dag, emb: PlanarEmbedding) -> tuple[Route, 
             v = dag.edge_by_id[eid].head
         live.difference_update(route)
         decomp.append(tuple(route))
-    assert is_route_decomposition(dag, decomp)
+    if not is_route_decomposition(dag, decomp):
+        raise AssertionError(f"topmost peel {decomp} is not a route decomposition")
     return tuple(decomp)
 
 
@@ -641,8 +629,10 @@ class EquivalenceReport:
         return not self.issues
 
 
-def verify_equivalence(dag: Dag, emb: PlanarEmbedding) -> EquivalenceReport:
-    """End-to-end comparison of the two sides of the duality.
+def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
+                       dual: PlanarDual) -> EquivalenceReport:
+    """End-to-end comparison of the two sides of the duality, given the
+    embedding's dual from ``planar_dual``.
 
     Checks that the topmost decomposition's framing is the planar framing,
     that complete filter chains map onto the planar framing's clique
@@ -651,39 +641,36 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding) -> EquivalenceReport:
     rank-constant simplex maps onto the route simplex.
     """
     issues: list[str] = []
-    decomp = topmost_route_decomposition(dag, emb)
     pf = planar_framing(dag, emb)
+    decomp = topmost_route_decomposition(dag, emb, pf)
     df = decomposition_framing(dag, decomp)
     for v in dag.inner_vertices:
         if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
             issues.append(f"framings disagree at vertex {v}")
-    dual = planar_dual(dag, emb)
-
-    def as_route(label: tuple[str, ...]) -> Route:
-        chi = {p: int(p in label) for p in dual.poset.elements}
-        return route_of_flow(dag, order_to_flow(dual, chi))
+    framed = dkk_triangulation(dag, df)
+    poset = dual.poset
+    route_of = {tuple(sorted(f)): route_of_flow(dag, order_to_flow(
+                    dual, {p: int(p in f) for p in poset.elements}))
+                for f in poset.filters}           # keyed by triangulation label
 
     def mapped(tri: Triangulation) -> frozenset[frozenset[Route]]:
-        out = set()
-        for simplex in tri.simplices:
-            out.add(frozenset(as_route(tri.labels[i]) for i in simplex))
-        return frozenset(out)
+        return frozenset(frozenset(route_of[tri.labels[i]] for i in simplex)
+                         for simplex in tri.simplices)
 
-    canon = mapped(canonical_triangulation(dual.poset))
-    dkk = dkk_triangulation(dag, pf).as_face_set()
+    canon = mapped(canonical_triangulation(poset))
+    # the only issues so far are framing disagreements
+    dkk = (dkk_triangulation(dag, pf) if issues else framed).as_face_set()
     for s in sorted(map(sorted, canon - dkk)) + sorted(map(sorted, dkk - canon)):
         issues.append(f"chain/clique triangulations differ at {s}")
 
-    eq_tri = equatorial_order_triangulation(dual.poset)
-    flow_tri = equatorial_flow_triangulation(dag, decomp)
-    order_faces = mapped(eq_tri)
-    flow_faces = flow_tri.as_face_set()
+    order_faces = mapped(equatorial_order_triangulation(poset))
+    sphere = t_eq(framed, equatorial_facets(dag, decomp, framed.labels))
+    flow_faces = join_route_simplex(framed, decomp, sphere).as_face_set()
     for s in sorted(map(sorted, order_faces - flow_faces)) + \
             sorted(map(sorted, flow_faces - order_faces)):
         issues.append(f"equatorial triangulations differ at {s}")
 
-    sigma_routes = {as_route(tuple(sorted(f)))
-                    for f in rank_constant_filters(dual.poset)}
+    sigma_routes = {route_of[tuple(sorted(f))] for f in rank_constant_filters(poset)}
     if sigma_routes != set(decomp):
         issues.append("rank-constant simplex does not map onto the route simplex")
     return EquivalenceReport(tuple(issues), decomp,

@@ -148,7 +148,7 @@ def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
     """Full vertex/facet description, with the dimension cross-checked."""
     q = quotient_vertices(dag, decomp)
     seen: dict[tuple[int, ...], Transversal] = {}
-    for face in equatorial_facets(dag, decomp):
+    for face in equatorial_facets(dag, decomp, q.routes):
         seen.setdefault(q.functionals[face.transversal], face.transversal)
     facets = tuple((m, c) for c, m in sorted(seen.items()))
     want = sum(dag.indeg(v) - 1 for v in dag.inner_vertices)

@@ -120,7 +120,8 @@ def route_decomposition(dag: Dag) -> tuple[Route, ...]:
         for v in dag.inner_vertices:
             ins = sum(1 for e in dag.in_edges(v) if e.id in live)
             outs = sum(1 for e in dag.out_edges(v) if e.id in live)
-            assert ins == outs, f"peel broke degree equality at {v}"
+            if ins != outs:
+                raise AssertionError(f"peel broke degree equality at {v}")
         route = _peel_route(dag, live)
         live.difference_update(route)
         decomp.append(route)

@@ -27,7 +27,7 @@ def random_balanced_dag(rng: random.Random, max_edges: int = 9) -> Dag:
 def sphere(dag: Dag, decomp: tuple[Route, ...]) -> SimplicialComplex:
     """T_eq of a decomposition, from its framed triangulation and facets."""
     framed = dkk_triangulation(dag, decomposition_framing(dag, decomp))
-    return t_eq(framed, equatorial_facets(dag, decomp))
+    return t_eq(framed, equatorial_facets(dag, decomp, framed.labels))
 
 
 def trimmed(seq) -> tuple:

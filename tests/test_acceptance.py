@@ -131,7 +131,7 @@ def test_criterion_7_reflexive_quotient():
         q = quotient_facets(dag, decomp)
         ok = ok and len(q.vertices) == 6 and len(q.facets) == 6
         ok = ok and verify_reflexive(q).ok
-        ok = ok and len(q.facets) == len(equatorial_facets(dag, decomp))
+        ok = ok and len(q.facets) == len(equatorial_facets(dag, decomp, q.routes))
     for dag in (d1, D2(), D3()):
         q = quotient_facets(dag, route_decomposition(dag))
         want = sum(dag.indeg(v) - 1 for v in dag.inner_vertices)
@@ -153,15 +153,15 @@ def test_criterion_8_codegree_is_route_count():
 
 def test_criterion_9_strongly_planar_equivalence():
     from flowtri.cli import _order_polytope_count
-    from flowtri.planar import truncated_dual
+    from flowtri.planar import planar_dual
     ok = True
     for dag in (D1(), D2()):
         emb = PlanarEmbedding(stacked_rotations(dag))
-        poset = truncated_dual(dag, emb)
+        dual = planar_dual(dag, emb)
         for t in range(1, 5):
             ok = ok and count_lattice_points(dag, t) == \
-                _order_polytope_count(poset, t)
-        rep = verify_equivalence(dag, emb)
+                _order_polytope_count(dual.poset, t)
+        rep = verify_equivalence(dag, emb, dual)
         ok = ok and rep.ok
     report(9, "stacked D1/D2: flow and order polytope lattice counts agree"
               " (t=1..4); chain and equatorial order triangulations map"

@@ -146,6 +146,46 @@ def test_structurally_invalid_graph_is_invalid_input(capsys, tmp_path):
         assert message.startswith("invalid graph: ") and "'d'" in message
 
 
+IDLE = {"inner_count": 1, "edges": [{"id": "a", "tail": "s", "head": 1},
+                                    {"id": "b", "tail": 1, "head": "t"}]}
+D1_EMBEDDING = embedding_to_json(D1(), PlanarEmbedding(stacked_rotations(D1())))
+GRAPH_COMMANDS = ("analyze", "decompose", "dkk", "equatorial", "quotient", "order")
+# name -> (graph, --decomposition document or None, embedding, subcommands)
+BAD_INPUTS = {
+    "edgeless graph": ({"inner_count": 0, "edges": []}, None, D1_EMBEDDING,
+                       GRAPH_COMMANDS),
+    "negative inner_count": ({"inner_count": -1, "edges": []}, None, D1_EMBEDDING,
+                             GRAPH_COMMANDS),
+    "idle edges": (IDLE, None, {"rotations": {"s": ["a"], "1": ["b", "a"], "t": ["b"]}},
+                   ("equatorial", "quotient", "order")),
+    "decomposition 5": (dag_to_json(D1()), 5, None, ("dkk", "equatorial", "quotient")),
+    "decomposition [1, 2]": (dag_to_json(D1()), [1, 2], None,
+                             ("dkk", "equatorial", "quotient")),
+    "rotations list": (dag_to_json(D1()), None, {"rotations": []}, ("order",)),
+}
+
+
+@pytest.mark.parametrize("name,command", [(name, command)
+                                          for name, case in BAD_INPUTS.items()
+                                          for command in case[3]])
+def test_bad_input_exits_2_with_json_error(capsys, tmp_path, name, command):
+    graph, decomposition, embedding, _ = BAD_INPUTS[name]
+    argv = [command, str(tmp_path / "graph.json")]
+    (tmp_path / "graph.json").write_text(json.dumps(graph))
+    if command == "order":
+        argv.append(str(tmp_path / "emb.json"))
+        (tmp_path / "emb.json").write_text(json.dumps(embedding))
+    if decomposition is not None:
+        argv += ["--decomposition", str(tmp_path / "dec.json")]
+        (tmp_path / "dec.json").write_text(json.dumps(decomposition))
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    message = json.loads(err)["error"]
+    if name == "idle edges":
+        assert "'a', 'b'" in message
+
+
 def test_byte_identical_output(capsys, d2_file):
     _, first, _ = run(capsys, ["equatorial", d2_file])
     _, second, _ = run(capsys, ["equatorial", d2_file])

@@ -37,6 +37,8 @@ def test_degree_equality_catalog():
 def test_validate_rejects_bad_graphs():
     assert not validate(make_dag(1, [("a", 0, 2)])).ok  # vertex 1 isolated
     assert not validate(make_dag(1, [])).ok  # no edges at all
+    assert not validate(make_dag(0, [])).ok  # no edges, not even an inner vertex
+    assert not validate(make_dag(-1, [])).ok  # negative inner count
     assert not validate(make_dag(1, [("a", 0, 1), ("a", 1, 2)])).ok  # dup id
     assert not validate(make_dag(1, [("a", 1, 1), ("b", 0, 1), ("c", 1, 2)])).ok
     assert not validate(make_dag(1, [("a", 2, 1), ("b", 0, 1), ("c", 1, 2)])).ok

@@ -44,14 +44,15 @@ def test_is_facet_transversal():
 
 def test_equatorial_facets_counts():
     for dag, want in ((D1(), 2), (D2(), 6), (D3(), 6)):
-        facets = equatorial_facets(dag, route_decomposition(dag))
+        facets = equatorial_facets(dag, route_decomposition(dag),
+                                   enumerate_routes(dag))
         assert len(facets) == want
 
 
 def test_facets_require_idle_free_graph():
     dag = make_dag(1, [("a", 0, 1), ("b", 1, 2)])
     with pytest.raises(ValueError):
-        equatorial_facets(dag, (("a", "b"),))
+        equatorial_facets(dag, (("a", "b"),), enumerate_routes(dag))
 
 
 def test_sphere_d1_is_two_points():

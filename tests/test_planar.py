@@ -1,25 +1,52 @@
+import json
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from flowtri.dag import (D1, D2, D3, G, stacked_rotations, zigzag,
+from flowtri import cli, dkk, equatorial, geometry, planar, quotient, routes
+from flowtri import dag as dagmod
+from flowtri.dag import (D1, D2, D3, G, dag_to_json, stacked_rotations, zigzag,
                          zigzag_rotations)
 from flowtri.geometry import verify_triangulation
-from flowtri.planar import (PlanarEmbedding, canonical_triangulation,
-                            embedding_from_json, embedding_to_json,
-                            filter_of_route, filters, flow_to_order,
+from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
+                            canonical_triangulation, embedding_from_json,
+                            embedding_to_json, filters, flow_to_order,
                             is_equatorial_chain, is_graded,
                             linear_extension_count, make_poset,
                             maximal_equatorial_chains, maximal_filter_chains,
                             order_polytope_vertices, order_to_flow,
                             planar_dual, planar_framing, poset_from_json,
-                            poset_to_dag, poset_to_json, posets_isomorphic,
+                            poset_to_dag, poset_to_json,
                             rank_constant_filters, route_of_flow,
                             equatorial_order_triangulation,
-                            topmost_route_decomposition, truncated_dual,
+                            topmost_route_decomposition,
                             validate_embedding, verify_equivalence)
-from flowtri.routes import decomposition_framing, enumerate_routes
+from flowtri.routes import Route, decomposition_framing, enumerate_routes
+
+
+def posets_isomorphic(p: Poset, q: Poset) -> bool:
+    """Brute-force cover-preserving bijection search (desk scale)."""
+    if len(p.elements) != len(q.elements) or len(p.covers) != len(q.covers):
+        return False
+    qc = set(q.covers)
+    for perm in permutations(q.elements):
+        m = dict(zip(p.elements, perm))
+        if all((m[a], m[b]) in qc for a, b in p.covers):
+            return True
+    return not p.covers and not q.covers and len(p.elements) == len(q.elements)
+
+
+def filter_of_route(dual: PlanarDual, route: Route) -> frozenset[str]:
+    """The filter whose indicator vertex corresponds to the route: dual
+    elements above the route's drawing."""
+    f = flow_to_order(dual, route)
+    return frozenset(p for p, val in f.items()
+                     if p not in (BOTTOM, TOP) and val == 1)
+
+
+def truncated_dual(dag, emb) -> Poset:
+    return planar_dual(dag, emb).poset
 
 
 def chain(n):
@@ -56,6 +83,7 @@ def test_is_graded():
 def test_filters_are_upward_closed():
     p = make_poset("abc", [("a", "b")])
     fs = filters(p)
+    assert p.filters == fs
     assert frozenset({"b", "c"}) in fs and frozenset({"a"}) not in fs
     assert len(fs) == 6
     assert len(order_polytope_vertices(p)) == 6
@@ -109,7 +137,7 @@ def test_planar_framing_is_decomposition_framing():
     d2 = D2()
     emb = PlanarEmbedding(stacked_rotations(d2))
     pf = planar_framing(d2, emb)
-    decomp = topmost_route_decomposition(d2, emb)
+    decomp = topmost_route_decomposition(d2, emb, pf)
     df = decomposition_framing(d2, decomp)
     assert pf.in_order == df.in_order and pf.out_order == df.out_order
 
@@ -117,7 +145,7 @@ def test_planar_framing_is_decomposition_framing():
 def test_topmost_decomposition_d2():
     d2 = D2()
     emb = PlanarEmbedding(stacked_rotations(d2))
-    decomp = topmost_route_decomposition(d2, emb)
+    decomp = topmost_route_decomposition(d2, emb, planar_framing(d2, emb))
     # topmost strand first: highest edges carry the smallest ids at s
     assert decomp == (("a", "c", "e"), ("b", "d", "f"))
 
@@ -127,25 +155,25 @@ def test_flow_order_round_trip():
     emb = PlanarEmbedding(stacked_rotations(d2))
     dual = planar_dual(d2, emb)
     for route in enumerate_routes(d2):
-        f = flow_to_order(d2, emb, route)
+        f = flow_to_order(dual, route)
         flow = order_to_flow(dual, f)
         assert route_of_flow(d2, flow) == route
-        filt = filter_of_route(d2, emb, route)
+        filt = filter_of_route(dual, route)
         assert all(f[p] == 1 for p in filt)
 
 
 def test_empty_filter_is_topmost_route():
     for dag in (D1(), D2(), G(3)):
         emb = PlanarEmbedding(stacked_rotations(dag))
-        decomp = topmost_route_decomposition(dag, emb)
-        assert filter_of_route(dag, emb, decomp[0]) == frozenset()
+        decomp = topmost_route_decomposition(dag, emb, planar_framing(dag, emb))
+        assert filter_of_route(planar_dual(dag, emb), decomp[0]) == frozenset()
 
 
 def test_chain_dependent_flow_rejected():
     d1 = D1()
     emb = PlanarEmbedding(stacked_rotations(d1))
     with pytest.raises(ValueError):
-        flow_to_order(d1, emb, {"a": 1, "b": 0, "c": 0, "d": 0})
+        flow_to_order(planar_dual(d1, emb), {"a": 1, "b": 0, "c": 0, "d": 0})
 
 
 def test_canonical_triangulation_counts():
@@ -204,5 +232,84 @@ def test_verify_equivalence_catalog():
              (D2(), PlanarEmbedding(stacked_rotations(D2()))),
              (zigzag(), PlanarEmbedding(zigzag_rotations()))]
     for dag, emb in cases:
-        rep = verify_equivalence(dag, emb)
+        rep = verify_equivalence(dag, emb, planar_dual(dag, emb))
         assert rep.ok, rep.issues
+
+
+def maximal_equatorial_chains_oracle(poset):
+    """Every chain of nonempty proper filters, tested one by one, then the
+    quadratic inclusion-maximality filter."""
+    proper = [f for f in filters(poset) if f and len(f) < len(poset.elements)]
+    good = []
+
+    def extend(chain, start):
+        if chain and is_equatorial_chain(poset, chain):
+            good.append(tuple(chain))
+        for i in range(start, len(proper)):
+            if not chain or chain[-1] < proper[i]:
+                chain.append(proper[i])
+                extend(chain, i + 1)
+                chain.pop()
+
+    extend([], 0)
+    keep = [c for c in good if not any(set(c) < set(d) for d in good if d != c)]
+    return tuple(sorted(keep, key=lambda c: tuple(sorted(map(sorted, c)))))
+
+
+def random_graded_poset(rng):
+    """1-4 ranks of 1-2 elements; covers only join consecutive ranks, and
+    every element has a cover into each neighbouring rank."""
+    layers = [[f"r{j}e{i}" for i in range(rng.randint(1, 2))]
+              for j in range(rng.randint(1, 4))]
+    covers = set()
+    for low, high in zip(layers, layers[1:]):
+        for a in low:
+            covers.add((a, rng.choice(high)))
+        for b in high:
+            covers.add((rng.choice(low), b))
+        covers.update((a, b) for a in low for b in high if rng.random() < 0.3)
+    return make_poset([p for layer in layers for p in layer], covers)
+
+
+def test_pruned_equatorial_chains_match_unpruned_oracle():
+    duals = [truncated_dual(dag, PlanarEmbedding(stacked_rotations(dag)))
+             for dag in (D1(), D2(), D3(), G(3))]
+    duals.append(truncated_dual(zigzag(), PlanarEmbedding(zigzag_rotations())))
+    rng = random.Random(2024)
+    posets = duals + [random_graded_poset(rng) for _ in range(200)]
+    for p in posets:
+        assert is_graded(p)[0]
+        assert maximal_equatorial_chains(p) == maximal_equatorial_chains_oracle(p), p
+
+
+def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
+    """One ``flowtri order`` run validates and traces the embedding once,
+    builds one framing, one triangulation and one route list, and turns
+    each filter into a route at most once."""
+    n_filters = len(truncated_dual(zigzag(), PlanarEmbedding(zigzag_rotations())).filters)
+    modules = (cli, dagmod, dkk, equatorial, geometry, planar, quotient, routes)
+    watched = (planar.validate_embedding, planar._trace, planar.planar_framing,
+               dkk.dkk_triangulation, dkk.coherence_graph,
+               routes.enumerate_routes, planar.route_of_flow)
+    calls = {fn.__name__: 0 for fn in watched}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in watched:
+        wrapper = counted(fn)
+        for mod in modules:
+            for name, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, name, wrapper)
+    graph, emb = tmp_path / "zigzag.json", tmp_path / "emb.json"
+    graph.write_text(json.dumps(dag_to_json(zigzag())))
+    emb.write_text(json.dumps(embedding_to_json(
+        zigzag(), PlanarEmbedding(zigzag_rotations()))))
+    assert cli.main(["order", str(graph), str(emb), "--max-dilate", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["equivalence"]["ok"]
+    assert 0 < calls.pop("route_of_flow") <= n_filters
+    assert calls == dict.fromkeys(calls, 1)

@@ -41,7 +41,8 @@ def test_quotient_hexagons():
         q = quotient_facets(dag, route_decomposition(dag))
         assert len(q.vertices) == 6
         assert len(q.facets) == 6
-        assert len(q.facets) == len(equatorial_facets(dag, route_decomposition(dag)))
+        assert len(q.facets) == len(equatorial_facets(
+            dag, route_decomposition(dag), enumerate_routes(dag)))
 
 
 def test_quotient_reflexive():
