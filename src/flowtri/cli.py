@@ -7,7 +7,6 @@ import hashlib
 import json
 import random
 import sys
-from itertools import product
 
 from . import dag as dagmod
 from . import dkk as dkkmod
@@ -252,13 +251,25 @@ def cmd_order(args) -> tuple[dict, int]:
 
 
 def _order_polytope_count(poset: plmod.Poset, t: int) -> int:
-    elems = sorted(poset.elements)
-    total = 0
-    for vals in product(range(t + 1), repeat=len(elems)):
-        f = dict(zip(elems, vals))
-        if all(f[a] <= f[b] for a, b in poset.covers):
-            total += 1
-    return total
+    """Order-preserving maps P -> {0..t}, counted on the poset alone.
+
+    Such a map f is the chain of filters F_1, ..., F_t, each containing
+    the next, with F_j = {p : f(p) >= j}.  After each round, chains[i]
+    counts the chains of that many filters under poset.filters[i]; the
+    last filter is the whole poset.
+    """
+    filters = poset.filters
+    below = [[j for j, g in enumerate(filters) if g <= f] for f in filters]
+    chains = [1] * len(filters)
+    for _ in range(t):
+        chains = [sum(chains[j] for j in js) for js in below]
+    return chains[-1]
+
+
+def _fuzz_failure(k: int, drawn: dagmod.Dag, message: str) -> dict:
+    """A fuzz failure with the drawn graph as compact JSON, for replay."""
+    return {"index": k, "message": message,
+            "graph": json.dumps(dagmod.dag_to_json(drawn), separators=(",", ":"))}
 
 
 def cmd_fuzz(args) -> tuple[dict, int]:
@@ -266,11 +277,11 @@ def cmd_fuzz(args) -> tuple[dict, int]:
     failures = []
     balanced = 0
     for k in range(args.count):
-        dag = dagmod.random_dag(rng, args.max_edges)
+        drawn = dag = dagmod.random_dag(rng, args.max_edges)
         if not dagmod.degree_equality(dag):
             try:
                 rmod.route_decomposition(dag)
-                failures.append(f"graph {k}: decomposition of unbalanced graph")
+                failures.append(_fuzz_failure(k, drawn, "decomposition of unbalanced graph"))
             except rmod.NotGorensteinError:
                 pass
             dag = dagmod.gorenstein_completion(dag)
@@ -281,13 +292,13 @@ def cmd_fuzz(args) -> tuple[dict, int]:
         balanced += 1
         decomp = rmod.route_decomposition(dag)
         if not rmod.is_route_decomposition(dag, decomp):
-            failures.append(f"graph {k}: invalid decomposition")
+            failures.append(_fuzz_failure(k, drawn, "invalid decomposition"))
             continue
         tri = eqmod.equatorial_flow_triangulation(dag, decomp)
         h = geo.h_polynomial(tri.complex)
         hs = geo.ehrhart_hstar(dag)
         if list(h) != list(hs.h_star[:len(h)]) or any(hs.h_star[len(h):]):
-            failures.append(f"graph {k}: h-vector {h} != h* {hs.h_star}")
+            failures.append(_fuzz_failure(k, drawn, f"h-vector {h} != h* {hs.h_star}"))
     report = {"command": "fuzz", "seed": args.seed, "graphs": args.count,
               "balanced_checked": balanced, "failures": failures}
     return report, OK if not failures else FAILED

@@ -251,7 +251,9 @@ def dag_to_json(dag: Dag) -> dict:
 
 
 def dag_from_json(data: Mapping) -> Dag:
-    n = int(data["inner_count"])
+    n = data["inner_count"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"inner_count must be an integer, not {n!r}")
     edges = [(str(e["id"]), vertex_from_json(e["tail"], n + 1),
               vertex_from_json(e["head"], n + 1)) for e in data["edges"]]
     return make_dag(n, edges)

@@ -6,14 +6,15 @@ Everything is integer or Fraction arithmetic; no floating point.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .dag import SOURCE, Dag, degree_equality, dimension, idle_edges
+from .dag import Dag, degree_equality, dimension, idle_edges
 
 Vector = tuple[int, ...]
 
@@ -347,65 +348,38 @@ def verify_triangulation(tri: Triangulation, dim: int,
 def count_lattice_points(dag: Dag, t: int, interior: bool = False) -> int:
     """Integer flows of strength t; the interior variant asks for flow >= 1
     on every edge (interior of the flow cone at height t, which is the
-    relative interior of the dilated polytope when no edge is idle)."""
-    lo = 1 if interior else 0
-    verts = [SOURCE] + list(dag.inner_vertices)
-    flow: dict[str, int] = {}
+    relative interior of the dilated polytope when no edge is idle).
 
-    def place(v_idx: int) -> int:
-        if v_idx == len(verts):
-            return 1
-        v = verts[v_idx]
-        avail = t if v == SOURCE else sum(flow[e.id] for e in dag.in_edges(v))
-        outs = dag.out_edges(v)
-        if not outs:
-            return 0 if avail else 1
-
-        def split(k: int, left: int) -> int:
-            if k == len(outs) - 1:
-                if left < lo:
-                    return 0
-                flow[outs[k].id] = left
-                n = place(v_idx + 1)
-                del flow[outs[k].id]
-                return n
-            total = 0
-            for x in range(lo, left - lo * (len(outs) - 1 - k) + 1):
-                flow[outs[k].id] = x
-                total += split(k + 1, left - x)
-                del flow[outs[k].id]
-            return total
-
-        if avail < lo * len(outs):
-            return 0
-        return split(0, avail)
-
-    return place(0)
-
-
-def interpolate_polynomial(values: Sequence[int]) -> list[Fraction]:
-    """Coefficients (ascending) of the polynomial p with p(i) = values[i].
-
-    Newton forward differences: p(x) = sum_k diff^k(0) * C(x, k).
+    A Kostant partition function count by dynamic programming over the
+    vertices in order.  A state is the flow still to leave the current
+    vertex and the inflow already sent to each later inner vertex; the
+    current vertex splits its flow over its out-edges one head at a time,
+    and k parallel edges that carry x units with lower bound lo can do so
+    in C(x - k*lo + k - 1, k - 1) ways.  The states live in this call only.
     """
-    n = len(values)
-    diffs = [list(map(Fraction, values))]
-    while len(diffs[-1]) > 1:
-        prev = diffs[-1]
-        diffs.append([b - a for a, b in zip(prev, prev[1:])])
-    coeffs = [Fraction(0)] * n
-    for k in range(n):
-        ck = diffs[k][0]
-        if ck == 0:
-            continue
-        poly = [Fraction(1)]  # running product x(x-1)...(x-j+1)
-        for j in range(k):
-            shifted = [Fraction(0)] + poly
-            poly = [a - Fraction(j) * b for a, b in zip(shifted, poly + [Fraction(0)])]
-        invk = Fraction(1, factorial(k))
-        for j, a in enumerate(poly):
-            coeffs[j] += ck * a * invk
-    return coeffs
+    lo = 1 if interior else 0
+    sink = dag.sink
+    # pending inflow at vertices v, ..., sink - 1 -> number of partial flows
+    states: dict[tuple[int, ...], int] = {(t,) + (0,) * (sink - 1): 1}
+    for v in range(sink):
+        groups = sorted(Counter(e.head for e in dag.out_edges(v)).items())
+        for j, (head, k) in enumerate(groups):
+            least = lo * k
+            last = j == len(groups) - 1
+            nxt: dict[tuple[int, ...], int] = defaultdict(int)
+            for pending, n in states.items():
+                left = pending[0]
+                # the last head takes all that is left
+                for x in range(max(least, left) if last else least, left + 1):
+                    p = list(pending)
+                    p[0] = left - x
+                    if head != sink:
+                        p[head - v] += x
+                    nxt[tuple(p)] += n * comb(x - least + k - 1, k - 1)
+            states = nxt
+        # every unit that reached v has left it
+        states = {p[1:]: n for p, n in states.items() if p[0] == 0}
+    return states.get((), 0)
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,9 @@ def embedding_from_json(dag: Dag, data: Mapping) -> PlanarEmbedding:
     rotations = data["rotations"]
     if not isinstance(rotations, Mapping):
         raise TypeError("rotations must map each vertex to a list of edge ids")
+    for v, r in rotations.items():
+        if not isinstance(r, list) or not all(isinstance(e, str) for e in r):
+            raise TypeError(f"rotation at {v!r} is not a list of edge ids: {r!r}")
     return PlanarEmbedding({vertex_from_json(v, dag.sink): tuple(r)
                             for v, r in rotations.items()})
 

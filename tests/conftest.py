@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import product
+from math import factorial
+from typing import Sequence
 
-from flowtri.dag import (Dag, contract_idle_edges, gorenstein_completion,
+from flowtri.dag import (SOURCE, Dag, contract_idle_edges, gorenstein_completion,
                          random_dag, validate)
 from flowtri.dkk import dkk_triangulation
 from flowtri.equatorial import equatorial_facets, t_eq
 from flowtri.geometry import SimplicialComplex
+from flowtri.planar import Poset
 from flowtri.routes import Route, decomposition_framing
 
 
@@ -97,3 +102,78 @@ def sphere_oracle(dag: Dag, decomp: tuple[Route, ...]) -> set[frozenset[int]]:
             if common_face(dag, decomp, [routes[i] for i in sub]):
                 good.append(frozenset(sub))
     return set(good)
+
+
+def brute_count_lattice_points(dag: Dag, t: int, interior: bool = False) -> int:
+    """Integer flows of strength t (flow >= 1 on every edge when
+    ``interior``), visited one by one: the oracle for the library's
+    partition-function count."""
+    lo = 1 if interior else 0
+    verts = [SOURCE] + list(dag.inner_vertices)
+    flow: dict[str, int] = {}
+
+    def place(v_idx: int) -> int:
+        if v_idx == len(verts):
+            return 1
+        v = verts[v_idx]
+        avail = t if v == SOURCE else sum(flow[e.id] for e in dag.in_edges(v))
+        outs = dag.out_edges(v)
+        if not outs:
+            return 0 if avail else 1
+
+        def split(k: int, left: int) -> int:
+            if k == len(outs) - 1:
+                if left < lo:
+                    return 0
+                flow[outs[k].id] = left
+                n = place(v_idx + 1)
+                del flow[outs[k].id]
+                return n
+            total = 0
+            for x in range(lo, left - lo * (len(outs) - 1 - k) + 1):
+                flow[outs[k].id] = x
+                total += split(k + 1, left - x)
+                del flow[outs[k].id]
+            return total
+
+        if avail < lo * len(outs):
+            return 0
+        return split(0, avail)
+
+    return place(0)
+
+
+def brute_order_polytope_count(poset: Poset, t: int) -> int:
+    """Order-preserving maps P -> {0..t}, by testing all (t+1)^n maps."""
+    elems = sorted(poset.elements)
+    total = 0
+    for vals in product(range(t + 1), repeat=len(elems)):
+        f = dict(zip(elems, vals))
+        if all(f[a] <= f[b] for a, b in poset.covers):
+            total += 1
+    return total
+
+
+def interpolate_polynomial(values: Sequence[int]) -> list[Fraction]:
+    """Coefficients (ascending) of the polynomial p with p(i) = values[i].
+
+    Newton forward differences: p(x) = sum_k diff^k(0) * C(x, k).
+    """
+    n = len(values)
+    diffs = [list(map(Fraction, values))]
+    while len(diffs[-1]) > 1:
+        prev = diffs[-1]
+        diffs.append([b - a for a, b in zip(prev, prev[1:])])
+    coeffs = [Fraction(0)] * n
+    for k in range(n):
+        ck = diffs[k][0]
+        if ck == 0:
+            continue
+        poly = [Fraction(1)]  # running product x(x-1)...(x-j+1)
+        for j in range(k):
+            shifted = [Fraction(0)] + poly
+            poly = [a - Fraction(j) * b for a, b in zip(shifted, poly + [Fraction(0)])]
+        invk = Fraction(1, factorial(k))
+        for j, a in enumerate(poly):
+            coeffs[j] += ck * a * invk
+    return coeffs

@@ -1,9 +1,12 @@
 import json
+import random
 
 import pytest
 
+from flowtri import cli
 from flowtri.cli import main
-from flowtri.dag import D1, D2, dag_to_json, make_dag, stacked_rotations
+from flowtri.dag import (D1, D2, dag_from_json, dag_to_json, make_dag, random_dag,
+                         stacked_rotations)
 from flowtri.planar import PlanarEmbedding, embedding_to_json
 
 
@@ -162,6 +165,15 @@ BAD_INPUTS = {
     "decomposition [1, 2]": (dag_to_json(D1()), [1, 2], None,
                              ("dkk", "equatorial", "quotient")),
     "rotations list": (dag_to_json(D1()), None, {"rotations": []}, ("order",)),
+    "inner_count 1.7": (dict(dag_to_json(D1()), inner_count=1.7), None, D1_EMBEDDING,
+                        GRAPH_COMMANDS),
+    "inner_count true": (dict(dag_to_json(D1()), inner_count=True), None, D1_EMBEDDING,
+                         GRAPH_COMMANDS),
+    'inner_count "1"': (dict(dag_to_json(D1()), inner_count="1"), None, D1_EMBEDDING,
+                        GRAPH_COMMANDS),
+    "rotation string": (dag_to_json(D1()), None,
+                        {"rotations": {"s": ["b", "a"], "1": "dcab", "t": ["c", "d"]}},
+                        ("order",)),
 }
 
 
@@ -207,3 +219,16 @@ def test_fuzz(capsys):
     assert code == 0
     assert report["failures"] == []
     assert report["balanced_checked"] >= 1
+
+
+def test_fuzz_failure_carries_replayable_graph(capsys, monkeypatch):
+    monkeypatch.setattr(cli.rmod, "is_route_decomposition", lambda dag, decomp: False)
+    code, out, _ = run(capsys, ["fuzz", "--seed", "3", "--count", "4", "--max-edges", "6"])
+    report = json.loads(out)
+    assert code == 1 and report["failures"]
+    rng = random.Random(3)
+    drawn = [random_dag(rng, 6) for _ in range(4)]
+    for failure in report["failures"]:
+        assert failure["message"] == "invalid decomposition"
+        assert ": " not in failure["graph"] and ", " not in failure["graph"]
+        assert dag_from_json(json.loads(failure["graph"])) == drawn[failure["index"]]

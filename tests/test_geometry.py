@@ -2,19 +2,30 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtri.dag import D1, D2, D3, G, bypass, make_dag, zigzag
+from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
+                         degree_equality, dimension, gorenstein_completion,
+                         idle_edges, make_dag, random_dag, zigzag)
 from flowtri.dkk import dkk_triangulation
 from flowtri.geometry import (complex_from_faces, count_lattice_points,
                               ehrhart_hstar, f_vector, h_polynomial,
-                              interpolate_polynomial, is_gorenstein,
-                              is_unimodular_simplex, normalized_volume, rank,
+                              is_gorenstein, is_unimodular_simplex,
+                              normalized_volume, rank,
                               simplices_meet_in_common_face, smith_divisors,
                               verify_triangulation)
-from flowtri.routes import decomposition_framing, route_decomposition
-from tests.conftest import random_balanced_dag, trimmed
+from flowtri.routes import (decomposition_framing, enumerate_routes,
+                            route_decomposition)
+from tests.conftest import (brute_count_lattice_points, interpolate_polynomial,
+                            random_balanced_dag, trimmed)
+
+
+def chain(k: int, m: int):
+    """k consecutive bundles of m parallel edges: a product of k
+    (m-1)-simplices, of dimension k(m-1)."""
+    return make_dag(k - 1, [(f"b{i}.{j}", i, i + 1) for i in range(k) for j in range(m)])
 
 
 def test_smith_divisors_known_matrices():
@@ -90,6 +101,77 @@ def test_lattice_point_counts_catalog():
     assert count_lattice_points(d1, 1, interior=True) == 0
     assert count_lattice_points(G(3), 1) == 3
     assert count_lattice_points(G(3), 3, interior=True) == 1
+
+
+def assert_counts_match_brute_force(dag):
+    for t in range(dimension(dag) + 2):
+        for interior in (False, True):
+            assert count_lattice_points(dag, t, interior) == \
+                brute_count_lattice_points(dag, t, interior), (t, interior)
+
+
+@pytest.mark.parametrize("dag", [G(1), G(2), G(3), G(4), D1(), D2(), D3(), zigzag(),
+                                 bypass(), chain(2, 3), chain(3, 2), chain(2, 4)],
+                         ids=["G1", "G2", "G3", "G4", "D1", "D2", "D3", "zigzag",
+                              "bypass", "chain2x3", "chain3x2", "chain2x4"])
+def test_lattice_point_dp_matches_brute_force_catalog(dag):
+    assert_counts_match_brute_force(dag)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("kind", ["unbalanced", "idle-edge", "balanced"])
+def test_lattice_point_dp_matches_brute_force_random(kind, seed):
+    """Raw random_dag draws (mostly unbalanced, often with idle edges),
+    their Gorenstein completions (balanced, idle edges kept) and the
+    completions with idle edges contracted."""
+    rng = random.Random(seed)
+    if kind == "unbalanced":
+        dag = random_dag(rng, 8)
+    else:
+        dag = gorenstein_completion(random_dag(rng, 6))
+        assert degree_equality(dag)
+        if kind == "balanced":
+            try:
+                dag, _ = contract_idle_edges(dag)
+            except ValueError:
+                return                     # contracts to a single point
+            assert not idle_edges(dag)
+    assert_counts_match_brute_force(dag)
+
+
+@pytest.mark.parametrize("k,m", [(12, 2), (13, 2), (6, 3), (4, 4), (3, 5), (2, 7)])
+def test_chain_counts_closed_form_at_scale(k, m):
+    """chain k x m is a product of k (m-1)-simplices: L(t) = C(t+m-1, m-1)^k,
+    and C(t-1, m-1)^k points have every edge positive.  Dim 12-13, where
+    a point-by-point count would visit up to 10^10 flows."""
+    dag = chain(k, m)
+    assert dimension(dag) == k * (m - 1) in (12, 13)
+    for t in range(dimension(dag) + 2):
+        assert count_lattice_points(dag, t) == comb(t + m - 1, m - 1) ** k
+        interior = comb(t - 1, m - 1) ** k if t else 0
+        assert count_lattice_points(dag, t, interior=True) == interior
+
+
+# a route union of four s-t routes: balanced, idle-free, dim 13, 348 routes
+BIG = make_dag(6, [("e00", 0, 1), ("e01", 0, 1), ("e02", 0, 1), ("e03", 0, 1),
+                   ("e04", 1, 2), ("e05", 1, 2), ("e06", 1, 3), ("e07", 1, 5),
+                   ("e08", 2, 3), ("e09", 2, 5), ("e10", 3, 4), ("e11", 3, 4),
+                   ("e12", 4, 5), ("e13", 4, 7), ("e14", 5, 6), ("e15", 5, 6),
+                   ("e16", 5, 6), ("e17", 6, 7), ("e18", 6, 7), ("e19", 6, 7)])
+
+
+def test_gorenstein_at_scale():
+    """is_gorenstein raises if palindromicity and degree equality disagree,
+    and ehrhart_hstar checks h* and the codegree against interior counts."""
+    assert dimension(BIG) == 13 and len(enumerate_routes(BIG)) == 348
+    assert degree_equality(BIG) and not idle_edges(BIG)
+    assert is_gorenstein(BIG)
+    hs = ehrhart_hstar(BIG)
+    assert trimmed(hs.h_star) == (1, 334, 12859, 133244, 499604, 767116, 499604,
+                                  133244, 12859, 334, 1)
+    assert hs.codegree == BIG.outdeg(0) == 4
+    assert hs.counts[-1] == 633354052800
 
 
 def test_hstar_catalog():

@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
 
@@ -23,6 +23,7 @@ from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             topmost_route_decomposition,
                             validate_embedding, verify_equivalence)
 from flowtri.routes import Route, decomposition_framing, enumerate_routes
+from tests.conftest import brute_order_polytope_count
 
 
 def posets_isomorphic(p: Poset, q: Poset) -> bool:
@@ -219,11 +220,24 @@ def test_order_polytope_count_matches_flow_count():
             else stacked_rotations(dag))
         p = truncated_dual(dag, emb)
         for t in range(1, 4):
-            monotone = sum(
-                1 for vals in product(range(t + 1), repeat=len(p.elements))
-                if all(vals[p.elements.index(a)] <= vals[p.elements.index(b)]
-                       for a, b in p.covers))
-            assert monotone == count_lattice_points(dag, t)
+            assert brute_order_polytope_count(p, t) == count_lattice_points(dag, t)
+
+
+def random_poset(rng: random.Random, max_size: int = 7) -> Poset:
+    """Random strict relations along a random-size element list."""
+    elems = [f"p{i}" for i in range(rng.randint(0, max_size))]
+    return make_poset(elems, [(a, b) for i, a in enumerate(elems) for b in elems[i + 1:]
+                              if rng.random() < 0.3])
+
+
+def test_order_polytope_dp_matches_brute_force():
+    duals = [truncated_dual(dag, PlanarEmbedding(stacked_rotations(dag)))
+             for dag in (D1(), D2(), D3(), G(3))]
+    duals.append(truncated_dual(zigzag(), PlanarEmbedding(zigzag_rotations())))
+    rng = random.Random(41)
+    for p in duals + [random_poset(rng) for _ in range(40)]:
+        for t in range(5):
+            assert cli._order_polytope_count(p, t) == brute_order_polytope_count(p, t), (p, t)
 
 
 def test_verify_equivalence_catalog():
