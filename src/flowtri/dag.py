@@ -238,8 +238,17 @@ def vertex_to_json(v: int, sink: int) -> str | int:
 
 
 def vertex_from_json(v, sink: int) -> int:
-    """Inverse of :func:`vertex_to_json`; inner vertices may come as strings."""
-    return SOURCE if v == "s" else sink if v == "t" else int(v)
+    """Inverse of :func:`vertex_to_json`; inner vertices may come as strings
+    of digits.  Any other value, a float or a bool included, raises."""
+    if v == "s":
+        return SOURCE
+    if v == "t":
+        return sink
+    if isinstance(v, str) and v.isascii() and v.isdigit():
+        return int(v)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"vertex must be 's', 't', an integer or a string of digits, not {v!r}")
+    return v
 
 
 def dag_to_json(dag: Dag) -> dict:

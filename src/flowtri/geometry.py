@@ -1,7 +1,7 @@
 """Exact lattice geometry: unimodularity, triangulation checks, f/h-vectors,
 Ehrhart counting and Gorenstein tests.
 
-Everything is integer or Fraction arithmetic; no floating point.
+Everything is exact integer or Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .dag import Dag, degree_equality, dimension, idle_edges
@@ -77,21 +78,40 @@ def smith_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
     return divisors
 
 
-def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    m = [[Fraction(x) for x in r] for r in rows]
-    r = 0
+def _row_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix.
+
+    Returns the rows and the pivot columns.  The rows are D times the
+    reduced row echelon form, pivot rows first, where D is the last pivot:
+    every division is exact because each entry is a minor of the input.
+    """
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    prev = 1
     ncol = len(m[0]) if m else 0
     for c in range(ncol):
+        r = len(pivots)
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        p, pr = m[r][c], m[r]
         for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c] / m[r][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], pr)]
+        prev = p
+        pivots.append(c)
+    return m, pivots
+
+
+def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Rank over Q, after clearing each row's denominators."""
+    ints = []
+    for r in rows:
+        den = lcm(*(Fraction(x).denominator for x in r))
+        ints.append([int(x * den) for x in r])
+    return len(_row_reduce(ints)[1])
 
 
 def is_unimodular_simplex(vertices: Sequence[Vector]) -> bool:
@@ -109,96 +129,6 @@ def is_unimodular_simplex(vertices: Sequence[Vector]) -> bool:
     if len(divs) != len(rows):
         raise ValueError("affinely dependent vertices")
     return all(d == 1 for d in divs)
-
-
-# ---------------------------------------------------------------------------
-# Exact LP (two-phase simplex with Bland's rule), used only for the
-# common-face test in verify_triangulation.
-
-def _simplex_solve(A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
-    """Maximize c.x subject to A x = b, x >= 0.  Returns the optimum or
-    None when infeasible.  Sizes here are tiny, so no effort is spent on
-    efficiency."""
-    m, n = len(A), len(c)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-a for a in A[i]]
-            b[i] = -b[i]
-    # phase one: artificial variables n..n+m-1
-    T = [A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
-    basis = list(range(n, n + m))
-    cost = [Fraction(0)] * n + [Fraction(-1)] * m
-
-    def pivot_step(obj: list[Fraction], limit: int) -> bool:
-        # reduced costs relative to the current basis; Bland's rule
-        red = obj[:]
-        for i, bi in enumerate(basis):
-            if obj[bi]:
-                f = obj[bi]
-                for j in range(len(red)):
-                    red[j] -= f * T[i][j]
-        enter = next((j for j in range(limit) if red[j] > 0), None)
-        if enter is None:
-            return False
-        ratios = [(T[i][-1] / T[i][enter], basis[i], i) for i in range(m) if T[i][enter] > 0]
-        if not ratios:
-            raise ArithmeticError("unbounded LP")
-        _, _, leave = min(ratios)
-        piv = T[leave][enter]
-        T[leave] = [a / piv for a in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [a - f * p for a, p in zip(T[i], T[leave])]
-        basis[leave] = enter
-        return True
-
-    while pivot_step(cost, n + m):
-        pass
-    phase1 = sum(T[i][-1] for i in range(m) if basis[i] >= n)
-    if phase1 != 0:
-        return None
-    # drive leftover artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= n:
-            enter = next((j for j in range(n) if T[i][j] != 0), None)
-            if enter is None:
-                continue
-            piv = T[i][enter]
-            T[i] = [a / piv for a in T[i]]
-            for k in range(m):
-                if k != i and T[k][enter]:
-                    f = T[k][enter]
-                    T[k] = [a - f * p for a, p in zip(T[k], T[i])]
-            basis[i] = enter
-    obj = c + [Fraction(0)] * m
-    while pivot_step(obj, n):
-        pass
-    return sum(c[basis[i]] * T[i][-1] for i in range(m) if basis[i] < n)
-
-
-def simplices_meet_in_common_face(vs: Sequence[Vector], vt: Sequence[Vector],
-                                  common: Sequence[int]) -> bool:
-    """Exact test that conv(vs) and conv(vt) intersect exactly in the face
-    spanned by the ``common`` index pairs (indices into vs matched with the
-    identical vertices of vt)."""
-    dim = len(vs[0])
-    n1, n2 = len(vs), len(vt)
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for k in range(dim):
-        A.append([Fraction(v[k]) for v in vs] + [Fraction(-v[k]) for v in vt])
-        b.append(Fraction(0))
-    A.append([Fraction(1)] * n1 + [Fraction(0)] * n2)
-    b.append(Fraction(1))
-    A.append([Fraction(0)] * n1 + [Fraction(1)] * n2)
-    b.append(Fraction(1))
-    shared_s = {i for i, _ in common}
-    shared_t = {j for _, j in common}
-    c = [Fraction(int(i not in shared_s)) for i in range(n1)] + \
-        [Fraction(int(j not in shared_t)) for j in range(n2)]
-    opt = _simplex_solve(A, b, c)
-    return opt is None or opt == 0
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +159,19 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(f) - 1) for f in self.faces if f)
 
+    def ridge_owners(self) -> dict[tuple, list[tuple[int, int]]]:
+        """Each codimension-1 face of a maximal face, sorted -> the (index of
+        the maximal face, position of its omitted vertex) pairs that contain it."""
+        owners: dict[tuple, list[tuple[int, int]]] = defaultdict(list)
+        for k, f in enumerate(self.maximal_faces):
+            for i in range(len(f)):
+                owners[tuple(sorted(f[:i] + f[i + 1:]))].append((k, i))
+        return owners
+
     def ridges_in_two_facets(self) -> bool:
         """Pseudomanifold condition: every codimension-1 face of a maximal
         face lies in exactly two maximal faces."""
-        if not self.maximal_faces:
-            return True
-        count: dict[frozenset, int] = {}
-        for f in self.maximal_faces:
-            for r in combinations(f, len(f) - 1):
-                count[frozenset(r)] = count.get(frozenset(r), 0) + 1
-        return all(c == 2 for c in count.values())
+        return all(len(o) == 2 for o in self.ridge_owners().values())
 
 
 def complex_from_faces(faces: Iterable[Iterable]) -> SimplicialComplex:
@@ -312,33 +245,90 @@ class TriangulationReport:
         return not self.issues
 
 
+def _vertex_functionals(pts: Sequence[Vector]) -> list[tuple[int, Vector]]:
+    """One integer affine functional ``(c, a)`` per vertex of a
+    full-dimensional simplex in Z^d: x -> c + a.x is the vertex's
+    barycentric coordinate times |det| of the difference matrix, so it
+    vanishes on the opposite facet and is positive at the vertex."""
+    u0 = pts[0]
+    d = len(u0)
+    m, _ = _row_reduce([[a - b for a, b in zip(u, u0)] + [int(i == j) for j in range(d)]
+                        for i, u in enumerate(pts[1:])])
+    scale = m[0][0] if d else 1        # [scale * I | scale * inverse]
+    if scale < 0:
+        scale, m = -scale, [[-x for x in row] for row in m]
+    cols = [[row[d + j] for row in m] for j in range(d)]
+    a0 = [-sum(col[k] for col in cols) for k in range(d)]
+    return [(c - sum(map(mul, a, u0)), tuple(a))
+            for c, a in [(scale, a0)] + [(0, col) for col in cols]]
+
+
 def verify_triangulation(tri: Triangulation, dim: int,
                          normalized_volume: int) -> TriangulationReport:
-    """Check purity, unimodularity, pairwise common faces and total volume.
+    """Check that the maximal simplices of ``tri`` triangulate
+    conv(tri.coords), a polytope of dimension ``dim``.
 
     ``normalized_volume`` is the carrier's d! * (Ehrhart leading
     coefficient); for a unimodular triangulation it must equal the number
-    of maximal simplices.
+    of maximal simplices.  Besides purity, unimodularity and that count,
+    the ridge (pseudo-manifold) check of De Loera-Rambau-Santos,
+    *Triangulations* (2010), Ch. 4 runs in integer coordinates on a chart
+    of aff(conv(coords)): every ridge lies in at most two simplices, the
+    apexes of a ridge in two simplices lie strictly on opposite sides of
+    it, and every point lies on the apex side of a ridge in one simplex,
+    which is then on the boundary.  It needs a nonempty pure complex of
+    nondegenerate simplices whose points span ``dim`` dimensions.
+
+    Never raises on malformed input; each fault is an issue: no
+    simplices, a simplex with the wrong number of vertices or a vertex
+    without coordinates, a degenerate or non-unimodular simplex, a count
+    that is not the normalized volume, points that span another
+    dimension, a ridge in more than two simplices, two simplices on the
+    same side of a ridge, and a ridge in one simplex that is not on the
+    boundary.
     """
-    issues: list[str] = []
-    for s in tri.simplices:
+    simplices = tri.simplices
+    issues: list[str] = [] if simplices else ["no simplices"]
+    well_formed = bool(simplices)
+    for s in simplices:
         if len(s) != dim + 1:
-            issues.append(f"simplex {s} has {len(s)} vertices, expected {dim + 1}")
-    for s in tri.simplices:
-        pts = tri.simplex_coords(s)
-        try:
-            if not is_unimodular_simplex(pts):
-                issues.append(f"simplex {s} is not unimodular")
-        except ValueError:
-            issues.append(f"simplex {s} is degenerate")
-    if len(tri.simplices) != normalized_volume:
-        issues.append(
-            f"{len(tri.simplices)} simplices but normalized volume {normalized_volume}")
-    for s, t in combinations(tri.simplices, 2):
-        shared = [(s.index(v), t.index(v)) for v in s if v in t]
-        if not simplices_meet_in_common_face(tri.simplex_coords(s),
-                                             tri.simplex_coords(t), shared):
-            issues.append(f"simplices {s} and {t} do not meet in a common face")
+            fault = f"has {len(s)} vertices, expected {dim + 1}"
+        elif not all(0 <= v < len(tri.coords) for v in s):
+            fault = "names a vertex without coordinates"
+        else:
+            try:
+                if not is_unimodular_simplex(tri.simplex_coords(s)):
+                    issues.append(f"simplex {s} is not unimodular")
+                continue
+            except ValueError:
+                fault = "is degenerate"
+        issues.append(f"simplex {s} {fault}")
+        well_formed = False
+    if len(simplices) != normalized_volume:
+        issues.append(f"{len(simplices)} simplices but normalized volume {normalized_volume}")
+    if not well_formed:
+        return TriangulationReport(tuple(issues))
+    v0 = tri.coords[0]
+    _, pivots = _row_reduce([[a - b for a, b in zip(p, v0)] for p in tri.coords])
+    if len(pivots) != dim:
+        issues.append(f"the points span dimension {len(pivots)}, expected {dim}")
+        return TriangulationReport(tuple(issues))
+    chart = [tuple(p[c] for c in pivots) for p in tri.coords]
+    functionals = [_vertex_functionals([chart[v] for v in s]) for s in simplices]
+    for r, owners in tri.complex.ridge_owners().items():
+        if len(owners) > 2:
+            issues.append(f"ridge {r} lies in {len(owners)} simplices")
+            continue
+        (k, i), *other = owners
+        c, a = functionals[k][i]
+        if other:
+            (l, j), = other
+            t = simplices[l]
+            if c + sum(map(mul, a, chart[t[j]])) >= 0:
+                issues.append(f"simplices {simplices[k]} and {t} lie on the same side "
+                              f"of ridge {r}")
+        elif any(c + sum(map(mul, a, x)) < 0 for x in chart):
+            issues.append(f"ridge {r} of simplex {simplices[k]} is not on the boundary")
     return TriangulationReport(tuple(issues))
 
 

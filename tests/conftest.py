@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 from typing import Sequence
 
@@ -12,7 +12,8 @@ from flowtri.dag import (SOURCE, Dag, contract_idle_edges, gorenstein_completion
                          random_dag, validate)
 from flowtri.dkk import dkk_triangulation
 from flowtri.equatorial import equatorial_facets, t_eq
-from flowtri.geometry import SimplicialComplex
+from flowtri.geometry import (SimplicialComplex, Triangulation, Vector,
+                              is_unimodular_simplex)
 from flowtri.planar import Poset
 from flowtri.routes import Route, decomposition_framing
 
@@ -82,8 +83,6 @@ def has_route_partition(dag: Dag) -> bool:
 def sphere_oracle(dag: Dag, decomp: tuple[Route, ...]) -> set[frozenset[int]]:
     """Maximal route sets that are coherent cliques and bury no
     decomposition route, by brute force over all route subsets."""
-    from itertools import combinations
-
     from flowtri.dkk import coherent
     from flowtri.equatorial import common_face
     from flowtri.routes import enumerate_routes
@@ -177,3 +176,111 @@ def interpolate_polynomial(values: Sequence[int]) -> list[Fraction]:
         for j, a in enumerate(poly):
             coeffs[j] += ck * a * invk
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# Exact LP (two-phase simplex with Bland's rule): the pairwise common-face
+# oracle for the ridge check in geometry.verify_triangulation.
+
+def _simplex_solve(A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
+    """Maximize c.x subject to A x = b, x >= 0.  Returns the optimum or
+    None when infeasible.  Sizes here are tiny, so no effort is spent on
+    efficiency."""
+    m, n = len(A), len(c)
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-a for a in A[i]]
+            b[i] = -b[i]
+    # phase one: artificial variables n..n+m-1
+    T = [A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    basis = list(range(n, n + m))
+    cost = [Fraction(0)] * n + [Fraction(-1)] * m
+
+    def pivot_step(obj: list[Fraction], limit: int) -> bool:
+        # reduced costs relative to the current basis; Bland's rule
+        red = obj[:]
+        for i, bi in enumerate(basis):
+            if obj[bi]:
+                f = obj[bi]
+                for j in range(len(red)):
+                    red[j] -= f * T[i][j]
+        enter = next((j for j in range(limit) if red[j] > 0), None)
+        if enter is None:
+            return False
+        ratios = [(T[i][-1] / T[i][enter], basis[i], i) for i in range(m) if T[i][enter] > 0]
+        if not ratios:
+            raise ArithmeticError("unbounded LP")
+        _, _, leave = min(ratios)
+        piv = T[leave][enter]
+        T[leave] = [a / piv for a in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][enter]:
+                f = T[i][enter]
+                T[i] = [a - f * p for a, p in zip(T[i], T[leave])]
+        basis[leave] = enter
+        return True
+
+    while pivot_step(cost, n + m):
+        pass
+    phase1 = sum(T[i][-1] for i in range(m) if basis[i] >= n)
+    if phase1 != 0:
+        return None
+    # drive leftover artificials out of the basis where possible
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if T[i][j] != 0), None)
+            if enter is None:
+                continue
+            piv = T[i][enter]
+            T[i] = [a / piv for a in T[i]]
+            for k in range(m):
+                if k != i and T[k][enter]:
+                    f = T[k][enter]
+                    T[k] = [a - f * p for a, p in zip(T[k], T[i])]
+            basis[i] = enter
+    obj = c + [Fraction(0)] * m
+    while pivot_step(obj, n):
+        pass
+    return sum(c[basis[i]] * T[i][-1] for i in range(m) if basis[i] < n)
+
+
+def simplices_meet_in_common_face(vs: Sequence[Vector], vt: Sequence[Vector],
+                                  common: Sequence[int]) -> bool:
+    """Exact test that conv(vs) and conv(vt) intersect exactly in the face
+    spanned by the ``common`` index pairs (indices into vs matched with the
+    identical vertices of vt)."""
+    dim = len(vs[0])
+    n1, n2 = len(vs), len(vt)
+    A: list[list[Fraction]] = []
+    b: list[Fraction] = []
+    for k in range(dim):
+        A.append([Fraction(v[k]) for v in vs] + [Fraction(-v[k]) for v in vt])
+        b.append(Fraction(0))
+    A.append([Fraction(1)] * n1 + [Fraction(0)] * n2)
+    b.append(Fraction(1))
+    A.append([Fraction(0)] * n1 + [Fraction(1)] * n2)
+    b.append(Fraction(1))
+    shared_s = {i for i, _ in common}
+    shared_t = {j for _, j in common}
+    c = [Fraction(int(i not in shared_s)) for i in range(n1)] + \
+        [Fraction(int(j not in shared_t)) for j in range(n2)]
+    opt = _simplex_solve(A, b, c)
+    return opt is None or opt == 0
+
+
+def lp_triangulation_ok(tri: Triangulation, dim: int, normalized_volume: int) -> bool:
+    """The pairwise verdict on a triangulation: purity, unimodularity,
+    simplex count equal to the normalized volume, and one exact LP per pair
+    of simplices showing that they meet in a common face."""
+    simplices = tri.simplices
+    if any(len(s) != dim + 1 for s in simplices) or len(simplices) != normalized_volume:
+        return False
+    try:
+        if not all(is_unimodular_simplex(tri.simplex_coords(s)) for s in simplices):
+            return False
+    except ValueError:
+        return False
+    return all(simplices_meet_in_common_face(
+        tri.simplex_coords(s), tri.simplex_coords(t),
+        [(s.index(v), t.index(v)) for v in s if v in t])
+        for s, t in combinations(simplices, 2))

@@ -153,6 +153,15 @@ IDLE = {"inner_count": 1, "edges": [{"id": "a", "tail": "s", "head": 1},
                                     {"id": "b", "tail": 1, "head": "t"}]}
 D1_EMBEDDING = embedding_to_json(D1(), PlanarEmbedding(stacked_rotations(D1())))
 GRAPH_COMMANDS = ("analyze", "decompose", "dkk", "equatorial", "quotient", "order")
+
+
+def with_head_of_a(head) -> dict:
+    """D1's graph document with edge a's head (inner vertex 1) replaced."""
+    doc = dag_to_json(D1())
+    return dict(doc, edges=[dict(e, head=head) if e["id"] == "a" else e
+                            for e in doc["edges"]])
+
+
 # name -> (graph, --decomposition document or None, embedding, subcommands)
 BAD_INPUTS = {
     "edgeless graph": ({"inner_count": 0, "edges": []}, None, D1_EMBEDDING,
@@ -171,6 +180,8 @@ BAD_INPUTS = {
                          GRAPH_COMMANDS),
     'inner_count "1"': (dict(dag_to_json(D1()), inner_count="1"), None, D1_EMBEDDING,
                         GRAPH_COMMANDS),
+    "head 1.9": (with_head_of_a(1.9), None, D1_EMBEDDING, GRAPH_COMMANDS),
+    "head true": (with_head_of_a(True), None, D1_EMBEDDING, GRAPH_COMMANDS),
     "rotation string": (dag_to_json(D1()), None,
                         {"rotations": {"s": ["b", "a"], "1": "dcab", "t": ["c", "d"]}},
                         ("order",)),

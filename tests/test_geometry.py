@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +11,18 @@ from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
                          degree_equality, dimension, gorenstein_completion,
                          idle_edges, make_dag, random_dag, zigzag)
 from flowtri.dkk import dkk_triangulation
-from flowtri.geometry import (complex_from_faces, count_lattice_points,
+from flowtri.equatorial import equatorial_flow_triangulation
+from flowtri.geometry import (SimplicialComplex, Triangulation,
+                              complex_from_faces, count_lattice_points,
                               ehrhart_hstar, f_vector, h_polynomial,
                               is_gorenstein, is_unimodular_simplex,
-                              normalized_volume, rank,
-                              simplices_meet_in_common_face, smith_divisors,
+                              normalized_volume, rank, smith_divisors,
                               verify_triangulation)
 from flowtri.routes import (decomposition_framing, enumerate_routes,
                             route_decomposition)
 from tests.conftest import (brute_count_lattice_points, interpolate_polynomial,
-                            random_balanced_dag, trimmed)
+                            lp_triangulation_ok, random_balanced_dag,
+                            simplices_meet_in_common_face, trimmed)
 
 
 def chain(k: int, m: int):
@@ -45,6 +48,16 @@ def test_rank():
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[Fraction(1, 2), 0], [0, 3]]) == 2
     assert rank([[0, 0]]) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+                min_size=1, max_size=4), st.integers(0, 3))
+def test_rank_matches_smith_divisor_count(rows, copies):
+    """Fraction-free elimination against the Smith form, with repeated and
+    combined rows so that low ranks come up."""
+    rows = rows + [[a + 2 * b for a, b in zip(rows[0], r)] for r in rows[:copies]]
+    assert rank(rows) == len(smith_divisors(rows))
 
 
 def test_unimodular_simplex():
@@ -209,3 +222,112 @@ def test_verify_triangulation_accepts_dkk():
         tri = dkk_triangulation(dag, framing)
         dim = len(dag.edges) - dag.inner_count - 1
         assert verify_triangulation(tri, dim, normalized_volume(dag)).ok
+
+
+def dkk_and_equatorial(dag):
+    """The DKK and the equatorial triangulation of the route decomposition;
+    just one when they have the same simplices."""
+    decomp = route_decomposition(dag)
+    dkk = dkk_triangulation(dag, decomposition_framing(dag, decomp))
+    eq = equatorial_flow_triangulation(dag, decomp)
+    return [dkk] if eq.simplices == dkk.simplices else [dkk, eq]
+
+
+def assert_ridge_check_matches_lp(tri, dim, volume, ok):
+    """The ridge check and the pairwise-LP oracle both give verdict ``ok``."""
+    assert verify_triangulation(tri, dim, volume).ok is ok
+    assert lp_triangulation_ok(tri, dim, volume) is ok
+
+
+def with_simplices(tri, simplices):
+    return Triangulation(SimplicialComplex(tuple(simplices)), tri.labels, tri.coords)
+
+
+@pytest.mark.parametrize("dag", [D1(), D2(), D3(), zigzag(), bypass(), G(3), chain(2, 3),
+                                 chain(3, 2), chain(4, 2), chain(2, 4)],
+                         ids=["D1", "D2", "D3", "zigzag", "bypass", "G3", "chain2x3",
+                              "chain3x2", "chain4x2", "chain2x4"])
+def test_ridge_check_matches_lp_oracle_catalog(dag):
+    for tri in dkk_and_equatorial(dag):
+        assert_ridge_check_matches_lp(tri, dimension(dag), normalized_volume(dag), True)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ridge_check_matches_lp_oracle_random(seed):
+    dag = random_balanced_dag(random.Random(seed), max_edges=8)
+    for tri in dkk_and_equatorial(dag):
+        assert_ridge_check_matches_lp(tri, dimension(dag), normalized_volume(dag), True)
+
+
+def swapped_vertex(tri):
+    """The first simplex with one vertex swapped for another route, chosen
+    so that the new simplex is still unimodular."""
+    s = tri.simplices[0]
+    for i, w in product(range(len(s)), range(len(tri.coords))):
+        if w in s:
+            continue
+        new = tuple(sorted(s[:i] + (w,) + s[i + 1:]))
+        try:
+            if is_unimodular_simplex(tri.simplex_coords(new)):
+                return with_simplices(tri, (new,) + tri.simplices[1:])
+        except ValueError:
+            continue
+    raise AssertionError("no unimodular swap")
+
+
+@pytest.mark.parametrize("dag", [D2(), zigzag(), chain(4, 2)],
+                         ids=["D2", "zigzag", "chain4x2"])
+def test_ridge_check_and_lp_oracle_reject_corruptions(dag):
+    dim, vol = dimension(dag), normalized_volume(dag)
+    for tri in dkk_and_equatorial(dag):
+        dropped = with_simplices(tri, tri.simplices[1:])
+        doubled = with_simplices(tri, tri.simplices + tri.simplices[:1])
+        for bad in (dropped, doubled, swapped_vertex(tri)):
+            assert_ridge_check_matches_lp(bad, dim, vol, False)
+        # the ridges alone catch them even when the count is made to match
+        assert any("not on the boundary" in i for i in
+                   verify_triangulation(dropped, dim, vol - 1).issues)
+        assert any("lies in 3 simplices" in i for i in
+                   verify_triangulation(doubled, dim, vol + 1).issues)
+    d1 = D1()
+    square = equatorial_flow_triangulation(d1, route_decomposition(d1))
+    overlap = with_simplices(square, ((0, 1, 2), (0, 1, 3)))
+    assert_ridge_check_matches_lp(overlap, 2, 2, False)
+    assert "simplices (0, 1, 2) and (0, 1, 3) lie on the same side of ridge (0, 1)" \
+        in verify_triangulation(overlap, 2, 2).issues
+
+
+@pytest.mark.parametrize("k,m", [(5, 2), (3, 3)])
+def test_verify_triangulation_at_scale(k, m):
+    """chain k x m is a product of k (m-1)-simplices; its DKK triangulation
+    has (k(m-1))! / ((m-1)!)^k simplices: 120 for 5 x 2 (57.7 s of LP
+    pairs) and 90 for 3 x 3."""
+    dag = chain(k, m)
+    tri = dkk_triangulation(dag, decomposition_framing(dag, route_decomposition(dag)))
+    count = factorial(k * (m - 1)) // factorial(m - 1) ** k
+    assert len(tri.simplices) == count == normalized_volume(dag)
+    assert verify_triangulation(tri, dimension(dag), count).ok
+
+
+def test_verify_triangulation_reports_malformed_input():
+    d1 = D1()
+    square = equatorial_flow_triangulation(d1, route_decomposition(d1))
+    empty = verify_triangulation(with_simplices(square, ()), 2, 2)
+    assert empty.issues == ("no simplices", "0 simplices but normalized volume 2")
+    short = verify_triangulation(with_simplices(square, ((0, 1, 2), (1, 3), ())), 2, 2)
+    assert short.issues[:2] == ("simplex (1, 3) has 2 vertices, expected 3",
+                                "simplex () has 0 vertices, expected 3")
+    flat = verify_triangulation(with_simplices(square, ((0, 1, 2), (0, 0, 3))), 2, 2)
+    assert flat.issues == ("simplex (0, 0, 3) is degenerate",)
+    stray = verify_triangulation(with_simplices(square, ((0, 1, 2), (0, 1, 9))), 2, 2)
+    assert stray.issues == ("simplex (0, 1, 9) names a vertex without coordinates",)
+    lifted = Triangulation(square.complex, square.labels, square.coords + ((2, 0, 0, 0),))
+    assert verify_triangulation(lifted, 2, 2).issues == (
+        "the points span dimension 3, expected 2",)
+    cube = chain(3, 2)
+    tri = dkk_triangulation(cube, decomposition_framing(cube, route_decomposition(cube)))
+    face = tuple(i for i, x in enumerate(tri.coords) if x[0] == 1)   # a square
+    assert len(face) == 4
+    bad = verify_triangulation(with_simplices(tri, (face,) + tri.simplices[1:]), 3, 6)
+    assert bad.issues == (f"simplex {face} is degenerate",)

@@ -23,7 +23,7 @@ from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             topmost_route_decomposition,
                             validate_embedding, verify_equivalence)
 from flowtri.routes import Route, decomposition_framing, enumerate_routes
-from tests.conftest import brute_order_polytope_count
+from tests.conftest import brute_order_polytope_count, lp_triangulation_ok
 
 
 def posets_isomorphic(p: Poset, q: Poset) -> bool:
@@ -210,6 +210,22 @@ def test_rw_triangulation_matches_canonical_volume():
         eq_tri = equatorial_order_triangulation(p)
         n = len(p.elements)
         assert verify_triangulation(eq_tri, n, linear_extension_count(p)).ok
+
+
+def test_ridge_check_matches_lp_oracle_order_polytopes():
+    """Order polytopes are full-dimensional and their facets x_a <= x_b are
+    not coordinate hyperplanes."""
+    p = make_poset("abcd", [("a", "c"), ("b", "c"), ("a", "d")])
+    cases = [(canonical_triangulation(p), p)]
+    cases += [(equatorial_order_triangulation(q), q)
+              for q in (antichain(2), antichain(3), chain(3), p)]
+    for tri, q in cases:
+        n, volume = len(q.elements), linear_extension_count(q)
+        assert verify_triangulation(tri, n, volume).ok
+        assert lp_triangulation_ok(tri, n, volume)
+        dropped = geometry.Triangulation(geometry.SimplicialComplex(tri.simplices[1:]),
+                                         tri.labels, tri.coords)
+        assert not verify_triangulation(dropped, n, volume - 1).ok
 
 
 def test_order_polytope_count_matches_flow_count():
