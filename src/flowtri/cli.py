@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -157,6 +158,9 @@ def cmd_equatorial(args) -> tuple[dict, int]:
         report["error"] = str(exc)
         return report, FAILED
     _require_idle_free(dag)
+    if args.exhaustive_dkk and (framings := eqmod.framing_count(dag)) > eqmod.MAX_FRAMINGS:
+        raise InputError(f"--exhaustive-dkk: {framings} framings, "
+                         f"more than the bound of {eqmod.MAX_FRAMINGS}")
     report["decomposition"] = [list(r) for r in decomp]
     framed = dkkmod.dkk_triangulation(dag, rmod.decomposition_framing(dag, decomp))
     routes = framed.labels
@@ -306,32 +310,32 @@ def cmd_fuzz(args) -> tuple[dict, int]:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="flowtri",
                                 description="Equatorial flow triangulations of "
                                             "Gorenstein flow polytopes")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **extra):
+    def add(name, **extra):
         sp = sub.add_parser(name)
         if extra.get("graph", True):
             sp.add_argument("graph", help="graph JSON file")
         if extra.get("decomposition"):
             sp.add_argument("--decomposition", help="route decomposition JSON file")
         sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.set_defaults(fn=fn)
         return sp
 
-    add("analyze", cmd_analyze)
-    add("decompose", cmd_decompose)
-    add("dkk", cmd_dkk, decomposition=True)
-    eq = add("equatorial", cmd_equatorial, decomposition=True)
+    add("analyze")
+    add("decompose")
+    add("dkk", decomposition=True)
+    eq = add("equatorial", decomposition=True)
     eq.add_argument("--exhaustive-dkk", action="store_true")
-    add("quotient", cmd_quotient, decomposition=True)
-    order = add("order", cmd_order)
+    add("quotient", decomposition=True)
+    order = add("order")
     order.add_argument("embedding", help="embedding JSON file")
     order.add_argument("--max-dilate", type=int, default=4)
-    fuzz = add("fuzz", cmd_fuzz, graph=False)
+    fuzz = add("fuzz", graph=False)
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--count", type=int, default=25)
     fuzz.add_argument("--max-edges", type=int, default=8)
@@ -340,8 +344,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # the handler is looked up on every call, so a rebound cmd_* takes effect
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        report, code = args.fn(args)
+        report, code = handler(args)
     except InputError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return INVALID

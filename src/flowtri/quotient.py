@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Mapping, Sequence
 
 from .dag import Dag, degree_equality
@@ -77,7 +77,24 @@ class QuotientPolytope:
     routes: tuple[Route, ...]                            # enumerate_routes(dag)
     vertices: tuple[tuple[int, tuple[int, ...]], ...]   # (route index, coords)
     functionals: Mapping[Transversal, tuple[int, ...]]  # every transversal, lexicographic
-    facets: tuple[tuple[Transversal, tuple[int, ...]], ...]  # (transversal, coeffs)
+    facets: tuple[tuple[Transversal, tuple[int, ...]], ...]  # (m, functionals[m])
+
+    @cached_property
+    def functional_values(self) -> tuple[tuple[int, ...], ...]:
+        """Row i holds every functional, in ``functionals`` order, at the
+        image of route i (the origin for a decomposition route).  It is
+        derived from ``vertices`` and ``functionals``, so a ``replace`` copy
+        computes its own."""
+        supports = [[(k, c) for k, c in enumerate(coeffs) if c]
+                    for coeffs in self.functionals.values()]
+        images = dict(self.vertices)
+        origin = (0,) * len(supports)
+        rows = []
+        for i in range(len(self.routes)):
+            img = images.get(i)
+            rows.append(origin if img is None else
+                        tuple(sum(c * img[k] for k, c in support) for support in supports))
+        return tuple(rows)
 
     def to_json(self) -> dict:
         blocks = {str(v): list(labels) for v, labels in self.space.blocks}
@@ -131,15 +148,12 @@ def check_transversal_identity(q: QuotientPolytope
     transversal m: m's functional at the projected route, and 1 - (number of
     edges of m on s).  Rows are (s, m, lhs, rhs), routes in enumeration
     order and transversals in lexicographic order within each route; ``q``
-    (from ``quotient_vertices``) supplies the routes, their images and the
-    functionals."""
-    images = dict(q.vertices)
-    origin = (0,) * q.space.dim
+    (from ``quotient_vertices``) supplies the routes and the functionals'
+    values at their images."""
     rows = []
-    for i, s in enumerate(q.routes):
-        img, used = images.get(i, origin), set(s)
-        for m, coeffs in q.functionals.items():
-            lhs = sum(c * x for c, x in zip(coeffs, img))
+    for s, values in zip(q.routes, q.functional_values):
+        used = set(s)
+        for m, lhs in zip(q.functionals, values):
             rows.append((s, m, lhs, 1 - len(used.intersection(m))))
     return tuple(rows)
 
@@ -168,48 +182,51 @@ class ReflexiveReport:
         return not self.issues
 
 
+def _block_points(lo: Sequence[int], hi: Sequence[int]) -> list[tuple[int, ...]]:
+    """Integer tuples in the box [lo, hi] whose entries sum to 0, in
+    lexicographic order."""
+    return [t for t in product(*[range(a, b + 1) for a, b in zip(lo, hi)]) if sum(t) == 0]
+
+
 def verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
     """Origin must be the only lattice point of the block-sum-zero lattice
-    strictly inside every facet, and vertices must be simple enough."""
+    strictly inside every facet, and vertices must be simple enough.
+
+    The candidates are the lattice points of the vertices' bounding box,
+    listed block by block: the product, in block order, of each block's
+    zero-sum tuples visits them in lexicographic order."""
     issues: list[str] = []
     dim = sum(len(labels) - 1 for _, labels in q.space.blocks)
+    column = {m: j for j, m in enumerate(q.functionals)}
+    columns = [column[m] for m, _ in q.facets]
     for m, coeffs in q.facets:
         if any(c != int(c) for c in coeffs):
             issues.append(f"facet for {m} is not integral")
-    for i, v in q.vertices:
-        for m, coeffs in q.facets:
-            if sum(c * x for c, x in zip(coeffs, v)) > 1:
+    for i, _ in q.vertices:
+        values = q.functional_values[i]
+        for (m, _), j in zip(q.facets, columns):
+            if values[j] > 1:
                 issues.append(f"vertex {i} violates facet {m}")
-    # enumerate candidate interior lattice points inside the bounding box
     if q.vertices:
         lo = [min(v[k] for _, v in q.vertices) for k in range(q.space.dim)]
         hi = [max(v[k] for _, v in q.vertices) for k in range(q.space.dim)]
     else:
         lo = hi = [0] * q.space.dim
+    blocks, pos = [], 0
+    for _, labels in q.space.blocks:
+        blocks.append(_block_points(lo[pos:pos + len(labels)], hi[pos:pos + len(labels)]))
+        pos += len(labels)
+    supports = [[(k, c) for k, c in enumerate(coeffs) if c] for _, coeffs in q.facets]
     interior: list[tuple[int, ...]] = []
-    for pt in product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        pos = 0
-        in_lattice = True
-        for v, labels in q.space.blocks:
-            if sum(pt[pos:pos + len(labels)]) != 0:
-                in_lattice = False
-                break
-            pos += len(labels)
-        if not in_lattice:
-            continue
-        if all(sum(c * x for c, x in zip(coeffs, pt)) < 1 for _, coeffs in q.facets):
+    for parts in product(*blocks):
+        pt = tuple(chain.from_iterable(parts))
+        if all(sum(c * pt[k] for k, c in support) < 1 for support in supports):
             interior.append(pt)
     if interior != [tuple([0] * q.space.dim)]:
         issues.append(f"interior lattice points {interior}, expected only the origin")
-    for i, v in q.vertices:
-        on = sum(1 for _, coeffs in q.facets
-                 if sum(c * x for c, x in zip(coeffs, v)) == 1)
+    for i, _ in q.vertices:
+        values = q.functional_values[i]
+        on = sum(1 for j in columns if values[j] == 1)
         if on < dim:
             issues.append(f"vertex {i} lies on {on} facets, expected at least {dim}")
     return ReflexiveReport(tuple(issues), tuple(interior))
-
-
-def scaled(q: QuotientPolytope, factor: int) -> QuotientPolytope:
-    """Dilate the vertex set (facets kept); negative control helper."""
-    verts = tuple((i, tuple(factor * x for x in v)) for i, v in q.vertices)
-    return replace(q, vertices=verts)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
@@ -11,10 +12,11 @@ from typing import Sequence
 from flowtri.dag import (SOURCE, Dag, contract_idle_edges, gorenstein_completion,
                          random_dag, validate)
 from flowtri.dkk import dkk_triangulation
-from flowtri.equatorial import equatorial_facets, t_eq
+from flowtri.equatorial import Transversal, equatorial_facets, t_eq
 from flowtri.geometry import (SimplicialComplex, Triangulation, Vector,
                               is_unimodular_simplex)
 from flowtri.planar import Poset
+from flowtri.quotient import QuotientPolytope, ReflexiveReport
 from flowtri.routes import Route, decomposition_framing
 
 
@@ -284,3 +286,67 @@ def lp_triangulation_ok(tri: Triangulation, dim: int, normalized_volume: int) ->
         tri.simplex_coords(s), tri.simplex_coords(t),
         [(s.index(v), t.index(v)) for v in s if v in t])
         for s, t in combinations(simplices, 2))
+
+
+def scaled(q: QuotientPolytope, factor: int) -> QuotientPolytope:
+    """Dilate the vertex set (facets kept); negative control helper."""
+    verts = tuple((i, tuple(factor * x for x in v)) for i, v in q.vertices)
+    return replace(q, vertices=verts)
+
+
+def box_scan_verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
+    """Origin must be the only lattice point of the block-sum-zero lattice
+    strictly inside every facet, and vertices must be simple enough: every
+    point of the vertices' bounding box is visited and dot products are
+    dense, the oracle for the library's block-by-block scan."""
+    issues: list[str] = []
+    dim = sum(len(labels) - 1 for _, labels in q.space.blocks)
+    for m, coeffs in q.facets:
+        if any(c != int(c) for c in coeffs):
+            issues.append(f"facet for {m} is not integral")
+    for i, v in q.vertices:
+        for m, coeffs in q.facets:
+            if sum(c * x for c, x in zip(coeffs, v)) > 1:
+                issues.append(f"vertex {i} violates facet {m}")
+    # enumerate candidate interior lattice points inside the bounding box
+    if q.vertices:
+        lo = [min(v[k] for _, v in q.vertices) for k in range(q.space.dim)]
+        hi = [max(v[k] for _, v in q.vertices) for k in range(q.space.dim)]
+    else:
+        lo = hi = [0] * q.space.dim
+    interior: list[tuple[int, ...]] = []
+    for pt in product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        pos = 0
+        in_lattice = True
+        for v, labels in q.space.blocks:
+            if sum(pt[pos:pos + len(labels)]) != 0:
+                in_lattice = False
+                break
+            pos += len(labels)
+        if not in_lattice:
+            continue
+        if all(sum(c * x for c, x in zip(coeffs, pt)) < 1 for _, coeffs in q.facets):
+            interior.append(pt)
+    if interior != [tuple([0] * q.space.dim)]:
+        issues.append(f"interior lattice points {interior}, expected only the origin")
+    for i, v in q.vertices:
+        on = sum(1 for _, coeffs in q.facets
+                 if sum(c * x for c, x in zip(coeffs, v)) == 1)
+        if on < dim:
+            issues.append(f"vertex {i} lies on {on} facets, expected at least {dim}")
+    return ReflexiveReport(tuple(issues), tuple(interior))
+
+
+def dense_transversal_identity(q: QuotientPolytope
+                               ) -> tuple[tuple[Route, Transversal, int, int], ...]:
+    """The facet identity's rows with every functional dotted densely with
+    every route image: the oracle for the library's value table."""
+    images = dict(q.vertices)
+    origin = (0,) * q.space.dim
+    rows = []
+    for i, s in enumerate(q.routes):
+        img, used = images.get(i, origin), set(s)
+        for m, coeffs in q.functionals.items():
+            lhs = sum(c * x for c, x in zip(coeffs, img))
+            rows.append((s, m, lhs, 1 - len(used.intersection(m))))
+    return tuple(rows)

@@ -19,12 +19,12 @@ from flowtri.geometry import (SimplicialComplex, Triangulation,
                               verify_triangulation)
 from flowtri.planar import PlanarEmbedding, verify_equivalence
 from flowtri.quotient import (check_transversal_identity, quotient_facets,
-                              quotient_vertices, scaled, verify_reflexive)
+                              quotient_vertices, verify_reflexive)
 from flowtri.routes import (NotGorensteinError, decomposition_framing,
                             enumerate_routes, is_route_decomposition,
                             route_decomposition)
-from tests.conftest import (has_route_partition, random_balanced_dag, sphere,
-                            trimmed)
+from tests.conftest import (has_route_partition, random_balanced_dag, scaled,
+                            sphere, trimmed)
 
 
 def report(n: int, desc: str, ok: bool) -> None:

@@ -209,6 +209,28 @@ def test_bad_input_exits_2_with_json_error(capsys, tmp_path, name, command):
         assert "'a', 'b'" in message
 
 
+def test_exhaustive_dkk_past_framing_bound_exits_2(capsys, tmp_path, monkeypatch):
+    chain = make_dag(2, [(f"b{i}.{j}", i, i + 1) for i in range(3) for j in range(4)])
+    path = tmp_path / "chain3x4.json"
+    path.write_text(json.dumps(dag_to_json(chain)))
+
+    def unreachable(*args):
+        raise AssertionError("triangulation built before the framing bound was checked")
+
+    monkeypatch.setattr(cli.dkkmod, "dkk_triangulation", unreachable)
+    code, out, err = run(capsys, ["equatorial", str(path), "--exhaustive-dkk"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "331776 framings" in json.loads(err)["error"]
+
+
+def test_rebound_subcommand_takes_effect(capsys, d1_file, monkeypatch):
+    run(capsys, ["analyze", d1_file])          # the parser is built by now
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: ({"stub": args.graph}, 0))
+    code, out, _ = run(capsys, ["analyze", d1_file])
+    assert code == 0 and json.loads(out) == {"stub": d1_file}
+
+
 def test_byte_identical_output(capsys, d2_file):
     _, first, _ = run(capsys, ["equatorial", d2_file])
     _, second, _ = run(capsys, ["equatorial", d2_file])

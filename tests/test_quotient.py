@@ -1,14 +1,20 @@
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowtri.dag import D1, D2, D3, make_dag
+from flowtri.dag import D1, D2, D3, G, bypass, make_dag, zigzag
 from flowtri.equatorial import enumerate_transversals, equatorial_facets
 from flowtri.quotient import (check_transversal_identity, edge_labels,
                               leveled_space, phi, quotient_facets,
-                              quotient_vertices, scaled,
-                              transversal_functional, verify_reflexive)
+                              quotient_vertices, transversal_functional,
+                              verify_reflexive)
 from flowtri.routes import NotGorensteinError, enumerate_routes, route_decomposition
+from tests.conftest import (box_scan_verify_reflexive, dense_transversal_identity,
+                            random_balanced_dag, scaled)
+from tests.test_geometry import BIG
 
 
 def test_edge_labels_and_space_d2():
@@ -57,6 +63,51 @@ def test_scaled_quotient_fails_reflexivity():
     d2 = D2()
     q = quotient_facets(d2, route_decomposition(d2))
     assert not verify_reflexive(scaled(q, 2)).ok
+
+
+def check_against_oracles(q):
+    """The block-by-block scan and the value table against the dense box
+    scan and dense dot products, on q and on its dilations by 2 and 3; the
+    dilations must fail unless q has no vertex to dilate."""
+    assert check_transversal_identity(q) == dense_transversal_identity(q)
+    report = verify_reflexive(q)
+    assert report.ok, report.issues
+    assert report == box_scan_verify_reflexive(q)
+    for factor in (2, 3):
+        bad = scaled(q, factor)
+        assert check_transversal_identity(bad) == dense_transversal_identity(bad)
+        report = verify_reflexive(bad)
+        assert report == box_scan_verify_reflexive(bad)
+        assert report.ok == (not q.vertices)
+
+
+@pytest.mark.parametrize("dag,decomp", [
+    (G(3), None), (D1(), None), (D1(), (("a", "d"), ("b", "c"))), (D2(), None),
+    (D3(), None), (zigzag(), None), (bypass(), None)],
+    ids=["G3", "D1", "D1-crossed", "D2", "D3", "zigzag", "bypass"])
+def test_reflexivity_matches_box_scan_oracle_catalog(dag, decomp):
+    check_against_oracles(quotient_facets(dag, decomp or route_decomposition(dag)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reflexivity_matches_box_scan_oracle_random(seed):
+    dag = random_balanced_dag(random.Random(seed))
+    check_against_oracles(quotient_facets(dag, route_decomposition(dag)))
+
+
+def test_quotient_at_scale():
+    """BIG's flow polytope has dimension 13 and its quotient dimension 10,
+    in 16 coordinates: the dense box scan visits 3^16 points, about 30 s, so
+    no oracle runs here."""
+    q = quotient_facets(BIG, route_decomposition(BIG))
+    assert q.space.dim == 16 and sum(len(l) - 1 for _, l in q.space.blocks) == 10
+    report = verify_reflexive(q)
+    assert report.ok, report.issues
+    assert report.interior_points == ((0,) * q.space.dim,)
+    rows = check_transversal_identity(q)
+    assert len(rows) == 348 * len(q.functionals)
+    assert all(lhs == rhs for _, _, lhs, rhs in rows)
 
 
 def test_transversal_identity_exhaustive_catalog():
