@@ -149,6 +149,14 @@ def cmd_dkk(args) -> tuple[dict, int]:
     return report, OK if check.ok else FAILED
 
 
+def _sphere(dag: dagmod.Dag, decomp: tuple[rmod.Route, ...]):
+    """The decomposition framing's triangulation, the equatorial facets and
+    the equatorial sphere T_eq."""
+    framed = dkkmod.dkk_triangulation(dag, rmod.decomposition_framing(dag, decomp))
+    facets = eqmod.equatorial_facets(dag, decomp, framed.labels)
+    return framed, facets, eqmod.t_eq(framed, facets)
+
+
 def cmd_equatorial(args) -> tuple[dict, int]:
     dag = _load_graph(args.graph)
     report: dict = {"command": "equatorial", "digest": _digest(args.graph)}
@@ -162,21 +170,21 @@ def cmd_equatorial(args) -> tuple[dict, int]:
         raise InputError(f"--exhaustive-dkk: {framings} framings, "
                          f"more than the bound of {eqmod.MAX_FRAMINGS}")
     report["decomposition"] = [list(r) for r in decomp]
-    framed = dkkmod.dkk_triangulation(dag, rmod.decomposition_framing(dag, decomp))
+    framed, facets, sphere = _sphere(dag, decomp)
     routes = framed.labels
-    facets = eqmod.equatorial_facets(dag, decomp, routes)
     report["facets"] = [{"transversal": list(f.transversal),
                          "routes": [list(routes[i]) for i in sorted(f.routes)]}
                         for f in facets]
-    sphere = eqmod.t_eq(framed, facets)
+    fv = geo.f_vector(sphere)
     report["sphere"] = {
         "maximal_faces": [[list(routes[i]) for i in f] for f in sphere.maximal_faces],
-        "f_vector": list(geo.f_vector(sphere)),
-        "euler_characteristic": sphere.euler_characteristic(),
+        "f_vector": list(fv),
+        "euler_characteristic": geo.euler_characteristic(fv),
     }
     tri = eqmod.join_route_simplex(framed, decomp, sphere)
     report["simplices"] = [[list(routes[i]) for i in s] for s in tri.simplices]
-    h = geo.h_polynomial(tri.complex)
+    # the join cones the sphere over the route simplex: the same h-vector
+    h = geo.h_from_f(fv)
     hs = geo.ehrhart_hstar(dag)
     report["h_vector"] = list(h)
     report["h_star"] = list(hs.h_star)
@@ -298,8 +306,9 @@ def cmd_fuzz(args) -> tuple[dict, int]:
         if not rmod.is_route_decomposition(dag, decomp):
             failures.append(_fuzz_failure(k, drawn, "invalid decomposition"))
             continue
-        tri = eqmod.equatorial_flow_triangulation(dag, decomp)
-        h = geo.h_polynomial(tri.complex)
+        framed, _, sphere = _sphere(dag, decomp)
+        eqmod.join_route_simplex(framed, decomp, sphere)    # checks the join's sizes
+        h = geo.h_polynomial(sphere)
         hs = geo.ehrhart_hstar(dag)
         if list(h) != list(hs.h_star[:len(h)]) or any(hs.h_star[len(h):]):
             failures.append(_fuzz_failure(k, drawn, f"h-vector {h} != h* {hs.h_star}"))

@@ -6,97 +6,135 @@ once along their suffixes out of it (scanning forwards).  They conflict at
 the vertex when the two comparisons point in opposite directions; a framed
 DAG's triangulation has one maximal simplex for each maximal set of
 pairwise non-conflicting routes.
+
+Route sets are int bitmasks over the route list: bit i stands for route i.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections import defaultdict
+from itertools import groupby
+from operator import itemgetter
+from typing import Sequence
 
-from .dag import SOURCE, Dag, dimension
+from .dag import Dag, dimension
 from .geometry import SimplicialComplex, Triangulation
 from .routes import Framing, Route, enumerate_routes, indicator_vector
 
 
-def _cmp(dag: Dag, framing: Framing, p_at: Mapping[int, str],
-         q_at: Mapping[int, str], v: int, forward: bool) -> int:
-    """Compare two routes through v at their first divergence, scanning
-    forwards from v (out-orders) or backwards from v (in-orders); -1 means
-    p's side is the smaller one.  ``p_at`` and ``q_at`` map a vertex to the
-    route's edge leaving it (forwards) or entering it (backwards)."""
-    pos, stop = (framing.out_pos, dag.sink) if forward else (framing.in_pos, SOURCE)
-    w = v
-    while w != stop:
-        a, b = p_at[w], q_at[w]
-        if a != b:
-            return -1 if pos(w, a) < pos(w, b) else 1
-        e = dag.edge_by_id[a]
-        w = e.head if forward else e.tail
-    return 0
+def _members(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
-def _steps(dag: Dag, route: Route) -> tuple[dict[int, str], dict[int, str]]:
-    """Vertex -> the route's edge entering it, and vertex -> its edge
-    leaving it."""
+def _mask(indices) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _keys(dag: Dag, framing: Framing, route: Route) -> dict[int, tuple[tuple, tuple]]:
+    """Inner vertex v of the route -> (in-key, out-key): the in-positions of
+    the route's edges walking backwards from v to the source, and the
+    out-positions walking forwards from v to the sink.
+
+    Two routes through v are at the same vertex at every step until their
+    edges differ, and there equal positions mean equal edges, so comparing
+    two routes' keys lexicographically is the first-divergence comparison
+    of their prefixes (suffixes); equal keys mean equal prefixes
+    (suffixes)."""
     edges = [dag.edge_by_id[e] for e in route]
-    return {e.head: e.id for e in edges}, {e.tail: e.id for e in edges}
+    ins = [framing.in_pos(e.head, e.id) for e in edges[:-1]]
+    outs = [framing.out_pos(e.tail, e.id) for e in edges[1:]]
+    return {e.head: (tuple(reversed(ins[:i + 1])), tuple(outs[i:]))
+            for i, e in enumerate(edges[:-1])}
 
 
-def conflict(dag: Dag, framing: Framing, p: Route, q: Route) -> bool:
-    """True iff some shared inner vertex orders the prefixes and suffixes
-    of p and q in opposite directions."""
-    p_in, p_out = _steps(dag, p)
-    q_in, q_out = _steps(dag, q)
-    for v in (p_out.keys() & q_out.keys()) - {SOURCE}:
-        if (_cmp(dag, framing, p_in, q_in, v, False)
-                * _cmp(dag, framing, p_out, q_out, v, True) == -1):
-            return True
-    return False
-
-
-def coherent(dag: Dag, framing: Framing, p: Route, q: Route) -> bool:
-    return not conflict(dag, framing, p, q)
+def _sides(ranked: list[tuple[tuple, int]]) -> dict[int, tuple[int, int]]:
+    """Route index -> (mask of the routes with a smaller key, mask of those
+    with a larger key), for (key, route index) pairs."""
+    ranked.sort()
+    through = _mask(i for _, i in ranked)
+    out: dict[int, tuple[int, int]] = {}
+    below = 0
+    for _, tied in groupby(ranked, key=itemgetter(0)):
+        members = [i for _, i in tied]
+        same = _mask(members)
+        for i in members:
+            out[i] = (below, through & ~(below | same))
+        below |= same
+    return out
 
 
 def coherence_graph(dag: Dag, framing: Framing,
-                    routes: Sequence[Route]) -> tuple[frozenset[int], ...]:
-    """Adjacency of the coherence graph: entry i holds the indices of the
-    routes coherent with ``routes[i]``."""
-    n = len(routes)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coherent(dag, framing, routes[i], routes[j]):
-                adj[i].add(j)
-                adj[j].add(i)
-    return tuple(frozenset(a) for a in adj)
+                    routes: Sequence[Route]) -> tuple[int, ...]:
+    """Adjacency of the coherence graph as int masks: bit j of entry i is
+    set when ``routes[i]`` and ``routes[j]`` (i != j) are coherent.
+
+    At each inner vertex the routes through it are ranked by in-key and by
+    out-key (see ``_keys``); a route conflicts there with the routes on the
+    other side of it in both rankings, in opposite directions."""
+    at: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
+    for i, r in enumerate(routes):
+        for v, (kin, kout) in _keys(dag, framing, r).items():
+            at[v][0].append((kin, i))
+            at[v][1].append((kout, i))
+    conflicts = [0] * len(routes)
+    for ins, outs in at.values():
+        by_in, by_out = _sides(ins), _sides(outs)
+        for i, (in_below, in_above) in by_in.items():
+            out_below, out_above = by_out[i]
+            conflicts[i] |= (in_below & out_above) | (in_above & out_below)
+    full = (1 << len(routes)) - 1
+    return tuple(full & ~c & ~(1 << i) for i, c in enumerate(conflicts))
 
 
-def _bron_kerbosch(adj: Sequence[frozenset[int]], r: set[int], p: set[int],
-                   x: set[int], out: list[tuple[int, ...]]) -> None:
-    if not p and not x:
-        out.append(tuple(sorted(r)))
+def _bron_kerbosch(adj: Sequence[int], r: int, p: int, x: int,
+                   out: list[int]) -> None:
+    """Maximal cliques on int bitsets, with Tomita's pivot: a vertex of
+    P | X with the most neighbours in P (Tomita-Tanaka-Takahashi 2006)."""
+    if not p:
+        if not x:
+            out.append(r)
         return
-    pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
-    for v in sorted(p - adj[pivot]):
-        _bron_kerbosch(adj, r | {v}, p & adj[v], x & adj[v], out)
-        p.remove(v)
-        x.add(v)
+    best = pivot = -1
+    rest = p | x
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        if (n := (adj[u] & p).bit_count()) > best:
+            best, pivot = n, u
+    cand = p & ~adj[pivot]
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        _bron_kerbosch(adj, r | low, p & adj[v], x & adj[v], out)
+        p ^= low
+        x |= low
 
 
-def max_cliques(dag: Dag, adj: Sequence[frozenset[int]]) -> tuple[tuple[int, ...], ...]:
+def max_cliques(dag: Dag, adj: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """All maximal cliques of a coherence graph (see ``coherence_graph``),
     as sorted route-index tuples in canonical order.  Each must have
     dimension+1 members."""
-    cliques: list[tuple[int, ...]] = []
-    _bron_kerbosch(adj, set(), set(range(len(adj))), set(), cliques)
-    cliques.sort()
+    masks: list[int] = []
+    _bron_kerbosch(adj, 0, (1 << len(adj)) - 1, 0, masks)
     want = dimension(dag) + 1
-    for c in cliques:
-        if len(c) != want:
+    for m in masks:
+        if m.bit_count() != want:
+            c = _members(m)
             raise AssertionError(
                 f"framing/coherence inconsistency: clique {c} has size {len(c)}, "
                 f"expected {want}")
-    return tuple(cliques)
+    return tuple(sorted(map(_members, masks)))
 
 
 def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:

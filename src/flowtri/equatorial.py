@@ -15,8 +15,8 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .dag import Dag, degree_equality, idle_edges
-from .dkk import coherence_graph, dkk_triangulation, max_cliques
-from .geometry import SimplicialComplex, Triangulation, complex_from_faces
+from .dkk import _mask, _members, coherence_graph, dkk_triangulation, max_cliques
+from .geometry import SimplicialComplex, Triangulation
 from .routes import Framing, NotGorensteinError, Route, decomposition_framing
 
 Transversal = tuple[str, ...]     # entry i is the chosen edge of route i
@@ -39,13 +39,6 @@ def routes_avoiding(routes: Sequence[Route], m: Transversal) -> frozenset[int]:
     """Indices of the routes touching no edge of the transversal."""
     banned = set(m)
     return frozenset(i for i, r in enumerate(routes) if banned.isdisjoint(r))
-
-
-def common_face(dag: Dag, decomp: Sequence[Route], routeset: Sequence[Route]) -> bool:
-    """True iff no decomposition route is buried in the union of the given
-    routes' edges (equivalently the set avoids some union of transversals)."""
-    union = {e for r in routeset for e in r}
-    return not any(set(r) <= union for r in decomp)
 
 
 def is_facet_transversal(dag: Dag, routes: Sequence[Route],
@@ -82,11 +75,31 @@ def t_eq(framed: Triangulation, facets: Sequence[EquatorialFace]) -> SimplicialC
     """The equatorial sphere: the decomposition framing's triangulation
     ``framed`` restricted to the equatorial complex with the given facets.
 
-    Computed by intersecting each maximal simplex with each facet's route
-    set and keeping the maximal results.
+    The sphere is pure: its facets have dim+1-k routes, where dim+1 is the
+    size of a maximal simplex of ``framed`` and k the transversal length.
+    So only the maximal simplices' intersections with the facets' route
+    sets that have that size are kept.  The framed triangulation restricts
+    to a triangulation of each facet's face, so every smaller intersection
+    is a face of a kept one.  This is certified: every facet must yield a
+    kept piece, and every ridge must lie in exactly two kept pieces.
     """
-    pieces = {tuple(sorted(set(c) & f.routes)) for c in framed.simplices for f in facets}
-    return complex_from_faces(pieces)
+    if not facets:
+        return SimplicialComplex(())
+    cliques = [_mask(c) for c in framed.simplices]
+    want = max(map(len, framed.simplices), default=0) - len(facets[0].transversal)
+    kept: set[int] = set()
+    for f in facets:
+        routes = _mask(f.routes)
+        pieces = {piece for c in cliques
+                  if (piece := c & routes).bit_count() == want}
+        if not pieces:
+            raise AssertionError(
+                f"facet {f.transversal} meets no simplex in {want} routes")
+        kept |= pieces
+    sphere = SimplicialComplex(tuple(sorted(map(_members, kept))))
+    if not sphere.ridges_in_two_facets():
+        raise AssertionError("equatorial sphere has a ridge outside exactly two facets")
+    return sphere
 
 
 def join_route_simplex(framed: Triangulation, decomp: Sequence[Route],

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .dag import Dag, degree_equality, dimension, idle_edges
 
@@ -144,20 +144,12 @@ class SimplicialComplex:
     def vertices(self) -> tuple:
         return tuple(sorted({v for f in self.maximal_faces for v in f}))
 
-    @cached_property
-    def faces(self) -> frozenset[frozenset]:
-        out: set[frozenset] = {frozenset()}
-        for f in self.maximal_faces:
-            for k in range(1, len(f) + 1):
-                out.update(map(frozenset, combinations(f, k)))
-        return frozenset(out)
-
     def is_pure(self) -> bool:
         sizes = {len(f) for f in self.maximal_faces}
         return len(sizes) <= 1
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(f) - 1) for f in self.faces if f)
+        return euler_characteristic(f_vector(self))
 
     def ridge_owners(self) -> dict[tuple, list[tuple[int, int]]]:
         """Each codimension-1 face of a maximal face, sorted -> the (index of
@@ -174,30 +166,23 @@ class SimplicialComplex:
         return all(len(o) == 2 for o in self.ridge_owners().values())
 
 
-def complex_from_faces(faces: Iterable[Iterable]) -> SimplicialComplex:
-    """Build a complex from a face family, keeping only maximal members."""
-    fs = sorted({tuple(sorted(f)) for f in faces}, key=lambda f: (-len(f), f))
-    maximal: list[tuple] = []
-    for f in fs:
-        if not any(set(f) <= set(g) for g in maximal):
-            maximal.append(f)
-    return SimplicialComplex(tuple(sorted(maximal)))
-
-
 def f_vector(cpx: SimplicialComplex) -> tuple[int, ...]:
-    """(f_-1, f_0, ..., f_{d-1}) by expanding the maximal faces."""
-    if not cpx.maximal_faces:
-        return (1,)
-    d = max(len(f) for f in cpx.maximal_faces)
-    fv = [0] * (d + 1)
-    for face in cpx.faces:
-        fv[len(face)] += 1
-    return tuple(fv)
+    """(f_-1, f_0, ..., f_{d-1}): the distinct faces of each size, counted as
+    sorted tuples of the maximal faces' vertices, one size at a time."""
+    maximal = [tuple(sorted(f)) for f in cpx.maximal_faces]
+    d = max(map(len, maximal), default=0)
+    return (1,) + tuple(len({c for f in maximal for c in combinations(f, k)})
+                        for k in range(1, d + 1))
 
 
-def h_polynomial(cpx: SimplicialComplex) -> tuple[int, ...]:
-    """Coefficients of sum_k f_k z^{k+1} (1-z)^{d-1-k}."""
-    fv = f_vector(cpx)
+def euler_characteristic(fv: Sequence[int]) -> int:
+    """f_0 - f_1 + f_2 - ... of an f-vector (f_-1, f_0, ...)."""
+    return sum((-1) ** k * f for k, f in enumerate(fv[1:]))
+
+
+def h_from_f(fv: Sequence[int]) -> tuple[int, ...]:
+    """Coefficients of sum_k f_k z^{k+1} (1-z)^{d-1-k} for an f-vector
+    (f_-1, ..., f_{d-1}), trailing zeros dropped."""
     d = len(fv) - 1            # maximal face size
     h = [0] * (d + 1)
     for k in range(-1, d):
@@ -207,6 +192,12 @@ def h_polynomial(cpx: SimplicialComplex) -> tuple[int, ...]:
     while len(h) > 1 and h[-1] == 0:
         h.pop()
     return tuple(h)
+
+
+def h_polynomial(cpx: SimplicialComplex) -> tuple[int, ...]:
+    """The h-vector of a complex (see ``h_from_f``).  Coning leaves it
+    unchanged, so a join with a simplex has the h-vector of the complex."""
+    return h_from_f(f_vector(cpx))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .dag import (SOURCE, Dag, degree_equality, make_dag, vertex_from_json,
                   vertex_to_json)
 from .dkk import dkk_triangulation
 from .equatorial import equatorial_facets, join_route_simplex, t_eq
-from .geometry import SimplicialComplex, Triangulation, Vector
+from .geometry import SimplicialComplex, Triangulation
 from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
                      is_route_decomposition)
 
@@ -138,10 +138,6 @@ def poset_to_json(poset: Poset) -> dict:
             "covers": [list(c) for c in sorted(poset.covers)]}
 
 
-def poset_from_json(data: Mapping) -> Poset:
-    return make_poset(data["elements"], [tuple(c) for c in data["covers"]])
-
-
 def is_graded(poset: Poset) -> tuple[bool, dict[str, int]]:
     """Ranks 1..r when all maximal chains share one length, else (False, {})."""
     return (True, dict(poset.heights)) if poset.graded else (False, {})
@@ -157,12 +153,6 @@ def filters(poset: Poset) -> tuple[frozenset[str], ...]:
             if all(set(poset.up_covers[p]) <= s for p in sub):
                 out.append(frozenset(s))
     return tuple(sorted(out, key=lambda f: (len(f), tuple(sorted(f)))))
-
-
-def order_polytope_vertices(poset: Poset) -> tuple[Vector, ...]:
-    """Indicator vector of each filter over the sorted element list."""
-    elems = tuple(sorted(poset.elements))
-    return tuple(tuple(int(p in f) for p in elems) for f in poset.filters)
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +487,6 @@ def maximal_filter_chains(poset: Poset) -> tuple[tuple[frozenset[str], ...], ...
 
     extend([frozenset()])
     return tuple(chains)
-
-
-def linear_extension_count(poset: Poset) -> int:
-    return len(maximal_filter_chains(poset))
 
 
 def canonical_triangulation(poset: Poset) -> Triangulation:

@@ -43,18 +43,6 @@ class Framing:
         return self._out_pos[v][eid]
 
 
-def framing_from_json(dag: Dag, data: Mapping) -> Framing:
-    ins = {int(v): tuple(o["in"]) for v, o in data.items()}
-    outs = {int(v): tuple(o["out"]) for v, o in data.items()}
-    fr = Framing(ins, outs)
-    for v in dag.inner_vertices:
-        if sorted(fr.in_order[v]) != sorted(e.id for e in dag.in_edges(v)):
-            raise ValueError(f"framing at {v}: bad in-order")
-        if sorted(fr.out_order[v]) != sorted(e.id for e in dag.out_edges(v)):
-            raise ValueError(f"framing at {v}: bad out-order")
-    return fr
-
-
 def route_vertices(dag: Dag, route: Route) -> tuple[int, ...]:
     """Vertex sequence s, ..., t visited by the route."""
     verts = [SOURCE]

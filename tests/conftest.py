@@ -7,17 +7,18 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from flowtri.dag import (SOURCE, Dag, contract_idle_edges, gorenstein_completion,
-                         random_dag, validate)
+                         make_dag, random_dag, validate)
 from flowtri.dkk import dkk_triangulation
-from flowtri.equatorial import Transversal, equatorial_facets, t_eq
+from flowtri.equatorial import (EquatorialFace, Transversal, equatorial_facets,
+                                t_eq)
 from flowtri.geometry import (SimplicialComplex, Triangulation, Vector,
                               is_unimodular_simplex)
-from flowtri.planar import Poset
+from flowtri.planar import Poset, make_poset, maximal_filter_chains
 from flowtri.quotient import QuotientPolytope, ReflexiveReport
-from flowtri.routes import Route, decomposition_framing
+from flowtri.routes import Framing, Route, decomposition_framing
 
 
 def random_balanced_dag(rng: random.Random, max_edges: int = 9) -> Dag:
@@ -30,6 +31,22 @@ def random_balanced_dag(rng: random.Random, max_edges: int = 9) -> Dag:
             continue
         if dag.inner_count and len(dag.edges) <= max_edges and validate(dag).ok:
             return dag
+
+
+def chain(k: int, m: int) -> Dag:
+    """k consecutive bundles of m parallel edges: a product of k
+    (m-1)-simplices, of dimension k(m-1)."""
+    return make_dag(k - 1, [(f"b{i}.{j}", i, i + 1) for i in range(k) for j in range(m)])
+
+
+def random_framing(rng: random.Random, dag: Dag) -> Framing:
+    """Uniformly random in- and out-orders at every inner vertex."""
+    def shuffled(edges) -> tuple[str, ...]:
+        ids = sorted(e.id for e in edges)
+        rng.shuffle(ids)
+        return tuple(ids)
+    return Framing({v: shuffled(dag.in_edges(v)) for v in dag.inner_vertices},
+                   {v: shuffled(dag.out_edges(v)) for v in dag.inner_vertices})
 
 
 def sphere(dag: Dag, decomp: tuple[Route, ...]) -> SimplicialComplex:
@@ -82,11 +99,107 @@ def has_route_partition(dag: Dag) -> bool:
     return solve(frozenset(e.id for e in dag.edges))
 
 
+# ---------------------------------------------------------------------------
+# Pairwise and quadratic oracles for the mask-based dkk and equatorial code
+
+def _cmp(dag: Dag, framing: Framing, p_at: Mapping[int, str],
+         q_at: Mapping[int, str], v: int, forward: bool) -> int:
+    """Compare two routes through v at their first divergence, scanning
+    forwards from v (out-orders) or backwards from v (in-orders); -1 means
+    p's side is the smaller one.  ``p_at`` and ``q_at`` map a vertex to the
+    route's edge leaving it (forwards) or entering it (backwards)."""
+    pos, stop = (framing.out_pos, dag.sink) if forward else (framing.in_pos, SOURCE)
+    w = v
+    while w != stop:
+        a, b = p_at[w], q_at[w]
+        if a != b:
+            return -1 if pos(w, a) < pos(w, b) else 1
+        e = dag.edge_by_id[a]
+        w = e.head if forward else e.tail
+    return 0
+
+
+def _steps(dag: Dag, route: Route) -> tuple[dict[int, str], dict[int, str]]:
+    """Vertex -> the route's edge entering it, and vertex -> its edge
+    leaving it."""
+    edges = [dag.edge_by_id[e] for e in route]
+    return {e.head: e.id for e in edges}, {e.tail: e.id for e in edges}
+
+
+def conflict(dag: Dag, framing: Framing, p: Route, q: Route) -> bool:
+    """True iff some shared inner vertex orders the prefixes and suffixes
+    of p and q in opposite directions: the pairwise oracle for
+    ``dkk.coherence_graph``."""
+    p_in, p_out = _steps(dag, p)
+    q_in, q_out = _steps(dag, q)
+    for v in (p_out.keys() & q_out.keys()) - {SOURCE}:
+        if (_cmp(dag, framing, p_in, q_in, v, False)
+                * _cmp(dag, framing, p_out, q_out, v, True) == -1):
+            return True
+    return False
+
+
+def coherent(dag: Dag, framing: Framing, p: Route, q: Route) -> bool:
+    return not conflict(dag, framing, p, q)
+
+
+def pairwise_coherence_masks(dag: Dag, framing: Framing,
+                             routes: Sequence[Route]) -> tuple[int, ...]:
+    """The coherence graph's int-mask adjacency, one ``conflict`` test per
+    pair of routes."""
+    adj = [0] * len(routes)
+    for i, j in combinations(range(len(routes)), 2):
+        if coherent(dag, framing, routes[i], routes[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def set_max_cliques(adj: Sequence[int]) -> set[tuple[int, ...]]:
+    """Maximal cliques of an int-mask adjacency by Bron-Kerbosch on Python
+    sets without a pivot: the oracle for ``dkk.max_cliques``."""
+    nbrs = [{j for j in range(len(adj)) if adj[i] >> j & 1} for i in range(len(adj))]
+    out: set[tuple[int, ...]] = set()
+
+    def grow(r: set[int], p: set[int], x: set[int]) -> None:
+        if not p and not x:
+            out.add(tuple(sorted(r)))
+        for v in sorted(p):
+            grow(r | {v}, p & nbrs[v], x & nbrs[v])
+            p = p - {v}
+            x = x | {v}
+
+    grow(set(), set(range(len(adj))), set())
+    return out
+
+
+def complex_from_faces(faces: Iterable[Iterable]) -> SimplicialComplex:
+    """Build a complex from a face family, keeping only maximal members."""
+    fs = sorted({tuple(sorted(f)) for f in faces}, key=lambda f: (-len(f), f))
+    maximal: list[tuple] = []
+    for f in fs:
+        if not any(set(f) <= set(g) for g in maximal):
+            maximal.append(f)
+    return SimplicialComplex(tuple(sorted(maximal)))
+
+
+def old_t_eq(framed: Triangulation, facets: Sequence[EquatorialFace]) -> SimplicialComplex:
+    """T_eq as every intersection of a maximal simplex with a facet's route
+    set, filtered to the maximal ones: the oracle for ``equatorial.t_eq``."""
+    pieces = {tuple(sorted(set(c) & f.routes)) for c in framed.simplices for f in facets}
+    return complex_from_faces(pieces)
+
+
+def common_face(dag: Dag, decomp: Sequence[Route], routeset: Sequence[Route]) -> bool:
+    """True iff no decomposition route is buried in the union of the given
+    routes' edges (equivalently the set avoids some union of transversals)."""
+    union = {e for r in routeset for e in r}
+    return not any(set(r) <= union for r in decomp)
+
+
 def sphere_oracle(dag: Dag, decomp: tuple[Route, ...]) -> set[frozenset[int]]:
     """Maximal route sets that are coherent cliques and bury no
     decomposition route, by brute force over all route subsets."""
-    from flowtri.dkk import coherent
-    from flowtri.equatorial import common_face
     from flowtri.routes import enumerate_routes
 
     routes = enumerate_routes(dag)
@@ -103,6 +216,35 @@ def sphere_oracle(dag: Dag, decomp: tuple[Route, ...]) -> set[frozenset[int]]:
             if common_face(dag, decomp, [routes[i] for i in sub]):
                 good.append(frozenset(sub))
     return set(good)
+
+
+# ---------------------------------------------------------------------------
+# Poset and framing helpers used by the tests only
+
+def linear_extension_count(poset: Poset) -> int:
+    return len(maximal_filter_chains(poset))
+
+
+def order_polytope_vertices(poset: Poset) -> tuple[Vector, ...]:
+    """Indicator vector of each filter over the sorted element list."""
+    elems = tuple(sorted(poset.elements))
+    return tuple(tuple(int(p in f) for p in elems) for f in poset.filters)
+
+
+def poset_from_json(data: Mapping) -> Poset:
+    return make_poset(data["elements"], [tuple(c) for c in data["covers"]])
+
+
+def framing_from_json(dag: Dag, data: Mapping) -> Framing:
+    ins = {int(v): tuple(o["in"]) for v, o in data.items()}
+    outs = {int(v): tuple(o["out"]) for v, o in data.items()}
+    fr = Framing(ins, outs)
+    for v in dag.inner_vertices:
+        if sorted(fr.in_order[v]) != sorted(e.id for e in dag.in_edges(v)):
+            raise ValueError(f"framing at {v}: bad in-order")
+        if sorted(fr.out_order[v]) != sorted(e.id for e in dag.out_edges(v)):
+            raise ValueError(f"framing at {v}: bad out-order")
+    return fr
 
 
 def brute_count_lattice_points(dag: Dag, t: int, interior: bool = False) -> int:

@@ -1,12 +1,19 @@
 import random
 
-from flowtri.dag import D1, D2, D3, dimension
-from flowtri.dkk import (coherence_graph, conflict, dkk_triangulation,
-                         exceptional_routes, max_cliques)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowtri.dag import D1, D2, D3, dimension, zigzag
+from flowtri.dkk import (coherence_graph, dkk_triangulation, exceptional_routes,
+                         max_cliques)
+from flowtri.equatorial import _all_framings
 from flowtri.geometry import (ehrhart_hstar, h_polynomial, normalized_volume,
                               verify_triangulation)
 from flowtri.routes import decomposition_framing, enumerate_routes, route_decomposition
-from tests.conftest import random_balanced_dag, trimmed
+from tests.conftest import (conflict, pairwise_coherence_masks,
+                            random_balanced_dag, random_framing, set_max_cliques,
+                            trimmed)
 
 
 def _decomp_framing(dag):
@@ -55,8 +62,9 @@ def test_coherence_graph_shape():
     d3 = D3()
     adj = coherence_graph(d3, _decomp_framing(d3), enumerate_routes(d3))
     assert len(adj) == 9
-    assert all(i not in adj[i] for i in range(9))
-    assert all(i in adj[j] for i in range(9) for j in adj[i])
+    assert all(isinstance(a, int) and 0 <= a < 1 << 9 for a in adj)
+    assert all(not adj[i] >> i & 1 for i in range(9))
+    assert all(adj[i] >> j & 1 == adj[j] >> i & 1 for i in range(9) for j in range(9))
 
 
 def test_dkk_is_unimodular_triangulation():
@@ -72,3 +80,34 @@ def test_dkk_h_matches_hstar_random():
         dag = random_balanced_dag(rng, max_edges=8)
         tri = dkk_triangulation(dag, _decomp_framing(dag))
         assert trimmed(h_polynomial(tri.complex)) == trimmed(ehrhart_hstar(dag).h_star)
+
+
+@pytest.mark.parametrize("dag", [D1(), D2(), D3(), zigzag()],
+                         ids=["D1", "D2", "D3", "zigzag"])
+def test_coherence_graph_matches_pairwise_oracle_every_framing(dag):
+    routes = enumerate_routes(dag)
+    for framing in _all_framings(dag):
+        assert coherence_graph(dag, framing, routes) == \
+            pairwise_coherence_masks(dag, framing, routes), framing
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_coherence_graph_and_cliques_match_oracles_random_framings(seed):
+    rng = random.Random(seed)
+    dag = random_balanced_dag(rng, max_edges=10)
+    routes = enumerate_routes(dag)
+    for _ in range(3):
+        framing = random_framing(rng, dag)
+        adj = coherence_graph(dag, framing, routes)
+        assert adj == pairwise_coherence_masks(dag, framing, routes)
+        cliques = max_cliques(dag, adj)
+        assert list(cliques) == sorted(cliques)
+        assert set(cliques) == set_max_cliques(adj)
+
+
+def test_max_cliques_rejects_wrong_clique_size():
+    d1 = D1()
+    adj = coherence_graph(d1, _decomp_framing(d1), enumerate_routes(d1))
+    with pytest.raises(AssertionError, match="clique"):
+        max_cliques(d1, tuple(a & 0b111 for a in adj[:-1]))

@@ -1,16 +1,34 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowtri.dag import D1, D2, D3, G, dimension, make_dag
-from flowtri.equatorial import (common_face, differs_from_dkk,
-                                enumerate_transversals, equatorial_facets,
+from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
+from flowtri.dkk import dkk_triangulation
+from flowtri.equatorial import (differs_from_dkk, enumerate_transversals,
+                                equatorial_facets, join_route_simplex, t_eq,
                                 equatorial_flow_triangulation, framing_count,
                                 is_facet_transversal, routes_avoiding)
-from flowtri.geometry import (ehrhart_hstar, f_vector, h_polynomial,
-                              normalized_volume, verify_triangulation)
-from flowtri.routes import enumerate_routes, route_decomposition
-from tests.conftest import random_balanced_dag, sphere, sphere_oracle, trimmed
+from flowtri.geometry import (SimplicialComplex, Triangulation, ehrhart_hstar,
+                              f_vector, h_polynomial, normalized_volume,
+                              verify_triangulation)
+from flowtri.routes import (decomposition_framing, enumerate_routes,
+                            route_decomposition)
+from tests.conftest import (chain, common_face, old_t_eq, random_balanced_dag,
+                            sphere, sphere_oracle, trimmed)
+
+CATALOG = {"G3": (G(3), None), "D1": (D1(), None),
+           "D1-crossed": (D1(), (("a", "d"), ("b", "c"))), "D2": (D2(), None),
+           "D3": (D3(), None), "zigzag": (zigzag(), None), "bypass": (bypass(), None),
+           "chain2x3": (chain(2, 3), None), "chain3x2": (chain(3, 2), None),
+           "chain2x4": (chain(2, 4), None), "chain4x2": (chain(4, 2), None)}
+
+
+def framed_and_facets(dag, decomp=None):
+    decomp = decomp or route_decomposition(dag)
+    framed = dkk_triangulation(dag, decomposition_framing(dag, decomp))
+    return decomp, framed, equatorial_facets(dag, decomp, framed.labels)
 
 
 def test_enumerate_transversals():
@@ -134,3 +152,43 @@ def test_d1_equals_its_dkk():
     rep = differs_from_dkk(d1, decomp, equatorial_flow_triangulation(d1, decomp),
                            exhaustive=True)
     assert rep.is_dkk
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_t_eq_matches_old_t_eq_catalog(name):
+    _, framed, facets = framed_and_facets(*CATALOG[name])
+    assert t_eq(framed, facets) == old_t_eq(framed, facets)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_t_eq_matches_old_t_eq_random(seed):
+    _, framed, facets = framed_and_facets(random_balanced_dag(random.Random(seed)))
+    assert t_eq(framed, facets) == old_t_eq(framed, facets)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_sphere_h_equals_join_h_catalog(name):
+    decomp, framed, facets = framed_and_facets(*CATALOG[name])
+    s = t_eq(framed, facets)
+    join = join_route_simplex(framed, decomp, s)
+    assert h_polynomial(s) == h_polynomial(join.complex)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_t_eq_with_a_clique_dropped_raises_or_keeps_the_sphere(name):
+    """Dropping a clique either breaks the certificate, or the clique held
+    no sphere facet that another clique does not hold too."""
+    _, framed, facets = framed_and_facets(*CATALOG[name])
+    whole = t_eq(framed, facets)
+    raised = 0
+    for k in range(len(framed.simplices)):
+        kept = framed.simplices[:k] + framed.simplices[k + 1:]
+        cut = Triangulation(SimplicialComplex(kept), framed.labels, framed.coords)
+        try:
+            got = t_eq(cut, facets)
+        except AssertionError:
+            raised += 1
+            continue
+        assert got == old_t_eq(cut, facets) == whole
+    assert raised

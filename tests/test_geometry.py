@@ -13,22 +13,17 @@ from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
 from flowtri.dkk import dkk_triangulation
 from flowtri.equatorial import equatorial_flow_triangulation
 from flowtri.geometry import (SimplicialComplex, Triangulation,
-                              complex_from_faces, count_lattice_points,
+                              count_lattice_points,
                               ehrhart_hstar, f_vector, h_polynomial,
                               is_gorenstein, is_unimodular_simplex,
                               normalized_volume, rank, smith_divisors,
                               verify_triangulation)
 from flowtri.routes import (decomposition_framing, enumerate_routes,
                             route_decomposition)
-from tests.conftest import (brute_count_lattice_points, interpolate_polynomial,
+from tests.conftest import (brute_count_lattice_points, chain, complex_from_faces,
+                            interpolate_polynomial,
                             lp_triangulation_ok, random_balanced_dag,
                             simplices_meet_in_common_face, trimmed)
-
-
-def chain(k: int, m: int):
-    """k consecutive bundles of m parallel edges: a product of k
-    (m-1)-simplices, of dimension k(m-1)."""
-    return make_dag(k - 1, [(f"b{i}.{j}", i, i + 1) for i in range(k) for j in range(m)])
 
 
 def test_smith_divisors_known_matrices():

@@ -17,9 +17,10 @@ from flowtri.cli import main
 from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, make_dag,
                          stacked_rotations, zigzag, zigzag_rotations)
 from flowtri.planar import PlanarEmbedding, embedding_to_json
+from tests.conftest import chain
 
 GRAPHS = {"G3": G(3), "D1": D1(), "D2": D2(), "D3": D3(), "zigzag": zigzag(),
-          "bypass": bypass(),
+          "bypass": bypass(), "chain4x3": chain(4, 3), "chain3x3": chain(3, 3),
           "unbalanced": make_dag(1, [("a", 0, 1), ("b", 0, 1), ("c", 1, 2)])}
 ROTATIONS = {"G3": stacked_rotations(G(3)), "D1": stacked_rotations(D1()),
              "D2": stacked_rotations(D2()), "D3": stacked_rotations(D3()),
@@ -49,6 +50,12 @@ CASES["analyze-D2-text"] = ["analyze", "{graph:D2}", "--format", "text"]
 CASES["fuzz-seed0"] = ["fuzz", "--seed", "0"]
 CASES["fuzz-seed0-count7"] = ["fuzz", "--seed", "0", "--count", "7"]
 CASES["fuzz-seed0-max-edges6"] = ["fuzz", "--seed", "0", "--max-edges", "6"]
+# Two cases at scale, recorded at commit dae2249 (where they took about 10 s
+# and 4.5 s): chain 4x3 has 81 routes and 2,520 simplices, and chain 3x3 has
+# 1,296 framings for the exhaustive sweep.
+CASES["equatorial-chain4x3"] = ["equatorial", "{graph:chain4x3}"]
+CASES["equatorial-exhaustive-chain3x3"] = ["equatorial", "{graph:chain3x3}",
+                                           "--exhaustive-dkk"]
 
 # case id -> (exit code, sha256 of stdout)
 GOLDEN = {
@@ -80,11 +87,13 @@ GOLDEN = {
     'equatorial-D3': (0, 'dfce62c1959d158b47cfcff548580a652fbbc22772986d9c5cca983c4e1a4be6'),
     'equatorial-G3': (0, 'f0f82e5af378984d818d9dbe7ab7e070b593d7112eae22fbf55a7ca6884a6403'),
     'equatorial-bypass': (0, 'b75718f6be2fac383c52c5f1863e10b829c018dbf8e971a0d98c2c769cbaf1d1'),
+    'equatorial-chain4x3': (0, '64db59a33dd74ece055461f4057b8199ba9bc318537e87984527453acd31605a'),
     'equatorial-exhaustive-D1': (0, 'd8bdd1a5f3cf00457dd8a6b826839ea40abee74de4dc178e9f2843d0cb1fd767'),
     'equatorial-exhaustive-D2': (0, '93513fb54974f00a82ca864a26a6c12b11af8a8c65dff77da2e5dedc8939bebc'),
     'equatorial-exhaustive-D3': (0, '751c8584f5c0c722320a999930568ffafd388a1ab2905d2043b547458b76a696'),
     'equatorial-exhaustive-G3': (0, '8589d08b6e9ff4dc8be2de8836091d77718242eaba1b3b959e7c24f671a96173'),
     'equatorial-exhaustive-bypass': (0, 'e7f62709dcbed556afd5b5042f2582a7ea4f60b0677a5137f12ebc33313d2ac0'),
+    'equatorial-exhaustive-chain3x3': (0, '46307b0d654846a50acca23d6783f53e84e958a2795402b517444731fdc99f57'),
     'equatorial-exhaustive-zigzag': (0, 'ba464fb4c2fd4fa716546e054a9212dd7a9b1e764b6763aa8fab6629b39c0546'),
     'equatorial-unbalanced': (1, '8c22d39bdaa0b7223e3f6683e001510c47028ca1676325a6a39c0c832ee3eb00'),
     'equatorial-zigzag': (0, 'aac0b6578b4ca6728ec81793b1f3fbb245f1b1c28781b9c8dd4f5a96c5374949'),

@@ -12,18 +12,18 @@ from flowtri.geometry import verify_triangulation
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             canonical_triangulation, embedding_from_json,
                             embedding_to_json, filters, flow_to_order,
-                            is_equatorial_chain, is_graded,
-                            linear_extension_count, make_poset,
+                            is_equatorial_chain, is_graded, make_poset,
                             maximal_equatorial_chains, maximal_filter_chains,
-                            order_polytope_vertices, order_to_flow,
-                            planar_dual, planar_framing, poset_from_json,
+                            order_to_flow, planar_dual, planar_framing,
                             poset_to_dag, poset_to_json,
                             rank_constant_filters, route_of_flow,
                             equatorial_order_triangulation,
                             topmost_route_decomposition,
                             validate_embedding, verify_equivalence)
 from flowtri.routes import Route, decomposition_framing, enumerate_routes
-from tests.conftest import brute_order_polytope_count, lp_triangulation_ok
+from tests.conftest import (brute_order_polytope_count, linear_extension_count,
+                            lp_triangulation_ok, order_polytope_vertices,
+                            poset_from_json)
 
 
 def posets_isomorphic(p: Poset, q: Poset) -> bool:

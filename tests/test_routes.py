@@ -5,11 +5,11 @@ import pytest
 from flowtri.dag import (D1, D2, D3, G, bypass, gorenstein_completion,
                          make_dag, random_dag, zigzag)
 from flowtri.routes import (NotGorensteinError, decomposition_framing,
-                            enumerate_routes, framing_from_json,
-                            indicator_vector, is_route,
+                            enumerate_routes, indicator_vector, is_route,
                             is_route_decomposition, route_decomposition,
                             route_vertices)
-from tests.conftest import has_route_partition, random_balanced_dag
+from tests.conftest import (framing_from_json, has_route_partition,
+                            random_balanced_dag)
 
 
 def test_enumerate_routes_catalog():
