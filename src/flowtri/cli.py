@@ -149,14 +149,6 @@ def cmd_dkk(args) -> tuple[dict, int]:
     return report, OK if check.ok else FAILED
 
 
-def _sphere(dag: dagmod.Dag, decomp: tuple[rmod.Route, ...]):
-    """The decomposition framing's triangulation, the equatorial facets and
-    the equatorial sphere T_eq."""
-    framed = dkkmod.dkk_triangulation(dag, rmod.decomposition_framing(dag, decomp))
-    facets = eqmod.equatorial_facets(dag, decomp, framed.labels)
-    return framed, facets, eqmod.t_eq(framed, facets)
-
-
 def cmd_equatorial(args) -> tuple[dict, int]:
     dag = _load_graph(args.graph)
     report: dict = {"command": "equatorial", "digest": _digest(args.graph)}
@@ -170,7 +162,7 @@ def cmd_equatorial(args) -> tuple[dict, int]:
         raise InputError(f"--exhaustive-dkk: {framings} framings, "
                          f"more than the bound of {eqmod.MAX_FRAMINGS}")
     report["decomposition"] = [list(r) for r in decomp]
-    framed, facets, sphere = _sphere(dag, decomp)
+    framed, facets, sphere = eqmod.equatorial_sphere(dag, decomp)
     routes = framed.labels
     report["facets"] = [{"transversal": list(f.transversal),
                          "routes": [list(routes[i]) for i in sorted(f.routes)]}
@@ -236,9 +228,8 @@ def cmd_order(args) -> tuple[dict, int]:
         raise InputError(f"bad embedding: {exc}") from exc
     poset = dual.poset
     report["poset"] = plmod.poset_to_json(poset)
-    graded, ranks = plmod.is_graded(poset)
-    report["graded"] = graded
-    report["ranks"] = dict(sorted(ranks.items()))
+    report["graded"] = poset.graded
+    report["ranks"] = dict(sorted(poset.heights.items())) if poset.graded else {}
     counts = []
     for t in range(1, args.max_dilate + 1):
         flow = geo.count_lattice_points(dag, t)
@@ -306,7 +297,7 @@ def cmd_fuzz(args) -> tuple[dict, int]:
         if not rmod.is_route_decomposition(dag, decomp):
             failures.append(_fuzz_failure(k, drawn, "invalid decomposition"))
             continue
-        framed, _, sphere = _sphere(dag, decomp)
+        framed, _, sphere = eqmod.equatorial_sphere(dag, decomp)
         eqmod.join_route_simplex(framed, decomp, sphere)    # checks the join's sizes
         h = geo.h_polynomial(sphere)
         hs = geo.ehrhart_hstar(dag)

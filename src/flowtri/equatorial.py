@@ -117,11 +117,19 @@ def join_route_simplex(framed: Triangulation, decomp: Sequence[Route],
     return Triangulation(SimplicialComplex(maximal), framed.labels, framed.coords)
 
 
-def equatorial_flow_triangulation(dag: Dag, decomp: Sequence[Route]) -> Triangulation:
-    """Join of the equatorial sphere with the route simplex."""
+def equatorial_sphere(dag: Dag, decomp: Sequence[Route]
+                      ) -> tuple[Triangulation, tuple[EquatorialFace, ...], SimplicialComplex]:
+    """The decomposition framing's triangulation, the equatorial facets over
+    its routes and the equatorial sphere T_eq."""
     framed = dkk_triangulation(dag, decomposition_framing(dag, decomp))
     facets = equatorial_facets(dag, decomp, framed.labels)
-    return join_route_simplex(framed, decomp, t_eq(framed, facets))
+    return framed, facets, t_eq(framed, facets)
+
+
+def equatorial_flow_triangulation(dag: Dag, decomp: Sequence[Route]) -> Triangulation:
+    """Join of the equatorial sphere with the route simplex."""
+    framed, _, sphere = equatorial_sphere(dag, decomp)
+    return join_route_simplex(framed, decomp, sphere)
 
 
 @dataclass(frozen=True)

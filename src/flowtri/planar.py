@@ -12,14 +12,14 @@ faces of its bottom-to-top Hasse drawing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .dag import (SOURCE, Dag, degree_equality, make_dag, vertex_from_json,
                   vertex_to_json)
 from .dkk import dkk_triangulation
-from .equatorial import equatorial_facets, join_route_simplex, t_eq
+from .equatorial import equatorial_sphere, join_route_simplex
 from .geometry import SimplicialComplex, Triangulation
 from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
                      is_route_decomposition)
@@ -136,11 +136,6 @@ def make_poset(elements: Iterable[str], relations: Iterable[tuple[str, str]]) ->
 def poset_to_json(poset: Poset) -> dict:
     return {"elements": list(poset.elements),
             "covers": [list(c) for c in sorted(poset.covers)]}
-
-
-def is_graded(poset: Poset) -> tuple[bool, dict[str, int]]:
-    """Ranks 1..r when all maximal chains share one length, else (False, {})."""
-    return (True, dict(poset.heights)) if poset.graded else (False, {})
 
 
 def filters(poset: Poset) -> tuple[frozenset[str], ...]:
@@ -497,74 +492,80 @@ def canonical_triangulation(poset: Poset) -> Triangulation:
 
 def rank_constant_filters(poset: Poset) -> tuple[frozenset[str], ...]:
     """Unions of the top ranks, largest first (everything down to nothing)."""
-    graded, ranks = is_graded(poset)
-    if not graded:
+    if not poset.graded:
         raise ValueError("poset is not graded")
-    r = max(ranks.values(), default=0)
-    return tuple(frozenset(p for p in poset.elements if ranks[p] > j)
-                 for j in range(r + 1))
+    h = poset.heights
+    return tuple(frozenset(p for p in poset.elements if h[p] > j)
+                 for j in range(max(h.values(), default=0) + 1))
+
+
+def _cut_covers(poset: Poset, fs: Sequence[frozenset[str]]) -> tuple[list[int], list[int]]:
+    """Masks over ``poset.covers``: those each filter of ``fs`` cuts (upper
+    end in, lower end out), and those into each rank j = 2..r."""
+    if not poset.graded:
+        raise ValueError("poset is not graded")
+    bits = [(1 << k, a, b) for k, (a, b) in enumerate(poset.covers)]
+    cuts = [sum(bit for bit, a, b in bits if b in f and a not in f) for f in fs]
+    h = poset.heights
+    ranks = [sum(bit for bit, _, b in bits if h[b] == j)
+             for j in range(2, max(h.values(), default=0) + 1)]
+    return cuts, ranks
 
 
 def is_equatorial_chain(poset: Poset, chain: Sequence[frozenset[str]]) -> bool:
-    """Equatoriality of a chain of nonempty filters, by two equivalent
-    tests: the summed indicator map must vanish somewhere and stay level
-    across some cover between every pair of consecutive ranks, and the same
-    condition phrased through the chain's jumps."""
-    graded, ranks = is_graded(poset)
-    if not graded:
-        raise ValueError("poset is not graded")
+    """Equatoriality of a chain of nonempty filters of a graded poset: its
+    summed indicator map vanishes somewhere and stays level across some
+    cover into every rank j >= 2.  The map is level on a cover exactly when
+    no filter cuts it, so that is one test on the chain's cut covers."""
     fs = sorted((frozenset(f) for f in chain), key=len)
-    if len(set(fs)) != len(fs):
-        raise ValueError("chain has repeated filters")
-    for small, big in zip(fs, fs[1:]):
+    up = poset.up_covers
+    for f in fs:
+        if not (f <= up.keys() and all(q in f for p in f for q in up[p])):
+            raise ValueError(f"{sorted(f)} is not a filter of the poset")
+    for small, big in zip(fs, fs[1:]):      # a repeated filter fails here too
         if not small < big:
             raise ValueError("filters do not form a chain")
     if any(not f for f in fs):
         raise ValueError("chain filters must be nonempty")
-    r = max(ranks.values(), default=0)
-    f = {p: sum(p in fi for fi in fs) for p in poset.elements}
-    by_map = min(f.values(), default=1) == 0 and all(
-        any(ranks[a] == j - 1 and ranks[b] == j and f[a] == f[b]
-            for a, b in poset.covers)
-        for j in range(2, r + 1))
-
-    jump = {}                                  # element -> jump index
-    prev: frozenset[str] = frozenset()
-    for i, fi in enumerate(fs, start=1):
-        for p in fi - prev:
-            jump[p] = i
-        prev = fi
-    for p in poset.elements:                   # trailing jump: not in any filter
-        jump.setdefault(p, len(fs) + 1)
-    by_jumps = any(j == len(fs) + 1 for j in jump.values()) and all(
-        any(ranks[a] == j - 1 and ranks[b] == j and jump[a] == jump[b]
-            for a, b in poset.covers)
-        for j in range(2, r + 1))
-    if by_map != by_jumps:
-        raise AssertionError(f"equatoriality tests disagree on {fs}")
-    return by_map
+    cuts, ranks = _cut_covers(poset, fs)
+    uncut = ~reduce(int.__or__, cuts, 0)
+    return len(fs[-1] if fs else ()) < len(poset.elements) and all(uncut & m for m in ranks)
 
 
 def maximal_equatorial_chains(poset: Poset) -> tuple[tuple[frozenset[str], ...], ...]:
-    """Inclusion-maximal equatorial chains of nonempty proper filters.  Equatorial
-    chains are closed under subsets, so failed chains are never extended."""
+    """Inclusion-maximal equatorial chains of nonempty proper filters.
+
+    Filters are appended in increasing order to a running mask of the
+    covers the chain leaves uncut (see ``is_equatorial_chain``); equatorial
+    chains are closed under subsets, so failed chains are never extended.
+    ``gaps`` holds the filters that the chain could still take below its
+    top (Bron-Kerbosch's excluded set).  A chain is maximal when nothing fits
+    above its top or in a gap; a branch is dropped once a gap filter cuts
+    no uncut cover, as it then fits into every extension of the branch.
+    """
     proper = [f for f in poset.filters if f and len(f) < len(poset.elements)]
-    good: list[tuple[frozenset[str], ...]] = []
+    cuts, ranks = _cut_covers(poset, proper)
+    above = [[j for j in range(i + 1, len(proper)) if f < proper[j]]
+             for i, f in enumerate(proper)]        # filters sorted by size
+    found: list[tuple[frozenset[str], ...]] = []
 
-    def extend(chain: list[frozenset[str]], start: int) -> None:
-        for i in range(start, len(proper)):
-            if not chain or chain[-1] < proper[i]:
-                chain.append(proper[i])
-                if is_equatorial_chain(poset, chain):
-                    good.append(tuple(chain))
-                    extend(chain, i + 1)
-                chain.pop()
+    def extend(chain: tuple, uncut: int, nexts: Iterable[int], gaps: list[int]) -> None:
+        fitted: list[int] = []
+        for j in nexts:
+            rest = uncut & ~cuts[j]
+            if all(rest & m for m in ranks):
+                child_gaps = [g for g in gaps + [i for i in fitted if proper[i] < proper[j]]
+                              if all(rest & ~cuts[g] & m for m in ranks)]
+                if all(rest & cuts[g] for g in child_gaps):
+                    extend(chain + (proper[j],), rest, above[j], child_gaps)
+                fitted.append(j)
+        if chain and not fitted and not gaps:
+            found.append(chain)
 
-    extend([], 0)
-    # by that closure, a chain that is not maximal is a longer one minus one filter
-    covered = {frozenset(c) - {f} for c in good for f in c}
-    keep = [c for c in good if frozenset(c) not in covered]
-    return tuple(sorted(keep, key=lambda c: tuple(sorted(map(sorted, c)))))
+    extend((), (1 << len(poset.covers)) - 1, range(len(proper)), [])
+    # ranks of the sorted element lists: chains sort as lists of sorted filters
+    pos = {f: k for k, f in enumerate(sorted(proper, key=sorted))}
+    return tuple(sorted(found, key=lambda c: sorted(pos[f] for f in c)))
 
 
 def equatorial_order_triangulation(poset: Poset) -> Triangulation:
@@ -636,7 +637,7 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     for v in dag.inner_vertices:
         if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
             issues.append(f"framings disagree at vertex {v}")
-    framed = dkk_triangulation(dag, df)
+    framed, _, sphere = equatorial_sphere(dag, decomp)
     poset = dual.poset
     route_of = {tuple(sorted(f)): route_of_flow(dag, order_to_flow(
                     dual, {p: int(p in f) for p in poset.elements}))
@@ -653,7 +654,6 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
         issues.append(f"chain/clique triangulations differ at {s}")
 
     order_faces = mapped(equatorial_order_triangulation(poset))
-    sphere = t_eq(framed, equatorial_facets(dag, decomp, framed.labels))
     flow_faces = join_route_simplex(framed, decomp, sphere).as_face_set()
     for s in sorted(map(sorted, order_faces - flow_faces)) + \
             sorted(map(sorted, flow_faces - order_faces)):

@@ -11,9 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 from flowtri.dag import (SOURCE, Dag, contract_idle_edges, gorenstein_completion,
                          make_dag, random_dag, validate)
-from flowtri.dkk import dkk_triangulation
-from flowtri.equatorial import (EquatorialFace, Transversal, equatorial_facets,
-                                t_eq)
+from flowtri.equatorial import EquatorialFace, Transversal, equatorial_sphere
 from flowtri.geometry import (SimplicialComplex, Triangulation, Vector,
                               is_unimodular_simplex)
 from flowtri.planar import Poset, make_poset, maximal_filter_chains
@@ -51,8 +49,7 @@ def random_framing(rng: random.Random, dag: Dag) -> Framing:
 
 def sphere(dag: Dag, decomp: tuple[Route, ...]) -> SimplicialComplex:
     """T_eq of a decomposition, from its framed triangulation and facets."""
-    framed = dkk_triangulation(dag, decomposition_framing(dag, decomp))
-    return t_eq(framed, equatorial_facets(dag, decomp, framed.labels))
+    return equatorial_sphere(dag, decomp)[2]
 
 
 def trimmed(seq) -> tuple:
@@ -233,6 +230,54 @@ def order_polytope_vertices(poset: Poset) -> tuple[Vector, ...]:
 
 def poset_from_json(data: Mapping) -> Poset:
     return make_poset(data["elements"], [tuple(c) for c in data["covers"]])
+
+
+def equatorial_by_map(poset: Poset, chain: Sequence[frozenset[str]]) -> bool:
+    """Equatoriality of a chain of nonempty filters of a graded poset, read
+    off its summed indicator map f: f vanishes somewhere and stays level
+    across some cover between every pair of consecutive ranks."""
+    ranks = poset.heights
+    f = {p: sum(p in fi for fi in chain) for p in poset.elements}
+    return min(f.values(), default=1) == 0 and all(
+        any(ranks[a] == j - 1 and ranks[b] == j and f[a] == f[b]
+            for a, b in poset.covers)
+        for j in range(2, max(ranks.values(), default=0) + 1))
+
+
+def equatorial_by_jumps(poset: Poset, chain: Sequence[frozenset[str]]) -> bool:
+    """The same condition phrased through the chain's jumps: the index of
+    the first filter holding each element, one past the last for elements
+    in none."""
+    ranks = poset.heights
+    fs = sorted(chain, key=len)
+    jump = {}
+    prev: frozenset[str] = frozenset()
+    for i, fi in enumerate(fs, start=1):
+        for p in fi - prev:
+            jump[p] = i
+        prev = fi
+    for p in poset.elements:
+        jump.setdefault(p, len(fs) + 1)
+    return any(j == len(fs) + 1 for j in jump.values()) and all(
+        any(ranks[a] == j - 1 and ranks[b] == j and jump[a] == jump[b]
+            for a, b in poset.covers)
+        for j in range(2, max(ranks.values(), default=0) + 1))
+
+
+def filter_chains(poset: Poset) -> Iterable[tuple[frozenset[str], ...]]:
+    """Every nonempty chain of nonempty filters, smallest filter first,
+    including those that end in the whole poset."""
+    fs = [f for f in poset.filters if f]
+
+    def extend(chain: list[frozenset[str]], start: int):
+        for i in range(start, len(fs)):
+            if not chain or chain[-1] < fs[i]:
+                chain.append(fs[i])
+                yield tuple(chain)
+                yield from extend(chain, i + 1)
+                chain.pop()
+
+    return extend([], 0)
 
 
 def framing_from_json(dag: Dag, data: Mapping) -> Framing:

@@ -16,15 +16,24 @@ import pytest
 from flowtri.cli import main
 from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, make_dag,
                          stacked_rotations, zigzag, zigzag_rotations)
-from flowtri.planar import PlanarEmbedding, embedding_to_json
+from flowtri.planar import (PlanarEmbedding, embedding_to_json, make_poset,
+                            poset_to_dag)
 from tests.conftest import chain
+
+# A 9-element graded poset with 3 ranks of 3 elements (the perfbench
+# generator's graded_poset(Random(2), 3, 3, 3), written out).
+GRADED9, GRADED9_EMBEDDING = poset_to_dag(make_poset(
+    ["a0", "a1", "a2", "b0", "b1", "b2", "c0", "c1", "c2"],
+    [("a0", "b0"), ("a0", "b1"), ("a1", "b1"), ("a2", "b2"), ("b0", "c0"),
+     ("b1", "c1"), ("b1", "c2"), ("b2", "c2")]))
 
 GRAPHS = {"G3": G(3), "D1": D1(), "D2": D2(), "D3": D3(), "zigzag": zigzag(),
           "bypass": bypass(), "chain4x3": chain(4, 3), "chain3x3": chain(3, 3),
-          "unbalanced": make_dag(1, [("a", 0, 1), ("b", 0, 1), ("c", 1, 2)])}
+          "unbalanced": make_dag(1, [("a", 0, 1), ("b", 0, 1), ("c", 1, 2)]),
+          "graded9": GRADED9}
 ROTATIONS = {"G3": stacked_rotations(G(3)), "D1": stacked_rotations(D1()),
              "D2": stacked_rotations(D2()), "D3": stacked_rotations(D3()),
-             "zigzag": zigzag_rotations()}
+             "zigzag": zigzag_rotations(), "graded9": GRADED9_EMBEDDING.rotations}
 DECOMPOSITIONS = {"D1-crossed": [["a", "d"], ["b", "c"]]}
 
 # case id -> (argv with {graph}/{embedding}/{decomposition} placeholders)
@@ -56,6 +65,9 @@ CASES["fuzz-seed0-max-edges6"] = ["fuzz", "--seed", "0", "--max-edges", "6"]
 CASES["equatorial-chain4x3"] = ["equatorial", "{graph:chain4x3}"]
 CASES["equatorial-exhaustive-chain3x3"] = ["equatorial", "{graph:chain3x3}",
                                            "--exhaustive-dkk"]
+# order-graded9 (the ROTATIONS loop above) was recorded at commit 64aaaf7,
+# where it took about 0.4 s: its equatorial triangulations have 1,024
+# simplices each.
 
 # case id -> (exit code, sha256 of stdout)
 GOLDEN = {
@@ -103,6 +115,7 @@ GOLDEN = {
     'order-D1': (0, '0b09446e43e71320d8db9a39532f6974b54b27969b73282e55a60eb066374f32'),
     'order-D2': (0, 'aec86c234ebc2751f053598f925ea8abe1dc1f492973b20a8f030648476f0962'),
     'order-D3': (0, '727c87e1e3f5af02b45140efd11f333777f14f74defc2cd3bf9174576ebe3d89'),
+    'order-graded9': (0, '5cc54e471704749389d092c2fc757d247cf86068fa24151cfbdeaec313141064'),
     'order-G3': (0, 'd72844d65b8967a7afb5429ddacdfcf0777bf2c684e827e90097d82c889a6b45'),
     'order-zigzag': (0, 'bb944f0c8e8353dc8c7f85de9ac243173bed2430d45a83090938a52c7dec05cd'),
     'quotient-D1': (0, 'ca9b58edf7f59401d303df9c79a2a3983c304d5a04a0eea7bb182f6ee128b044'),

@@ -12,7 +12,7 @@ from flowtri.geometry import verify_triangulation
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             canonical_triangulation, embedding_from_json,
                             embedding_to_json, filters, flow_to_order,
-                            is_equatorial_chain, is_graded, make_poset,
+                            is_equatorial_chain, make_poset,
                             maximal_equatorial_chains, maximal_filter_chains,
                             order_to_flow, planar_dual, planar_framing,
                             poset_to_dag, poset_to_json,
@@ -21,9 +21,10 @@ from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             topmost_route_decomposition,
                             validate_embedding, verify_equivalence)
 from flowtri.routes import Route, decomposition_framing, enumerate_routes
-from tests.conftest import (brute_order_polytope_count, linear_extension_count,
-                            lp_triangulation_ok, order_polytope_vertices,
-                            poset_from_json)
+from tests.conftest import (brute_order_polytope_count, equatorial_by_jumps,
+                            equatorial_by_map, filter_chains,
+                            linear_extension_count, lp_triangulation_ok,
+                            order_polytope_vertices, poset_from_json)
 
 
 def posets_isomorphic(p: Poset, q: Poset) -> bool:
@@ -75,10 +76,9 @@ def test_poset_json_round_trip():
 
 
 def test_is_graded():
-    ok, ranks = is_graded(make_poset("abcd", [("a", "c"), ("b", "c"), ("a", "d")]))
-    assert ok and ranks == {"a": 1, "b": 1, "c": 2, "d": 2}
-    ok, ranks = is_graded(make_poset("abcd", [("a", "b"), ("b", "c"), ("a", "d")]))
-    assert not ok and ranks == {}
+    p = make_poset("abcd", [("a", "c"), ("b", "c"), ("a", "d")])
+    assert p.graded and p.heights == {"a": 1, "b": 1, "c": 2, "d": 2}
+    assert not make_poset("abcd", [("a", "b"), ("b", "c"), ("a", "d")]).graded
 
 
 def test_filters_are_upward_closed():
@@ -123,7 +123,7 @@ def test_truncated_duals_of_catalog():
         truncated_dual(D2(), PlanarEmbedding(stacked_rotations(D2()))), antichain(3))
     zz = truncated_dual(zigzag(), PlanarEmbedding(zigzag_rotations()))
     assert len(zz.elements) == 4
-    assert is_graded(zz)[0]
+    assert zz.graded
 
 
 def test_poset_to_dag_round_trip():
@@ -204,6 +204,36 @@ def test_equatorial_chains_antichain_2():
         (frozenset({"q0"}),), (frozenset({"q1"}),))
 
 
+def test_equatorial_chain_rejects_bad_chains():
+    ungraded = make_poset("abcd", [("a", "b"), ("b", "c"), ("a", "d")])
+    cases = [
+        (antichain(2), [frozenset({"zz"})], r"\['zz'\] is not a filter"),
+        (chain(2), [frozenset({"p0"})], r"\['p0'\] is not a filter"),
+        (ungraded, [frozenset({"c"})], "not graded"),
+        (chain(2), [frozenset({"p1"}), frozenset({"p1"})], "do not form a chain"),
+        (antichain(2), [frozenset({"q0"}), frozenset({"q1"})], "do not form a chain"),
+        (antichain(2), [frozenset(), frozenset({"q0"})], "nonempty"),
+    ]
+    for p, bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            is_equatorial_chain(p, bad)
+    with pytest.raises(ValueError, match="not graded"):
+        maximal_equatorial_chains(ungraded)
+
+
+def test_equatorial_chain_matches_both_oracles():
+    """The cover-mask test equals the summed-map and the jump formulations
+    on every chain of nonempty filters, those ending in the whole poset
+    included."""
+    rng = random.Random(7)
+    posets = catalog_duals() + [random_graded_poset(rng) for _ in range(60)]
+    for p in posets:
+        for c in filter_chains(p):
+            want = equatorial_by_map(p, c)
+            assert equatorial_by_jumps(p, c) == want, (p, c)
+            assert is_equatorial_chain(p, c) == want, (p, c)
+
+
 def test_rw_triangulation_matches_canonical_volume():
     for p in (antichain(2), antichain(3), chain(3),
               make_poset("abcd", [("a", "c"), ("b", "c"), ("a", "d")])):
@@ -247,11 +277,8 @@ def random_poset(rng: random.Random, max_size: int = 7) -> Poset:
 
 
 def test_order_polytope_dp_matches_brute_force():
-    duals = [truncated_dual(dag, PlanarEmbedding(stacked_rotations(dag)))
-             for dag in (D1(), D2(), D3(), G(3))]
-    duals.append(truncated_dual(zigzag(), PlanarEmbedding(zigzag_rotations())))
     rng = random.Random(41)
-    for p in duals + [random_poset(rng) for _ in range(40)]:
+    for p in catalog_duals() + [random_poset(rng) for _ in range(40)]:
         for t in range(5):
             assert cli._order_polytope_count(p, t) == brute_order_polytope_count(p, t), (p, t)
 
@@ -267,13 +294,13 @@ def test_verify_equivalence_catalog():
 
 
 def maximal_equatorial_chains_oracle(poset):
-    """Every chain of nonempty proper filters, tested one by one, then the
-    quadratic inclusion-maximality filter."""
+    """Every chain of nonempty proper filters, tested one by one on its
+    summed indicator map, then the quadratic inclusion-maximality filter."""
     proper = [f for f in filters(poset) if f and len(f) < len(poset.elements)]
     good = []
 
     def extend(chain, start):
-        if chain and is_equatorial_chain(poset, chain):
+        if chain and equatorial_by_map(poset, chain):
             good.append(tuple(chain))
         for i in range(start, len(proper)):
             if not chain or chain[-1] < proper[i]:
@@ -301,14 +328,17 @@ def random_graded_poset(rng):
     return make_poset([p for layer in layers for p in layer], covers)
 
 
-def test_pruned_equatorial_chains_match_unpruned_oracle():
+def catalog_duals():
     duals = [truncated_dual(dag, PlanarEmbedding(stacked_rotations(dag)))
              for dag in (D1(), D2(), D3(), G(3))]
-    duals.append(truncated_dual(zigzag(), PlanarEmbedding(zigzag_rotations())))
+    return duals + [truncated_dual(zigzag(), PlanarEmbedding(zigzag_rotations()))]
+
+
+def test_pruned_equatorial_chains_match_unpruned_oracle():
     rng = random.Random(2024)
-    posets = duals + [random_graded_poset(rng) for _ in range(200)]
+    posets = catalog_duals() + [random_graded_poset(rng) for _ in range(200)]
     for p in posets:
-        assert is_graded(p)[0]
+        assert p.graded
         assert maximal_equatorial_chains(p) == maximal_equatorial_chains_oracle(p), p
 
 
