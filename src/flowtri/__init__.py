@@ -20,8 +20,7 @@ from .planar import (PlanarEmbedding, Poset, canonical_triangulation,
                      equatorial_order_triangulation, topmost_route_decomposition,
                      verify_equivalence)
 from .quotient import (check_transversal_identity, phi, quotient_facets,
-                       quotient_vertices, transversal_functional,
-                       verify_reflexive)
+                       transversal_functional, verify_reflexive)
 from .routes import (Framing, NotGorensteinError, decomposition_framing,
                      enumerate_routes, route_decomposition)
 

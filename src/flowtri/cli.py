@@ -33,7 +33,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:    # undecodable or too deep
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -118,11 +118,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
 def cmd_decompose(args) -> tuple[dict, int]:
     dag = _load_graph(args.graph)
     report: dict = {"command": "decompose", "digest": _digest(args.graph)}
-    try:
-        decomp = rmod.route_decomposition(dag)
-    except rmod.NotGorensteinError as exc:
-        report["error"] = str(exc)
-        return report, FAILED
+    decomp = rmod.route_decomposition(dag)
     report["decomposition"] = [list(r) for r in decomp]
     report["size"] = len(decomp)
     report["outdeg_source"] = dag.outdeg(0)
@@ -132,11 +128,7 @@ def cmd_decompose(args) -> tuple[dict, int]:
 def cmd_dkk(args) -> tuple[dict, int]:
     dag = _load_graph(args.graph)
     report: dict = {"command": "dkk", "digest": _digest(args.graph)}
-    try:
-        decomp = _load_decomposition(dag, args.decomposition)
-    except rmod.NotGorensteinError as exc:
-        report["error"] = str(exc)
-        return report, FAILED
+    decomp = _load_decomposition(dag, args.decomposition)
     framing = rmod.decomposition_framing(dag, decomp)
     tri = dkkmod.dkk_triangulation(dag, framing)
     report["routes"] = len(tri.labels)
@@ -152,11 +144,7 @@ def cmd_dkk(args) -> tuple[dict, int]:
 def cmd_equatorial(args) -> tuple[dict, int]:
     dag = _load_graph(args.graph)
     report: dict = {"command": "equatorial", "digest": _digest(args.graph)}
-    try:
-        decomp = _load_decomposition(dag, args.decomposition)
-    except rmod.NotGorensteinError as exc:
-        report["error"] = str(exc)
-        return report, FAILED
+    decomp = _load_decomposition(dag, args.decomposition)
     _require_idle_free(dag)
     if args.exhaustive_dkk and (framings := eqmod.framing_count(dag)) > eqmod.MAX_FRAMINGS:
         raise InputError(f"--exhaustive-dkk: {framings} framings, "
@@ -184,7 +172,7 @@ def cmd_equatorial(args) -> tuple[dict, int]:
         all(c == 0 for c in hs.h_star[len(h):])
     code = OK if report["h_equals_h_star"] else FAILED
     if args.exhaustive_dkk:
-        cmp = eqmod.differs_from_dkk(dag, decomp, tri, exhaustive=True)
+        cmp = eqmod.differs_from_dkk(dag, tri)
         report["dkk_comparison"] = {
             "framings_checked": cmp.framings_checked,
             "matching_framings": len(cmp.matching_framings),
@@ -197,11 +185,7 @@ def cmd_equatorial(args) -> tuple[dict, int]:
 def cmd_quotient(args) -> tuple[dict, int]:
     dag = _load_graph(args.graph)
     report: dict = {"command": "quotient", "digest": _digest(args.graph)}
-    try:
-        decomp = _load_decomposition(dag, args.decomposition)
-    except rmod.NotGorensteinError as exc:
-        report["error"] = str(exc)
-        return report, FAILED
+    decomp = _load_decomposition(dag, args.decomposition)
     _require_idle_free(dag)
     q = qmod.quotient_facets(dag, decomp)
     report["polytope"] = q.to_json()
@@ -219,6 +203,8 @@ def cmd_quotient(args) -> tuple[dict, int]:
 
 
 def cmd_order(args) -> tuple[dict, int]:
+    if args.max_dilate < 0:
+        raise InputError(f"--max-dilate {args.max_dilate} is negative")
     dag = _load_graph(args.graph)
     report: dict = {"command": "order", "digest": _digest(args.graph)}
     try:
@@ -276,6 +262,8 @@ def _fuzz_failure(k: int, drawn: dagmod.Dag, message: str) -> dict:
 
 
 def cmd_fuzz(args) -> tuple[dict, int]:
+    if args.max_edges < 4:            # 3 inner vertices need 4 edges
+        raise InputError(f"--max-edges {args.max_edges} is below 4")
     rng = random.Random(args.seed)
     failures = []
     balanced = 0
@@ -293,12 +281,13 @@ def cmd_fuzz(args) -> tuple[dict, int]:
         except ValueError:
             continue              # contracts to a single point
         balanced += 1
-        decomp = rmod.route_decomposition(dag)
-        if not rmod.is_route_decomposition(dag, decomp):
-            failures.append(_fuzz_failure(k, drawn, "invalid decomposition"))
+        try:
+            decomp = rmod.route_decomposition(dag)       # certified by the peel
+            framed, _, sphere = eqmod.equatorial_sphere(dag, decomp)
+            eqmod.join_route_simplex(framed, decomp, sphere)    # checks the join's sizes
+        except AssertionError as exc:     # a broken invariant, kept with its graph
+            failures.append(_fuzz_failure(k, drawn, f"invariant failed: {exc}"))
             continue
-        framed, _, sphere = eqmod.equatorial_sphere(dag, decomp)
-        eqmod.join_route_simplex(framed, decomp, sphere)    # checks the join's sizes
         h = geo.h_polynomial(sphere)
         hs = geo.ehrhart_hstar(dag)
         if list(h) != list(hs.h_star[:len(h)]) or any(hs.h_star[len(h):]):
@@ -343,6 +332,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place where exceptions become exit codes."""
     args = _parser().parse_args(argv)
     # the handler is looked up on every call, so a rebound cmd_* takes effect
     handler = globals()[f"cmd_{args.command}"]
@@ -351,6 +341,14 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return INVALID
+    except rmod.NotGorensteinError as exc:
+        report = {"command": args.command, "digest": _digest(args.graph),
+                  "error": str(exc)}
+        code = FAILED
+    except AssertionError as exc:      # a broken invariant of the library
+        print(json.dumps({"error": f"invariant failed: {exc}"}, sort_keys=True),
+              file=sys.stderr)
+        return FAILED
     _emit(report, args.format)
     return code
 

@@ -89,9 +89,13 @@ def make_dag(inner_count: int, edges: Iterable[tuple[str, int, int]]) -> Dag:
 
 def validate(dag: Dag) -> ValidationReport:
     """Check the structural invariants; failures are reported, not raised."""
+    n, m = dag.inner_count, len(dag.edges)
+    if not 0 <= n <= m:
+        # stop before the per-vertex tables are built: a negative count has
+        # no such tables, and every inner vertex needs its own in-edge
+        why = "is negative" if n < 0 else f"exceeds the edge count {m}"
+        return ValidationReport((("inner-count", f"inner_count {n} {why}"),))
     bad: list[tuple[str, str]] = []
-    if dag.inner_count < 0:
-        bad.append(("inner-count", f"inner_count {dag.inner_count} is negative"))
     seen: set[str] = set()
     for e in dag.edges:
         if e.id in seen:

@@ -134,7 +134,6 @@ def equatorial_flow_triangulation(dag: Dag, decomp: Sequence[Route]) -> Triangul
 
 @dataclass(frozen=True)
 class DkkComparisonReport:
-    exhaustive: bool
     framings_checked: int
     matching_framings: tuple[int, ...]   # indices into the framing sweep
 
@@ -162,16 +161,13 @@ def framing_count(dag: Dag) -> int:
     return n
 
 
-def differs_from_dkk(dag: Dag, decomp: Sequence[Route], tri: Triangulation,
-                     exhaustive: bool) -> DkkComparisonReport:
-    """Compare the equatorial flow triangulation ``tri`` of (dag, decomp)
-    against framed triangulations: just the decomposition framing's one, or
-    all framings (at most MAX_FRAMINGS) when exhaustive."""
-    total = framing_count(dag) if exhaustive else 1
+def differs_from_dkk(dag: Dag, tri: Triangulation) -> DkkComparisonReport:
+    """Compare the equatorial flow triangulation ``tri`` of ``dag`` against
+    the framed triangulations of all its framings (at most MAX_FRAMINGS)."""
+    total = framing_count(dag)
     if total > MAX_FRAMINGS:
         raise ValueError(f"exhaustive bound exceeded: {total} framings > {MAX_FRAMINGS}")
-    framings = _all_framings(dag) if exhaustive else [decomposition_framing(dag, decomp)]
     target = set(tri.simplices)
-    matches = tuple(i for i, fr in enumerate(framings)
+    matches = tuple(i for i, fr in enumerate(_all_framings(dag))
                     if set(max_cliques(dag, coherence_graph(dag, fr, tri.labels))) == target)
-    return DkkComparisonReport(exhaustive, total, matches)
+    return DkkComparisonReport(total, matches)

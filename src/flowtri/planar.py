@@ -16,13 +16,11 @@ from functools import cached_property, reduce
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .dag import (SOURCE, Dag, degree_equality, make_dag, vertex_from_json,
-                  vertex_to_json)
+from .dag import SOURCE, Dag, make_dag, vertex_from_json, vertex_to_json
 from .dkk import dkk_triangulation
 from .equatorial import equatorial_sphere, join_route_simplex
 from .geometry import SimplicialComplex, Triangulation
-from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
-                     is_route_decomposition)
+from .routes import Framing, Route, decomposition_framing, peel_decomposition
 
 BOTTOM = "_bot"
 TOP = "_top"
@@ -273,6 +271,13 @@ def planar_dual(dag: Dag, emb: PlanarEmbedding) -> PlanarDual:
                                TOP if above == outer else names[above])
     covers = sorted({c for c in cover_of_edge.values()
                      if c[0] != BOTTOM and c[1] != TOP})
+    below = {p: {a for a, b in covers if b == p} for p in names.values()}
+    while below:                  # strip minimal faces; a cycle leaves none
+        lows = [p for p, ps in below.items() if not ps & below.keys()]
+        if not lows:
+            raise ValueError("dual faces contain a cycle (not an upward drawing)")
+        for p in lows:
+            del below[p]
     return PlanarDual(Poset(tuple(sorted(names.values())), tuple(covers)),
                       cover_of_edge)
 
@@ -586,25 +591,8 @@ def topmost_route_decomposition(dag: Dag, emb: PlanarEmbedding,
                                 framing: Framing) -> tuple[Route, ...]:
     """Repeatedly peel the route running along the top of what remains,
     following the planar framing ``framing`` of the embedding."""
-    if not degree_equality(dag):
-        raise NotGorensteinError("not Gorenstein: degree equality fails")
-    live = {e.id for e in dag.edges}
-    decomp: list[Route] = []
-    while live:
-        route: list[str] = []
-        v = SOURCE
-        while v != dag.sink:
-            if v == SOURCE:
-                eid = next(e for e in reversed(emb.rotations[SOURCE]) if e in live)
-            else:
-                eid = next(e for e in framing.out_order[v] if e in live)
-            route.append(eid)
-            v = dag.edge_by_id[eid].head
-        live.difference_update(route)
-        decomp.append(tuple(route))
-    if not is_route_decomposition(dag, decomp):
-        raise AssertionError(f"topmost peel {decomp} is not a route decomposition")
-    return tuple(decomp)
+    return peel_decomposition(dag, {SOURCE: tuple(reversed(emb.rotations[SOURCE])),
+                                    **framing.out_order})
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ whose facets come from facet transversals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from typing import Mapping, Sequence
@@ -82,9 +82,7 @@ class QuotientPolytope:
     @cached_property
     def functional_values(self) -> tuple[tuple[int, ...], ...]:
         """Row i holds every functional, in ``functionals`` order, at the
-        image of route i (the origin for a decomposition route).  It is
-        derived from ``vertices`` and ``functionals``, so a ``replace`` copy
-        computes its own."""
+        image of route i (the origin for a decomposition route)."""
         supports = [[(k, c) for k, c in enumerate(coeffs) if c]
                     for coeffs in self.functionals.values()]
         images = dict(self.vertices)
@@ -107,29 +105,6 @@ class QuotientPolytope:
         }
 
 
-def quotient_vertices(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
-    """Images of the routes outside the decomposition, keyed by route index
-    (the decomposition routes project to the origin), and the functional of
-    every transversal; the facets are left empty."""
-    if not degree_equality(dag):
-        raise NotGorensteinError("not Gorenstein: degree equality fails")
-    space = leveled_space(dag, decomp)
-    routes = enumerate_routes(dag)
-    members = set(decomp)
-    verts = []
-    for i, r in enumerate(routes):
-        img = phi(dag, space, r)
-        if r not in members:
-            verts.append((i, img))
-        elif any(img):
-            raise AssertionError(f"decomposition route {r} does not project to 0")
-    if len({c for _, c in verts}) != len(verts):
-        raise AssertionError("projected vertices are not distinct")
-    functionals = {m: transversal_functional(dag, space, decomp, m)
-                   for m in enumerate_transversals(decomp)}
-    return QuotientPolytope(space, tuple(routes), tuple(verts), functionals, ())
-
-
 def transversal_functional(dag: Dag, space: LeveledSpace, decomp: Sequence[Route],
                            m: Transversal) -> tuple[int, ...]:
     """0/1 functional with support on (vertex, label) pairs reached by the
@@ -148,7 +123,7 @@ def check_transversal_identity(q: QuotientPolytope
     transversal m: m's functional at the projected route, and 1 - (number of
     edges of m on s).  Rows are (s, m, lhs, rhs), routes in enumeration
     order and transversals in lexicographic order within each route; ``q``
-    (from ``quotient_vertices``) supplies the routes and the functionals'
+    (from ``quotient_facets``) supplies the routes and the functionals'
     values at their images."""
     rows = []
     for s, values in zip(q.routes, q.functional_values):
@@ -159,17 +134,36 @@ def check_transversal_identity(q: QuotientPolytope
 
 
 def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
-    """Full vertex/facet description, with the dimension cross-checked."""
-    q = quotient_vertices(dag, decomp)
+    """Full vertex/facet description: the images of the routes outside the
+    decomposition, keyed by route index (the decomposition routes project
+    to the origin), the functional of every transversal, and one facet per
+    distinct functional of an equatorial facet; the dimension is
+    cross-checked."""
+    if not degree_equality(dag):
+        raise NotGorensteinError("not Gorenstein: degree equality fails")
+    space = leveled_space(dag, decomp)
+    routes = enumerate_routes(dag)
+    members = set(decomp)
+    verts = []
+    for i, r in enumerate(routes):
+        img = phi(dag, space, r)
+        if r not in members:
+            verts.append((i, img))
+        elif any(img):
+            raise AssertionError(f"decomposition route {r} does not project to 0")
+    if len({c for _, c in verts}) != len(verts):
+        raise AssertionError("projected vertices are not distinct")
+    functionals = {m: transversal_functional(dag, space, decomp, m)
+                   for m in enumerate_transversals(decomp)}
     seen: dict[tuple[int, ...], Transversal] = {}
-    for face in equatorial_facets(dag, decomp, q.routes):
-        seen.setdefault(q.functionals[face.transversal], face.transversal)
+    for face in equatorial_facets(dag, decomp, routes):
+        seen.setdefault(functionals[face.transversal], face.transversal)
     facets = tuple((m, c) for c, m in sorted(seen.items()))
     want = sum(dag.indeg(v) - 1 for v in dag.inner_vertices)
-    got = rank([list(c) for _, c in q.vertices]) if q.vertices else 0
+    got = rank([list(c) for _, c in verts]) if verts else 0
     if got != want:
         raise AssertionError(f"quotient rank {got} != expected dimension {want}")
-    return replace(q, facets=facets)
+    return QuotientPolytope(space, tuple(routes), tuple(verts), functionals, facets)
 
 
 @dataclass(frozen=True)

@@ -81,39 +81,34 @@ def enumerate_routes(dag: Dag) -> tuple[Route, ...]:
     return tuple(out)
 
 
-def _peel_route(dag: Dag, live: set[str], start_edge=None) -> Route:
-    """Lexicographically smallest route inside the live edge set.
-
-    Under degree equality of the live subgraph a greedy walk cannot get
-    stuck, so smallest-id-first is already the lexicographic minimum.
-    """
-    route: list[str] = []
-    v = SOURCE
-    while v != dag.sink:
-        step = min((e for e in dag.out_edges(v) if e.id in live), key=lambda e: e.id)
-        route.append(step.id)
-        v = step.head
-    return tuple(route)
-
-
-def route_decomposition(dag: Dag) -> tuple[Route, ...]:
-    """Greedy peel into an ordered decomposition, smallest route first."""
+def peel_decomposition(dag: Dag, prefer: Mapping[int, Sequence[str]]) -> tuple[Route, ...]:
+    """Greedy peel into an ordered decomposition: from s, follow the first
+    live out-edge in the order ``prefer[v]`` lists them at each vertex v,
+    remove that route, and repeat.  Under degree equality the live subgraph
+    stays balanced, so the walk cannot get stuck; the result is certified."""
     if not degree_equality(dag):
         raise NotGorensteinError("not Gorenstein: degree equality fails")
     live = {e.id for e in dag.edges}
     decomp: list[Route] = []
     while live:
-        # every intermediate graph must stay balanced (and is acyclic as a
-        # subgraph of a DAG); a failure here is a bug, not bad input
-        for v in dag.inner_vertices:
-            ins = sum(1 for e in dag.in_edges(v) if e.id in live)
-            outs = sum(1 for e in dag.out_edges(v) if e.id in live)
-            if ins != outs:
-                raise AssertionError(f"peel broke degree equality at {v}")
-        route = _peel_route(dag, live)
+        route: list[str] = []
+        v = SOURCE
+        while v != dag.sink:
+            eid = next(e for e in prefer[v] if e in live)
+            route.append(eid)
+            v = dag.edge_by_id[eid].head
         live.difference_update(route)
-        decomp.append(route)
+        decomp.append(tuple(route))
+    if not is_route_decomposition(dag, decomp):
+        raise AssertionError(f"peel {decomp} is not a route decomposition")
     return tuple(decomp)
+
+
+def route_decomposition(dag: Dag) -> tuple[Route, ...]:
+    """Greedy peel, smallest edge id first: each route is the
+    lexicographically smallest one left, so the smallest route comes first."""
+    return peel_decomposition(dag, {v: sorted(e.id for e in dag.out_edges(v))
+                                    for v in range(dag.sink)})
 
 
 def is_route_decomposition(dag: Dag, routes: Sequence[Route]) -> bool:

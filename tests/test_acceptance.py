@@ -19,7 +19,7 @@ from flowtri.geometry import (SimplicialComplex, Triangulation,
                               verify_triangulation)
 from flowtri.planar import PlanarEmbedding, verify_equivalence
 from flowtri.quotient import (check_transversal_identity, quotient_facets,
-                              quotient_vertices, verify_reflexive)
+                              verify_reflexive)
 from flowtri.routes import (NotGorensteinError, decomposition_framing,
                             enumerate_routes, is_route_decomposition,
                             route_decomposition)
@@ -94,12 +94,11 @@ def test_criterion_4_sphere_structure():
 def test_criterion_5_not_dkk():
     d3, d1 = D3(), D1()
     dec3, dec1 = route_decomposition(d3), route_decomposition(d1)
-    sweep = differs_from_dkk(d3, dec3, equatorial_flow_triangulation(d3, dec3),
-                             exhaustive=True)
-    ok = (framing_count(d3) == 36 and sweep.exhaustive
-          and sweep.framings_checked == 36 and not sweep.matching_framings)
-    ok = ok and differs_from_dkk(d1, dec1, equatorial_flow_triangulation(d1, dec1),
-                                 exhaustive=False).is_dkk
+    sweep = differs_from_dkk(d3, equatorial_flow_triangulation(d3, dec3))
+    ok = (framing_count(d3) == 36 and sweep.framings_checked == 36
+          and not sweep.matching_framings)
+    ok = ok and (dkk_triangulation(d1, decomposition_framing(d1, dec1)).simplices
+                 == equatorial_flow_triangulation(d1, dec1).simplices)
     report(5, "D3 equatorial flow triangulation differs from all 36 framed"
               " triangulations; D1's coincides with its framed one", ok)
 
@@ -109,7 +108,7 @@ def test_criterion_6_transversal_identity():
     counts = []
     for dag in (D1(), D2(), D3()):
         decomp = route_decomposition(dag)
-        rows = check_transversal_identity(quotient_vertices(dag, decomp))
+        rows = check_transversal_identity(quotient_facets(dag, decomp))
         ok = ok and all(lhs == rhs for _, _, lhs, rhs in rows)
         ok = ok and [(s, m) for s, m, _, _ in rows] == list(
             product(enumerate_routes(dag), enumerate_transversals(decomp)))

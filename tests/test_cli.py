@@ -1,12 +1,18 @@
+import io
 import json
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowtri import cli
 from flowtri.cli import main
-from flowtri.dag import (D1, D2, dag_from_json, dag_to_json, make_dag, random_dag,
-                         stacked_rotations)
+from flowtri.dag import (D1, D2, D3, G, bypass, dag_from_json, dag_to_json, make_dag,
+                         random_dag, stacked_rotations, zigzag, zigzag_rotations)
 from flowtri.planar import PlanarEmbedding, embedding_to_json
 
 
@@ -168,6 +174,8 @@ BAD_INPUTS = {
                        GRAPH_COMMANDS),
     "negative inner_count": ({"inner_count": -1, "edges": []}, None, D1_EMBEDDING,
                              GRAPH_COMMANDS),
+    "inner_count -2": (dict(dag_to_json(D1()), inner_count=-2), None, D1_EMBEDDING,
+                       GRAPH_COMMANDS),
     "idle edges": (IDLE, None, {"rotations": {"s": ["a"], "1": ["b", "a"], "t": ["b"]}},
                    ("equatorial", "quotient", "order")),
     "decomposition 5": (dag_to_json(D1()), 5, None, ("dkk", "equatorial", "quotient")),
@@ -185,6 +193,15 @@ BAD_INPUTS = {
     "rotation string": (dag_to_json(D1()), None,
                         {"rotations": {"s": ["b", "a"], "1": "dcab", "t": ["c", "d"]}},
                         ("order",)),
+    # passes the rotation checks, but the faces above and below the edges
+    # form a cycle, so the dual is no poset
+    "cyclic dual": (dag_to_json(D2()), None,
+                    {"rotations": {"s": ["a", "b"], "1": ["a", "b", "d", "c"],
+                                   "2": ["c", "d", "f", "e"], "t": ["e", "f"]}},
+                    ("order",)),
+    "inner_count 1000000": ({"inner_count": 1000000,
+                             "edges": [{"id": "a", "tail": "s", "head": "t"}]},
+                            None, D1_EMBEDDING, GRAPH_COMMANDS),
 }
 
 
@@ -207,6 +224,8 @@ def test_bad_input_exits_2_with_json_error(capsys, tmp_path, name, command):
     message = json.loads(err)["error"]
     if name == "idle edges":
         assert "'a', 'b'" in message
+    if name == "inner_count 1000000":
+        assert "inner_count" in message and len(message) < 200
 
 
 def test_exhaustive_dkk_past_framing_bound_exits_2(capsys, tmp_path, monkeypatch):
@@ -222,6 +241,40 @@ def test_exhaustive_dkk_past_framing_bound_exits_2(capsys, tmp_path, monkeypatch
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "331776 framings" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [["fuzz", "--max-edges", "1"],
+                                  ["fuzz", "--max-edges", "3"],
+                                  ["order", "{graph}", "{embedding}", "--max-dilate", "-2"]])
+def test_out_of_range_integer_option_exits_2(capsys, tmp_path, argv):
+    (tmp_path / "g.json").write_text(json.dumps(dag_to_json(D1())))
+    (tmp_path / "e.json").write_text(json.dumps(D1_EMBEDDING))
+    argv = [a.format(graph=tmp_path / "g.json", embedding=tmp_path / "e.json")
+            for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and argv[-2] in json.loads(err)["error"]
+
+
+def test_smallest_accepted_integer_options(capsys, tmp_path):
+    code, out, _ = run(capsys, ["fuzz", "--max-edges", "4", "--count", "5"])
+    assert code == 0 and json.loads(out)["graphs"] == 5
+    (tmp_path / "g.json").write_text(json.dumps(dag_to_json(D1())))
+    (tmp_path / "e.json").write_text(json.dumps(D1_EMBEDDING))
+    code, out, _ = run(capsys, ["order", str(tmp_path / "g.json"),
+                                str(tmp_path / "e.json"), "--max-dilate", "0"])
+    assert code == 0 and json.loads(out)["lattice_counts"] == []
+
+
+def test_broken_invariant_exits_1_with_json_error(capsys, d2_file, monkeypatch):
+    def broken(framed, facets):
+        raise AssertionError("injected")
+
+    monkeypatch.setattr(cli.eqmod, "t_eq", broken)
+    code, out, err = run(capsys, ["equatorial", d2_file])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err) == {"error": "invariant failed: injected"}
 
 
 def test_rebound_subcommand_takes_effect(capsys, d1_file, monkeypatch):
@@ -262,6 +315,88 @@ def test_fuzz_failure_carries_replayable_graph(capsys, monkeypatch):
     rng = random.Random(3)
     drawn = [random_dag(rng, 6) for _ in range(4)]
     for failure in report["failures"]:
-        assert failure["message"] == "invalid decomposition"
+        assert failure["message"].startswith("invariant failed: peel ")
+        assert failure["message"].endswith(" is not a route decomposition")
         assert ": " not in failure["graph"] and ", " not in failure["graph"]
         assert dag_from_json(json.loads(failure["graph"])) == drawn[failure["index"]]
+
+
+# Malformed input of every kind, fed to every subcommand in-process: the
+# CLI must answer with an exit code, never with an exception.
+KEY = st.sampled_from(["s", "t", "1", "2", "id", "edges", "rotations", "inner_count"])
+JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 5) | st.floats()
+                    | st.text("st012ab", max_size=3),
+                    lambda kids: st.lists(kids, max_size=4)
+                    | st.dictionaries(KEY, kids, max_size=4),
+                    max_leaves=8)
+# undecodable files and arrays nested past the parser's recursion limit
+RAW = st.binary(max_size=6) | st.integers(1, 5000).map(lambda n: b"[" * n + b"]" * n)
+EDGE_ID = st.sampled_from("abcdef")
+END = st.sampled_from(["s", "t", 0, 1, 2, 3, "1", "02", 1.5, True, None, "x"])
+CATALOG = {"G3": (G(3), stacked_rotations(G(3))), "D1": (D1(), stacked_rotations(D1())),
+           "D2": (D2(), stacked_rotations(D2())), "D3": (D3(), stacked_rotations(D3())),
+           "zigzag": (zigzag(), zigzag_rotations()),
+           "bypass": (bypass(), stacked_rotations(bypass()))}
+
+
+@st.composite
+def rotated_catalog(draw) -> tuple[dict, dict]:
+    """A catalog graph and its rotations, each permuted or cyclically
+    shifted, and maybe reversed, vertex by vertex."""
+    dag, rotations = CATALOG[draw(st.sampled_from(sorted(CATALOG)))]
+    out = {}
+    for v, rot in rotations.items():
+        k = draw(st.integers(0, len(rot) - 1))
+        rot = draw(st.permutations(rot)) if draw(st.booleans()) else rot[k:] + rot[:k]
+        out[v] = tuple(reversed(rot)) if draw(st.booleans()) else tuple(rot)
+    return dag_to_json(dag), embedding_to_json(dag, PlanarEmbedding(out))
+
+
+GRAPH = JSON | RAW | st.fixed_dictionaries({
+    "inner_count": st.integers(-2, 4) | JSON,
+    "edges": st.lists(st.fixed_dictionaries({"id": EDGE_ID, "tail": END, "head": END}),
+                      max_size=7)})
+EMBEDDING = JSON | RAW | st.fixed_dictionaries({"rotations": st.dictionaries(
+    st.sampled_from(["s", "t", "1", "2", "3", "x"]), st.lists(EDGE_ID, max_size=4),
+    max_size=5)})
+DECOMPOSITION = JSON | RAW | st.lists(st.lists(EDGE_ID, max_size=4), max_size=3)
+INT = st.integers(-3, 5).map(str)
+
+
+@st.composite
+def cli_case(draw) -> tuple[list[str], dict]:
+    """argv with {graph}/{embedding}/{decomposition} placeholders, and the
+    documents to write for them (bytes as they are, the rest as JSON)."""
+    command = draw(st.sampled_from(GRAPH_COMMANDS + ("fuzz",)))
+    if command == "fuzz":
+        return ["fuzz", "--seed", draw(INT), "--count", draw(st.integers(-1, 2).map(str)),
+                "--max-edges", draw(INT)], {}
+    graph, embedding = draw(rotated_catalog() | st.tuples(GRAPH, EMBEDDING))
+    docs = {"graph": graph}
+    argv = [command, "{graph}"]
+    if command == "order":
+        docs["embedding"] = embedding
+        argv += ["{embedding}", "--max-dilate", draw(INT)]
+    elif command in ("dkk", "equatorial", "quotient") and draw(st.booleans()):
+        docs["decomposition"] = draw(DECOMPOSITION)
+        argv += ["--decomposition", "{decomposition}"]
+    if command == "equatorial" and draw(st.booleans()):
+        argv.append("--exhaustive-dkk")
+    return argv, docs
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_case())
+def test_malformed_input_never_escapes_main(case):
+    argv, docs = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        paths = {name: Path(tmp) / f"{name}.json" for name in docs}
+        for name, doc in docs.items():
+            paths[name].write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+        code = main([a.format(**paths) for a in argv])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in out + err
+    if code == 2 or not out:          # exit 2, or exit 1 on a broken invariant
+        assert code != 0 and out == "" and err.count("\n") == 1
+        assert "error" in json.loads(err)

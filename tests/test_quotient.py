@@ -9,8 +9,7 @@ from flowtri.dag import D1, D2, D3, G, bypass, make_dag, zigzag
 from flowtri.equatorial import enumerate_transversals, equatorial_facets
 from flowtri.quotient import (check_transversal_identity, edge_labels,
                               leveled_space, phi, quotient_facets,
-                              quotient_vertices, transversal_functional,
-                              verify_reflexive)
+                              transversal_functional, verify_reflexive)
 from flowtri.routes import NotGorensteinError, enumerate_routes, route_decomposition
 from tests.conftest import (box_scan_verify_reflexive, dense_transversal_identity,
                             random_balanced_dag, scaled)
@@ -113,7 +112,7 @@ def test_quotient_at_scale():
 def test_transversal_identity_exhaustive_catalog():
     for dag in (D1(), D2(), D3()):
         decomp = route_decomposition(dag)
-        rows = check_transversal_identity(quotient_vertices(dag, decomp))
+        rows = check_transversal_identity(quotient_facets(dag, decomp))
         for s, m, lhs, rhs in rows:
             assert lhs == rhs, (s, m, lhs, rhs)
         assert [(s, m) for s, m, _, _ in rows] == list(
@@ -132,7 +131,7 @@ def test_transversal_identity_value_example():
     d1 = D1()
     decomp = route_decomposition(d1)          # ((a, c), (b, d))
     sides = {(s, m): (lhs, rhs) for s, m, lhs, rhs in check_transversal_identity(
-        quotient_vertices(d1, decomp))}
+        quotient_facets(d1, decomp))}
     # route (a, d) crosses the transversal (a, d) twice: rhs = 1 - 2
     assert sides[(("a", "d"), ("a", "d"))] == (-1, -1)
     # and dodges the transversal (c, b) entirely: rhs = 1
@@ -152,4 +151,4 @@ def test_functional_support():
 def test_quotient_rejects_unbalanced():
     unbalanced = make_dag(1, [("a", 0, 1), ("b", 0, 1), ("c", 1, 2)])
     with pytest.raises(NotGorensteinError):
-        quotient_vertices(unbalanced, ())
+        quotient_facets(unbalanced, ())

@@ -51,6 +51,16 @@ def test_decomposition_size_is_source_outdegree():
         assert len(decomp) == dag.outdeg(0) == dag.indeg(dag.sink)
 
 
+def test_peel_takes_the_smallest_remaining_route():
+    rng = random.Random(11)
+    for _ in range(60):
+        dag = random_balanced_dag(rng)
+        live = set(dag.edge_by_id)
+        for route in route_decomposition(dag):
+            assert route == min(r for r in enumerate_routes(dag) if live.issuperset(r))
+            live -= set(route)
+
+
 def test_decomposition_iff_partition_oracle():
     rng = random.Random(5)
     for _ in range(120):
