@@ -24,6 +24,13 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is an ``InputError``, not a usage text."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
@@ -141,6 +148,14 @@ def cmd_dkk(args) -> tuple[dict, int]:
     return report, OK if check.ok else FAILED
 
 
+def _h_against_h_star(dag: dagmod.Dag, fv) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """h of the equatorial sphere with f-vector ``fv`` (and of its join with
+    the route simplex, a cone), the graph's h*, and whether they agree."""
+    h = geo.h_from_f(fv)
+    h_star = geo.ehrhart_hstar(dag).h_star
+    return h, h_star, list(h) == list(h_star[:len(h)]) and not any(h_star[len(h):])
+
+
 def cmd_equatorial(args) -> tuple[dict, int]:
     dag = _load_graph(args.graph)
     report: dict = {"command": "equatorial", "digest": _digest(args.graph)}
@@ -163,14 +178,11 @@ def cmd_equatorial(args) -> tuple[dict, int]:
     }
     tri = eqmod.join_route_simplex(framed, decomp, sphere)
     report["simplices"] = [[list(routes[i]) for i in s] for s in tri.simplices]
-    # the join cones the sphere over the route simplex: the same h-vector
-    h = geo.h_from_f(fv)
-    hs = geo.ehrhart_hstar(dag)
+    h, h_star, agree = _h_against_h_star(dag, fv)
     report["h_vector"] = list(h)
-    report["h_star"] = list(hs.h_star)
-    report["h_equals_h_star"] = list(h) == [c for c in hs.h_star[:len(h)]] and \
-        all(c == 0 for c in hs.h_star[len(h):])
-    code = OK if report["h_equals_h_star"] else FAILED
+    report["h_star"] = list(h_star)
+    report["h_equals_h_star"] = agree
+    code = OK if agree else FAILED
     if args.exhaustive_dkk:
         cmp = eqmod.differs_from_dkk(dag, tri)
         report["dkk_comparison"] = {
@@ -189,7 +201,7 @@ def cmd_quotient(args) -> tuple[dict, int]:
     _require_idle_free(dag)
     q = qmod.quotient_facets(dag, decomp)
     report["polytope"] = q.to_json()
-    report["dimension"] = sum(dag.indeg(v) - 1 for v in dag.inner_vertices)
+    report["dimension"] = q.space.quotient_dim
     refl = qmod.verify_reflexive(q)
     report["reflexive"] = refl.ok
     report["reflexive_issues"] = list(refl.issues)
@@ -216,11 +228,8 @@ def cmd_order(args) -> tuple[dict, int]:
     report["poset"] = plmod.poset_to_json(poset)
     report["graded"] = poset.graded
     report["ranks"] = dict(sorted(poset.heights.items())) if poset.graded else {}
-    counts = []
-    for t in range(1, args.max_dilate + 1):
-        flow = geo.count_lattice_points(dag, t)
-        order = _order_polytope_count(poset, t)
-        counts.append({"t": t, "flow": flow, "order": order})
+    counts = [{"t": t, "flow": geo.count_lattice_points(dag, t), "order": order}
+              for t, order in enumerate(_order_polytope_count(poset, args.max_dilate), 1)]
     report["lattice_counts"] = counts
     counts_ok = all(c["flow"] == c["order"] for c in counts)
     report["lattice_counts_agree"] = counts_ok
@@ -239,20 +248,22 @@ def cmd_order(args) -> tuple[dict, int]:
     return report, OK if counts_ok and ver.ok else FAILED
 
 
-def _order_polytope_count(poset: plmod.Poset, t: int) -> int:
-    """Order-preserving maps P -> {0..t}, counted on the poset alone.
+def _order_polytope_count(poset: plmod.Poset, max_dilate: int) -> list[int]:
+    """Order-preserving maps P -> {0..t}, t = 1..max_dilate, on the poset alone.
 
     Such a map f is the chain of filters F_1, ..., F_t, each containing
-    the next, with F_j = {p : f(p) >= j}.  After each round, chains[i]
-    counts the chains of that many filters under poset.filters[i]; the
-    last filter is the whole poset.
+    the next, with F_j = {p : f(p) >= j}.  After round t, chains[i]
+    counts the chains of t filters under poset.filters[i]; the last filter
+    is the whole poset.
     """
     filters = poset.filters
     below = [[j for j, g in enumerate(filters) if g <= f] for f in filters]
     chains = [1] * len(filters)
-    for _ in range(t):
+    counts = []
+    for _ in range(max_dilate):
         chains = [sum(chains[j] for j in js) for js in below]
-    return chains[-1]
+        counts.append(chains[-1])
+    return counts
 
 
 def _fuzz_failure(k: int, drawn: dagmod.Dag, message: str) -> dict:
@@ -264,6 +275,8 @@ def _fuzz_failure(k: int, drawn: dagmod.Dag, message: str) -> dict:
 def cmd_fuzz(args) -> tuple[dict, int]:
     if args.max_edges < 4:            # 3 inner vertices need 4 edges
         raise InputError(f"--max-edges {args.max_edges} is below 4")
+    if args.count < 0:
+        raise InputError(f"--count {args.count} is negative")
     rng = random.Random(args.seed)
     failures = []
     balanced = 0
@@ -288,10 +301,9 @@ def cmd_fuzz(args) -> tuple[dict, int]:
         except AssertionError as exc:     # a broken invariant, kept with its graph
             failures.append(_fuzz_failure(k, drawn, f"invariant failed: {exc}"))
             continue
-        h = geo.h_polynomial(sphere)
-        hs = geo.ehrhart_hstar(dag)
-        if list(h) != list(hs.h_star[:len(h)]) or any(hs.h_star[len(h):]):
-            failures.append(_fuzz_failure(k, drawn, f"h-vector {h} != h* {hs.h_star}"))
+        h, h_star, agree = _h_against_h_star(dag, geo.f_vector(sphere))
+        if not agree:
+            failures.append(_fuzz_failure(k, drawn, f"h-vector {h} != h* {h_star}"))
     report = {"command": "fuzz", "seed": args.seed, "graphs": args.count,
               "balanced_checked": balanced, "failures": failures}
     return report, OK if not failures else FAILED
@@ -301,9 +313,8 @@ def cmd_fuzz(args) -> tuple[dict, int]:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="flowtri",
-                                description="Equatorial flow triangulations of "
-                                            "Gorenstein flow polytopes")
+    p = _Parser(prog="flowtri",
+                description="Equatorial flow triangulations of Gorenstein flow polytopes")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, **extra):
@@ -333,13 +344,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; the only place where exceptions become exit codes."""
-    args = _parser().parse_args(argv)
-    # the handler is looked up on every call, so a rebound cmd_* takes effect
-    handler = globals()[f"cmd_{args.command}"]
     try:
-        report, code = handler(args)
+        args = _parser().parse_args(argv)
+        # looked up on every call, so a rebound cmd_* takes effect
+        report, code = globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
+        return INVALID
+    except RecursionError as exc:      # input whose walk nests past the interpreter's limit
+        print(json.dumps({"error": f"input too deep to process: {exc}"}, sort_keys=True),
+              file=sys.stderr)
         return INVALID
     except rmod.NotGorensteinError as exc:
         report = {"command": args.command, "digest": _digest(args.graph),

@@ -140,10 +140,6 @@ class SimplicialComplex:
 
     maximal_faces: tuple[tuple, ...]
 
-    @cached_property
-    def vertices(self) -> tuple:
-        return tuple(sorted({v for f in self.maximal_faces for v in f}))
-
     def is_pure(self) -> bool:
         sizes = {len(f) for f in self.maximal_faces}
         return len(sizes) <= 1

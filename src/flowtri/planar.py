@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .dag import SOURCE, Dag, make_dag, vertex_from_json, vertex_to_json
@@ -38,7 +37,8 @@ class Poset:
 
     @cached_property
     def up_covers(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {p: [] for p in self.elements}
+        """p -> its up-covers, keyed by name (the order ``_growth`` keeps)."""
+        out: dict[str, list[str]] = {p: [] for p in sorted(self.elements)}
         for a, b in self.covers:
             out[a].append(b)
         return {p: tuple(sorted(es)) for p, es in out.items()}
@@ -52,34 +52,29 @@ class Poset:
 
     @cached_property
     def heights(self) -> dict[str, int]:
-        """p -> number of elements on the longest chain ending at p."""
-        out: dict[str, int] = {}
-
-        def h(p: str) -> int:
-            if p not in out:
-                lows = self.down_covers[p]
-                out[p] = 1 + (max(map(h, lows)) if lows else 0)
-            return out[p]
-
-        for p in self.elements:
-            h(p)
+        """p -> number of elements on the longest chain ending at p, keyed in
+        strip order: an element is stripped once its down-covers are all
+        gone, height after height, and a cycle leaves some unstripped
+        (``ValueError``)."""
+        left = {p: len(qs) for p, qs in self.down_covers.items()}  # covers still below p
+        stripped = [p for p, k in left.items() if not k]
+        out = dict.fromkeys(stripped, 1)
+        for p in stripped:                 # grows while read, one height after another
+            for q in self.up_covers[p]:
+                left[q] -= 1
+                if not left[q]:            # p is a highest down-cover of q
+                    out[q] = out[p] + 1
+                    stripped.append(q)
+        if len(out) < len(left):
+            raise ValueError("cover relation contains a cycle")
         return out
 
     @cached_property
     def up_sets(self) -> dict[str, frozenset[str]]:
-        """p -> {q : p <= q}, by reverse topological accumulation."""
+        """p -> {q : p <= q}, accumulated in reverse strip order (top down)."""
         out: dict[str, frozenset[str]] = {}
-
-        def build(p: str) -> frozenset[str]:
-            if p not in out:
-                acc = {p}
-                for q in self.up_covers[p]:
-                    acc |= build(q)
-                out[p] = frozenset(acc)
-            return out[p]
-
-        for p in self.elements:
-            build(p)
+        for p in reversed(self.heights):
+            out[p] = frozenset((p,)).union(*(out[q] for q in self.up_covers[p]))
         return out
 
     @cached_property
@@ -98,37 +93,27 @@ class Poset:
 
     @property
     def minimal(self) -> tuple[str, ...]:
-        covered = {b for _, b in self.covers}
-        return tuple(p for p in self.elements if p not in covered)
+        return tuple(p for p in self.elements if not self.down_covers[p])
 
     @property
     def maximal(self) -> tuple[str, ...]:
-        covering = {a for a, _ in self.covers}
-        return tuple(p for p in self.elements if p not in covering)
+        return tuple(p for p in self.elements if not self.up_covers[p])
 
 
 def make_poset(elements: Iterable[str], relations: Iterable[tuple[str, str]]) -> Poset:
-    """Normalize arbitrary strict relations into a cover-relation poset."""
+    """Normalize arbitrary strict relations into a cover-relation poset: a
+    relation a < b is a cover unless b lies above another relation out of a
+    (the relations' ``heights`` reject a cycle)."""
     elems = tuple(sorted(set(elements)))
     known = set(elems)
     pairs = {(a, b) for a, b in relations}
     for a, b in pairs:
         if a not in known or b not in known:
             raise ValueError(f"relation {a}<{b} uses unknown elements")
-    changed = True
-    while changed:                     # transitive closure
-        changed = False
-        for a, b in list(pairs):
-            for c in elems:
-                if (b, c) in pairs and (a, c) not in pairs:
-                    pairs.add((a, c))
-                    changed = True
-    if any((a, a) in pairs for a in elems):
-        raise ValueError("relations contain a cycle")
-    covers = tuple(sorted((a, b) for a, b in pairs
-                          if not any((a, c) in pairs and (c, b) in pairs
-                                     for c in elems)))
-    return Poset(elems, covers)
+    raw = Poset(elems, tuple(pairs))
+    up, succ = raw.up_sets, raw.up_covers
+    return Poset(elems, tuple(sorted((a, b) for a, b in pairs
+                                     if not any(b in up[c] for c in succ[a] if c != b))))
 
 
 def poset_to_json(poset: Poset) -> dict:
@@ -136,16 +121,23 @@ def poset_to_json(poset: Poset) -> dict:
             "covers": [list(c) for c in sorted(poset.covers)]}
 
 
+def _growth(poset: Poset, f: frozenset[str]) -> list[str]:
+    """The elements outside filter ``f`` whose up-covers ``f`` holds, by
+    name: adding any one of them to ``f`` gives a filter one larger."""
+    return [p for p, ups in poset.up_covers.items()
+            if p not in f and f.issuperset(ups)]
+
+
 def filters(poset: Poset) -> tuple[frozenset[str], ...]:
-    """All upward-closed subsets, smallest first (closure under up-covers
-    suffices to certify upward closure); ``Poset.filters`` caches them."""
-    out = []
-    for k in range(len(poset.elements) + 1):
-        for sub in combinations(poset.elements, k):
-            s = set(sub)
-            if all(set(poset.up_covers[p]) <= s for p in sub):
-                out.append(frozenset(s))
-    return tuple(sorted(out, key=lambda f: (len(f), tuple(sorted(f)))))
+    """All upward-closed subsets, smallest first and by sorted elements
+    within a size, grown one element at a time from the empty filter;
+    ``Poset.filters`` caches them."""
+    out: list[frozenset[str]] = []
+    level = {frozenset()}
+    while level:
+        out += sorted(level, key=sorted)
+        level = {f | {p} for f in level for p in _growth(poset, f)}
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +263,9 @@ def planar_dual(dag: Dag, emb: PlanarEmbedding) -> PlanarDual:
                                TOP if above == outer else names[above])
     covers = sorted({c for c in cover_of_edge.values()
                      if c[0] != BOTTOM and c[1] != TOP})
-    below = {p: {a for a, b in covers if b == p} for p in names.values()}
-    while below:                  # strip minimal faces; a cycle leaves none
-        lows = [p for p, ps in below.items() if not ps & below.keys()]
-        if not lows:
-            raise ValueError("dual faces contain a cycle (not an upward drawing)")
-        for p in lows:
-            del below[p]
-    return PlanarDual(Poset(tuple(sorted(names.values())), tuple(covers)),
-                      cover_of_edge)
+    poset = Poset(tuple(sorted(names.values())), tuple(covers))
+    poset.heights                 # strips minimal faces; raises on a cyclic dual
+    return PlanarDual(poset, cover_of_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +464,10 @@ def maximal_filter_chains(poset: Poset) -> tuple[tuple[frozenset[str], ...], ...
         if len(cur) == len(poset.elements):
             chains.append(tuple(chain))
             return
-        rest = [p for p in poset.elements if p not in cur]
-        for p in sorted(rest):
-            if all(q in cur for q in poset.up_covers[p]):
-                chain.append(cur | {p})
-                extend(chain)
-                chain.pop()
+        for p in _growth(poset, cur):
+            chain.append(cur | {p})
+            extend(chain)
+            chain.pop()
 
     extend([frozenset()])
     return tuple(chains)

@@ -44,6 +44,11 @@ class LeveledSpace:
     def dim(self) -> int:
         return sum(len(labels) for _, labels in self.blocks)
 
+    @property
+    def quotient_dim(self) -> int:
+        """Dimension of the block-sum-zero subspace: sum of indeg(v) - 1."""
+        return sum(len(labels) - 1 for _, labels in self.blocks)
+
 
 def leveled_space(dag: Dag, decomp: Sequence[Route]) -> LeveledSpace:
     """One block per inner vertex, holding the labels of its in-edges; the
@@ -159,7 +164,7 @@ def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
     for face in equatorial_facets(dag, decomp, routes):
         seen.setdefault(functionals[face.transversal], face.transversal)
     facets = tuple((m, c) for c, m in sorted(seen.items()))
-    want = sum(dag.indeg(v) - 1 for v in dag.inner_vertices)
+    want = space.quotient_dim
     got = rank([list(c) for _, c in verts]) if verts else 0
     if got != want:
         raise AssertionError(f"quotient rank {got} != expected dimension {want}")
@@ -190,7 +195,7 @@ def verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
     listed block by block: the product, in block order, of each block's
     zero-sum tuples visits them in lexicographic order."""
     issues: list[str] = []
-    dim = sum(len(labels) - 1 for _, labels in q.space.blocks)
+    dim = q.space.quotient_dim
     column = {m: j for j, m in enumerate(q.functionals)}
     columns = [column[m] for m, _ in q.facets]
     for m, coeffs in q.facets:

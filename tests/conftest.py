@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
@@ -230,6 +230,59 @@ def order_polytope_vertices(poset: Poset) -> tuple[Vector, ...]:
 
 def poset_from_json(data: Mapping) -> Poset:
     return make_poset(data["elements"], [tuple(c) for c in data["covers"]])
+
+
+def subset_scan_filters(poset: Poset) -> tuple[frozenset[str], ...]:
+    """All upward-closed subsets, by testing each of the 2^n subsets for
+    closure under up-covers; smallest first, then by sorted elements."""
+    out = []
+    for k in range(len(poset.elements) + 1):
+        for sub in combinations(poset.elements, k):
+            s = set(sub)
+            if all(set(poset.up_covers[p]) <= s for p in sub):
+                out.append(frozenset(s))
+    return tuple(sorted(out, key=lambda f: (len(f), tuple(sorted(f)))))
+
+
+def recursive_heights(poset: Poset) -> dict[str, int]:
+    """p -> 1 + the largest height of a down-cover, by memoised recursion."""
+    out: dict[str, int] = {}
+
+    def h(p: str) -> int:
+        if p not in out:
+            lows = poset.down_covers[p]
+            out[p] = 1 + (max(map(h, lows)) if lows else 0)
+        return out[p]
+
+    for p in poset.elements:
+        h(p)
+    return out
+
+
+def recursive_up_sets(poset: Poset) -> dict[str, frozenset[str]]:
+    """p -> {q : p <= q}, by memoised recursion over the up-covers."""
+    out: dict[str, frozenset[str]] = {}
+
+    def build(p: str) -> frozenset[str]:
+        if p not in out:
+            out[p] = frozenset({p}).union(*map(build, poset.up_covers[p]))
+        return out[p]
+
+    for p in poset.elements:
+        build(p)
+    return out
+
+
+def extension_filter_chains(poset: Poset) -> tuple[tuple[frozenset[str], ...], ...]:
+    """Complete chains of filters read off the orderings of the elements by
+    name whose every prefix is a filter (reversed linear extensions)."""
+    fs = set(subset_scan_filters(poset))
+    out = []
+    for perm in permutations(sorted(poset.elements)):
+        prefixes = tuple(frozenset(perm[:i]) for i in range(len(perm) + 1))
+        if all(f in fs for f in prefixes):
+            out.append(prefixes)
+    return tuple(out)
 
 
 def equatorial_by_map(poset: Poset, chain: Sequence[frozenset[str]]) -> bool:

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -245,6 +246,7 @@ def test_exhaustive_dkk_past_framing_bound_exits_2(capsys, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("argv", [["fuzz", "--max-edges", "1"],
                                   ["fuzz", "--max-edges", "3"],
+                                  ["fuzz", "--count", "-1"],
                                   ["order", "{graph}", "{embedding}", "--max-dilate", "-2"]])
 def test_out_of_range_integer_option_exits_2(capsys, tmp_path, argv):
     (tmp_path / "g.json").write_text(json.dumps(dag_to_json(D1())))
@@ -259,11 +261,38 @@ def test_out_of_range_integer_option_exits_2(capsys, tmp_path, argv):
 def test_smallest_accepted_integer_options(capsys, tmp_path):
     code, out, _ = run(capsys, ["fuzz", "--max-edges", "4", "--count", "5"])
     assert code == 0 and json.loads(out)["graphs"] == 5
+    code, out, _ = run(capsys, ["fuzz", "--count", "0"])
+    assert code == 0 and json.loads(out)["graphs"] == 0
     (tmp_path / "g.json").write_text(json.dumps(dag_to_json(D1())))
     (tmp_path / "e.json").write_text(json.dumps(D1_EMBEDDING))
     code, out, _ = run(capsys, ["order", str(tmp_path / "g.json"),
                                 str(tmp_path / "e.json"), "--max-dilate", "0"])
     assert code == 0 and json.loads(out)["lattice_counts"] == []
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["fuzz", "--max-edges", "x"], ["order"], []])
+def test_bad_command_line_exits_2_with_json_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"].startswith("flowtri")
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["order", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: flowtri order")
+
+
+@pytest.mark.parametrize("command", ["dkk", "equatorial"])
+def test_graph_past_the_recursion_limit_exits_2(capsys, tmp_path, command):
+    """G(k) has one maximal clique of all k routes, which Bron-Kerbosch
+    reaches k calls deep."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(dag_to_json(G(sys.getrecursionlimit() + 10))))
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "recursion" in json.loads(err)["error"]
 
 
 def test_broken_invariant_exits_1_with_json_error(capsys, d2_file, monkeypatch):

@@ -22,9 +22,11 @@ from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             validate_embedding, verify_equivalence)
 from flowtri.routes import Route, decomposition_framing, enumerate_routes
 from tests.conftest import (brute_order_polytope_count, equatorial_by_jumps,
-                            equatorial_by_map, filter_chains,
-                            linear_extension_count, lp_triangulation_ok,
-                            order_polytope_vertices, poset_from_json)
+                            equatorial_by_map, extension_filter_chains,
+                            filter_chains, linear_extension_count,
+                            lp_triangulation_ok, order_polytope_vertices,
+                            poset_from_json, recursive_heights,
+                            recursive_up_sets, subset_scan_filters)
 
 
 def posets_isomorphic(p: Poset, q: Poset) -> bool:
@@ -90,6 +92,40 @@ def test_filters_are_upward_closed():
     assert len(order_polytope_vertices(p)) == 6
     for f in fs:
         assert all(set(p.up_covers[x]) <= f for x in f)
+
+
+def test_poset_layer_matches_oracles():
+    """Filters grown level by level, stripped heights, top-down up-sets and
+    complete filter chains agree with the 2^n subset scan, the recursions
+    and the linear extensions, on graded and ungraded random posets, also
+    with their elements listed out of name order."""
+    rng = random.Random(10)
+    posets = [random_poset(rng) for _ in range(40)] + \
+        [random_graded_poset(rng) for _ in range(40)]
+    assert sum(p.graded for p in posets) >= 40 and not all(p.graded for p in posets)
+    for p in catalog_duals() + posets:
+        shuffled = Poset(tuple(rng.sample(p.elements, len(p.elements))), p.covers)
+        for q in (p, shuffled):
+            assert filters(q) == subset_scan_filters(q), q
+            assert q.heights == recursive_heights(q), q
+            assert q.up_sets == recursive_up_sets(q), q
+            assert maximal_filter_chains(q) == extension_filter_chains(q), q
+
+
+def test_cyclic_cover_relation_raises_from_heights():
+    cyclic = Poset(("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "b"), ("a", "d")))
+    with pytest.raises(ValueError, match="cycle"):
+        cyclic.heights
+    with pytest.raises(ValueError, match="cycle"):
+        Poset(("a",), (("a", "a"),)).heights
+
+
+def test_600_element_chain_without_recursion():
+    names = tuple(f"p{i:03d}" for i in range(600))
+    p = Poset(names, tuple(zip(names, names[1:])))
+    assert p.heights == {q: i + 1 for i, q in enumerate(names)}
+    assert p.graded and p.leq(names[0], names[-1])
+    assert p.filters == tuple(frozenset(names[k:]) for k in range(600, -1, -1))
 
 
 def test_posets_isomorphic():
@@ -279,8 +315,9 @@ def random_poset(rng: random.Random, max_size: int = 7) -> Poset:
 def test_order_polytope_dp_matches_brute_force():
     rng = random.Random(41)
     for p in catalog_duals() + [random_poset(rng) for _ in range(40)]:
-        for t in range(5):
-            assert cli._order_polytope_count(p, t) == brute_order_polytope_count(p, t), (p, t)
+        assert cli._order_polytope_count(p, 4) == [
+            brute_order_polytope_count(p, t) for t in range(1, 5)], p
+        assert cli._order_polytope_count(p, 0) == []
 
 
 def test_verify_equivalence_catalog():
