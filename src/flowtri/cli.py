@@ -6,8 +6,10 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import dag as dagmod
 from . import dkk as dkkmod
@@ -18,6 +20,8 @@ from . import quotient as qmod
 from . import routes as rmod
 
 OK, FAILED, INVALID = 0, 1, 2
+BROKEN_PIPE = 141           # 128 + SIGPIPE, as a shell reports a writer killed by it
+MAX_FUZZ_EDGES = 64         # fuzz run time grows steeply past about 13 edges
 
 
 class InputError(Exception):
@@ -76,9 +80,83 @@ def _require_idle_free(dag: dagmod.Dag) -> None:
         raise InputError(f"idle edges present (contract them first): {list(idle)}")
 
 
+_LEAF_ENCODERS = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _scalar(value) -> str:
+    """The JSON text of a str, int, bool or None; ``TypeError`` otherwise."""
+    encode = _LEAF_ENCODERS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json(value, write) -> None:
+    """Write ``value`` as ``json.dumps`` renders it with indent 2 and sorted keys.
+
+    Only exact dict, list, str, int, bool and None values are accepted
+    (floats, tuples and subclasses raise ``TypeError``).  A list whose items
+    are all str or all int is rendered by one join, memoised by the list's
+    id and depth, so a route list shared by many simplices is rendered once
+    per depth; ``value`` keeps every memoised list alive for the call.
+    Pieces are joined into one ``write`` per few thousand, so an unbuffered
+    stdout does not take a system call per piece.
+    """
+    memo: dict[tuple[int, int], str] = {}
+    parts: list[str] = []
+    put = parts.append
+
+    def walk(value, depth: int) -> None:
+        kind = type(value)
+        if kind is list and value:
+            key = (id(value), depth)
+            text = memo.get(key)
+            if text is None:
+                kinds = set(map(type, value))
+                encode = _LEAF_ENCODERS.get(kinds.pop()) if len(kinds) == 1 else None
+                if encode is not None:
+                    inner = "\n" + "  " * (depth + 1)
+                    text = memo[key] = ("[" + inner + ("," + inner).join(map(encode, value))
+                                        + "\n" + "  " * depth + "]")
+            if text is not None:
+                put(text)
+                return
+            inner = "\n" + "  " * (depth + 1)
+            put("[" + inner)
+            for i, item in enumerate(value):
+                if i:
+                    put("," + inner)
+                walk(item, depth + 1)
+            put("\n" + "  " * depth + "]")
+        elif kind is dict and value:
+            inner = "\n" + "  " * (depth + 1)
+            put("{" + inner)
+            for i, (k, item) in enumerate(sorted(value.items())):
+                name = k if type(k) is str else _scalar(k)
+                put(("," + inner if i else "") + encode_basestring_ascii(name) + ": ")
+                walk(item, depth + 1)
+            put("\n" + "  " * depth + "}")
+        else:
+            put("[]" if kind is list else "{}" if kind is dict else _scalar(value))
+            return
+        if len(parts) > 4096:
+            write("".join(parts))
+            parts.clear()
+
+    walk(value, 0)
+    write("".join(parts))
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _write_json(report, sys.stdout.write)
+        sys.stdout.write("\n")
         return
 
     def render(value, indent: str = "") -> None:
@@ -138,8 +216,9 @@ def cmd_dkk(args) -> tuple[dict, int]:
     decomp = _load_decomposition(dag, args.decomposition)
     framing = rmod.decomposition_framing(dag, decomp)
     tri = dkkmod.dkk_triangulation(dag, framing)
-    report["routes"] = len(tri.labels)
-    report["simplices"] = [[list(tri.labels[i]) for i in s] for s in tri.simplices]
+    routes = [list(r) for r in tri.labels]      # shared lists: each is rendered once
+    report["routes"] = len(routes)
+    report["simplices"] = [[routes[i] for i in s] for s in tri.simplices]
     report["exceptional_routes"] = [list(r) for r in dkkmod.exceptional_routes(tri)]
     check = geo.verify_triangulation(tri, dagmod.dimension(dag),
                                      geo.normalized_volume(dag))
@@ -166,18 +245,18 @@ def cmd_equatorial(args) -> tuple[dict, int]:
                          f"more than the bound of {eqmod.MAX_FRAMINGS}")
     report["decomposition"] = [list(r) for r in decomp]
     framed, facets, sphere = eqmod.equatorial_sphere(dag, decomp)
-    routes = framed.labels
+    routes = [list(r) for r in framed.labels]   # shared lists: each is rendered once
     report["facets"] = [{"transversal": list(f.transversal),
-                         "routes": [list(routes[i]) for i in sorted(f.routes)]}
+                         "routes": [routes[i] for i in sorted(f.routes)]}
                         for f in facets]
     fv = geo.f_vector(sphere)
     report["sphere"] = {
-        "maximal_faces": [[list(routes[i]) for i in f] for f in sphere.maximal_faces],
+        "maximal_faces": [[routes[i] for i in f] for f in sphere.maximal_faces],
         "f_vector": list(fv),
         "euler_characteristic": geo.euler_characteristic(fv),
     }
     tri = eqmod.join_route_simplex(framed, decomp, sphere)
-    report["simplices"] = [[list(routes[i]) for i in s] for s in tri.simplices]
+    report["simplices"] = [[routes[i] for i in s] for s in tri.simplices]
     h, h_star, agree = _h_against_h_star(dag, fv)
     report["h_vector"] = list(h)
     report["h_star"] = list(h_star)
@@ -275,6 +354,8 @@ def _fuzz_failure(k: int, drawn: dagmod.Dag, message: str) -> dict:
 def cmd_fuzz(args) -> tuple[dict, int]:
     if args.max_edges < 4:            # 3 inner vertices need 4 edges
         raise InputError(f"--max-edges {args.max_edges} is below 4")
+    if args.max_edges > MAX_FUZZ_EDGES:
+        raise InputError(f"--max-edges {args.max_edges} is above {MAX_FUZZ_EDGES}")
     if args.count < 0:
         raise InputError(f"--count {args.count} is negative")
     rng = random.Random(args.seed)
@@ -363,7 +444,13 @@ def main(argv=None) -> int:
         print(json.dumps({"error": f"invariant failed: {exc}"}, sort_keys=True),
               file=sys.stderr)
         return FAILED
-    _emit(report, args.format)
+    try:
+        _emit(report, args.format)
+        sys.stdout.flush()              # a closed pipe raises here, not at exit
+    except BrokenPipeError:             # the reader stopped early, as ``| head`` does
+        # The interpreter flushes stdout again at exit: point it at devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     return code
 
 

@@ -140,13 +140,6 @@ class SimplicialComplex:
 
     maximal_faces: tuple[tuple, ...]
 
-    def is_pure(self) -> bool:
-        sizes = {len(f) for f in self.maximal_faces}
-        return len(sizes) <= 1
-
-    def euler_characteristic(self) -> int:
-        return euler_characteristic(f_vector(self))
-
     def ridge_owners(self) -> dict[tuple, list[tuple[int, int]]]:
         """Each codimension-1 face of a maximal face, sorted -> the (index of
         the maximal face, position of its omitted vertex) pairs that contain it."""

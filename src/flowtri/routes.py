@@ -43,14 +43,6 @@ class Framing:
         return self._out_pos[v][eid]
 
 
-def route_vertices(dag: Dag, route: Route) -> tuple[int, ...]:
-    """Vertex sequence s, ..., t visited by the route."""
-    verts = [SOURCE]
-    for eid in route:
-        verts.append(dag.edge_by_id[eid].head)
-    return tuple(verts)
-
-
 def is_route(dag: Dag, route: Route) -> bool:
     if not route:
         return False

@@ -13,7 +13,7 @@ from flowtri.dag import (SOURCE, Dag, contract_idle_edges, gorenstein_completion
                          make_dag, random_dag, validate)
 from flowtri.equatorial import EquatorialFace, Transversal, equatorial_sphere
 from flowtri.geometry import (SimplicialComplex, Triangulation, Vector,
-                              is_unimodular_simplex)
+                              euler_characteristic, f_vector, is_unimodular_simplex)
 from flowtri.planar import Poset, make_poset, maximal_filter_chains
 from flowtri.quotient import QuotientPolytope, ReflexiveReport
 from flowtri.routes import Framing, Route, decomposition_framing
@@ -50,6 +50,20 @@ def random_framing(rng: random.Random, dag: Dag) -> Framing:
 def sphere(dag: Dag, decomp: tuple[Route, ...]) -> SimplicialComplex:
     """T_eq of a decomposition, from its framed triangulation and facets."""
     return equatorial_sphere(dag, decomp)[2]
+
+
+def is_pure(cpx: SimplicialComplex) -> bool:
+    """All maximal faces have one size."""
+    return len({len(f) for f in cpx.maximal_faces}) <= 1
+
+
+def complex_euler_characteristic(cpx: SimplicialComplex) -> int:
+    return euler_characteristic(f_vector(cpx))
+
+
+def route_vertices(dag: Dag, route: Route) -> tuple[int, ...]:
+    """Vertex sequence s, ..., t visited by the route."""
+    return (SOURCE,) + tuple(dag.edge_by_id[eid].head for eid in route)
 
 
 def trimmed(seq) -> tuple:

@@ -1,9 +1,12 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from flowtri.cli import main
 from flowtri.dag import (D1, D2, D3, G, bypass, dag_from_json, dag_to_json, make_dag,
                          random_dag, stacked_rotations, zigzag, zigzag_rotations)
 from flowtri.planar import PlanarEmbedding, embedding_to_json
+from tests.conftest import chain
 
 
 @pytest.fixture
@@ -247,7 +251,9 @@ def test_exhaustive_dkk_past_framing_bound_exits_2(capsys, tmp_path, monkeypatch
 @pytest.mark.parametrize("argv", [["fuzz", "--max-edges", "1"],
                                   ["fuzz", "--max-edges", "3"],
                                   ["fuzz", "--count", "-1"],
-                                  ["order", "{graph}", "{embedding}", "--max-dilate", "-2"]])
+                                  ["order", "{graph}", "{embedding}", "--max-dilate", "-2"],
+                                  ["fuzz", "--max-edges", str(cli.MAX_FUZZ_EDGES + 1)],
+                                  ["fuzz", "--max-edges", str(10**20)]])
 def test_out_of_range_integer_option_exits_2(capsys, tmp_path, argv):
     (tmp_path / "g.json").write_text(json.dumps(dag_to_json(D1())))
     (tmp_path / "e.json").write_text(json.dumps(D1_EMBEDDING))
@@ -262,6 +268,8 @@ def test_smallest_accepted_integer_options(capsys, tmp_path):
     code, out, _ = run(capsys, ["fuzz", "--max-edges", "4", "--count", "5"])
     assert code == 0 and json.loads(out)["graphs"] == 5
     code, out, _ = run(capsys, ["fuzz", "--count", "0"])
+    assert code == 0 and json.loads(out)["graphs"] == 0
+    code, out, _ = run(capsys, ["fuzz", "--max-edges", str(cli.MAX_FUZZ_EDGES), "--count", "0"])
     assert code == 0 and json.loads(out)["graphs"] == 0
     (tmp_path / "g.json").write_text(json.dumps(dag_to_json(D1())))
     (tmp_path / "e.json").write_text(json.dumps(D1_EMBEDDING))
@@ -317,6 +325,65 @@ def test_byte_identical_output(capsys, d2_file):
     _, first, _ = run(capsys, ["equatorial", d2_file])
     _, second, _ = run(capsys, ["equatorial", d2_file])
     assert first == second
+
+
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    """A reader that stops early (``| head -c 20``) breaks the pipe mid-report."""
+    path = tmp_path / "chain4x3.json"
+    path.write_text(json.dumps(dag_to_json(chain(4, 3))))     # 3.4 MB of report
+    proc = subprocess.Popen([sys.executable, "-m", "flowtri.cli", "equatorial", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert proc.stdout.read(20) == b'{\n  "command": "equa'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == cli.BROKEN_PIPE
+    assert err == b""               # no traceback, no "Exception ignored" at exit
+
+
+# JSON values of the types reports hold, with one leaf list shared at
+# several places: the writer memoises a leaf list's text by id and depth.
+TEXT = st.text() | st.text(st.characters(categories=["Cs", "Cc", "Lo"]))
+SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+          | st.integers(max_value=-1) | TEXT)
+LEAF_LIST = st.lists(TEXT, min_size=1, max_size=4) | st.lists(st.integers(), min_size=1,
+                                                               max_size=4)
+
+
+def json_trees(leaf):
+    return st.recursive(
+        leaf, lambda kids: st.lists(kids, max_size=4)
+        | st.lists(st.integers() | st.booleans(), max_size=4)
+        | st.dictionaries(TEXT, kids, max_size=4)
+        | st.dictionaries(st.integers() | st.booleans(), kids, max_size=4)
+        | st.dictionaries(st.none(), kids, max_size=1),
+        max_leaves=20)
+
+
+@st.composite
+def shared_json(draw):
+    shared = draw(LEAF_LIST)
+    tree = draw(json_trees(SCALAR | st.just(shared)))
+    return {"tree": tree, "twice": [shared, shared], "deeper": [[shared], {"0": shared}]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_json() | json_trees(SCALAR))
+def test_json_writer_matches_json_dumps(value):
+    out = io.StringIO()
+    cli._write_json(value, out.write)
+    assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True)
+
+
+class Name(str):
+    pass
+
+
+@pytest.mark.parametrize("bad", [1.5, {1, 2}, Name("x"), Fraction(1, 2)])
+def test_json_writer_rejects_other_types(bad):
+    for value in (bad, [bad], {"k": [bad, 1]}):
+        with pytest.raises(TypeError):
+            cli._write_json(value, io.StringIO().write)
 
 
 def test_text_format(capsys, d1_file):

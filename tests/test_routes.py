@@ -6,10 +6,9 @@ from flowtri.dag import (D1, D2, D3, G, bypass, gorenstein_completion,
                          make_dag, random_dag, zigzag)
 from flowtri.routes import (NotGorensteinError, decomposition_framing,
                             enumerate_routes, indicator_vector, is_route,
-                            is_route_decomposition, route_decomposition,
-                            route_vertices)
+                            is_route_decomposition, route_decomposition)
 from tests.conftest import (framing_from_json, has_route_partition,
-                            random_balanced_dag)
+                            random_balanced_dag, route_vertices)
 
 
 def test_enumerate_routes_catalog():
