@@ -12,8 +12,7 @@ from .equatorial import (differs_from_dkk, enumerate_transversals,
                          equatorial_facets, equatorial_flow_triangulation,
                          equatorial_sphere, join_route_simplex, t_eq)
 from .geometry import (Triangulation, count_lattice_points, ehrhart_hstar,
-                       f_vector, h_polynomial, is_gorenstein, normalized_volume,
-                       verify_triangulation)
+                       normalized_volume, verify_triangulation)
 from .planar import (PlanarEmbedding, Poset, canonical_triangulation,
                      flow_to_order, is_equatorial_chain, make_poset,
                      order_to_flow, planar_dual, planar_framing, poset_to_dag,

@@ -244,20 +244,19 @@ def cmd_equatorial(args) -> tuple[dict, int]:
         raise InputError(f"--exhaustive-dkk: {framings} framings, "
                          f"more than the bound of {eqmod.MAX_FRAMINGS}")
     report["decomposition"] = [list(r) for r in decomp]
-    framed, facets, sphere = eqmod.equatorial_sphere(dag, decomp)
-    routes = [list(r) for r in framed.labels]   # shared lists: each is rendered once
+    labels, _, facets, sphere = eqmod.equatorial_sphere(dag, decomp)
+    routes = [list(r) for r in labels]          # shared lists: each is rendered once
     report["facets"] = [{"transversal": list(f.transversal),
-                         "routes": [routes[i] for i in sorted(f.routes)]}
+                         "routes": [routes[i] for i in dkkmod._members(f.routes)]}
                         for f in facets]
-    fv = geo.f_vector(sphere)
     report["sphere"] = {
         "maximal_faces": [[routes[i] for i in f] for f in sphere.maximal_faces],
-        "f_vector": list(fv),
-        "euler_characteristic": geo.euler_characteristic(fv),
+        "f_vector": list(sphere.f_vector),
+        "euler_characteristic": geo.euler_characteristic(sphere.f_vector),
     }
-    tri = eqmod.join_route_simplex(framed, decomp, sphere)
+    tri = eqmod.join_route_simplex(dag, labels, decomp, sphere)
     report["simplices"] = [[routes[i] for i in s] for s in tri.simplices]
-    h, h_star, agree = _h_against_h_star(dag, fv)
+    h, h_star, agree = _h_against_h_star(dag, sphere.f_vector)
     report["h_vector"] = list(h)
     report["h_star"] = list(h_star)
     report["h_equals_h_star"] = agree
@@ -377,12 +376,12 @@ def cmd_fuzz(args) -> tuple[dict, int]:
         balanced += 1
         try:
             decomp = rmod.route_decomposition(dag)       # certified by the peel
-            framed, _, sphere = eqmod.equatorial_sphere(dag, decomp)
-            eqmod.join_route_simplex(framed, decomp, sphere)    # checks the join's sizes
+            routes, _, _, sphere = eqmod.equatorial_sphere(dag, decomp)
+            eqmod.join_route_simplex(dag, routes, decomp, sphere)  # checks the join's sizes
         except AssertionError as exc:     # a broken invariant, kept with its graph
             failures.append(_fuzz_failure(k, drawn, f"invariant failed: {exc}"))
             continue
-        h, h_star, agree = _h_against_h_star(dag, geo.f_vector(sphere))
+        h, h_star, agree = _h_against_h_star(dag, sphere.f_vector)
         if not agree:
             failures.append(_fuzz_failure(k, drawn, f"h-vector {h} != h* {h_star}"))
     report = {"command": "fuzz", "seed": args.seed, "graphs": args.count,

@@ -10,14 +10,17 @@ joined with the route simplex, triangulates the whole polytope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations, product
 from math import factorial
+from operator import and_, or_
 from typing import Iterator, Sequence
 
-from .dag import Dag, degree_equality, idle_edges
-from .dkk import _mask, _members, coherence_graph, dkk_triangulation, max_cliques
+from .dag import Dag, degree_equality, dimension, idle_edges
+from .dkk import _mask, _members, coherence_graph, max_cliques
 from .geometry import SimplicialComplex, Triangulation
-from .routes import Framing, NotGorensteinError, Route, decomposition_framing
+from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
+                     enumerate_routes, indicator_vector)
 
 Transversal = tuple[str, ...]     # entry i is the chosen edge of route i
 
@@ -27,7 +30,16 @@ MAX_FRAMINGS = 100_000            # bound on the exhaustive framing sweep
 @dataclass(frozen=True)
 class EquatorialFace:
     transversal: Transversal
-    routes: frozenset[int]        # indices into the route list
+    routes: int                   # mask over the route list: bit i is route i
+
+
+@dataclass(frozen=True)
+class Sphere:
+    """The equatorial sphere T_eq: its maximal faces, sorted route-index
+    tuples in ascending order, and its f-vector (f_-1, f_0, ...)."""
+
+    maximal_faces: tuple[tuple[int, ...], ...]
+    f_vector: tuple[int, ...]
 
 
 def enumerate_transversals(decomp: Sequence[Route]) -> Iterator[Transversal]:
@@ -35,25 +47,14 @@ def enumerate_transversals(decomp: Sequence[Route]) -> Iterator[Transversal]:
     return product(*decomp)
 
 
-def routes_avoiding(routes: Sequence[Route], m: Transversal) -> frozenset[int]:
-    """Indices of the routes touching no edge of the transversal."""
-    banned = set(m)
-    return frozenset(i for i, r in enumerate(routes) if banned.isdisjoint(r))
-
-
-def is_facet_transversal(dag: Dag, routes: Sequence[Route],
-                         avoided: frozenset[int]) -> bool:
-    """Facet criterion: every inner vertex lies on one of the ``avoided``
-    routes (the indices ``routes_avoiding`` returns for the transversal)."""
-    touched = {dag.edge_by_id[e].head for i in avoided for e in routes[i]}
-    return all(v in touched for v in dag.inner_vertices)
-
-
 def equatorial_facets(dag: Dag, decomp: Sequence[Route],
                       routes: Sequence[Route]) -> tuple[EquatorialFace, ...]:
     """Facets of the equatorial complex over ``routes`` (the graph's route
     list, ``enumerate_routes(dag)``), deduplicated by avoided-route set.
 
+    A transversal's avoided routes are those that share no edge with it: the
+    AND, over its edges, of the routes missing each edge.  It is a facet
+    transversal when the avoided routes' heads cover every inner vertex.
     Distinct transversals frequently carve out the same face; the first
     transversal in lexicographic order is kept as the representative.
     """
@@ -62,74 +63,107 @@ def equatorial_facets(dag: Dag, decomp: Sequence[Route],
     idle = idle_edges(dag)
     if idle:
         raise ValueError(f"idle edges present (contract them first): {idle}")
-    seen: dict[frozenset[int], Transversal] = {}
+    everyone = (1 << len(routes)) - 1
+    missing = {e.id: everyone for e in dag.edges}
+    heads = []
+    for i, r in enumerate(routes):
+        for e in r:
+            missing[e] &= ~(1 << i)
+        heads.append(_mask(dag.edge_by_id[e].head for e in r))
+    inner = _mask(dag.inner_vertices)
+    first: dict[int, Transversal] = {}
     for m in enumerate_transversals(decomp):
-        avoided = routes_avoiding(routes, m)
-        if is_facet_transversal(dag, routes, avoided):
-            seen.setdefault(avoided, m)
+        first.setdefault(reduce(and_, map(missing.__getitem__, m), everyone), m)
     return tuple(EquatorialFace(m, rs)
-                 for rs, m in sorted(seen.items(), key=lambda kv: sorted(kv[0])))
+                 for rs, m in sorted(first.items(), key=lambda kv: _members(kv[0]))
+                 if reduce(or_, map(heads.__getitem__, _members(rs)), 0) & inner == inner)
 
 
-def t_eq(framed: Triangulation, facets: Sequence[EquatorialFace]) -> SimplicialComplex:
-    """The equatorial sphere: the decomposition framing's triangulation
-    ``framed`` restricted to the equatorial complex with the given facets.
+def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sphere:
+    """The equatorial sphere: the clique complex of the coherence graph
+    ``adj`` (the decomposition framing's triangulation) restricted to the
+    equatorial complex with the given facets, whose facets have ``size``
+    routes (dim+1-k for k decomposition routes).
 
-    The sphere is pure: its facets have dim+1-k routes, where dim+1 is the
-    size of a maximal simplex of ``framed`` and k the transversal length.
-    So only the maximal simplices' intersections with the facets' route
-    sets that have that size are kept.  The framed triangulation restricts
-    to a triangulation of each facet's face, so every smaller intersection
-    is a face of a kept one.  This is certified: every facet must yield a
-    kept piece, and every ridge must lie in exactly two kept pieces.
+    A clique is a face exactly when the AND of its routes' facet masks is
+    nonzero, so one depth-first search over higher-index common neighbours
+    walks every face once, counting the f-vector as it goes.  A face's
+    extensions are its common neighbours lying in a facet of that AND.  The
+    search certifies the sphere, else raises: every face below ``size`` has
+    an extension, every face of size-1 (a ridge) has exactly two, no face
+    of ``size`` has one, and every equatorial facet holds a sphere facet.
     """
-    if not facets:
-        return SimplicialComplex(())
-    cliques = [_mask(c) for c in framed.simplices]
-    want = max(map(len, framed.simplices), default=0) - len(facets[0].transversal)
-    kept: set[int] = set()
-    for f in facets:
-        routes = _mask(f.routes)
-        pieces = {piece for c in cliques
-                  if (piece := c & routes).bit_count() == want}
-        if not pieces:
-            raise AssertionError(
-                f"facet {f.transversal} meets no simplex in {want} routes")
-        kept |= pieces
-    sphere = SimplicialComplex(tuple(sorted(map(_members, kept))))
-    if not sphere.ridges_in_two_facets():
-        raise AssertionError("equatorial sphere has a ridge outside exactly two facets")
-    return sphere
+    inc = [0] * len(adj)                 # route -> mask of the facets holding it
+    for k, f in enumerate(facets):
+        for i in _members(f.routes):
+            inc[i] |= 1 << k
+    above = [a & -(2 << i) for i, a in enumerate(adj)]
+    spans: dict[int, int] = {}           # AND of facet masks -> routes in those facets
+    counts = [0] * (size + 1)
+    kept: list[tuple[int, ...]] = []
+    covered = 0
+    every_facet, everyone = (1 << len(facets)) - 1, (1 << len(adj)) - 1
+    stack = [((), every_facet, everyone, everyone)]
+    while stack:
+        face, shared, higher, common = stack.pop()
+        counts[len(face)] += 1
+        span = spans.get(shared)
+        if span is None:
+            span = spans[shared] = reduce(or_, (facets[k].routes for k in _members(shared)), 0)
+        grow = higher & span
+        if len(face) == size:
+            if grow:
+                raise AssertionError(f"face {face} of T_eq extends past {size} routes")
+            kept.append(face)
+            covered |= shared
+            continue
+        ext = (common & span).bit_count()
+        if len(face) == size - 1 and ext != 2:
+            raise AssertionError(f"ridge {face} of T_eq lies in {ext} facets, not 2")
+        if not ext:
+            raise AssertionError(f"face {face} of T_eq is maximal below {size} routes")
+        while grow:                      # highest first: faces pop in lexicographic order
+            r = grow.bit_length() - 1
+            grow ^= 1 << r
+            stack.append((face + (r,), shared & inc[r], higher & above[r], common & adj[r]))
+    if covered != every_facet:
+        missed = _members(every_facet & ~covered)[0]
+        raise AssertionError(f"facet {facets[missed].transversal} holds no facet of T_eq")
+    return Sphere(tuple(kept), tuple(counts))
 
 
-def join_route_simplex(framed: Triangulation, decomp: Sequence[Route],
-                       sphere: SimplicialComplex) -> Triangulation:
-    """Join of the equatorial sphere with the route simplex, on the routes
-    and coordinates of the decomposition framing's triangulation."""
-    idx = {r: i for i, r in enumerate(framed.labels)}
+def join_route_simplex(dag: Dag, routes: Sequence[Route], decomp: Sequence[Route],
+                       sphere: Sphere) -> Triangulation:
+    """Join of the equatorial sphere with the route simplex, on the graph's
+    route list with the routes' indicator vectors as coordinates."""
+    idx = {r: i for i, r in enumerate(routes)}
     simplex = tuple(sorted(idx[r] for r in decomp))
     maximal = tuple(sorted(tuple(sorted(set(f) | set(simplex)))
                            for f in sphere.maximal_faces)) or (simplex,)
-    want = len(framed.simplices[0])
+    want = dimension(dag) + 1
     for f in maximal:
         if len(f) != want:
             raise AssertionError(f"join simplex {f} has size {len(f)}, expected {want}")
-    return Triangulation(SimplicialComplex(maximal), framed.labels, framed.coords)
+    return Triangulation(SimplicialComplex(maximal), tuple(routes),
+                         tuple(indicator_vector(dag, r) for r in routes))
 
 
-def equatorial_sphere(dag: Dag, decomp: Sequence[Route]
-                      ) -> tuple[Triangulation, tuple[EquatorialFace, ...], SimplicialComplex]:
-    """The decomposition framing's triangulation, the equatorial facets over
-    its routes and the equatorial sphere T_eq."""
-    framed = dkk_triangulation(dag, decomposition_framing(dag, decomp))
-    facets = equatorial_facets(dag, decomp, framed.labels)
-    return framed, facets, t_eq(framed, facets)
+def equatorial_sphere(dag: Dag, decomp: Sequence[Route], framing: Framing | None = None
+                      ) -> tuple[tuple[Route, ...], tuple[int, ...],
+                                 tuple[EquatorialFace, ...], Sphere]:
+    """The route list, the coherence graph of the decomposition framing
+    (``framing``, when the caller has built it), the equatorial facets over
+    the routes and the equatorial sphere T_eq."""
+    routes = enumerate_routes(dag)
+    adj = coherence_graph(dag, framing or decomposition_framing(dag, decomp), routes)
+    facets = equatorial_facets(dag, decomp, routes)
+    return routes, adj, facets, t_eq(adj, facets, dimension(dag) + 1 - len(decomp))
 
 
 def equatorial_flow_triangulation(dag: Dag, decomp: Sequence[Route]) -> Triangulation:
     """Join of the equatorial sphere with the route simplex."""
-    framed, _, sphere = equatorial_sphere(dag, decomp)
-    return join_route_simplex(framed, decomp, sphere)
+    routes, _, _, sphere = equatorial_sphere(dag, decomp)
+    return join_route_simplex(dag, routes, decomp, sphere)
 
 
 @dataclass(frozen=True)

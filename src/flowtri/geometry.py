@@ -1,21 +1,18 @@
-"""Exact lattice geometry: unimodularity, triangulation checks, f/h-vectors,
-Ehrhart counting and Gorenstein tests.
+"""Exact lattice geometry: unimodularity, triangulation checks, h-vectors
+from f-vectors and Ehrhart counting.
 
-Everything is exact integer or Fraction arithmetic.
+Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
-from math import comb, lcm
+from math import comb
 from operator import mul
 from typing import Sequence
 
-from .dag import Dag, degree_equality, dimension, idle_edges
+from .dag import Dag, dimension
 
 Vector = tuple[int, ...]
 
@@ -105,13 +102,9 @@ def _row_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[in
     return m, pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over Q, after clearing each row's denominators."""
-    ints = []
-    for r in rows:
-        den = lcm(*(Fraction(x).denominator for x in r))
-        ints.append([int(x * den) for x in r])
-    return len(_row_reduce(ints)[1])
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of an integer matrix."""
+    return len(_row_reduce(rows)[1])
 
 
 def is_unimodular_simplex(vertices: Sequence[Vector]) -> bool:
@@ -149,20 +142,6 @@ class SimplicialComplex:
                 owners[tuple(sorted(f[:i] + f[i + 1:]))].append((k, i))
         return owners
 
-    def ridges_in_two_facets(self) -> bool:
-        """Pseudomanifold condition: every codimension-1 face of a maximal
-        face lies in exactly two maximal faces."""
-        return all(len(o) == 2 for o in self.ridge_owners().values())
-
-
-def f_vector(cpx: SimplicialComplex) -> tuple[int, ...]:
-    """(f_-1, f_0, ..., f_{d-1}): the distinct faces of each size, counted as
-    sorted tuples of the maximal faces' vertices, one size at a time."""
-    maximal = [tuple(sorted(f)) for f in cpx.maximal_faces]
-    d = max(map(len, maximal), default=0)
-    return (1,) + tuple(len({c for f in maximal for c in combinations(f, k)})
-                        for k in range(1, d + 1))
-
 
 def euler_characteristic(fv: Sequence[int]) -> int:
     """f_0 - f_1 + f_2 - ... of an f-vector (f_-1, f_0, ...)."""
@@ -181,12 +160,6 @@ def h_from_f(fv: Sequence[int]) -> tuple[int, ...]:
     while len(h) > 1 and h[-1] == 0:
         h.pop()
     return tuple(h)
-
-
-def h_polynomial(cpx: SimplicialComplex) -> tuple[int, ...]:
-    """The h-vector of a complex (see ``h_from_f``).  Coning leaves it
-    unchanged, so a join with a simplex has the h-vector of the complex."""
-    return h_from_f(f_vector(cpx))
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +358,3 @@ def ehrhart_hstar(dag: Dag) -> HStarData:
 def normalized_volume(dag: Dag) -> int:
     return sum(ehrhart_hstar(dag).h_star)
 
-
-def is_gorenstein(dag: Dag) -> bool:
-    """h*-palindromicity, cross-checked against degree equality.
-
-    The combinatorial criterion (in-degree equals out-degree everywhere)
-    is only equivalent to palindromicity on idle-free graphs: an idle edge
-    can unbalance a vertex without changing the polytope.
-    """
-    h = ehrhart_hstar(dag).h_star
-    trimmed = list(h)
-    while trimmed and trimmed[-1] == 0:
-        trimmed.pop()
-    palindromic = trimmed == trimmed[::-1]
-    if not idle_edges(dag) and degree_equality(dag) != palindromic:
-        raise AssertionError("degree equality and h*-palindromicity disagree")
-    return palindromic

@@ -16,7 +16,7 @@ from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence
 
 from .dag import SOURCE, Dag, make_dag, vertex_from_json, vertex_to_json
-from .dkk import dkk_triangulation
+from .dkk import coherence_graph, max_cliques
 from .equatorial import equatorial_sphere, join_route_simplex
 from .geometry import SimplicialComplex, Triangulation
 from .routes import Framing, Route, decomposition_framing, peel_decomposition
@@ -609,7 +609,7 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     for v in dag.inner_vertices:
         if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
             issues.append(f"framings disagree at vertex {v}")
-    framed, _, sphere = equatorial_sphere(dag, decomp)
+    routes, adj, _, sphere = equatorial_sphere(dag, decomp, df)
     poset = dual.poset
     route_of = {tuple(sorted(f)): route_of_flow(dag, order_to_flow(
                     dual, {p: int(p in f) for p in poset.elements}))
@@ -620,13 +620,16 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
                          for simplex in tri.simplices)
 
     canon = mapped(canonical_triangulation(poset))
-    # the only issues so far are framing disagreements
-    dkk = (dkk_triangulation(dag, pf) if issues else framed).as_face_set()
-    for s in sorted(map(sorted, canon - dkk)) + sorted(map(sorted, dkk - canon)):
+    # the only issues so far are framing disagreements; without one, the
+    # decomposition framing is the planar framing
+    if issues:
+        adj = coherence_graph(dag, pf, routes)
+    cliques = frozenset(frozenset(routes[i] for i in c) for c in max_cliques(dag, adj))
+    for s in sorted(map(sorted, canon - cliques)) + sorted(map(sorted, cliques - canon)):
         issues.append(f"chain/clique triangulations differ at {s}")
 
     order_faces = mapped(equatorial_order_triangulation(poset))
-    flow_faces = join_route_simplex(framed, decomp, sphere).as_face_set()
+    flow_faces = join_route_simplex(dag, routes, decomp, sphere).as_face_set()
     for s in sorted(map(sorted, order_faces - flow_faces)) + \
             sorted(map(sorted, flow_faces - order_faces)):
         issues.append(f"equatorial triangulations differ at {s}")

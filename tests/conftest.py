@@ -9,11 +9,16 @@ from itertools import combinations, permutations, product
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from flowtri.dag import (SOURCE, Dag, contract_idle_edges, gorenstein_completion,
-                         make_dag, random_dag, validate)
-from flowtri.equatorial import EquatorialFace, Transversal, equatorial_sphere
-from flowtri.geometry import (SimplicialComplex, Triangulation, Vector,
-                              euler_characteristic, f_vector, is_unimodular_simplex)
+from hypothesis import strategies as st
+
+from flowtri.dag import (SOURCE, Dag, contract_idle_edges, degree_equality,
+                         gorenstein_completion, idle_edges, make_dag, random_dag,
+                         validate)
+from flowtri.dkk import _mask
+from flowtri.equatorial import (EquatorialFace, Sphere, Transversal,
+                                enumerate_transversals, equatorial_sphere)
+from flowtri.geometry import (SimplicialComplex, Triangulation, Vector, ehrhart_hstar,
+                              euler_characteristic, h_from_f, is_unimodular_simplex)
 from flowtri.planar import Poset, make_poset, maximal_filter_chains
 from flowtri.quotient import QuotientPolytope, ReflexiveReport
 from flowtri.routes import Framing, Route, decomposition_framing
@@ -47,9 +52,50 @@ def random_framing(rng: random.Random, dag: Dag) -> Framing:
                    {v: shuffled(dag.out_edges(v)) for v in dag.inner_vertices})
 
 
-def sphere(dag: Dag, decomp: tuple[Route, ...]) -> SimplicialComplex:
-    """T_eq of a decomposition, from its framed triangulation and facets."""
-    return equatorial_sphere(dag, decomp)[2]
+@st.composite
+def route_unions(draw, max_inner: int = 3, max_routes: int = 4) -> Dag:
+    """Union of 2..max_routes s-t routes over inner vertices 1..n, each
+    bringing its own edges; a vertex on fewer than two drawn routes is
+    added to the first routes that miss it, so the routes are a
+    decomposition and no edge is idle."""
+    n = draw(st.integers(1, max_inner))
+    k = draw(st.integers(2, max_routes))
+    visits = [set(r) for r in draw(st.lists(st.sets(st.integers(1, n)),
+                                             min_size=k, max_size=k))]
+    for v in range(1, n + 1):
+        while sum(v in r for r in visits) < 2:
+            next(r for r in visits if v not in r).add(v)
+    steps = sorted((a, b) for r in visits
+                   for a, b in zip([SOURCE] + sorted(r), sorted(r) + [n + 1]))
+    return make_dag(n, [(f"e{j:02d}", a, b) for j, (a, b) in enumerate(steps)])
+
+
+def sphere(dag: Dag, decomp: tuple[Route, ...]) -> Sphere:
+    """T_eq of a decomposition, with its f-vector."""
+    return equatorial_sphere(dag, decomp)[3]
+
+
+def f_vector(cpx) -> tuple[int, ...]:
+    """(f_-1, f_0, ..., f_{d-1}) of a complex given by its maximal faces:
+    the distinct faces of each size, counted as sorted tuples of the
+    maximal faces' vertices, one size at a time."""
+    maximal = [tuple(sorted(f)) for f in cpx.maximal_faces]
+    d = max(map(len, maximal), default=0)
+    return (1,) + tuple(len({c for f in maximal for c in combinations(f, k)})
+                        for k in range(1, d + 1))
+
+
+def h_polynomial(cpx) -> tuple[int, ...]:
+    """The h-vector of a complex (see ``geometry.h_from_f``).  Coning leaves
+    it unchanged, so a join with a simplex has the h-vector of the complex."""
+    return h_from_f(f_vector(cpx))
+
+
+def ridges_in_two_facets(cpx) -> bool:
+    """Pseudomanifold condition: every codimension-1 face of a maximal face
+    lies in exactly two maximal faces."""
+    owners = SimplicialComplex(tuple(cpx.maximal_faces)).ridge_owners()
+    return all(len(o) == 2 for o in owners.values())
 
 
 def is_pure(cpx: SimplicialComplex) -> bool:
@@ -72,6 +118,20 @@ def trimmed(seq) -> tuple:
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def is_gorenstein(dag: Dag) -> bool:
+    """h*-palindromicity, cross-checked against degree equality.
+
+    The combinatorial criterion (in-degree equals out-degree everywhere)
+    is only equivalent to palindromicity on idle-free graphs: an idle edge
+    can unbalance a vertex without changing the polytope.
+    """
+    h = trimmed(ehrhart_hstar(dag).h_star)
+    palindromic = h == h[::-1]
+    if not idle_edges(dag) and degree_equality(dag) != palindromic:
+        raise AssertionError("degree equality and h*-palindromicity disagree")
+    return palindromic
 
 
 def has_route_partition(dag: Dag) -> bool:
@@ -185,20 +245,47 @@ def set_max_cliques(adj: Sequence[int]) -> set[tuple[int, ...]]:
 
 
 def complex_from_faces(faces: Iterable[Iterable]) -> SimplicialComplex:
-    """Build a complex from a face family, keeping only maximal members."""
-    fs = sorted({tuple(sorted(f)) for f in faces}, key=lambda f: (-len(f), f))
-    maximal: list[tuple] = []
-    for f in fs:
-        if not any(set(f) <= set(g) for g in maximal):
-            maximal.append(f)
-    return SimplicialComplex(tuple(sorted(maximal)))
+    """Build a complex from a face family, keeping only the members that
+    are no proper subset of another member."""
+    fs = {tuple(sorted(f)) for f in faces}
+    below = {c for f in fs for k in range(len(f)) for c in combinations(f, k)}
+    return SimplicialComplex(tuple(sorted(fs - below)))
 
 
-def old_t_eq(framed: Triangulation, facets: Sequence[EquatorialFace]) -> SimplicialComplex:
-    """T_eq as every intersection of a maximal simplex with a facet's route
-    set, filtered to the maximal ones: the oracle for ``equatorial.t_eq``."""
-    pieces = {tuple(sorted(set(c) & f.routes)) for c in framed.simplices for f in facets}
+def old_t_eq(cliques: Iterable[Sequence[int]],
+             facets: Sequence[EquatorialFace]) -> SimplicialComplex:
+    """T_eq as every intersection of a maximal clique of the coherence graph
+    with a facet's route set, filtered to the maximal ones: the oracle for
+    ``equatorial.t_eq``."""
+    pieces = {tuple(i for i in c if f.routes >> i & 1) for c in cliques for f in facets}
     return complex_from_faces(pieces)
+
+
+def routes_avoiding(routes: Sequence[Route], m: Transversal) -> frozenset[int]:
+    """Indices of the routes touching no edge of the transversal."""
+    banned = set(m)
+    return frozenset(i for i, r in enumerate(routes) if banned.isdisjoint(r))
+
+
+def is_facet_transversal(dag: Dag, routes: Sequence[Route],
+                         avoided: frozenset[int]) -> bool:
+    """Facet criterion: every inner vertex lies on one of the ``avoided``
+    routes (the indices ``routes_avoiding`` returns for the transversal)."""
+    touched = {dag.edge_by_id[e].head for i in avoided for e in routes[i]}
+    return all(v in touched for v in dag.inner_vertices)
+
+
+def set_equatorial_facets(dag: Dag, decomp: Sequence[Route],
+                          routes: Sequence[Route]) -> tuple[EquatorialFace, ...]:
+    """The equatorial facets by a Python set per transversal: the oracle for
+    the mask-based ``equatorial.equatorial_facets``."""
+    seen: dict[frozenset[int], Transversal] = {}
+    for m in enumerate_transversals(decomp):
+        avoided = routes_avoiding(routes, m)
+        if is_facet_transversal(dag, routes, avoided):
+            seen.setdefault(avoided, m)
+    return tuple(EquatorialFace(m, _mask(rs))
+                 for rs, m in sorted(seen.items(), key=lambda kv: sorted(kv[0])))
 
 
 def common_face(dag: Dag, decomp: Sequence[Route], routeset: Sequence[Route]) -> bool:

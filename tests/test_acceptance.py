@@ -14,17 +14,18 @@ from flowtri.equatorial import (differs_from_dkk, enumerate_transversals,
                                 equatorial_facets, equatorial_flow_triangulation,
                                 framing_count)
 from flowtri.geometry import (SimplicialComplex, Triangulation,
-                              count_lattice_points, ehrhart_hstar, f_vector,
-                              h_polynomial, normalized_volume,
-                              verify_triangulation)
+                              count_lattice_points, ehrhart_hstar,
+                              normalized_volume, verify_triangulation)
 from flowtri.planar import PlanarEmbedding, verify_equivalence
 from flowtri.quotient import (check_transversal_identity, quotient_facets,
                               verify_reflexive)
 from flowtri.routes import (NotGorensteinError, decomposition_framing,
                             enumerate_routes, is_route_decomposition,
                             route_decomposition)
-from tests.conftest import (complex_euler_characteristic, has_route_partition,
-                            is_pure, random_balanced_dag, scaled, sphere, trimmed)
+from tests.conftest import (complex_euler_characteristic, f_vector,
+                            h_polynomial, has_route_partition, is_pure,
+                            random_balanced_dag, ridges_in_two_facets, scaled,
+                            sphere, trimmed)
 
 
 def report(n: int, desc: str, ok: bool) -> None:
@@ -84,9 +85,9 @@ def test_criterion_4_sphere_structure():
     for dag, euler, fv in ((D1(), 2, (1, 2)), (D2(), 0, (1, 6, 6)),
                            (D3(), 0, (1, 6, 6))):
         s = sphere(dag, route_decomposition(dag))
-        ok = ok and is_pure(s) and s.ridges_in_two_facets()
+        ok = ok and is_pure(s) and ridges_in_two_facets(s)
         ok = ok and complex_euler_characteristic(s) == euler
-        ok = ok and f_vector(s) == fv
+        ok = ok and f_vector(s) == s.f_vector == fv
     report(4, "equatorial spheres: pure pseudomanifolds, S^0 for D1 and"
               " hexagons (6 vertices, 6 edges) for D2/D3", ok)
 

@@ -241,7 +241,7 @@ def test_exhaustive_dkk_past_framing_bound_exits_2(capsys, tmp_path, monkeypatch
     def unreachable(*args):
         raise AssertionError("triangulation built before the framing bound was checked")
 
-    monkeypatch.setattr(cli.dkkmod, "dkk_triangulation", unreachable)
+    monkeypatch.setattr(cli.eqmod, "equatorial_sphere", unreachable)
     code, out, err = run(capsys, ["equatorial", str(path), "--exhaustive-dkk"])
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -292,10 +292,11 @@ def test_help_still_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: flowtri order")
 
 
-@pytest.mark.parametrize("command", ["dkk", "equatorial"])
+@pytest.mark.parametrize("command", ["dkk"])
 def test_graph_past_the_recursion_limit_exits_2(capsys, tmp_path, command):
     """G(k) has one maximal clique of all k routes, which Bron-Kerbosch
-    reaches k calls deep."""
+    reaches k calls deep.  (``equatorial`` runs no Bron-Kerbosch: see
+    ``test_sphere_of_graph_past_the_recursion_limit``.)"""
     path = tmp_path / "g.json"
     path.write_text(json.dumps(dag_to_json(G(sys.getrecursionlimit() + 10))))
     code, out, err = run(capsys, [command, str(path)])
@@ -304,7 +305,7 @@ def test_graph_past_the_recursion_limit_exits_2(capsys, tmp_path, command):
 
 
 def test_broken_invariant_exits_1_with_json_error(capsys, d2_file, monkeypatch):
-    def broken(framed, facets):
+    def broken(adj, facets, size):
         raise AssertionError("injected")
 
     monkeypatch.setattr(cli.eqmod, "t_eq", broken)

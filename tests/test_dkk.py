@@ -8,10 +8,9 @@ from flowtri.dag import D1, D2, D3, dimension, zigzag
 from flowtri.dkk import (coherence_graph, dkk_triangulation, exceptional_routes,
                          max_cliques)
 from flowtri.equatorial import _all_framings
-from flowtri.geometry import (ehrhart_hstar, h_polynomial, normalized_volume,
-                              verify_triangulation)
+from flowtri.geometry import ehrhart_hstar, normalized_volume, verify_triangulation
 from flowtri.routes import decomposition_framing, enumerate_routes, route_decomposition
-from tests.conftest import (conflict, pairwise_coherence_masks,
+from tests.conftest import (conflict, h_polynomial, pairwise_coherence_masks,
                             random_balanced_dag, random_framing, set_max_cliques,
                             trimmed)
 

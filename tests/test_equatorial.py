@@ -1,35 +1,48 @@
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
-from flowtri.dkk import dkk_triangulation
-from flowtri.equatorial import (differs_from_dkk, enumerate_transversals,
-                                equatorial_facets, join_route_simplex, t_eq,
-                                equatorial_flow_triangulation, framing_count,
-                                is_facet_transversal, routes_avoiding)
-from flowtri.geometry import (SimplicialComplex, Triangulation, ehrhart_hstar,
-                              f_vector, h_polynomial, normalized_volume,
+from flowtri.dkk import max_cliques
+from flowtri.equatorial import (EquatorialFace, differs_from_dkk,
+                                enumerate_transversals, equatorial_facets,
+                                equatorial_flow_triangulation, equatorial_sphere,
+                                framing_count, join_route_simplex, t_eq)
+from flowtri.geometry import (ehrhart_hstar, h_from_f, normalized_volume,
                               verify_triangulation)
-from flowtri.routes import (decomposition_framing, enumerate_routes,
-                            route_decomposition)
+from flowtri.routes import enumerate_routes, route_decomposition
 from tests.conftest import (chain, common_face, complex_euler_characteristic,
-                            is_pure, old_t_eq, random_balanced_dag, sphere,
-                            sphere_oracle, trimmed)
+                            f_vector, h_polynomial, is_facet_transversal, is_pure,
+                            old_t_eq, random_balanced_dag, ridges_in_two_facets,
+                            route_unions, routes_avoiding, set_equatorial_facets,
+                            set_max_cliques, sphere, sphere_oracle, trimmed)
 
 CATALOG = {"G3": (G(3), None), "D1": (D1(), None),
            "D1-crossed": (D1(), (("a", "d"), ("b", "c"))), "D2": (D2(), None),
            "D3": (D3(), None), "zigzag": (zigzag(), None), "bypass": (bypass(), None),
            "chain2x3": (chain(2, 3), None), "chain3x2": (chain(3, 2), None),
            "chain2x4": (chain(2, 4), None), "chain4x2": (chain(4, 2), None)}
+CHAINS = {"chain3x3": (chain(3, 3), None), "chain4x3": (chain(4, 3), None)}
 
 
-def framed_and_facets(dag, decomp=None):
+def sphere_inputs(dag, decomp=None):
+    """The coherence graph, the facets and the sphere's facet size: what
+    ``t_eq`` and its oracle read."""
     decomp = decomp or route_decomposition(dag)
-    framed = dkk_triangulation(dag, decomposition_framing(dag, decomp))
-    return decomp, framed, equatorial_facets(dag, decomp, framed.labels)
+    _, adj, facets, _ = equatorial_sphere(dag, decomp)
+    return adj, facets, dimension(dag) + 1 - len(decomp)
+
+
+def assert_t_eq_matches_oracle(dag, decomp=None):
+    adj, facets, size = sphere_inputs(dag, decomp)
+    got = t_eq(adj, facets, size)
+    want = old_t_eq(max_cliques(dag, adj), facets)
+    assert got.maximal_faces == want.maximal_faces
+    assert got.f_vector == f_vector(want)
 
 
 def test_enumerate_transversals():
@@ -74,10 +87,28 @@ def test_facets_require_idle_free_graph():
         equatorial_facets(dag, (("a", "b"),), enumerate_routes(dag))
 
 
+def test_equatorial_facets_match_set_oracle_catalog():
+    for dag, decomp in CATALOG.values():
+        decomp = decomp or route_decomposition(dag)
+        routes = enumerate_routes(dag)
+        assert (equatorial_facets(dag, decomp, routes)
+                == set_equatorial_facets(dag, decomp, routes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dag=route_unions())
+def test_equatorial_facets_match_set_oracle_random(seed, dag):
+    for g in (random_balanced_dag(random.Random(seed)), dag):
+        decomp = route_decomposition(g)
+        routes = enumerate_routes(g)
+        assert (equatorial_facets(g, decomp, routes)
+                == set_equatorial_facets(g, decomp, routes))
+
+
 def test_sphere_d1_is_two_points():
     d1 = D1()
     s = sphere(d1, route_decomposition(d1))
-    assert f_vector(s) == (1, 2)
+    assert s.f_vector == f_vector(s) == (1, 2)
     assert complex_euler_characteristic(s) == 2
 
 
@@ -85,12 +116,20 @@ def test_sphere_d3_is_hexagon():
     d3 = D3()
     routes = enumerate_routes(d3)
     s = sphere(d3, route_decomposition(d3))
-    assert f_vector(s) == (1, 6, 6)
+    assert s.f_vector == f_vector(s) == (1, 6, 6)
     assert complex_euler_characteristic(s) == 0
     named = {frozenset("".join(routes[i]) for i in f)
              for f in s.maximal_faces}
     verts = {v for f in named for v in f}
     assert verts == {"ae", "af", "bd", "bf", "cd", "ce"}
+
+
+def test_sphere_of_graph_past_the_recursion_limit():
+    """G(k) has no inner vertices: T_eq is the empty face alone, whatever k.
+    (Bron-Kerbosch would recurse k deep on its one maximal clique.)"""
+    dag = G(sys.getrecursionlimit() + 10)
+    s = sphere(dag, route_decomposition(dag))
+    assert s.maximal_faces == ((),) and s.f_vector == (1,)
 
 
 def test_sphere_matches_brute_force_oracle():
@@ -106,7 +145,7 @@ def test_sphere_properties_random():
         dag = random_balanced_dag(rng, max_edges=8)
         s = sphere(dag, route_decomposition(dag))
         assert is_pure(s)
-        assert s.ridges_in_two_facets()
+        assert ridges_in_two_facets(s)
         want = sum(dag.indeg(v) - 1 for v in dag.inner_vertices)
         assert all(len(f) == want for f in s.maximal_faces) or not want
 
@@ -155,39 +194,84 @@ def test_d1_equals_its_dkk():
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_t_eq_matches_old_t_eq_catalog(name):
-    _, framed, facets = framed_and_facets(*CATALOG[name])
-    assert t_eq(framed, facets) == old_t_eq(framed, facets)
+    assert_t_eq_matches_oracle(*CATALOG[name])
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_t_eq_matches_old_t_eq_chains(name):
+    assert_t_eq_matches_oracle(*CHAINS[name])
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_t_eq_matches_old_t_eq_random(seed):
-    _, framed, facets = framed_and_facets(random_balanced_dag(random.Random(seed)))
-    assert t_eq(framed, facets) == old_t_eq(framed, facets)
+    assert_t_eq_matches_oracle(random_balanced_dag(random.Random(seed)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dag=route_unions())
+def test_t_eq_matches_old_t_eq_route_unions(dag):
+    assert_t_eq_matches_oracle(dag)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_sphere_h_equals_join_h_catalog(name):
-    decomp, framed, facets = framed_and_facets(*CATALOG[name])
-    s = t_eq(framed, facets)
-    join = join_route_simplex(framed, decomp, s)
-    assert h_polynomial(s) == h_polynomial(join.complex)
+    dag, decomp = CATALOG[name]
+    decomp = decomp or route_decomposition(dag)
+    routes, _, _, s = equatorial_sphere(dag, decomp)
+    join = join_route_simplex(dag, routes, decomp, s)
+    assert h_from_f(s.f_vector) == h_polynomial(s) == h_polynomial(join.complex)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_t_eq_with_a_clique_dropped_raises_or_keeps_the_sphere(name):
-    """Dropping a clique either breaks the certificate, or the clique held
-    no sphere facet that another clique does not hold too."""
-    _, framed, facets = framed_and_facets(*CATALOG[name])
-    whole = t_eq(framed, facets)
+    """Dropping cliques breaks the certificate or leaves the sphere alone.
+
+    The cliques are dropped by deleting one coherent pair from the
+    adjacency (every clique through it goes) or one route from one
+    facet's mask (the faces through it in that facet go).  A corrupted
+    input that still passes must give the oracle's sphere on that same
+    input, which is the sphere itself.  T_eq of a graph without inner
+    vertices is the empty face, which no corruption reaches.
+    """
+    dag = CATALOG[name][0]
+    adj, facets, size = sphere_inputs(*CATALOG[name])
+    whole = t_eq(adj, facets, size)
+    corrupted = []
+    for i, row in enumerate(adj):
+        for j in range(i + 1, len(adj)):
+            if row >> j & 1:
+                cut = list(adj)
+                cut[i] &= ~(1 << j)
+                cut[j] &= ~(1 << i)
+                corrupted.append((tuple(cut), facets))
+    for k, f in enumerate(facets):
+        for i in range(len(adj)):
+            if f.routes >> i & 1:
+                cut = list(facets)
+                cut[k] = EquatorialFace(f.transversal, f.routes & ~(1 << i))
+                corrupted.append((adj, cut))
     raised = 0
-    for k in range(len(framed.simplices)):
-        kept = framed.simplices[:k] + framed.simplices[k + 1:]
-        cut = Triangulation(SimplicialComplex(kept), framed.labels, framed.coords)
+    for cut_adj, cut_facets in corrupted:
         try:
-            got = t_eq(cut, facets)
+            got = t_eq(cut_adj, cut_facets, size)
         except AssertionError:
             raised += 1
             continue
-        assert got == old_t_eq(cut, facets) == whole
-    assert raised
+        want = old_t_eq(set_max_cliques(cut_adj), cut_facets)
+        assert got.maximal_faces == want.maximal_faces == whole.maximal_faces
+        assert got.f_vector == f_vector(want) == whole.f_vector
+    assert raised or not dag.inner_count
+
+
+@pytest.mark.parametrize("adj,masks,size,message", [
+    ((0b110, 0b101, 0b011), (0b111,), 2, "extends past 2 routes"),
+    ((0b000, 0b100, 0b010), (0b111,), 3, "face (0,) of T_eq is maximal below 3"),
+    ((0b10, 0b01, 0b00), (0b111,), 2, "lies in 1 facets, not 2"),
+    ((0b00, 0b00), (0b11, 0b00), 1, "facet ('m1',) holds no facet"),
+], ids=["extends", "maximal", "ridge", "cover"])
+def test_t_eq_names_the_broken_clause(adj, masks, size, message):
+    """Each clause of the certificate on a small input that breaks it."""
+    facets = [EquatorialFace((f"m{k}",), m) for k, m in enumerate(masks)]
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        t_eq(adj, facets, size)

@@ -20,7 +20,7 @@ from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             equatorial_order_triangulation,
                             topmost_route_decomposition,
                             validate_embedding, verify_equivalence)
-from flowtri.routes import Route, decomposition_framing, enumerate_routes
+from flowtri.routes import Framing, Route, decomposition_framing, enumerate_routes
 from tests.conftest import (brute_order_polytope_count, equatorial_by_jumps,
                             equatorial_by_map, extension_filter_chains,
                             filter_chains, linear_extension_count,
@@ -379,14 +379,37 @@ def test_pruned_equatorial_chains_match_unpruned_oracle():
         assert maximal_equatorial_chains(p) == maximal_equatorial_chains_oracle(p), p
 
 
+@pytest.mark.parametrize("dag,rotations", [(zigzag(), zigzag_rotations()),
+                                            (D3(), stacked_rotations(D3()))],
+                         ids=["zigzag", "D3"])
+def test_disagreeing_framings_compare_the_planar_framings_cliques(dag, rotations,
+                                                                  monkeypatch):
+    """After a framing disagreement the chain/clique comparison lists the
+    cliques of the planar framing, not of the decomposition framing: the
+    decomposition framing is skewed here by reversing one in-order, which
+    changes its cliques, and the chain/clique comparison still agrees."""
+    emb = PlanarEmbedding(rotations)
+    v = dag.inner_vertices[0]
+
+    def skewed(dag, decomp):
+        fr = decomposition_framing(dag, decomp)
+        return Framing({**fr.in_order, v: fr.in_order[v][::-1]}, fr.out_order)
+
+    monkeypatch.setattr(planar, "decomposition_framing", skewed)
+    rep = verify_equivalence(dag, emb, planar_dual(dag, emb))
+    assert f"framings disagree at vertex {v}" in rep.issues
+    assert not any(i.startswith("chain/clique") for i in rep.issues)
+
+
 def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     """One ``flowtri order`` run validates and traces the embedding once,
-    builds one framing, one triangulation and one route list, and turns
-    each filter into a route at most once."""
+    builds the planar and the decomposition framing, one coherence graph,
+    its one clique list and one route list once each, and turns each
+    filter into a route at most once."""
     n_filters = len(truncated_dual(zigzag(), PlanarEmbedding(zigzag_rotations())).filters)
     modules = (cli, dagmod, dkk, equatorial, geometry, planar, quotient, routes)
     watched = (planar.validate_embedding, planar._trace, planar.planar_framing,
-               dkk.dkk_triangulation, dkk.coherence_graph,
+               routes.decomposition_framing, dkk.coherence_graph, dkk.max_cliques,
                routes.enumerate_routes, planar.route_of_flow)
     calls = {fn.__name__: 0 for fn in watched}
 
