@@ -365,6 +365,19 @@ def random_graded_poset(rng):
     return make_poset([p for layer in layers for p in layer], covers)
 
 
+def skew_decomposition_framing(monkeypatch, dag) -> int:
+    """Make ``verify_equivalence`` build a decomposition framing whose
+    in-order at the first inner vertex is reversed; returns that vertex."""
+    v = dag.inner_vertices[0]
+
+    def skewed(dag, decomp):
+        fr = decomposition_framing(dag, decomp)
+        return Framing({**fr.in_order, v: fr.in_order[v][::-1]}, fr.out_order)
+
+    monkeypatch.setattr(planar, "decomposition_framing", skewed)
+    return v
+
+
 def catalog_duals():
     duals = [truncated_dual(dag, PlanarEmbedding(stacked_rotations(dag)))
              for dag in (D1(), D2(), D3(), G(3))]
@@ -389,16 +402,59 @@ def test_disagreeing_framings_compare_the_planar_framings_cliques(dag, rotations
     decomposition framing is skewed here by reversing one in-order, which
     changes its cliques, and the chain/clique comparison still agrees."""
     emb = PlanarEmbedding(rotations)
-    v = dag.inner_vertices[0]
-
-    def skewed(dag, decomp):
-        fr = decomposition_framing(dag, decomp)
-        return Framing({**fr.in_order, v: fr.in_order[v][::-1]}, fr.out_order)
-
-    monkeypatch.setattr(planar, "decomposition_framing", skewed)
+    v = skew_decomposition_framing(monkeypatch, dag)
     rep = verify_equivalence(dag, emb, planar_dual(dag, emb))
     assert f"framings disagree at vertex {v}" in rep.issues
     assert not any(i.startswith("chain/clique") for i in rep.issues)
+
+
+@pytest.mark.parametrize("dag,rotations,pair,join_face,clique_face", [
+    (zigzag(), zigzag_rotations(), (1, 4),
+     "[('1a', '1b'), ('1a', '2c'), ('2a', '2b', '2c'), ('2a', '3b'), ('3a', '3b')]",
+     "[('1a', '1b'), ('1a', '2c'), ('2a', '2b', '2c'), ('2a', '3b'), ('3a', '3b')]"),
+    (D2(), stacked_rotations(D2()), (1, 5),
+     "[('a', 'c', 'e'), ('a', 'c', 'f'), ('a', 'd', 'f'), ('b', 'd', 'f')]",
+     "[('a', 'c', 'e'), ('a', 'c', 'f'), ('b', 'c', 'f'), ('b', 'd', 'f')]"),
+], ids=["zigzag", "D2"])
+def test_equivalence_failure_texts(dag, rotations, pair, join_face, clique_face,
+                                   monkeypatch):
+    """The issues and simplex counts ``verify_equivalence`` reports when the
+    flow side loses one simplex: the first simplex of the join with the
+    route simplex, or the cliques through one coherent route pair, cut from
+    the planar framing's coherence graph after a skewed decomposition
+    framing (see the test above)."""
+    emb = PlanarEmbedding(rotations)
+    dual = planar_dual(dag, emb)
+    want = verify_equivalence(dag, emb, dual).order_simplices
+    join = planar.join_route_simplex
+
+    def first_dropped(*args):
+        tri = join(*args)
+        return geometry.Triangulation(geometry.SimplicialComplex(tri.simplices[1:]),
+                                      tri.labels, tri.coords)
+
+    with monkeypatch.context() as m:
+        m.setattr(planar, "join_route_simplex", first_dropped)
+        rep = verify_equivalence(dag, emb, dual)
+    assert rep.issues == (f"equatorial triangulations differ at {join_face}",)
+    assert (rep.flow_simplices, rep.order_simplices) == (want - 1, want)
+
+    v = skew_decomposition_framing(monkeypatch, dag)
+    graph = planar.coherence_graph
+
+    def pair_cut(*args):
+        adj = list(graph(*args))
+        i, j = pair
+        assert adj[i] >> j & 1
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
+        return tuple(adj)
+
+    monkeypatch.setattr(planar, "coherence_graph", pair_cut)
+    rep = verify_equivalence(dag, emb, dual)
+    assert rep.issues == (f"framings disagree at vertex {v}",
+                          f"chain/clique triangulations differ at {clique_face}")
+    assert (rep.flow_simplices, rep.order_simplices) == (want, want)
 
 
 def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
