@@ -334,9 +334,9 @@ def _order_polytope_count(poset: plmod.Poset, max_dilate: int) -> list[int]:
     counts the chains of t filters under poset.filters[i]; the last filter
     is the whole poset.
     """
-    filters = poset.filters
-    below = [[j for j, g in enumerate(filters) if g <= f] for f in filters]
-    chains = [1] * len(filters)
+    masks = poset.filter_masks
+    below = [[j for j, g in enumerate(masks) if g & f == g] for f in masks]
+    chains = [1] * len(masks)
     counts = []
     for _ in range(max_dilate):
         chains = [sum(chains[j] for j in js) for js in below]

@@ -95,52 +95,55 @@ def coherence_graph(dag: Dag, framing: Framing,
     return tuple(full & ~c & ~(1 << i) for i, c in enumerate(conflicts))
 
 
-def _bron_kerbosch(adj: Sequence[int], r: int, p: int, x: int,
-                   out: list[int]) -> None:
+def _bron_kerbosch(adj: Sequence[int]) -> list[int]:
     """Maximal cliques on int bitsets, with Tomita's pivot: a vertex of
-    P | X with the most neighbours in P (Tomita-Tanaka-Takahashi 2006)."""
-    if not p:
-        if not x:
-            out.append(r)
-        return
-    best = pivot = -1
-    rest = p | x
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        u = low.bit_length() - 1
-        if (n := (adj[u] & p).bit_count()) > best:
-            best, pivot = n, u
-    cand = p & ~adj[pivot]
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        v = low.bit_length() - 1
-        _bron_kerbosch(adj, r | low, p & adj[v], x & adj[v], out)
-        p ^= low
-        x |= low
+    P | X with the most neighbours in P (Tomita-Tanaka-Takahashi 2006).
+    The (R, P, X) triples wait on an explicit stack, so a clique of any
+    size costs no recursion."""
+    out: list[int] = []
+    stack = [(0, (1 << len(adj)) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(r)
+            continue
+        best = pivot = -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            if (n := (adj[u] & p).bit_count()) > best:
+                best, pivot = n, u
+        cand = p & ~adj[pivot]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            stack.append((r | low, p & adj[v], x & adj[v]))
+            p ^= low
+            x |= low
+    return out
 
 
-def max_cliques(dag: Dag, adj: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """All maximal cliques of a coherence graph (see ``coherence_graph``),
-    as sorted route-index tuples in canonical order.  Each must have
-    dimension+1 members."""
-    masks: list[int] = []
-    _bron_kerbosch(adj, 0, (1 << len(adj)) - 1, 0, masks)
-    want = dimension(dag) + 1
+def max_cliques(adj: Sequence[int], size: int) -> tuple[tuple[int, ...], ...]:
+    """All maximal cliques of the graph with int-mask adjacency ``adj``, as
+    sorted vertex-index tuples in canonical order.  Each must have ``size``
+    members (dimension+1 for a coherence graph, see ``coherence_graph``)."""
+    masks = _bron_kerbosch(adj)
     for m in masks:
-        if m.bit_count() != want:
+        if m.bit_count() != size:
             c = _members(m)
-            raise AssertionError(
-                f"framing/coherence inconsistency: clique {c} has size {len(c)}, "
-                f"expected {want}")
+            raise AssertionError(f"maximal clique {c} has size {len(c)}, expected {size}")
     return tuple(sorted(map(_members, masks)))
 
 
 def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:
     routes = enumerate_routes(dag)
     return Triangulation(
-        complex=SimplicialComplex(max_cliques(dag, coherence_graph(dag, framing, routes))),
+        complex=SimplicialComplex(max_cliques(coherence_graph(dag, framing, routes),
+                                           dimension(dag) + 1)),
         labels=routes,
         coords=tuple(indicator_vector(dag, r) for r in routes),
     )

@@ -83,7 +83,9 @@ def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sph
     """The equatorial sphere: the clique complex of the coherence graph
     ``adj`` (the decomposition framing's triangulation) restricted to the
     equatorial complex with the given facets, whose facets have ``size``
-    routes (dim+1-k for k decomposition routes).
+    routes (dim+1-k for k decomposition routes).  The order side walks its
+    equatorial chain sphere with it too, on filters in place of routes
+    (``planar.maximal_equatorial_chains``).
 
     A clique is a face exactly when the AND of its routes' facet masks is
     nonzero, so one depth-first search over higher-index common neighbours
@@ -201,7 +203,7 @@ def differs_from_dkk(dag: Dag, tri: Triangulation) -> DkkComparisonReport:
     total = framing_count(dag)
     if total > MAX_FRAMINGS:
         raise ValueError(f"exhaustive bound exceeded: {total} framings > {MAX_FRAMINGS}")
-    target = set(tri.simplices)
+    target, size = set(tri.simplices), dimension(dag) + 1
     matches = tuple(i for i, fr in enumerate(_all_framings(dag))
-                    if set(max_cliques(dag, coherence_graph(dag, fr, tri.labels))) == target)
+                    if set(max_cliques(coherence_graph(dag, fr, tri.labels), size)) == target)
     return DkkComparisonReport(total, matches)

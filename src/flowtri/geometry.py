@@ -184,10 +184,6 @@ class Triangulation:
     def simplex_coords(self, simplex: Sequence[int]) -> tuple[Vector, ...]:
         return tuple(self.coords[i] for i in simplex)
 
-    def as_face_set(self) -> frozenset[frozenset]:
-        """Simplices keyed by their vertex labels, for cross comparisons."""
-        return frozenset(frozenset(self.labels[i] for i in s) for s in self.simplices)
-
 
 @dataclass(frozen=True)
 class TriangulationReport:
@@ -340,9 +336,10 @@ class HStarData:
 def ehrhart_hstar(dag: Dag) -> HStarData:
     d = dimension(dag)
     counts = tuple(count_lattice_points(dag, t) for t in range(d + 1))
-    h = []
-    for j in range(d + 1):
-        h.append(sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1)))
+    h = list(counts)            # h*(z) = (1 - z)^(d+1) * sum_t L(t) z^t, cut at z^d
+    for _ in range(d + 1):
+        for j in range(d, 0, -1):
+            h[j] -= h[j - 1]
     if h[0] != 1 or any(x < 0 for x in h):
         raise ArithmeticError(f"implausible h*-vector {h}")
     degree = max(j for j in range(d + 1) if h[j] != 0)

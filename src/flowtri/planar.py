@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence
 
-from .dag import SOURCE, Dag, make_dag, vertex_from_json, vertex_to_json
-from .dkk import coherence_graph, max_cliques
-from .equatorial import equatorial_sphere, join_route_simplex
+from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_json
+from .dkk import _mask, _members, coherence_graph, max_cliques
+from .equatorial import EquatorialFace, equatorial_sphere, join_route_simplex, t_eq
 from .geometry import SimplicialComplex, Triangulation
 from .routes import Framing, Route, decomposition_framing, peel_decomposition
 
@@ -37,7 +37,7 @@ class Poset:
 
     @cached_property
     def up_covers(self) -> dict[str, tuple[str, ...]]:
-        """p -> its up-covers, keyed by name (the order ``_growth`` keeps)."""
+        """p -> its up-covers, keyed by name."""
         out: dict[str, list[str]] = {p: [] for p in sorted(self.elements)}
         for a, b in self.covers:
             out[a].append(b)
@@ -88,6 +88,12 @@ class Poset:
     def filters(self) -> tuple[frozenset[str], ...]:
         return filters(self)
 
+    @cached_property
+    def filter_masks(self) -> tuple[int, ...]:
+        """Each filter's element mask: bit k stands for ``elements[k]``."""
+        bit = {p: 1 << k for k, p in enumerate(self.elements)}
+        return tuple(sum(map(bit.__getitem__, f)) for f in self.filters)
+
     def leq(self, a: str, b: str) -> bool:
         return b in self.up_sets[a]
 
@@ -121,22 +127,17 @@ def poset_to_json(poset: Poset) -> dict:
             "covers": [list(c) for c in sorted(poset.covers)]}
 
 
-def _growth(poset: Poset, f: frozenset[str]) -> list[str]:
-    """The elements outside filter ``f`` whose up-covers ``f`` holds, by
-    name: adding any one of them to ``f`` gives a filter one larger."""
-    return [p for p, ups in poset.up_covers.items()
-            if p not in f and f.issuperset(ups)]
-
-
 def filters(poset: Poset) -> tuple[frozenset[str], ...]:
     """All upward-closed subsets, smallest first and by sorted elements
-    within a size, grown one element at a time from the empty filter;
+    within a size, grown one element at a time from the empty filter: an
+    element outside a filter may join once the filter holds its up-covers.
     ``Poset.filters`` caches them."""
     out: list[frozenset[str]] = []
     level = {frozenset()}
     while level:
         out += sorted(level, key=sorted)
-        level = {f | {p} for f in level for p in _growth(poset, f)}
+        level = {f | {p} for f in level for p, ups in poset.up_covers.items()
+                 if p not in f and f.issuperset(ups)}
     return tuple(out)
 
 
@@ -440,13 +441,12 @@ def route_of_flow(dag: Dag, flow: Mapping[str, object]) -> Route:
 # Triangulations of the order polytope
 
 def _filter_triangulation(poset: Poset, maximal_chains) -> Triangulation:
+    """The triangulation whose simplices are the given chains of
+    ``poset.filters`` indices, on the filters' indicator vectors."""
     elems = tuple(sorted(poset.elements))
-    fs = poset.filters
-    idx = {f: i for i, f in enumerate(fs)}
-    labels = tuple(tuple(sorted(f)) for f in fs)
-    coords = tuple(tuple(int(p in f) for p in elems) for f in fs)
-    maximal = tuple(sorted(tuple(sorted(idx[f] for f in chain))
-                           for chain in maximal_chains))
+    labels = tuple(tuple(sorted(f)) for f in poset.filters)
+    coords = tuple(tuple(int(p in f) for p in elems) for f in poset.filters)
+    maximal = tuple(sorted(tuple(sorted(chain)) for chain in maximal_chains))
     for m in maximal:
         if len(m) != len(poset.elements) + 1:
             raise AssertionError(
@@ -454,23 +454,19 @@ def _filter_triangulation(poset: Poset, maximal_chains) -> Triangulation:
     return Triangulation(SimplicialComplex(maximal), labels, coords)
 
 
-def maximal_filter_chains(poset: Poset) -> tuple[tuple[frozenset[str], ...], ...]:
-    """Complete chains of filters from the empty set to everything; one per
-    linear extension of the poset."""
-    chains: list[tuple[frozenset[str], ...]] = []
+def _comparability(masks: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency masks of the comparability graph of the sets with element
+    masks ``masks``: bit j of entry i is set when one of sets i != j holds
+    the other."""
+    return tuple(_mask(j for j, n in enumerate(masks) if m & n in (m, n)) & ~(1 << i)
+                 for i, m in enumerate(masks))
 
-    def extend(chain: list[frozenset[str]]) -> None:
-        cur = chain[-1]
-        if len(cur) == len(poset.elements):
-            chains.append(tuple(chain))
-            return
-        for p in _growth(poset, cur):
-            chain.append(cur | {p})
-            extend(chain)
-            chain.pop()
 
-    extend([frozenset()])
-    return tuple(chains)
+def maximal_filter_chains(poset: Poset) -> tuple[tuple[int, ...], ...]:
+    """Complete chains of filters from the empty set to everything, one per
+    linear extension of the poset, as ascending tuples of ``poset.filters``
+    indices: the maximal cliques of the filters' comparability graph."""
+    return max_cliques(_comparability(poset.filter_masks), len(poset.elements) + 1)
 
 
 def canonical_triangulation(poset: Poset) -> Triangulation:
@@ -521,50 +517,42 @@ def is_equatorial_chain(poset: Poset, chain: Sequence[frozenset[str]]) -> bool:
     return len(fs[-1] if fs else ()) < len(poset.elements) and all(uncut & m for m in ranks)
 
 
-def maximal_equatorial_chains(poset: Poset) -> tuple[tuple[frozenset[str], ...], ...]:
-    """Inclusion-maximal equatorial chains of nonempty proper filters.
+def maximal_equatorial_chains(poset: Poset) -> tuple[tuple[int, ...], ...]:
+    """Inclusion-maximal equatorial chains of nonempty proper filters, as
+    ascending tuples of ``poset.filters`` indices.
 
-    Filters are appended in increasing order to a running mask of the
-    covers the chain leaves uncut (see ``is_equatorial_chain``); equatorial
-    chains are closed under subsets, so failed chains are never extended.
-    ``gaps`` holds the filters that the chain could still take below its
-    top (Bron-Kerbosch's excluded set).  A chain is maximal when nothing fits
-    above its top or in a gap; a branch is dropped once a gap filter cuts
-    no uncut cover, as it then fits into every extension of the branch.
+    A chain is equatorial when, for some choice of one cover into each rank
+    j >= 2, none of its filters cuts a chosen cover (see
+    ``is_equatorial_chain``).  So the chains are the faces of ``t_eq`` on
+    the proper filters' comparability graph, with one facet per
+    inclusion-maximal set of the filters that cut no cover of a choice,
+    that choice standing for the transversal.  Its facets have n - r
+    filters for n elements in r ranks; none (the empty face alone) means no
+    chains.
     """
-    proper = [f for f in poset.filters if f and len(f) < len(poset.elements)]
-    cuts, ranks = _cut_covers(poset, proper)
-    above = [[j for j in range(i + 1, len(proper)) if f < proper[j]]
-             for i, f in enumerate(proper)]        # filters sorted by size
-    found: list[tuple[frozenset[str], ...]] = []
-
-    def extend(chain: tuple, uncut: int, nexts: Iterable[int], gaps: list[int]) -> None:
-        fitted: list[int] = []
-        for j in nexts:
-            rest = uncut & ~cuts[j]
-            if all(rest & m for m in ranks):
-                child_gaps = [g for g in gaps + [i for i in fitted if proper[i] < proper[j]]
-                              if all(rest & ~cuts[g] & m for m in ranks)]
-                if all(rest & cuts[g] for g in child_gaps):
-                    extend(chain + (proper[j],), rest, above[j], child_gaps)
-                fitted.append(j)
-        if chain and not fitted and not gaps:
-            found.append(chain)
-
-    extend((), (1 << len(poset.covers)) - 1, range(len(proper)), [])
-    # ranks of the sorted element lists: chains sort as lists of sorted filters
-    pos = {f: k for k, f in enumerate(sorted(proper, key=sorted))}
-    return tuple(sorted(found, key=lambda c: sorted(pos[f] for f in c)))
+    proper = poset.filter_masks[1:-1]                 # filters sorted by size
+    cuts, ranks = _cut_covers(poset, poset.filters[1:-1])
+    cutters = [_mask(i for i, c in enumerate(cuts) if c >> k & 1)
+               for k in range(len(poset.covers))]
+    names = [f"{a}<{b}" for a, b in poset.covers]    # the covers' edge ids in the DAG
+    uncut = {(1 << len(proper)) - 1: ()}              # filters -> first choice leaving them
+    for rank in ranks:
+        grown: dict[int, tuple[str, ...]] = {}
+        for m, choice in uncut.items():
+            for k in _members(rank):
+                grown.setdefault(m & ~cutters[k], choice + (names[k],))
+        uncut = grown
+    facets = [EquatorialFace(choice, m) for m, choice in uncut.items()
+              if not any(m != o and m & o == m for o in uncut)]
+    size = len(poset.elements) - max(poset.heights.values(), default=0)
+    faces = t_eq(_comparability(proper), facets, size).maximal_faces
+    return tuple(tuple(i + 1 for i in f) for f in faces if f)
 
 
 def equatorial_order_triangulation(poset: Poset) -> Triangulation:
     """Join of the rank-constant simplex with the equatorial chain complex."""
-    sigma = set(rank_constant_filters(poset))
-    eq = maximal_equatorial_chains(poset)
-    if eq:
-        chains = [tuple(sigma | set(c)) for c in eq]
-    else:
-        chains = [tuple(sigma)]
+    sigma = {poset.filters.index(f) for f in rank_constant_filters(poset)}
+    chains = [sigma.union(c) for c in maximal_equatorial_chains(poset)] or [sigma]
     return _filter_triangulation(poset, chains)
 
 
@@ -611,31 +599,32 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
             issues.append(f"framings disagree at vertex {v}")
     routes, adj, _, sphere = equatorial_sphere(dag, decomp, df)
     poset = dual.poset
-    route_of = {tuple(sorted(f)): route_of_flow(dag, order_to_flow(
-                    dual, {p: int(p in f) for p in poset.elements}))
-                for f in poset.filters}           # keyed by triangulation label
+    index = {r: i for i, r in enumerate(routes)}
+    route_of = [index[route_of_flow(dag, order_to_flow(
+                    dual, {p: int(p in f) for p in poset.elements}))]
+                for f in poset.filters]           # filter index -> route index
 
-    def mapped(tri: Triangulation) -> frozenset[frozenset[Route]]:
-        return frozenset(frozenset(route_of[tri.labels[i]] for i in simplex)
-                         for simplex in tri.simplices)
+    def mapped(tri: Triangulation) -> set[tuple[int, ...]]:
+        return {tuple(sorted(route_of[i] for i in simplex)) for simplex in tri.simplices}
+
+    def compare(what: str, order: set, flow: set) -> None:
+        # route indices follow the route order, so index tuples sort as routes do
+        for s in sorted(order - flow) + sorted(flow - order):
+            issues.append(f"{what} triangulations differ at {[routes[i] for i in s]}")
 
     canon = mapped(canonical_triangulation(poset))
     # the only issues so far are framing disagreements; without one, the
     # decomposition framing is the planar framing
     if issues:
         adj = coherence_graph(dag, pf, routes)
-    cliques = frozenset(frozenset(routes[i] for i in c) for c in max_cliques(dag, adj))
-    for s in sorted(map(sorted, canon - cliques)) + sorted(map(sorted, cliques - canon)):
-        issues.append(f"chain/clique triangulations differ at {s}")
+    compare("chain/clique", canon, set(max_cliques(adj, dimension(dag) + 1)))
 
     order_faces = mapped(equatorial_order_triangulation(poset))
-    flow_faces = join_route_simplex(dag, routes, decomp, sphere).as_face_set()
-    for s in sorted(map(sorted, order_faces - flow_faces)) + \
-            sorted(map(sorted, flow_faces - order_faces)):
-        issues.append(f"equatorial triangulations differ at {s}")
+    flow_faces = set(join_route_simplex(dag, routes, decomp, sphere).simplices)
+    compare("equatorial", order_faces, flow_faces)
 
-    sigma_routes = {route_of[tuple(sorted(f))] for f in rank_constant_filters(poset)}
-    if sigma_routes != set(decomp):
+    sigma = {route_of[poset.filters.index(f)] for f in rank_constant_filters(poset)}
+    if sigma != {index[r] for r in decomp}:
         issues.append("rank-constant simplex does not map onto the route simplex")
     return EquivalenceReport(tuple(issues), decomp,
                              len(flow_faces), len(order_faces))

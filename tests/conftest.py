@@ -6,7 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 from hypothesis import strategies as st
@@ -105,6 +105,14 @@ def is_pure(cpx: SimplicialComplex) -> bool:
 
 def complex_euler_characteristic(cpx: SimplicialComplex) -> int:
     return euler_characteristic(f_vector(cpx))
+
+
+def hstar_by_binomials(counts: Sequence[int]) -> tuple[int, ...]:
+    """h*_j = sum_i (-1)^i C(d+1, i) L(j-i) for the counts L(0..d): the
+    oracle for ``ehrhart_hstar``'s successive differences."""
+    d = len(counts) - 1
+    return tuple(sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1))
+                 for j in range(d + 1))
 
 
 def route_vertices(dag: Dag, route: Route) -> tuple[int, ...]:

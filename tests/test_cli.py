@@ -292,14 +292,27 @@ def test_help_still_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: flowtri order")
 
 
-@pytest.mark.parametrize("command", ["dkk"])
-def test_graph_past_the_recursion_limit_exits_2(capsys, tmp_path, command):
-    """G(k) has one maximal clique of all k routes, which Bron-Kerbosch
-    reaches k calls deep.  (``equatorial`` runs no Bron-Kerbosch: see
-    ``test_sphere_of_graph_past_the_recursion_limit``.)"""
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(dag_to_json(G(sys.getrecursionlimit() + 10))))
-    code, out, err = run(capsys, [command, str(path)])
+def test_order_past_the_recursion_limit(capsys, tmp_path):
+    """G(k)'s dual is a chain of k-1 elements: one complete chain of k
+    filters, no equatorial chain, and one maximal clique of all k routes,
+    none of them found by recursion."""
+    dag = G(sys.getrecursionlimit() + 10)
+    graph, emb = tmp_path / "g.json", tmp_path / "e.json"
+    graph.write_text(json.dumps(dag_to_json(dag)))
+    emb.write_text(json.dumps(embedding_to_json(dag, PlanarEmbedding(stacked_rotations(dag)))))
+    code, out, _ = run(capsys, ["order", str(graph), str(emb)])
+    report = json.loads(out)
+    assert code == 0 and report["equivalence"]["ok"]
+    assert report["equivalence"]["flow_simplices"] == 1
+
+
+def test_recursion_error_exits_2_with_json_error(capsys, d1_file, monkeypatch):
+    """``cli.main`` still turns a ``RecursionError`` into an input error."""
+    def too_deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_analyze", too_deep)
+    code, out, err = run(capsys, ["analyze", d1_file])
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "recursion" in json.loads(err)["error"]
 

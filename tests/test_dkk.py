@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,8 @@ def test_conflict_d1():
 
 
 def _cliques(dag):
-    return max_cliques(dag, coherence_graph(dag, _decomp_framing(dag),
-                                            enumerate_routes(dag)))
+    return max_cliques(coherence_graph(dag, _decomp_framing(dag), enumerate_routes(dag)),
+                       dimension(dag) + 1)
 
 
 def test_cliques_d1():
@@ -100,13 +101,20 @@ def test_coherence_graph_and_cliques_match_oracles_random_framings(seed):
         framing = random_framing(rng, dag)
         adj = coherence_graph(dag, framing, routes)
         assert adj == pairwise_coherence_masks(dag, framing, routes)
-        cliques = max_cliques(dag, adj)
+        cliques = max_cliques(adj, dimension(dag) + 1)
         assert list(cliques) == sorted(cliques)
         assert set(cliques) == set_max_cliques(adj)
+
+
+def test_max_cliques_past_the_recursion_limit():
+    k = sys.getrecursionlimit() + 10
+    everyone = (1 << k) - 1
+    assert max_cliques(tuple(everyone & ~(1 << i) for i in range(k)), k) == \
+        (tuple(range(k)),)
 
 
 def test_max_cliques_rejects_wrong_clique_size():
     d1 = D1()
     adj = coherence_graph(d1, _decomp_framing(d1), enumerate_routes(d1))
     with pytest.raises(AssertionError, match="clique"):
-        max_cliques(d1, tuple(a & 0b111 for a in adj[:-1]))
+        max_cliques(tuple(a & 0b111 for a in adj[:-1]), dimension(d1) + 1)

@@ -40,7 +40,7 @@ def sphere_inputs(dag, decomp=None):
 def assert_t_eq_matches_oracle(dag, decomp=None):
     adj, facets, size = sphere_inputs(dag, decomp)
     got = t_eq(adj, facets, size)
-    want = old_t_eq(max_cliques(dag, adj), facets)
+    want = old_t_eq(max_cliques(adj, dimension(dag) + 1), facets)
     assert got.maximal_faces == want.maximal_faces
     assert got.f_vector == f_vector(want)
 

@@ -20,7 +20,8 @@ from flowtri.routes import (decomposition_framing, enumerate_routes,
                             route_decomposition)
 from tests.conftest import (brute_count_lattice_points, chain,
                             complex_euler_characteristic, complex_from_faces,
-                            f_vector, h_polynomial, interpolate_polynomial,
+                            f_vector, h_polynomial, hstar_by_binomials,
+                            interpolate_polynomial,
                             is_gorenstein, is_pure, lp_triangulation_ok,
                             random_balanced_dag, ridges_in_two_facets,
                             simplices_meet_in_common_face, trimmed)
@@ -198,6 +199,16 @@ def test_hstar_catalog():
                                           ("c", 1, 2), ("d", 1, 2), ("e", 1, 2)]))
     # an idle edge can hide the balance without changing the polytope
     assert is_gorenstein(make_dag(1, [("a", 0, 1), ("b", 0, 1), ("c", 1, 2)]))
+
+
+def test_hstar_differences_match_binomial_oracle():
+    rng = random.Random(23)
+    dags = [G(3), D1(), D2(), D3(), zigzag(), bypass(), BIG]
+    dags += [chain(k, m) for k, m in ((2, 3), (3, 2), (2, 4), (4, 2), (3, 3))]
+    dags += [random_balanced_dag(rng, max_edges=8) for _ in range(25)]
+    for dag in dags:
+        hs = ehrhart_hstar(dag)
+        assert hs.h_star == hstar_by_binomials(hs.counts), dag
 
 
 def test_hstar_palindromic_for_balanced_dags():

@@ -62,6 +62,13 @@ def antichain(n):
     return make_poset([f"q{i}" for i in range(n)], [])
 
 
+def index_chains(poset: Poset, chains) -> tuple[tuple[int, ...], ...]:
+    """Chains of filters as ascending tuples of ``poset.filters`` indices,
+    in lexicographic order."""
+    idx = {f: i for i, f in enumerate(poset.filters)}
+    return tuple(sorted(tuple(sorted(idx[f] for f in c)) for c in chains))
+
+
 def test_make_poset_reduces_transitively():
     p = make_poset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     assert p.covers == (("a", "b"), ("b", "c"))
@@ -109,7 +116,8 @@ def test_poset_layer_matches_oracles():
             assert filters(q) == subset_scan_filters(q), q
             assert q.heights == recursive_heights(q), q
             assert q.up_sets == recursive_up_sets(q), q
-            assert maximal_filter_chains(q) == extension_filter_chains(q), q
+            assert maximal_filter_chains(q) == \
+                index_chains(q, extension_filter_chains(q)), q
 
 
 def test_cyclic_cover_relation_raises_from_heights():
@@ -236,8 +244,8 @@ def test_equatorial_chains_antichain_2():
     assert is_equatorial_chain(p, [frozenset({"q0"})])
     assert is_equatorial_chain(p, [frozenset({"q1"})])
     assert not is_equatorial_chain(p, [frozenset({"q0"}), frozenset({"q0", "q1"})])
-    assert maximal_equatorial_chains(p) == (
-        (frozenset({"q0"}),), (frozenset({"q1"}),))
+    assert p.filters[1:3] == (frozenset({"q0"}), frozenset({"q1"}))
+    assert maximal_equatorial_chains(p) == ((1,), (2,))
 
 
 def test_equatorial_chain_rejects_bad_chains():
@@ -389,7 +397,8 @@ def test_pruned_equatorial_chains_match_unpruned_oracle():
     posets = catalog_duals() + [random_graded_poset(rng) for _ in range(200)]
     for p in posets:
         assert p.graded
-        assert maximal_equatorial_chains(p) == maximal_equatorial_chains_oracle(p), p
+        assert maximal_equatorial_chains(p) == \
+            index_chains(p, maximal_equatorial_chains_oracle(p)), p
 
 
 @pytest.mark.parametrize("dag,rotations", [(zigzag(), zigzag_rotations()),
@@ -459,14 +468,15 @@ def test_equivalence_failure_texts(dag, rotations, pair, join_face, clique_face,
 
 def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     """One ``flowtri order`` run validates and traces the embedding once,
-    builds the planar and the decomposition framing, one coherence graph,
-    its one clique list and one route list once each, and turns each
-    filter into a route at most once."""
+    builds the planar and the decomposition framing, one coherence graph
+    and one route list once each, turns each filter into a route at most
+    once, and lists maximal cliques and walks an equatorial sphere once
+    per side: routes, then filters."""
     n_filters = len(truncated_dual(zigzag(), PlanarEmbedding(zigzag_rotations())).filters)
     modules = (cli, dagmod, dkk, equatorial, geometry, planar, quotient, routes)
     watched = (planar.validate_embedding, planar._trace, planar.planar_framing,
                routes.decomposition_framing, dkk.coherence_graph, dkk.max_cliques,
-               routes.enumerate_routes, planar.route_of_flow)
+               equatorial.t_eq, routes.enumerate_routes, planar.route_of_flow)
     calls = {fn.__name__: 0 for fn in watched}
 
     def counted(fn):
@@ -488,4 +498,26 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["order", str(graph), str(emb), "--max-dilate", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["equivalence"]["ok"]
     assert 0 < calls.pop("route_of_flow") <= n_filters
+    assert calls.pop("max_cliques") == calls.pop("t_eq") == 2
     assert calls == dict.fromkeys(calls, 1)
+
+
+def test_order_sphere_f_vector_equals_flow_sphere(monkeypatch):
+    """On the catalog planar graphs, the equatorial chain sphere that
+    ``t_eq`` walks over the filters has the f-vector of the flow side's
+    equatorial sphere."""
+    spheres = []
+
+    def kept(*args):
+        spheres.append(equatorial.t_eq(*args))
+        return spheres[-1]
+
+    monkeypatch.setattr(planar, "t_eq", kept)
+    cases = [(dag, stacked_rotations(dag)) for dag in (D1(), D2(), D3(), G(3))]
+    for dag, rotations in cases + [(zigzag(), zigzag_rotations())]:
+        emb = PlanarEmbedding(rotations)
+        spheres.clear()
+        maximal_equatorial_chains(planar_dual(dag, emb).poset)
+        decomp = topmost_route_decomposition(dag, emb, planar_framing(dag, emb))
+        flow = equatorial.equatorial_sphere(dag, decomp)[3]
+        assert [s.f_vector for s in spheres] == [flow.f_vector], dag
