@@ -19,6 +19,7 @@ from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, make_dag,
 from flowtri.planar import (PlanarEmbedding, embedding_to_json, make_poset,
                             poset_to_dag)
 from tests.conftest import chain
+from tests.test_geometry import BIG
 
 # A 9-element graded poset with 3 ranks of 3 elements (the perfbench
 # generator's graded_poset(Random(2), 3, 3, 3), written out).
@@ -30,7 +31,7 @@ GRADED9, GRADED9_EMBEDDING = poset_to_dag(make_poset(
 GRAPHS = {"G3": G(3), "D1": D1(), "D2": D2(), "D3": D3(), "zigzag": zigzag(),
           "bypass": bypass(), "chain4x3": chain(4, 3), "chain3x3": chain(3, 3),
           "unbalanced": make_dag(1, [("a", 0, 1), ("b", 0, 1), ("c", 1, 2)]),
-          "graded9": GRADED9}
+          "graded9": GRADED9, "BIG": BIG, "chain4x2": chain(4, 2)}
 ROTATIONS = {"G3": stacked_rotations(G(3)), "D1": stacked_rotations(D1()),
              "D2": stacked_rotations(D2()), "D3": stacked_rotations(D3()),
              "zigzag": zigzag_rotations(), "graded9": GRADED9_EMBEDDING.rotations}
@@ -72,6 +73,10 @@ CASES["fuzz-seed0-max-edges6"] = ["fuzz", "--seed", "0", "--max-edges", "6"]
 CASES["equatorial-chain4x3"] = ["equatorial", "{graph:chain4x3}"]
 CASES["equatorial-exhaustive-chain3x3"] = ["equatorial", "{graph:chain3x3}",
                                            "--exhaustive-dkk"]
+# Two quotient cases at scale, recorded at commit c2a0171: BIG has 16
+# coordinates, 348 routes and 460 facets; chain 4x2 has 16 routes.
+CASES["quotient-BIG"] = ["quotient", "{graph:BIG}"]
+CASES["quotient-chain4x2"] = ["quotient", "{graph:chain4x2}"]
 # order-graded9 (the ROTATIONS loop above) was recorded at commit 64aaaf7,
 # where it took about 0.4 s: its equatorial triangulations have 1,024
 # simplices each.
@@ -128,12 +133,14 @@ GOLDEN = {
     'order-G3': (0, 'd72844d65b8967a7afb5429ddacdfcf0777bf2c684e827e90097d82c889a6b45'),
     'order-zigzag': (0, 'bb944f0c8e8353dc8c7f85de9ac243173bed2430d45a83090938a52c7dec05cd'),
     'order-zigzag-text': (0, '4e70cf2f132e9aae3b723ff0b9a809dadb6f212cb18d6cea76aaca66220e4314'),
+    'quotient-BIG': (0, 'a09aacc81ed12e5e465a07b1ae32f5911139594c8c0f37d1bf4fd497a7479316'),
     'quotient-D1': (0, 'ca9b58edf7f59401d303df9c79a2a3983c304d5a04a0eea7bb182f6ee128b044'),
     'quotient-D1-crossed': (0, '25a754d77d2c3f20c1cf74d2a13e9e9f7857a3b987baf4bcfe6b8234b8301b67'),
     'quotient-D2': (0, 'af247084384c828726862bdbd2656d413080c5c101afa1876b779283645d9213'),
     'quotient-D3': (0, '0d7af303fd34870ad2a51b24c606f518d8855ac9f319a0fafe0cc2db2f31c007'),
     'quotient-G3': (0, 'c899a5eb468e8e95e96323f2387e71a819b23dd0c98f4b6b54af3b57ce6b4e4e'),
     'quotient-bypass': (0, '2f98154fca3fc2b98d337e47bbd544982e7bfd96cffb4459817d85c66de6154a'),
+    'quotient-chain4x2': (0, '02d1071e46c18c2161f3a4205aa9450ffe3e6d5fb5e37caedeaea18c85231e73'),
     'quotient-unbalanced': (1, '8977fe45fdc1d49a1963f4124c67770be2c4fd5084fd4bca52ff667c08ac0cf2'),
     'quotient-zigzag': (0, 'e1251b9f14fa860707a414a01c27cb98050d16f63e5b32d26e26056d3670f90f'),
     'quotient-zigzag-text': (0, '0dffffb3ff7076ae487f016cdd78ca639aec944f213f5912580cf24ab2a013e1'),
