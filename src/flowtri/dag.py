@@ -8,6 +8,7 @@ are identified by string ids; parallel edges are ordinary.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -186,51 +187,66 @@ def contract_idle_edges(dag: Dag) -> tuple[Dag, dict[str, str | None]]:
     inner vertex.  At every step the lexicographically smallest idle edge id
     is contracted.  The returned map sends every original edge id to its
     surviving id, or to ``None`` for edges that got contracted away.
+
+    Each vertex keeps its sets of in- and out-edges.  A step changes the
+    degrees of the one vertex that survives it, so only that vertex's edges
+    can turn idle: they go on a heap of candidates, each re-checked when it
+    comes off, and a step costs the merged vertex's degree and a heap pop.
     """
     # work on original vertex labels, renumber once at the end
-    verts = list(range(dag.sink + 1))
     edges = {e.id: (e.tail, e.head) for e in dag.edges}
-    order = [e.id for e in dag.edges]
-    mapping: dict[str, str | None] = {eid: eid for eid in order}
+    mapping: dict[str, str | None] = {eid: eid for eid in edges}
+    ins: dict[int, set[str]] = {v: {e.id for e in dag.in_edges(v)} for v in range(dag.sink + 1)}
+    outs: dict[int, set[str]] = {v: {e.id for e in dag.out_edges(v)} for v in range(dag.sink + 1)}
     s, t = SOURCE, dag.sink
+
+    def sole_edges(v: int) -> list[str]:
+        """The edges idle at v: its sole in- and out-edge, if v is inner."""
+        if v in (s, t):
+            return []
+        return [next(iter(es)) for es in (ins[v], outs[v]) if len(es) == 1]
+
+    def idle(eid: str) -> bool:
+        return eid in edges and any(eid in sole_edges(v) for v in edges[eid])
+
+    heap = [eid for v in dag.inner_vertices for eid in sole_edges(v)]
+    heapq.heapify(heap)
     while True:
         if not edges:
             raise ValueError("trivial graph")
-        idle: list[str] = []
-        for v in verts:
-            if v in (s, t):
-                continue
-            ins = [i for i, (a, b) in edges.items() if b == v]
-            outs = [i for i, (a, b) in edges.items() if a == v]
-            if len(ins) == 1:
-                idle.append(ins[0])
-            if len(outs) == 1:
-                idle.append(outs[0])
-        if not idle:
+        while heap and not idle(heap[0]):
+            heapq.heappop(heap)
+        if not heap:
             break
-        eid = min(idle)
+        eid = heapq.heappop(heap)
         a, b = edges.pop(eid)
         mapping[eid] = None
-        ins_b = [i for i, (x, y) in edges.items() if y == b]
+        outs[a].discard(eid)
+        ins[b].discard(eid)
         # sole in-edge of b: fold b into a (position a keeps tails < heads);
         # sole out-edge of a: fold a into b, which must sit at b's position
         # because other edges into b may leave vertices between a and b
-        gone, keep = (b, a) if not ins_b else (a, b)
-        edges = {
-            i: (keep if x == gone else x, keep if y == gone else y)
-            for i, (x, y) in edges.items()
-        }
-        verts.remove(gone)
+        gone, keep = (b, a) if not ins[b] else (a, b)
+        for i in ins[gone]:
+            edges[i] = (edges[i][0], keep)
+        for i in outs[gone]:
+            edges[i] = (keep, edges[i][1])
+        ins[keep] |= ins.pop(gone)
+        outs[keep] |= outs.pop(gone)
         if gone == s:
             s = keep
         if gone == t:
             t = keep
-    # renumber surviving vertices to 0..n'+1 preserving relative order
-    renum = {v: i for i, v in enumerate(sorted(verts))}
-    if renum[s] != 0 or renum[t] != len(verts) - 1:
+        for i in sole_edges(keep):
+            heapq.heappush(heap, i)
+    # renumber surviving vertices (the keys of ins) to 0..n'+1 preserving
+    # relative order
+    renum = {v: i for i, v in enumerate(sorted(ins))}
+    if renum[s] != 0 or renum[t] != len(renum) - 1:
         raise AssertionError("contraction moved the source or the sink off the ends")
-    new_edges = [(eid, renum[edges[eid][0]], renum[edges[eid][1]]) for eid in order if eid in edges]
-    return make_dag(len(verts) - 2, new_edges), mapping
+    new_edges = [(e.id, renum[edges[e.id][0]], renum[edges[e.id][1]])
+                 for e in dag.edges if e.id in edges]
+    return make_dag(len(renum) - 2, new_edges), mapping
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, product, repeat
 from typing import Mapping, Sequence
 
 from .dag import Dag, degree_equality
@@ -40,7 +40,7 @@ class LeveledSpace:
                 out[(v, l)] = len(out)
         return out
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(len(labels) for _, labels in self.blocks)
 
@@ -76,6 +76,53 @@ def phi(dag: Dag, space: LeveledSpace, route: Route) -> tuple[int, ...]:
     return tuple(vec)
 
 
+class _Lanes:
+    """Exact packed evaluation of many integer functionals at once.
+
+    Lane j of a packed int holds functional j's value at one point, in a
+    field of w = 8 * ``size`` bits: the int is sum_j value_j << (w * j), and
+    ``columns[k]`` is that sum for the k-th unit vector, so a point's packed
+    values are sum_k x_k * columns[k] over its nonzero coordinates.  At a
+    point whose coordinates are at most ``bound`` in absolute value every
+    value is at most V = bound * max_j sum_k |coeff_j[k]|, and w is the
+    least whole number of bytes with V < H = 2**(w - 1).  Adding the bias H
+    to every lane then puts each lane in [H - V, H + V], inside [0, 2**w),
+    so no lane borrows from or carries into its neighbour: the biased int's
+    bytes are the lanes, and a lane of value >= 1 is one whose high bit is
+    set once H - 1 is added instead.  Any width is exact, 64 bits or more.
+    """
+
+    def __init__(self, functionals: Sequence[Sequence[int]], dim: int, bound: int) -> None:
+        widest = max(1, bound) * max((sum(map(abs, c)) for c in functionals), default=0)
+        size = self.size = widest.bit_length() // 8 + 1
+        half = 1 << (8 * size - 1)
+        count = self.count = len(functionals)
+        ones = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
+        self.bias = self.high = half * ones      # H in every lane: also the high bits
+        self.below = self.bias - ones            # H - 1 in every lane
+        code = {c: (c + half).to_bytes(size, "little")
+                for c in set(chain.from_iterable(functionals))}
+        self.columns = [int.from_bytes(b"".join(map(code.__getitem__, lane)), "little")
+                        - self.bias for lane in zip(*functionals)] or [0] * dim
+
+    def pack(self, point: Sequence[int], start: int = 0) -> int:
+        """Packed values of every functional at ``point``, whose entries are
+        the coordinates from ``start`` on (the others are 0)."""
+        columns = self.columns
+        return sum(x * columns[k] for k, x in enumerate(point, start) if x)
+
+    def unpack(self, packed: int) -> list[int]:
+        """The lanes of ``packed``, from one ``to_bytes`` of the biased int:
+        each lane's top byte less H's (0x80), then its lower bytes, most
+        significant first."""
+        size = self.size
+        raw = (packed + self.bias).to_bytes(size * self.count, "little")
+        values = [b - 0x80 for b in raw[size - 1::size]]
+        for i in range(size - 2, -1, -1):
+            values = [v << 8 | b for v, b in zip(values, raw[i::size])]
+        return values
+
+
 @dataclass(frozen=True)
 class QuotientPolytope:
     space: LeveledSpace
@@ -87,17 +134,17 @@ class QuotientPolytope:
     @cached_property
     def functional_values(self) -> tuple[tuple[int, ...], ...]:
         """Row i holds every functional, in ``functionals`` order, at the
-        image of route i (the origin for a decomposition route)."""
-        supports = [[(k, c) for k, c in enumerate(coeffs) if c]
-                    for coeffs in self.functionals.values()]
+        image of route i (the origin for a decomposition route).  Each row is
+        one packed int unpacked (``_Lanes``); it is exact because every lane
+        holds any value below 2**(w - 1) in absolute value, and w is chosen
+        with max |vertex coordinate| * max sum |coeff| < 2**(w - 1)."""
+        bound = max(map(abs, chain.from_iterable(v for _, v in self.vertices)), default=0)
+        lanes = _Lanes(tuple(self.functionals.values()), self.space.dim, bound)
         images = dict(self.vertices)
-        origin = (0,) * len(supports)
-        rows = []
-        for i in range(len(self.routes)):
-            img = images.get(i)
-            rows.append(origin if img is None else
-                        tuple(sum(c * img[k] for k, c in support) for support in supports))
-        return tuple(rows)
+        origin = (0,) * lanes.count
+        return tuple(origin if (img := images.get(i)) is None
+                     else tuple(lanes.unpack(lanes.pack(img)))
+                     for i in range(len(self.routes)))
 
     def to_json(self) -> dict:
         blocks = {str(v): list(labels) for v, labels in self.space.blocks}
@@ -129,13 +176,27 @@ def check_transversal_identity(q: QuotientPolytope
     edges of m on s).  Rows are (s, m, lhs, rhs), routes in enumeration
     order and transversals in lexicographic order within each route; ``q``
     (from ``quotient_facets``) supplies the routes and the functionals'
-    values at their images."""
-    rows = []
-    for s, values in zip(q.routes, q.functional_values):
-        used = set(s)
-        for m, lhs in zip(q.functionals, values):
-            rows.append((s, m, lhs, 1 - len(used.intersection(m))))
+    values at their images.  Each route's right-hand sides are one packed
+    int (``_Lanes``): 1 in every transversal's lane, less one mask per edge
+    of s, which has a 1 in the lane of each transversal holding that edge.
+    It is exact because every value is at most 1 + (edges of a transversal)
+    in absolute value, below 2**(w - 1) for the lane width w."""
+    index = {eid: k for k, eid in enumerate(q.space.labels, 1)}
+    identities = []
+    for m in q.functionals:
+        coeffs = [1] + [0] * len(index)     # coordinate 0 is the constant 1
+        for eid in m:
+            coeffs[index[eid]] = -1
+        identities.append(coeffs)
+    lanes = _Lanes(identities, len(index) + 1, 1)
+    ones = lanes.columns[0]
+    less = {eid: lanes.columns[k] for eid, k in index.items()}   # minus eid's mask
+    rows: list[tuple[Route, Transversal, int, int]] = []
+    for s, lhs in zip(q.routes, q.functional_values):
+        rhs = lanes.unpack(sum(map(less.__getitem__, s), ones))
+        rows.extend(zip(repeat(s), q.functionals, lhs, rhs))
     return tuple(rows)
+
 
 
 def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
@@ -193,7 +254,12 @@ def verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
 
     The candidates are the lattice points of the vertices' bounding box,
     listed block by block: the product, in block order, of each block's
-    zero-sum tuples visits them in lexicographic order."""
+    zero-sum tuples visits them in lexicographic order.  Each tuple carries
+    its packed partial facet values (``_Lanes``), so a point is interior when
+    the sum of its parts, plus H - 1 in every lane, has no lane's high bit
+    set.  It is exact because every facet value in the box is at most
+    max |vertex coordinate| * max sum |coeff| < H = 2**(w - 1) in absolute
+    value, for the lane width w."""
     issues: list[str] = []
     dim = q.space.quotient_dim
     column = {m: j for j, m in enumerate(q.functionals)}
@@ -201,31 +267,34 @@ def verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
     for m, coeffs in q.facets:
         if any(c != int(c) for c in coeffs):
             issues.append(f"facet for {m} is not integral")
-    for i, _ in q.vertices:
-        values = q.functional_values[i]
-        for (m, _), j in zip(q.facets, columns):
-            if values[j] > 1:
-                issues.append(f"vertex {i} violates facet {m}")
-    if q.vertices:
-        lo = [min(v[k] for _, v in q.vertices) for k in range(q.space.dim)]
-        hi = [max(v[k] for _, v in q.vertices) for k in range(q.space.dim)]
-    else:
-        lo = hi = [0] * q.space.dim
-    blocks, pos = [], 0
+    table = q.functional_values
+    at_vertex = [(i, list(map(table[i].__getitem__, columns))) for i, _ in q.vertices]
+    for i, values in at_vertex:
+        if max(values, default=0) > 1:
+            issues.extend(f"vertex {i} violates facet {m}"
+                          for (m, _), value in zip(q.facets, values) if value > 1)
+    coords = [v for _, v in q.vertices] or [(0,) * q.space.dim]
+    lo, hi = list(map(min, zip(*coords))), list(map(max, zip(*coords)))
+    lanes = _Lanes([c for _, c in q.facets], q.space.dim,
+                   max(map(abs, lo + hi), default=0))
+    # a leading empty block adds H - 1 to every lane of every point once
+    blocks, partials, pos = [[()]], [[lanes.below]], 0
     for _, labels in q.space.blocks:
-        blocks.append(_block_points(lo[pos:pos + len(labels)], hi[pos:pos + len(labels)]))
+        points = _block_points(lo[pos:pos + len(labels)], hi[pos:pos + len(labels)])
+        blocks.append(points)
+        partials.append([lanes.pack(t, pos) for t in points])
         pos += len(labels)
-    supports = [[(k, c) for k, c in enumerate(coeffs) if c] for _, coeffs in q.facets]
+    # the last block varies fastest: each prefix's parts are summed once
+    last, last_values, high = blocks.pop(), partials.pop(), lanes.high
     interior: list[tuple[int, ...]] = []
-    for parts in product(*blocks):
-        pt = tuple(chain.from_iterable(parts))
-        if all(sum(c * pt[k] for k, c in support) < 1 for support in supports):
-            interior.append(pt)
+    for parts, packed in zip(product(*blocks), product(*partials)):
+        base = sum(packed)
+        interior.extend(tuple(chain(*parts, t)) for t, value in zip(last, last_values)
+                        if not (base + value) & high)
     if interior != [tuple([0] * q.space.dim)]:
         issues.append(f"interior lattice points {interior}, expected only the origin")
-    for i, _ in q.vertices:
-        values = q.functional_values[i]
-        on = sum(1 for j in columns if values[j] == 1)
+    for i, values in at_vertex:
+        on = values.count(1)
         if on < dim:
             issues.append(f"vertex {i} lies on {on} facets, expected at least {dim}")
     return ReflexiveReport(tuple(issues), tuple(interior))

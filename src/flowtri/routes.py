@@ -56,20 +56,25 @@ def is_route(dag: Dag, route: Route) -> bool:
 
 
 def enumerate_routes(dag: Dag) -> tuple[Route, ...]:
-    """All routes, in lexicographic order of their edge-id sequences."""
+    """All routes, in lexicographic order of their edge-id sequences: a
+    depth-first walk on an explicit stack, each vertex's out-edges sorted
+    once, so a route may be longer than the recursion limit."""
+    steps = {v: [(e.id, e.head) for e in sorted(dag.out_edges(v), key=lambda e: e.id)]
+             for v in range(dag.sink)}
     out: list[Route] = []
-    stack: list[str] = []
-
-    def walk(v: int) -> None:
-        if v == dag.sink:
-            out.append(tuple(stack))
-            return
-        for e in sorted(dag.out_edges(v), key=lambda e: e.id):
-            stack.append(e.id)
-            walk(e.head)
+    path: list[str] = []
+    stack = [iter(steps[SOURCE])]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
             stack.pop()
-
-    walk(SOURCE)
+            if path:
+                path.pop()
+        elif step[1] == dag.sink:
+            out.append((*path, step[0]))
+        else:
+            path.append(step[0])
+            stack.append(iter(steps[step[1]]))
     return tuple(out)
 
 

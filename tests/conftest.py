@@ -36,6 +36,61 @@ def random_balanced_dag(rng: random.Random, max_edges: int = 9) -> Dag:
             return dag
 
 
+def rescan_contract_idle_edges(dag: Dag) -> tuple[Dag, dict[str, str | None]]:
+    """Contract idle edges until none remain, rescanning every edge for
+    every vertex at each step: the oracle for ``dag.contract_idle_edges``.
+
+    An edge is idle when it is the sole incoming or sole outgoing edge of an
+    inner vertex.  At every step the lexicographically smallest idle edge id
+    is contracted.  The returned map sends every original edge id to its
+    surviving id, or to ``None`` for edges that got contracted away.
+    """
+    # work on original vertex labels, renumber once at the end
+    verts = list(range(dag.sink + 1))
+    edges = {e.id: (e.tail, e.head) for e in dag.edges}
+    order = [e.id for e in dag.edges]
+    mapping: dict[str, str | None] = {eid: eid for eid in order}
+    s, t = SOURCE, dag.sink
+    while True:
+        if not edges:
+            raise ValueError("trivial graph")
+        idle: list[str] = []
+        for v in verts:
+            if v in (s, t):
+                continue
+            ins = [i for i, (a, b) in edges.items() if b == v]
+            outs = [i for i, (a, b) in edges.items() if a == v]
+            if len(ins) == 1:
+                idle.append(ins[0])
+            if len(outs) == 1:
+                idle.append(outs[0])
+        if not idle:
+            break
+        eid = min(idle)
+        a, b = edges.pop(eid)
+        mapping[eid] = None
+        ins_b = [i for i, (x, y) in edges.items() if y == b]
+        # sole in-edge of b: fold b into a (position a keeps tails < heads);
+        # sole out-edge of a: fold a into b, which must sit at b's position
+        # because other edges into b may leave vertices between a and b
+        gone, keep = (b, a) if not ins_b else (a, b)
+        edges = {
+            i: (keep if x == gone else x, keep if y == gone else y)
+            for i, (x, y) in edges.items()
+        }
+        verts.remove(gone)
+        if gone == s:
+            s = keep
+        if gone == t:
+            t = keep
+    # renumber surviving vertices to 0..n'+1 preserving relative order
+    renum = {v: i for i, v in enumerate(sorted(verts))}
+    if renum[s] != 0 or renum[t] != len(verts) - 1:
+        raise AssertionError("contraction moved the source or the sink off the ends")
+    new_edges = [(eid, renum[edges[eid][0]], renum[edges[eid][1]]) for eid in order if eid in edges]
+    return make_dag(len(verts) - 2, new_edges), mapping
+
+
 def chain(k: int, m: int) -> Dag:
     """k consecutive bundles of m parallel edges: a product of k
     (m-1)-simplices, of dimension k(m-1)."""

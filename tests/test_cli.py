@@ -306,6 +306,20 @@ def test_order_past_the_recursion_limit(capsys, tmp_path):
     assert report["equivalence"]["flow_simplices"] == 1
 
 
+def test_analyze_on_a_path_past_the_recursion_limit(capsys, tmp_path):
+    """The path s -> 1 -> ... -> 1010 -> t contracts to its last edge and
+    has one route, found without recursion."""
+    n = 1010
+    dag = make_dag(n, [(f"p{i:04d}", i, i + 1) for i in range(n + 1)])
+    graph = tmp_path / "path.json"
+    graph.write_text(json.dumps(dag_to_json(dag)))
+    code, out, _ = run(capsys, ["analyze", str(graph)])
+    report = json.loads(out)
+    assert code == 0
+    assert report["routes"] == 1 and report["dimension"] == 0
+    assert report["contraction"]["edges_removed"] == n
+
+
 def test_recursion_error_exits_2_with_json_error(capsys, d1_file, monkeypatch):
     """``cli.main`` still turns a ``RecursionError`` into an input error."""
     def too_deep(args):

@@ -2,11 +2,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
+from flowtri.dag import (D1, D2, D3, Dag, G, bypass, contract_idle_edges,
                          dag_from_json, dag_to_json, degree_equality,
                          dimension, gorenstein_completion, idle_edges,
                          make_dag, random_dag, validate, zigzag)
+from tests.conftest import rescan_contract_idle_edges
 
 
 def test_catalog_shapes():
@@ -71,6 +74,39 @@ def test_idle_edges_and_contraction():
     assert degree_equality(out)
     assert dimension(out) == dimension(dag)
     assert log  # at least one contraction happened
+
+
+def contraction(contract, dag):
+    try:
+        return contract(dag)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def random_forward_dag(rng: random.Random) -> Dag:
+    """Forward edges over 1-7 inner vertices, valid or not (an inner vertex
+    may lack in- or out-edges), with shuffled ids so that id order and
+    vertex order disagree."""
+    inner = rng.randint(1, 7)
+    pairs = []
+    for _ in range(rng.randint(1, 3 * inner + 3)):
+        tail = rng.randint(0, inner)
+        pairs.append((tail, rng.randint(tail + 1, inner + 1)))
+    ids = [f"e{i}" for i in range(len(pairs))]
+    rng.shuffle(ids)
+    return make_dag(inner, [(i, a, b) for i, (a, b) in zip(ids, pairs)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_contraction_matches_rescan_oracle(seed):
+    """The edge-set contraction picks the same idle edge at every step as
+    the full rescan: same graph, same map, same error."""
+    rng = random.Random(seed)
+    for dag in (random_forward_dag(rng), random_forward_dag(rng),
+                gorenstein_completion(random_dag(rng))):
+        assert contraction(contract_idle_edges, dag) == contraction(
+            rescan_contract_idle_edges, dag)
 
 
 def test_json_round_trip():

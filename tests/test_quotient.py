@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -80,12 +81,39 @@ def check_against_oracles(q):
         assert report.ok == (not q.vertices)
 
 
-@pytest.mark.parametrize("dag,decomp", [
+CATALOG = pytest.mark.parametrize("dag,decomp", [
     (G(3), None), (D1(), None), (D1(), (("a", "d"), ("b", "c"))), (D2(), None),
     (D3(), None), (zigzag(), None), (bypass(), None)],
     ids=["G3", "D1", "D1-crossed", "D2", "D3", "zigzag", "bypass"])
+
+
+@CATALOG
 def test_reflexivity_matches_box_scan_oracle_catalog(dag, decomp):
     check_against_oracles(quotient_facets(dag, decomp or route_decomposition(dag)))
+
+
+def scaled_functionals(q, factor):
+    """Every functional and facet coefficient times ``factor``."""
+    functionals = {m: tuple(factor * c for c in coeffs) for m, coeffs in q.functionals.items()}
+    return replace(q, functionals=functionals,
+                   facets=tuple((m, functionals[m]) for m, _ in q.facets))
+
+
+@CATALOG
+def test_packed_lanes_at_width_edges(dag, decomp):
+    """Negative, wide and wider-than-64-bit lanes against the dense oracles:
+    vertices scaled by -1, 200 and 2**70 for the value table, coefficients
+    scaled by 300 and 2**70 for the interior scan.  A value of 128 or 2**63
+    fills a whole 8- or 64-bit lane, so those factors catch a lane one bit
+    too narrow."""
+    q = quotient_facets(dag, decomp or route_decomposition(dag))
+    for factor in (-1, 128, 200, 2**63, 2**70):
+        bad = scaled(q, factor)
+        assert check_transversal_identity(bad) == dense_transversal_identity(bad)
+    for factor in (128, 300, 2**63, 2**70):
+        wide = scaled_functionals(q, factor)
+        assert verify_reflexive(wide) == box_scan_verify_reflexive(wide)
+        assert check_transversal_identity(wide) == dense_transversal_identity(wide)
 
 
 @settings(max_examples=30, deadline=None)

@@ -19,6 +19,19 @@ def test_enumerate_routes_catalog():
     assert enumerate_routes(G(3)) == (("g1",), ("g2",), ("g3",))
 
 
+def test_enumerate_routes_is_sorted_and_complete():
+    """Every route once, in increasing order, as many as the path count."""
+    rng = random.Random(5)
+    for dag in (D2(), zigzag(), bypass(), *[random_dag(rng) for _ in range(40)]):
+        routes = enumerate_routes(dag)
+        paths = [1] + [0] * dag.sink
+        for v in range(1, dag.sink + 1):
+            paths[v] = sum(paths[e.tail] for e in dag.in_edges(v))
+        assert len(routes) == paths[dag.sink]
+        assert all(is_route(dag, r) for r in routes)
+        assert all(a < b for a, b in zip(routes, routes[1:]))
+
+
 def test_is_route():
     d1 = D1()
     assert is_route(d1, ("a", "c"))
