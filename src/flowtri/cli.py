@@ -283,11 +283,11 @@ def cmd_quotient(args) -> tuple[dict, int]:
     refl = qmod.verify_reflexive(q)
     report["reflexive"] = refl.ok
     report["reflexive_issues"] = list(refl.issues)
-    checks = qmod.check_transversal_identity(q)
-    failures = [{"route": list(s), "transversal": list(m), "lhs": lhs, "rhs": rhs}
-                for s, m, lhs, rhs in checks if lhs != rhs]
-    report["identity_pairs"] = len(checks)
-    report["identity_failures"] = failures
+    pairs, failures = qmod.check_transversal_identity(q)
+    report["identity_pairs"] = pairs
+    report["identity_failures"] = [
+        {"route": list(s), "transversal": list(m), "lhs": lhs, "rhs": rhs}
+        for s, m, lhs, rhs in failures]
     good = refl.ok and not failures
     return report, OK if good else FAILED
 

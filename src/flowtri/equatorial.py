@@ -74,9 +74,9 @@ def equatorial_facets(dag: Dag, decomp: Sequence[Route],
     first: dict[int, Transversal] = {}
     for m in enumerate_transversals(decomp):
         first.setdefault(reduce(and_, map(missing.__getitem__, m), everyone), m)
-    return tuple(EquatorialFace(m, rs)
-                 for rs, m in sorted(first.items(), key=lambda kv: _members(kv[0]))
-                 if reduce(or_, map(heads.__getitem__, _members(rs)), 0) & inner == inner)
+    faces = sorted((_members(rs), rs, m) for rs, m in first.items())
+    return tuple(EquatorialFace(m, rs) for members, rs, m in faces
+                 if reduce(or_, map(heads.__getitem__, members), 0) & inner == inner)
 
 
 def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sphere:

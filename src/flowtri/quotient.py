@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, product
 from typing import Mapping, Sequence
 
 from .dag import Dag, degree_equality
@@ -131,21 +131,6 @@ class QuotientPolytope:
     functionals: Mapping[Transversal, tuple[int, ...]]  # every transversal, lexicographic
     facets: tuple[tuple[Transversal, tuple[int, ...]], ...]  # (m, functionals[m])
 
-    @cached_property
-    def functional_values(self) -> tuple[tuple[int, ...], ...]:
-        """Row i holds every functional, in ``functionals`` order, at the
-        image of route i (the origin for a decomposition route).  Each row is
-        one packed int unpacked (``_Lanes``); it is exact because every lane
-        holds any value below 2**(w - 1) in absolute value, and w is chosen
-        with max |vertex coordinate| * max sum |coeff| < 2**(w - 1)."""
-        bound = max(map(abs, chain.from_iterable(v for _, v in self.vertices)), default=0)
-        lanes = _Lanes(tuple(self.functionals.values()), self.space.dim, bound)
-        images = dict(self.vertices)
-        origin = (0,) * lanes.count
-        return tuple(origin if (img := images.get(i)) is None
-                     else tuple(lanes.unpack(lanes.pack(img)))
-                     for i in range(len(self.routes)))
-
     def to_json(self) -> dict:
         blocks = {str(v): list(labels) for v, labels in self.space.blocks}
         return {
@@ -170,33 +155,47 @@ def transversal_functional(dag: Dag, space: LeveledSpace, decomp: Sequence[Route
 
 
 def check_transversal_identity(q: QuotientPolytope
-                               ) -> tuple[tuple[Route, Transversal, int, int], ...]:
-    """Both sides of the facet identity for every route s and every
-    transversal m: m's functional at the projected route, and 1 - (number of
-    edges of m on s).  Rows are (s, m, lhs, rhs), routes in enumeration
-    order and transversals in lexicographic order within each route; ``q``
-    (from ``quotient_facets``) supplies the routes and the functionals'
-    values at their images.  Each route's right-hand sides are one packed
-    int (``_Lanes``): 1 in every transversal's lane, less one mask per edge
-    of s, which has a 1 in the lane of each transversal holding that edge.
-    It is exact because every value is at most 1 + (edges of a transversal)
-    in absolute value, below 2**(w - 1) for the lane width w."""
-    index = {eid: k for k, eid in enumerate(q.space.labels, 1)}
-    identities = []
-    for m in q.functionals:
-        coeffs = [1] + [0] * len(index)     # coordinate 0 is the constant 1
-        for eid in m:
-            coeffs[index[eid]] = -1
-        identities.append(coeffs)
-    lanes = _Lanes(identities, len(index) + 1, 1)
-    ones = lanes.columns[0]
-    less = {eid: lanes.columns[k] for eid, k in index.items()}   # minus eid's mask
-    rows: list[tuple[Route, Transversal, int, int]] = []
-    for s, lhs in zip(q.routes, q.functional_values):
-        rhs = lanes.unpack(sum(map(less.__getitem__, s), ones))
-        rows.extend(zip(repeat(s), q.functionals, lhs, rhs))
-    return tuple(rows)
+                               ) -> tuple[int, tuple[tuple[Route, Transversal, int, int], ...]]:
+    """The facet identity F_m . phi(s) = 1 - (number of edges of m on s) for
+    every route s and every transversal m: the number of (s, m) pairs, and
+    the failing rows (s, m, lhs, rhs), routes in enumeration order and
+    transversals in lexicographic order within each route.  ``q`` (from
+    ``quotient_facets``) supplies the routes, their images and the
+    functionals.
 
+    One ``_Lanes`` holds G_m = (F_m, indicator of m's edges, -1) for every
+    m, so packing route s once, at (phi(s), indicator of s's edges, 1), puts
+    lhs - rhs in m's lane.  The biased lanes are the base-2**w digits of one
+    int, and digits are unique, so the identity holds for every m exactly
+    when the packed int is 0.  Only a nonzero route is unpacked, and rows
+    are built for its nonzero lanes alone.  It is exact because every lane
+    value is at most max(1, max |vertex coordinate|) * max sum |G_m| in
+    absolute value, below 2**(w - 1) for the lane width w."""
+    dim, transversals = q.space.dim, tuple(q.functionals)
+    index = {eid: k for k, eid in enumerate(q.space.labels, dim)}
+    combined = []
+    for m, coeffs in q.functionals.items():
+        g = list(coeffs) + [0] * len(index) + [-1]
+        for eid in m:
+            g[index[eid]] = 1
+        combined.append(g)
+    bound = max(map(abs, chain.from_iterable(v for _, v in q.vertices)), default=0)
+    lanes = _Lanes(combined, dim + len(index) + 1, bound)
+    edge = {eid: lanes.columns[k] for eid, k in index.items()}
+    one = lanes.columns[-1]
+    images = dict(q.vertices)
+    failures: list[tuple[Route, Transversal, int, int]] = []
+    for i, s in enumerate(q.routes):
+        packed = sum(map(edge.__getitem__, s), one)
+        if i in images:
+            packed += lanes.pack(images[i])
+        if packed:
+            used = set(s)
+            for m, diff in zip(transversals, lanes.unpack(packed)):
+                if diff:
+                    rhs = 1 - len(used.intersection(m))
+                    failures.append((s, m, rhs + diff, rhs))
+    return len(q.routes) * len(transversals), tuple(failures)
 
 
 def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
@@ -250,33 +249,33 @@ def _block_points(lo: Sequence[int], hi: Sequence[int]) -> list[tuple[int, ...]]
 
 def verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
     """Origin must be the only lattice point of the block-sum-zero lattice
-    strictly inside every facet, and vertices must be simple enough.
+    strictly inside every facet, and vertices must be simple enough.  A
+    facet with a non-integral coefficient is reported alone, before any
+    point is scanned.
 
     The candidates are the lattice points of the vertices' bounding box,
     listed block by block: the product, in block order, of each block's
     zero-sum tuples visits them in lexicographic order.  Each tuple carries
     its packed partial facet values (``_Lanes``), so a point is interior when
     the sum of its parts, plus H - 1 in every lane, has no lane's high bit
-    set.  It is exact because every facet value in the box is at most
-    max |vertex coordinate| * max sum |coeff| < H = 2**(w - 1) in absolute
-    value, for the lane width w."""
-    issues: list[str] = []
+    set.  The same lanes give each vertex's facet values, one unpack per
+    vertex.  It is exact because every facet value in the box, the vertices
+    included, is at most max |vertex coordinate| * max sum |coeff| <
+    H = 2**(w - 1) in absolute value, for the lane width w."""
+    issues = [f"facet for {m} is not integral"
+              for m, coeffs in q.facets if any(c != int(c) for c in coeffs)]
+    if issues:
+        return ReflexiveReport(tuple(issues), ())
     dim = q.space.quotient_dim
-    column = {m: j for j, m in enumerate(q.functionals)}
-    columns = [column[m] for m, _ in q.facets]
-    for m, coeffs in q.facets:
-        if any(c != int(c) for c in coeffs):
-            issues.append(f"facet for {m} is not integral")
-    table = q.functional_values
-    at_vertex = [(i, list(map(table[i].__getitem__, columns))) for i, _ in q.vertices]
+    coords = [v for _, v in q.vertices] or [(0,) * q.space.dim]
+    lo, hi = list(map(min, zip(*coords))), list(map(max, zip(*coords)))
+    lanes = _Lanes([list(map(int, c)) for _, c in q.facets], q.space.dim,
+                   max(map(abs, lo + hi), default=0))
+    at_vertex = [(i, lanes.unpack(lanes.pack(v))) for i, v in q.vertices]
     for i, values in at_vertex:
         if max(values, default=0) > 1:
             issues.extend(f"vertex {i} violates facet {m}"
                           for (m, _), value in zip(q.facets, values) if value > 1)
-    coords = [v for _, v in q.vertices] or [(0,) * q.space.dim]
-    lo, hi = list(map(min, zip(*coords))), list(map(max, zip(*coords)))
-    lanes = _Lanes([c for _, c in q.facets], q.space.dim,
-                   max(map(abs, lo + hi), default=0))
     # a leading empty block adds H - 1 to every lane of every point once
     blocks, partials, pos = [[()]], [[lanes.below]], 0
     for _, labels in q.space.blocks:

@@ -744,7 +744,8 @@ def box_scan_verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
 def dense_transversal_identity(q: QuotientPolytope
                                ) -> tuple[tuple[Route, Transversal, int, int], ...]:
     """The facet identity's rows with every functional dotted densely with
-    every route image: the oracle for the library's value table."""
+    every route image, one row per (route, transversal) pair: the oracle
+    for the library's packed zero test."""
     images = dict(q.vertices)
     origin = (0,) * q.space.dim
     rows = []

@@ -22,7 +22,8 @@ from flowtri.quotient import (check_transversal_identity, quotient_facets,
 from flowtri.routes import (NotGorensteinError, decomposition_framing,
                             enumerate_routes, is_route_decomposition,
                             route_decomposition)
-from tests.conftest import (complex_euler_characteristic, f_vector,
+from tests.conftest import (complex_euler_characteristic,
+                            dense_transversal_identity, f_vector,
                             h_polynomial, has_route_partition, is_pure,
                             random_balanced_dag, ridges_in_two_facets, scaled,
                             sphere, trimmed)
@@ -109,11 +110,14 @@ def test_criterion_6_transversal_identity():
     counts = []
     for dag in (D1(), D2(), D3()):
         decomp = route_decomposition(dag)
-        rows = check_transversal_identity(quotient_facets(dag, decomp))
-        ok = ok and all(lhs == rhs for _, _, lhs, rhs in rows)
+        q = quotient_facets(dag, decomp)
+        pairs, failures = check_transversal_identity(q)
+        rows = dense_transversal_identity(q)
+        ok = ok and (pairs, failures) == (
+            len(rows), tuple(row for row in rows if row[2] != row[3])) and not failures
         ok = ok and [(s, m) for s, m, _, _ in rows] == list(
             product(enumerate_routes(dag), enumerate_transversals(decomp)))
-        counts.append(len(rows))
+        counts.append(pairs)
     ok = ok and counts == [16, 72, 72]
     report(6, "facet-functional identity holds for every (route, transversal)"
               f" pair: {counts[0]}+{counts[1]}+{counts[2]} pairs, zero"

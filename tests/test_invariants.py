@@ -16,3 +16,33 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _inexact(node: ast.AST) -> bool:
+    """True division, a float literal, a ``float(...)`` call or any mention
+    of ``Fraction``."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.Div)
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "float"
+    if isinstance(node, ast.Name):
+        return node.id == "Fraction"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "Fraction"
+    if isinstance(node, ast.alias):
+        return node.name == "Fraction"
+    return False
+
+
+def test_library_arithmetic_is_exact():
+    """The library computes in ints alone: no ``/`` or ``/=``, no float
+    literal, no ``float(...)`` and no ``Fraction``, so no fast path can
+    round or fall back to rationals."""
+    assert SOURCES
+    found = [f"{path.name}:{getattr(node, 'lineno', '?')}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _inexact(node)]
+    assert found == []

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from flowtri.dag import D1, D2, D3, G, bypass, make_dag, zigzag
 from flowtri.equatorial import enumerate_transversals, equatorial_facets
+from flowtri import quotient
 from flowtri.quotient import (check_transversal_identity, edge_labels,
                               leveled_space, phi, quotient_facets,
-                              transversal_functional, verify_reflexive)
+                              ReflexiveReport, transversal_functional,
+                              verify_reflexive)
 from flowtri.routes import NotGorensteinError, enumerate_routes, route_decomposition
 from tests.conftest import (box_scan_verify_reflexive, dense_transversal_identity,
                             random_balanced_dag, scaled)
@@ -65,17 +68,24 @@ def test_scaled_quotient_fails_reflexivity():
     assert not verify_reflexive(scaled(q, 2)).ok
 
 
+def dense_pairs_and_failures(q):
+    """The dense oracle's pair count and its rows with lhs != rhs, in order:
+    what ``check_transversal_identity`` must return."""
+    rows = dense_transversal_identity(q)
+    return len(rows), tuple(row for row in rows if row[2] != row[3])
+
+
 def check_against_oracles(q):
-    """The block-by-block scan and the value table against the dense box
-    scan and dense dot products, on q and on its dilations by 2 and 3; the
-    dilations must fail unless q has no vertex to dilate."""
-    assert check_transversal_identity(q) == dense_transversal_identity(q)
+    """The block-by-block scan and the packed identity test against the
+    dense box scan and dense dot products, on q and on its dilations by 2
+    and 3; the dilations must fail unless q has no vertex to dilate."""
+    assert check_transversal_identity(q) == dense_pairs_and_failures(q)
     report = verify_reflexive(q)
     assert report.ok, report.issues
     assert report == box_scan_verify_reflexive(q)
     for factor in (2, 3):
         bad = scaled(q, factor)
-        assert check_transversal_identity(bad) == dense_transversal_identity(bad)
+        assert check_transversal_identity(bad) == dense_pairs_and_failures(bad)
         report = verify_reflexive(bad)
         assert report == box_scan_verify_reflexive(bad)
         assert report.ok == (not q.vertices)
@@ -102,18 +112,49 @@ def scaled_functionals(q, factor):
 @CATALOG
 def test_packed_lanes_at_width_edges(dag, decomp):
     """Negative, wide and wider-than-64-bit lanes against the dense oracles:
-    vertices scaled by -1, 200 and 2**70 for the value table, coefficients
+    vertices scaled by -1, 200 and 2**70 for the identity test, coefficients
     scaled by 300 and 2**70 for the interior scan.  A value of 128 or 2**63
     fills a whole 8- or 64-bit lane, so those factors catch a lane one bit
     too narrow."""
     q = quotient_facets(dag, decomp or route_decomposition(dag))
     for factor in (-1, 128, 200, 2**63, 2**70):
         bad = scaled(q, factor)
-        assert check_transversal_identity(bad) == dense_transversal_identity(bad)
+        assert check_transversal_identity(bad) == dense_pairs_and_failures(bad)
     for factor in (128, 300, 2**63, 2**70):
         wide = scaled_functionals(q, factor)
         assert verify_reflexive(wide) == box_scan_verify_reflexive(wide)
-        assert check_transversal_identity(wide) == dense_transversal_identity(wide)
+        assert check_transversal_identity(wide) == dense_pairs_and_failures(wide)
+
+
+@CATALOG
+def test_identity_keeps_a_single_lane_difference(dag, decomp):
+    """One coefficient of one functional raised or lowered by 1 or by 2**64
+    changes the identity in that transversal's lane alone, and only at the
+    routes whose image is nonzero at that coordinate: the failures must be
+    exactly the oracle's."""
+    q = quotient_facets(dag, decomp or route_decomposition(dag))
+    for m, coeffs in q.functionals.items():
+        for k in range(q.space.dim):
+            for delta in (1, -1, 2**64, -2**64):
+                bumped = dict(q.functionals)
+                bumped[m] = coeffs[:k] + (coeffs[k] + delta,) + coeffs[k + 1:]
+                bad = replace(q, functionals=bumped)
+                assert check_transversal_identity(bad) == dense_pairs_and_failures(bad)
+
+
+@pytest.mark.parametrize("dag,decomp", [
+    (G(3), None), (D1(), None), (D1(), (("a", "d"), ("b", "c"))), (D2(), None),
+    (D3(), None), (zigzag(), None), (bypass(), None), (BIG, None)],
+    ids=["G3", "D1", "D1-crossed", "D2", "D3", "zigzag", "bypass", "BIG"])
+def test_identity_unpacks_nothing_when_it_holds(dag, decomp, monkeypatch):
+    """Every route's packed int is 0, so no lane is ever unpacked."""
+    q = quotient_facets(dag, decomp or route_decomposition(dag))
+
+    def unpack(self, packed):
+        raise AssertionError(f"unpacked {packed}")
+
+    monkeypatch.setattr(quotient._Lanes, "unpack", unpack)
+    assert check_transversal_identity(q) == (len(q.routes) * len(q.functionals), ())
 
 
 @settings(max_examples=30, deadline=None)
@@ -132,20 +173,20 @@ def test_quotient_at_scale():
     report = verify_reflexive(q)
     assert report.ok, report.issues
     assert report.interior_points == ((0,) * q.space.dim,)
-    rows = check_transversal_identity(q)
-    assert len(rows) == 348 * len(q.functionals)
-    assert all(lhs == rhs for _, _, lhs, rhs in rows)
+    assert check_transversal_identity(q) == (348 * len(q.functionals), ())
 
 
 def test_transversal_identity_exhaustive_catalog():
     for dag in (D1(), D2(), D3()):
         decomp = route_decomposition(dag)
-        rows = check_transversal_identity(quotient_facets(dag, decomp))
+        q = quotient_facets(dag, decomp)
+        rows = dense_transversal_identity(q)
         for s, m, lhs, rhs in rows:
             assert lhs == rhs, (s, m, lhs, rhs)
         assert [(s, m) for s, m, _, _ in rows] == list(
             product(enumerate_routes(dag), enumerate_transversals(decomp)))
-        assert len(rows) == len(enumerate_routes(dag)) * _transversal_count(decomp)
+        pairs = len(enumerate_routes(dag)) * _transversal_count(decomp)
+        assert check_transversal_identity(q) == dense_pairs_and_failures(q) == (pairs, ())
 
 
 def _transversal_count(decomp):
@@ -156,14 +197,30 @@ def _transversal_count(decomp):
 
 
 def test_transversal_identity_value_example():
+    """The identity holds on D1, so its values show only once the vertices
+    are doubled: each lhs doubles and each rhs stays."""
     d1 = D1()
     decomp = route_decomposition(d1)          # ((a, c), (b, d))
-    sides = {(s, m): (lhs, rhs) for s, m, lhs, rhs in check_transversal_identity(
-        quotient_facets(d1, decomp))}
+    pairs, failures = check_transversal_identity(scaled(quotient_facets(d1, decomp), 2))
+    assert pairs == 16
     # route (a, d) crosses the transversal (a, d) twice: rhs = 1 - 2
-    assert sides[(("a", "d"), ("a", "d"))] == (-1, -1)
+    assert (("a", "d"), ("a", "d"), -2, -1) in failures
     # and dodges the transversal (c, b) entirely: rhs = 1
-    assert sides[(("a", "d"), ("c", "b"))] == (1, 1)
+    assert (("a", "d"), ("c", "b"), 2, 1) in failures
+
+
+def test_non_integral_facet_is_reported_not_raised():
+    """A halved facet is reported as not integral, before any point is
+    scanned; facets of integral Fractions scan like ints."""
+    d2 = D2()
+    q = quotient_facets(d2, route_decomposition(d2))
+    (m, coeffs), *rest = q.facets
+    halved = replace(q, facets=((m, tuple(Fraction(c, 2) for c in coeffs)), *rest))
+    assert verify_reflexive(halved) == ReflexiveReport(
+        (f"facet for {m} is not integral",), ())
+    whole = replace(q, facets=tuple((m, tuple(map(Fraction, c))) for m, c in q.facets))
+    assert verify_reflexive(whole) == verify_reflexive(q)
+    assert verify_reflexive(q).ok
 
 
 def test_functional_support():
