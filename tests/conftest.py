@@ -755,3 +755,11 @@ def dense_transversal_identity(q: QuotientPolytope
             lhs = sum(c * x for c, x in zip(coeffs, img))
             rows.append((s, m, lhs, 1 - len(used.intersection(m))))
     return tuple(rows)
+
+
+def dense_pairs_and_failures(q: QuotientPolytope
+                             ) -> tuple[int, tuple[tuple[Route, Transversal, int, int], ...]]:
+    """The dense oracle's pair count and its rows with lhs != rhs, in order:
+    what ``check_transversal_identity`` must return."""
+    rows = dense_transversal_identity(q)
+    return len(rows), tuple(row for row in rows if row[2] != row[3])

@@ -15,8 +15,9 @@ from flowtri.quotient import (check_transversal_identity, edge_labels,
                               ReflexiveReport, transversal_functional,
                               verify_reflexive)
 from flowtri.routes import NotGorensteinError, enumerate_routes, route_decomposition
-from tests.conftest import (box_scan_verify_reflexive, dense_transversal_identity,
-                            random_balanced_dag, scaled)
+from tests.conftest import (box_scan_verify_reflexive, dense_pairs_and_failures,
+                            dense_transversal_identity, random_balanced_dag,
+                            scaled)
 from tests.test_geometry import BIG
 
 
@@ -66,13 +67,6 @@ def test_scaled_quotient_fails_reflexivity():
     d2 = D2()
     q = quotient_facets(d2, route_decomposition(d2))
     assert not verify_reflexive(scaled(q, 2)).ok
-
-
-def dense_pairs_and_failures(q):
-    """The dense oracle's pair count and its rows with lhs != rhs, in order:
-    what ``check_transversal_identity`` must return."""
-    rows = dense_transversal_identity(q)
-    return len(rows), tuple(row for row in rows if row[2] != row[3])
 
 
 def check_against_oracles(q):
