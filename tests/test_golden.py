@@ -77,6 +77,11 @@ CASES["equatorial-exhaustive-chain3x3"] = ["equatorial", "{graph:chain3x3}",
 # coordinates, 348 routes and 460 facets; chain 4x2 has 16 routes.
 CASES["quotient-BIG"] = ["quotient", "{graph:BIG}"]
 CASES["quotient-chain4x2"] = ["quotient", "{graph:chain4x2}"]
+# Two dkk cases at scale, recorded at commit af9d1ed, where checking the
+# triangulation took about 1.1 s on chain 4x3 (2,520 simplices) and 0.02 s on
+# chain 3x3 (90 simplices).
+CASES["dkk-chain3x3"] = ["dkk", "{graph:chain3x3}"]
+CASES["dkk-chain4x3"] = ["dkk", "{graph:chain4x3}"]
 # order-graded9 (the ROTATIONS loop above) was recorded at commit 64aaaf7,
 # where it took about 0.4 s: its equatorial triangulations have 1,024
 # simplices each.
@@ -104,6 +109,8 @@ GOLDEN = {
     'dkk-D3-text': (0, 'd3eb554e2063078fea983cbac76637d5aee8feb33cf4b24c4eda4d273e016695'),
     'dkk-G3': (0, 'cad9ce7deb00aad8fd9cc6e1a16fc0169381f122d8b14c29ef4e1c64a08be19d'),
     'dkk-bypass': (0, '8fd03517bbc1dbfd4fd7015618f532e343f20839a6bb1e303a6c12d57e79722a'),
+    'dkk-chain3x3': (0, 'ea9b392a8d7e74d9e1aae25eddeb5c6afe77c2457577105f3b99444950f3b9b7'),
+    'dkk-chain4x3': (0, '91ad3228e390f546d02404320749ee7a909165f5176b4987c4c855253c833bc3'),
     'dkk-unbalanced': (1, '9320875e44314e5c7ed0d3d353b768ad92a84ac5765c342143f15776ff0496a5'),
     'dkk-zigzag': (0, '0414ca1bbf9bdc3d18e46be66fe723fe33e36dc20acedb3a9e04bef7ea8a0094'),
     'equatorial-D1': (0, '2fbb8fe7780787ce6c217a4172f47315d6bed404aff791e1db926f928d48f5db'),
