@@ -220,8 +220,8 @@ def cmd_dkk(args) -> tuple[dict, int]:
     report["routes"] = len(routes)
     report["simplices"] = [[routes[i] for i in s] for s in tri.simplices]
     report["exceptional_routes"] = [list(r) for r in dkkmod.exceptional_routes(tri)]
-    check = geo.verify_triangulation(tri, dagmod.dimension(dag),
-                                     geo.normalized_volume(dag))
+    check = dkkmod.verify_dkk_triangulation(dag, tri, dagmod.dimension(dag),
+                                            geo.normalized_volume(dag))
     report["triangulation_ok"] = check.ok
     report["issues"] = list(check.issues)
     return report, OK if check.ok else FAILED

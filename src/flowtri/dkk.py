@@ -17,9 +17,10 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Sequence
 
-from .dag import Dag, dimension
-from .geometry import SimplicialComplex, Triangulation
-from .routes import Framing, Route, enumerate_routes, indicator_vector
+from .dag import Dag, dimension, validate
+from .geometry import (SimplicialComplex, Triangulation, TriangulationReport,
+                       is_unimodular_simplex, verify_triangulation)
+from .routes import Framing, Route, enumerate_routes, indicator_vector, is_route
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -147,6 +148,122 @@ def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:
         labels=routes,
         coords=tuple(indicator_vector(dag, r) for r in routes),
     )
+
+
+def verify_dkk_triangulation(dag: Dag, tri: Triangulation, dim: int,
+                             normalized_volume: int) -> TriangulationReport:
+    """``verify_triangulation(tri, dim, normalized_volume)`` for a
+    triangulation whose vertices are routes of ``dag``, by a route-swap
+    certificate with one determinant wherever the certificate goes through,
+    and by ``verify_triangulation`` itself wherever it does not.
+
+    The certificate (``_swap_certificate``) asks that the labels be
+    distinct routes of a valid ``dag`` of dimension ``dim``, with their
+    indicator vectors as coordinates, and that there be
+    ``normalized_volume`` simplices of dim + 1 distinct vertices, each ridge
+    in at most two.  The apexes a, b of a ridge in two simplices meet at an
+    inner vertex where swapping their prefixes gives routes c, d of the
+    ridge.  The apex of a ridge in one simplex uses an edge e that every
+    route of the ridge misses.  Swap-crossed ridges connect the simplices,
+    and the first simplex is unimodular.
+
+    Why that is sound: b = c + d - a, so the ridge's affine functional f
+    has f(b) = -f(a), and b - r = (c - r) + (d - r) - (a - r) for a ridge
+    vertex r: both simplices have one difference lattice, so connectivity
+    makes every simplex unimodular.  x_e >= 0 holds on every route and
+    cuts out the lone ridge.  The routes span exactly ``dim`` dimensions.
+    So every condition of ``verify_triangulation`` holds (De
+    Loera-Rambau-Santos, *Triangulations*, Ch. 4), and its report is empty.
+    """
+    if _swap_certificate(dag, tri, dim, normalized_volume):
+        return TriangulationReport(())
+    return verify_triangulation(tri, dim, normalized_volume)
+
+
+def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
+                      normalized_volume: int) -> bool:
+    """True when the route-swap certificate of ``verify_dkk_triangulation``
+    goes through; False at the first step that fails."""
+    labels, simplices, n = tri.labels, tri.simplices, len(tri.labels)
+    if not (simplices and len(simplices) == normalized_volume
+            and dim == dimension(dag) and validate(dag).ok
+            and all(type(r) is tuple and all(type(e) is str for e in r)
+                    and is_route(dag, r) for r in labels)
+            and len(set(labels)) == n
+            and tuple(tri.coords) == tuple(indicator_vector(dag, r) for r in labels)):
+        return False
+    masks = []
+    for s in simplices:
+        if len(s) != dim + 1 or not all(type(v) is int and 0 <= v < n for v in s):
+            return False
+        masks.append(_mask(s))
+        if masks[-1].bit_count() != dim + 1:
+            return False
+
+    # per route: its edge set, and the edge set of its prefix into each
+    # inner vertex it visits; per edge: the routes through it
+    bit = {e.id: 1 << k for k, e in enumerate(dag.edges)}
+    edges = [sum(map(bit.__getitem__, r)) for r in labels]
+    by_edges = {m: i for i, m in enumerate(edges)}
+    prefixes = []
+    for r in labels:
+        pre, into = 0, {}
+        for eid in r[:-1]:
+            pre |= bit[eid]
+            into[dag.edge_by_id[eid].head] = pre
+        prefixes.append(into)
+    through = dict.fromkeys(bit, 0)
+    for i, r in enumerate(labels):
+        for eid in r:
+            through[eid] |= 1 << i
+
+    def swap_crosses(a: int, b: int, ridge: int) -> bool:
+        """Some prefix swap of routes a and b gives two routes of ``ridge``."""
+        pa, pb = prefixes[a], prefixes[b]
+        for v in pa.keys() & pb.keys():
+            c = by_edges.get(pa[v] | (edges[b] ^ pb[v]))
+            d = by_edges.get(pb[v] | (edges[a] ^ pa[v]))
+            if c is not None and d is not None and ridge >> c & ridge >> d & 1:
+                return True
+        return False
+
+    # ridge mask -> its simplex while it lies in one, -1 once in two
+    owner: dict[int, int] = {}
+    parent = list(range(len(masks)))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    parts = len(masks)
+    for k, m in enumerate(masks):
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ridge = m ^ low
+            other = owner.setdefault(ridge, k)
+            if other == k:
+                continue
+            if other < 0 or not swap_crosses(low.bit_length() - 1,
+                                             (masks[other] ^ ridge).bit_length() - 1, ridge):
+                return False
+            owner[ridge] = -1
+            a, b = root(k), root(other)
+            if a != b:
+                parent[a] = b
+                parts -= 1
+    for ridge, k in owner.items():
+        if k >= 0 and all(ridge & through[eid]
+                          for eid in labels[(masks[k] ^ ridge).bit_length() - 1]):
+            return False
+    if parts != 1:
+        return False
+    try:
+        return is_unimodular_simplex(tri.simplex_coords(simplices[0]))
+    except ValueError:
+        return False
 
 
 def exceptional_routes(tri: Triangulation) -> tuple[Route, ...]:

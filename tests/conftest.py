@@ -3,22 +3,26 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
+import pytest
 from hypothesis import strategies as st
 
-from flowtri.dag import (SOURCE, Dag, contract_idle_edges, degree_equality,
+from flowtri import geometry
+from flowtri.dag import (SOURCE, Dag, contract_idle_edges, degree_equality, dimension,
                          gorenstein_completion, idle_edges, make_dag, random_dag,
                          validate)
 from flowtri.dkk import _mask
 from flowtri.equatorial import (EquatorialFace, Sphere, Transversal,
                                 enumerate_transversals, equatorial_sphere)
 from flowtri.geometry import (SimplicialComplex, Triangulation, Vector, ehrhart_hstar,
-                              euler_characteristic, h_from_f, is_unimodular_simplex)
+                              euler_characteristic, h_from_f, is_unimodular_simplex,
+                              normalized_volume)
 from flowtri.planar import Poset, make_poset, maximal_filter_chains
 from flowtri.quotient import QuotientPolytope, ReflexiveReport
 from flowtri.routes import Framing, Route, decomposition_framing
@@ -672,6 +676,65 @@ def simplices_meet_in_common_face(vs: Sequence[Vector], vt: Sequence[Vector],
         [Fraction(int(j not in shared_t)) for j in range(n2)]
     opt = _simplex_solve(A, b, c)
     return opt is None or opt == 0
+
+
+def with_simplices(tri: Triangulation, simplices) -> Triangulation:
+    return Triangulation(SimplicialComplex(tuple(simplices)), tri.labels, tri.coords)
+
+
+def swapped_vertex(tri: Triangulation) -> Triangulation:
+    """The first simplex with one vertex swapped for another route, chosen
+    so that the new simplex is still unimodular."""
+    s = tri.simplices[0]
+    for i, w in product(range(len(s)), range(len(tri.coords))):
+        if w in s:
+            continue
+        new = tuple(sorted(s[:i] + (w,) + s[i + 1:]))
+        try:
+            if is_unimodular_simplex(tri.simplex_coords(new)):
+                return with_simplices(tri, (new,) + tri.simplices[1:])
+        except ValueError:
+            continue
+    raise AssertionError("no unimodular swap")
+
+
+def corrupted(dag: Dag, tri: Triangulation) -> dict[str, tuple[Triangulation, int, int]]:
+    """Negative controls for a triangulation of ``dag``'s flow polytope
+    whose vertices are routes: name -> (triangulation, dim, normalized
+    volume).  A dropped or duplicated simplex comes twice, the second time
+    with the volume its count matches, so the count alone cannot reject it."""
+    dim, vol = dimension(dag), normalized_volume(dag)
+    first, rest = tri.simplices[0], tri.simplices[1:]
+    dropped = with_simplices(tri, rest)
+    doubled = with_simplices(tri, tri.simplices + (first,))
+    return {
+        "dropped": (dropped, dim, vol),
+        "dropped, count matched": (dropped, dim, vol - 1),
+        "duplicated": (doubled, dim, vol),
+        "duplicated, count matched": (doubled, dim, vol + 1),
+        "vertex replaced": (swapped_vertex(tri), dim, vol),
+        "repeated index": (with_simplices(tri, (first[:1] + first[:-1],) + rest), dim, vol),
+        "tampered coords": (Triangulation(tri.complex, tri.labels, (
+            tuple(1 - x for x in tri.coords[0]),) + tri.coords[1:]), dim, vol),
+        "label not a route": (Triangulation(tri.complex, (
+            tri.labels[0] + tri.labels[0][-1:],) + tri.labels[1:], tri.coords), dim, vol),
+        "wrong dim": (tri, dim + 1, vol),
+        "wrong volume": (tri, dim, vol + 1),
+    }
+
+
+@pytest.fixture
+def linear_algebra_calls(monkeypatch) -> Counter:
+    """Counts, while the test runs, the calls of ``geometry.smith_divisors``
+    (one per unimodularity test) and ``geometry._vertex_functionals`` (one
+    per simplex in ``verify_triangulation``'s ridge check)."""
+    calls: Counter = Counter()
+    for name in ("smith_divisors", "_vertex_functionals"):
+        def counted(*args, _name=name, _fn=getattr(geometry, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(geometry, name, counted)
+    return calls
 
 
 def lp_triangulation_ok(tri: Triangulation, dim: int, normalized_volume: int) -> bool:

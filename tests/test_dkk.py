@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtri.dag import D1, D2, D3, dimension, zigzag
-from flowtri.dkk import (coherence_graph, dkk_triangulation, exceptional_routes,
-                         max_cliques)
-from flowtri.equatorial import _all_framings
+from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
+from flowtri.dkk import (_swap_certificate, coherence_graph, dkk_triangulation,
+                         exceptional_routes, max_cliques, verify_dkk_triangulation)
+from flowtri.equatorial import _all_framings, equatorial_flow_triangulation
 from flowtri.geometry import ehrhart_hstar, normalized_volume, verify_triangulation
 from flowtri.routes import decomposition_framing, enumerate_routes, route_decomposition
-from tests.conftest import (conflict, h_polynomial, pairwise_coherence_masks,
-                            random_balanced_dag, random_framing, set_max_cliques,
-                            trimmed)
+from tests.conftest import (chain, conflict, corrupted, h_polynomial,
+                            pairwise_coherence_masks, random_balanced_dag,
+                            random_framing, route_unions, set_max_cliques, trimmed,
+                            with_simplices)
 
 
 def _decomp_framing(dag):
@@ -118,3 +119,111 @@ def test_max_cliques_rejects_wrong_clique_size():
     adj = coherence_graph(d1, _decomp_framing(d1), enumerate_routes(d1))
     with pytest.raises(AssertionError, match="clique"):
         max_cliques(tuple(a & 0b111 for a in adj[:-1]), dimension(d1) + 1)
+
+
+# perfbench's gen.route_union(Random(1), 3, 5, .5), written out: dim 10, 51
+# routes and 1,106 simplices.
+RU351 = make_dag(3, [("e00", 0, 1), ("e01", 0, 1), ("e02", 0, 1), ("e03", 0, 2),
+                     ("e04", 0, 3), ("e05", 1, 2), ("e06", 1, 3), ("e07", 1, 4),
+                     ("e08", 2, 3), ("e09", 2, 3), ("e10", 3, 4), ("e11", 3, 4),
+                     ("e12", 3, 4), ("e13", 3, 4)])
+CATALOG = {"D1": D1(), "D2": D2(), "D3": D3(), "G3": G(3), "zigzag": zigzag(),
+           "bypass": bypass(), "chain2x4": chain(2, 4), "chain3x3": chain(3, 3),
+           "chain4x2": chain(4, 2)}
+
+
+def assert_same_report(dag, tri, dim, volume):
+    assert verify_dkk_triangulation(dag, tri, dim, volume) == \
+        verify_triangulation(tri, dim, volume)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_certificate_agrees_with_ridge_check_catalog(name):
+    """On the DKK triangulations of every framing (of the decomposition
+    framing past 64 framings) and on the equatorial triangulation."""
+    dag = CATALOG[name]
+    dim, volume = dimension(dag), normalized_volume(dag)
+    decomp = route_decomposition(dag)
+    framings = list(_all_framings(dag))
+    if len(framings) > 64:
+        framings = [decomposition_framing(dag, decomp)]
+    for framing in framings:
+        assert_same_report(dag, dkk_triangulation(dag, framing), dim, volume)
+    assert_same_report(dag, equatorial_flow_triangulation(dag, decomp), dim, volume)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dag=route_unions(max_inner=2, max_routes=3))
+def test_certificate_agrees_with_ridge_check_random(seed, dag):
+    rng = random.Random(seed)
+    for dag in (dag, random_balanced_dag(rng, max_edges=8)):
+        dim, volume = dimension(dag), normalized_volume(dag)
+        decomp = route_decomposition(dag)
+        for tri in (dkk_triangulation(dag, decomposition_framing(dag, decomp)),
+                    dkk_triangulation(dag, random_framing(rng, dag)),
+                    equatorial_flow_triangulation(dag, decomp)):
+            assert_same_report(dag, tri, dim, volume)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG) + ["ru(3,5,.5,1)"])
+def test_certificate_takes_one_determinant(name, linear_algebra_calls):
+    dag = CATALOG.get(name, RU351)
+    tri = dkk_triangulation(dag, _decomp_framing(dag))
+    report = verify_dkk_triangulation(dag, tri, dimension(dag), normalized_volume(dag))
+    assert report.ok, report.issues
+    assert linear_algebra_calls == {"smith_divisors": 1}
+
+
+@pytest.mark.parametrize("name", ["D1", "D2", "zigzag", "bypass", "chain4x2"])
+def test_certificate_falls_back_on_corruptions(name):
+    """Each corruption fails the certificate, and the report is the ridge
+    check's, issue for issue."""
+    dag = CATALOG[name]
+    tri = dkk_triangulation(dag, _decomp_framing(dag))
+    for what, (bad, dim, volume) in corrupted(dag, tri).items():
+        assert not _swap_certificate(dag, bad, dim, volume), what
+        assert_same_report(dag, bad, dim, volume)
+
+
+def test_certificate_needs_swap_connected_simplices():
+    """Two triangulations of the cube chain 3x2 with no ridge in common,
+    given their joint simplex count as the volume: every ridge passes, but
+    the swaps do not connect the two halves, so the certificate declines."""
+    cube = chain(3, 2)
+    kuhn = dkk_triangulation(cube, _decomp_framing(cube))
+    # route i takes edge b{k}.{bit k of i, from the top}: 0 = 000, ..., 7 = 111
+    assert all({0, 7} <= set(s) for s in kuhn.simplices)
+    # cut off the corners 000 and 111, and split the rest around 010-101
+    other = ((0, 1, 2, 4), (1, 2, 3, 5), (1, 2, 4, 5), (2, 3, 5, 6), (2, 4, 5, 6),
+             (3, 5, 6, 7))
+    assert _swap_certificate(cube, with_simplices(kuhn, other), 3, 6)
+    both = with_simplices(kuhn, kuhn.simplices + other)
+    assert not _swap_certificate(cube, both, 3, 12)
+    assert_same_report(cube, both, 3, 12)
+    assert_same_report(cube, both, 3, 6)
+
+
+def test_certificate_falls_back_where_a_ridge_is_no_prefix_swap():
+    """Split around 100-011, the cube's triangulation has the ridge
+    {100, 011, 101} between apexes 001 and 110: 001 + 110 = 100 + 011, but
+    no prefix swap of 001 and 110 gives 100 and 011.  The ridge check then
+    certifies it."""
+    cube = chain(3, 2)
+    kuhn = dkk_triangulation(cube, _decomp_framing(cube))
+    split = with_simplices(kuhn, ((0, 1, 2, 4), (1, 2, 3, 4), (1, 3, 4, 5), (2, 3, 4, 6),
+                                  (3, 4, 5, 6), (3, 5, 6, 7)))
+    assert not _swap_certificate(cube, split, 3, 6)
+    assert verify_dkk_triangulation(cube, split, 3, 6).ok
+
+
+def test_certificate_rejects_a_folded_simplex():
+    """G(3)'s one simplex, listed twice with volume 2: each ridge lies in
+    both copies with its apex on one side, which no swap crosses."""
+    g3 = CATALOG["G3"]
+    tri = dkk_triangulation(g3, _decomp_framing(g3))
+    folded = with_simplices(tri, tri.simplices * 2)
+    assert len(folded.simplices) == 2
+    assert not _swap_certificate(g3, folded, 2, 2)
+    report = verify_dkk_triangulation(g3, folded, 2, 2)
+    assert not report.ok
+    assert report == verify_triangulation(folded, 2, 2)

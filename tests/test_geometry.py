@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -12,8 +11,7 @@ from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
                          idle_edges, make_dag, random_dag, zigzag)
 from flowtri.dkk import dkk_triangulation
 from flowtri.equatorial import equatorial_flow_triangulation
-from flowtri.geometry import (SimplicialComplex, Triangulation,
-                              count_lattice_points, ehrhart_hstar,
+from flowtri.geometry import (Triangulation, count_lattice_points, ehrhart_hstar,
                               is_unimodular_simplex, normalized_volume, rank,
                               smith_divisors, verify_triangulation)
 from flowtri.routes import (decomposition_framing, enumerate_routes,
@@ -24,7 +22,8 @@ from tests.conftest import (brute_count_lattice_points, chain,
                             interpolate_polynomial,
                             is_gorenstein, is_pure, lp_triangulation_ok,
                             random_balanced_dag, ridges_in_two_facets,
-                            simplices_meet_in_common_face, trimmed)
+                            simplices_meet_in_common_face, swapped_vertex,
+                            trimmed, with_simplices)
 
 
 def test_smith_divisors_known_matrices():
@@ -244,10 +243,6 @@ def assert_ridge_check_matches_lp(tri, dim, volume, ok):
     assert lp_triangulation_ok(tri, dim, volume) is ok
 
 
-def with_simplices(tri, simplices):
-    return Triangulation(SimplicialComplex(tuple(simplices)), tri.labels, tri.coords)
-
-
 @pytest.mark.parametrize("dag", [D1(), D2(), D3(), zigzag(), bypass(), G(3), chain(2, 3),
                                  chain(3, 2), chain(4, 2), chain(2, 4)],
                          ids=["D1", "D2", "D3", "zigzag", "bypass", "G3", "chain2x3",
@@ -263,22 +258,6 @@ def test_ridge_check_matches_lp_oracle_random(seed):
     dag = random_balanced_dag(random.Random(seed), max_edges=8)
     for tri in dkk_and_equatorial(dag):
         assert_ridge_check_matches_lp(tri, dimension(dag), normalized_volume(dag), True)
-
-
-def swapped_vertex(tri):
-    """The first simplex with one vertex swapped for another route, chosen
-    so that the new simplex is still unimodular."""
-    s = tri.simplices[0]
-    for i, w in product(range(len(s)), range(len(tri.coords))):
-        if w in s:
-            continue
-        new = tuple(sorted(s[:i] + (w,) + s[i + 1:]))
-        try:
-            if is_unimodular_simplex(tri.simplex_coords(new)):
-                return with_simplices(tri, (new,) + tri.simplices[1:])
-        except ValueError:
-            continue
-    raise AssertionError("no unimodular swap")
 
 
 @pytest.mark.parametrize("dag", [D2(), zigzag(), chain(4, 2)],
