@@ -90,18 +90,22 @@ class _Lanes:
     so no lane borrows from or carries into its neighbour: the biased int's
     bytes are the lanes, and a lane of value >= 1 is one whose high bit is
     set once H - 1 is added instead.  Any width is exact, 64 bits or more.
+    A coefficient that is not a whole number raises ``ValueError``.
     """
 
     def __init__(self, functionals: Sequence[Sequence[int]], dim: int, bound: int) -> None:
+        values = set(chain.from_iterable(functionals))
+        for c in values:
+            if c != int(c):
+                raise ValueError(f"coefficient {c} is not an integer")
         widest = max(1, bound) * max((sum(map(abs, c)) for c in functionals), default=0)
-        size = self.size = widest.bit_length() // 8 + 1
+        size = self.size = int(widest).bit_length() // 8 + 1
         half = 1 << (8 * size - 1)
         count = self.count = len(functionals)
         ones = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
         self.bias = self.high = half * ones      # H in every lane: also the high bits
         self.below = self.bias - ones            # H - 1 in every lane
-        code = {c: (c + half).to_bytes(size, "little")
-                for c in set(chain.from_iterable(functionals))}
+        code = {c: (int(c) + half).to_bytes(size, "little") for c in values}
         self.columns = [int.from_bytes(b"".join(map(code.__getitem__, lane)), "little")
                         - self.bias for lane in zip(*functionals)] or [0] * dim
 

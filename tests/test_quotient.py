@@ -216,6 +216,21 @@ def test_non_integral_facet_is_reported_not_raised():
     assert verify_reflexive(q).ok
 
 
+def test_identity_rejects_a_non_integral_functional():
+    """A halved functional raises ValueError naming the coefficient; one of
+    integral Fractions checks like ints."""
+    d2 = D2()
+    q = quotient_facets(d2, route_decomposition(d2))
+    m, coeffs = next((m, c) for m, c in q.functionals.items() if 1 in c)
+    halved = replace(q, functionals={**q.functionals,
+                                     m: tuple(Fraction(c, 2) for c in coeffs)})
+    with pytest.raises(ValueError, match="coefficient 1/2 is not an integer"):
+        check_transversal_identity(halved)
+    whole = replace(q, functionals={k: tuple(map(Fraction, c))
+                                    for k, c in q.functionals.items()})
+    assert check_transversal_identity(whole) == check_transversal_identity(q)
+
+
 def test_functional_support():
     d2 = D2()
     decomp = route_decomposition(d2)          # ((a, c, e), (b, d, f))
