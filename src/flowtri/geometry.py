@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 from operator import mul
 from typing import Sequence
 
@@ -65,8 +65,6 @@ def smith_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
         ri += 1
         ci += 1
     # normalize the divisibility chain d1 | d2 | ...
-    from math import gcd
-
     for i in range(len(divisors)):
         for j in range(i + 1, len(divisors)):
             a, b = divisors[i], divisors[j]
