@@ -12,8 +12,9 @@ Route sets are int bitmasks over the route list: bit i stands for route i.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Sequence
 
@@ -150,6 +151,11 @@ def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:
     )
 
 
+# The certificate's ridge table is built in this many parts, split by ridge
+# mask modulo this prime, so only one part is in memory at a time.
+_RIDGE_BUCKETS = 31
+
+
 def verify_dkk_triangulation(dag: Dag, tri: Triangulation, dim: int,
                              normalized_volume: int) -> TriangulationReport:
     """``verify_triangulation(tri, dim, normalized_volume)`` for a
@@ -167,13 +173,12 @@ def verify_dkk_triangulation(dag: Dag, tri: Triangulation, dim: int,
     route of the ridge misses.  Swap-crossed ridges connect the simplices,
     and the first simplex is unimodular.
 
-    Why that is sound: b = c + d - a, so the ridge's affine functional f
-    has f(b) = -f(a), and b - r = (c - r) + (d - r) - (a - r) for a ridge
-    vertex r: both simplices have one difference lattice, so connectivity
-    makes every simplex unimodular.  x_e >= 0 holds on every route and
-    cuts out the lone ridge.  The routes span exactly ``dim`` dimensions.
-    So every condition of ``verify_triangulation`` holds (De
-    Loera-Rambau-Santos, *Triangulations*, Ch. 4), and its report is empty.
+    Why that is sound: from b = c + d - a, the ridge's affine functional
+    f has f(b) = -f(a) < 0, and both simplices have one difference lattice,
+    so the walk carries the first simplex's unimodularity to all.  x_e >= 0
+    holds on every route and is 0 on the lone ridge.  A valid graph's
+    routes span at most ``dim`` dimensions.  So every condition of the
+    ridge check holds (De Loera-Rambau-Santos, *Triangulations*, Ch. 4).
     """
     if _swap_certificate(dag, tri, dim, normalized_volume):
         return TriangulationReport(())
@@ -192,9 +197,11 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
             and len(set(labels)) == n
             and tuple(tri.coords) == tuple(indicator_vector(dag, r) for r in labels)):
         return False
+    if set(map(type, chain.from_iterable(simplices))) != {int}:
+        return False
     masks = []
     for s in simplices:
-        if len(s) != dim + 1 or not all(type(v) is int and 0 <= v < n for v in s):
+        if len(s) != dim + 1 or min(s) < 0 or max(s) >= n:
             return False
         masks.append(_mask(s))
         if masks[-1].bit_count() != dim + 1:
@@ -227,8 +234,6 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
                 return True
         return False
 
-    # ridge mask -> its simplex while it lies in one, -1 once in two
-    owner: dict[int, int] = {}
     parent = list(range(len(masks)))
 
     def root(k: int) -> int:
@@ -236,28 +241,34 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
             parent[k] = k = parent[parent[k]]
         return k
 
+    # the (simplex k, apex v) pairs as k * n + v, in buckets by ridge mask:
+    # a ridge's owners share a bucket, and one bucket's table is held at a time
+    buckets = [array("q") for _ in range(_RIDGE_BUCKETS)]
+    for k, (s, m) in enumerate(zip(simplices, masks)):
+        for v in s:
+            buckets[(m ^ 1 << v) % _RIDGE_BUCKETS].append(k * n + v)
     parts = len(masks)
-    for k, m in enumerate(masks):
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            ridge = m ^ low
+    for bucket in buckets:
+        # ridge mask -> its simplex while it lies in one, -1 once in two
+        owner: dict[int, int] = {}
+        for entry in bucket:
+            k, apex = divmod(entry, n)
+            ridge = masks[k] ^ 1 << apex
             other = owner.setdefault(ridge, k)
             if other == k:
                 continue
-            if other < 0 or not swap_crosses(low.bit_length() - 1,
-                                             (masks[other] ^ ridge).bit_length() - 1, ridge):
+            if other < 0 or not swap_crosses(apex, (masks[other] ^ ridge).bit_length() - 1,
+                                             ridge):
                 return False
             owner[ridge] = -1
             a, b = root(k), root(other)
             if a != b:
                 parent[a] = b
                 parts -= 1
-    for ridge, k in owner.items():
-        if k >= 0 and all(ridge & through[eid]
-                          for eid in labels[(masks[k] ^ ridge).bit_length() - 1]):
-            return False
+        for ridge, k in owner.items():
+            if k >= 0 and all(ridge & through[eid]
+                              for eid in labels[(masks[k] ^ ridge).bit_length() - 1]):
+                return False
     if parts != 1:
         return False
     try:
