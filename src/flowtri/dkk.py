@@ -151,8 +151,9 @@ def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:
     )
 
 
-# The certificate's ridge table is built in this many parts, split by ridge
-# mask modulo this prime, so only one part is in memory at a time.
+# The certificate builds its ridge table in this many parts, one at a time,
+# split by ridge mask modulo this number: an odd prime, since a mask modulo a
+# power of two would see only its lowest routes.
 _RIDGE_BUCKETS = 31
 
 
