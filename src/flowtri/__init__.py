@@ -10,15 +10,14 @@ from .dag import (D1, D2, D3, Dag, Edge, G, bypass, contract_idle_edges,
 from .dkk import (coherence_graph, dkk_triangulation, exceptional_routes,
                   verify_dkk_triangulation)
 from .equatorial import (differs_from_dkk, enumerate_transversals,
-                         equatorial_facets, equatorial_flow_triangulation,
-                         equatorial_sphere, join_route_simplex, t_eq)
+                         equatorial_facets, equatorial_sphere,
+                         join_route_simplex, t_eq)
 from .geometry import (Triangulation, count_lattice_points, ehrhart_hstar,
                        normalized_volume, verify_triangulation)
 from .planar import (PlanarEmbedding, Poset, canonical_triangulation,
-                     flow_to_order, is_equatorial_chain, make_poset,
-                     order_to_flow, planar_dual, planar_framing, poset_to_dag,
-                     equatorial_order_triangulation, topmost_route_decomposition,
-                     verify_equivalence)
+                     make_poset, order_to_flow, planar_dual, planar_framing,
+                     poset_to_dag, equatorial_order_triangulation,
+                     topmost_route_decomposition, verify_equivalence)
 from .quotient import (check_transversal_identity, phi, quotient_facets,
                        transversal_functional, verify_reflexive)
 from .routes import (Framing, NotGorensteinError, decomposition_framing,

@@ -307,7 +307,7 @@ def cmd_order(args) -> tuple[dict, int]:
     report["graded"] = poset.graded
     report["ranks"] = dict(sorted(poset.heights.items())) if poset.graded else {}
     counts = [{"t": t, "flow": geo.count_lattice_points(dag, t), "order": order}
-              for t, order in enumerate(_order_polytope_count(poset, args.max_dilate), 1)]
+              for t, order in enumerate(plmod.order_polytope_count(poset, args.max_dilate), 1)]
     report["lattice_counts"] = counts
     counts_ok = all(c["flow"] == c["order"] for c in counts)
     report["lattice_counts_agree"] = counts_ok
@@ -324,24 +324,6 @@ def cmd_order(args) -> tuple[dict, int]:
         "order_simplices": ver.order_simplices,
     }
     return report, OK if counts_ok and ver.ok else FAILED
-
-
-def _order_polytope_count(poset: plmod.Poset, max_dilate: int) -> list[int]:
-    """Order-preserving maps P -> {0..t}, t = 1..max_dilate, on the poset alone.
-
-    Such a map f is the chain of filters F_1, ..., F_t, each containing
-    the next, with F_j = {p : f(p) >= j}.  After round t, chains[i]
-    counts the chains of t filters under poset.filters[i]; the last filter
-    is the whole poset.
-    """
-    masks = poset.filter_masks
-    below = [[j for j, g in enumerate(masks) if g & f == g] for f in masks]
-    chains = [1] * len(masks)
-    counts = []
-    for _ in range(max_dilate):
-        chains = [sum(chains[j] for j in js) for js in below]
-        counts.append(chains[-1])
-    return counts
 
 
 def _fuzz_failure(k: int, drawn: dagmod.Dag, message: str) -> dict:

@@ -198,7 +198,8 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
             and len(set(labels)) == n
             and tuple(tri.coords) == tuple(indicator_vector(dag, r) for r in labels)):
         return False
-    if set(map(type, chain.from_iterable(simplices))) != {int}:
+    if ({type(s) for s in simplices} != {tuple}
+            or set(map(type, chain.from_iterable(simplices))) != {int}):
         return False
     masks = []
     for s in simplices:

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 from .dag import Dag, degree_equality, dimension, idle_edges
 from .dkk import _mask, _members, coherence_graph, max_cliques
-from .geometry import SimplicialComplex, Triangulation
+from .geometry import SimplicialComplex, Triangulation, join_with_simplex
 from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
                      enumerate_routes, indicator_vector)
 
@@ -139,14 +139,8 @@ def join_route_simplex(dag: Dag, routes: Sequence[Route], decomp: Sequence[Route
     """Join of the equatorial sphere with the route simplex, on the graph's
     route list with the routes' indicator vectors as coordinates."""
     idx = {r: i for i, r in enumerate(routes)}
-    simplex = tuple(sorted(idx[r] for r in decomp))
-    maximal = tuple(sorted(tuple(sorted(set(f) | set(simplex)))
-                           for f in sphere.maximal_faces)) or (simplex,)
-    want = dimension(dag) + 1
-    for f in maximal:
-        if len(f) != want:
-            raise AssertionError(f"join simplex {f} has size {len(f)}, expected {want}")
-    return Triangulation(SimplicialComplex(maximal), tuple(routes),
+    joined = join_with_simplex([idx[r] for r in decomp], sphere.maximal_faces, dimension(dag) + 1)
+    return Triangulation(SimplicialComplex(joined), tuple(routes),
                          tuple(indicator_vector(dag, r) for r in routes))
 
 
@@ -160,12 +154,6 @@ def equatorial_sphere(dag: Dag, decomp: Sequence[Route], framing: Framing | None
     adj = coherence_graph(dag, framing or decomposition_framing(dag, decomp), routes)
     facets = equatorial_facets(dag, decomp, routes)
     return routes, adj, facets, t_eq(adj, facets, dimension(dag) + 1 - len(decomp))
-
-
-def equatorial_flow_triangulation(dag: Dag, decomp: Sequence[Route]) -> Triangulation:
-    """Join of the equatorial sphere with the route simplex."""
-    routes, _, _, sphere = equatorial_sphere(dag, decomp)
-    return join_route_simplex(dag, routes, decomp, sphere)
 
 
 @dataclass(frozen=True)

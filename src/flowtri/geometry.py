@@ -141,6 +141,18 @@ class SimplicialComplex:
         return owners
 
 
+def join_with_simplex(simplex: Sequence[int], faces: Sequence[Sequence[int]],
+                      size: int) -> tuple[tuple[int, ...], ...]:
+    """The join of ``simplex`` with the complex of the maximal ``faces``:
+    simplex + F for each face F (the simplex alone for no faces), sorted;
+    each must have ``size`` vertices, else ``AssertionError``."""
+    joined = tuple(sorted(tuple(sorted({*simplex, *f})) for f in faces or ((),)))
+    for f in joined:
+        if len(f) != size:
+            raise AssertionError(f"join simplex {f} has size {len(f)}, expected {size}")
+    return joined
+
+
 def euler_characteristic(fv: Sequence[int]) -> int:
     """f_0 - f_1 + f_2 - ... of an f-vector (f_-1, f_0, ...)."""
     return sum((-1) ** k * f for k, f in enumerate(fv[1:]))
@@ -227,19 +239,23 @@ def verify_triangulation(tri: Triangulation, dim: int,
     nondegenerate simplices whose points span ``dim`` dimensions.
 
     Never raises on malformed input; each fault is an issue: no
-    simplices, a simplex with the wrong number of vertices or a vertex
-    without coordinates, a degenerate or non-unimodular simplex, a count
-    that is not the normalized volume, points that span another
-    dimension, a ridge in more than two simplices, two simplices on the
-    same side of a ridge, and a ridge in one simplex that is not on the
-    boundary.
+    simplices, a simplex that is not a sequence of vertex indices, has the
+    wrong number of vertices or none, or names a vertex without
+    coordinates, a degenerate or non-unimodular simplex, a count that is
+    not the normalized volume, points that span another dimension, a ridge
+    in more than two simplices, two simplices on the same side of a ridge,
+    and a ridge in one simplex that is not on the boundary.
     """
     simplices = tri.simplices
     issues: list[str] = [] if simplices else ["no simplices"]
     well_formed = bool(simplices)
     for s in simplices:
-        if len(s) != dim + 1:
+        if not (isinstance(s, Sequence) and all(isinstance(v, int) for v in s)):
+            fault = "is not a sequence of vertex indices"
+        elif len(s) != dim + 1:
             fault = f"has {len(s)} vertices, expected {dim + 1}"
+        elif not s:
+            fault = "has no vertices"
         elif not all(0 <= v < len(tri.coords) for v in s):
             fault = "names a vertex without coordinates"
         else:

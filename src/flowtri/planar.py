@@ -12,13 +12,13 @@ faces of its bottom-to-top Hasse drawing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping
 
 from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_json
 from .dkk import _mask, _members, coherence_graph, max_cliques
 from .equatorial import EquatorialFace, equatorial_sphere, join_route_simplex, t_eq
-from .geometry import SimplicialComplex, Triangulation
+from .geometry import SimplicialComplex, Triangulation, join_with_simplex
 from .routes import Framing, Route, decomposition_framing, peel_decomposition
 
 BOTTOM = "_bot"
@@ -94,8 +94,13 @@ class Poset:
         bit = {p: 1 << k for k, p in enumerate(self.elements)}
         return tuple(sum(map(bit.__getitem__, f)) for f in self.filters)
 
-    def leq(self, a: str, b: str) -> bool:
-        return b in self.up_sets[a]
+    @cached_property
+    def comparability(self) -> tuple[int, ...]:
+        """Adjacency masks of the filters' comparability graph: bit j of
+        entry i is set when one of filters i != j holds the other."""
+        masks = self.filter_masks
+        return tuple(_mask(j for j, n in enumerate(masks) if m & n in (m, n)) & ~(1 << i)
+                     for i, m in enumerate(masks))
 
     @property
     def minimal(self) -> tuple[str, ...]:
@@ -139,6 +144,25 @@ def filters(poset: Poset) -> tuple[frozenset[str], ...]:
         level = {f | {p} for f in level for p, ups in poset.up_covers.items()
                  if p not in f and f.issuperset(ups)}
     return tuple(out)
+
+
+def order_polytope_count(poset: Poset, max_dilate: int) -> list[int]:
+    """Order-preserving maps P -> {0..t}, t = 1..max_dilate, on the poset alone.
+
+    Such a map f is the chain of filters F_1, ..., F_t, each containing
+    the next, with F_j = {p : f(p) >= j}.  After round t, chains[i]
+    counts the chains of t filters under poset.filters[i]; the last filter
+    is the whole poset.
+    """
+    # filters are listed by size: those under filter i are its comparable
+    # filters below index i, and itself
+    below = [_members((a | 1 << i) & ((2 << i) - 1)) for i, a in enumerate(poset.comparability)]
+    chains = [1] * len(below)
+    counts = []
+    for _ in range(max_dilate):
+        chains = [sum(chains[j] for j in js) for js in below]
+        counts.append(chains[-1])
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -393,29 +417,6 @@ def planar_framing(dag: Dag, emb: PlanarEmbedding) -> Framing:
     return Framing(ins, outs)
 
 
-def flow_to_order(dual: PlanarDual, flow) -> dict[str, object]:
-    """Potential on the dual elements whose increments along covers are the
-    edge flows; chain-independence is enforced.  ``flow`` may be a route
-    (iterable of edge ids) or a mapping edge id -> value."""
-    if not isinstance(flow, Mapping):
-        flow = {eid: 1 for eid in flow}
-    f: dict[str, object] = {BOTTOM: 0}
-    changed = True
-    while changed:
-        changed = False
-        for eid, (below, above) in dual.cover_of_edge.items():
-            step = flow.get(eid, 0)
-            if below in f and above not in f:
-                f[above] = f[below] + step
-                changed = True
-            elif above in f and below not in f:
-                f[below] = f[above] - step
-                changed = True
-            elif below in f and f[above] != f[below] + step:
-                raise ValueError(f"flow potential is chain dependent at {eid}")
-    return f
-
-
 def order_to_flow(dual: PlanarDual, f: Mapping[str, object]) -> dict[str, object]:
     """Edge flows as potential differences, with bottom pinned to 0 and top
     to 1."""
@@ -440,33 +441,20 @@ def route_of_flow(dag: Dag, flow: Mapping[str, object]) -> Route:
 # ---------------------------------------------------------------------------
 # Triangulations of the order polytope
 
-def _filter_triangulation(poset: Poset, maximal_chains) -> Triangulation:
-    """The triangulation whose simplices are the given chains of
+def _filter_triangulation(poset: Poset, simplices) -> Triangulation:
+    """The triangulation with the given simplices, sorted tuples of
     ``poset.filters`` indices, on the filters' indicator vectors."""
     elems = tuple(sorted(poset.elements))
     labels = tuple(tuple(sorted(f)) for f in poset.filters)
     coords = tuple(tuple(int(p in f) for p in elems) for f in poset.filters)
-    maximal = tuple(sorted(tuple(sorted(chain)) for chain in maximal_chains))
-    for m in maximal:
-        if len(m) != len(poset.elements) + 1:
-            raise AssertionError(
-                f"simplex {m} has {len(m)} vertices, expected {len(elems) + 1}")
-    return Triangulation(SimplicialComplex(maximal), labels, coords)
-
-
-def _comparability(masks: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency masks of the comparability graph of the sets with element
-    masks ``masks``: bit j of entry i is set when one of sets i != j holds
-    the other."""
-    return tuple(_mask(j for j, n in enumerate(masks) if m & n in (m, n)) & ~(1 << i)
-                 for i, m in enumerate(masks))
+    return Triangulation(SimplicialComplex(simplices), labels, coords)
 
 
 def maximal_filter_chains(poset: Poset) -> tuple[tuple[int, ...], ...]:
     """Complete chains of filters from the empty set to everything, one per
     linear extension of the poset, as ascending tuples of ``poset.filters``
     indices: the maximal cliques of the filters' comparability graph."""
-    return max_cliques(_comparability(poset.filter_masks), len(poset.elements) + 1)
+    return max_cliques(poset.comparability, len(poset.elements) + 1)
 
 
 def canonical_triangulation(poset: Poset) -> Triangulation:
@@ -484,58 +472,39 @@ def rank_constant_filters(poset: Poset) -> tuple[frozenset[str], ...]:
                  for j in range(max(h.values(), default=0) + 1))
 
 
-def _cut_covers(poset: Poset, fs: Sequence[frozenset[str]]) -> tuple[list[int], list[int]]:
-    """Masks over ``poset.covers``: those each filter of ``fs`` cuts (upper
-    end in, lower end out), and those into each rank j = 2..r."""
+def _cut_covers(poset: Poset) -> tuple[list[int], list[int]]:
+    """Masks over ``poset.covers``: those each nonempty proper filter cuts
+    (upper end in, lower end out), and those into each rank j = 2..r."""
     if not poset.graded:
         raise ValueError("poset is not graded")
     bits = [(1 << k, a, b) for k, (a, b) in enumerate(poset.covers)]
-    cuts = [sum(bit for bit, a, b in bits if b in f and a not in f) for f in fs]
+    cuts = [sum(bit for bit, a, b in bits if b in f and a not in f)
+            for f in poset.filters[1:-1]]
     h = poset.heights
     ranks = [sum(bit for bit, _, b in bits if h[b] == j)
              for j in range(2, max(h.values(), default=0) + 1)]
     return cuts, ranks
 
 
-def is_equatorial_chain(poset: Poset, chain: Sequence[frozenset[str]]) -> bool:
-    """Equatoriality of a chain of nonempty filters of a graded poset: its
-    summed indicator map vanishes somewhere and stays level across some
-    cover into every rank j >= 2.  The map is level on a cover exactly when
-    no filter cuts it, so that is one test on the chain's cut covers."""
-    fs = sorted((frozenset(f) for f in chain), key=len)
-    up = poset.up_covers
-    for f in fs:
-        if not (f <= up.keys() and all(q in f for p in f for q in up[p])):
-            raise ValueError(f"{sorted(f)} is not a filter of the poset")
-    for small, big in zip(fs, fs[1:]):      # a repeated filter fails here too
-        if not small < big:
-            raise ValueError("filters do not form a chain")
-    if any(not f for f in fs):
-        raise ValueError("chain filters must be nonempty")
-    cuts, ranks = _cut_covers(poset, fs)
-    uncut = ~reduce(int.__or__, cuts, 0)
-    return len(fs[-1] if fs else ()) < len(poset.elements) and all(uncut & m for m in ranks)
-
-
 def maximal_equatorial_chains(poset: Poset) -> tuple[tuple[int, ...], ...]:
     """Inclusion-maximal equatorial chains of nonempty proper filters, as
     ascending tuples of ``poset.filters`` indices.
 
-    A chain is equatorial when, for some choice of one cover into each rank
-    j >= 2, none of its filters cuts a chosen cover (see
-    ``is_equatorial_chain``).  So the chains are the faces of ``t_eq`` on
-    the proper filters' comparability graph, with one facet per
-    inclusion-maximal set of the filters that cut no cover of a choice,
-    that choice standing for the transversal.  Its facets have n - r
-    filters for n elements in r ranks; none (the empty face alone) means no
-    chains.
+    A chain is equatorial when its summed indicator map is level (no filter
+    cuts it) on some cover into each rank j >= 2, one cover per rank.  So
+    the chains are the faces of ``t_eq`` on the proper filters'
+    comparability graph, with one facet per inclusion-maximal set of the
+    filters that cut no cover of a choice, that choice standing for the
+    transversal.  Its facets have n - r filters for n elements in r ranks;
+    none (the empty face alone) means no chains.
     """
-    proper = poset.filter_masks[1:-1]                 # filters sorted by size
-    cuts, ranks = _cut_covers(poset, poset.filters[1:-1])
+    cuts, ranks = _cut_covers(poset)
+    rows = poset.comparability[1:-1]                  # filters sorted by size
+    everyone = (1 << len(rows)) - 1
     cutters = [_mask(i for i, c in enumerate(cuts) if c >> k & 1)
                for k in range(len(poset.covers))]
     names = [f"{a}<{b}" for a, b in poset.covers]    # the covers' edge ids in the DAG
-    uncut = {(1 << len(proper)) - 1: ()}              # filters -> first choice leaving them
+    uncut = {everyone: ()}                            # filters -> first choice leaving them
     for rank in ranks:
         grown: dict[int, tuple[str, ...]] = {}
         for m, choice in uncut.items():
@@ -545,15 +514,15 @@ def maximal_equatorial_chains(poset: Poset) -> tuple[tuple[int, ...], ...]:
     facets = [EquatorialFace(choice, m) for m, choice in uncut.items()
               if not any(m != o and m & o == m for o in uncut)]
     size = len(poset.elements) - max(poset.heights.values(), default=0)
-    faces = t_eq(_comparability(proper), facets, size).maximal_faces
+    faces = t_eq([a >> 1 & everyone for a in rows], facets, size).maximal_faces
     return tuple(tuple(i + 1 for i in f) for f in faces if f)
 
 
 def equatorial_order_triangulation(poset: Poset) -> Triangulation:
     """Join of the rank-constant simplex with the equatorial chain complex."""
-    sigma = {poset.filters.index(f) for f in rank_constant_filters(poset)}
-    chains = [sigma.union(c) for c in maximal_equatorial_chains(poset)] or [sigma]
-    return _filter_triangulation(poset, chains)
+    sigma = [poset.filters.index(f) for f in rank_constant_filters(poset)]
+    return _filter_triangulation(poset, join_with_simplex(
+        sigma, maximal_equatorial_chains(poset), len(poset.elements) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ from flowtri.dag import (SOURCE, Dag, contract_idle_edges, degree_equality, dime
                          validate)
 from flowtri.dkk import _mask
 from flowtri.equatorial import (EquatorialFace, Sphere, Transversal,
-                                enumerate_transversals, equatorial_sphere)
+                                enumerate_transversals, equatorial_sphere,
+                                join_route_simplex)
 from flowtri.geometry import (SimplicialComplex, Triangulation, Vector, ehrhart_hstar,
                               euler_characteristic, h_from_f, is_unimodular_simplex,
                               normalized_volume)
-from flowtri.planar import Poset, make_poset, maximal_filter_chains
+from flowtri.planar import BOTTOM, PlanarDual, Poset, make_poset, maximal_filter_chains
 from flowtri.quotient import QuotientPolytope, ReflexiveReport
 from flowtri.routes import Framing, Route, decomposition_framing
 
@@ -132,6 +133,12 @@ def route_unions(draw, max_inner: int = 3, max_routes: int = 4) -> Dag:
 def sphere(dag: Dag, decomp: tuple[Route, ...]) -> Sphere:
     """T_eq of a decomposition, with its f-vector."""
     return equatorial_sphere(dag, decomp)[3]
+
+
+def equatorial_flow_triangulation(dag: Dag, decomp: Sequence[Route]) -> Triangulation:
+    """Join of the equatorial sphere with the route simplex."""
+    routes, _, _, teq = equatorial_sphere(dag, decomp)
+    return join_route_simplex(dag, routes, decomp, teq)
 
 
 def f_vector(cpx) -> tuple[int, ...]:
@@ -398,6 +405,37 @@ def order_polytope_vertices(poset: Poset) -> tuple[Vector, ...]:
 
 def poset_from_json(data: Mapping) -> Poset:
     return make_poset(data["elements"], [tuple(c) for c in data["covers"]])
+
+
+def pairwise_comparability(masks: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency masks of the comparability graph of the sets with element
+    masks ``masks``, pair by pair: bit j of entry i is set when one of sets
+    i != j holds the other."""
+    return tuple(_mask(j for j, n in enumerate(masks) if m & n in (m, n)) & ~(1 << i)
+                 for i, m in enumerate(masks))
+
+
+def flow_to_order(dual: PlanarDual, flow) -> dict[str, object]:
+    """Potential on the dual elements whose increments along covers are the
+    edge flows; chain-independence is enforced.  ``flow`` may be a route
+    (iterable of edge ids) or a mapping edge id -> value."""
+    if not isinstance(flow, Mapping):
+        flow = {eid: 1 for eid in flow}
+    f: dict[str, object] = {BOTTOM: 0}
+    changed = True
+    while changed:
+        changed = False
+        for eid, (below, above) in dual.cover_of_edge.items():
+            step = flow.get(eid, 0)
+            if below in f and above not in f:
+                f[above] = f[below] + step
+                changed = True
+            elif above in f and below not in f:
+                f[below] = f[above] - step
+                changed = True
+            elif below in f and f[above] != f[below] + step:
+                raise ValueError(f"flow potential is chain dependent at {eid}")
+    return f
 
 
 def subset_scan_filters(poset: Poset) -> tuple[frozenset[str], ...]:

@@ -11,8 +11,7 @@ from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, degree_equality,
                          dimension, random_dag, stacked_rotations)
 from flowtri.dkk import dkk_triangulation
 from flowtri.equatorial import (differs_from_dkk, enumerate_transversals,
-                                equatorial_facets, equatorial_flow_triangulation,
-                                framing_count)
+                                equatorial_facets, framing_count)
 from flowtri.geometry import (SimplicialComplex, Triangulation,
                               count_lattice_points, ehrhart_hstar,
                               normalized_volume, verify_triangulation)
@@ -24,7 +23,8 @@ from flowtri.routes import (NotGorensteinError, decomposition_framing,
                             route_decomposition)
 from tests.conftest import (complex_euler_characteristic,
                             dense_pairs_and_failures,
-                            dense_transversal_identity, f_vector,
+                            dense_transversal_identity,
+                            equatorial_flow_triangulation, f_vector,
                             h_polynomial, has_route_partition, is_pure,
                             random_balanced_dag, ridges_in_two_facets, scaled,
                             sphere, trimmed)
@@ -156,13 +156,12 @@ def test_criterion_8_codegree_is_route_count():
 
 
 def test_criterion_9_strongly_planar_equivalence():
-    from flowtri.cli import _order_polytope_count
-    from flowtri.planar import planar_dual
+    from flowtri.planar import order_polytope_count, planar_dual
     ok = True
     for dag in (D1(), D2()):
         emb = PlanarEmbedding(stacked_rotations(dag))
         dual = planar_dual(dag, emb)
-        ok = ok and _order_polytope_count(dual.poset, 4) == [
+        ok = ok and order_polytope_count(dual.poset, 4) == [
             count_lattice_points(dag, t) for t in range(1, 5)]
         rep = verify_equivalence(dag, emb, dual)
         ok = ok and rep.ok

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
 from flowtri.dkk import (_swap_certificate, coherence_graph, dkk_triangulation,
                          exceptional_routes, max_cliques, verify_dkk_triangulation)
-from flowtri.equatorial import (_all_framings, equatorial_flow_triangulation,
-                                framing_count)
+from flowtri.equatorial import _all_framings, framing_count
 from flowtri.geometry import ehrhart_hstar, normalized_volume, verify_triangulation
 from flowtri.routes import decomposition_framing, enumerate_routes, route_decomposition
-from tests.conftest import (chain, conflict, corrupted, h_polynomial,
+from tests.conftest import (chain, conflict, corrupted, equatorial_flow_triangulation,
+                            h_polynomial,
                             pairwise_coherence_masks, random_balanced_dag,
                             random_framing, route_unions, set_max_cliques, trimmed,
                             with_simplices)

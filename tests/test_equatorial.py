@@ -10,13 +10,13 @@ from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
 from flowtri.dkk import max_cliques
 from flowtri.equatorial import (EquatorialFace, differs_from_dkk,
                                 enumerate_transversals, equatorial_facets,
-                                equatorial_flow_triangulation, equatorial_sphere,
-                                framing_count, join_route_simplex, t_eq)
+                                equatorial_sphere, framing_count,
+                                join_route_simplex, t_eq)
 from flowtri.geometry import (ehrhart_hstar, h_from_f, normalized_volume,
                               verify_triangulation)
 from flowtri.routes import enumerate_routes, route_decomposition
 from tests.conftest import (chain, common_face, complex_euler_characteristic,
-                            f_vector, h_polynomial, is_facet_transversal, is_pure,
+                            equatorial_flow_triangulation, f_vector, h_polynomial, is_facet_transversal, is_pure,
                             old_t_eq, random_balanced_dag, ridges_in_two_facets,
                             route_unions, routes_avoiding, set_equatorial_facets,
                             set_max_cliques, sphere, sphere_oracle, trimmed)

@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
                          degree_equality, dimension, gorenstein_completion,
                          idle_edges, make_dag, random_dag, zigzag)
-from flowtri.dkk import dkk_triangulation
-from flowtri.equatorial import equatorial_flow_triangulation
+from flowtri.dkk import dkk_triangulation, verify_dkk_triangulation
+from flowtri.equatorial import equatorial_sphere, join_route_simplex
 from flowtri.geometry import (Triangulation, count_lattice_points, ehrhart_hstar,
-                              is_unimodular_simplex, normalized_volume, rank,
-                              smith_divisors, verify_triangulation)
+                              is_unimodular_simplex, join_with_simplex,
+                              normalized_volume, rank, smith_divisors,
+                              verify_triangulation)
+from flowtri.planar import (equatorial_order_triangulation, make_poset,
+                            maximal_equatorial_chains, rank_constant_filters)
 from flowtri.routes import (decomposition_framing, enumerate_routes,
                             route_decomposition)
 from tests.conftest import (brute_count_lattice_points, chain,
                             complex_euler_characteristic, complex_from_faces,
-                            f_vector, h_polynomial, hstar_by_binomials,
+                            equatorial_flow_triangulation, f_vector, h_polynomial, hstar_by_binomials,
                             interpolate_polynomial,
                             is_gorenstein, is_pure, lp_triangulation_ok,
                             random_balanced_dag, ridges_in_two_facets,
@@ -309,9 +312,38 @@ def test_verify_triangulation_reports_malformed_input():
     lifted = Triangulation(square.complex, square.labels, square.coords + ((2, 0, 0, 0),))
     assert verify_triangulation(lifted, 2, 2).issues == (
         "the points span dimension 3, expected 2",)
+    point = (with_simplices(square, ((),)), -1, 1)
+    number = (with_simplices(square, ((0, 1, 2), 5)), 2, 2)
+    assert verify_triangulation(*point).issues == ("simplex () has no vertices",)
+    assert verify_triangulation(*number).issues == (
+        "simplex 5 is not a sequence of vertex indices",)
+    for case in (point, number):
+        assert verify_dkk_triangulation(d1, *case) == verify_triangulation(*case)
     cube = chain(3, 2)
     tri = dkk_triangulation(cube, decomposition_framing(cube, route_decomposition(cube)))
     face = tuple(i for i, x in enumerate(tri.coords) if x[0] == 1)   # a square
     assert len(face) == 4
     bad = verify_triangulation(with_simplices(tri, (face,) + tri.simplices[1:]), 3, 6)
     assert bad.issues == (f"simplex {face} is degenerate",)
+
+
+def test_join_with_an_empty_complex_or_a_wrong_size():
+    """The join with no faces, or with the empty face alone, is the simplex,
+    sorted, on the flow side (G(3): T_eq is the empty face) and on the
+    order side (a chain poset: no equatorial chains); a simplex of the wrong
+    size raises."""
+    assert join_with_simplex((2, 0, 1), (), 3) == join_with_simplex((2, 0, 1), ((),), 3) \
+        == ((0, 1, 2),)
+    g3 = G(3)
+    decomp = route_decomposition(g3)
+    routes, _, _, sphere = equatorial_sphere(g3, decomp)
+    assert sphere.maximal_faces == ((),)
+    assert join_route_simplex(g3, routes, decomp, sphere).simplices == ((0, 1, 2),)
+    chain3 = make_poset("abc", [("a", "b"), ("b", "c")])
+    assert maximal_equatorial_chains(chain3) == ()
+    sigma = tuple(sorted(map(chain3.filters.index, rank_constant_filters(chain3))))
+    assert equatorial_order_triangulation(chain3).simplices == (sigma,)
+    with pytest.raises(AssertionError, match=r"join simplex \(0, 1, 2\) has size 3"):
+        join_with_simplex((0,), ((1,), (1, 2)), 2)
+    with pytest.raises(AssertionError, match="expected 2"):
+        join_with_simplex((0,), (), 2)

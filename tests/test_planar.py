@@ -11,8 +11,7 @@ from flowtri.dag import (D1, D2, D3, G, dag_to_json, stacked_rotations, zigzag,
 from flowtri.geometry import verify_triangulation
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             canonical_triangulation, embedding_from_json,
-                            embedding_to_json, filters, flow_to_order,
-                            is_equatorial_chain, make_poset,
+                            embedding_to_json, filters, make_poset,
                             maximal_equatorial_chains, maximal_filter_chains,
                             order_to_flow, planar_dual, planar_framing,
                             poset_to_dag, poset_to_json,
@@ -23,10 +22,11 @@ from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
 from flowtri.routes import Framing, Route, decomposition_framing, enumerate_routes
 from tests.conftest import (brute_order_polytope_count, equatorial_by_jumps,
                             equatorial_by_map, extension_filter_chains,
-                            filter_chains, linear_extension_count,
+                            filter_chains, flow_to_order, linear_extension_count,
                             lp_triangulation_ok, order_polytope_vertices,
-                            poset_from_json, recursive_heights,
-                            recursive_up_sets, subset_scan_filters)
+                            pairwise_comparability, poset_from_json,
+                            recursive_heights, recursive_up_sets,
+                            subset_scan_filters)
 
 
 def posets_isomorphic(p: Poset, q: Poset) -> bool:
@@ -72,7 +72,7 @@ def index_chains(poset: Poset, chains) -> tuple[tuple[int, ...], ...]:
 def test_make_poset_reduces_transitively():
     p = make_poset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     assert p.covers == (("a", "b"), ("b", "c"))
-    assert p.leq("a", "c") and not p.leq("c", "a")
+    assert "c" in p.up_sets["a"] and "a" not in p.up_sets["c"]
     with pytest.raises(ValueError):
         make_poset("ab", [("a", "b"), ("b", "a")])
     with pytest.raises(ValueError):
@@ -128,11 +128,40 @@ def test_cyclic_cover_relation_raises_from_heights():
         Poset(("a",), (("a", "a"),)).heights
 
 
+def test_comparability_table_matches_pairwise_oracle(monkeypatch):
+    """``Poset.comparability`` equals the pair-by-pair comparability graph
+    of the filters, and the rows ``maximal_equatorial_chains`` hands to
+    ``t_eq`` equal the pair-by-pair graph of the nonempty proper filters,
+    on graded and ungraded posets with their elements shuffled and on a
+    600-element chain."""
+    adjacency = []
+
+    def kept(adj, facets, size):
+        adjacency.append(adj)
+        return equatorial.t_eq(adj, facets, size)
+
+    monkeypatch.setattr(planar, "t_eq", kept)
+    rng = random.Random(12)
+    posets = [random_poset(rng) for _ in range(40)] + \
+        [random_graded_poset(rng) for _ in range(40)]
+    names = tuple(f"p{i:03d}" for i in range(600))
+    long_chain = Poset(names, tuple(zip(names, names[1:])))
+    shuffled = [Poset(tuple(rng.sample(p.elements, len(p.elements))), p.covers)
+                for p in catalog_duals() + posets]
+    assert sum(p.graded for p in shuffled) >= 45 and not all(p.graded for p in shuffled)
+    for p in shuffled + [long_chain]:
+        assert p.comparability == pairwise_comparability(p.filter_masks), p
+        if p.graded:
+            adjacency.clear()
+            maximal_equatorial_chains(p)
+            assert adjacency == [list(pairwise_comparability(p.filter_masks[1:-1]))], p
+
+
 def test_600_element_chain_without_recursion():
     names = tuple(f"p{i:03d}" for i in range(600))
     p = Poset(names, tuple(zip(names, names[1:])))
     assert p.heights == {q: i + 1 for i, q in enumerate(names)}
-    assert p.graded and p.leq(names[0], names[-1])
+    assert p.graded and names[-1] in p.up_sets[names[0]]
     assert p.filters == tuple(frozenset(names[k:]) for k in range(600, -1, -1))
 
 
@@ -241,41 +270,35 @@ def test_rank_constant_filters():
 
 def test_equatorial_chains_antichain_2():
     p = antichain(2)
-    assert is_equatorial_chain(p, [frozenset({"q0"})])
-    assert is_equatorial_chain(p, [frozenset({"q1"})])
-    assert not is_equatorial_chain(p, [frozenset({"q0"}), frozenset({"q0", "q1"})])
+    assert equatorial_by_map(p, [frozenset({"q0"})])
+    assert equatorial_by_map(p, [frozenset({"q1"})])
+    assert not equatorial_by_map(p, [frozenset({"q0"}), frozenset({"q0", "q1"})])
     assert p.filters[1:3] == (frozenset({"q0"}), frozenset({"q1"}))
     assert maximal_equatorial_chains(p) == ((1,), (2,))
 
 
 def test_equatorial_chain_rejects_bad_chains():
     ungraded = make_poset("abcd", [("a", "b"), ("b", "c"), ("a", "d")])
-    cases = [
-        (antichain(2), [frozenset({"zz"})], r"\['zz'\] is not a filter"),
-        (chain(2), [frozenset({"p0"})], r"\['p0'\] is not a filter"),
-        (ungraded, [frozenset({"c"})], "not graded"),
-        (chain(2), [frozenset({"p1"}), frozenset({"p1"})], "do not form a chain"),
-        (antichain(2), [frozenset({"q0"}), frozenset({"q1"})], "do not form a chain"),
-        (antichain(2), [frozenset(), frozenset({"q0"})], "nonempty"),
-    ]
-    for p, bad, message in cases:
-        with pytest.raises(ValueError, match=message):
-            is_equatorial_chain(p, bad)
     with pytest.raises(ValueError, match="not graded"):
         maximal_equatorial_chains(ungraded)
+    with pytest.raises(ValueError, match="not graded"):
+        equatorial_order_triangulation(ungraded)
 
 
 def test_equatorial_chain_matches_both_oracles():
-    """The cover-mask test equals the summed-map and the jump formulations
-    on every chain of nonempty filters, those ending in the whole poset
-    included."""
+    """A chain of nonempty filters, those ending in the whole poset
+    included, lies in a maximal equatorial chain exactly when the
+    summed-map and the jump formulations call it equatorial."""
     rng = random.Random(7)
     posets = catalog_duals() + [random_graded_poset(rng) for _ in range(60)]
     for p in posets:
+        idx = {f: i for i, f in enumerate(p.filters)}
+        maximal = [set(m) for m in maximal_equatorial_chains(p)]
         for c in filter_chains(p):
             want = equatorial_by_map(p, c)
             assert equatorial_by_jumps(p, c) == want, (p, c)
-            assert is_equatorial_chain(p, c) == want, (p, c)
+            face = {idx[f] for f in c}
+            assert any(face <= m for m in maximal) == want, (p, c)
 
 
 def test_rw_triangulation_matches_canonical_volume():
@@ -323,9 +346,9 @@ def random_poset(rng: random.Random, max_size: int = 7) -> Poset:
 def test_order_polytope_dp_matches_brute_force():
     rng = random.Random(41)
     for p in catalog_duals() + [random_poset(rng) for _ in range(40)]:
-        assert cli._order_polytope_count(p, 4) == [
+        assert planar.order_polytope_count(p, 4) == [
             brute_order_polytope_count(p, t) for t in range(1, 5)], p
-        assert cli._order_polytope_count(p, 0) == []
+        assert planar.order_polytope_count(p, 0) == []
 
 
 def test_verify_equivalence_catalog():
@@ -468,10 +491,10 @@ def test_equivalence_failure_texts(dag, rotations, pair, join_face, clique_face,
 
 def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     """One ``flowtri order`` run validates and traces the embedding once,
-    builds the planar and the decomposition framing, one coherence graph
-    and one route list once each, turns each filter into a route at most
-    once, and lists maximal cliques and walks an equatorial sphere once
-    per side: routes, then filters."""
+    builds the planar and the decomposition framing, one coherence graph,
+    one route list and one filter comparability table once each, turns
+    each filter into a route at most once, and lists maximal cliques and
+    walks an equatorial sphere once per side: routes, then filters."""
     n_filters = len(truncated_dual(zigzag(), PlanarEmbedding(zigzag_rotations())).filters)
     modules = (cli, dagmod, dkk, equatorial, geometry, planar, quotient, routes)
     watched = (planar.validate_embedding, planar._trace, planar.planar_framing,
@@ -491,6 +514,9 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
             for name, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, name, wrapper)
+    table = Poset.__dict__["comparability"]
+    calls[table.func.__name__] = 0
+    monkeypatch.setattr(table, "func", counted(table.func))
     graph, emb = tmp_path / "zigzag.json", tmp_path / "emb.json"
     graph.write_text(json.dumps(dag_to_json(zigzag())))
     emb.write_text(json.dumps(embedding_to_json(
