@@ -35,35 +35,36 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
-
-
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> tuple[object, bytes]:
+    """The JSON document in ``path`` and the bytes it was parsed from, read
+    once, so a pipe or a FIFO works as well as a regular file."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return json.loads(raw.decode("utf-8")), raw
     except (OSError, ValueError, RecursionError) as exc:    # undecodable or too deep
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_graph(path: str) -> dagmod.Dag:
+def _load_graph(path: str) -> tuple[dagmod.Dag, str]:
+    """The validated graph in ``path`` and its digest, the first 16 hex
+    digits of the sha256 of the file's bytes."""
+    doc, raw = _load_json(path)
     try:
-        dag = dagmod.dag_from_json(_load_json(path))
+        dag = dagmod.dag_from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad graph file {path}: {exc}") from exc
     report = dagmod.validate(dag)
     if not report.ok:
         raise InputError("invalid graph: " + "; ".join(
             f"{kind}: {message}" for kind, message in report.violations))
-    return dag
+    return dag, hashlib.sha256(raw).hexdigest()[:16]
 
 
 def _load_decomposition(dag: dagmod.Dag, path: str | None) -> tuple[rmod.Route, ...]:
     if path is None:
         return rmod.route_decomposition(dag)
-    data = _load_json(path)
+    data, _ = _load_json(path)
     if not isinstance(data, list) or not all(
             isinstance(r, list) and all(isinstance(e, str) for e in r) for r in data):
         raise InputError(f"{path} is not a JSON list of routes of edge ids")
@@ -181,9 +182,7 @@ def _emit(report: dict, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_analyze(args) -> tuple[dict, int]:
-    dag = _load_graph(args.graph)
-    report: dict = {"command": "analyze", "digest": _digest(args.graph)}
+def cmd_analyze(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     try:
         contracted, mapping = dagmod.contract_idle_edges(dag)
         report["contraction"] = {
@@ -200,9 +199,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
     return report, OK
 
 
-def cmd_decompose(args) -> tuple[dict, int]:
-    dag = _load_graph(args.graph)
-    report: dict = {"command": "decompose", "digest": _digest(args.graph)}
+def cmd_decompose(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     decomp = rmod.route_decomposition(dag)
     report["decomposition"] = [list(r) for r in decomp]
     report["size"] = len(decomp)
@@ -210,9 +207,7 @@ def cmd_decompose(args) -> tuple[dict, int]:
     return report, OK
 
 
-def cmd_dkk(args) -> tuple[dict, int]:
-    dag = _load_graph(args.graph)
-    report: dict = {"command": "dkk", "digest": _digest(args.graph)}
+def cmd_dkk(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     decomp = _load_decomposition(dag, args.decomposition)
     framing = rmod.decomposition_framing(dag, decomp)
     tri = dkkmod.dkk_triangulation(dag, framing)
@@ -235,9 +230,7 @@ def _h_against_h_star(dag: dagmod.Dag, fv) -> tuple[tuple[int, ...], tuple[int, 
     return h, h_star, list(h) == list(h_star[:len(h)]) and not any(h_star[len(h):])
 
 
-def cmd_equatorial(args) -> tuple[dict, int]:
-    dag = _load_graph(args.graph)
-    report: dict = {"command": "equatorial", "digest": _digest(args.graph)}
+def cmd_equatorial(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     decomp = _load_decomposition(dag, args.decomposition)
     _require_idle_free(dag)
     if args.exhaustive_dkk and (framings := eqmod.framing_count(dag)) > eqmod.MAX_FRAMINGS:
@@ -272,9 +265,7 @@ def cmd_equatorial(args) -> tuple[dict, int]:
     return report, code
 
 
-def cmd_quotient(args) -> tuple[dict, int]:
-    dag = _load_graph(args.graph)
-    report: dict = {"command": "quotient", "digest": _digest(args.graph)}
+def cmd_quotient(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     decomp = _load_decomposition(dag, args.decomposition)
     _require_idle_free(dag)
     q = qmod.quotient_facets(dag, decomp)
@@ -292,13 +283,11 @@ def cmd_quotient(args) -> tuple[dict, int]:
     return report, OK if good else FAILED
 
 
-def cmd_order(args) -> tuple[dict, int]:
+def cmd_order(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     if args.max_dilate < 0:
         raise InputError(f"--max-dilate {args.max_dilate} is negative")
-    dag = _load_graph(args.graph)
-    report: dict = {"command": "order", "digest": _digest(args.graph)}
     try:
-        emb = plmod.embedding_from_json(dag, _load_json(args.embedding))
+        emb = plmod.embedding_from_json(dag, _load_json(args.embedding)[0])
         dual = plmod.planar_dual(dag, emb)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad embedding: {exc}") from exc
@@ -332,7 +321,7 @@ def _fuzz_failure(k: int, drawn: dagmod.Dag, message: str) -> dict:
             "graph": json.dumps(dagmod.dag_to_json(drawn), separators=(",", ":"))}
 
 
-def cmd_fuzz(args) -> tuple[dict, int]:
+def cmd_fuzz(args, _, report: dict) -> tuple[dict, int]:
     if args.max_edges < 4:            # 3 inner vertices need 4 edges
         raise InputError(f"--max-edges {args.max_edges} is below 4")
     if args.max_edges > MAX_FUZZ_EDGES:
@@ -366,8 +355,8 @@ def cmd_fuzz(args) -> tuple[dict, int]:
         h, h_star, agree = _h_against_h_star(dag, sphere.f_vector)
         if not agree:
             failures.append(_fuzz_failure(k, drawn, f"h-vector {h} != h* {h_star}"))
-    report = {"command": "fuzz", "seed": args.seed, "graphs": args.count,
-              "balanced_checked": balanced, "failures": failures}
+    report.update(seed=args.seed, graphs=args.count, balanced_checked=balanced,
+                  failures=failures)
     return report, OK if not failures else FAILED
 
 
@@ -405,11 +394,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; the only place where exceptions become exit codes."""
+    """Run one subcommand; the only place where exceptions become exit codes,
+    and the one place that reads the graph file and builds the report header."""
     try:
         args = _parser().parse_args(argv)
+        header: dict = {"command": args.command}
+        dag = None
+        if args.command != "fuzz":
+            dag, header["digest"] = _load_graph(args.graph)
         # looked up on every call, so a rebound cmd_* takes effect
-        report, code = globals()[f"cmd_{args.command}"](args)
+        report, code = globals()[f"cmd_{args.command}"](args, dag, dict(header))
     except InputError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return INVALID
@@ -418,9 +412,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return INVALID
     except rmod.NotGorensteinError as exc:
-        report = {"command": args.command, "digest": _digest(args.graph),
-                  "error": str(exc)}
-        code = FAILED
+        report, code = {**header, "error": str(exc)}, FAILED
     except AssertionError as exc:      # a broken invariant of the library
         print(json.dumps({"error": f"invariant failed: {exc}"}, sort_keys=True),
               file=sys.stderr)

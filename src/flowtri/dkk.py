@@ -19,8 +19,8 @@ from operator import itemgetter
 from typing import Sequence
 
 from .dag import Dag, dimension, validate
-from .geometry import (SimplicialComplex, Triangulation, TriangulationReport,
-                       is_unimodular_simplex, verify_triangulation)
+from .geometry import (Triangulation, TriangulationReport, is_unimodular_simplex,
+                       verify_triangulation)
 from .routes import Framing, Route, enumerate_routes, indicator_vector, is_route
 
 
@@ -144,8 +144,7 @@ def max_cliques(adj: Sequence[int], size: int) -> tuple[tuple[int, ...], ...]:
 def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:
     routes = enumerate_routes(dag)
     return Triangulation(
-        complex=SimplicialComplex(max_cliques(coherence_graph(dag, framing, routes),
-                                           dimension(dag) + 1)),
+        simplices=max_cliques(coherence_graph(dag, framing, routes), dimension(dag) + 1),
         labels=routes,
         coords=tuple(indicator_vector(dag, r) for r in routes),
     )

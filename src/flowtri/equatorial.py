@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 from .dag import Dag, degree_equality, dimension, idle_edges
 from .dkk import _mask, _members, coherence_graph, max_cliques
-from .geometry import SimplicialComplex, Triangulation, join_with_simplex
+from .geometry import Triangulation, join_with_simplex
 from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
                      enumerate_routes, indicator_vector)
 
@@ -140,8 +140,7 @@ def join_route_simplex(dag: Dag, routes: Sequence[Route], decomp: Sequence[Route
     route list with the routes' indicator vectors as coordinates."""
     idx = {r: i for i, r in enumerate(routes)}
     joined = join_with_simplex([idx[r] for r in decomp], sphere.maximal_faces, dimension(dag) + 1)
-    return Triangulation(SimplicialComplex(joined), tuple(routes),
-                         tuple(indicator_vector(dag, r) for r in routes))
+    return Triangulation(joined, tuple(routes), tuple(indicator_vector(dag, r) for r in routes))
 
 
 def equatorial_sphere(dag: Dag, decomp: Sequence[Route], framing: Framing | None = None

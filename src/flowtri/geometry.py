@@ -125,22 +125,6 @@ def is_unimodular_simplex(vertices: Sequence[Vector]) -> bool:
 # ---------------------------------------------------------------------------
 # Simplicial complexes
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Stored by maximal faces; vertices are arbitrary sorted labels."""
-
-    maximal_faces: tuple[tuple, ...]
-
-    def ridge_owners(self) -> dict[tuple, list[tuple[int, int]]]:
-        """Each codimension-1 face of a maximal face, sorted -> the (index of
-        the maximal face, position of its omitted vertex) pairs that contain it."""
-        owners: dict[tuple, list[tuple[int, int]]] = defaultdict(list)
-        for k, f in enumerate(self.maximal_faces):
-            for i in range(len(f)):
-                owners[tuple(sorted(f[:i] + f[i + 1:]))].append((k, i))
-        return owners
-
-
 def join_with_simplex(simplex: Sequence[int], faces: Sequence[Sequence[int]],
                       size: int) -> tuple[tuple[int, ...], ...]:
     """The join of ``simplex`` with the complex of the maximal ``faces``:
@@ -177,19 +161,17 @@ def h_from_f(fv: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """A simplicial complex whose vertices carry exact lattice coordinates.
+    """A simplicial complex, stored by its maximal simplices, whose vertices
+    carry exact lattice coordinates.
 
-    ``labels[i]`` names vertex i (e.g. a route); ``coords[i]`` is its
-    integer coordinate vector in the carrier polytope's ambient space.
+    ``simplices`` are tuples of vertex indices; ``labels[i]`` names vertex
+    i (e.g. a route); ``coords[i]`` is its integer coordinate vector in the
+    carrier polytope's ambient space.
     """
 
-    complex: SimplicialComplex
+    simplices: tuple[tuple, ...]
     labels: tuple
     coords: tuple[Vector, ...]
-
-    @property
-    def simplices(self) -> tuple[tuple, ...]:
-        return self.complex.maximal_faces
 
     def simplex_coords(self, simplex: Sequence[int]) -> tuple[Vector, ...]:
         return tuple(self.coords[i] for i in simplex)
@@ -278,7 +260,11 @@ def verify_triangulation(tri: Triangulation, dim: int,
         return TriangulationReport(tuple(issues))
     chart = [tuple(p[c] for c in pivots) for p in tri.coords]
     functionals = [_vertex_functionals([chart[v] for v in s]) for s in simplices]
-    for r, owners in tri.complex.ridge_owners().items():
+    ridges: dict[tuple, list[tuple[int, int]]] = defaultdict(list)
+    for k, s in enumerate(simplices):      # sorted ridge -> (simplex, omitted position)
+        for i in range(len(s)):
+            ridges[tuple(sorted(s[:i] + s[i + 1:]))].append((k, i))
+    for r, owners in ridges.items():
         if len(owners) > 2:
             issues.append(f"ridge {r} lies in {len(owners)} simplices")
             continue

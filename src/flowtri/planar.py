@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_json
 from .dkk import _mask, _members, coherence_graph, max_cliques
 from .equatorial import EquatorialFace, equatorial_sphere, join_route_simplex, t_eq
-from .geometry import SimplicialComplex, Triangulation, join_with_simplex
+from .geometry import Triangulation, join_with_simplex
 from .routes import Framing, Route, decomposition_framing, peel_decomposition
 
 BOTTOM = "_bot"
@@ -190,8 +190,13 @@ def embedding_from_json(dag: Dag, data: Mapping) -> PlanarEmbedding:
     for v, r in rotations.items():
         if not isinstance(r, list) or not all(isinstance(e, str) for e in r):
             raise TypeError(f"rotation at {v!r} is not a list of edge ids: {r!r}")
-    return PlanarEmbedding({vertex_from_json(v, dag.sink): tuple(r)
-                            for v, r in rotations.items()})
+    out: dict[int, tuple[str, ...]] = {}
+    for v, r in rotations.items():
+        w = vertex_from_json(v, dag.sink)
+        if w in out:        # "s" and "0", "1" and "01", "t" and the sink's number
+            raise ValueError(f"two rotations name vertex {vertex_to_json(w, dag.sink)!r}")
+        out[w] = tuple(r)
+    return PlanarEmbedding(out)
 
 
 def embedding_to_json(dag: Dag, emb: PlanarEmbedding) -> dict:
@@ -447,7 +452,7 @@ def _filter_triangulation(poset: Poset, simplices) -> Triangulation:
     elems = tuple(sorted(poset.elements))
     labels = tuple(tuple(sorted(f)) for f in poset.filters)
     coords = tuple(tuple(int(p in f) for p in elems) for f in poset.filters)
-    return Triangulation(SimplicialComplex(simplices), labels, coords)
+    return Triangulation(simplices, labels, coords)
 
 
 def maximal_filter_chains(poset: Poset) -> tuple[tuple[int, ...], ...]:

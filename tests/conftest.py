@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
@@ -21,7 +21,7 @@ from flowtri.dkk import _mask
 from flowtri.equatorial import (EquatorialFace, Sphere, Transversal,
                                 enumerate_transversals, equatorial_sphere,
                                 join_route_simplex)
-from flowtri.geometry import (SimplicialComplex, Triangulation, Vector, ehrhart_hstar,
+from flowtri.geometry import (Triangulation, Vector, ehrhart_hstar,
                               euler_characteristic, h_from_f, is_unimodular_simplex,
                               normalized_volume)
 from flowtri.planar import BOTTOM, PlanarDual, Poset, make_poset, maximal_filter_chains
@@ -141,6 +141,13 @@ def equatorial_flow_triangulation(dag: Dag, decomp: Sequence[Route]) -> Triangul
     return join_route_simplex(dag, routes, decomp, teq)
 
 
+@dataclass(frozen=True)
+class Complex:
+    """A simplicial complex stored by its maximal faces, for the oracles."""
+
+    maximal_faces: tuple[tuple, ...]
+
+
 def f_vector(cpx) -> tuple[int, ...]:
     """(f_-1, f_0, ..., f_{d-1}) of a complex given by its maximal faces:
     the distinct faces of each size, counted as sorted tuples of the
@@ -160,16 +167,17 @@ def h_polynomial(cpx) -> tuple[int, ...]:
 def ridges_in_two_facets(cpx) -> bool:
     """Pseudomanifold condition: every codimension-1 face of a maximal face
     lies in exactly two maximal faces."""
-    owners = SimplicialComplex(tuple(cpx.maximal_faces)).ridge_owners()
-    return all(len(o) == 2 for o in owners.values())
+    faces = [tuple(sorted(f)) for f in cpx.maximal_faces]
+    owners = Counter(f[:i] + f[i + 1:] for f in faces for i in range(len(f)))
+    return all(n == 2 for n in owners.values())
 
 
-def is_pure(cpx: SimplicialComplex) -> bool:
+def is_pure(cpx: Complex) -> bool:
     """All maximal faces have one size."""
     return len({len(f) for f in cpx.maximal_faces}) <= 1
 
 
-def complex_euler_characteristic(cpx: SimplicialComplex) -> int:
+def complex_euler_characteristic(cpx: Complex) -> int:
     return euler_characteristic(f_vector(cpx))
 
 
@@ -318,16 +326,16 @@ def set_max_cliques(adj: Sequence[int]) -> set[tuple[int, ...]]:
     return out
 
 
-def complex_from_faces(faces: Iterable[Iterable]) -> SimplicialComplex:
+def complex_from_faces(faces: Iterable[Iterable]) -> Complex:
     """Build a complex from a face family, keeping only the members that
     are no proper subset of another member."""
     fs = {tuple(sorted(f)) for f in faces}
     below = {c for f in fs for k in range(len(f)) for c in combinations(f, k)}
-    return SimplicialComplex(tuple(sorted(fs - below)))
+    return Complex(tuple(sorted(fs - below)))
 
 
 def old_t_eq(cliques: Iterable[Sequence[int]],
-             facets: Sequence[EquatorialFace]) -> SimplicialComplex:
+             facets: Sequence[EquatorialFace]) -> Complex:
     """T_eq as every intersection of a maximal clique of the coherence graph
     with a facet's route set, filtered to the maximal ones: the oracle for
     ``equatorial.t_eq``."""
@@ -717,7 +725,7 @@ def simplices_meet_in_common_face(vs: Sequence[Vector], vt: Sequence[Vector],
 
 
 def with_simplices(tri: Triangulation, simplices) -> Triangulation:
-    return Triangulation(SimplicialComplex(tuple(simplices)), tri.labels, tri.coords)
+    return Triangulation(tuple(simplices), tri.labels, tri.coords)
 
 
 def swapped_vertex(tri: Triangulation) -> Triangulation:
@@ -752,9 +760,9 @@ def corrupted(dag: Dag, tri: Triangulation) -> dict[str, tuple[Triangulation, in
         "duplicated, count matched": (doubled, dim, vol + 1),
         "vertex replaced": (swapped_vertex(tri), dim, vol),
         "repeated index": (with_simplices(tri, (first[:1] + first[:-1],) + rest), dim, vol),
-        "tampered coords": (Triangulation(tri.complex, tri.labels, (
+        "tampered coords": (Triangulation(tri.simplices, tri.labels, (
             tuple(1 - x for x in tri.coords[0]),) + tri.coords[1:]), dim, vol),
-        "label not a route": (Triangulation(tri.complex, (
+        "label not a route": (Triangulation(tri.simplices, (
             tri.labels[0] + tri.labels[0][-1:],) + tri.labels[1:], tri.coords), dim, vol),
         "wrong dim": (tri, dim + 1, vol),
         "wrong volume": (tri, dim, vol + 1),

@@ -12,8 +12,7 @@ from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, degree_equality,
 from flowtri.dkk import dkk_triangulation
 from flowtri.equatorial import (differs_from_dkk, enumerate_transversals,
                                 equatorial_facets, framing_count)
-from flowtri.geometry import (SimplicialComplex, Triangulation,
-                              count_lattice_points, ehrhart_hstar,
+from flowtri.geometry import (Triangulation, count_lattice_points, ehrhart_hstar,
                               normalized_volume, verify_triangulation)
 from flowtri.planar import PlanarEmbedding, verify_equivalence
 from flowtri.quotient import (check_transversal_identity, quotient_facets,
@@ -21,7 +20,7 @@ from flowtri.quotient import (check_transversal_identity, quotient_facets,
 from flowtri.routes import (NotGorensteinError, decomposition_framing,
                             enumerate_routes, is_route_decomposition,
                             route_decomposition)
-from tests.conftest import (complex_euler_characteristic,
+from tests.conftest import (Complex, complex_euler_characteristic,
                             dense_pairs_and_failures,
                             dense_transversal_identity,
                             equatorial_flow_triangulation, f_vector,
@@ -64,9 +63,9 @@ def test_criterion_2_h_equals_h_star():
         decomp = route_decomposition(dag)
         framing = decomposition_framing(dag, decomp)
         hstar = trimmed(ehrhart_hstar(dag).h_star)
-        h_dkk = trimmed(h_polynomial(dkk_triangulation(dag, framing).complex))
+        h_dkk = trimmed(h_polynomial(Complex(dkk_triangulation(dag, framing).simplices)))
         h_eq = trimmed(h_polynomial(
-            equatorial_flow_triangulation(dag, decomp).complex))
+            Complex(equatorial_flow_triangulation(dag, decomp).simplices)))
         ok = ok and h_dkk == h_eq == hstar
         if k < 3:
             ok = ok and hstar == want[normalized_volume(dag)]
@@ -174,11 +173,11 @@ def test_criterion_10_negative_controls(tmp_path, capsys):
     d2 = D2()
     decomp = route_decomposition(d2)
     tri = equatorial_flow_triangulation(d2, decomp)
-    missing = Triangulation(SimplicialComplex(tri.simplices[1:]), tri.labels,
+    missing = Triangulation(tri.simplices[1:], tri.labels,
                             tri.coords)      # dropped simplex: volume short
     d1 = D1()
     square = equatorial_flow_triangulation(d1, route_decomposition(d1))
-    overlap = Triangulation(SimplicialComplex(((0, 1, 2), (0, 1, 3))),
+    overlap = Triangulation(((0, 1, 2), (0, 1, 3)),
                             square.labels, square.coords)  # interiors overlap
     bad_tri = not verify_triangulation(missing, dimension(d2),
                                        normalized_volume(d2)).ok and \

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -173,6 +175,13 @@ def with_head_of_a(head) -> dict:
                             for e in doc["edges"]])
 
 
+def with_alias(vertex: str, alias: str) -> dict:
+    """D1's embedding with the rotation at ``vertex`` listed again under
+    ``alias``, another name of the same vertex."""
+    rotations = D1_EMBEDDING["rotations"]
+    return {"rotations": {**rotations, alias: rotations[vertex]}}
+
+
 # name -> (graph, --decomposition document or None, embedding, subcommands)
 BAD_INPUTS = {
     "edgeless graph": ({"inner_count": 0, "edges": []}, None, D1_EMBEDDING,
@@ -204,6 +213,9 @@ BAD_INPUTS = {
                     {"rotations": {"s": ["a", "b"], "1": ["a", "b", "d", "c"],
                                    "2": ["c", "d", "f", "e"], "t": ["e", "f"]}},
                     ("order",)),
+    "rotations at s and 0": (dag_to_json(D1()), None, with_alias("s", "0"), ("order",)),
+    "rotations at 1 and 01": (dag_to_json(D1()), None, with_alias("1", "01"), ("order",)),
+    "rotations at t and 2": (dag_to_json(D1()), None, with_alias("t", "2"), ("order",)),
     "inner_count 1000000": ({"inner_count": 1000000,
                              "edges": [{"id": "a", "tail": "s", "head": "t"}]},
                             None, D1_EMBEDDING, GRAPH_COMMANDS),
@@ -231,6 +243,8 @@ def test_bad_input_exits_2_with_json_error(capsys, tmp_path, name, command):
         assert "'a', 'b'" in message
     if name == "inner_count 1000000":
         assert "inner_count" in message and len(message) < 200
+    if name.startswith("rotations at "):
+        assert message.startswith("bad embedding: two rotations name vertex ")
 
 
 def test_exhaustive_dkk_past_framing_bound_exits_2(capsys, tmp_path, monkeypatch):
@@ -322,7 +336,7 @@ def test_analyze_on_a_path_past_the_recursion_limit(capsys, tmp_path):
 
 def test_recursion_error_exits_2_with_json_error(capsys, d1_file, monkeypatch):
     """``cli.main`` still turns a ``RecursionError`` into an input error."""
-    def too_deep(args):
+    def too_deep(args, dag, report):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(cli, "cmd_analyze", too_deep)
@@ -344,7 +358,8 @@ def test_broken_invariant_exits_1_with_json_error(capsys, d2_file, monkeypatch):
 
 def test_rebound_subcommand_takes_effect(capsys, d1_file, monkeypatch):
     run(capsys, ["analyze", d1_file])          # the parser is built by now
-    monkeypatch.setattr(cli, "cmd_analyze", lambda args: ({"stub": args.graph}, 0))
+    monkeypatch.setattr(cli, "cmd_analyze",
+                        lambda args, dag, report: ({"stub": args.graph}, 0))
     code, out, _ = run(capsys, ["analyze", d1_file])
     assert code == 0 and json.loads(out) == {"stub": d1_file}
 
@@ -365,8 +380,71 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
     assert proc.stdout.read(20) == b'{\n  "command": "equa'
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == cli.BROKEN_PIPE
     assert err == b""               # no traceback, no "Exception ignored" at exit
+
+
+def run_child(argv: list[str], **popen) -> tuple[int, dict]:
+    """Run the CLI on ``argv`` in a subprocess, killed if it still runs
+    after 20 s; its exit code and its report."""
+    proc = subprocess.Popen([sys.executable, "-m", "flowtri.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+                            **popen)
+    try:
+        out, err = proc.communicate(timeout=20)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        pytest.fail(f"flowtri {' '.join(argv)} still running after 20 s")
+    assert err == b"", err
+    return proc.returncode, json.loads(out)
+
+
+@pytest.mark.parametrize("command,graph,code", [
+    ("analyze", D1(), 0),
+    ("decompose", make_dag(1, [("a", 0, 1), ("b", 0, 1), ("c", 1, 2)]), 1),
+])
+def test_graph_read_once_from_a_fifo(tmp_path, command, graph, code):
+    """A named pipe can be read once: the digest and, for an unbalanced
+    graph, the error report come from the bytes of that one read."""
+    data = json.dumps(dag_to_json(graph)).encode()
+    fifo = str(tmp_path / "graph.fifo")
+    os.mkfifo(fifo)
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:       # the child died without reading
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        got, report = run_child([command, fifo])
+    finally:
+        if writer.is_alive():         # the child never opened the FIFO: let the writer go
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=20)
+    assert not writer.is_alive()
+    assert got == code and ("error" in report) == bool(code)
+    assert report["command"] == command
+    assert report["digest"] == hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_graph_read_once_from_dev_fd():
+    """``flowtri analyze <(cat g.json)`` passes the graph as /dev/fd/N."""
+    data = json.dumps(dag_to_json(D1())).encode()
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as fh:
+        fh.write(data)                # fits the pipe's buffer: the write does not block
+    try:
+        got, report = run_child(["analyze", f"/dev/fd/{r}"], pass_fds=(r,))
+    finally:
+        os.close(r)
+    assert got == 0 and report["digest"] == hashlib.sha256(data).hexdigest()[:16]
 
 
 # JSON values of the types reports hold, with one leaf list shared at

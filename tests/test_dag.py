@@ -9,6 +9,7 @@ from flowtri.dag import (D1, D2, D3, Dag, G, bypass, contract_idle_edges,
                          dag_from_json, dag_to_json, degree_equality,
                          dimension, gorenstein_completion, idle_edges,
                          make_dag, random_dag, validate, zigzag)
+from flowtri.routes import enumerate_routes
 from tests.conftest import rescan_contract_idle_edges
 
 
@@ -45,6 +46,48 @@ def test_validate_rejects_bad_graphs():
     assert not validate(make_dag(1, [("a", 0, 1), ("a", 1, 2)])).ok  # dup id
     assert not validate(make_dag(1, [("a", 1, 1), ("b", 0, 1), ("c", 1, 2)])).ok
     assert not validate(make_dag(1, [("a", 2, 1), ("b", 0, 1), ("c", 1, 2)])).ok
+
+
+def assert_every_inner_vertex_on_a_route(dag: Dag) -> None:
+    """What ``validate``'s checks imply: every inner vertex of an accepted
+    graph lies on a route."""
+    on_routes = {dag.edge_by_id[e].head for r in enumerate_routes(dag) for e in r}
+    assert set(dag.inner_vertices) <= on_routes, dag
+
+
+UNBALANCED = make_dag(1, [("a", 0, 1), ("b", 0, 1), ("c", 1, 2)])
+
+
+def test_accepted_catalog_and_random_graphs_lie_on_routes():
+    rng = random.Random(7)
+    graphs = [G(1), G(3), D1(), D2(), D3(), zigzag(), bypass(), UNBALANCED]
+    for dag in graphs + [random_dag(rng, 9) for _ in range(200)]:
+        assert validate(dag).ok
+        assert_every_inner_vertex_on_a_route(dag)
+
+
+@st.composite
+def edge_lists(draw) -> Dag:
+    """Graphs whose inner vertices mostly get an edge in from below and out
+    to above, plus a few edges with any ends, in shuffled order."""
+    n = draw(st.integers(0, 4))
+    ends = []
+    for v in range(1, n + 1):
+        if draw(st.integers(0, 3)):         # three in four: an edge in
+            ends.append((draw(st.integers(0, v - 1)), v))
+        if draw(st.integers(0, 3)):         # and an edge out
+            ends.append((v, draw(st.integers(v + 1, n + 1))))
+    ends += draw(st.lists(st.tuples(st.integers(0, n + 1), st.integers(0, n + 1)),
+                          max_size=4))
+    ends = draw(st.permutations(ends))
+    return make_dag(n, [(f"e{i}", tail, head) for i, (tail, head) in enumerate(ends)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_accepted_drawn_graphs_lie_on_routes(dag):
+    if validate(dag).ok:
+        assert_every_inner_vertex_on_a_route(dag)
 
 
 def test_completion_balances_every_inner_vertex():

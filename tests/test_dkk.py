@@ -11,7 +11,7 @@ from flowtri.dkk import (_swap_certificate, coherence_graph, dkk_triangulation,
 from flowtri.equatorial import _all_framings, framing_count
 from flowtri.geometry import ehrhart_hstar, normalized_volume, verify_triangulation
 from flowtri.routes import decomposition_framing, enumerate_routes, route_decomposition
-from tests.conftest import (chain, conflict, corrupted, equatorial_flow_triangulation,
+from tests.conftest import (Complex, chain, conflict, corrupted, equatorial_flow_triangulation,
                             h_polynomial,
                             pairwise_coherence_masks, random_balanced_dag,
                             random_framing, route_unions, set_max_cliques, trimmed,
@@ -81,7 +81,7 @@ def test_dkk_h_matches_hstar_random():
     for _ in range(20):
         dag = random_balanced_dag(rng, max_edges=8)
         tri = dkk_triangulation(dag, _decomp_framing(dag))
-        assert trimmed(h_polynomial(tri.complex)) == trimmed(ehrhart_hstar(dag).h_star)
+        assert trimmed(h_polynomial(Complex(tri.simplices))) == trimmed(ehrhart_hstar(dag).h_star)
 
 
 @pytest.mark.parametrize("dag", [D1(), D2(), D3(), zigzag()],

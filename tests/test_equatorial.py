@@ -15,7 +15,7 @@ from flowtri.equatorial import (EquatorialFace, differs_from_dkk,
 from flowtri.geometry import (ehrhart_hstar, h_from_f, normalized_volume,
                               verify_triangulation)
 from flowtri.routes import enumerate_routes, route_decomposition
-from tests.conftest import (chain, common_face, complex_euler_characteristic,
+from tests.conftest import (Complex, chain, common_face, complex_euler_characteristic,
                             equatorial_flow_triangulation, f_vector, h_polynomial, is_facet_transversal, is_pure,
                             old_t_eq, random_balanced_dag, ridges_in_two_facets,
                             route_unions, routes_avoiding, set_equatorial_facets,
@@ -166,7 +166,7 @@ def test_join_triangulation_verifies():
         tri = equatorial_flow_triangulation(dag, route_decomposition(dag))
         rep = verify_triangulation(tri, dimension(dag), normalized_volume(dag))
         assert rep.ok, rep.issues
-        assert trimmed(h_polynomial(tri.complex)) == trimmed(ehrhart_hstar(dag).h_star)
+        assert trimmed(h_polynomial(Complex(tri.simplices))) == trimmed(ehrhart_hstar(dag).h_star)
 
 
 def test_no_inner_vertices_gives_plain_simplex():
@@ -220,7 +220,7 @@ def test_sphere_h_equals_join_h_catalog(name):
     decomp = decomp or route_decomposition(dag)
     routes, _, _, s = equatorial_sphere(dag, decomp)
     join = join_route_simplex(dag, routes, decomp, s)
-    assert h_from_f(s.f_vector) == h_polynomial(s) == h_polynomial(join.complex)
+    assert h_from_f(s.f_vector) == h_polynomial(s) == h_polynomial(Complex(join.simplices))
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

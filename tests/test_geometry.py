@@ -309,7 +309,7 @@ def test_verify_triangulation_reports_malformed_input():
     assert flat.issues == ("simplex (0, 0, 3) is degenerate",)
     stray = verify_triangulation(with_simplices(square, ((0, 1, 2), (0, 1, 9))), 2, 2)
     assert stray.issues == ("simplex (0, 1, 9) names a vertex without coordinates",)
-    lifted = Triangulation(square.complex, square.labels, square.coords + ((2, 0, 0, 0),))
+    lifted = Triangulation(square.simplices, square.labels, square.coords + ((2, 0, 0, 0),))
     assert verify_triangulation(lifted, 2, 2).issues == (
         "the points span dimension 3, expected 2",)
     point = (with_simplices(square, ((),)), -1, 1)

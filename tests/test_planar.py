@@ -320,8 +320,7 @@ def test_ridge_check_matches_lp_oracle_order_polytopes():
         n, volume = len(q.elements), linear_extension_count(q)
         assert verify_triangulation(tri, n, volume).ok
         assert lp_triangulation_ok(tri, n, volume)
-        dropped = geometry.Triangulation(geometry.SimplicialComplex(tri.simplices[1:]),
-                                         tri.labels, tri.coords)
+        dropped = geometry.Triangulation(tri.simplices[1:], tri.labels, tri.coords)
         assert not verify_triangulation(dropped, n, volume - 1).ok
 
 
@@ -462,8 +461,7 @@ def test_equivalence_failure_texts(dag, rotations, pair, join_face, clique_face,
 
     def first_dropped(*args):
         tri = join(*args)
-        return geometry.Triangulation(geometry.SimplicialComplex(tri.simplices[1:]),
-                                      tri.labels, tri.coords)
+        return geometry.Triangulation(tri.simplices[1:], tri.labels, tri.coords)
 
     with monkeypatch.context() as m:
         m.setattr(planar, "join_route_simplex", first_dropped)
