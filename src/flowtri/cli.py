@@ -44,6 +44,8 @@ def _load_json(path: str) -> tuple[object, bytes]:
         return json.loads(raw.decode("utf-8")), raw
     except (OSError, ValueError, RecursionError) as exc:    # undecodable or too deep
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except MemoryError as exc:          # an endless input, such as /dev/zero
+        raise InputError(f"cannot read {path}: out of memory") from exc
 
 
 def _load_graph(path: str) -> tuple[dagmod.Dag, str]:
@@ -193,8 +195,9 @@ def cmd_analyze(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
         report["contraction"] = "graph contracts to a single edge-free point"
     report["degree_equality"] = dagmod.degree_equality(dag)
     report["dimension"] = dagmod.dimension(dag)
-    report["routes"] = len(rmod.enumerate_routes(dag))
     hs = geo.ehrhart_hstar(dag)
+    # the integer flows of strength 1 are the routes; a point (dim 0) has no L(1)
+    report["routes"] = hs.counts[1] if len(hs.counts) > 1 else geo.count_lattice_points(dag, 1)
     report["ehrhart"] = hs.to_json()
     return report, OK
 
@@ -295,7 +298,8 @@ def cmd_order(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     report["poset"] = plmod.poset_to_json(poset)
     report["graded"] = poset.graded
     report["ranks"] = dict(sorted(poset.heights.items())) if poset.graded else {}
-    counts = [{"t": t, "flow": geo.count_lattice_points(dag, t), "order": order}
+    flows = geo.lattice_counts(dag, args.max_dilate)
+    counts = [{"t": t, "flow": flows[t], "order": order}
               for t, order in enumerate(plmod.order_polytope_count(poset, args.max_dilate), 1)]
     report["lattice_counts"] = counts
     counts_ok = all(c["flow"] == c["order"] for c in counts)
@@ -349,10 +353,10 @@ def cmd_fuzz(args, _, report: dict) -> tuple[dict, int]:
             decomp = rmod.route_decomposition(dag)       # certified by the peel
             routes, _, _, sphere = eqmod.equatorial_sphere(dag, decomp)
             eqmod.join_route_simplex(dag, routes, decomp, sphere)  # checks the join's sizes
+            h, h_star, agree = _h_against_h_star(dag, sphere.f_vector)
         except AssertionError as exc:     # a broken invariant, kept with its graph
             failures.append(_fuzz_failure(k, drawn, f"invariant failed: {exc}"))
             continue
-        h, h_star, agree = _h_against_h_star(dag, sphere.f_vector)
         if not agree:
             failures.append(_fuzz_failure(k, drawn, f"h-vector {h} != h* {h_star}"))
     report.update(seed=args.seed, graphs=args.count, balanced_checked=balanced,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -557,6 +557,35 @@ def framing_from_json(dag: Dag, data: Mapping) -> Framing:
         if sorted(fr.out_order[v]) != sorted(e.id for e in dag.out_edges(v)):
             raise ValueError(f"framing at {v}: bad out-order")
     return fr
+
+
+def per_dilate_count_lattice_points(dag: Dag, t: int, interior: bool = False) -> int:
+    """Integer flows of strength t by the partition-function DP run for
+    one dilate, with a tuple per state: the oracle for
+    ``geometry.lattice_counts``'s packed states and lanes."""
+    lo = 1 if interior else 0
+    sink = dag.sink
+    # pending inflow at vertices v, ..., sink - 1 -> number of partial flows
+    states: dict[tuple[int, ...], int] = {(t,) + (0,) * (sink - 1): 1}
+    for v in range(sink):
+        groups = sorted(Counter(e.head for e in dag.out_edges(v)).items())
+        for j, (head, k) in enumerate(groups):
+            least = lo * k
+            last = j == len(groups) - 1
+            nxt: dict[tuple[int, ...], int] = defaultdict(int)
+            for pending, n in states.items():
+                left = pending[0]
+                # the last head takes all that is left
+                for x in range(max(least, left) if last else least, left + 1):
+                    p = list(pending)
+                    p[0] = left - x
+                    if head != sink:
+                        p[head - v] += x
+                    nxt[tuple(p)] += n * comb(x - least + k - 1, k - 1)
+            states = nxt
+        # every unit that reached v has left it
+        states = {p[1:]: n for p, n in states.items() if p[0] == 0}
+    return states.get((), 0)
 
 
 def brute_count_lattice_points(dag: Dag, t: int, interior: bool = False) -> int:

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -17,9 +18,11 @@ from hypothesis import strategies as st
 
 from flowtri import cli
 from flowtri.cli import main
-from flowtri.dag import (D1, D2, D3, G, bypass, dag_from_json, dag_to_json, make_dag,
-                         random_dag, stacked_rotations, zigzag, zigzag_rotations)
+from flowtri.dag import (D1, D2, D3, G, bypass, dag_from_json, dag_to_json,
+                         gorenstein_completion, make_dag, random_dag, stacked_rotations,
+                         zigzag, zigzag_rotations)
 from flowtri.planar import PlanarEmbedding, embedding_to_json
+from flowtri.routes import enumerate_routes
 from tests.conftest import chain
 
 
@@ -332,6 +335,77 @@ def test_analyze_on_a_path_past_the_recursion_limit(capsys, tmp_path):
     assert code == 0
     assert report["routes"] == 1 and report["dimension"] == 0
     assert report["contraction"]["edges_removed"] == n
+
+
+def test_analyze_counts_routes_as_flows_of_strength_one(capsys, tmp_path):
+    """``analyze`` reads the route count from L(1), or from one count at
+    strength 1 for a point (dim 0); the catalog and random graphs, balanced
+    or not, against ``enumerate_routes``."""
+    rng = random.Random(11)
+    drawn = [random_dag(rng, 8) for _ in range(20)]
+    dags = [G(1), G(3), D1(), D2(), D3(), zigzag(), bypass(), chain(2, 3),
+            make_dag(2, [("a", 0, 1), ("b", 1, 2), ("c", 2, 3)])]
+    dags += drawn + [gorenstein_completion(d) for d in drawn]
+    graph = tmp_path / "g.json"
+    for dag in dags:
+        graph.write_text(json.dumps(dag_to_json(dag)))
+        code, out, _ = run(capsys, ["analyze", str(graph)])
+        assert code == 0
+        assert json.loads(out)["routes"] == len(enumerate_routes(dag)), dag
+
+
+def implausible_counts(monkeypatch, interior_only: bool) -> None:
+    """Rebind ``lattice_counts`` to give every dilate 2 points, or only the
+    interior counts 1 point at every dilate."""
+    real = cli.geo.lattice_counts
+
+    def fake(dag, top, interior=False):
+        if interior_only and not interior:
+            return real(dag, top)
+        return (1 if interior_only else 2,) * (top + 1)
+
+    monkeypatch.setattr(cli.geo, "lattice_counts", fake)
+
+
+@pytest.mark.parametrize("interior_only,message", [
+    (False, "implausible h*-vector [2, -4, 2]"),
+    (True, "codegree disagrees with interior point counts"),
+])
+def test_ehrhart_invariant_exits_1_with_json_error(capsys, d1_file, monkeypatch,
+                                                   interior_only, message):
+    implausible_counts(monkeypatch, interior_only)
+    code, out, err = run(capsys, ["analyze", d1_file])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err) == {"error": f"invariant failed: {message}"}
+
+
+def test_fuzz_ehrhart_failure_carries_replayable_graph(capsys, monkeypatch):
+    implausible_counts(monkeypatch, interior_only=False)
+    code, out, _ = run(capsys, ["fuzz", "--seed", "3", "--count", "4", "--max-edges", "6"])
+    report = json.loads(out)
+    assert code == 1 and report["failures"]
+    rng = random.Random(3)
+    drawn = [random_dag(rng, 6) for _ in range(4)]
+    for failure in report["failures"]:
+        assert failure["message"].startswith("invariant failed: implausible h*-vector [2, ")
+        assert dag_from_json(json.loads(failure["graph"])) == drawn[failure["index"]]
+
+
+def test_endless_input_under_a_memory_limit_exits_2(tmp_path):
+    """``flowtri analyze /dev/zero`` reads until memory runs out; under an
+    address-space limit, set in the child alone, that is an input error."""
+    limit = 256 << 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "flowtri.cli", "analyze", "/dev/zero"],
+                          capture_output=True, timeout=60, preexec_fn=limit_memory,
+                          env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert json.loads(proc.stderr) == {"error": "cannot read /dev/zero: out of memory"}
 
 
 def test_recursion_error_exits_2_with_json_error(capsys, d1_file, monkeypatch):

@@ -11,8 +11,8 @@ from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
                          idle_edges, make_dag, random_dag, zigzag)
 from flowtri.dkk import dkk_triangulation, verify_dkk_triangulation
 from flowtri.equatorial import equatorial_sphere, join_route_simplex
-from flowtri.geometry import (Triangulation, count_lattice_points, ehrhart_hstar,
-                              is_unimodular_simplex, join_with_simplex,
+from flowtri.geometry import (LANES, Triangulation, count_lattice_points, ehrhart_hstar,
+                              is_unimodular_simplex, join_with_simplex, lattice_counts,
                               normalized_volume, rank, smith_divisors,
                               verify_triangulation)
 from flowtri.planar import (equatorial_order_triangulation, make_poset,
@@ -24,7 +24,7 @@ from tests.conftest import (brute_count_lattice_points, chain,
                             equatorial_flow_triangulation, f_vector, h_polynomial, hstar_by_binomials,
                             interpolate_polynomial,
                             is_gorenstein, is_pure, lp_triangulation_ok,
-                            random_balanced_dag, ridges_in_two_facets,
+                            per_dilate_count_lattice_points, random_balanced_dag, ridges_in_two_facets,
                             simplices_meet_in_common_face, swapped_vertex,
                             trimmed, with_simplices)
 
@@ -114,10 +114,16 @@ def test_lattice_point_counts_catalog():
 
 
 def assert_counts_match_brute_force(dag):
-    for t in range(dimension(dag) + 2):
-        for interior in (False, True):
-            assert count_lattice_points(dag, t, interior) == \
-                brute_count_lattice_points(dag, t, interior), (t, interior)
+    """For every t <= d + 1, the one-pass counts, the per-dilate DP and
+    ``count_lattice_points`` against the point-by-point count."""
+    top = dimension(dag) + 1
+    for interior in (False, True):
+        brute = tuple(brute_count_lattice_points(dag, t, interior) for t in range(top + 1))
+        assert lattice_counts(dag, top, interior) == brute, interior
+        assert tuple(per_dilate_count_lattice_points(dag, t, interior)
+                     for t in range(top + 1)) == brute, interior
+        for t in range(top + 1):
+            assert count_lattice_points(dag, t, interior) == brute[t], (t, interior)
 
 
 @pytest.mark.parametrize("dag", [G(1), G(2), G(3), G(4), D1(), D2(), D3(), zigzag(),
@@ -156,11 +162,70 @@ def test_chain_counts_closed_form_at_scale(k, m):
     and C(t-1, m-1)^k points have every edge positive.  Dim 12-13, where
     a point-by-point count would visit up to 10^10 flows."""
     dag = chain(k, m)
-    assert dimension(dag) == k * (m - 1) in (12, 13)
-    for t in range(dimension(dag) + 2):
-        assert count_lattice_points(dag, t) == comb(t + m - 1, m - 1) ** k
-        interior = comb(t - 1, m - 1) ** k if t else 0
-        assert count_lattice_points(dag, t, interior=True) == interior
+    top = dimension(dag) + 1
+    assert top - 1 == k * (m - 1) in (12, 13)
+    counts = tuple(comb(t + m - 1, m - 1) ** k for t in range(top + 1))
+    interior = (0,) + tuple(comb(t - 1, m - 1) ** k for t in range(1, top + 1))
+    assert lattice_counts(dag, top) == counts         # every dilate in one pass
+    assert lattice_counts(dag, top, interior=True) == interior
+    for t in range(top + 1):
+        assert count_lattice_points(dag, t) == counts[t]
+        assert count_lattice_points(dag, t, interior=True) == interior[t]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_parallel_edge_counts_closed_form(k):
+    """G(k), k parallel s -> t edges, is a (k-1)-simplex: L(t) = C(t+k-1, k-1),
+    and C(t-1, k-1) points have every edge positive.  Three passes of
+    LANES dilates each."""
+    top = 2 * LANES + 3
+    assert lattice_counts(G(k), top) == tuple(comb(t + k - 1, k - 1) for t in range(top + 1))
+    assert lattice_counts(G(k), top, interior=True) == \
+        (0,) + tuple(comb(t - 1, k - 1) for t in range(1, top + 1))
+
+
+def test_lattice_counts_on_fuzz_seed_0_ninth_draw():
+    """The ninth graph ``flowtri fuzz --seed 0 --max-edges 14`` draws,
+    completed: 25 edges, dim 22, 172 routes; every dilate to 23 in one pass
+    against the per-dilate DP."""
+    rng = random.Random(0)
+    for _ in range(9):
+        drawn = random_dag(rng, 14)
+    dag = gorenstein_completion(drawn)
+    top = dimension(dag) + 1
+    assert (len(dag.edges), top - 1) == (25, 22)
+    for interior in (False, True):
+        assert lattice_counts(dag, top, interior) == tuple(
+            per_dilate_count_lattice_points(dag, t, interior) for t in range(top + 1))
+    assert lattice_counts(dag, 1)[1] == len(enumerate_routes(dag)) == 172
+
+
+def test_hstar_of_a_simplex_of_dimension_1009():
+    """G(1010): 32 passes for L(0..1009) and 32 for the interior counts up
+    to the codegree 1010, each with lanes of C(t+1009, 1009)."""
+    hs = ehrhart_hstar(G(1010))
+    assert trimmed(hs.h_star) == (1,) and hs.codegree == 1010
+    assert hs.counts[::101] == tuple(comb(t + 1009, 1009) for t in range(0, 1010, 101))
+
+
+@pytest.mark.parametrize("dag", [G(1), G(3), D1(), D2(), zigzag(), bypass()],
+                         ids=["G1", "G3", "D1", "D2", "zigzag", "bypass"])
+def test_lattice_counts_at_the_ends(dag):
+    """No dilate below 0, and dilate 0 holds the zero flow alone, which is
+    not interior on a graph with edges."""
+    assert count_lattice_points(dag, -1) == count_lattice_points(dag, -1, interior=True) == 0
+    assert lattice_counts(dag, -1) == ()
+    assert lattice_counts(dag, 0) == (1,)
+    assert lattice_counts(dag, 0, interior=True) == (0,)
+
+
+def test_lattice_counts_through_a_dead_end():
+    """Vertex 1 has no out-edge, so no flow may enter it: only the route
+    s -> 2 -> t carries flow."""
+    dag = make_dag(2, [("a", 0, 1), ("b", 0, 2), ("c", 2, 3)])
+    assert lattice_counts(dag, 3) == (1, 1, 1, 1)
+    assert lattice_counts(dag, 3, interior=True) == (0, 0, 0, 0)
+    assert_counts_match_brute_force(dag)
 
 
 # a route union of four s-t routes: balanced, idle-free, dim 13, 348 routes
