@@ -14,10 +14,9 @@ from .equatorial import (differs_from_dkk, enumerate_transversals,
                          join_route_simplex, t_eq)
 from .geometry import (Triangulation, count_lattice_points, ehrhart_hstar,
                        normalized_volume, verify_triangulation)
-from .planar import (PlanarEmbedding, Poset, canonical_triangulation,
-                     make_poset, order_to_flow, planar_dual, planar_framing,
-                     poset_to_dag, equatorial_order_triangulation,
-                     topmost_route_decomposition, verify_equivalence)
+from .planar import (PlanarEmbedding, Poset, make_poset, planar_dual,
+                     planar_framing, poset_to_dag, topmost_route_decomposition,
+                     verify_equivalence)
 from .quotient import (check_transversal_identity, phi, quotient_facets,
                        transversal_functional, verify_reflexive)
 from .routes import (Framing, NotGorensteinError, decomposition_framing,

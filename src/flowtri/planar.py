@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_json
 from .dkk import _mask, _members, coherence_graph, max_cliques
 from .equatorial import EquatorialFace, equatorial_sphere, join_route_simplex, t_eq
-from .geometry import Triangulation, join_with_simplex
+from .geometry import join_with_simplex
 from .routes import Framing, Route, decomposition_framing, peel_decomposition
 
 BOTTOM = "_bot"
@@ -85,22 +85,34 @@ class Poset:
                 and len({h[p] for p in self.maximal}) <= 1)
 
     @cached_property
-    def filters(self) -> tuple[frozenset[str], ...]:
+    def bits(self) -> dict[str, int]:
+        """p -> its bit in a filter mask: bit k stands for the k-th element
+        by name."""
+        return {p: 1 << k for k, p in enumerate(sorted(self.elements))}
+
+    @cached_property
+    def filters(self) -> tuple[int, ...]:
         return filters(self)
 
     @cached_property
-    def filter_masks(self) -> tuple[int, ...]:
-        """Each filter's element mask: bit k stands for ``elements[k]``."""
-        bit = {p: 1 << k for k, p in enumerate(self.elements)}
-        return tuple(sum(map(bit.__getitem__, f)) for f in self.filters)
+    def holders(self) -> dict[str, int]:
+        """p -> mask over ``filters`` of those holding p; every filter holds
+        ``TOP`` and none holds ``BOTTOM``."""
+        fs = self.filters
+        return {BOTTOM: 0, TOP: (1 << len(fs)) - 1,
+                **{p: _mask(i for i, f in enumerate(fs) if f & b) for p, b in self.bits.items()}}
 
     @cached_property
     def comparability(self) -> tuple[int, ...]:
         """Adjacency masks of the filters' comparability graph: bit j of
         entry i is set when one of filters i != j holds the other."""
-        masks = self.filter_masks
-        return tuple(_mask(j for j, n in enumerate(masks) if m & n in (m, n)) & ~(1 << i)
-                     for i, m in enumerate(masks))
+        fs = self.filters
+        return tuple(_mask(j for j, n in enumerate(fs) if m & n in (m, n)) & ~(1 << i)
+                     for i, m in enumerate(fs))
+
+    def names(self, f: int) -> tuple[str, ...]:
+        """The elements of filter mask ``f``, by name."""
+        return tuple(p for p, b in self.bits.items() if f & b)
 
     @property
     def minimal(self) -> tuple[str, ...]:
@@ -132,17 +144,18 @@ def poset_to_json(poset: Poset) -> dict:
             "covers": [list(c) for c in sorted(poset.covers)]}
 
 
-def filters(poset: Poset) -> tuple[frozenset[str], ...]:
-    """All upward-closed subsets, smallest first and by sorted elements
-    within a size, grown one element at a time from the empty filter: an
-    element outside a filter may join once the filter holds its up-covers.
-    ``Poset.filters`` caches them."""
-    out: list[frozenset[str]] = []
-    level = {frozenset()}
+def filters(poset: Poset) -> tuple[int, ...]:
+    """All upward-closed subsets as ``Poset.bits`` masks, smallest first and
+    by sorted elements within a size, grown one element at a time from the
+    empty filter: an element outside a filter may join once the filter
+    holds its up-covers.  ``Poset.filters`` caches them."""
+    bits = poset.bits
+    joins = [(bits[p], sum(map(bits.__getitem__, ups))) for p, ups in poset.up_covers.items()]
+    out: list[int] = []
+    level = {0}
     while level:
-        out += sorted(level, key=sorted)
-        level = {f | {p} for f in level for p, ups in poset.up_covers.items()
-                 if p not in f and f.issuperset(ups)}
+        out += sorted(level, key=poset.names)
+        level = {f | b for f in level for b, ups in joins if not f & b and f & ups == ups}
     return tuple(out)
 
 
@@ -422,38 +435,8 @@ def planar_framing(dag: Dag, emb: PlanarEmbedding) -> Framing:
     return Framing(ins, outs)
 
 
-def order_to_flow(dual: PlanarDual, f: Mapping[str, object]) -> dict[str, object]:
-    """Edge flows as potential differences, with bottom pinned to 0 and top
-    to 1."""
-    fx = {BOTTOM: 0, TOP: 1, **f}
-    return {eid: fx[above] - fx[below]
-            for eid, (below, above) in dual.cover_of_edge.items()}
-
-
-def route_of_flow(dag: Dag, flow: Mapping[str, object]) -> Route:
-    """The route carried by a unit 0/1 flow."""
-    route: list[str] = []
-    v = SOURCE
-    while v != dag.sink:
-        hot = [e for e in dag.out_edges(v) if flow.get(e.id, 0) == 1]
-        if len(hot) != 1:
-            raise ValueError(f"flow is not a unit route flow at vertex {v}")
-        route.append(hot[0].id)
-        v = hot[0].head
-    return tuple(route)
-
-
 # ---------------------------------------------------------------------------
-# Triangulations of the order polytope
-
-def _filter_triangulation(poset: Poset, simplices) -> Triangulation:
-    """The triangulation with the given simplices, sorted tuples of
-    ``poset.filters`` indices, on the filters' indicator vectors."""
-    elems = tuple(sorted(poset.elements))
-    labels = tuple(tuple(sorted(f)) for f in poset.filters)
-    coords = tuple(tuple(int(p in f) for p in elems) for f in poset.filters)
-    return Triangulation(simplices, labels, coords)
-
+# Simplices of the order polytope's triangulations, as filter chains
 
 def maximal_filter_chains(poset: Poset) -> tuple[tuple[int, ...], ...]:
     """Complete chains of filters from the empty set to everything, one per
@@ -462,33 +445,22 @@ def maximal_filter_chains(poset: Poset) -> tuple[tuple[int, ...], ...]:
     return max_cliques(poset.comparability, len(poset.elements) + 1)
 
 
-def canonical_triangulation(poset: Poset) -> Triangulation:
-    """Unimodular triangulation whose simplices are the complete chains of
-    filters."""
-    return _filter_triangulation(poset, maximal_filter_chains(poset))
-
-
-def rank_constant_filters(poset: Poset) -> tuple[frozenset[str], ...]:
-    """Unions of the top ranks, largest first (everything down to nothing)."""
+def rank_constant_filters(poset: Poset) -> tuple[int, ...]:
+    """The ``poset.filters`` indices of the unions of the top ranks, largest
+    first (everything down to nothing): the rank-constant simplex."""
     if not poset.graded:
         raise ValueError("poset is not graded")
-    h = poset.heights
-    return tuple(frozenset(p for p in poset.elements if h[p] > j)
+    h, index = poset.heights, {f: i for i, f in enumerate(poset.filters)}
+    return tuple(index[sum(b for p, b in poset.bits.items() if h[p] > j)]
                  for j in range(max(h.values(), default=0) + 1))
 
 
-def _cut_covers(poset: Poset) -> tuple[list[int], list[int]]:
-    """Masks over ``poset.covers``: those each nonempty proper filter cuts
-    (upper end in, lower end out), and those into each rank j = 2..r."""
-    if not poset.graded:
-        raise ValueError("poset is not graded")
-    bits = [(1 << k, a, b) for k, (a, b) in enumerate(poset.covers)]
-    cuts = [sum(bit for bit, a, b in bits if b in f and a not in f)
-            for f in poset.filters[1:-1]]
-    h = poset.heights
-    ranks = [sum(bit for bit, _, b in bits if h[b] == j)
-             for j in range(2, max(h.values(), default=0) + 1)]
-    return cuts, ranks
+def _cutters(poset: Poset, pairs: Iterable[tuple[str, str]]) -> list[int]:
+    """The cut rule: per pair (lower, upper), the mask over
+    ``poset.filters`` of the filters that cut it, holding upper (``TOP``
+    always) and not lower (``BOTTOM`` never)."""
+    held = poset.holders
+    return [held[b] & ~held[a] for a, b in pairs]
 
 
 def maximal_equatorial_chains(poset: Poset) -> tuple[tuple[int, ...], ...]:
@@ -503,31 +475,26 @@ def maximal_equatorial_chains(poset: Poset) -> tuple[tuple[int, ...], ...]:
     transversal.  Its facets have n - r filters for n elements in r ranks;
     none (the empty face alone) means no chains.
     """
-    cuts, ranks = _cut_covers(poset)
+    if not poset.graded:
+        raise ValueError("poset is not graded")
     rows = poset.comparability[1:-1]                  # filters sorted by size
     everyone = (1 << len(rows)) - 1
-    cutters = [_mask(i for i, c in enumerate(cuts) if c >> k & 1)
-               for k in range(len(poset.covers))]
+    cutters = [c >> 1 & everyone for c in _cutters(poset, poset.covers)]
     names = [f"{a}<{b}" for a, b in poset.covers]    # the covers' edge ids in the DAG
+    h = poset.heights
     uncut = {everyone: ()}                            # filters -> first choice leaving them
-    for rank in ranks:
+    for j in range(2, max(h.values(), default=0) + 1):
+        into = [k for k, (_, b) in enumerate(poset.covers) if h[b] == j]
         grown: dict[int, tuple[str, ...]] = {}
         for m, choice in uncut.items():
-            for k in _members(rank):
+            for k in into:
                 grown.setdefault(m & ~cutters[k], choice + (names[k],))
         uncut = grown
     facets = [EquatorialFace(choice, m) for m, choice in uncut.items()
               if not any(m != o and m & o == m for o in uncut)]
-    size = len(poset.elements) - max(poset.heights.values(), default=0)
+    size = len(poset.elements) - max(h.values(), default=0)
     faces = t_eq([a >> 1 & everyone for a in rows], facets, size).maximal_faces
     return tuple(tuple(i + 1 for i in f) for f in faces if f)
-
-
-def equatorial_order_triangulation(poset: Poset) -> Triangulation:
-    """Join of the rank-constant simplex with the equatorial chain complex."""
-    sigma = [poset.filters.index(f) for f in rank_constant_filters(poset)]
-    return _filter_triangulation(poset, join_with_simplex(
-        sigma, maximal_equatorial_chains(poset), len(poset.elements) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +506,30 @@ def topmost_route_decomposition(dag: Dag, emb: PlanarEmbedding,
     following the planar framing ``framing`` of the embedding."""
     return peel_decomposition(dag, {SOURCE: tuple(reversed(emb.rotations[SOURCE])),
                                     **framing.out_order})
+
+
+def filter_routes(dual: PlanarDual, routes: Sequence[Route]) -> tuple[int, ...]:
+    """Filter index -> index in ``routes`` of the filter's route: the edges
+    it cuts, lower face out and upper face in (``_cutters``).  A filter
+    whose cut is no route, or two filters cutting one route, raise
+    ``ValueError``."""
+    poset = dual.poset
+    cut: list[list[str]] = [[] for _ in poset.filters]
+    for e, c in zip(dual.cover_of_edge, _cutters(poset, dual.cover_of_edge.values())):
+        for i in _members(c):
+            cut[i].append(e)
+    index = {frozenset(r): j for j, r in enumerate(routes)}
+    filter_of: dict[int, int] = {}                    # route index -> filter cutting it
+    for i, edges in enumerate(cut):
+        j = index.get(frozenset(edges))
+        if j is None:
+            raise ValueError(f"filter {list(poset.names(poset.filters[i]))} cuts "
+                             f"{sorted(edges)}, which is not a route")
+        if j in filter_of:
+            raise ValueError(f"filters {list(poset.names(poset.filters[filter_of[j]]))} and "
+                             f"{list(poset.names(poset.filters[i]))} both cut route {routes[j]}")
+        filter_of[j] = i
+    return tuple(filter_of)                           # keyed in filter order
 
 
 @dataclass(frozen=True)
@@ -560,9 +551,10 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
 
     Checks that the topmost decomposition's framing is the planar framing,
     that complete filter chains map onto the planar framing's clique
-    triangulation, that the equatorial order triangulation maps onto the
-    equatorial flow triangulation simplex for simplex, and that the
-    rank-constant simplex maps onto the route simplex.
+    triangulation, that the join of the rank-constant simplex with the
+    maximal equatorial chains maps onto the equatorial flow triangulation
+    simplex for simplex, and that the rank-constant simplex maps onto the
+    route simplex.
     """
     issues: list[str] = []
     pf = planar_framing(dag, emb)
@@ -573,32 +565,30 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
             issues.append(f"framings disagree at vertex {v}")
     routes, adj, _, sphere = equatorial_sphere(dag, decomp, df)
     poset = dual.poset
-    index = {r: i for i, r in enumerate(routes)}
-    route_of = [index[route_of_flow(dag, order_to_flow(
-                    dual, {p: int(p in f) for p in poset.elements}))]
-                for f in poset.filters]           # filter index -> route index
+    route_of = filter_routes(dual, routes)
 
-    def mapped(tri: Triangulation) -> set[tuple[int, ...]]:
-        return {tuple(sorted(route_of[i] for i in simplex)) for simplex in tri.simplices}
+    def mapped(simplices) -> set[tuple[int, ...]]:
+        return {tuple(sorted(route_of[i] for i in simplex)) for simplex in simplices}
 
     def compare(what: str, order: set, flow: set) -> None:
         # route indices follow the route order, so index tuples sort as routes do
         for s in sorted(order - flow) + sorted(flow - order):
             issues.append(f"{what} triangulations differ at {[routes[i] for i in s]}")
 
-    canon = mapped(canonical_triangulation(poset))
+    canon = mapped(maximal_filter_chains(poset))
     # the only issues so far are framing disagreements; without one, the
     # decomposition framing is the planar framing
     if issues:
         adj = coherence_graph(dag, pf, routes)
     compare("chain/clique", canon, set(max_cliques(adj, dimension(dag) + 1)))
 
-    order_faces = mapped(equatorial_order_triangulation(poset))
+    sigma = rank_constant_filters(poset)
+    order_faces = mapped(join_with_simplex(sigma, maximal_equatorial_chains(poset),
+                                           len(poset.elements) + 1))
     flow_faces = set(join_route_simplex(dag, routes, decomp, sphere).simplices)
     compare("equatorial", order_faces, flow_faces)
 
-    sigma = {route_of[poset.filters.index(f)] for f in rank_constant_filters(poset)}
-    if sigma != {index[r] for r in decomp}:
+    if {routes[route_of[i]] for i in sigma} != set(decomp):
         issues.append("rank-constant simplex does not map onto the route simplex")
     return EquivalenceReport(tuple(issues), decomp,
                              len(flow_faces), len(order_faces))

@@ -24,7 +24,9 @@ from flowtri.equatorial import (EquatorialFace, Sphere, Transversal,
 from flowtri.geometry import (Triangulation, Vector, ehrhart_hstar,
                               euler_characteristic, h_from_f, is_unimodular_simplex,
                               normalized_volume)
-from flowtri.planar import BOTTOM, PlanarDual, Poset, make_poset, maximal_filter_chains
+from flowtri.planar import (BOTTOM, TOP, PlanarDual, Poset, make_poset,
+                            maximal_equatorial_chains, maximal_filter_chains,
+                            rank_constant_filters)
 from flowtri.quotient import QuotientPolytope, ReflexiveReport
 from flowtri.routes import Framing, Route, decomposition_framing
 
@@ -405,10 +407,38 @@ def linear_extension_count(poset: Poset) -> int:
     return len(maximal_filter_chains(poset))
 
 
+def filter_sets(poset: Poset, masks: Iterable[int]) -> tuple[frozenset[str], ...]:
+    """Filter masks as sets of element names, bit k standing for the k-th
+    element by name: the form the frozenset oracles below take."""
+    names = sorted(poset.elements)
+    return tuple(frozenset(p for k, p in enumerate(names) if f >> k & 1) for f in masks)
+
+
 def order_polytope_vertices(poset: Poset) -> tuple[Vector, ...]:
     """Indicator vector of each filter over the sorted element list."""
     elems = tuple(sorted(poset.elements))
-    return tuple(tuple(int(p in f) for p in elems) for f in poset.filters)
+    return tuple(tuple(int(p in f) for p in elems) for f in filter_sets(poset, poset.filters))
+
+
+def filter_triangulation(poset: Poset, simplices) -> Triangulation:
+    """The triangulation with the given simplices, sorted tuples of
+    ``poset.filters`` indices, on the filters' indicator vectors: the form
+    ``geometry.verify_triangulation`` and the LP oracle check."""
+    labels = tuple(tuple(sorted(f)) for f in filter_sets(poset, poset.filters))
+    return Triangulation(simplices, labels, order_polytope_vertices(poset))
+
+
+def canonical_triangulation(poset: Poset) -> Triangulation:
+    """Unimodular triangulation whose simplices are the complete chains of
+    filters."""
+    return filter_triangulation(poset, maximal_filter_chains(poset))
+
+
+def equatorial_order_triangulation(poset: Poset) -> Triangulation:
+    """Join of the rank-constant simplex with the equatorial chain complex."""
+    return filter_triangulation(poset, geometry.join_with_simplex(
+        rank_constant_filters(poset), maximal_equatorial_chains(poset),
+        len(poset.elements) + 1))
 
 
 def poset_from_json(data: Mapping) -> Poset:
@@ -444,6 +474,28 @@ def flow_to_order(dual: PlanarDual, flow) -> dict[str, object]:
             elif below in f and f[above] != f[below] + step:
                 raise ValueError(f"flow potential is chain dependent at {eid}")
     return f
+
+
+def order_to_flow(dual: PlanarDual, f: Mapping[str, object]) -> dict[str, object]:
+    """Edge flows as potential differences, with bottom pinned to 0 and top
+    to 1."""
+    fx = {BOTTOM: 0, TOP: 1, **f}
+    return {eid: fx[above] - fx[below]
+            for eid, (below, above) in dual.cover_of_edge.items()}
+
+
+def route_of_flow(dag: Dag, flow: Mapping[str, object]) -> Route:
+    """The route carried by a unit 0/1 flow, walked out of the source: the
+    oracle for ``planar.filter_routes``."""
+    route: list[str] = []
+    v = SOURCE
+    while v != dag.sink:
+        hot = [e for e in dag.out_edges(v) if flow.get(e.id, 0) == 1]
+        if len(hot) != 1:
+            raise ValueError(f"flow is not a unit route flow at vertex {v}")
+        route.append(hot[0].id)
+        v = hot[0].head
+    return tuple(route)
 
 
 def subset_scan_filters(poset: Poset) -> tuple[frozenset[str], ...]:
@@ -534,7 +586,7 @@ def equatorial_by_jumps(poset: Poset, chain: Sequence[frozenset[str]]) -> bool:
 def filter_chains(poset: Poset) -> Iterable[tuple[frozenset[str], ...]]:
     """Every nonempty chain of nonempty filters, smallest filter first,
     including those that end in the whole poset."""
-    fs = [f for f in poset.filters if f]
+    fs = [f for f in filter_sets(poset, poset.filters) if f]
 
     def extend(chain: list[frozenset[str]], start: int):
         for i in range(start, len(fs)):

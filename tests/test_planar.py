@@ -10,23 +10,22 @@ from flowtri.dag import (D1, D2, D3, G, dag_to_json, stacked_rotations, zigzag,
                          zigzag_rotations)
 from flowtri.geometry import verify_triangulation
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
-                            canonical_triangulation, embedding_from_json,
-                            embedding_to_json, filters, make_poset,
-                            maximal_equatorial_chains, maximal_filter_chains,
-                            order_to_flow, planar_dual, planar_framing,
-                            poset_to_dag, poset_to_json,
-                            rank_constant_filters, route_of_flow,
-                            equatorial_order_triangulation,
+                            embedding_from_json, embedding_to_json, filter_routes,
+                            filters, make_poset, maximal_equatorial_chains,
+                            maximal_filter_chains, planar_dual, planar_framing,
+                            poset_to_dag, poset_to_json, rank_constant_filters,
                             topmost_route_decomposition,
                             validate_embedding, verify_equivalence)
 from flowtri.routes import Framing, Route, decomposition_framing, enumerate_routes
-from tests.conftest import (brute_order_polytope_count, equatorial_by_jumps,
-                            equatorial_by_map, extension_filter_chains,
-                            filter_chains, flow_to_order, linear_extension_count,
-                            lp_triangulation_ok, order_polytope_vertices,
+from tests.conftest import (brute_order_polytope_count, canonical_triangulation,
+                            equatorial_by_jumps, equatorial_by_map,
+                            equatorial_order_triangulation, extension_filter_chains,
+                            filter_chains, filter_sets, flow_to_order,
+                            linear_extension_count, lp_triangulation_ok,
+                            order_polytope_vertices, order_to_flow,
                             pairwise_comparability, poset_from_json,
                             recursive_heights, recursive_up_sets,
-                            subset_scan_filters)
+                            route_of_flow, subset_scan_filters)
 
 
 def posets_isomorphic(p: Poset, q: Poset) -> bool:
@@ -65,7 +64,7 @@ def antichain(n):
 def index_chains(poset: Poset, chains) -> tuple[tuple[int, ...], ...]:
     """Chains of filters as ascending tuples of ``poset.filters`` indices,
     in lexicographic order."""
-    idx = {f: i for i, f in enumerate(poset.filters)}
+    idx = {f: i for i, f in enumerate(filter_sets(poset, poset.filters))}
     return tuple(sorted(tuple(sorted(idx[f] for f in c)) for c in chains))
 
 
@@ -92,8 +91,8 @@ def test_is_graded():
 
 def test_filters_are_upward_closed():
     p = make_poset("abc", [("a", "b")])
-    fs = filters(p)
-    assert p.filters == fs
+    assert p.filters == filters(p)
+    fs = filter_sets(p, p.filters)
     assert frozenset({"b", "c"}) in fs and frozenset({"a"}) not in fs
     assert len(fs) == 6
     assert len(order_polytope_vertices(p)) == 6
@@ -113,7 +112,7 @@ def test_poset_layer_matches_oracles():
     for p in catalog_duals() + posets:
         shuffled = Poset(tuple(rng.sample(p.elements, len(p.elements))), p.covers)
         for q in (p, shuffled):
-            assert filters(q) == subset_scan_filters(q), q
+            assert filter_sets(q, filters(q)) == subset_scan_filters(q), q
             assert q.heights == recursive_heights(q), q
             assert q.up_sets == recursive_up_sets(q), q
             assert maximal_filter_chains(q) == \
@@ -150,11 +149,11 @@ def test_comparability_table_matches_pairwise_oracle(monkeypatch):
                 for p in catalog_duals() + posets]
     assert sum(p.graded for p in shuffled) >= 45 and not all(p.graded for p in shuffled)
     for p in shuffled + [long_chain]:
-        assert p.comparability == pairwise_comparability(p.filter_masks), p
+        assert p.comparability == pairwise_comparability(p.filters), p
         if p.graded:
             adjacency.clear()
             maximal_equatorial_chains(p)
-            assert adjacency == [list(pairwise_comparability(p.filter_masks[1:-1]))], p
+            assert adjacency == [list(pairwise_comparability(p.filters[1:-1]))], p
 
 
 def test_600_element_chain_without_recursion():
@@ -162,7 +161,7 @@ def test_600_element_chain_without_recursion():
     p = Poset(names, tuple(zip(names, names[1:])))
     assert p.heights == {q: i + 1 for i, q in enumerate(names)}
     assert p.graded and names[-1] in p.up_sets[names[0]]
-    assert p.filters == tuple(frozenset(names[k:]) for k in range(600, -1, -1))
+    assert filter_sets(p, p.filters) == tuple(frozenset(names[k:]) for k in range(600, -1, -1))
 
 
 def test_posets_isomorphic():
@@ -262,7 +261,7 @@ def test_canonical_triangulation_counts():
 
 def test_rank_constant_filters():
     p = chain(2)                      # p0 < p1
-    assert rank_constant_filters(p) == (
+    assert filter_sets(p, [p.filters[i] for i in rank_constant_filters(p)]) == (
         frozenset({"p0", "p1"}), frozenset({"p1"}), frozenset())
     with pytest.raises(ValueError):
         rank_constant_filters(make_poset("abcd", [("a", "b"), ("b", "c"), ("a", "d")]))
@@ -273,7 +272,7 @@ def test_equatorial_chains_antichain_2():
     assert equatorial_by_map(p, [frozenset({"q0"})])
     assert equatorial_by_map(p, [frozenset({"q1"})])
     assert not equatorial_by_map(p, [frozenset({"q0"}), frozenset({"q0", "q1"})])
-    assert p.filters[1:3] == (frozenset({"q0"}), frozenset({"q1"}))
+    assert filter_sets(p, p.filters[1:3]) == (frozenset({"q0"}), frozenset({"q1"}))
     assert maximal_equatorial_chains(p) == ((1,), (2,))
 
 
@@ -292,7 +291,7 @@ def test_equatorial_chain_matches_both_oracles():
     rng = random.Random(7)
     posets = catalog_duals() + [random_graded_poset(rng) for _ in range(60)]
     for p in posets:
-        idx = {f: i for i, f in enumerate(p.filters)}
+        idx = {f: i for i, f in enumerate(filter_sets(p, p.filters))}
         maximal = [set(m) for m in maximal_equatorial_chains(p)]
         for c in filter_chains(p):
             want = equatorial_by_map(p, c)
@@ -363,7 +362,7 @@ def test_verify_equivalence_catalog():
 def maximal_equatorial_chains_oracle(poset):
     """Every chain of nonempty proper filters, tested one by one on its
     summed indicator map, then the quadratic inclusion-maximality filter."""
-    proper = [f for f in filters(poset) if f and len(f) < len(poset.elements)]
+    proper = [f for f in filter_sets(poset, filters(poset)) if f and len(f) < len(poset.elements)]
     good = []
 
     def extend(chain, start):
@@ -490,14 +489,17 @@ def test_equivalence_failure_texts(dag, rotations, pair, join_face, clique_face,
 def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     """One ``flowtri order`` run validates and traces the embedding once,
     builds the planar and the decomposition framing, one coherence graph,
-    one route list and one filter comparability table once each, turns
-    each filter into a route at most once, and lists maximal cliques and
-    walks an equatorial sphere once per side: routes, then filters."""
-    n_filters = len(truncated_dual(zigzag(), PlanarEmbedding(zigzag_rotations())).filters)
+    one route list, one filter comparability table, one table of the
+    filters holding each element and one filter -> route map once each,
+    finds the rank-constant filters once, builds one ``Triangulation``
+    (the flow side's join with the route simplex; the order side compares
+    bare filter-index simplices), and lists maximal cliques and walks an
+    equatorial sphere once per side: routes, then filters."""
     modules = (cli, dagmod, dkk, equatorial, geometry, planar, quotient, routes)
     watched = (planar.validate_embedding, planar._trace, planar.planar_framing,
                routes.decomposition_framing, dkk.coherence_graph, dkk.max_cliques,
-               equatorial.t_eq, routes.enumerate_routes, planar.route_of_flow)
+               equatorial.t_eq, routes.enumerate_routes, planar.filter_routes,
+               planar.rank_constant_filters)
     calls = {fn.__name__: 0 for fn in watched}
 
     def counted(fn):
@@ -512,18 +514,78 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
             for name, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, name, wrapper)
-    table = Poset.__dict__["comparability"]
-    calls[table.func.__name__] = 0
-    monkeypatch.setattr(table, "func", counted(table.func))
+    for table in (Poset.__dict__["comparability"], Poset.__dict__["holders"]):
+        calls[table.func.__name__] = 0
+        monkeypatch.setattr(table, "func", counted(table.func))
+    calls["__init__"] = 0
+    monkeypatch.setattr(geometry.Triangulation, "__init__",
+                        counted(geometry.Triangulation.__init__))
     graph, emb = tmp_path / "zigzag.json", tmp_path / "emb.json"
     graph.write_text(json.dumps(dag_to_json(zigzag())))
     emb.write_text(json.dumps(embedding_to_json(
         zigzag(), PlanarEmbedding(zigzag_rotations()))))
     assert cli.main(["order", str(graph), str(emb), "--max-dilate", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["equivalence"]["ok"]
-    assert 0 < calls.pop("route_of_flow") <= n_filters
     assert calls.pop("max_cliques") == calls.pop("t_eq") == 2
     assert calls == dict.fromkeys(calls, 1)
+
+
+def flow_walk_routes(dual: PlanarDual, dag, routes) -> tuple[int, ...]:
+    """Filter index -> route index, by the flow-walk oracle: each filter's
+    indicator map turned into edge flows and walked from the source."""
+    index = {r: j for j, r in enumerate(routes)}
+    elements = dual.poset.elements
+    return tuple(index[route_of_flow(dag, order_to_flow(dual, {p: int(p in f) for p in elements}))]
+                 for f in filter_sets(dual.poset, dual.poset.filters))
+
+
+def test_filter_routes_match_the_flow_walk_oracle():
+    """``filter_routes`` sends each filter to the route the flow walk finds,
+    filter by filter, on the catalog duals, on 40 graded posets rebuilt as
+    planar graphs, and on the 1,010-filter chain of G(1010)."""
+    rng = random.Random(20)
+    cases = [(dag, PlanarEmbedding(stacked_rotations(dag))) for dag in (D1(), D2(), D3(), G(3))]
+    cases.append((zigzag(), PlanarEmbedding(zigzag_rotations())))
+    graded = []
+    while len(graded) < 40:
+        try:
+            graded.append(poset_to_dag(random_graded_poset(rng)))
+        except ValueError:              # a Hasse drawing with crossing covers
+            pass
+    big = G(1010)
+    for dag, emb in cases + graded + [(big, PlanarEmbedding(stacked_rotations(big)))]:
+        dual, rs = planar_dual(dag, emb), enumerate_routes(dag)
+        assert filter_routes(dual, rs) == flow_walk_routes(dual, dag, rs), dag
+    assert len(dual.poset.filters) == 1010
+
+
+@pytest.mark.parametrize("dag,rotations,other,cut", [
+    (D2(), stacked_rotations(D2()), D1(), "['a', 'c']"),
+    (D1(), stacked_rotations(D1()), D2(), "['a', 'c', 'e']"),
+    (D3(), stacked_rotations(D3()), G(3), "['g1']"),
+    (zigzag(), zigzag_rotations(), D2(), "['a', 'c', 'e']"),
+], ids=["D2-D1", "D1-D2", "D3-G3", "zigzag-D2"])
+def test_verify_equivalence_rejects_another_graphs_dual(dag, rotations, other, cut):
+    """Given the dual of another graph, ``verify_equivalence`` names a
+    filter whose cut is not a route of the graph: here the empty filter,
+    whose cut is the other graph's topmost route."""
+    dual = planar_dual(other, PlanarEmbedding(stacked_rotations(other)))
+    with pytest.raises(ValueError) as exc:
+        verify_equivalence(dag, PlanarEmbedding(rotations), dual)
+    assert str(exc.value) == f"filter [] cuts {cut}, which is not a route"
+
+
+def test_filter_routes_name_two_filters_on_one_route():
+    """A dual element that no edge touches leaves two filters cutting the
+    same edges: the empty filter and the one holding just that element."""
+    d1 = D1()
+    emb = PlanarEmbedding(stacked_rotations(d1))
+    dual = planar_dual(d1, emb)
+    padded = PlanarDual(Poset(dual.poset.elements + ("z",), dual.poset.covers),
+                        dual.cover_of_edge)
+    with pytest.raises(ValueError) as exc:
+        verify_equivalence(d1, emb, padded)
+    assert str(exc.value) == "filters [] and ['z'] both cut route ('a', 'c')"
 
 
 def test_order_sphere_f_vector_equals_flow_sphere(monkeypatch):
