@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_json
@@ -149,12 +150,12 @@ def filters(poset: Poset) -> tuple[int, ...]:
     by sorted elements within a size, grown one element at a time from the
     empty filter: an element outside a filter may join once the filter
     holds its up-covers.  ``Poset.filters`` caches them."""
-    bits = poset.bits
+    bits, width = poset.bits, len(poset.elements)
     joins = [(bits[p], sum(map(bits.__getitem__, ups))) for p, ups in poset.up_covers.items()]
     out: list[int] = []
     level = {0}
-    while level:
-        out += sorted(level, key=poset.names)
+    while level:       # names first differ at the lowest differing bit: the top one reversed
+        out += sorted(level, key=lambda f: int(f"{f:0{width}b}"[::-1], 2), reverse=True)
         level = {f | b for f in level for b, ups in joins if not f & b and f & ups == ups}
     return tuple(out)
 
@@ -165,15 +166,19 @@ def order_polytope_count(poset: Poset, max_dilate: int) -> list[int]:
     Such a map f is the chain of filters F_1, ..., F_t, each containing
     the next, with F_j = {p : f(p) >= j}.  After round t, chains[i]
     counts the chains of t filters under poset.filters[i]; the last filter
-    is the whole poset.
+    is the whole poset.  A round is the filter lattice's zeta transform
+    (Bjorklund et al., SODA 2012): element p by element, top down, filter
+    f adds the count of f - p when that is a filter.
     """
-    # filters are listed by size: those under filter i are its comparable
-    # filters below index i, and itself
-    below = [_members((a | 1 << i) & ((2 << i) - 1)) for i, a in enumerate(poset.comparability)]
-    chains = [1] * len(below)
+    fs, bits = poset.filters, poset.bits
+    index = {f: i for i, f in enumerate(fs)}
+    steps = [(i, index[f ^ b]) for b in map(bits.__getitem__, reversed(poset.heights))
+             for i, f in enumerate(fs) if f & b and f ^ b in index]
+    chains = [1] * len(fs)
     counts = []
     for _ in range(max_dilate):
-        chains = [sum(chains[j] for j in js) for js in below]
+        for i, j in steps:
+            chains[i] += chains[j]
         counts.append(chains[-1])
     return counts
 
@@ -450,9 +455,12 @@ def rank_constant_filters(poset: Poset) -> tuple[int, ...]:
     first (everything down to nothing): the rank-constant simplex."""
     if not poset.graded:
         raise ValueError("poset is not graded")
-    h, index = poset.heights, {f: i for i, f in enumerate(poset.filters)}
-    return tuple(index[sum(b for p, b in poset.bits.items() if h[p] > j)]
-                 for j in range(max(h.values(), default=0) + 1))
+    h, bits, index = poset.heights, poset.bits, {f: i for i, f in enumerate(poset.filters)}
+    union, unions = 0, [0]
+    for _, rank in groupby(reversed(h), key=h.__getitem__):   # strip order: rank by rank
+        union |= sum(map(bits.__getitem__, rank))
+        unions.append(union)
+    return tuple(index[m] for m in reversed(unions))
 
 
 def _cutters(poset: Poset, pairs: Iterable[tuple[str, str]]) -> list[int]:
@@ -555,6 +563,11 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     maximal equatorial chains maps onto the equatorial flow triangulation
     simplex for simplex, and that the rank-constant simplex maps onto the
     route simplex.
+
+    Each half compares what generates it: the mapped comparability graph
+    with the coherence graph, then the mapped rank-constant simplex and
+    maximal equatorial chains with the route simplex and the sphere.
+    Cliques and joins are listed only to name the simplices that differ.
     """
     issues: list[str] = []
     pf = planar_framing(dag, emb)
@@ -575,20 +588,30 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
         for s in sorted(order - flow) + sorted(flow - order):
             issues.append(f"{what} triangulations differ at {[routes[i] for i in s]}")
 
-    canon = mapped(maximal_filter_chains(poset))
     # the only issues so far are framing disagreements; without one, the
     # decomposition framing is the planar framing
     if issues:
         adj = coherence_graph(dag, pf, routes)
-    compare("chain/clique", canon, set(max_cliques(adj, dimension(dag) + 1)))
+    # a graph fixes its maximal cliques; a route no filter maps to keeps a
+    # zero row, which no coherence graph of positive dimension has
+    graph = [0] * len(routes)
+    for i, row in enumerate(poset.comparability):
+        graph[route_of[i]] = _mask(route_of[j] for j in _members(row))
+    if graph != list(adj):
+        compare("chain/clique", mapped(maximal_filter_chains(poset)),
+                set(max_cliques(adj, dimension(dag) + 1)))
 
     sigma = rank_constant_filters(poset)
-    order_faces = mapped(join_with_simplex(sigma, maximal_equatorial_chains(poset),
-                                           len(poset.elements) + 1))
+    chains = maximal_equatorial_chains(poset)
+    onto_routes = {routes[route_of[i]] for i in sigma} == set(decomp)
+    # no sphere face holds a decomposition route, so joining is one to one
+    faces = set(sphere.maximal_faces) or {()}       # no faces: sigma alone
+    if onto_routes and (mapped(chains) or {()}) == faces:
+        return EquivalenceReport(tuple(issues), decomp, len(faces), len(faces))
+    order_faces = mapped(join_with_simplex(sigma, chains, len(poset.elements) + 1))
     flow_faces = set(join_route_simplex(dag, routes, decomp, sphere).simplices)
     compare("equatorial", order_faces, flow_faces)
-
-    if {routes[route_of[i]] for i in sigma} != set(decomp):
+    if not onto_routes:
         issues.append("rank-constant simplex does not map onto the route simplex")
     return EquivalenceReport(tuple(issues), decomp,
                              len(flow_faces), len(order_faces))

@@ -13,11 +13,11 @@ from typing import Iterable, Mapping, Sequence
 import pytest
 from hypothesis import strategies as st
 
-from flowtri import geometry
+from flowtri import geometry, planar
 from flowtri.dag import (SOURCE, Dag, contract_idle_edges, degree_equality, dimension,
                          gorenstein_completion, idle_edges, make_dag, random_dag,
                          validate)
-from flowtri.dkk import _mask
+from flowtri.dkk import _mask, _members
 from flowtri.equatorial import (EquatorialFace, Sphere, Transversal,
                                 enumerate_transversals, equatorial_sphere,
                                 join_route_simplex)
@@ -328,12 +328,33 @@ def set_max_cliques(adj: Sequence[int]) -> set[tuple[int, ...]]:
     return out
 
 
+def maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The distinct ``masks`` that are no proper subset of another one:
+    largest first, each kept unless a kept one holds it, found as the AND
+    over its bits of the kept masks holding each bit."""
+    kept: list[int] = []
+    holding: defaultdict[int, int] = defaultdict(int)   # bit -> kept masks holding it
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        bits = _members(m)
+        above = (1 << len(kept)) - 1
+        for b in bits:
+            above &= holding[b]
+        if not above:
+            for b in bits:
+                holding[b] |= 1 << len(kept)
+            kept.append(m)
+    return kept
+
+
 def complex_from_faces(faces: Iterable[Iterable]) -> Complex:
     """Build a complex from a face family, keeping only the members that
-    are no proper subset of another member."""
+    are no proper subset of another member, compared as int masks over
+    the sorted vertices."""
     fs = {tuple(sorted(f)) for f in faces}
-    below = {c for f in fs for k in range(len(f)) for c in combinations(f, k)}
-    return Complex(tuple(sorted(fs - below)))
+    vertices = sorted({v for f in fs for v in f})
+    bit = {v: 1 << k for k, v in enumerate(vertices)}
+    kept = maximal_masks(sum(map(bit.__getitem__, f)) for f in fs)
+    return Complex(tuple(sorted(tuple(vertices[k] for k in _members(m)) for m in kept)))
 
 
 def old_t_eq(cliques: Iterable[Sequence[int]],
@@ -341,8 +362,8 @@ def old_t_eq(cliques: Iterable[Sequence[int]],
     """T_eq as every intersection of a maximal clique of the coherence graph
     with a facet's route set, filtered to the maximal ones: the oracle for
     ``equatorial.t_eq``."""
-    pieces = {tuple(i for i in c if f.routes >> i & 1) for c in cliques for f in facets}
-    return complex_from_faces(pieces)
+    pieces = {c & f.routes for c in set(map(_mask, cliques)) for f in facets}
+    return Complex(tuple(sorted(map(_members, maximal_masks(pieces)))))
 
 
 def routes_avoiding(routes: Sequence[Route], m: Transversal) -> frozenset[int]:
@@ -439,6 +460,44 @@ def equatorial_order_triangulation(poset: Poset) -> Triangulation:
     return filter_triangulation(poset, geometry.join_with_simplex(
         rank_constant_filters(poset), maximal_equatorial_chains(poset),
         len(poset.elements) + 1))
+
+
+def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.EquivalenceReport:
+    """``planar.verify_equivalence`` by listing both sides in full: the
+    maximal cliques of both graphs and both joins, mapped and compared
+    simplex for simplex.  It reads every step through the ``planar``
+    module, so a test that patches one there patches both.  The oracle for
+    the generator comparison."""
+    issues: list[str] = []
+    pf = planar.planar_framing(dag, emb)
+    decomp = planar.topmost_route_decomposition(dag, emb, pf)
+    df = planar.decomposition_framing(dag, decomp)
+    for v in dag.inner_vertices:
+        if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
+            issues.append(f"framings disagree at vertex {v}")
+    routes, adj, _, sphere = planar.equatorial_sphere(dag, decomp, df)
+    poset = dual.poset
+    route_of = planar.filter_routes(dual, routes)
+
+    def mapped(simplices) -> set[tuple[int, ...]]:
+        return {tuple(sorted(route_of[i] for i in simplex)) for simplex in simplices}
+
+    def compare(what: str, order: set, flow: set) -> None:
+        for s in sorted(order - flow) + sorted(flow - order):
+            issues.append(f"{what} triangulations differ at {[routes[i] for i in s]}")
+
+    canon = mapped(planar.maximal_filter_chains(poset))
+    if issues:
+        adj = planar.coherence_graph(dag, pf, routes)
+    compare("chain/clique", canon, set(planar.max_cliques(adj, dimension(dag) + 1)))
+    sigma = planar.rank_constant_filters(poset)
+    order_faces = mapped(planar.join_with_simplex(sigma, planar.maximal_equatorial_chains(poset),
+                                                  len(poset.elements) + 1))
+    flow_faces = set(planar.join_route_simplex(dag, routes, decomp, sphere).simplices)
+    compare("equatorial", order_faces, flow_faces)
+    if {routes[route_of[i]] for i in sigma} != set(decomp):
+        issues.append("rank-constant simplex does not map onto the route simplex")
+    return planar.EquivalenceReport(tuple(issues), decomp, len(flow_faces), len(order_faces))
 
 
 def poset_from_json(data: Mapping) -> Poset:

@@ -1,13 +1,17 @@
 import json
 import random
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flowtri import cli, dkk, equatorial, geometry, planar, quotient, routes
 from flowtri import dag as dagmod
-from flowtri.dag import (D1, D2, D3, G, dag_to_json, stacked_rotations, zigzag,
-                         zigzag_rotations)
+from flowtri.dag import (D1, D2, D3, G, dag_to_json, degree_equality, idle_edges,
+                         stacked_rotations, zigzag, zigzag_rotations)
+from flowtri.dkk import _mask, _members
 from flowtri.geometry import verify_triangulation
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             embedding_from_json, embedding_to_json, filter_routes,
@@ -22,7 +26,7 @@ from tests.conftest import (brute_order_polytope_count, canonical_triangulation,
                             equatorial_order_triangulation, extension_filter_chains,
                             filter_chains, filter_sets, flow_to_order,
                             linear_extension_count, lp_triangulation_ok,
-                            order_polytope_vertices, order_to_flow,
+                            old_verify_equivalence, order_polytope_vertices, order_to_flow,
                             pairwise_comparability, poset_from_json,
                             recursive_heights, recursive_up_sets,
                             route_of_flow, subset_scan_filters)
@@ -154,6 +158,32 @@ def test_comparability_table_matches_pairwise_oracle(monkeypatch):
             adjacency.clear()
             maximal_equatorial_chains(p)
             assert adjacency == [list(pairwise_comparability(p.filters[1:-1]))], p
+
+
+def test_filters_sort_like_their_names():
+    """Within a size, ``filters`` lists the masks by their bit-reversed
+    value, largest first: the order of their sorted element names, on the
+    catalog duals and on random graded and ungraded posets, also with the
+    elements listed out of name order."""
+    rng = random.Random(21)
+    posets = catalog_duals() + [random_graded_poset(rng) for _ in range(100)] + \
+        [random_poset(rng) for _ in range(100)]
+    for p in posets:
+        shuffled = Poset(tuple(rng.sample(p.elements, len(p.elements))), p.covers)
+        for q in (p, shuffled):
+            by_names = sorted(q.filters, key=lambda f: (f.bit_count(), q.names(f)))
+            assert q.filters == tuple(by_names), q
+
+
+def test_rank_constant_filters_are_the_unions_of_the_top_ranks():
+    """The one top-down pass gives, for j = 0 up to the top height, the
+    filter of the elements above height j, summed rank by rank."""
+    rng = random.Random(22)
+    for p in catalog_duals() + [random_graded_poset(rng) for _ in range(100)]:
+        h = p.heights
+        want = [sum(b for q, b in p.bits.items() if h[q] > j)
+                for j in range(max(h.values(), default=0) + 1)]
+        assert [p.filters[i] for i in rank_constant_filters(p)] == want, p
 
 
 def test_600_element_chain_without_recursion():
@@ -449,21 +479,22 @@ def test_disagreeing_framings_compare_the_planar_framings_cliques(dag, rotations
 def test_equivalence_failure_texts(dag, rotations, pair, join_face, clique_face,
                                    monkeypatch):
     """The issues and simplex counts ``verify_equivalence`` reports when the
-    flow side loses one simplex: the first simplex of the join with the
-    route simplex, or the cliques through one coherent route pair, cut from
-    the planar framing's coherence graph after a skewed decomposition
-    framing (see the test above)."""
+    flow side loses one simplex: the first face of the equatorial sphere,
+    whose join with the route simplex is the join's first simplex, or the
+    cliques through one coherent route pair, cut from the planar framing's
+    coherence graph after a skewed decomposition framing (see the test
+    above)."""
     emb = PlanarEmbedding(rotations)
     dual = planar_dual(dag, emb)
     want = verify_equivalence(dag, emb, dual).order_simplices
-    join = planar.join_route_simplex
+    build = planar.equatorial_sphere
 
     def first_dropped(*args):
-        tri = join(*args)
-        return geometry.Triangulation(tri.simplices[1:], tri.labels, tri.coords)
+        routes, adj, facets, sphere = build(*args)
+        return routes, adj, facets, replace(sphere, maximal_faces=sphere.maximal_faces[1:])
 
     with monkeypatch.context() as m:
-        m.setattr(planar, "join_route_simplex", first_dropped)
+        m.setattr(planar, "equatorial_sphere", first_dropped)
         rep = verify_equivalence(dag, emb, dual)
     assert rep.issues == (f"equatorial triangulations differ at {join_face}",)
     assert (rep.flow_simplices, rep.order_simplices) == (want - 1, want)
@@ -491,10 +522,10 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     builds the planar and the decomposition framing, one coherence graph,
     one route list, one filter comparability table, one table of the
     filters holding each element and one filter -> route map once each,
-    finds the rank-constant filters once, builds one ``Triangulation``
-    (the flow side's join with the route simplex; the order side compares
-    bare filter-index simplices), and lists maximal cliques and walks an
-    equatorial sphere once per side: routes, then filters."""
+    finds the rank-constant filters once, and walks an equatorial sphere
+    once per side: routes, then filters.  A passing run compares graphs
+    and spheres, so it lists no maximal cliques and builds no join
+    ``Triangulation``."""
     modules = (cli, dagmod, dkk, equatorial, geometry, planar, quotient, routes)
     watched = (planar.validate_embedding, planar._trace, planar.planar_framing,
                routes.decomposition_framing, dkk.coherence_graph, dkk.max_cliques,
@@ -526,8 +557,95 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
         zigzag(), PlanarEmbedding(zigzag_rotations()))))
     assert cli.main(["order", str(graph), str(emb), "--max-dilate", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["equivalence"]["ok"]
-    assert calls.pop("max_cliques") == calls.pop("t_eq") == 2
+    assert calls.pop("max_cliques") == calls.pop("__init__") == 0
+    assert calls.pop("t_eq") == 2
     assert calls == dict.fromkeys(calls, 1)
+
+
+CORRUPTIONS = ("none", "graph-swap", "graph-cut", "sphere-drop", "sphere-swap")
+
+
+def corrupt(monkeypatch, kind: str, seed: int) -> None:
+    """Make ``planar.equatorial_sphere`` hand out a corrupted coherence graph
+    (two routes swapped, or one coherent pair cut) or sphere (one face
+    dropped, or two routes swapped in every face), picked by ``seed`` the
+    same way on every call."""
+    build = planar.equatorial_sphere
+
+    def corrupted(*args):
+        routes, adj, facets, sphere = build(*args)
+        rng = random.Random(seed)
+        i, j = rng.sample(range(len(routes)), 2)
+        adj, faces = list(adj), list(sphere.maximal_faces)
+
+        def swap(m: int) -> int:
+            return m ^ (1 << i | 1 << j) if (m >> i ^ m >> j) & 1 else m
+
+        if kind == "graph-swap":
+            adj = [swap(m) for m in adj]
+            adj[i], adj[j] = adj[j], adj[i]
+        elif kind == "graph-cut":
+            i = rng.choice([k for k, m in enumerate(adj) if m])
+            j = rng.choice(_members(adj[i]))
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
+        elif kind == "sphere-drop":
+            del faces[rng.randrange(len(faces))]
+        elif kind == "sphere-swap":
+            faces = sorted(_members(swap(_mask(f))) for f in faces)
+        return routes, tuple(adj), facets, replace(sphere, maximal_faces=tuple(faces))
+
+    monkeypatch.setattr(planar, "equatorial_sphere", corrupted)
+
+
+def outcome(check, *args):
+    """The report of a check, or the kind and text of what it raised."""
+    try:
+        return check(*args)
+    except (AssertionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_verify_equivalence_matches_the_listing_oracle_catalog(kind, monkeypatch):
+    """Comparing graphs and spheres gives the report, or the error, that
+    listing both sides' cliques and joins gives, on the catalog graphs with
+    a sound or a corrupted coherence graph or sphere; each corruption makes
+    its half fail, so its listing fallback runs."""
+    cases = [(dag, stacked_rotations(dag)) for dag in (D1(), D2(), D3(), G(3))]
+    cases.append((zigzag(), zigzag_rotations()))
+    seen = []
+    for seed, (dag, rotations) in enumerate(cases * 3):
+        emb = PlanarEmbedding(rotations)
+        dual = planar_dual(dag, emb)
+        with monkeypatch.context() as m:
+            corrupt(m, kind, seed)
+            got = outcome(verify_equivalence, dag, emb, dual)
+            assert got == outcome(old_verify_equivalence, dag, emb, dual), (dag, seed)
+        seen.append(got)
+    reports = [r for r in seen if isinstance(r, planar.EquivalenceReport)]
+    if kind == "none":
+        assert len(reports) == len(seen) and all(r.ok for r in reports)
+    else:
+        half = "chain/clique" if kind.startswith("graph") else "equatorial"
+        assert {i.split(" triangulations")[0] for r in reports for i in r.issues} == {half}
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=st.integers(0, 2**32 - 1), kind=st.sampled_from(CORRUPTIONS),
+       seed=st.integers(0, 2**16))
+def test_verify_equivalence_matches_the_listing_oracle_graded(draw, kind, seed):
+    """The same on graded posets rebuilt as planar graphs."""
+    try:
+        dag, emb = poset_to_dag(random_graded_poset(random.Random(draw)))
+    except ValueError:                  # a Hasse drawing with crossing covers
+        assume(False)
+    assume(degree_equality(dag) and not idle_edges(dag))
+    dual = planar_dual(dag, emb)
+    with pytest.MonkeyPatch.context() as m:
+        corrupt(m, kind, seed)
+        assert outcome(verify_equivalence, dag, emb, dual) == \
+            outcome(old_verify_equivalence, dag, emb, dual)
 
 
 def flow_walk_routes(dual: PlanarDual, dag, routes) -> tuple[int, ...]:
