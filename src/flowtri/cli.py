@@ -216,7 +216,7 @@ def cmd_dkk(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     tri = dkkmod.dkk_triangulation(dag, framing)
     routes = [list(r) for r in tri.labels]      # shared lists: each is rendered once
     report["routes"] = len(routes)
-    report["simplices"] = [[routes[i] for i in s] for s in tri.simplices]
+    report["simplices"] = [[routes[i] for i in geo._members(s)] for s in tri.simplices]
     report["exceptional_routes"] = [list(r) for r in dkkmod.exceptional_routes(tri)]
     check = dkkmod.verify_dkk_triangulation(dag, tri, dagmod.dimension(dag),
                                             geo.normalized_volume(dag))
@@ -243,15 +243,15 @@ def cmd_equatorial(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     labels, _, facets, sphere = eqmod.equatorial_sphere(dag, decomp)
     routes = [list(r) for r in labels]          # shared lists: each is rendered once
     report["facets"] = [{"transversal": list(f.transversal),
-                         "routes": [routes[i] for i in dkkmod._members(f.routes)]}
+                         "routes": [routes[i] for i in geo._members(f.routes)]}
                         for f in facets]
     report["sphere"] = {
-        "maximal_faces": [[routes[i] for i in f] for f in sphere.maximal_faces],
+        "maximal_faces": [[routes[i] for i in geo._members(f)] for f in sphere.maximal_faces],
         "f_vector": list(sphere.f_vector),
         "euler_characteristic": geo.euler_characteristic(sphere.f_vector),
     }
     tri = eqmod.join_route_simplex(dag, labels, decomp, sphere)
-    report["simplices"] = [[routes[i] for i in s] for s in tri.simplices]
+    report["simplices"] = [[routes[i] for i in geo._members(s)] for s in tri.simplices]
     h, h_star, agree = _h_against_h_star(dag, sphere.f_vector)
     report["h_vector"] = list(h)
     report["h_star"] = list(h_star)

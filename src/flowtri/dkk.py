@@ -7,38 +7,22 @@ the vertex when the two comparisons point in opposite directions; a framed
 DAG's triangulation has one maximal simplex for each maximal set of
 pairwise non-conflicting routes.
 
-Route sets are int bitmasks over the route list: bit i stands for route i.
+Route sets and simplices are int bitmasks over the route list: bit i is route i.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from itertools import chain, groupby
-from operator import itemgetter
+from functools import reduce
+from itertools import groupby
+from operator import and_, itemgetter
 from typing import Sequence
 
 from .dag import Dag, dimension, validate
-from .geometry import (Triangulation, TriangulationReport, is_unimodular_simplex,
-                       verify_triangulation)
+from .geometry import (Triangulation, TriangulationReport, _canonical, _mask, _members,
+                       is_unimodular_simplex, verify_triangulation)
 from .routes import Framing, Route, enumerate_routes, indicator_vector, is_route
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    """The indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def _mask(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
 
 
 def _keys(dag: Dag, framing: Framing, route: Route) -> dict[int, tuple[tuple, tuple]]:
@@ -129,16 +113,16 @@ def _bron_kerbosch(adj: Sequence[int]) -> list[int]:
     return out
 
 
-def max_cliques(adj: Sequence[int], size: int) -> tuple[tuple[int, ...], ...]:
+def max_cliques(adj: Sequence[int], size: int) -> tuple[int, ...]:
     """All maximal cliques of the graph with int-mask adjacency ``adj``, as
-    sorted vertex-index tuples in canonical order.  Each must have ``size``
-    members (dimension+1 for a coherence graph, see ``coherence_graph``)."""
+    vertex masks in canonical order.  Each must have ``size`` members
+    (dimension+1 for a coherence graph, see ``coherence_graph``)."""
     masks = _bron_kerbosch(adj)
     for m in masks:
         if m.bit_count() != size:
-            c = _members(m)
-            raise AssertionError(f"maximal clique {c} has size {len(c)}, expected {size}")
-    return tuple(sorted(map(_members, masks)))
+            raise AssertionError(f"maximal clique {_members(m)} has size {m.bit_count()}, "
+                                 f"expected {size}")
+    return tuple(_canonical(masks))
 
 
 def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:
@@ -165,13 +149,13 @@ def verify_dkk_triangulation(dag: Dag, tri: Triangulation, dim: int,
 
     The certificate (``_swap_certificate``) asks that the labels be
     distinct routes of a valid ``dag`` of dimension ``dim``, with their
-    indicator vectors as coordinates, and that there be
-    ``normalized_volume`` simplices of dim + 1 distinct vertices, each ridge
-    in at most two.  The apexes a, b of a ridge in two simplices meet at an
-    inner vertex where swapping their prefixes gives routes c, d of the
-    ridge.  The apex of a ridge in one simplex uses an edge e that every
-    route of the ridge misses.  Swap-crossed ridges connect the simplices,
-    and the first simplex is unimodular.
+    indicator vectors as coordinates, and ``normalized_volume`` simplex
+    masks of dim + 1 routes, each ridge in at most two.  The apexes a, b of
+    a ridge in two simplices meet at an inner vertex where swapping their
+    prefixes gives routes c, d of the ridge.  The apex of a ridge in one
+    simplex uses an edge e that every route of the ridge misses.
+    Swap-crossed ridges connect the simplices, and the first simplex is
+    unimodular.
 
     Why that is sound: from b = c + d - a, the ridge's affine functional
     f has f(b) = -f(a) < 0, and both simplices have one difference lattice,
@@ -195,18 +179,10 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
             and all(type(r) is tuple and all(type(e) is str for e in r)
                     and is_route(dag, r) for r in labels)
             and len(set(labels)) == n
-            and tuple(tri.coords) == tuple(indicator_vector(dag, r) for r in labels)):
+            and tuple(tri.coords) == tuple(indicator_vector(dag, r) for r in labels)
+            and all(type(m) is int and 0 <= m and not m >> n and m.bit_count() == dim + 1
+                    for m in simplices)):
         return False
-    if ({type(s) for s in simplices} != {tuple}
-            or set(map(type, chain.from_iterable(simplices))) != {int}):
-        return False
-    masks = []
-    for s in simplices:
-        if len(s) != dim + 1 or min(s) < 0 or max(s) >= n:
-            return False
-        masks.append(_mask(s))
-        if masks[-1].bit_count() != dim + 1:
-            return False
 
     # per route: its edge set, and the edge set of its prefix into each
     # inner vertex it visits; per edge: the routes through it
@@ -220,10 +196,7 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
             pre |= bit[eid]
             into[dag.edge_by_id[eid].head] = pre
         prefixes.append(into)
-    through = dict.fromkeys(bit, 0)
-    for i, r in enumerate(labels):
-        for eid in r:
-            through[eid] |= 1 << i
+    through = {eid: _mask(i for i, m in enumerate(edges) if m & b) for eid, b in bit.items()}
 
     def swap_crosses(a: int, b: int, ridge: int) -> bool:
         """Some prefix swap of routes a and b gives two routes of ``ridge``."""
@@ -235,7 +208,7 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
                 return True
         return False
 
-    parent = list(range(len(masks)))
+    parent = list(range(len(simplices)))
 
     def root(k: int) -> int:
         while parent[k] != k:
@@ -245,20 +218,23 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
     # the (simplex k, apex v) pairs as k * n + v, in buckets by ridge mask:
     # a ridge's owners share a bucket, and one bucket's table is held at a time
     buckets = [array("q") for _ in range(_RIDGE_BUCKETS)]
-    for k, (s, m) in enumerate(zip(simplices, masks)):
-        for v in s:
-            buckets[(m ^ 1 << v) % _RIDGE_BUCKETS].append(k * n + v)
-    parts = len(masks)
+    for k, m in enumerate(simplices):
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            buckets[(m ^ low) % _RIDGE_BUCKETS].append(k * n + low.bit_length() - 1)
+    parts = len(simplices)
     for bucket in buckets:
         # ridge mask -> its simplex while it lies in one, -1 once in two
         owner: dict[int, int] = {}
         for entry in bucket:
             k, apex = divmod(entry, n)
-            ridge = masks[k] ^ 1 << apex
+            ridge = simplices[k] ^ 1 << apex
             other = owner.setdefault(ridge, k)
             if other == k:
                 continue
-            if other < 0 or not swap_crosses(apex, (masks[other] ^ ridge).bit_length() - 1,
+            if other < 0 or not swap_crosses(apex, (simplices[other] ^ ridge).bit_length() - 1,
                                              ridge):
                 return False
             owner[ridge] = -1
@@ -268,18 +244,17 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
                 parts -= 1
         for ridge, k in owner.items():
             if k >= 0 and all(ridge & through[eid]
-                              for eid in labels[(masks[k] ^ ridge).bit_length() - 1]):
+                              for eid in labels[(simplices[k] ^ ridge).bit_length() - 1]):
                 return False
     if parts != 1:
         return False
     try:
-        return is_unimodular_simplex(tri.simplex_coords(simplices[0]))
+        return is_unimodular_simplex([tri.coords[i] for i in _members(simplices[0])])
     except ValueError:
         return False
 
 
 def exceptional_routes(tri: Triangulation) -> tuple[Route, ...]:
-    """Routes lying in every maximal simplex of a framed triangulation,
-    i.e. the routes coherent with every other route."""
-    common = set.intersection(*map(set, tri.simplices))
-    return tuple(tri.labels[i] for i in sorted(common))
+    """Routes lying in every maximal simplex (the AND of the masks) of a
+    framed triangulation, i.e. the routes coherent with every other route."""
+    return tuple(tri.labels[i] for i in _members(reduce(and_, tri.simplices)))

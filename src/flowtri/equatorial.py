@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 from operator import and_, or_
 from typing import Iterator, Sequence
 
 from .dag import Dag, degree_equality, dimension, idle_edges
-from .dkk import _mask, _members, coherence_graph, max_cliques
-from .geometry import Triangulation, join_with_simplex
+from .dkk import coherence_graph, max_cliques
+from .geometry import Triangulation, _mask, _members, join_with_simplex
 from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
                      enumerate_routes, indicator_vector)
 
@@ -35,10 +35,10 @@ class EquatorialFace:
 
 @dataclass(frozen=True)
 class Sphere:
-    """The equatorial sphere T_eq: its maximal faces, sorted route-index
-    tuples in ascending order, and its f-vector (f_-1, f_0, ...)."""
+    """The equatorial sphere T_eq: its maximal faces, route masks in
+    canonical order, and its f-vector (f_-1, f_0, ...)."""
 
-    maximal_faces: tuple[tuple[int, ...], ...]
+    maximal_faces: tuple[int, ...]
     f_vector: tuple[int, ...]
 
 
@@ -99,35 +99,34 @@ def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sph
     for k, f in enumerate(facets):
         for i in _members(f.routes):
             inc[i] |= 1 << k
-    above = [a & -(2 << i) for i, a in enumerate(adj)]
     spans: dict[int, int] = {}           # AND of facet masks -> routes in those facets
     counts = [0] * (size + 1)
-    kept: list[tuple[int, ...]] = []
+    kept: list[int] = []
     covered = 0
     every_facet, everyone = (1 << len(facets)) - 1, (1 << len(adj)) - 1
-    stack = [((), every_facet, everyone, everyone)]
+    stack = [(0, 0, every_facet, everyone)]
     while stack:
-        face, shared, higher, common = stack.pop()
-        counts[len(face)] += 1
+        face, k, shared, common = stack.pop()     # k = the face's size
+        counts[k] += 1
         span = spans.get(shared)
         if span is None:
-            span = spans[shared] = reduce(or_, (facets[k].routes for k in _members(shared)), 0)
-        grow = higher & span
-        if len(face) == size:
+            span = spans[shared] = reduce(or_, (facets[f].routes for f in _members(shared)), 0)
+        grow = common & span & -(1 << face.bit_length())    # past the face's top route
+        if k == size:
             if grow:
-                raise AssertionError(f"face {face} of T_eq extends past {size} routes")
+                raise AssertionError(f"face {_members(face)} of T_eq extends past {size} routes")
             kept.append(face)
             covered |= shared
             continue
         ext = (common & span).bit_count()
-        if len(face) == size - 1 and ext != 2:
-            raise AssertionError(f"ridge {face} of T_eq lies in {ext} facets, not 2")
+        if k == size - 1 and ext != 2:
+            raise AssertionError(f"ridge {_members(face)} of T_eq lies in {ext} facets, not 2")
         if not ext:
-            raise AssertionError(f"face {face} of T_eq is maximal below {size} routes")
-        while grow:                      # highest first: faces pop in lexicographic order
+            raise AssertionError(f"face {_members(face)} of T_eq is maximal below {size} routes")
+        while grow:                      # highest first: faces pop in canonical order
             r = grow.bit_length() - 1
             grow ^= 1 << r
-            stack.append((face + (r,), shared & inc[r], higher & above[r], common & adj[r]))
+            stack.append((face | 1 << r, k + 1, shared & inc[r], common & adj[r]))
     if covered != every_facet:
         missed = _members(every_facet & ~covered)[0]
         raise AssertionError(f"facet {facets[missed].transversal} holds no facet of T_eq")
@@ -138,8 +137,8 @@ def join_route_simplex(dag: Dag, routes: Sequence[Route], decomp: Sequence[Route
                        sphere: Sphere) -> Triangulation:
     """Join of the equatorial sphere with the route simplex, on the graph's
     route list with the routes' indicator vectors as coordinates."""
-    idx = {r: i for i, r in enumerate(routes)}
-    joined = join_with_simplex([idx[r] for r in decomp], sphere.maximal_faces, dimension(dag) + 1)
+    joined = join_with_simplex(_mask(map(routes.index, decomp)), sphere.maximal_faces,
+                               dimension(dag) + 1)
     return Triangulation(joined, tuple(routes), tuple(indicator_vector(dag, r) for r in routes))
 
 
@@ -178,10 +177,7 @@ def _all_framings(dag: Dag) -> Iterator[Framing]:
 
 
 def framing_count(dag: Dag) -> int:
-    n = 1
-    for v in dag.inner_vertices:
-        n *= factorial(dag.indeg(v)) * factorial(dag.outdeg(v))
-    return n
+    return prod(factorial(dag.indeg(v)) * factorial(dag.outdeg(v)) for v in dag.inner_vertices)
 
 
 def differs_from_dkk(dag: Dag, tri: Triangulation) -> DkkComparisonReport:

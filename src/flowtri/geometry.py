@@ -1,7 +1,8 @@
 """Exact lattice geometry: unimodularity, triangulation checks, h-vectors
 from f-vectors and Ehrhart counting.
 
-Everything is exact integer arithmetic.
+Everything is exact integer arithmetic.  A simplex or face is an int mask
+over its complex's vertex list: bit i stands for vertex i.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, gcd, prod
 from operator import mul
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 from .dag import Dag, dimension
 
 Vector = tuple[int, ...]
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))     # for ``_canonical``
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +128,45 @@ def is_unimodular_simplex(vertices: Sequence[Vector]) -> bool:
 # ---------------------------------------------------------------------------
 # Simplicial complexes
 
-def join_with_simplex(simplex: Sequence[int], faces: Sequence[Sequence[int]],
-                      size: int) -> tuple[tuple[int, ...], ...]:
-    """The join of ``simplex`` with the complex of the maximal ``faces``:
-    simplex + F for each face F (the simplex alone for no faces), sorted;
-    each must have ``size`` vertices, else ``AssertionError``."""
-    joined = tuple(sorted(tuple(sorted({*simplex, *f})) for f in faces or ((),)))
+def _members(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _mask(indices: Iterable[int]) -> int:
+    """The mask with bit i set for each i in ``indices``."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _canonical(masks: Collection[int]) -> list[int]:
+    """``masks`` sorted by the bit-reversed mask, descending: the lowest bit
+    two masks differ in puts the mask holding it first, so masks of one size
+    sort as their member tuples do.  Not across sizes ((0, 1) comes before
+    (0,)): faces of mixed sizes sort by ``_members``."""
+    width = (max(masks, default=0).bit_length() + 7) // 8
+    return sorted(masks, key=lambda m: m.to_bytes(width, "little").translate(_BIT_REVERSED),
+                  reverse=True)
+
+
+def join_with_simplex(simplex: int, faces: Sequence[int], size: int) -> tuple[int, ...]:
+    """The join of the simplex mask ``simplex`` with the complex of the
+    maximal ``faces``: simplex | F for each face F (the simplex alone for no
+    faces), in canonical order; each must have ``size`` vertices, else
+    ``AssertionError``."""
+    joined = [simplex | f for f in faces or (0,)]
     for f in joined:
-        if len(f) != size:
-            raise AssertionError(f"join simplex {f} has size {len(f)}, expected {size}")
-    return joined
+        if f.bit_count() != size:
+            raise AssertionError(f"join simplex {_members(f)} has size {f.bit_count()}, "
+                                 f"expected {size}")
+    return tuple(_canonical(joined))
 
 
 def euler_characteristic(fv: Sequence[int]) -> int:
@@ -165,17 +196,14 @@ class Triangulation:
     """A simplicial complex, stored by its maximal simplices, whose vertices
     carry exact lattice coordinates.
 
-    ``simplices`` are tuples of vertex indices; ``labels[i]`` names vertex
-    i (e.g. a route); ``coords[i]`` is its integer coordinate vector in the
-    carrier polytope's ambient space.
+    ``simplices`` are int masks over the vertices (bit i is vertex i);
+    ``labels[i]`` names vertex i (e.g. a route); ``coords[i]`` is its
+    integer coordinate vector in the carrier polytope's ambient space.
     """
 
-    simplices: tuple[tuple, ...]
+    simplices: tuple[int, ...]
     labels: tuple
     coords: tuple[Vector, ...]
-
-    def simplex_coords(self, simplex: Sequence[int]) -> tuple[Vector, ...]:
-        return tuple(self.coords[i] for i in simplex)
 
 
 @dataclass(frozen=True)
@@ -221,38 +249,39 @@ def verify_triangulation(tri: Triangulation, dim: int,
     which is then on the boundary.  It needs a nonempty pure complex of
     nondegenerate simplices whose points span ``dim`` dimensions.
 
-    Never raises on malformed input; each fault is an issue: no
-    simplices, a simplex that is not a sequence of vertex indices, has the
-    wrong number of vertices or none, or names a vertex without
-    coordinates, a degenerate or non-unimodular simplex, a count that is
-    not the normalized volume, points that span another dimension, a ridge
-    in more than two simplices, two simplices on the same side of a ridge,
-    and a ridge in one simplex that is not on the boundary.
+    Never raises on malformed input; each fault is an issue, which names a
+    simplex or ridge by its member tuple: no simplices; a simplex that is
+    not an int mask of vertices, has the wrong number of vertices or none,
+    names a vertex without coordinates, or is degenerate or not unimodular;
+    a count other than the normalized volume; points spanning another
+    dimension; a ridge in more than two simplices, between two simplices on
+    one side of it, or in one simplex and off the boundary.
     """
     simplices = tri.simplices
     issues: list[str] = [] if simplices else ["no simplices"]
-    well_formed = bool(simplices)
+    members: list[tuple[int, ...]] = []      # of the well-formed simplices
     for s in simplices:
-        if not (isinstance(s, Sequence) and all(isinstance(v, int) for v in s)):
-            fault = "is not a sequence of vertex indices"
-        elif len(s) != dim + 1:
-            fault = f"has {len(s)} vertices, expected {dim + 1}"
-        elif not s:
+        vs = _members(s) if type(s) is int and s >= 0 else s   # else named as given
+        if vs is s:
+            fault = "is not a mask of vertex indices"
+        elif len(vs) != dim + 1:
+            fault = f"has {len(vs)} vertices, expected {dim + 1}"
+        elif not vs:
             fault = "has no vertices"
-        elif not all(0 <= v < len(tri.coords) for v in s):
+        elif s >> len(tri.coords):
             fault = "names a vertex without coordinates"
         else:
             try:
-                if not is_unimodular_simplex(tri.simplex_coords(s)):
-                    issues.append(f"simplex {s} is not unimodular")
+                if not is_unimodular_simplex([tri.coords[v] for v in vs]):
+                    issues.append(f"simplex {vs} is not unimodular")
+                members.append(vs)
                 continue
             except ValueError:
                 fault = "is degenerate"
-        issues.append(f"simplex {s} {fault}")
-        well_formed = False
+        issues.append(f"simplex {vs!r} {fault}")
     if len(simplices) != normalized_volume:
         issues.append(f"{len(simplices)} simplices but normalized volume {normalized_volume}")
-    if not well_formed:
+    if not members or len(members) < len(simplices):
         return TriangulationReport(tuple(issues))
     v0 = tri.coords[0]
     _, pivots = _row_reduce([[a - b for a, b in zip(p, v0)] for p in tri.coords])
@@ -260,11 +289,11 @@ def verify_triangulation(tri: Triangulation, dim: int,
         issues.append(f"the points span dimension {len(pivots)}, expected {dim}")
         return TriangulationReport(tuple(issues))
     chart = [tuple(p[c] for c in pivots) for p in tri.coords]
-    functionals = [_vertex_functionals([chart[v] for v in s]) for s in simplices]
+    functionals = [_vertex_functionals([chart[v] for v in s]) for s in members]
     ridges: dict[tuple, list[tuple[int, int]]] = defaultdict(list)
-    for k, s in enumerate(simplices):      # sorted ridge -> (simplex, omitted position)
+    for k, s in enumerate(members):        # ridge -> (simplex, omitted position)
         for i in range(len(s)):
-            ridges[tuple(sorted(s[:i] + s[i + 1:]))].append((k, i))
+            ridges[s[:i] + s[i + 1:]].append((k, i))
     for r, owners in ridges.items():
         if len(owners) > 2:
             issues.append(f"ridge {r} lies in {len(owners)} simplices")
@@ -273,12 +302,12 @@ def verify_triangulation(tri: Triangulation, dim: int,
         c, a = functionals[k][i]
         if other:
             (l, j), = other
-            t = simplices[l]
+            t = members[l]
             if c + sum(map(mul, a, chart[t[j]])) >= 0:
-                issues.append(f"simplices {simplices[k]} and {t} lie on the same side "
+                issues.append(f"simplices {members[k]} and {t} lie on the same side "
                               f"of ridge {r}")
         elif any(c + sum(map(mul, a, x)) < 0 for x in chart):
-            issues.append(f"ridge {r} of simplex {simplices[k]} is not on the boundary")
+            issues.append(f"ridge {r} of simplex {members[k]} is not on the boundary")
     return TriangulationReport(tuple(issues))
 
 

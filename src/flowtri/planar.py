@@ -17,9 +17,9 @@ from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_json
-from .dkk import _mask, _members, coherence_graph, max_cliques
+from .dkk import coherence_graph, max_cliques
 from .equatorial import EquatorialFace, equatorial_sphere, join_route_simplex, t_eq
-from .geometry import join_with_simplex
+from .geometry import _canonical, _mask, _members, join_with_simplex
 from .routes import Framing, Route, decomposition_framing, peel_decomposition
 
 BOTTOM = "_bot"
@@ -150,12 +150,12 @@ def filters(poset: Poset) -> tuple[int, ...]:
     by sorted elements within a size, grown one element at a time from the
     empty filter: an element outside a filter may join once the filter
     holds its up-covers.  ``Poset.filters`` caches them."""
-    bits, width = poset.bits, len(poset.elements)
+    bits = poset.bits
     joins = [(bits[p], sum(map(bits.__getitem__, ups))) for p, ups in poset.up_covers.items()]
     out: list[int] = []
     level = {0}
-    while level:       # names first differ at the lowest differing bit: the top one reversed
-        out += sorted(level, key=lambda f: int(f"{f:0{width}b}"[::-1], 2), reverse=True)
+    while level:
+        out += _canonical(level)
         level = {f | b for f in level for b, ups in joins if not f & b and f & ups == ups}
     return tuple(out)
 
@@ -443,24 +443,24 @@ def planar_framing(dag: Dag, emb: PlanarEmbedding) -> Framing:
 # ---------------------------------------------------------------------------
 # Simplices of the order polytope's triangulations, as filter chains
 
-def maximal_filter_chains(poset: Poset) -> tuple[tuple[int, ...], ...]:
+def maximal_filter_chains(poset: Poset) -> tuple[int, ...]:
     """Complete chains of filters from the empty set to everything, one per
-    linear extension of the poset, as ascending tuples of ``poset.filters``
-    indices: the maximal cliques of the filters' comparability graph."""
+    linear extension of the poset, as canonical masks over ``poset.filters``:
+    the maximal cliques of the filters' comparability graph."""
     return max_cliques(poset.comparability, len(poset.elements) + 1)
 
 
-def rank_constant_filters(poset: Poset) -> tuple[int, ...]:
-    """The ``poset.filters`` indices of the unions of the top ranks, largest
-    first (everything down to nothing): the rank-constant simplex."""
+def rank_constant_filters(poset: Poset) -> int:
+    """The rank-constant simplex: the mask over ``poset.filters`` of the
+    unions of the top ranks, everything down to nothing."""
     if not poset.graded:
         raise ValueError("poset is not graded")
     h, bits, index = poset.heights, poset.bits, {f: i for i, f in enumerate(poset.filters)}
-    union, unions = 0, [0]
+    union, sigma = 0, 1 << index[0]
     for _, rank in groupby(reversed(h), key=h.__getitem__):   # strip order: rank by rank
         union |= sum(map(bits.__getitem__, rank))
-        unions.append(union)
-    return tuple(index[m] for m in reversed(unions))
+        sigma |= 1 << index[union]
+    return sigma
 
 
 def _cutters(poset: Poset, pairs: Iterable[tuple[str, str]]) -> list[int]:
@@ -471,9 +471,9 @@ def _cutters(poset: Poset, pairs: Iterable[tuple[str, str]]) -> list[int]:
     return [held[b] & ~held[a] for a, b in pairs]
 
 
-def maximal_equatorial_chains(poset: Poset) -> tuple[tuple[int, ...], ...]:
+def maximal_equatorial_chains(poset: Poset) -> tuple[int, ...]:
     """Inclusion-maximal equatorial chains of nonempty proper filters, as
-    ascending tuples of ``poset.filters`` indices.
+    canonical masks over ``poset.filters``.
 
     A chain is equatorial when its summed indicator map is level (no filter
     cuts it) on some cover into each rank j >= 2, one cover per rank.  So
@@ -502,7 +502,7 @@ def maximal_equatorial_chains(poset: Poset) -> tuple[tuple[int, ...], ...]:
               if not any(m != o and m & o == m for o in uncut)]
     size = len(poset.elements) - max(h.values(), default=0)
     faces = t_eq([a >> 1 & everyone for a in rows], facets, size).maximal_faces
-    return tuple(tuple(i + 1 for i in f) for f in faces if f)
+    return tuple(f << 1 for f in faces if f)
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +580,13 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     poset = dual.poset
     route_of = filter_routes(dual, routes)
 
-    def mapped(simplices) -> set[tuple[int, ...]]:
-        return {tuple(sorted(route_of[i] for i in simplex)) for simplex in simplices}
+    def mapped(m: int) -> int:
+        return _mask(route_of[i] for i in _members(m))
 
-    def compare(what: str, order: set, flow: set) -> None:
-        # route indices follow the route order, so index tuples sort as routes do
-        for s in sorted(order - flow) + sorted(flow - order):
-            issues.append(f"{what} triangulations differ at {[routes[i] for i in s]}")
+    def compare(what: str, order: set[int], flow: set[int]) -> None:
+        # route indices follow the route order, so simplices sort as routes do
+        for s in _canonical(order - flow) + _canonical(flow - order):
+            issues.append(f"{what} triangulations differ at {[routes[i] for i in _members(s)]}")
 
     # the only issues so far are framing disagreements; without one, the
     # decomposition framing is the planar framing
@@ -596,22 +596,21 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     # zero row, which no coherence graph of positive dimension has
     graph = [0] * len(routes)
     for i, row in enumerate(poset.comparability):
-        graph[route_of[i]] = _mask(route_of[j] for j in _members(row))
+        graph[route_of[i]] = mapped(row)
     if graph != list(adj):
-        compare("chain/clique", mapped(maximal_filter_chains(poset)),
+        compare("chain/clique", set(map(mapped, maximal_filter_chains(poset))),
                 set(max_cliques(adj, dimension(dag) + 1)))
 
     sigma = rank_constant_filters(poset)
     chains = maximal_equatorial_chains(poset)
-    onto_routes = {routes[route_of[i]] for i in sigma} == set(decomp)
+    onto_routes = {routes[route_of[i]] for i in _members(sigma)} == set(decomp)
     # no sphere face holds a decomposition route, so joining is one to one
-    faces = set(sphere.maximal_faces) or {()}       # no faces: sigma alone
-    if onto_routes and (mapped(chains) or {()}) == faces:
+    faces = set(sphere.maximal_faces) or {0}        # no faces: sigma alone
+    if onto_routes and (set(map(mapped, chains)) or {0}) == faces:
         return EquivalenceReport(tuple(issues), decomp, len(faces), len(faces))
-    order_faces = mapped(join_with_simplex(sigma, chains, len(poset.elements) + 1))
+    order_faces = set(map(mapped, join_with_simplex(sigma, chains, len(poset.elements) + 1)))
     flow_faces = set(join_route_simplex(dag, routes, decomp, sphere).simplices)
     compare("equatorial", order_faces, flow_faces)
     if not onto_routes:
         issues.append("rank-constant simplex does not map onto the route simplex")
-    return EquivalenceReport(tuple(issues), decomp,
-                             len(flow_faces), len(order_faces))
+    return EquivalenceReport(tuple(issues), decomp, len(flow_faces), len(order_faces))

@@ -17,11 +17,10 @@ from flowtri import geometry, planar
 from flowtri.dag import (SOURCE, Dag, contract_idle_edges, degree_equality, dimension,
                          gorenstein_completion, idle_edges, make_dag, random_dag,
                          validate)
-from flowtri.dkk import _mask, _members
 from flowtri.equatorial import (EquatorialFace, Sphere, Transversal,
                                 enumerate_transversals, equatorial_sphere,
                                 join_route_simplex)
-from flowtri.geometry import (Triangulation, Vector, ehrhart_hstar,
+from flowtri.geometry import (Triangulation, Vector, _mask, _members, ehrhart_hstar,
                               euler_characteristic, h_from_f, is_unimodular_simplex,
                               normalized_volume)
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, Poset, make_poset,
@@ -141,6 +140,13 @@ def equatorial_flow_triangulation(dag: Dag, decomp: Sequence[Route]) -> Triangul
     """Join of the equatorial sphere with the route simplex."""
     routes, _, _, teq = equatorial_sphere(dag, decomp)
     return join_route_simplex(dag, routes, decomp, teq)
+
+
+def members(simplices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The member tuples of simplex or face masks, in the given order: how
+    the tests read the library's simplices, and the form the tuple-based
+    oracles below take.  Tests build masks with ``geometry._mask``."""
+    return tuple(map(_members, simplices))
 
 
 @dataclass(frozen=True)
@@ -442,8 +448,8 @@ def order_polytope_vertices(poset: Poset) -> tuple[Vector, ...]:
 
 
 def filter_triangulation(poset: Poset, simplices) -> Triangulation:
-    """The triangulation with the given simplices, sorted tuples of
-    ``poset.filters`` indices, on the filters' indicator vectors: the form
+    """The triangulation with the given simplices, masks over
+    ``poset.filters``, on the filters' indicator vectors: the form
     ``geometry.verify_triangulation`` and the LP oracle check."""
     labels = tuple(tuple(sorted(f)) for f in filter_sets(poset, poset.filters))
     return Triangulation(simplices, labels, order_polytope_vertices(poset))
@@ -486,16 +492,16 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
         for s in sorted(order - flow) + sorted(flow - order):
             issues.append(f"{what} triangulations differ at {[routes[i] for i in s]}")
 
-    canon = mapped(planar.maximal_filter_chains(poset))
+    canon = mapped(members(planar.maximal_filter_chains(poset)))
     if issues:
         adj = planar.coherence_graph(dag, pf, routes)
-    compare("chain/clique", canon, set(planar.max_cliques(adj, dimension(dag) + 1)))
+    compare("chain/clique", canon, set(members(planar.max_cliques(adj, dimension(dag) + 1))))
     sigma = planar.rank_constant_filters(poset)
-    order_faces = mapped(planar.join_with_simplex(sigma, planar.maximal_equatorial_chains(poset),
-                                                  len(poset.elements) + 1))
-    flow_faces = set(planar.join_route_simplex(dag, routes, decomp, sphere).simplices)
+    order_faces = mapped(members(planar.join_with_simplex(
+        sigma, planar.maximal_equatorial_chains(poset), len(poset.elements) + 1)))
+    flow_faces = set(members(planar.join_route_simplex(dag, routes, decomp, sphere).simplices))
     compare("equatorial", order_faces, flow_faces)
-    if {routes[route_of[i]] for i in sigma} != set(decomp):
+    if {routes[route_of[i]] for i in _members(sigma)} != set(decomp):
         issues.append("rank-constant simplex does not map onto the route simplex")
     return planar.EquivalenceReport(tuple(issues), decomp, len(flow_faces), len(order_faces))
 
@@ -864,7 +870,8 @@ def simplices_meet_in_common_face(vs: Sequence[Vector], vt: Sequence[Vector],
     return opt is None or opt == 0
 
 
-def with_simplices(tri: Triangulation, simplices) -> Triangulation:
+def with_simplices(tri: Triangulation, simplices: Iterable[int]) -> Triangulation:
+    """``tri`` with the given simplex masks in place of its own."""
     return Triangulation(tuple(simplices), tri.labels, tri.coords)
 
 
@@ -872,12 +879,12 @@ def swapped_vertex(tri: Triangulation) -> Triangulation:
     """The first simplex with one vertex swapped for another route, chosen
     so that the new simplex is still unimodular."""
     s = tri.simplices[0]
-    for i, w in product(range(len(s)), range(len(tri.coords))):
-        if w in s:
+    for v, w in product(_members(s), range(len(tri.coords))):
+        if s >> w & 1:
             continue
-        new = tuple(sorted(s[:i] + (w,) + s[i + 1:]))
+        new = s ^ 1 << v | 1 << w
         try:
-            if is_unimodular_simplex(tri.simplex_coords(new)):
+            if is_unimodular_simplex([tri.coords[i] for i in _members(new)]):
                 return with_simplices(tri, (new,) + tri.simplices[1:])
         except ValueError:
             continue
@@ -888,18 +895,30 @@ def corrupted(dag: Dag, tri: Triangulation) -> dict[str, tuple[Triangulation, in
     """Negative controls for a triangulation of ``dag``'s flow polytope
     whose vertices are routes: name -> (triangulation, dim, normalized
     volume).  A dropped or duplicated simplex comes twice, the second time
-    with the volume its count matches, so the count alone cannot reject it."""
+    with the volume its count matches, so the count alone cannot reject it.
+    The first simplex's mask is also made to lose its lowest vertex, to
+    trade it for a vertex past the coordinates, or to be its member tuple,
+    and the coordinates of its two lowest vertices are made equal."""
     dim, vol = dimension(dag), normalized_volume(dag)
     first, rest = tri.simplices[0], tri.simplices[1:]
     dropped = with_simplices(tri, rest)
     doubled = with_simplices(tri, tri.simplices + (first,))
+    low = first & -first
+    a, b = _members(first)[:2]
+    coords = list(tri.coords)
+    coords[b] = coords[a]
     return {
         "dropped": (dropped, dim, vol),
         "dropped, count matched": (dropped, dim, vol - 1),
         "duplicated": (doubled, dim, vol),
         "duplicated, count matched": (doubled, dim, vol + 1),
         "vertex replaced": (swapped_vertex(tri), dim, vol),
-        "repeated index": (with_simplices(tri, (first[:1] + first[:-1],) + rest), dim, vol),
+        "vertex past coords": (with_simplices(tri, (first ^ low | 1 << len(coords),) + rest),
+                               dim, vol),
+        "wrong bit count": (with_simplices(tri, (first ^ low,) + rest), dim, vol),
+        "not an int": (with_simplices(tri, (_members(first),) + rest), dim, vol),
+        "affinely dependent": (Triangulation(tri.simplices, tri.labels, tuple(coords)),
+                               dim, vol),
         "tampered coords": (Triangulation(tri.simplices, tri.labels, (
             tuple(1 - x for x in tri.coords[0]),) + tri.coords[1:]), dim, vol),
         "label not a route": (Triangulation(tri.simplices, (
@@ -927,16 +946,16 @@ def lp_triangulation_ok(tri: Triangulation, dim: int, normalized_volume: int) ->
     """The pairwise verdict on a triangulation: purity, unimodularity,
     simplex count equal to the normalized volume, and one exact LP per pair
     of simplices showing that they meet in a common face."""
-    simplices = tri.simplices
+    simplices = members(tri.simplices)
     if any(len(s) != dim + 1 for s in simplices) or len(simplices) != normalized_volume:
         return False
     try:
-        if not all(is_unimodular_simplex(tri.simplex_coords(s)) for s in simplices):
+        if not all(is_unimodular_simplex([tri.coords[v] for v in s]) for s in simplices):
             return False
     except ValueError:
         return False
     return all(simplices_meet_in_common_face(
-        tri.simplex_coords(s), tri.simplex_coords(t),
+        [tri.coords[v] for v in s], [tri.coords[v] for v in t],
         [(s.index(v), t.index(v)) for v in s if v in t])
         for s, t in combinations(simplices, 2))
 

@@ -12,7 +12,7 @@ from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, degree_equality,
 from flowtri.dkk import dkk_triangulation
 from flowtri.equatorial import (differs_from_dkk, enumerate_transversals,
                                 equatorial_facets, framing_count)
-from flowtri.geometry import (Triangulation, count_lattice_points, ehrhart_hstar,
+from flowtri.geometry import (Triangulation, _mask, count_lattice_points, ehrhart_hstar,
                               normalized_volume, verify_triangulation)
 from flowtri.planar import PlanarEmbedding, verify_equivalence
 from flowtri.quotient import (check_transversal_identity, quotient_facets,
@@ -24,7 +24,7 @@ from tests.conftest import (Complex, complex_euler_characteristic,
                             dense_pairs_and_failures,
                             dense_transversal_identity,
                             equatorial_flow_triangulation, f_vector,
-                            h_polynomial, has_route_partition, is_pure,
+                            h_polynomial, has_route_partition, is_pure, members,
                             random_balanced_dag, ridges_in_two_facets, scaled,
                             sphere, trimmed)
 
@@ -63,9 +63,9 @@ def test_criterion_2_h_equals_h_star():
         decomp = route_decomposition(dag)
         framing = decomposition_framing(dag, decomp)
         hstar = trimmed(ehrhart_hstar(dag).h_star)
-        h_dkk = trimmed(h_polynomial(Complex(dkk_triangulation(dag, framing).simplices)))
+        h_dkk = trimmed(h_polynomial(Complex(members(dkk_triangulation(dag, framing).simplices))))
         h_eq = trimmed(h_polynomial(
-            Complex(equatorial_flow_triangulation(dag, decomp).simplices)))
+            Complex(members(equatorial_flow_triangulation(dag, decomp).simplices))))
         ok = ok and h_dkk == h_eq == hstar
         if k < 3:
             ok = ok and hstar == want[normalized_volume(dag)]
@@ -86,9 +86,10 @@ def test_criterion_4_sphere_structure():
     for dag, euler, fv in ((D1(), 2, (1, 2)), (D2(), 0, (1, 6, 6)),
                            (D3(), 0, (1, 6, 6))):
         s = sphere(dag, route_decomposition(dag))
-        ok = ok and is_pure(s) and ridges_in_two_facets(s)
-        ok = ok and complex_euler_characteristic(s) == euler
-        ok = ok and f_vector(s) == s.f_vector == fv
+        faces = Complex(members(s.maximal_faces))
+        ok = ok and is_pure(faces) and ridges_in_two_facets(faces)
+        ok = ok and complex_euler_characteristic(faces) == euler
+        ok = ok and f_vector(faces) == s.f_vector == fv
     report(4, "equatorial spheres: pure pseudomanifolds, S^0 for D1 and"
               " hexagons (6 vertices, 6 edges) for D2/D3", ok)
 
@@ -177,7 +178,7 @@ def test_criterion_10_negative_controls(tmp_path, capsys):
                             tri.coords)      # dropped simplex: volume short
     d1 = D1()
     square = equatorial_flow_triangulation(d1, route_decomposition(d1))
-    overlap = Triangulation(((0, 1, 2), (0, 1, 3)),
+    overlap = Triangulation((_mask((0, 1, 2)), _mask((0, 1, 3))),
                             square.labels, square.coords)  # interiors overlap
     bad_tri = not verify_triangulation(missing, dimension(d2),
                                        normalized_volume(d2)).ok and \

@@ -9,10 +9,10 @@ from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
 from flowtri.dkk import (_swap_certificate, coherence_graph, dkk_triangulation,
                          exceptional_routes, max_cliques, verify_dkk_triangulation)
 from flowtri.equatorial import _all_framings, framing_count
-from flowtri.geometry import ehrhart_hstar, normalized_volume, verify_triangulation
+from flowtri.geometry import _mask, ehrhart_hstar, normalized_volume, verify_triangulation
 from flowtri.routes import decomposition_framing, enumerate_routes, route_decomposition
 from tests.conftest import (Complex, chain, conflict, corrupted, equatorial_flow_triangulation,
-                            h_polynomial,
+                            h_polynomial, members,
                             pairwise_coherence_masks, random_balanced_dag,
                             random_framing, route_unions, set_max_cliques, trimmed,
                             with_simplices)
@@ -39,7 +39,7 @@ def test_cliques_d1():
     d1 = D1()
     routes = enumerate_routes(d1)
     cliques = _cliques(d1)
-    named = {frozenset(routes[i] for i in c) for c in cliques}
+    named = {frozenset(routes[i] for i in c) for c in members(cliques)}
     assert named == {
         frozenset({("a", "c"), ("a", "d"), ("b", "d")}),
         frozenset({("a", "c"), ("b", "c"), ("b", "d")}),
@@ -57,7 +57,7 @@ def test_cliques_d2():
     d2 = D2()
     cliques = _cliques(d2)
     assert len(cliques) == 6
-    assert all(len(c) == 4 for c in cliques)
+    assert all(len(c) == 4 for c in members(cliques))
 
 
 def test_coherence_graph_shape():
@@ -81,7 +81,8 @@ def test_dkk_h_matches_hstar_random():
     for _ in range(20):
         dag = random_balanced_dag(rng, max_edges=8)
         tri = dkk_triangulation(dag, _decomp_framing(dag))
-        assert trimmed(h_polynomial(Complex(tri.simplices))) == trimmed(ehrhart_hstar(dag).h_star)
+        assert trimmed(h_polynomial(Complex(members(tri.simplices)))) == \
+            trimmed(ehrhart_hstar(dag).h_star)
 
 
 @pytest.mark.parametrize("dag", [D1(), D2(), D3(), zigzag()],
@@ -103,7 +104,7 @@ def test_coherence_graph_and_cliques_match_oracles_random_framings(seed):
         framing = random_framing(rng, dag)
         adj = coherence_graph(dag, framing, routes)
         assert adj == pairwise_coherence_masks(dag, framing, routes)
-        cliques = max_cliques(adj, dimension(dag) + 1)
+        cliques = members(max_cliques(adj, dimension(dag) + 1))
         assert list(cliques) == sorted(cliques)
         assert set(cliques) == set_max_cliques(adj)
 
@@ -111,7 +112,7 @@ def test_coherence_graph_and_cliques_match_oracles_random_framings(seed):
 def test_max_cliques_past_the_recursion_limit():
     k = sys.getrecursionlimit() + 10
     everyone = (1 << k) - 1
-    assert max_cliques(tuple(everyone & ~(1 << i) for i in range(k)), k) == \
+    assert members(max_cliques(tuple(everyone & ~(1 << i) for i in range(k)), k)) == \
         (tuple(range(k)),)
 
 
@@ -185,6 +186,25 @@ def test_certificate_falls_back_on_corruptions(name):
         assert_same_report(dag, bad, dim, volume)
 
 
+# G(1) is one edge: dimension 0, one route and one simplex, the mask 1.  Each
+# entry fails one input check of the certificate there: an exact int, at
+# least 0, no vertex past the routes, dim + 1 bits.
+SHAPES = {"tuple": (0,), "bool": True, "negative": -1, "past the routes": 0b10, "no bits": 0}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_certificate_rejects_a_simplex_of_the_wrong_shape(shape):
+    """The certificate takes G(1)'s one simplex and declines each wrong
+    entry in its place, and the report is the ridge check's."""
+    g1 = G(1)
+    tri = dkk_triangulation(g1, _decomp_framing(g1))
+    assert tri.simplices == (1,) and _swap_certificate(g1, tri, 0, 1)
+    bad = with_simplices(tri, (SHAPES[shape],))
+    assert not _swap_certificate(g1, bad, 0, 1)
+    assert not verify_triangulation(bad, 0, 1).ok
+    assert_same_report(g1, bad, 0, 1)
+
+
 def test_certificate_needs_swap_connected_simplices():
     """Two triangulations of the cube chain 3x2 with no ridge in common,
     given their joint simplex count as the volume: every ridge passes, but
@@ -192,10 +212,10 @@ def test_certificate_needs_swap_connected_simplices():
     cube = chain(3, 2)
     kuhn = dkk_triangulation(cube, _decomp_framing(cube))
     # route i takes edge b{k}.{bit k of i, from the top}: 0 = 000, ..., 7 = 111
-    assert all({0, 7} <= set(s) for s in kuhn.simplices)
+    assert all({0, 7} <= set(s) for s in members(kuhn.simplices))
     # cut off the corners 000 and 111, and split the rest around 010-101
-    other = ((0, 1, 2, 4), (1, 2, 3, 5), (1, 2, 4, 5), (2, 3, 5, 6), (2, 4, 5, 6),
-             (3, 5, 6, 7))
+    other = tuple(map(_mask, ((0, 1, 2, 4), (1, 2, 3, 5), (1, 2, 4, 5), (2, 3, 5, 6),
+                              (2, 4, 5, 6), (3, 5, 6, 7))))
     assert _swap_certificate(cube, with_simplices(kuhn, other), 3, 6)
     both = with_simplices(kuhn, kuhn.simplices + other)
     assert not _swap_certificate(cube, both, 3, 12)
@@ -210,8 +230,8 @@ def test_certificate_falls_back_where_a_ridge_is_no_prefix_swap():
     certifies it."""
     cube = chain(3, 2)
     kuhn = dkk_triangulation(cube, _decomp_framing(cube))
-    split = with_simplices(kuhn, ((0, 1, 2, 4), (1, 2, 3, 4), (1, 3, 4, 5), (2, 3, 4, 6),
-                                  (3, 4, 5, 6), (3, 5, 6, 7)))
+    split = with_simplices(kuhn, map(_mask, ((0, 1, 2, 4), (1, 2, 3, 4), (1, 3, 4, 5),
+                                             (2, 3, 4, 6), (3, 4, 5, 6), (3, 5, 6, 7))))
     assert not _swap_certificate(cube, split, 3, 6)
     assert verify_dkk_triangulation(cube, split, 3, 6).ok
 

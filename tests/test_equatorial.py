@@ -17,7 +17,7 @@ from flowtri.geometry import (ehrhart_hstar, h_from_f, normalized_volume,
 from flowtri.routes import enumerate_routes, route_decomposition
 from tests.conftest import (Complex, chain, common_face, complex_euler_characteristic,
                             equatorial_flow_triangulation, f_vector, h_polynomial, is_facet_transversal, is_pure,
-                            old_t_eq, random_balanced_dag, ridges_in_two_facets,
+                            members, old_t_eq, random_balanced_dag, ridges_in_two_facets,
                             route_unions, routes_avoiding, set_equatorial_facets,
                             set_max_cliques, sphere, sphere_oracle, trimmed)
 
@@ -40,8 +40,8 @@ def sphere_inputs(dag, decomp=None):
 def assert_t_eq_matches_oracle(dag, decomp=None):
     adj, facets, size = sphere_inputs(dag, decomp)
     got = t_eq(adj, facets, size)
-    want = old_t_eq(max_cliques(adj, dimension(dag) + 1), facets)
-    assert got.maximal_faces == want.maximal_faces
+    want = old_t_eq(members(max_cliques(adj, dimension(dag) + 1)), facets)
+    assert members(got.maximal_faces) == want.maximal_faces
     assert got.f_vector == f_vector(want)
 
 
@@ -108,18 +108,20 @@ def test_equatorial_facets_match_set_oracle_random(seed, dag):
 def test_sphere_d1_is_two_points():
     d1 = D1()
     s = sphere(d1, route_decomposition(d1))
-    assert s.f_vector == f_vector(s) == (1, 2)
-    assert complex_euler_characteristic(s) == 2
+    faces = Complex(members(s.maximal_faces))
+    assert s.f_vector == f_vector(faces) == (1, 2)
+    assert complex_euler_characteristic(faces) == 2
 
 
 def test_sphere_d3_is_hexagon():
     d3 = D3()
     routes = enumerate_routes(d3)
     s = sphere(d3, route_decomposition(d3))
-    assert s.f_vector == f_vector(s) == (1, 6, 6)
-    assert complex_euler_characteristic(s) == 0
+    faces = Complex(members(s.maximal_faces))
+    assert s.f_vector == f_vector(faces) == (1, 6, 6)
+    assert complex_euler_characteristic(faces) == 0
     named = {frozenset("".join(routes[i]) for i in f)
-             for f in s.maximal_faces}
+             for f in faces.maximal_faces}
     verts = {v for f in named for v in f}
     assert verts == {"ae", "af", "bd", "bf", "cd", "ce"}
 
@@ -129,13 +131,13 @@ def test_sphere_of_graph_past_the_recursion_limit():
     (Bron-Kerbosch would recurse k deep on its one maximal clique.)"""
     dag = G(sys.getrecursionlimit() + 10)
     s = sphere(dag, route_decomposition(dag))
-    assert s.maximal_faces == ((),) and s.f_vector == (1,)
+    assert members(s.maximal_faces) == ((),) and s.f_vector == (1,)
 
 
 def test_sphere_matches_brute_force_oracle():
     for dag in (D1(), D2(), D3()):
         decomp = route_decomposition(dag)
-        assert {frozenset(f) for f in sphere(dag, decomp).maximal_faces} == \
+        assert {frozenset(f) for f in members(sphere(dag, decomp).maximal_faces)} == \
             sphere_oracle(dag, decomp)
 
 
@@ -143,7 +145,7 @@ def test_sphere_properties_random():
     rng = random.Random(31)
     for _ in range(15):
         dag = random_balanced_dag(rng, max_edges=8)
-        s = sphere(dag, route_decomposition(dag))
+        s = Complex(members(sphere(dag, route_decomposition(dag)).maximal_faces))
         assert is_pure(s)
         assert ridges_in_two_facets(s)
         want = sum(dag.indeg(v) - 1 for v in dag.inner_vertices)
@@ -154,7 +156,7 @@ def test_join_triangulation_d1():
     d1 = D1()
     routes = enumerate_routes(d1)
     tri = equatorial_flow_triangulation(d1, route_decomposition(d1))
-    named = {frozenset(routes[i] for i in s) for s in tri.simplices}
+    named = {frozenset(routes[i] for i in s) for s in members(tri.simplices)}
     assert named == {
         frozenset({("a", "d"), ("a", "c"), ("b", "d")}),
         frozenset({("b", "c"), ("a", "c"), ("b", "d")}),
@@ -166,13 +168,14 @@ def test_join_triangulation_verifies():
         tri = equatorial_flow_triangulation(dag, route_decomposition(dag))
         rep = verify_triangulation(tri, dimension(dag), normalized_volume(dag))
         assert rep.ok, rep.issues
-        assert trimmed(h_polynomial(Complex(tri.simplices))) == trimmed(ehrhart_hstar(dag).h_star)
+        assert trimmed(h_polynomial(Complex(members(tri.simplices)))) == \
+            trimmed(ehrhart_hstar(dag).h_star)
 
 
 def test_no_inner_vertices_gives_plain_simplex():
     g3 = G(3)
     tri = equatorial_flow_triangulation(g3, route_decomposition(g3))
-    assert tri.simplices == ((0, 1, 2),)
+    assert members(tri.simplices) == ((0, 1, 2),)
 
 
 def test_d3_differs_from_every_dkk():
@@ -220,7 +223,8 @@ def test_sphere_h_equals_join_h_catalog(name):
     decomp = decomp or route_decomposition(dag)
     routes, _, _, s = equatorial_sphere(dag, decomp)
     join = join_route_simplex(dag, routes, decomp, s)
-    assert h_from_f(s.f_vector) == h_polynomial(s) == h_polynomial(Complex(join.simplices))
+    assert h_from_f(s.f_vector) == h_polynomial(Complex(members(s.maximal_faces))) == \
+        h_polynomial(Complex(members(join.simplices)))
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -259,7 +263,7 @@ def test_t_eq_with_a_clique_dropped_raises_or_keeps_the_sphere(name):
             raised += 1
             continue
         want = old_t_eq(set_max_cliques(cut_adj), cut_facets)
-        assert got.maximal_faces == want.maximal_faces == whole.maximal_faces
+        assert members(got.maximal_faces) == want.maximal_faces == members(whole.maximal_faces)
         assert got.f_vector == f_vector(want) == whole.f_vector
     assert raised or not dag.inner_count
 

@@ -11,7 +11,8 @@ from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
                          idle_edges, make_dag, random_dag, zigzag)
 from flowtri.dkk import dkk_triangulation, verify_dkk_triangulation
 from flowtri.equatorial import equatorial_sphere, join_route_simplex
-from flowtri.geometry import (LANES, Triangulation, count_lattice_points, ehrhart_hstar,
+from flowtri.geometry import (LANES, Triangulation, _canonical, _mask, _members,
+                              count_lattice_points, ehrhart_hstar,
                               is_unimodular_simplex, join_with_simplex, lattice_counts,
                               normalized_volume, rank, smith_divisors,
                               verify_triangulation)
@@ -23,7 +24,7 @@ from tests.conftest import (brute_count_lattice_points, chain,
                             equatorial_flow_triangulation, equatorial_order_triangulation,
                             f_vector, h_polynomial, hstar_by_binomials,
                             interpolate_polynomial,
-                            is_gorenstein, is_pure, lp_triangulation_ok,
+                            is_gorenstein, is_pure, lp_triangulation_ok, members,
                             per_dilate_count_lattice_points, random_balanced_dag, ridges_in_two_facets,
                             simplices_meet_in_common_face, swapped_vertex,
                             trimmed, with_simplices)
@@ -344,7 +345,7 @@ def test_ridge_check_and_lp_oracle_reject_corruptions(dag):
                    verify_triangulation(doubled, dim, vol + 1).issues)
     d1 = D1()
     square = equatorial_flow_triangulation(d1, route_decomposition(d1))
-    overlap = with_simplices(square, ((0, 1, 2), (0, 1, 3)))
+    overlap = with_simplices(square, map(_mask, ((0, 1, 2), (0, 1, 3))))
     assert_ridge_check_matches_lp(overlap, 2, 2, False)
     assert "simplices (0, 1, 2) and (0, 1, 3) lie on the same side of ridge (0, 1)" \
         in verify_triangulation(overlap, 2, 2).issues
@@ -367,48 +368,65 @@ def test_verify_triangulation_reports_malformed_input():
     square = equatorial_flow_triangulation(d1, route_decomposition(d1))
     empty = verify_triangulation(with_simplices(square, ()), 2, 2)
     assert empty.issues == ("no simplices", "0 simplices but normalized volume 2")
-    short = verify_triangulation(with_simplices(square, ((0, 1, 2), (1, 3), ())), 2, 2)
+    short = verify_triangulation(with_simplices(square, map(_mask, ((0, 1, 2), (1, 3), ()))),
+                                 2, 2)
     assert short.issues[:2] == ("simplex (1, 3) has 2 vertices, expected 3",
                                 "simplex () has 0 vertices, expected 3")
-    flat = verify_triangulation(with_simplices(square, ((0, 1, 2), (0, 0, 3))), 2, 2)
-    assert flat.issues == ("simplex (0, 0, 3) is degenerate",)
-    stray = verify_triangulation(with_simplices(square, ((0, 1, 2), (0, 1, 9))), 2, 2)
+    two = tuple(map(_mask, ((0, 1, 2), (0, 1, 3))))
+    # vertex 3 put on vertex 0
+    flat = Triangulation(two, square.labels, square.coords[:3] + square.coords[:1])
+    assert verify_triangulation(flat, 2, 2).issues == ("simplex (0, 1, 3) is degenerate",)
+    stray = verify_triangulation(with_simplices(square, map(_mask, ((0, 1, 2), (0, 1, 9)))),
+                                 2, 2)
     assert stray.issues == ("simplex (0, 1, 9) names a vertex without coordinates",)
     lifted = Triangulation(square.simplices, square.labels, square.coords + ((2, 0, 0, 0),))
     assert verify_triangulation(lifted, 2, 2).issues == (
         "the points span dimension 3, expected 2",)
-    point = (with_simplices(square, ((),)), -1, 1)
-    number = (with_simplices(square, ((0, 1, 2), 5)), 2, 2)
+    point = (with_simplices(square, (0,)), -1, 1)
     assert verify_triangulation(*point).issues == ("simplex () has no vertices",)
-    assert verify_triangulation(*number).issues == (
-        "simplex 5 is not a sequence of vertex indices",)
-    for case in (point, number):
+    cases = [point]
+    for entry in ((0, 1, 3), True, -11, "0b1011"):     # no int mask of vertices
+        case = (with_simplices(square, (two[0], entry)), 2, 2)
+        assert verify_triangulation(*case).issues == (
+            f"simplex {entry!r} is not a mask of vertex indices",)
+        cases.append(case)
+    for case in cases:
         assert verify_dkk_triangulation(d1, *case) == verify_triangulation(*case)
     cube = chain(3, 2)
     tri = dkk_triangulation(cube, decomposition_framing(cube, route_decomposition(cube)))
-    face = tuple(i for i, x in enumerate(tri.coords) if x[0] == 1)   # a square
-    assert len(face) == 4
+    face = _mask(i for i, x in enumerate(tri.coords) if x[0] == 1)   # a square
+    assert face.bit_count() == 4
     bad = verify_triangulation(with_simplices(tri, (face,) + tri.simplices[1:]), 3, 6)
-    assert bad.issues == (f"simplex {face} is degenerate",)
+    assert bad.issues == (f"simplex {_members(face)} is degenerate",)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda size: st.lists(
+    st.sets(st.integers(0, 100), min_size=size, max_size=size).map(_mask), max_size=40)))
+def test_canonical_order_is_the_member_order_within_a_size(masks):
+    """Masks of one size sort by their bit-reversed value, descending, as
+    their member tuples sort; across sizes they do not."""
+    assert _canonical(masks) == sorted(masks, key=_members)
+    assert _canonical([_mask((0,)), _mask((0, 1))]) == [_mask((0, 1)), _mask((0,))]
 
 
 def test_join_with_an_empty_complex_or_a_wrong_size():
     """The join with no faces, or with the empty face alone, is the simplex,
-    sorted, on the flow side (G(3): T_eq is the empty face) and on the
-    order side (a chain poset: no equatorial chains); a simplex of the wrong
-    size raises."""
-    assert join_with_simplex((2, 0, 1), (), 3) == join_with_simplex((2, 0, 1), ((),), 3) \
-        == ((0, 1, 2),)
+    on the flow side (G(3): T_eq is the empty face) and on the order side
+    (a chain poset: no equatorial chains); a simplex of the wrong size
+    raises."""
+    simplex = _mask((2, 0, 1))
+    assert join_with_simplex(simplex, (), 3) == join_with_simplex(simplex, (0,), 3) == (simplex,)
     g3 = G(3)
     decomp = route_decomposition(g3)
     routes, _, _, sphere = equatorial_sphere(g3, decomp)
-    assert sphere.maximal_faces == ((),)
-    assert join_route_simplex(g3, routes, decomp, sphere).simplices == ((0, 1, 2),)
+    assert members(sphere.maximal_faces) == ((),)
+    assert members(join_route_simplex(g3, routes, decomp, sphere).simplices) == ((0, 1, 2),)
     chain3 = make_poset("abc", [("a", "b"), ("b", "c")])
     assert maximal_equatorial_chains(chain3) == ()
-    sigma = tuple(sorted(rank_constant_filters(chain3)))
+    sigma = rank_constant_filters(chain3)
     assert equatorial_order_triangulation(chain3).simplices == (sigma,)
     with pytest.raises(AssertionError, match=r"join simplex \(0, 1, 2\) has size 3"):
-        join_with_simplex((0,), ((1,), (1, 2)), 2)
+        join_with_simplex(_mask((0,)), (_mask((1,)), _mask((1, 2))), 2)
     with pytest.raises(AssertionError, match="expected 2"):
-        join_with_simplex((0,), (), 2)
+        join_with_simplex(_mask((0,)), (), 2)

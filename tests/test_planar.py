@@ -11,8 +11,7 @@ from flowtri import cli, dkk, equatorial, geometry, planar, quotient, routes
 from flowtri import dag as dagmod
 from flowtri.dag import (D1, D2, D3, G, dag_to_json, degree_equality, idle_edges,
                          stacked_rotations, zigzag, zigzag_rotations)
-from flowtri.dkk import _mask, _members
-from flowtri.geometry import verify_triangulation
+from flowtri.geometry import _canonical, _members, verify_triangulation
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             embedding_from_json, embedding_to_json, filter_routes,
                             filters, make_poset, maximal_equatorial_chains,
@@ -25,7 +24,7 @@ from tests.conftest import (brute_order_polytope_count, canonical_triangulation,
                             equatorial_by_jumps, equatorial_by_map,
                             equatorial_order_triangulation, extension_filter_chains,
                             filter_chains, filter_sets, flow_to_order,
-                            linear_extension_count, lp_triangulation_ok,
+                            linear_extension_count, lp_triangulation_ok, members,
                             old_verify_equivalence, order_polytope_vertices, order_to_flow,
                             pairwise_comparability, poset_from_json,
                             recursive_heights, recursive_up_sets,
@@ -119,7 +118,7 @@ def test_poset_layer_matches_oracles():
             assert filter_sets(q, filters(q)) == subset_scan_filters(q), q
             assert q.heights == recursive_heights(q), q
             assert q.up_sets == recursive_up_sets(q), q
-            assert maximal_filter_chains(q) == \
+            assert members(maximal_filter_chains(q)) == \
                 index_chains(q, extension_filter_chains(q)), q
 
 
@@ -183,7 +182,7 @@ def test_rank_constant_filters_are_the_unions_of_the_top_ranks():
         h = p.heights
         want = [sum(b for q, b in p.bits.items() if h[q] > j)
                 for j in range(max(h.values(), default=0) + 1)]
-        assert [p.filters[i] for i in rank_constant_filters(p)] == want, p
+        assert [p.filters[i] for i in reversed(_members(rank_constant_filters(p)))] == want, p
 
 
 def test_600_element_chain_without_recursion():
@@ -283,7 +282,7 @@ def test_canonical_triangulation_counts():
     p = make_poset("abcd", [("a", "c"), ("b", "c"), ("a", "d")])
     tri = canonical_triangulation(p)
     assert len(tri.simplices) == linear_extension_count(p)
-    assert all(len(s) == 5 for s in tri.simplices)
+    assert all(len(s) == 5 for s in members(tri.simplices))
     assert verify_triangulation(tri, 4, len(tri.simplices)).ok
     assert linear_extension_count(chain(3)) == 1
     assert linear_extension_count(antichain(3)) == 6
@@ -291,7 +290,8 @@ def test_canonical_triangulation_counts():
 
 def test_rank_constant_filters():
     p = chain(2)                      # p0 < p1
-    assert filter_sets(p, [p.filters[i] for i in rank_constant_filters(p)]) == (
+    sigma = reversed(_members(rank_constant_filters(p)))
+    assert filter_sets(p, [p.filters[i] for i in sigma]) == (
         frozenset({"p0", "p1"}), frozenset({"p1"}), frozenset())
     with pytest.raises(ValueError):
         rank_constant_filters(make_poset("abcd", [("a", "b"), ("b", "c"), ("a", "d")]))
@@ -303,7 +303,7 @@ def test_equatorial_chains_antichain_2():
     assert equatorial_by_map(p, [frozenset({"q1"})])
     assert not equatorial_by_map(p, [frozenset({"q0"}), frozenset({"q0", "q1"})])
     assert filter_sets(p, p.filters[1:3]) == (frozenset({"q0"}), frozenset({"q1"}))
-    assert maximal_equatorial_chains(p) == ((1,), (2,))
+    assert members(maximal_equatorial_chains(p)) == ((1,), (2,))
 
 
 def test_equatorial_chain_rejects_bad_chains():
@@ -322,7 +322,7 @@ def test_equatorial_chain_matches_both_oracles():
     posets = catalog_duals() + [random_graded_poset(rng) for _ in range(60)]
     for p in posets:
         idx = {f: i for i, f in enumerate(filter_sets(p, p.filters))}
-        maximal = [set(m) for m in maximal_equatorial_chains(p)]
+        maximal = [set(m) for m in members(maximal_equatorial_chains(p))]
         for c in filter_chains(p):
             want = equatorial_by_map(p, c)
             assert equatorial_by_jumps(p, c) == want, (p, c)
@@ -448,7 +448,7 @@ def test_pruned_equatorial_chains_match_unpruned_oracle():
     posets = catalog_duals() + [random_graded_poset(rng) for _ in range(200)]
     for p in posets:
         assert p.graded
-        assert maximal_equatorial_chains(p) == \
+        assert members(maximal_equatorial_chains(p)) == \
             index_chains(p, maximal_equatorial_chains_oracle(p)), p
 
 
@@ -592,7 +592,7 @@ def corrupt(monkeypatch, kind: str, seed: int) -> None:
         elif kind == "sphere-drop":
             del faces[rng.randrange(len(faces))]
         elif kind == "sphere-swap":
-            faces = sorted(_members(swap(_mask(f))) for f in faces)
+            faces = _canonical([swap(f) for f in faces])
         return routes, tuple(adj), facets, replace(sphere, maximal_faces=tuple(faces))
 
     monkeypatch.setattr(planar, "equatorial_sphere", corrupted)
