@@ -10,6 +10,7 @@ import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple, Sequence
 
 from . import dag as dagmod
 from . import dkk as dkkmod
@@ -100,23 +101,86 @@ def _scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_json(value, write) -> None:
-    """Write ``value`` as ``json.dumps`` renders it with indent 2 and sorted keys.
+class Faces(NamedTuple):
+    """Faces as int masks over a route list, as a report holds them: bit i of
+    a mask stands for ``routes[i]``, a sequence of edge ids.  ``masks`` is one
+    face, printed as the list of its routes, or a sequence of faces, printed
+    as a list of such lists."""
 
-    Only exact dict, list, str, int, bool and None values are accepted
-    (floats, tuples and subclasses raise ``TypeError``).  A list whose items
-    are all str or all int is rendered by one join, memoised by the list's
-    id and depth, so a route list shared by many simplices is rendered once
-    per depth; ``value`` keeps every memoised list alive for the call.
-    Pieces are joined into one ``write`` per few thousand, so an unbuffered
-    stdout does not take a system call per piece.
+    routes: Sequence[Sequence[str]]
+    masks: int | Sequence[int]
+
+    def lists(self) -> list:
+        """The member lists the faces print as."""
+        if type(self.masks) is int:
+            return [list(self.routes[i]) for i in geo._members(self.masks)]
+        return [Faces(self.routes, m).lists() for m in self.masks]
+
+
+WRITE_PIECES = 4096     # pieces joined into one ``write``
+
+
+def _write_json(value, write) -> None:
+    """Write ``value`` as ``json.dumps`` renders it with indent 2 and sorted
+    keys, with each ``Faces`` rendered as its member lists.
+
+    Only exact dict, list, str, int, bool and None values and ``Faces`` are
+    accepted (floats, tuples and subclasses raise ``TypeError``).  A list
+    whose items are all str or all int is rendered by one join, memoised by
+    the list's id and depth; so is each route of a ``Faces``, by the route
+    list's id and depth, so routes shared by many faces are rendered once
+    per depth, and a face is one join over its members' texts (an empty face
+    is ``[]``).  ``value`` keeps every memoised list alive for the call.
+    Pieces are joined into one ``write`` per few thousand, a face counting
+    as two pieces per route, so an unbuffered stdout does not take a system
+    call per piece and no write holds more than a slice of the output.
     """
     memo: dict[tuple[int, int], str] = {}
+    route_memo: dict[tuple[int, int], list[str]] = {}
     parts: list[str] = []
     put = parts.append
 
+    def flush() -> None:
+        write("".join(parts))
+        parts.clear()
+
+    def face_text(routes, depth: int):
+        """The function from a mask to its face's text at ``depth``."""
+        key = (id(routes), depth + 1)
+        texts = route_memo.get(key)
+        if texts is None:
+            inner = "\n" + "  " * (depth + 2)
+            close = "\n" + "  " * (depth + 1) + "]"
+            texts = route_memo[key] = [
+                "[" + inner + ("," + inner).join(map(encode_basestring_ascii, r)) + close
+                if r else "[]" for r in routes]
+        get = texts.__getitem__
+        inner = "\n" + "  " * (depth + 1)
+        opened, sep, close = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
+        members = geo._members
+        return lambda m: opened + sep.join(map(get, members(m))) + close if m else "[]"
+
     def walk(value, depth: int) -> None:
         kind = type(value)
+        if kind is Faces:
+            masks = value.masks
+            if type(masks) is int:
+                put(face_text(value.routes, depth)(masks))
+                return
+            if not masks:
+                put("[]")
+                return
+            face = face_text(value.routes, depth + 1)
+            inner = "\n" + "  " * (depth + 1)
+            step = WRITE_PIECES // (2 * masks[0].bit_count() + 2) + 1
+            put("[" + inner)
+            for lo in range(0, len(masks), step):
+                if lo:
+                    put("," + inner)
+                put(("," + inner).join(map(face, masks[lo:lo + step])))
+                flush()
+            put("\n" + "  " * depth + "]")
+            return
         if kind is list and value:
             key = (id(value), depth)
             text = memo.get(key)
@@ -148,37 +212,44 @@ def _write_json(value, write) -> None:
         else:
             put("[]" if kind is list else "{}" if kind is dict else _scalar(value))
             return
-        if len(parts) > 4096:
-            write("".join(parts))
-            parts.clear()
+        if len(parts) > WRITE_PIECES:
+            flush()
 
     walk(value, 0)
-    write("".join(parts))
+    flush()
+
+
+def _write_text(value, write) -> None:
+    """Write ``value`` as indented text, each ``Faces`` as its member lists."""
+    def render(value, indent: str = "") -> None:
+        if isinstance(value, dict):
+            for k in sorted(value):
+                v = value[k]
+                if type(v) is Faces:
+                    v = v.lists()
+                if isinstance(v, (dict, list)):
+                    write(f"{indent}{k}:\n")
+                    render(v, indent + "  ")
+                else:
+                    write(f"{indent}{k}: {v}\n")
+        elif isinstance(value, list):
+            for v in value:
+                if type(v) is Faces:
+                    v = v.lists()
+                if isinstance(v, (dict, list)):
+                    render(v, indent + "  ")
+                else:
+                    write(f"{indent}- {v}\n")
+
+    render(value)
 
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         _write_json(report, sys.stdout.write)
         sys.stdout.write("\n")
-        return
-
-    def render(value, indent: str = "") -> None:
-        if isinstance(value, dict):
-            for k in sorted(value):
-                v = value[k]
-                if isinstance(v, (dict, list)):
-                    print(f"{indent}{k}:")
-                    render(v, indent + "  ")
-                else:
-                    print(f"{indent}{k}: {v}")
-        elif isinstance(value, list):
-            for v in value:
-                if isinstance(v, (dict, list)):
-                    render(v, indent + "  ")
-                else:
-                    print(f"{indent}- {v}")
-
-    render(report)
+    else:
+        _write_text(report, sys.stdout.write)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +285,8 @@ def cmd_dkk(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     decomp = _load_decomposition(dag, args.decomposition)
     framing = rmod.decomposition_framing(dag, decomp)
     tri = dkkmod.dkk_triangulation(dag, framing)
-    routes = [list(r) for r in tri.labels]      # shared lists: each is rendered once
-    report["routes"] = len(routes)
-    report["simplices"] = [[routes[i] for i in geo._members(s)] for s in tri.simplices]
+    report["routes"] = len(tri.labels)
+    report["simplices"] = Faces(tri.labels, tri.simplices)
     report["exceptional_routes"] = [list(r) for r in dkkmod.exceptional_routes(tri)]
     check = dkkmod.verify_dkk_triangulation(dag, tri, dagmod.dimension(dag),
                                             geo.normalized_volume(dag))
@@ -241,24 +311,22 @@ def cmd_equatorial(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
                          f"more than the bound of {eqmod.MAX_FRAMINGS}")
     report["decomposition"] = [list(r) for r in decomp]
     labels, _, facets, sphere = eqmod.equatorial_sphere(dag, decomp)
-    routes = [list(r) for r in labels]          # shared lists: each is rendered once
-    report["facets"] = [{"transversal": list(f.transversal),
-                         "routes": [routes[i] for i in geo._members(f.routes)]}
+    report["facets"] = [{"transversal": list(f.transversal), "routes": Faces(labels, f.routes)}
                         for f in facets]
     report["sphere"] = {
-        "maximal_faces": [[routes[i] for i in geo._members(f)] for f in sphere.maximal_faces],
+        "maximal_faces": Faces(labels, sphere.maximal_faces),
         "f_vector": list(sphere.f_vector),
         "euler_characteristic": geo.euler_characteristic(sphere.f_vector),
     }
-    tri = eqmod.join_route_simplex(dag, labels, decomp, sphere)
-    report["simplices"] = [[routes[i] for i in geo._members(s)] for s in tri.simplices]
+    simplices = eqmod.joined_simplices(dag, labels, decomp, sphere)
+    report["simplices"] = Faces(labels, simplices)
     h, h_star, agree = _h_against_h_star(dag, sphere.f_vector)
     report["h_vector"] = list(h)
     report["h_star"] = list(h_star)
     report["h_equals_h_star"] = agree
     code = OK if agree else FAILED
     if args.exhaustive_dkk:
-        cmp = eqmod.differs_from_dkk(dag, tri)
+        cmp = eqmod.differs_from_dkk(dag, labels, simplices)
         report["dkk_comparison"] = {
             "framings_checked": cmp.framings_checked,
             "matching_framings": len(cmp.matching_framings),
@@ -352,7 +420,7 @@ def cmd_fuzz(args, _, report: dict) -> tuple[dict, int]:
         try:
             decomp = rmod.route_decomposition(dag)       # certified by the peel
             routes, _, _, sphere = eqmod.equatorial_sphere(dag, decomp)
-            eqmod.join_route_simplex(dag, routes, decomp, sphere)  # checks the join's sizes
+            eqmod.joined_simplices(dag, routes, decomp, sphere)    # checks the join's sizes
             h, h_star, agree = _h_against_h_star(dag, sphere.f_vector)
         except AssertionError as exc:     # a broken invariant, kept with its graph
             failures.append(_fuzz_failure(k, drawn, f"invariant failed: {exc}"))

@@ -133,13 +133,21 @@ def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sph
     return Sphere(tuple(kept), tuple(counts))
 
 
+def joined_simplices(dag: Dag, routes: Sequence[Route], decomp: Sequence[Route],
+                     sphere: Sphere) -> tuple[int, ...]:
+    """The simplices of the join of the equatorial sphere with the route
+    simplex, as masks over the graph's route list ``routes``, each checked
+    to have dim + 1 routes."""
+    return join_with_simplex(_mask(map(routes.index, decomp)), sphere.maximal_faces,
+                             dimension(dag) + 1)
+
+
 def join_route_simplex(dag: Dag, routes: Sequence[Route], decomp: Sequence[Route],
                        sphere: Sphere) -> Triangulation:
-    """Join of the equatorial sphere with the route simplex, on the graph's
-    route list with the routes' indicator vectors as coordinates."""
-    joined = join_with_simplex(_mask(map(routes.index, decomp)), sphere.maximal_faces,
-                               dimension(dag) + 1)
-    return Triangulation(joined, tuple(routes), tuple(indicator_vector(dag, r) for r in routes))
+    """The join ``joined_simplices`` on the graph's route list, with the
+    routes' indicator vectors as coordinates."""
+    return Triangulation(joined_simplices(dag, routes, decomp, sphere), tuple(routes),
+                         tuple(indicator_vector(dag, r) for r in routes))
 
 
 def equatorial_sphere(dag: Dag, decomp: Sequence[Route], framing: Framing | None = None
@@ -180,13 +188,15 @@ def framing_count(dag: Dag) -> int:
     return prod(factorial(dag.indeg(v)) * factorial(dag.outdeg(v)) for v in dag.inner_vertices)
 
 
-def differs_from_dkk(dag: Dag, tri: Triangulation) -> DkkComparisonReport:
-    """Compare the equatorial flow triangulation ``tri`` of ``dag`` against
-    the framed triangulations of all its framings (at most MAX_FRAMINGS)."""
+def differs_from_dkk(dag: Dag, routes: Sequence[Route],
+                     simplices: Sequence[int]) -> DkkComparisonReport:
+    """Compare the equatorial flow triangulation of ``dag``, its
+    ``simplices`` as masks over ``routes``, against the framed
+    triangulations of all its framings (at most MAX_FRAMINGS)."""
     total = framing_count(dag)
     if total > MAX_FRAMINGS:
         raise ValueError(f"exhaustive bound exceeded: {total} framings > {MAX_FRAMINGS}")
-    target, size = set(tri.simplices), dimension(dag) + 1
+    target, size = set(simplices), dimension(dag) + 1
     matches = tuple(i for i, fr in enumerate(_all_framings(dag))
-                    if set(max_cliques(coherence_graph(dag, fr, tri.labels), size)) == target)
+                    if set(max_cliques(coherence_graph(dag, fr, routes), size)) == target)
     return DkkComparisonReport(total, matches)

@@ -17,6 +17,7 @@ from flowtri import geometry, planar
 from flowtri.dag import (SOURCE, Dag, contract_idle_edges, degree_equality, dimension,
                          gorenstein_completion, idle_edges, make_dag, random_dag,
                          validate)
+from flowtri.dkk import dkk_triangulation, exceptional_routes, verify_dkk_triangulation
 from flowtri.equatorial import (EquatorialFace, Sphere, Transversal,
                                 enumerate_transversals, equatorial_sphere,
                                 join_route_simplex)
@@ -27,7 +28,7 @@ from flowtri.planar import (BOTTOM, TOP, PlanarDual, Poset, make_poset,
                             maximal_equatorial_chains, maximal_filter_chains,
                             rank_constant_filters)
 from flowtri.quotient import QuotientPolytope, ReflexiveReport
-from flowtri.routes import Framing, Route, decomposition_framing
+from flowtri.routes import Framing, Route, decomposition_framing, route_decomposition
 
 
 def random_balanced_dag(rng: random.Random, max_edges: int = 9) -> Dag:
@@ -147,6 +148,38 @@ def members(simplices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     the tests read the library's simplices, and the form the tuple-based
     oracles below take.  Tests build masks with ``geometry._mask``."""
     return tuple(map(_members, simplices))
+
+
+def member_list_report(command: str, dag: Dag, digest: str) -> dict:
+    """The report ``flowtri dkk`` or ``flowtri equatorial`` prints for
+    ``dag`` and the default decomposition, with every simplex and face a
+    list of route lists (lists of edge ids), built from library calls as
+    the CLI built it before its reports held faces as masks."""
+    decomp = route_decomposition(dag)
+    report: dict = {"command": command, "digest": digest}
+
+    def route_lists(routes: Sequence[Route], faces: Iterable[int]) -> list:
+        return [[list(routes[i]) for i in face] for face in members(faces)]
+
+    if command == "dkk":
+        tri = dkk_triangulation(dag, decomposition_framing(dag, decomp))
+        check = verify_dkk_triangulation(dag, tri, dimension(dag), normalized_volume(dag))
+        return {**report, "routes": len(tri.labels),
+                "simplices": route_lists(tri.labels, tri.simplices),
+                "exceptional_routes": [list(r) for r in exceptional_routes(tri)],
+                "triangulation_ok": check.ok, "issues": list(check.issues)}
+    routes, _, facets, teq = equatorial_sphere(dag, decomp)
+    h, h_star = h_from_f(teq.f_vector), ehrhart_hstar(dag).h_star
+    return {**report, "decomposition": [list(r) for r in decomp],
+            "facets": [{"transversal": list(f.transversal),
+                        "routes": route_lists(routes, [f.routes])[0]} for f in facets],
+            "sphere": {"maximal_faces": route_lists(routes, teq.maximal_faces),
+                       "f_vector": list(teq.f_vector),
+                       "euler_characteristic": euler_characteristic(teq.f_vector)},
+            "simplices": route_lists(routes, join_route_simplex(dag, routes, decomp,
+                                                                teq).simplices),
+            "h_vector": list(h), "h_star": list(h_star),
+            "h_equals_h_star": list(h) == list(h_star[:len(h)]) and not any(h_star[len(h):])}
 
 
 @dataclass(frozen=True)

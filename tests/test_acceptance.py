@@ -97,7 +97,8 @@ def test_criterion_4_sphere_structure():
 def test_criterion_5_not_dkk():
     d3, d1 = D3(), D1()
     dec3, dec1 = route_decomposition(d3), route_decomposition(d1)
-    sweep = differs_from_dkk(d3, equatorial_flow_triangulation(d3, dec3))
+    tri3 = equatorial_flow_triangulation(d3, dec3)
+    sweep = differs_from_dkk(d3, tri3.labels, tri3.simplices)
     ok = (framing_count(d3) == 36 and sweep.framings_checked == 36
           and not sweep.matching_framings)
     ok = ok and (dkk_triangulation(d1, decomposition_framing(d1, dec1)).simplices

@@ -23,7 +23,7 @@ from flowtri.dag import (D1, D2, D3, G, bypass, dag_from_json, dag_to_json,
                          zigzag, zigzag_rotations)
 from flowtri.planar import PlanarEmbedding, embedding_to_json
 from flowtri.routes import enumerate_routes
-from tests.conftest import chain
+from tests.conftest import chain, member_list_report, route_unions
 
 
 @pytest.fixture
@@ -564,6 +564,105 @@ def test_json_writer_rejects_other_types(bad):
     for value in (bad, [bad], {"k": [bad, 1]}):
         with pytest.raises(TypeError):
             cli._write_json(value, io.StringIO().write)
+
+
+# Faces as flat int masks over one route list, shared at several depths:
+# the writer renders each route once per depth and each face by one join.
+ROUTE_LIST = st.lists(st.lists(TEXT, max_size=3), max_size=6)
+
+
+@st.composite
+def faces_reports(draw) -> tuple[dict, dict]:
+    """A report holding ``Faces``, and the same report with member lists."""
+    routes = draw(ROUTE_LIST)
+    mask = st.integers(0, (1 << len(routes)) - 1)
+    one, many = draw(mask), draw(st.lists(mask, max_size=4))
+
+    def lists(m: int) -> list:
+        return [routes[i] for i in range(len(routes)) if m >> i & 1]
+
+    def report(face, faces) -> dict:
+        return {"one": face(one), "many": faces(many), "empty": [face(0), faces([])],
+                "deeper": [[faces(many)], {"0": face(one)}]}
+    return (report(lambda m: cli.Faces(routes, m), lambda ms: cli.Faces(routes, ms)),
+            report(lists, lambda ms: list(map(lists, ms))))
+
+
+def text_of(value) -> str:
+    out = io.StringIO()
+    cli._write_text(value, out.write)
+    return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(faces_reports())
+def test_faces_render_as_their_member_lists(pair):
+    faces, lists = pair
+    out = io.StringIO()
+    cli._write_json(faces, out.write)
+    assert out.getvalue() == json.dumps(lists, indent=2, sort_keys=True)
+    assert text_of(faces) == text_of(lists)
+
+
+def printed_and_member_list_report(command: str, dag) -> tuple[str, str]:
+    """The stdout of ``flowtri <command>`` on ``dag``, and ``json.dumps`` of
+    the report with member lists that ``member_list_report`` rebuilds."""
+    raw = json.dumps(dag_to_json(dag)).encode()
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        path.write_bytes(raw)
+        with redirect_stdout(out):
+            assert main([command, str(path)]) == 0
+    report = member_list_report(command, dag, hashlib.sha256(raw).hexdigest()[:16])
+    return out.getvalue(), json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["dkk", "equatorial"])
+@pytest.mark.parametrize("name", ["G3", "D1", "D2", "D3", "zigzag", "bypass"])
+def test_catalog_prints_the_member_list_report(command, name):
+    printed, expected = printed_and_member_list_report(command, CATALOG[name][0])
+    assert printed == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(route_unions(), st.sampled_from(["dkk", "equatorial"]))
+def test_route_unions_print_the_member_list_report(dag, command):
+    printed, expected = printed_and_member_list_report(command, dag)
+    assert printed == expected
+
+
+def test_equatorial_streams_its_report(tmp_path, monkeypatch):
+    """The report of chain 4x3 (3.4 MB) leaves in many writes, none of them
+    holding a tenth of it."""
+    path = tmp_path / "chain4x3.json"
+    path.write_text(json.dumps(dag_to_json(chain(4, 3))))
+    writes: list[str] = []
+
+    class Recorder:
+        def write(self, text: str) -> int:
+            writes.append(text)
+            return len(text)
+
+        def flush(self) -> None:
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["equatorial", str(path)]) == 0
+    out = "".join(writes)
+    assert len(out) > 3_000_000 and len(json.loads(out)["simplices"]) == 2520
+    assert max(map(len, writes)) < len(out) / 10
+
+
+def test_cli_builds_no_indicator_vectors(capsys, monkeypatch, d2_file):
+    """``equatorial`` and ``fuzz`` use the join's masks and size check only."""
+    def refuse(*_):
+        raise AssertionError("indicator vector built")
+    monkeypatch.setattr(cli.eqmod, "indicator_vector", refuse)
+    for argv in (["equatorial", d2_file, "--exhaustive-dkk"], ["fuzz", "--count", "6"]):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert "failures" not in out or json.loads(out)["failures"] == []
 
 
 def test_text_format(capsys, d1_file):

@@ -182,7 +182,8 @@ def test_d3_differs_from_every_dkk():
     d3 = D3()
     assert framing_count(d3) == 36
     decomp = route_decomposition(d3)
-    rep = differs_from_dkk(d3, equatorial_flow_triangulation(d3, decomp))
+    tri = equatorial_flow_triangulation(d3, decomp)
+    rep = differs_from_dkk(d3, tri.labels, tri.simplices)
     assert rep.framings_checked == 36
     assert not rep.matching_framings
     assert not rep.is_dkk
@@ -191,7 +192,8 @@ def test_d3_differs_from_every_dkk():
 def test_d1_equals_its_dkk():
     d1 = D1()
     decomp = route_decomposition(d1)
-    rep = differs_from_dkk(d1, equatorial_flow_triangulation(d1, decomp))
+    tri = equatorial_flow_triangulation(d1, decomp)
+    rep = differs_from_dkk(d1, tri.labels, tri.simplices)
     assert rep.is_dkk
 
 
