@@ -220,28 +220,29 @@ def _write_json(value, write) -> None:
 
 
 def _write_text(value, write) -> None:
-    """Write ``value`` as indented text, each ``Faces`` as its member lists."""
-    def render(value, indent: str = "") -> None:
-        if isinstance(value, dict):
-            for k in sorted(value):
-                v = value[k]
-                if type(v) is Faces:
-                    v = v.lists()
-                if isinstance(v, (dict, list)):
-                    write(f"{indent}{k}:\n")
-                    render(v, indent + "  ")
-                else:
-                    write(f"{indent}{k}: {v}\n")
-        elif isinstance(value, list):
-            for v in value:
-                if type(v) is Faces:
-                    v = v.lists()
-                if isinstance(v, (dict, list)):
-                    render(v, indent + "  ")
-                else:
-                    write(f"{indent}- {v}\n")
+    """Write ``value`` as indented text: a dict as one ``key: value`` line
+    per key, sorted, and a list as one ``- item`` line per item.  A nonempty
+    dict or list goes on the lines after its key, two spaces deeper, or
+    starts on its item's ``- `` line, so every item of a nested list keeps
+    its own marker.  Other values print as ``str`` does; an empty list or
+    dict prints as ``[]`` or ``{}``, and ``Faces`` as their member lists."""
+    def render(value, indent: str, lead: str) -> None:
+        # ``lead`` begins the first line: ``indent``, or the parent item's marker
+        is_dict = type(value) is dict
+        for i, (k, v) in enumerate(sorted(value.items()) if is_dict else enumerate(value)):
+            head = (indent if i else lead) + (f"{k}:" if is_dict else "-")
+            if type(v) is Faces:
+                v = v.lists()
+            kind = type(v)
+            if kind not in (dict, list) or not v:
+                write(f"{head} {'[]' if kind is list else '{}' if kind is dict else v}\n")
+            elif is_dict:
+                write(head + "\n")
+                render(v, indent + "  ", indent + "  ")
+            else:
+                render(v, indent + "  ", head + " ")
 
-    render(value)
+    render(value, "", "")
 
 
 def _emit(report: dict, fmt: str) -> None:

@@ -665,6 +665,22 @@ def test_cli_builds_no_indicator_vectors(capsys, monkeypatch, d2_file):
         assert "failures" not in out or json.loads(out)["failures"] == []
 
 
+def test_text_format_keeps_nested_lists_apart(capsys, tmp_path):
+    a, c, b, d = "acbd"
+    nested = [[[a, c], [b, d]], [[a, c, b, d]], [a, c, b, d], [[], [a, c, b, d]], []]
+    assert len({text_of({"x": v}) for v in nested}) == len(nested)
+    assert text_of({"x": [[a, c], [b, d]], "y": []}) == (
+        "x:\n  - - a\n    - c\n  - - b\n    - d\ny: []\n")
+    assert text_of({"f": [{"r": [[a]], "t": [c]}, {"r": [], "t": [d]}]}) == (
+        "f:\n  - r:\n      - - a\n    t:\n      - c\n  - r: []\n    t:\n      - d\n")
+    path = tmp_path / "two-routes.json"
+    path.write_text(json.dumps(dag_to_json(make_dag(1, [("a", 0, 1), ("b", 0, 1),
+                                                        ("c", 1, 2), ("d", 1, 2)]))))
+    code, out, _ = run(capsys, ["decompose", str(path), "--format", "text"])
+    assert code == 0
+    assert "decomposition:\n  - - a\n    - c\n  - - b\n    - d\n" in out
+
+
 def test_text_format(capsys, d1_file):
     code, out, _ = run(capsys, ["analyze", d1_file, "--format", "text"])
     assert code == 0

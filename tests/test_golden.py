@@ -55,7 +55,9 @@ for _cmd in ("dkk", "equatorial", "quotient"):
 CASES["analyze-D2-text"] = ["analyze", "{graph:D2}", "--format", "text"]
 # Text cases for dkk, equatorial, quotient and order, recorded at commit
 # bf3988a: they pin the --format text rendering, which shares no code with
-# the JSON writer.
+# the JSON writer.  The four were re-recorded on top of commit 175b969,
+# when each list item got its own "- " marker so nested lists keep their
+# bounds.
 for _cmd, _name in (("dkk", "D3"), ("equatorial", "D3"), ("quotient", "zigzag")):
     CASES[f"{_cmd}-{_name}-text"] = [_cmd, "{graph:%s}" % _name, "--format", "text"]
 CASES["order-zigzag-text"] = ["order", "{graph:zigzag}", "{embedding:zigzag}",
@@ -106,7 +108,7 @@ GOLDEN = {
     'dkk-D1-crossed': (0, 'a558ae89e178e0ec23c633985b331f2eb12036e1ef0c20d027aa1cf79b2d819b'),
     'dkk-D2': (0, '3bc2fe270e1dfd2ace0eb5186d660a23650263d04fd45cfbbab55ae92c766a82'),
     'dkk-D3': (0, '93a145778c3da9f439a6d35d4d505e9d26733ea382b67de8d80e948cce14420e'),
-    'dkk-D3-text': (0, 'd3eb554e2063078fea983cbac76637d5aee8feb33cf4b24c4eda4d273e016695'),
+    'dkk-D3-text': (0, '4a5134ba53749a9e9bab871edf615a3f8c9c18f6b7769d8f8ee225a4c7238cdf'),
     'dkk-G3': (0, 'cad9ce7deb00aad8fd9cc6e1a16fc0169381f122d8b14c29ef4e1c64a08be19d'),
     'dkk-bypass': (0, '8fd03517bbc1dbfd4fd7015618f532e343f20839a6bb1e303a6c12d57e79722a'),
     'dkk-chain3x3': (0, 'ea9b392a8d7e74d9e1aae25eddeb5c6afe77c2457577105f3b99444950f3b9b7'),
@@ -117,7 +119,7 @@ GOLDEN = {
     'equatorial-D1-crossed': (0, 'e654dc0ff15914059f2e49fdd53af2b470f09da90f52dc758fd04ea5736d66bb'),
     'equatorial-D2': (0, '5fb9fe5c772ba3c63cad3ad65a68450e070a210b0a0c641ec9bc32b58c020b61'),
     'equatorial-D3': (0, 'dfce62c1959d158b47cfcff548580a652fbbc22772986d9c5cca983c4e1a4be6'),
-    'equatorial-D3-text': (0, 'bda9da82224f3a74ebc9083bf226e882fc2df82b2709b2964ffccbc3f955ba1e'),
+    'equatorial-D3-text': (0, '07103bc5c9861243c506a533f61e4250579cd8e2a56907985453c6acf505c7cc'),
     'equatorial-G3': (0, 'f0f82e5af378984d818d9dbe7ab7e070b593d7112eae22fbf55a7ca6884a6403'),
     'equatorial-bypass': (0, 'b75718f6be2fac383c52c5f1863e10b829c018dbf8e971a0d98c2c769cbaf1d1'),
     'equatorial-chain4x3': (0, '64db59a33dd74ece055461f4057b8199ba9bc318537e87984527453acd31605a'),
@@ -139,7 +141,7 @@ GOLDEN = {
     'order-graded9': (0, '5cc54e471704749389d092c2fc757d247cf86068fa24151cfbdeaec313141064'),
     'order-G3': (0, 'd72844d65b8967a7afb5429ddacdfcf0777bf2c684e827e90097d82c889a6b45'),
     'order-zigzag': (0, 'bb944f0c8e8353dc8c7f85de9ac243173bed2430d45a83090938a52c7dec05cd'),
-    'order-zigzag-text': (0, '4e70cf2f132e9aae3b723ff0b9a809dadb6f212cb18d6cea76aaca66220e4314'),
+    'order-zigzag-text': (0, 'eef4434f1abb9334d1a5ed00b23e306c49cefd854b8a12a82e40090d14a31bef'),
     'quotient-BIG': (0, 'a09aacc81ed12e5e465a07b1ae32f5911139594c8c0f37d1bf4fd497a7479316'),
     'quotient-D1': (0, 'ca9b58edf7f59401d303df9c79a2a3983c304d5a04a0eea7bb182f6ee128b044'),
     'quotient-D1-crossed': (0, '25a754d77d2c3f20c1cf74d2a13e9e9f7857a3b987baf4bcfe6b8234b8301b67'),
@@ -150,7 +152,7 @@ GOLDEN = {
     'quotient-chain4x2': (0, '02d1071e46c18c2161f3a4205aa9450ffe3e6d5fb5e37caedeaea18c85231e73'),
     'quotient-unbalanced': (1, '8977fe45fdc1d49a1963f4124c67770be2c4fd5084fd4bca52ff667c08ac0cf2'),
     'quotient-zigzag': (0, 'e1251b9f14fa860707a414a01c27cb98050d16f63e5b32d26e26056d3670f90f'),
-    'quotient-zigzag-text': (0, '0dffffb3ff7076ae487f016cdd78ca639aec944f213f5912580cf24ab2a013e1'),
+    'quotient-zigzag-text': (0, '298d439b131393d59bfab25b075ab537e6705dc4e06ed9605e8ebe5d3b4499ef'),
 }
 
 
