@@ -660,9 +660,8 @@ def test_cli_builds_no_indicator_vectors(capsys, monkeypatch, d2_file):
         raise AssertionError("indicator vector built")
     monkeypatch.setattr(cli.eqmod, "indicator_vector", refuse)
     for argv in (["equatorial", d2_file, "--exhaustive-dkk"], ["fuzz", "--count", "6"]):
-        code, out, err = run(capsys, argv)
-        assert (code, err) == (0, "")
-        assert "failures" not in out or json.loads(out)["failures"] == []
+        code, _, err = run(capsys, argv)
+        assert (code, err) == (0, "")        # fuzz exits 1 on any failure
 
 
 def test_text_format_keeps_nested_lists_apart(capsys, tmp_path):
