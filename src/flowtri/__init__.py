@@ -10,8 +10,7 @@ from .dag import (D1, D2, D3, Dag, Edge, G, bypass, contract_idle_edges,
 from .dkk import (coherence_graph, dkk_triangulation, exceptional_routes,
                   verify_dkk_triangulation)
 from .equatorial import (differs_from_dkk, enumerate_transversals,
-                         equatorial_facets, equatorial_sphere,
-                         join_route_simplex, t_eq)
+                         equatorial_facets, equatorial_sphere, t_eq)
 from .geometry import (Triangulation, count_lattice_points, ehrhart_hstar,
                        normalized_volume, verify_triangulation)
 from .planar import (PlanarEmbedding, Poset, make_poset, planar_dual,

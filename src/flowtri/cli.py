@@ -126,16 +126,15 @@ def _write_json(value, write) -> None:
 
     Only exact dict, list, str, int, bool and None values and ``Faces`` are
     accepted (floats, tuples and subclasses raise ``TypeError``).  A list
-    whose items are all str or all int is rendered by one join, memoised by
-    the list's id and depth; so is each route of a ``Faces``, by the route
-    list's id and depth, so routes shared by many faces are rendered once
-    per depth, and a face is one join over its members' texts (an empty face
-    is ``[]``).  ``value`` keeps every memoised list alive for the call.
+    whose items are all str or all int is rendered by one join.  Each route
+    of a ``Faces`` is rendered once per depth, memoised by the route list's
+    id and depth, so routes shared by many faces cost one rendering, and a
+    face is one join over its members' texts (an empty face is ``[]``).
+    ``value`` keeps every memoised route list alive for the call.
     Pieces are joined into one ``write`` per few thousand, a face counting
     as two pieces per route, so an unbuffered stdout does not take a system
     call per piece and no write holds more than a slice of the output.
     """
-    memo: dict[tuple[int, int], str] = {}
     route_memo: dict[tuple[int, int], list[str]] = {}
     parts: list[str] = []
     put = parts.append
@@ -182,19 +181,13 @@ def _write_json(value, write) -> None:
             put("\n" + "  " * depth + "]")
             return
         if kind is list and value:
-            key = (id(value), depth)
-            text = memo.get(key)
-            if text is None:
-                kinds = set(map(type, value))
-                encode = _LEAF_ENCODERS.get(kinds.pop()) if len(kinds) == 1 else None
-                if encode is not None:
-                    inner = "\n" + "  " * (depth + 1)
-                    text = memo[key] = ("[" + inner + ("," + inner).join(map(encode, value))
-                                        + "\n" + "  " * depth + "]")
-            if text is not None:
-                put(text)
-                return
+            kinds = set(map(type, value))
+            encode = _LEAF_ENCODERS.get(kinds.pop()) if len(kinds) == 1 else None
             inner = "\n" + "  " * (depth + 1)
+            if encode is not None:
+                put("[" + inner + ("," + inner).join(map(encode, value))
+                    + "\n" + "  " * depth + "]")
+                return
             put("[" + inner)
             for i, item in enumerate(value):
                 if i:
@@ -289,8 +282,7 @@ def cmd_dkk(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     report["routes"] = len(tri.labels)
     report["simplices"] = Faces(tri.labels, tri.simplices)
     report["exceptional_routes"] = [list(r) for r in dkkmod.exceptional_routes(tri)]
-    check = dkkmod.verify_dkk_triangulation(dag, tri, dagmod.dimension(dag),
-                                            geo.normalized_volume(dag))
+    check = dkkmod.verify_dkk_triangulation(dag, tri)
     report["triangulation_ok"] = check.ok
     report["issues"] = list(check.issues)
     return report, OK if check.ok else FAILED

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .dag import Dag, dimension, validate
 from .geometry import (Triangulation, TriangulationReport, _canonical, _mask, _members,
-                       is_unimodular_simplex, verify_triangulation)
+                       is_unimodular_simplex, normalized_volume, verify_triangulation)
 from .routes import Framing, Route, enumerate_routes, indicator_vector, is_route
 
 
@@ -140,42 +140,50 @@ def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:
 _RIDGE_BUCKETS = 31
 
 
-def verify_dkk_triangulation(dag: Dag, tri: Triangulation, dim: int,
-                             normalized_volume: int) -> TriangulationReport:
-    """``verify_triangulation(tri, dim, normalized_volume)`` for a
-    triangulation whose vertices are routes of ``dag``, by a route-swap
-    certificate with one determinant wherever the certificate goes through,
-    and by ``verify_triangulation`` itself wherever it does not.
+def verify_dkk_triangulation(dag: Dag, tri: Triangulation) -> TriangulationReport:
+    """``verify_triangulation`` of ``tri`` against the flow polytope of
+    ``dag``, whose dimension and normalized volume it works out once, for a
+    triangulation whose vertices are routes of ``dag``: by a route-swap
+    certificate with one unimodularity test wherever the certificate goes
+    through, and by ``verify_triangulation`` itself wherever it does not.
+    ``ValueError`` for an invalid ``dag``."""
+    if not (report := validate(dag)).ok:
+        raise ValueError(f"invalid graph: {report.violations}")
+    dim, volume = dimension(dag), normalized_volume(dag)
+    if _swap_certificate(dag, tri, dim, volume):
+        return TriangulationReport(())
+    return verify_triangulation(tri, dim, volume)
 
-    The certificate (``_swap_certificate``) asks that the labels be
-    distinct routes of a valid ``dag`` of dimension ``dim``, with their
-    indicator vectors as coordinates, and ``normalized_volume`` simplex
-    masks of dim + 1 routes, each ridge in at most two.  The apexes a, b of
-    a ridge in two simplices meet at an inner vertex where swapping their
-    prefixes gives routes c, d of the ridge.  The apex of a ridge in one
-    simplex uses an edge e that every route of the ridge misses.
-    Swap-crossed ridges connect the simplices, and the first simplex is
+
+def _swap_certificate(dag: Dag, tri: Triangulation, dim: int, volume: int) -> bool:
+    """True when the route-swap certificate of ``verify_dkk_triangulation``
+    goes through, for a valid ``dag`` of dimension ``dim`` and normalized
+    volume ``volume``; False at the first step that fails.
+
+    The certificate asks that the labels be distinct routes of ``dag``, with
+    their indicator vectors as coordinates, and ``volume`` simplex masks of
+    dim + 1 routes, each ridge in at most two.  The apexes a, b of a ridge
+    in two simplices meet at an inner vertex where swapping their prefixes
+    gives routes c, d of the ridge.  The apex of a ridge in one simplex uses
+    an edge e that every route of the ridge misses.  The first simplex is
     unimodular.
 
-    Why that is sound: from b = c + d - a, the ridge's affine functional
-    f has f(b) = -f(a) < 0, and both simplices have one difference lattice,
-    so the walk carries the first simplex's unimodularity to all.  x_e >= 0
-    holds on every route and is 0 on the lone ridge.  A valid graph's
-    routes span at most ``dim`` dimensions.  So every condition of the
-    ridge check holds (De Loera-Rambau-Santos, *Triangulations*, Ch. 4).
+    Why that is sound (De Loera-Rambau-Santos, *Triangulations*, Ch. 4):
+    let V be ``volume``, the polytope P's own normalized volume.  A
+    swap-crossed pair has b - c = d - a, so both simplices have one
+    difference lattice, and the ridge's affine functional f has
+    f(b) = -f(a) < 0.  So the swap component C of the first simplex is all
+    unimodular and full-dimensional (a valid graph's routes span at most
+    ``dim`` dimensions).  Each ridge of C lies in two simplices of C on
+    opposite sides, or on the facet x_e = 0 of P, as x_e >= 0 holds on
+    every route.  So C covers a generic point of P a constant k >= 1 times,
+    and |C| = k * V.  There are V simplices in all, so k = 1 and C is all
+    of them: every condition of the ridge check holds.  The proof needs V
+    to be the true volume: given twice the volume, two triangulations with
+    no ridge in common pass every other step.
     """
-    if _swap_certificate(dag, tri, dim, normalized_volume):
-        return TriangulationReport(())
-    return verify_triangulation(tri, dim, normalized_volume)
-
-
-def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
-                      normalized_volume: int) -> bool:
-    """True when the route-swap certificate of ``verify_dkk_triangulation``
-    goes through; False at the first step that fails."""
     labels, simplices, n = tri.labels, tri.simplices, len(tri.labels)
-    if not (simplices and len(simplices) == normalized_volume
-            and dim == dimension(dag) and validate(dag).ok
+    if not (simplices and len(simplices) == volume
             and all(type(r) is tuple and all(type(e) is str for e in r)
                     and is_route(dag, r) for r in labels)
             and len(set(labels)) == n
@@ -208,13 +216,6 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
                 return True
         return False
 
-    parent = list(range(len(simplices)))
-
-    def root(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = k = parent[parent[k]]
-        return k
-
     # the (simplex k, apex v) pairs as k * n + v, in buckets by ridge mask:
     # a ridge's owners share a bucket, and one bucket's table is held at a time
     buckets = [array("q") for _ in range(_RIDGE_BUCKETS)]
@@ -224,7 +225,6 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
             low = rest & -rest
             rest ^= low
             buckets[(m ^ low) % _RIDGE_BUCKETS].append(k * n + low.bit_length() - 1)
-    parts = len(simplices)
     for bucket in buckets:
         # ridge mask -> its simplex while it lies in one, -1 once in two
         owner: dict[int, int] = {}
@@ -238,16 +238,10 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
                                              ridge):
                 return False
             owner[ridge] = -1
-            a, b = root(k), root(other)
-            if a != b:
-                parent[a] = b
-                parts -= 1
         for ridge, k in owner.items():
             if k >= 0 and all(ridge & through[eid]
                               for eid in labels[(simplices[k] ^ ridge).bit_length() - 1]):
                 return False
-    if parts != 1:
-        return False
     try:
         return is_unimodular_simplex([tri.coords[i] for i in _members(simplices[0])])
     except ValueError:

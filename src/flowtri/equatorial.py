@@ -18,9 +18,9 @@ from typing import Iterator, Sequence
 
 from .dag import Dag, degree_equality, dimension, idle_edges
 from .dkk import coherence_graph, max_cliques
-from .geometry import Triangulation, _mask, _members, join_with_simplex
+from .geometry import _mask, _members, join_with_simplex
 from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
-                     enumerate_routes, indicator_vector)
+                     enumerate_routes)
 
 Transversal = tuple[str, ...]     # entry i is the chosen edge of route i
 
@@ -140,14 +140,6 @@ def joined_simplices(dag: Dag, routes: Sequence[Route], decomp: Sequence[Route],
     to have dim + 1 routes."""
     return join_with_simplex(_mask(map(routes.index, decomp)), sphere.maximal_faces,
                              dimension(dag) + 1)
-
-
-def join_route_simplex(dag: Dag, routes: Sequence[Route], decomp: Sequence[Route],
-                       sphere: Sphere) -> Triangulation:
-    """The join ``joined_simplices`` on the graph's route list, with the
-    routes' indicator vectors as coordinates."""
-    return Triangulation(joined_simplices(dag, routes, decomp, sphere), tuple(routes),
-                         tuple(indicator_vector(dag, r) for r in routes))
 
 
 def equatorial_sphere(dag: Dag, decomp: Sequence[Route], framing: Framing | None = None

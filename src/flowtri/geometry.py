@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb, gcd, prod
+from math import comb, prod
 from operator import mul
 from typing import Collection, Iterable, Sequence
 
@@ -22,59 +22,6 @@ _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))     # for ``
 
 # ---------------------------------------------------------------------------
 # Integer linear algebra
-
-def smith_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero elementary divisors of an integer matrix (by row reduction)."""
-    m = [list(r) for r in rows]
-    divisors: list[int] = []
-    ri = ci = 0
-    nrow = len(m)
-    ncol = len(m[0]) if m else 0
-    while ri < nrow and ci < ncol:
-        # move a nonzero pivot of least magnitude to (ri, ci)
-        pivot = None
-        for i in range(ri, nrow):
-            for j in range(ci, ncol):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        m[ri], m[i0] = m[i0], m[ri]
-        for row in m:
-            row[ci], row[j0] = row[j0], row[ci]
-        while True:
-            done = True
-            for i in range(ri + 1, nrow):
-                q = m[i][ci] // m[ri][ci]
-                if q:
-                    for j in range(ci, ncol):
-                        m[i][j] -= q * m[ri][j]
-                if m[i][ci]:
-                    m[ri], m[i] = m[i], m[ri]
-                    done = False
-            for j in range(ci + 1, ncol):
-                q = m[ri][j] // m[ri][ci]
-                if q:
-                    for i in range(ri, nrow):
-                        m[i][j] -= q * m[i][ci]
-                if m[ri][j]:
-                    for i in range(ri, nrow):
-                        m[i][ci], m[i][j] = m[i][j], m[i][ci]
-                    done = False
-            if done:
-                break
-        divisors.append(abs(m[ri][ci]))
-        ri += 1
-        ci += 1
-    # normalize the divisibility chain d1 | d2 | ...
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            a, b = divisors[i], divisors[j]
-            g = gcd(a, b)
-            divisors[i], divisors[j] = g, a // g * b
-    return divisors
-
 
 def _row_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix.
@@ -109,20 +56,32 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def is_unimodular_simplex(vertices: Sequence[Vector]) -> bool:
-    """True iff the difference lattice of the vertices is saturated.
+    """True iff the difference lattice of the vertices is saturated, that is
+    the simplex is unimodular with respect to the lattice of its affine span;
+    ``ValueError`` when the vertices are affinely dependent.
 
-    The vertices must be affinely independent integer points; then the
-    simplex is unimodular (with respect to the lattice of its affine span)
-    exactly when all Smith divisors of the difference matrix are 1.
+    Unimodular column operations (Euclid on column pairs) bring the
+    difference rows to lower-triangular form; they map Z^n onto itself, so
+    they keep whether the rows' lattice is saturated.  The rows are then
+    independent iff no diagonal entry is 0, and saturated iff each is +-1.
+    Row i is reduced once the rows before it are, and those are 0 past
+    their diagonal, so a column operation on columns >= i leaves them be.
     """
     v0 = vertices[0]
     rows = [[a - b for a, b in zip(v, v0)] for v in vertices[1:]]
-    if not rows:
-        return True
-    divs = smith_divisors(rows)
-    if len(divs) != len(rows):
+    if len(rows) > len(v0):
         raise ValueError("affinely dependent vertices")
-    return all(d == 1 for d in divs)
+    unimodular = True
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(row)):
+            while row[j]:
+                q = row[i] // row[j]
+                for r in rows[i:]:
+                    r[i], r[j] = r[j], r[i] - q * r[j]
+        if not row[i]:
+            raise ValueError("affinely dependent vertices")
+        unimodular = unimodular and abs(row[i]) == 1
+    return unimodular
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_json
 from .dkk import coherence_graph, max_cliques
-from .equatorial import EquatorialFace, equatorial_sphere, join_route_simplex, t_eq
+from .equatorial import EquatorialFace, equatorial_sphere, joined_simplices, t_eq
 from .geometry import _canonical, _mask, _members, join_with_simplex
 from .routes import Framing, Route, decomposition_framing, peel_decomposition
 
@@ -609,7 +609,7 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     if onto_routes and (set(map(mapped, chains)) or {0}) == faces:
         return EquivalenceReport(tuple(issues), decomp, len(faces), len(faces))
     order_faces = set(map(mapped, join_with_simplex(sigma, chains, len(poset.elements) + 1)))
-    flow_faces = set(join_route_simplex(dag, routes, decomp, sphere).simplices)
+    flow_faces = set(joined_simplices(dag, routes, decomp, sphere))
     compare("equatorial", order_faces, flow_faces)
     if not onto_routes:
         issues.append("rank-constant simplex does not map onto the route simplex")

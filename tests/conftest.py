@@ -7,20 +7,20 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, gcd
 from typing import Iterable, Mapping, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
-from flowtri import geometry, planar
+from flowtri import dkk, geometry, planar
 from flowtri.dag import (SOURCE, Dag, contract_idle_edges, degree_equality, dimension,
                          gorenstein_completion, idle_edges, make_dag, random_dag,
                          validate)
 from flowtri.dkk import dkk_triangulation, exceptional_routes, verify_dkk_triangulation
 from flowtri.equatorial import (EquatorialFace, Sphere, Transversal,
                                 enumerate_transversals, equatorial_sphere,
-                                join_route_simplex)
+                                joined_simplices)
 from flowtri.geometry import (Triangulation, Vector, _mask, _members, ehrhart_hstar,
                               euler_characteristic, h_from_f, is_unimodular_simplex,
                               normalized_volume)
@@ -28,7 +28,8 @@ from flowtri.planar import (BOTTOM, TOP, PlanarDual, Poset, make_poset,
                             maximal_equatorial_chains, maximal_filter_chains,
                             rank_constant_filters)
 from flowtri.quotient import QuotientPolytope, ReflexiveReport
-from flowtri.routes import Framing, Route, decomposition_framing, route_decomposition
+from flowtri.routes import (Framing, Route, decomposition_framing, indicator_vector,
+                            route_decomposition)
 
 
 def random_balanced_dag(rng: random.Random, max_edges: int = 9) -> Dag:
@@ -138,9 +139,11 @@ def sphere(dag: Dag, decomp: tuple[Route, ...]) -> Sphere:
 
 
 def equatorial_flow_triangulation(dag: Dag, decomp: Sequence[Route]) -> Triangulation:
-    """Join of the equatorial sphere with the route simplex."""
+    """Join of the equatorial sphere with the route simplex, on the graph's
+    route list, with the routes' indicator vectors as coordinates."""
     routes, _, _, teq = equatorial_sphere(dag, decomp)
-    return join_route_simplex(dag, routes, decomp, teq)
+    return Triangulation(joined_simplices(dag, routes, decomp, teq), routes,
+                         tuple(indicator_vector(dag, r) for r in routes))
 
 
 def members(simplices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -163,7 +166,7 @@ def member_list_report(command: str, dag: Dag, digest: str) -> dict:
 
     if command == "dkk":
         tri = dkk_triangulation(dag, decomposition_framing(dag, decomp))
-        check = verify_dkk_triangulation(dag, tri, dimension(dag), normalized_volume(dag))
+        check = verify_dkk_triangulation(dag, tri)
         return {**report, "routes": len(tri.labels),
                 "simplices": route_lists(tri.labels, tri.simplices),
                 "exceptional_routes": [list(r) for r in exceptional_routes(tri)],
@@ -176,8 +179,7 @@ def member_list_report(command: str, dag: Dag, digest: str) -> dict:
             "sphere": {"maximal_faces": route_lists(routes, teq.maximal_faces),
                        "f_vector": list(teq.f_vector),
                        "euler_characteristic": euler_characteristic(teq.f_vector)},
-            "simplices": route_lists(routes, join_route_simplex(dag, routes, decomp,
-                                                                teq).simplices),
+            "simplices": route_lists(routes, joined_simplices(dag, routes, decomp, teq)),
             "h_vector": list(h), "h_star": list(h_star),
             "h_equals_h_star": list(h) == list(h_star[:len(h)]) and not any(h_star[len(h):])}
 
@@ -532,7 +534,7 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
     sigma = planar.rank_constant_filters(poset)
     order_faces = mapped(members(planar.join_with_simplex(
         sigma, planar.maximal_equatorial_chains(poset), len(poset.elements) + 1)))
-    flow_faces = set(members(planar.join_route_simplex(dag, routes, decomp, sphere).simplices))
+    flow_faces = set(members(planar.joined_simplices(dag, routes, decomp, sphere)))
     compare("equatorial", order_faces, flow_faces)
     if {routes[route_of[i]] for i in _members(sigma)} != set(decomp):
         issues.append("rank-constant simplex does not map onto the route simplex")
@@ -903,6 +905,79 @@ def simplices_meet_in_common_face(vs: Sequence[Vector], vt: Sequence[Vector],
     return opt is None or opt == 0
 
 
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix, by Laplace expansion
+    along the first row; 1 for the empty matrix."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def maximal_minor_gcd(rows: Sequence[Sequence[int]]) -> int:
+    """The gcd of all k x k minors of a k-row integer matrix, one exact
+    determinant per column subset: 1 iff the rows are independent and their
+    lattice is saturated, 0 iff they are dependent (also for k > columns)."""
+    ncol = len(rows[0]) if rows else 0
+    return gcd(*(determinant([[r[c] for c in cols] for r in rows])
+                 for cols in combinations(range(ncol), len(rows))))
+
+
+def smith_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Nonzero elementary divisors of an integer matrix (by row reduction):
+    the Smith-form oracle of ``geometry.rank``.  Its entries can grow without
+    bound on dense matrices, so ``is_unimodular_simplex`` does not use it."""
+    m = [list(r) for r in rows]
+    divisors: list[int] = []
+    ri = ci = 0
+    nrow = len(m)
+    ncol = len(m[0]) if m else 0
+    while ri < nrow and ci < ncol:
+        # move a nonzero pivot of least magnitude to (ri, ci)
+        pivot = None
+        for i in range(ri, nrow):
+            for j in range(ci, ncol):
+                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        i0, j0 = pivot
+        m[ri], m[i0] = m[i0], m[ri]
+        for row in m:
+            row[ci], row[j0] = row[j0], row[ci]
+        while True:
+            done = True
+            for i in range(ri + 1, nrow):
+                q = m[i][ci] // m[ri][ci]
+                if q:
+                    for j in range(ci, ncol):
+                        m[i][j] -= q * m[ri][j]
+                if m[i][ci]:
+                    m[ri], m[i] = m[i], m[ri]
+                    done = False
+            for j in range(ci + 1, ncol):
+                q = m[ri][j] // m[ri][ci]
+                if q:
+                    for i in range(ri, nrow):
+                        m[i][j] -= q * m[i][ci]
+                if m[ri][j]:
+                    for i in range(ri, nrow):
+                        m[i][ci], m[i][j] = m[i][j], m[i][ci]
+                    done = False
+            if done:
+                break
+        divisors.append(abs(m[ri][ci]))
+        ri += 1
+        ci += 1
+    # normalize the divisibility chain d1 | d2 | ...
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            a, b = divisors[i], divisors[j]
+            g = gcd(a, b)
+            divisors[i], divisors[j] = g, a // g * b
+    return divisors
+
+
 def with_simplices(tri: Triangulation, simplices: Iterable[int]) -> Triangulation:
     """``tri`` with the given simplex masks in place of its own."""
     return Triangulation(tuple(simplices), tri.labels, tri.coords)
@@ -963,15 +1038,17 @@ def corrupted(dag: Dag, tri: Triangulation) -> dict[str, tuple[Triangulation, in
 
 @pytest.fixture
 def linear_algebra_calls(monkeypatch) -> Counter:
-    """Counts, while the test runs, the calls of ``geometry.smith_divisors``
-    (one per unimodularity test) and ``geometry._vertex_functionals`` (one
-    per simplex in ``verify_triangulation``'s ridge check)."""
+    """Counts, while the test runs, the unimodularity tests
+    (``is_unimodular_simplex``, wherever ``geometry`` or ``dkk`` call it)
+    and the calls of ``geometry._vertex_functionals`` (one per simplex in
+    ``verify_triangulation``'s ridge check)."""
     calls: Counter = Counter()
-    for name in ("smith_divisors", "_vertex_functionals"):
-        def counted(*args, _name=name, _fn=getattr(geometry, name)):
+    for module, name in ((geometry, "is_unimodular_simplex"), (dkk, "is_unimodular_simplex"),
+                         (geometry, "_vertex_functionals")):
+        def counted(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(geometry, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 

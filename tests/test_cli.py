@@ -522,7 +522,8 @@ def test_graph_read_once_from_dev_fd():
 
 
 # JSON values of the types reports hold, with one leaf list shared at
-# several places: the writer memoises a leaf list's text by id and depth.
+# several places and depths: the writer renders an all-str or all-int list
+# by one join wherever it meets it.
 TEXT = st.text() | st.text(st.characters(categories=["Cs", "Cc", "Lo"]))
 SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
           | st.integers(max_value=-1) | TEXT)
@@ -655,10 +656,12 @@ def test_equatorial_streams_its_report(tmp_path, monkeypatch):
 
 
 def test_cli_builds_no_indicator_vectors(capsys, monkeypatch, d2_file):
-    """``equatorial`` and ``fuzz`` use the join's masks and size check only."""
+    """``equatorial`` and ``fuzz`` use the join's masks and size check only:
+    no module that binds ``indicator_vector`` calls it for them."""
     def refuse(*_):
         raise AssertionError("indicator vector built")
-    monkeypatch.setattr(cli.eqmod, "indicator_vector", refuse)
+    for module in (cli.rmod, cli.dkkmod):
+        monkeypatch.setattr(module, "indicator_vector", refuse)
     for argv in (["equatorial", d2_file, "--exhaustive-dkk"], ["fuzz", "--count", "6"]):
         code, _, err = run(capsys, argv)
         assert (code, err) == (0, "")        # fuzz exits 1 on any failure

@@ -134,9 +134,11 @@ CATALOG = {"D1": D1(), "D2": D2(), "D3": D3(), "G3": G(3), "zigzag": zigzag(),
            "chain4x2": chain(4, 2)}
 
 
-def assert_same_report(dag, tri, dim, volume):
-    assert verify_dkk_triangulation(dag, tri, dim, volume) == \
-        verify_triangulation(tri, dim, volume)
+def assert_same_report(dag, tri):
+    """The certificate's report is the ridge check's against the graph's own
+    dimension and normalized volume."""
+    assert verify_dkk_triangulation(dag, tri) == \
+        verify_triangulation(tri, dimension(dag), normalized_volume(dag))
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -144,13 +146,12 @@ def test_certificate_agrees_with_ridge_check_catalog(name):
     """On the DKK triangulations of every framing (of the decomposition
     framing past 64 framings) and on the equatorial triangulation."""
     dag = CATALOG[name]
-    dim, volume = dimension(dag), normalized_volume(dag)
     decomp = route_decomposition(dag)
     framings = (_all_framings(dag) if framing_count(dag) <= 64
                 else [decomposition_framing(dag, decomp)])
     for framing in framings:
-        assert_same_report(dag, dkk_triangulation(dag, framing), dim, volume)
-    assert_same_report(dag, equatorial_flow_triangulation(dag, decomp), dim, volume)
+        assert_same_report(dag, dkk_triangulation(dag, framing))
+    assert_same_report(dag, equatorial_flow_triangulation(dag, decomp))
 
 
 @settings(max_examples=30, deadline=None)
@@ -158,32 +159,37 @@ def test_certificate_agrees_with_ridge_check_catalog(name):
 def test_certificate_agrees_with_ridge_check_random(seed, dag):
     rng = random.Random(seed)
     for dag in (dag, random_balanced_dag(rng, max_edges=8)):
-        dim, volume = dimension(dag), normalized_volume(dag)
         decomp = route_decomposition(dag)
         for tri in (dkk_triangulation(dag, decomposition_framing(dag, decomp)),
                     dkk_triangulation(dag, random_framing(rng, dag)),
                     equatorial_flow_triangulation(dag, decomp)):
-            assert_same_report(dag, tri, dim, volume)
+            assert_same_report(dag, tri)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG) + ["ru(3,5,.5,1)"])
 def test_certificate_takes_one_determinant(name, linear_algebra_calls):
     dag = CATALOG.get(name, RU351)
     tri = dkk_triangulation(dag, _decomp_framing(dag))
-    report = verify_dkk_triangulation(dag, tri, dimension(dag), normalized_volume(dag))
+    report = verify_dkk_triangulation(dag, tri)
     assert report.ok, report.issues
-    assert linear_algebra_calls == {"smith_divisors": 1}
+    assert linear_algebra_calls == {"is_unimodular_simplex": 1}
 
 
 @pytest.mark.parametrize("name", ["D1", "D2", "zigzag", "bypass", "chain4x2"])
 def test_certificate_falls_back_on_corruptions(name):
-    """Each corruption fails the certificate, and the report is the ridge
-    check's, issue for issue."""
+    """Each corruption of the triangulation fails the certificate, and the
+    report is the ridge check's, issue for issue.  The corruptions that fake
+    the dimension or the volume cannot reach the certificate, which works
+    both out from the graph; they stay controls of the ridge check."""
     dag = CATALOG[name]
+    dim, volume = dimension(dag), normalized_volume(dag)
     tri = dkk_triangulation(dag, _decomp_framing(dag))
-    for what, (bad, dim, volume) in corrupted(dag, tri).items():
+    for what, (bad, bad_dim, bad_volume) in corrupted(dag, tri).items():
+        if (bad_dim, bad_volume) != (dim, volume):
+            assert not verify_triangulation(bad, bad_dim, bad_volume).ok, what
+            continue
         assert not _swap_certificate(dag, bad, dim, volume), what
-        assert_same_report(dag, bad, dim, volume)
+        assert_same_report(dag, bad)
 
 
 # G(1) is one edge: dimension 0, one route and one simplex, the mask 1.  Each
@@ -202,13 +208,15 @@ def test_certificate_rejects_a_simplex_of_the_wrong_shape(shape):
     bad = with_simplices(tri, (SHAPES[shape],))
     assert not _swap_certificate(g1, bad, 0, 1)
     assert not verify_triangulation(bad, 0, 1).ok
-    assert_same_report(g1, bad, 0, 1)
+    assert_same_report(g1, bad)
 
 
 def test_certificate_needs_swap_connected_simplices():
-    """Two triangulations of the cube chain 3x2 with no ridge in common,
-    given their joint simplex count as the volume: every ridge passes, but
-    the swaps do not connect the two halves, so the certificate declines."""
+    """Two triangulations of the cube chain 3x2 with no ridge in common:
+    every ridge passes and the swaps do not connect the two halves.  Given
+    their joint simplex count (12) as the volume, the certificate would take
+    the double cover; the count against the cube's own volume (6), which
+    ``verify_dkk_triangulation`` works out, declines it."""
     cube = chain(3, 2)
     kuhn = dkk_triangulation(cube, _decomp_framing(cube))
     # route i takes edge b{k}.{bit k of i, from the top}: 0 = 000, ..., 7 = 111
@@ -216,11 +224,14 @@ def test_certificate_needs_swap_connected_simplices():
     # cut off the corners 000 and 111, and split the rest around 010-101
     other = tuple(map(_mask, ((0, 1, 2, 4), (1, 2, 3, 5), (1, 2, 4, 5), (2, 3, 5, 6),
                               (2, 4, 5, 6), (3, 5, 6, 7))))
+    assert normalized_volume(cube) == 6
     assert _swap_certificate(cube, with_simplices(kuhn, other), 3, 6)
     both = with_simplices(kuhn, kuhn.simplices + other)
-    assert not _swap_certificate(cube, both, 3, 12)
-    assert_same_report(cube, both, 3, 12)
-    assert_same_report(cube, both, 3, 6)
+    assert _swap_certificate(cube, both, 3, 12)
+    assert not _swap_certificate(cube, both, 3, 6)
+    report = verify_dkk_triangulation(cube, both)
+    assert not report.ok
+    assert report == verify_triangulation(both, 3, 6)
 
 
 def test_certificate_falls_back_where_a_ridge_is_no_prefix_swap():
@@ -233,17 +244,18 @@ def test_certificate_falls_back_where_a_ridge_is_no_prefix_swap():
     split = with_simplices(kuhn, map(_mask, ((0, 1, 2, 4), (1, 2, 3, 4), (1, 3, 4, 5),
                                              (2, 3, 4, 6), (3, 4, 5, 6), (3, 5, 6, 7))))
     assert not _swap_certificate(cube, split, 3, 6)
-    assert verify_dkk_triangulation(cube, split, 3, 6).ok
+    assert verify_dkk_triangulation(cube, split).ok
 
 
 def test_certificate_rejects_a_folded_simplex():
-    """G(3)'s one simplex, listed twice with volume 2: each ridge lies in
-    both copies with its apex on one side, which no swap crosses."""
+    """G(3)'s one simplex, listed twice, given volume 2 so that the count
+    passes: each ridge lies in both copies with its apex on one side, which
+    no swap crosses."""
     g3 = CATALOG["G3"]
     tri = dkk_triangulation(g3, _decomp_framing(g3))
     folded = with_simplices(tri, tri.simplices * 2)
     assert len(folded.simplices) == 2
     assert not _swap_certificate(g3, folded, 2, 2)
-    report = verify_dkk_triangulation(g3, folded, 2, 2)
+    report = verify_dkk_triangulation(g3, folded)
     assert not report.ok
-    assert report == verify_triangulation(folded, 2, 2)
+    assert report == verify_triangulation(folded, 2, 1)

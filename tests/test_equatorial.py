@@ -11,7 +11,7 @@ from flowtri.dkk import max_cliques
 from flowtri.equatorial import (EquatorialFace, differs_from_dkk,
                                 enumerate_transversals, equatorial_facets,
                                 equatorial_sphere, framing_count,
-                                join_route_simplex, t_eq)
+                                joined_simplices, t_eq)
 from flowtri.geometry import (ehrhart_hstar, h_from_f, normalized_volume,
                               verify_triangulation)
 from flowtri.routes import enumerate_routes, route_decomposition
@@ -224,9 +224,9 @@ def test_sphere_h_equals_join_h_catalog(name):
     dag, decomp = CATALOG[name]
     decomp = decomp or route_decomposition(dag)
     routes, _, _, s = equatorial_sphere(dag, decomp)
-    join = join_route_simplex(dag, routes, decomp, s)
+    join = joined_simplices(dag, routes, decomp, s)
     assert h_from_f(s.f_vector) == h_polynomial(Complex(members(s.maximal_faces))) == \
-        h_polynomial(Complex(members(join.simplices)))
+        h_polynomial(Complex(members(join)))
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

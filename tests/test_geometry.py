@@ -10,12 +10,11 @@ from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
                          degree_equality, dimension, gorenstein_completion,
                          idle_edges, make_dag, random_dag, zigzag)
 from flowtri.dkk import dkk_triangulation, verify_dkk_triangulation
-from flowtri.equatorial import equatorial_sphere, join_route_simplex
+from flowtri.equatorial import equatorial_sphere, joined_simplices
 from flowtri.geometry import (LANES, Triangulation, _canonical, _mask, _members,
                               count_lattice_points, ehrhart_hstar,
                               is_unimodular_simplex, join_with_simplex, lattice_counts,
-                              normalized_volume, rank, smith_divisors,
-                              verify_triangulation)
+                              normalized_volume, rank, verify_triangulation)
 from flowtri.planar import make_poset, maximal_equatorial_chains, rank_constant_filters
 from flowtri.routes import (decomposition_framing, enumerate_routes,
                             route_decomposition)
@@ -24,10 +23,10 @@ from tests.conftest import (brute_count_lattice_points, chain,
                             equatorial_flow_triangulation, equatorial_order_triangulation,
                             f_vector, h_polynomial, hstar_by_binomials,
                             interpolate_polynomial,
-                            is_gorenstein, is_pure, lp_triangulation_ok, members,
-                            per_dilate_count_lattice_points, random_balanced_dag, ridges_in_two_facets,
-                            simplices_meet_in_common_face, swapped_vertex,
-                            trimmed, with_simplices)
+                            is_gorenstein, is_pure, lp_triangulation_ok, maximal_minor_gcd,
+                            members, per_dilate_count_lattice_points, random_balanced_dag,
+                            ridges_in_two_facets, simplices_meet_in_common_face,
+                            smith_divisors, swapped_vertex, trimmed, with_simplices)
 
 
 def test_smith_divisors_known_matrices():
@@ -63,6 +62,43 @@ def test_unimodular_simplex():
     assert not is_unimodular_simplex([(0, 0), (2, 0), (0, 1)])
     # lower-dimensional simplex in a bigger ambient space, lattice basis
     assert is_unimodular_simplex([(0, 0, 0), (1, 0, 1)])
+
+
+@st.composite
+def vertex_lists(draw) -> list[tuple[int, ...]]:
+    """1 to n + 2 integer points in Z^n (n <= 5), so more difference rows
+    than columns come up, with up to two vertices repeated (a repeat of the
+    first vertex is a zero row)."""
+    n = draw(st.integers(0, 5))
+    point = st.tuples(*[st.integers(-3, 3)] * n)
+    vertices = draw(st.lists(point, min_size=1, max_size=n + 2))
+    for i in draw(st.lists(st.integers(0, len(vertices) - 1), max_size=2)):
+        vertices.insert(draw(st.integers(0, len(vertices))), vertices[i])
+    return vertices
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_lists())
+def test_unimodular_simplex_matches_maximal_minors(vertices):
+    """The column pass is unimodular iff the maximal minors of the
+    difference rows have gcd 1, and raises iff they are all 0."""
+    rows = [[a - b for a, b in zip(v, vertices[0])] for v in vertices[1:]]
+    g = maximal_minor_gcd(rows)
+    if g == 0:
+        with pytest.raises(ValueError, match="affinely dependent"):
+            is_unimodular_simplex(vertices)
+    else:
+        assert is_unimodular_simplex(vertices) == (g == 1)
+
+
+def test_unimodular_simplex_on_a_dense_matrix():
+    """A 7 x 7 difference matrix on which the Smith form's entries grew past
+    5 M bits in 20 passes: the column pass decides it at once."""
+    vertices = [(3, -3, -6, 6, -9, 3, 4), (-9, 5, -1, -2, 9, -6, 1), (-9, -9, -9, 8, -9, 3, -3),
+                (4, -9, 7, -2, 5, 6, 8), (-2, 2, -2, -2, 5, 0, -9), (4, 8, -6, -4, 0, -6, 1),
+                (7, 4, 7, -3, 0, 0, 9), (6, 7, 3, 9, -8, 6, -2)]
+    rows = [[a - b for a, b in zip(v, vertices[0])] for v in vertices[1:]]
+    assert is_unimodular_simplex(vertices) == (maximal_minor_gcd(rows) == 1)
 
 
 def test_common_face_lp():
@@ -390,8 +426,10 @@ def test_verify_triangulation_reports_malformed_input():
         assert verify_triangulation(*case).issues == (
             f"simplex {entry!r} is not a mask of vertex indices",)
         cases.append(case)
-    for case in cases:
-        assert verify_dkk_triangulation(d1, *case) == verify_triangulation(*case)
+    for case in cases[1:]:          # D1 has dimension 2 and volume 2
+        assert verify_dkk_triangulation(d1, case[0]) == verify_triangulation(*case)
+    with pytest.raises(ValueError, match="invalid graph"):
+        verify_dkk_triangulation(make_dag(1, [("a", 0, 2)]), square)
     cube = chain(3, 2)
     tri = dkk_triangulation(cube, decomposition_framing(cube, route_decomposition(cube)))
     face = _mask(i for i, x in enumerate(tri.coords) if x[0] == 1)   # a square
@@ -421,7 +459,7 @@ def test_join_with_an_empty_complex_or_a_wrong_size():
     decomp = route_decomposition(g3)
     routes, _, _, sphere = equatorial_sphere(g3, decomp)
     assert members(sphere.maximal_faces) == ((),)
-    assert members(join_route_simplex(g3, routes, decomp, sphere).simplices) == ((0, 1, 2),)
+    assert members(joined_simplices(g3, routes, decomp, sphere)) == ((0, 1, 2),)
     chain3 = make_poset("abc", [("a", "b"), ("b", "c")])
     assert maximal_equatorial_chains(chain3) == ()
     sigma = rank_constant_filters(chain3)
