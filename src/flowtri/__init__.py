@@ -9,8 +9,7 @@ from .dag import (D1, D2, D3, Dag, Edge, G, bypass, contract_idle_edges,
                   zigzag, zigzag_rotations)
 from .dkk import (coherence_graph, dkk_triangulation, exceptional_routes,
                   verify_dkk_triangulation)
-from .equatorial import (differs_from_dkk, enumerate_transversals,
-                         equatorial_facets, equatorial_sphere, t_eq)
+from .equatorial import differs_from_dkk, equatorial_facets, equatorial_sphere, t_eq
 from .geometry import (Triangulation, count_lattice_points, ehrhart_hstar,
                        normalized_volume, verify_triangulation)
 from .planar import (PlanarEmbedding, Poset, make_poset, planar_dual,

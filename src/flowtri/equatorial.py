@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations, product
 from math import factorial, prod
-from operator import and_, or_
-from typing import Iterator, Sequence
+from operator import or_
+from typing import Iterable, Iterator, Sequence
 
 from .dag import Dag, degree_equality, dimension, idle_edges
 from .dkk import coherence_graph, max_cliques
@@ -42,9 +42,21 @@ class Sphere:
     f_vector: tuple[int, ...]
 
 
-def enumerate_transversals(decomp: Sequence[Route]) -> Iterator[Transversal]:
-    """Cartesian product of the routes' edge sets, lexicographic order."""
-    return product(*decomp)
+def _avoided_sets(everyone: int, groups: Iterable[Sequence[tuple[str, int]]]
+                  ) -> dict[int, Transversal]:
+    """Each AND, from ``everyone``, of one ``keep`` mask per group -> the
+    first choice of names reaching it in product order, in that order, grown
+    group by group.  Sound: let t be the first choice reaching an AND X; at
+    every stage t's prefix is the first reaching its partial AND, else a
+    smaller prefix with that AND, extended by the rest of t, would reach X
+    before t.  (Checked on 20,000 random lists of 0-4 groups of 1-4 pairs.)"""
+    sets = {everyone: ()}
+    for group in groups:
+        grown: dict[int, Transversal] = {}
+        for (m, choice), (name, keep) in product(sets.items(), group):
+            grown.setdefault(m & keep, choice + (name,))
+        sets = grown
+    return sets
 
 
 def equatorial_facets(dag: Dag, decomp: Sequence[Route],
@@ -52,11 +64,10 @@ def equatorial_facets(dag: Dag, decomp: Sequence[Route],
     """Facets of the equatorial complex over ``routes`` (the graph's route
     list, ``enumerate_routes(dag)``), deduplicated by avoided-route set.
 
-    A transversal's avoided routes are those that share no edge with it: the
-    AND, over its edges, of the routes missing each edge.  It is a facet
-    transversal when the avoided routes' heads cover every inner vertex.
-    Distinct transversals frequently carve out the same face; the first
-    transversal in lexicographic order is kept as the representative.
+    A transversal's avoided routes share no edge with it: the AND, over its
+    edges, of the routes missing each (``_avoided_sets``, which keeps the
+    first transversal per face).  It is a facet transversal when the
+    avoided routes' heads cover every inner vertex.
     """
     if not degree_equality(dag):
         raise NotGorensteinError("not Gorenstein: degree equality fails")
@@ -71,12 +82,10 @@ def equatorial_facets(dag: Dag, decomp: Sequence[Route],
             missing[e] &= ~(1 << i)
         heads.append(_mask(dag.edge_by_id[e].head for e in r))
     inner = _mask(dag.inner_vertices)
-    first: dict[int, Transversal] = {}
-    for m in enumerate_transversals(decomp):
-        first.setdefault(reduce(and_, map(missing.__getitem__, m), everyone), m)
-    faces = sorted((_members(rs), rs, m) for rs, m in first.items())
-    return tuple(EquatorialFace(m, rs) for members, rs, m in faces
-                 if reduce(or_, map(heads.__getitem__, members), 0) & inner == inner)
+    avoided = _avoided_sets(everyone, [[(e, missing[e]) for e in r] for r in decomp])
+    faces = sorted((ids, rs, m) for rs, m in avoided.items()
+                   if reduce(or_, map(heads.__getitem__, ids := _members(rs)), 0) & inner == inner)
+    return tuple(EquatorialFace(m, rs) for _, rs, m in faces)
 
 
 def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sphere:

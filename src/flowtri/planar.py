@@ -18,7 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_json
 from .dkk import coherence_graph, max_cliques
-from .equatorial import EquatorialFace, equatorial_sphere, joined_simplices, t_eq
+from .equatorial import (EquatorialFace, _avoided_sets, equatorial_sphere,
+                         joined_simplices, t_eq)
 from .geometry import _canonical, _mask, _members, join_with_simplex
 from .routes import Framing, Route, decomposition_framing, peel_decomposition
 
@@ -223,7 +224,7 @@ def embedding_to_json(dag: Dag, emb: PlanarEmbedding) -> dict:
 
 
 def _trace(edge_ends: Mapping[str, tuple], rotations: Mapping) -> Trace:
-    """Face orbits of a rotation system.
+    """Face orbits of a rotation system, checked planar: V - E + F = 2.
 
     The successor of a dart leaves the dart's arrival vertex along the edge
     preceding it in the counterclockwise rotation there; every orbit is the
@@ -251,6 +252,8 @@ def _trace(edge_ends: Mapping[str, tuple], rotations: Mapping) -> Trace:
             orbit.append(nxt)
             nxt = succ(nxt)
         orbits.append(tuple(orbit))
+    if len(rotations) - len(edge_ends) + len(orbits) != 2:
+        raise ValueError("rotation system is not planar (Euler check fails)")
     return orbits, face_of
 
 
@@ -269,10 +272,7 @@ def validate_embedding(dag: Dag, emb: PlanarEmbedding) -> Trace:
         flips = sum(kinds[i] != kinds[i - 1] for i in range(len(kinds)))
         if flips != 2:
             raise ValueError(f"in/out edges are not contiguous at {v}")
-    orbits, face_of = _trace({e.id: (e.tail, e.head) for e in dag.edges}, rots)
-    if (dag.sink + 1) - len(dag.edges) + len(orbits) != 2:
-        raise ValueError("rotation system is not planar (Euler check fails)")
-    return orbits, face_of
+    return _trace({e.id: (e.tail, e.head) for e in dag.edges}, rots)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +344,6 @@ def poset_to_dag(poset: Poset) -> tuple[Dag, PlanarEmbedding]:
     ends = {eid: (a, b) for eid, a, b in edges}
     hasse_rotations = _layered_rotations(poset, edges)
     orbits, face_of = _trace(ends, hasse_rotations)
-    if len(hasse_rotations) - len(ends) + len(orbits) != 2:
-        raise ValueError("Hasse rotation system is not planar (Euler check fails)")
     outer = face_of[(hasse_rotations[BOTTOM][-1], 1)]
 
     inner = [i for i in range(len(orbits)) if i != outer]
@@ -479,25 +477,19 @@ def maximal_equatorial_chains(poset: Poset) -> tuple[int, ...]:
     cuts it) on some cover into each rank j >= 2, one cover per rank.  So
     the chains are the faces of ``t_eq`` on the proper filters'
     comparability graph, with one facet per inclusion-maximal set of the
-    filters that cut no cover of a choice, that choice standing for the
-    transversal.  Its facets have n - r filters for n elements in r ranks;
-    none (the empty face alone) means no chains.
+    filters that cut no cover of a choice, the facet's transversal
+    (``equatorial._avoided_sets``).  Its facets have n - r filters for n
+    elements in r ranks; none (the empty face alone) means no chains.
     """
     if not poset.graded:
         raise ValueError("poset is not graded")
     rows = poset.comparability[1:-1]                  # filters sorted by size
     everyone = (1 << len(rows)) - 1
     cutters = [c >> 1 & everyone for c in _cutters(poset, poset.covers)]
-    names = [f"{a}<{b}" for a, b in poset.covers]    # the covers' edge ids in the DAG
     h = poset.heights
-    uncut = {everyone: ()}                            # filters -> first choice leaving them
-    for j in range(2, max(h.values(), default=0) + 1):
-        into = [k for k, (_, b) in enumerate(poset.covers) if h[b] == j]
-        grown: dict[int, tuple[str, ...]] = {}
-        for m, choice in uncut.items():
-            for k in into:
-                grown.setdefault(m & ~cutters[k], choice + (names[k],))
-        uncut = grown
+    into = [[(f"{a}<{b}", ~c) for (a, b), c in zip(poset.covers, cutters) if h[b] == j]
+            for j in range(2, max(h.values(), default=0) + 1)]   # DAG edge id, uncut filters
+    uncut = _avoided_sets(everyone, into)             # filters -> first choice leaving them
     facets = [EquatorialFace(choice, m) for m, choice in uncut.items()
               if not any(m != o and m & o == m for o in uncut)]
     size = len(poset.elements) - max(h.values(), default=0)

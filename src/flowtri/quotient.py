@@ -15,7 +15,7 @@ from itertools import chain, product
 from typing import Mapping, Sequence
 
 from .dag import Dag, degree_equality
-from .equatorial import Transversal, enumerate_transversals, equatorial_facets
+from .equatorial import Transversal, equatorial_facets
 from .geometry import rank
 from .routes import NotGorensteinError, Route, enumerate_routes
 
@@ -223,7 +223,7 @@ def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
     if len({c for _, c in verts}) != len(verts):
         raise AssertionError("projected vertices are not distinct")
     functionals = {m: transversal_functional(dag, space, decomp, m)
-                   for m in enumerate_transversals(decomp)}
+                   for m in product(*decomp)}
     seen: dict[tuple[int, ...], Transversal] = {}
     for face in equatorial_facets(dag, decomp, routes):
         seen.setdefault(functionals[face.transversal], face.transversal)

@@ -18,8 +18,7 @@ from flowtri.dag import (SOURCE, Dag, contract_idle_edges, degree_equality, dime
                          gorenstein_completion, idle_edges, make_dag, random_dag,
                          validate)
 from flowtri.dkk import dkk_triangulation, exceptional_routes, verify_dkk_triangulation
-from flowtri.equatorial import (EquatorialFace, Sphere, Transversal,
-                                enumerate_transversals, equatorial_sphere,
+from flowtri.equatorial import (EquatorialFace, Sphere, Transversal, equatorial_sphere,
                                 joined_simplices)
 from flowtri.geometry import (Triangulation, Vector, _mask, _members, ehrhart_hstar,
                               euler_characteristic, h_from_f, is_unimodular_simplex,
@@ -103,6 +102,14 @@ def chain(k: int, m: int) -> Dag:
     """k consecutive bundles of m parallel edges: a product of k
     (m-1)-simplices, of dimension k(m-1)."""
     return make_dag(k - 1, [(f"b{i}.{j}", i, i + 1) for i in range(k) for j in range(m)])
+
+
+# perfbench's gen.route_union(Random(1), 3, 5, .5), written out: dim 10, 51
+# routes, 144 transversals and 1,106 DKK simplices.
+RU351 = make_dag(3, [("e00", 0, 1), ("e01", 0, 1), ("e02", 0, 1), ("e03", 0, 2),
+                     ("e04", 0, 3), ("e05", 1, 2), ("e06", 1, 3), ("e07", 1, 4),
+                     ("e08", 2, 3), ("e09", 2, 3), ("e10", 3, 4), ("e11", 3, 4),
+                     ("e12", 3, 4), ("e13", 3, 4)])
 
 
 def random_framing(rng: random.Random, dag: Dag) -> Framing:
@@ -426,12 +433,26 @@ def set_equatorial_facets(dag: Dag, decomp: Sequence[Route],
     """The equatorial facets by a Python set per transversal: the oracle for
     the mask-based ``equatorial.equatorial_facets``."""
     seen: dict[frozenset[int], Transversal] = {}
-    for m in enumerate_transversals(decomp):
+    for m in product(*decomp):
         avoided = routes_avoiding(routes, m)
         if is_facet_transversal(dag, routes, avoided):
             seen.setdefault(avoided, m)
     return tuple(EquatorialFace(m, _mask(rs))
                  for rs, m in sorted(seen.items(), key=lambda kv: sorted(kv[0])))
+
+
+def product_avoided_sets(everyone: int, groups: Sequence[Sequence[tuple[str, int]]]
+                         ) -> dict[int, Transversal]:
+    """Every full choice of one (name, keep) pair per group, in product
+    order: the AND of its keep masks from ``everyone`` -> the first choice
+    reaching it.  The oracle for ``equatorial._avoided_sets``."""
+    first: dict[int, Transversal] = {}
+    for choice in product(*groups):
+        m = everyone
+        for _, keep in choice:
+            m &= keep
+        first.setdefault(m, tuple(name for name, _ in choice))
+    return first
 
 
 def common_face(dag: Dag, decomp: Sequence[Route], routeset: Sequence[Route]) -> bool:

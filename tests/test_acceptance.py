@@ -10,8 +10,7 @@ from flowtri.cli import main
 from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, degree_equality,
                          dimension, random_dag, stacked_rotations)
 from flowtri.dkk import dkk_triangulation
-from flowtri.equatorial import (differs_from_dkk, enumerate_transversals,
-                                equatorial_facets, framing_count)
+from flowtri.equatorial import differs_from_dkk, equatorial_facets, framing_count
 from flowtri.geometry import (Triangulation, _mask, count_lattice_points, ehrhart_hstar,
                               normalized_volume, verify_triangulation)
 from flowtri.planar import PlanarEmbedding, verify_equivalence
@@ -117,7 +116,7 @@ def test_criterion_6_transversal_identity():
         ok = ok and (pairs, failures) == dense_pairs_and_failures(q) and not failures
         rows = dense_transversal_identity(q)
         ok = ok and [(s, m) for s, m, _, _ in rows] == list(
-            product(enumerate_routes(dag), enumerate_transversals(decomp)))
+            product(enumerate_routes(dag), product(*decomp)))
         counts.append(pairs)
     ok = ok and counts == [16, 72, 72]
     report(6, "facet-functional identity holds for every (route, transversal)"

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
+from flowtri.dag import D1, D2, D3, G, bypass, dimension, zigzag
 from flowtri.dkk import (_swap_certificate, coherence_graph, dkk_triangulation,
                          exceptional_routes, max_cliques, verify_dkk_triangulation)
 from flowtri.equatorial import _all_framings, framing_count
 from flowtri.geometry import _mask, ehrhart_hstar, normalized_volume, verify_triangulation
 from flowtri.routes import decomposition_framing, enumerate_routes, route_decomposition
-from tests.conftest import (Complex, chain, conflict, corrupted, equatorial_flow_triangulation,
-                            h_polynomial, members,
+from tests.conftest import (RU351, Complex, chain, conflict, corrupted,
+                            equatorial_flow_triangulation, h_polynomial, members,
                             pairwise_coherence_masks, random_balanced_dag,
                             random_framing, route_unions, set_max_cliques, trimmed,
                             with_simplices)
@@ -123,12 +123,6 @@ def test_max_cliques_rejects_wrong_clique_size():
         max_cliques(tuple(a & 0b111 for a in adj[:-1]), dimension(d1) + 1)
 
 
-# perfbench's gen.route_union(Random(1), 3, 5, .5), written out: dim 10, 51
-# routes and 1,106 simplices.
-RU351 = make_dag(3, [("e00", 0, 1), ("e01", 0, 1), ("e02", 0, 1), ("e03", 0, 2),
-                     ("e04", 0, 3), ("e05", 1, 2), ("e06", 1, 3), ("e07", 1, 4),
-                     ("e08", 2, 3), ("e09", 2, 3), ("e10", 3, 4), ("e11", 3, 4),
-                     ("e12", 3, 4), ("e13", 3, 4)])
 CATALOG = {"D1": D1(), "D2": D2(), "D3": D3(), "G3": G(3), "zigzag": zigzag(),
            "bypass": bypass(), "chain2x4": chain(2, 4), "chain3x3": chain(3, 3),
            "chain4x2": chain(4, 2)}

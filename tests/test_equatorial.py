@@ -3,22 +3,21 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
 from flowtri.dkk import max_cliques
-from flowtri.equatorial import (EquatorialFace, differs_from_dkk,
-                                enumerate_transversals, equatorial_facets,
-                                equatorial_sphere, framing_count,
+from flowtri.equatorial import (EquatorialFace, _avoided_sets, differs_from_dkk,
+                                equatorial_facets, equatorial_sphere, framing_count,
                                 joined_simplices, t_eq)
 from flowtri.geometry import (ehrhart_hstar, h_from_f, normalized_volume,
                               verify_triangulation)
 from flowtri.routes import enumerate_routes, route_decomposition
-from tests.conftest import (Complex, chain, common_face, complex_euler_characteristic,
+from tests.conftest import (RU351, Complex, chain, common_face, complex_euler_characteristic,
                             equatorial_flow_triangulation, f_vector, h_polynomial, is_facet_transversal, is_pure,
-                            members, old_t_eq, random_balanced_dag, ridges_in_two_facets,
-                            route_unions, routes_avoiding, set_equatorial_facets,
+                            members, old_t_eq, product_avoided_sets, random_balanced_dag,
+                            ridges_in_two_facets, route_unions, routes_avoiding, set_equatorial_facets,
                             set_max_cliques, sphere, sphere_oracle, trimmed)
 
 CATALOG = {"G3": (G(3), None), "D1": (D1(), None),
@@ -45,10 +44,21 @@ def assert_t_eq_matches_oracle(dag, decomp=None):
     assert got.f_vector == f_vector(want)
 
 
-def test_enumerate_transversals():
-    decomp = route_decomposition(D1())
-    ms = set(enumerate_transversals(decomp))
-    assert ms == {("a", "b"), ("a", "d"), ("c", "b"), ("c", "d")}
+@settings(max_examples=300, deadline=None)
+@given(everyone=st.integers(0, 15),
+       groups=st.lists(st.lists(st.tuples(st.sampled_from("abcde"), st.integers(-16, 15)),
+                                min_size=1, max_size=4), max_size=4))
+@example(everyone=15, groups=[])
+@example(everyone=15, groups=[[("a", 6)]])
+@example(everyone=15, groups=[[("a", 3), ("b", 5)], [("c", 1), ("d", ~8)]])  # a&c == b&c
+def test_avoided_sets_match_product_walk(everyone, groups):
+    """The group-by-group growth keeps, for each AND, the first full choice
+    of the product walk, and lists the ANDs in the walk's order.  Keep
+    masks reach past ``everyone`` and go negative, as the order side's
+    complemented cut masks do."""
+    got, want = _avoided_sets(everyone, groups), product_avoided_sets(everyone, groups)
+    assert got == want
+    assert list(got) == list(want)
 
 
 def test_routes_avoiding():
@@ -88,7 +98,10 @@ def test_facets_require_idle_free_graph():
 
 
 def test_equatorial_facets_match_set_oracle_catalog():
-    for dag, decomp in CATALOG.values():
+    """Chain 4x3 (64 transversals, 61 distinct avoided sets) and RU351
+    (144 and 124) carve fewer distinct sets than transversals, so the
+    growth merges choices there."""
+    for dag, decomp in (*CATALOG.values(), CHAINS["chain4x3"], (RU351, None)):
         decomp = decomp or route_decomposition(dag)
         routes = enumerate_routes(dag)
         assert (equatorial_facets(dag, decomp, routes)
