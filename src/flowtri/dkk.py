@@ -81,13 +81,13 @@ def coherence_graph(dag: Dag, framing: Framing,
     return tuple(full & ~c & ~(1 << i) for i, c in enumerate(conflicts))
 
 
-def _bron_kerbosch(adj: Sequence[int]) -> list[int]:
-    """Maximal cliques on int bitsets, with Tomita's pivot: a vertex of
-    P | X with the most neighbours in P (Tomita-Tanaka-Takahashi 2006).
-    The (R, P, X) triples wait on an explicit stack, so a clique of any
-    size costs no recursion."""
+def _bron_kerbosch(adj: Sequence[int], within: int) -> list[int]:
+    """Maximal cliques inside the vertex mask ``within``, on int bitsets,
+    with Tomita's pivot: a vertex of P | X with the most neighbours in P
+    (Tomita-Tanaka-Takahashi 2006).  The (R, P, X) triples wait on an
+    explicit stack, so a clique of any size costs no recursion."""
     out: list[int] = []
-    stack = [(0, (1 << len(adj)) - 1, 0)]
+    stack = [(0, within, 0)]
     while stack:
         r, p, x = stack.pop()
         if not p:
@@ -113,11 +113,12 @@ def _bron_kerbosch(adj: Sequence[int]) -> list[int]:
     return out
 
 
-def max_cliques(adj: Sequence[int], size: int) -> tuple[int, ...]:
-    """All maximal cliques of the graph with int-mask adjacency ``adj``, as
-    vertex masks in canonical order.  Each must have ``size`` members
-    (dimension+1 for a coherence graph, see ``coherence_graph``)."""
-    masks = _bron_kerbosch(adj)
+def max_cliques(adj: Sequence[int], size: int, within: int | None = None) -> tuple[int, ...]:
+    """All maximal cliques of the graph with int-mask adjacency ``adj``, or
+    of its subgraph on the vertex mask ``within``, as vertex masks in
+    canonical order.  Each must have ``size`` members (dimension+1 for a
+    coherence graph, see ``coherence_graph``)."""
+    masks = _bron_kerbosch(adj, (1 << len(adj)) - 1 if within is None else within)
     for m in masks:
         if m.bit_count() != size:
             raise AssertionError(f"maximal clique {_members(m)} has size {m.bit_count()}, "

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .dag import Dag, degree_equality, dimension, idle_edges
 from .dkk import coherence_graph, max_cliques
-from .geometry import _mask, _members, join_with_simplex
+from .geometry import _canonical, _mask, _members, join_with_simplex
 from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
                      enumerate_routes)
 
@@ -92,9 +92,8 @@ def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sph
     """The equatorial sphere: the clique complex of the coherence graph
     ``adj`` (the decomposition framing's triangulation) restricted to the
     equatorial complex with the given facets, whose facets have ``size``
-    routes (dim+1-k for k decomposition routes).  The order side walks its
-    equatorial chain sphere with it too, on filters in place of routes
-    (``planar.maximal_equatorial_chains``).
+    routes (dim+1-k for k decomposition routes).  ``sphere_facets`` finds
+    the same facets without the walk and its checks.
 
     A clique is a face exactly when the AND of its routes' facet masks is
     nonzero, so one depth-first search over higher-index common neighbours
@@ -140,6 +139,20 @@ def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sph
         missed = _members(every_facet & ~covered)[0]
         raise AssertionError(f"facet {facets[missed].transversal} holds no facet of T_eq")
     return Sphere(tuple(kept), tuple(counts))
+
+
+def sphere_facets(adj: Sequence[int], facets: Sequence[int], size: int) -> tuple[int, ...]:
+    """The maximal faces of ``t_eq(adj, facets, size)``, given the facets'
+    route masks, in canonical order, found without walking the faces: the
+    maximal cliques of ``adj`` inside each facet O, which must all have
+    ``size`` routes (else ``AssertionError``, also for an O that holds no
+    sphere facet).  A face of T_eq is a clique inside some O, and the
+    cliques inside O triangulate the face O of the polytope (it is the DKK
+    triangulation of that face), so they are the sphere's facets in O.
+    With no facets the empty face is the one face, as in ``t_eq``.  The
+    order side passes filters in place of routes
+    (``planar.maximal_equatorial_chains``)."""
+    return tuple(_canonical(set().union(*(max_cliques(adj, size, o) for o in facets or [0]))))
 
 
 def joined_simplices(dag: Dag, routes: Sequence[Route], decomp: Sequence[Route],

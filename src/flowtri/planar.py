@@ -18,10 +18,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_json
 from .dkk import coherence_graph, max_cliques
-from .equatorial import (EquatorialFace, _avoided_sets, equatorial_sphere,
-                         joined_simplices, t_eq)
+from .equatorial import _avoided_sets, equatorial_facets, sphere_facets
 from .geometry import _canonical, _mask, _members, join_with_simplex
-from .routes import Framing, Route, decomposition_framing, peel_decomposition
+from .routes import Framing, Route, decomposition_framing, enumerate_routes, peel_decomposition
 
 BOTTOM = "_bot"
 TOP = "_top"
@@ -469,32 +468,31 @@ def _cutters(poset: Poset, pairs: Iterable[tuple[str, str]]) -> list[int]:
     return [held[b] & ~held[a] for a, b in pairs]
 
 
+def _equatorial_filter_sets(poset: Poset) -> tuple[list[int], int]:
+    """The order side's equatorial facets, masks over ``poset.filters``:
+    the inclusion-maximal sets of proper filters cutting no cover of a
+    choice (``_avoided_sets``); and n - r, their sphere facets' size."""
+    if not poset.graded:
+        raise ValueError("poset is not graded")
+    h, ranks = poset.heights, max(poset.heights.values(), default=0)
+    into: list[list] = [[] for _ in range(ranks - 1)]    # rank j: (name, filters not cutting)
+    for (a, b), c in zip(poset.covers, _cutters(poset, poset.covers)):
+        into[h[b] - 2].append((a, ~c))
+    uncut = _avoided_sets((1 << len(poset.filters) - 1) - 1 & ~1, into)    # proper filters
+    return [m for m in uncut if not any(m != o and m & o == m for o in uncut)], len(h) - ranks
+
+
 def maximal_equatorial_chains(poset: Poset) -> tuple[int, ...]:
     """Inclusion-maximal equatorial chains of nonempty proper filters, as
     canonical masks over ``poset.filters``.
 
     A chain is equatorial when its summed indicator map is level (no filter
     cuts it) on some cover into each rank j >= 2, one cover per rank.  So
-    the chains are the faces of ``t_eq`` on the proper filters'
-    comparability graph, with one facet per inclusion-maximal set of the
-    filters that cut no cover of a choice, the facet's transversal
-    (``equatorial._avoided_sets``).  Its facets have n - r filters for n
-    elements in r ranks; none (the empty face alone) means no chains.
+    the chains are the cliques of the filters' comparability graph inside
+    an ``_equatorial_filter_sets`` facet; the empty face alone means none.
     """
-    if not poset.graded:
-        raise ValueError("poset is not graded")
-    rows = poset.comparability[1:-1]                  # filters sorted by size
-    everyone = (1 << len(rows)) - 1
-    cutters = [c >> 1 & everyone for c in _cutters(poset, poset.covers)]
-    h = poset.heights
-    into = [[(f"{a}<{b}", ~c) for (a, b), c in zip(poset.covers, cutters) if h[b] == j]
-            for j in range(2, max(h.values(), default=0) + 1)]   # DAG edge id, uncut filters
-    uncut = _avoided_sets(everyone, into)             # filters -> first choice leaving them
-    facets = [EquatorialFace(choice, m) for m, choice in uncut.items()
-              if not any(m != o and m & o == m for o in uncut)]
-    size = len(poset.elements) - max(h.values(), default=0)
-    faces = t_eq([a >> 1 & everyone for a in rows], facets, size).maximal_faces
-    return tuple(f << 1 for f in faces if f)
+    facets, size = _equatorial_filter_sets(poset)
+    return tuple(f for f in sphere_facets(poset.comparability, facets, size) if f)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +556,8 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
 
     Each half compares what generates it: the mapped comparability graph
     with the coherence graph, then the mapped rank-constant simplex and
-    maximal equatorial chains with the route simplex and the sphere.
-    Cliques and joins are listed only to name the simplices that differ.
+    order sphere with the route simplex and the flow sphere (both spheres
+    by ``sphere_facets``).  Cliques and joins only name what differs.
     """
     issues: list[str] = []
     pf = planar_framing(dag, emb)
@@ -568,7 +566,10 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     for v in dag.inner_vertices:
         if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
             issues.append(f"framings disagree at vertex {v}")
-    routes, adj, _, sphere = equatorial_sphere(dag, decomp, df)
+    routes, top = enumerate_routes(dag), dimension(dag) + 1
+    adj = coherence_graph(dag, df, routes)
+    flow = sphere_facets(adj, [f.routes for f in equatorial_facets(dag, decomp, routes)],
+                         top - len(decomp))
     poset = dual.poset
     route_of = filter_routes(dual, routes)
 
@@ -591,18 +592,17 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
         graph[route_of[i]] = mapped(row)
     if graph != list(adj):
         compare("chain/clique", set(map(mapped, maximal_filter_chains(poset))),
-                set(max_cliques(adj, dimension(dag) + 1)))
+                set(max_cliques(adj, top)))
 
-    sigma = rank_constant_filters(poset)
-    chains = maximal_equatorial_chains(poset)
-    onto_routes = {routes[route_of[i]] for i in _members(sigma)} == set(decomp)
+    sigma, simplex = mapped(rank_constant_filters(poset)), _mask(map(routes.index, decomp))
+    facets, size = _equatorial_filter_sets(poset)
+    chains = sphere_facets(graph, list(map(mapped, facets)), size)
     # no sphere face holds a decomposition route, so joining is one to one
-    faces = set(sphere.maximal_faces) or {0}        # no faces: sigma alone
-    if onto_routes and (set(map(mapped, chains)) or {0}) == faces:
-        return EquivalenceReport(tuple(issues), decomp, len(faces), len(faces))
-    order_faces = set(map(mapped, join_with_simplex(sigma, chains, len(poset.elements) + 1)))
-    flow_faces = set(joined_simplices(dag, routes, decomp, sphere))
+    if sigma == simplex and set(chains) == set(flow):
+        return EquivalenceReport(tuple(issues), decomp, len(flow), len(flow))
+    order_faces = set(join_with_simplex(sigma, chains, len(poset.elements) + 1))
+    flow_faces = set(join_with_simplex(simplex, flow, top))
     compare("equatorial", order_faces, flow_faces)
-    if not onto_routes:
+    if sigma != simplex:
         issues.append("rank-constant simplex does not map onto the route simplex")
     return EquivalenceReport(tuple(issues), decomp, len(flow_faces), len(order_faces))

@@ -527,9 +527,10 @@ def equatorial_order_triangulation(poset: Poset) -> Triangulation:
 def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.EquivalenceReport:
     """``planar.verify_equivalence`` by listing both sides in full: the
     maximal cliques of both graphs and both joins, mapped and compared
-    simplex for simplex.  It reads every step through the ``planar``
-    module, so a test that patches one there patches both.  The oracle for
-    the generator comparison."""
+    simplex for simplex.  It reads every step it shares with
+    ``verify_equivalence`` through the ``planar`` module, so a test that
+    patches one there patches both.  The oracle for the generator
+    comparison."""
     issues: list[str] = []
     pf = planar.planar_framing(dag, emb)
     decomp = planar.topmost_route_decomposition(dag, emb, pf)
@@ -537,7 +538,11 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
     for v in dag.inner_vertices:
         if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
             issues.append(f"framings disagree at vertex {v}")
-    routes, adj, _, sphere = planar.equatorial_sphere(dag, decomp, df)
+    routes = planar.enumerate_routes(dag)
+    adj = planar.coherence_graph(dag, df, routes)
+    sphere = Sphere(planar.sphere_facets(
+        adj, [f.routes for f in planar.equatorial_facets(dag, decomp, routes)],
+        dimension(dag) + 1 - len(decomp)), ())
     poset = dual.poset
     route_of = planar.filter_routes(dual, routes)
 
@@ -555,7 +560,7 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
     sigma = planar.rank_constant_filters(poset)
     order_faces = mapped(members(planar.join_with_simplex(
         sigma, planar.maximal_equatorial_chains(poset), len(poset.elements) + 1)))
-    flow_faces = set(members(planar.joined_simplices(dag, routes, decomp, sphere)))
+    flow_faces = set(members(joined_simplices(dag, routes, decomp, sphere)))
     compare("equatorial", order_faces, flow_faces)
     if {routes[route_of[i]] for i in _members(sigma)} != set(decomp):
         issues.append("rank-constant simplex does not map onto the route simplex")

@@ -541,10 +541,26 @@ def json_trees(leaf):
         max_leaves=20)
 
 
+# A leaf that stands for the shared list: the tree strategy is built once,
+# and each draw puts its shared list where the placeholder landed.
+PLACEHOLDER = object()
+SHARED_TREES = json_trees(SCALAR | st.just(PLACEHOLDER))
+
+
+def put_shared(tree, shared):
+    if tree is PLACEHOLDER:
+        return shared
+    if isinstance(tree, list):
+        return [put_shared(t, shared) for t in tree]
+    if isinstance(tree, dict):
+        return {k: put_shared(t, shared) for k, t in tree.items()}
+    return tree
+
+
 @st.composite
 def shared_json(draw):
     shared = draw(LEAF_LIST)
-    tree = draw(json_trees(SCALAR | st.just(shared)))
+    tree = put_shared(draw(SHARED_TREES), shared)
     return {"tree": tree, "twice": [shared, shared], "deeper": [[shared], {"0": shared}]}
 
 

@@ -10,7 +10,7 @@ from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
 from flowtri.dkk import max_cliques
 from flowtri.equatorial import (EquatorialFace, _avoided_sets, differs_from_dkk,
                                 equatorial_facets, equatorial_sphere, framing_count,
-                                joined_simplices, t_eq)
+                                joined_simplices, sphere_facets, t_eq)
 from flowtri.geometry import (ehrhart_hstar, h_from_f, normalized_volume,
                               verify_triangulation)
 from flowtri.routes import enumerate_routes, route_decomposition
@@ -37,11 +37,15 @@ def sphere_inputs(dag, decomp=None):
 
 
 def assert_t_eq_matches_oracle(dag, decomp=None):
+    """``t_eq`` matches the clique x facet oracle, and the clique search
+    inside each facet (``sphere_facets``) finds the facets ``t_eq`` walks
+    to."""
     adj, facets, size = sphere_inputs(dag, decomp)
     got = t_eq(adj, facets, size)
     want = old_t_eq(members(max_cliques(adj, dimension(dag) + 1)), facets)
     assert members(got.maximal_faces) == want.maximal_faces
     assert got.f_vector == f_vector(want)
+    assert sphere_facets(adj, [f.routes for f in facets], size) == got.maximal_faces
 
 
 @settings(max_examples=300, deadline=None)
@@ -230,6 +234,32 @@ def test_t_eq_matches_old_t_eq_random(seed):
 @given(dag=route_unions())
 def test_t_eq_matches_old_t_eq_route_unions(dag):
     assert_t_eq_matches_oracle(dag)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG | CHAINS))
+def test_sphere_facets_raise_on_an_emptied_facet(name):
+    """With any one facet's mask emptied, that facet holds no sphere facet,
+    and ``sphere_facets`` raises (the sphere of size 0 is the test below)."""
+    adj, facets, size = sphere_inputs(*(CATALOG | CHAINS)[name])
+    masks = [f.routes for f in facets]
+    assert size or name == "G3"
+    for k in range(len(masks) if size else 0):
+        with pytest.raises(AssertionError, match=f"has size 0, expected {size}"):
+            sphere_facets(adj, masks[:k] + [0] + masks[k + 1:], size)
+
+
+def test_sphere_facets_of_the_empty_sphere():
+    """A sphere of size 0 is the empty face, as ``t_eq`` reports it: on G(3),
+    whose facet is the empty route set, and with no facets at all, where a
+    positive size raises in both."""
+    adj, facets, size = sphere_inputs(G(3))
+    assert size == 0 and [f.routes for f in facets] == [0]
+    assert sphere_facets(adj, [0], 0) == t_eq(adj, facets, 0).maximal_faces == (0,)
+    assert sphere_facets(adj, [], 0) == t_eq(adj, [], 0).maximal_faces == (0,)
+    with pytest.raises(AssertionError, match="has size 0, expected 2"):
+        sphere_facets(adj, [], 2)
+    with pytest.raises(AssertionError, match="maximal below 2"):
+        t_eq(adj, [], 2)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

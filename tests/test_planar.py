@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -11,6 +10,7 @@ from flowtri import cli, dkk, equatorial, geometry, planar, quotient, routes
 from flowtri import dag as dagmod
 from flowtri.dag import (D1, D2, D3, G, dag_to_json, degree_equality, idle_edges,
                          stacked_rotations, zigzag, zigzag_rotations)
+from flowtri.equatorial import EquatorialFace, sphere_facets
 from flowtri.geometry import _canonical, _members, verify_triangulation
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             embedding_from_json, embedding_to_json, filter_routes,
@@ -132,17 +132,16 @@ def test_cyclic_cover_relation_raises_from_heights():
 
 def test_comparability_table_matches_pairwise_oracle(monkeypatch):
     """``Poset.comparability`` equals the pair-by-pair comparability graph
-    of the filters, and the rows ``maximal_equatorial_chains`` hands to
-    ``t_eq`` equal the pair-by-pair graph of the nonempty proper filters,
-    on graded and ungraded posets with their elements shuffled and on a
-    600-element chain."""
+    of the filters, and so does the graph ``maximal_equatorial_chains``
+    hands to ``sphere_facets``, on graded and ungraded posets with their
+    elements shuffled and on a 600-element chain."""
     adjacency = []
 
     def kept(adj, facets, size):
         adjacency.append(adj)
-        return equatorial.t_eq(adj, facets, size)
+        return equatorial.sphere_facets(adj, facets, size)
 
-    monkeypatch.setattr(planar, "t_eq", kept)
+    monkeypatch.setattr(planar, "sphere_facets", kept)
     rng = random.Random(12)
     posets = [random_poset(rng) for _ in range(40)] + \
         [random_graded_poset(rng) for _ in range(40)]
@@ -156,7 +155,7 @@ def test_comparability_table_matches_pairwise_oracle(monkeypatch):
         if p.graded:
             adjacency.clear()
             maximal_equatorial_chains(p)
-            assert adjacency == [list(pairwise_comparability(p.filters[1:-1]))], p
+            assert adjacency == [pairwise_comparability(p.filters)], p
 
 
 def test_filters_sort_like_their_names():
@@ -452,6 +451,21 @@ def test_pruned_equatorial_chains_match_unpruned_oracle():
             index_chains(p, maximal_equatorial_chains_oracle(p)), p
 
 
+def test_order_sphere_facets_match_t_eq():
+    """On the order side, the clique search inside each facet of
+    ``_equatorial_filter_sets`` finds the facets ``t_eq`` walks to on the
+    filters' comparability graph, on the catalog duals and random graded
+    posets; with any one facet's mask emptied it raises."""
+    rng = random.Random(26)
+    for p in catalog_duals() + [random_graded_poset(rng) for _ in range(60)]:
+        masks, size = planar._equatorial_filter_sets(p)
+        walked = equatorial.t_eq(p.comparability, [EquatorialFace((), m) for m in masks], size)
+        assert sphere_facets(p.comparability, masks, size) == walked.maximal_faces, p
+        for k in range(len(masks) if size else 0):
+            with pytest.raises(AssertionError, match="has size 0, expected"):
+                sphere_facets(p.comparability, masks[:k] + [0] + masks[k + 1:], size)
+
+
 @pytest.mark.parametrize("dag,rotations", [(zigzag(), zigzag_rotations()),
                                             (D3(), stacked_rotations(D3()))],
                          ids=["zigzag", "D3"])
@@ -479,7 +493,7 @@ def test_disagreeing_framings_compare_the_planar_framings_cliques(dag, rotations
 def test_equivalence_failure_texts(dag, rotations, pair, join_face, clique_face,
                                    monkeypatch):
     """The issues and simplex counts ``verify_equivalence`` reports when the
-    flow side loses one simplex: the first face of the equatorial sphere,
+    flow side loses one simplex: the first facet of the equatorial sphere,
     whose join with the route simplex is the join's first simplex, or the
     cliques through one coherent route pair, cut from the planar framing's
     coherence graph after a skewed decomposition framing (see the test
@@ -487,30 +501,23 @@ def test_equivalence_failure_texts(dag, rotations, pair, join_face, clique_face,
     emb = PlanarEmbedding(rotations)
     dual = planar_dual(dag, emb)
     want = verify_equivalence(dag, emb, dual).order_simplices
-    build = planar.equatorial_sphere
-
-    def first_dropped(*args):
-        routes, adj, facets, sphere = build(*args)
-        return routes, adj, facets, replace(sphere, maximal_faces=sphere.maximal_faces[1:])
-
     with monkeypatch.context() as m:
-        m.setattr(planar, "equatorial_sphere", first_dropped)
+        corrupt_flow_side(m, faces=lambda faces, adj: faces[1:])
         rep = verify_equivalence(dag, emb, dual)
     assert rep.issues == (f"equatorial triangulations differ at {join_face}",)
     assert (rep.flow_simplices, rep.order_simplices) == (want - 1, want)
 
     v = skew_decomposition_framing(monkeypatch, dag)
-    graph = planar.coherence_graph
 
-    def pair_cut(*args):
-        adj = list(graph(*args))
+    def pair_cut(adj):
+        adj = list(adj)
         i, j = pair
         assert adj[i] >> j & 1
         adj[i] ^= 1 << j
         adj[j] ^= 1 << i
         return tuple(adj)
 
-    monkeypatch.setattr(planar, "coherence_graph", pair_cut)
+    corrupt_flow_side(monkeypatch, graph=pair_cut)
     rep = verify_equivalence(dag, emb, dual)
     assert rep.issues == (f"framings disagree at vertex {v}",
                           f"chain/clique triangulations differ at {clique_face}")
@@ -522,20 +529,24 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     builds the planar and the decomposition framing, one coherence graph,
     one route list, one filter comparability table, one table of the
     filters holding each element and one filter -> route map once each,
-    finds the rank-constant filters once, and walks an equatorial sphere
-    once per side: routes, then filters.  A passing run compares graphs
-    and spheres, so it lists no maximal cliques and builds no join
-    ``Triangulation``."""
+    finds the rank-constant filters and the flow side's equatorial facets
+    once, and finds an equatorial sphere's facets once per side, routes
+    then filters, without walking either sphere.  A passing run compares
+    graphs and spheres, so it searches cliques only inside equatorial
+    facets, never in a whole graph, and builds no join ``Triangulation``."""
     modules = (cli, dagmod, dkk, equatorial, geometry, planar, quotient, routes)
     watched = (planar.validate_embedding, planar._trace, planar.planar_framing,
                routes.decomposition_framing, dkk.coherence_graph, dkk.max_cliques,
-               equatorial.t_eq, routes.enumerate_routes, planar.filter_routes,
-               planar.rank_constant_filters)
+               equatorial.t_eq, equatorial.sphere_facets, equatorial.equatorial_facets,
+               routes.enumerate_routes, planar.filter_routes, planar.rank_constant_filters)
     calls = {fn.__name__: 0 for fn in watched}
+    within = []                       # the vertex mask of every clique search
 
     def counted(fn):
         def wrapper(*args, **kwargs):
             calls[fn.__name__] += 1
+            if fn.__name__ == "max_cliques":
+                within.append(args[2] if len(args) > 2 else kwargs.get("within"))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -557,45 +568,76 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
         zigzag(), PlanarEmbedding(zigzag_rotations()))))
     assert cli.main(["order", str(graph), str(emb), "--max-dilate", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["equivalence"]["ok"]
-    assert calls.pop("max_cliques") == calls.pop("__init__") == 0
-    assert calls.pop("t_eq") == 2
+    assert calls.pop("max_cliques") == len(within) > 0 and None not in within
+    assert calls.pop("__init__") == calls.pop("t_eq") == 0
+    assert calls.pop("sphere_facets") == 2
     assert calls == dict.fromkeys(calls, 1)
+
+
+def corrupt_flow_side(monkeypatch, graph=None, faces=None) -> None:
+    """Make ``verify_equivalence`` read the coherence graph ``graph(adj)``
+    from every ``planar.coherence_graph`` call, with the flow sphere still
+    found on the sound graph ``adj``, or the flow sphere's facets
+    ``faces(facets, adj)``: what ``planar.sphere_facets`` finds on a
+    coherence graph, not on the order side's graphs."""
+    build, search = planar.coherence_graph, planar.sphere_facets
+    sound: dict[int, tuple] = {}      # id of a graph handed out -> (it, the sound graph)
+
+    def coherence(*args):
+        adj = build(*args)
+        out = graph(adj) if graph else adj
+        sound[id(out)] = (out, adj)
+        return out
+
+    def spheres(adj, masks, size):
+        if id(adj) not in sound:
+            return search(adj, masks, size)
+        adj = sound[id(adj)][1]
+        got = search(adj, masks, size)
+        return faces(got, adj) if faces else got
+
+    monkeypatch.setattr(planar, "coherence_graph", coherence)
+    monkeypatch.setattr(planar, "sphere_facets", spheres)
 
 
 CORRUPTIONS = ("none", "graph-swap", "graph-cut", "sphere-drop", "sphere-swap")
 
 
 def corrupt(monkeypatch, kind: str, seed: int) -> None:
-    """Make ``planar.equatorial_sphere`` hand out a corrupted coherence graph
-    (two routes swapped, or one coherent pair cut) or sphere (one face
-    dropped, or two routes swapped in every face), picked by ``seed`` the
-    same way on every call."""
-    build = planar.equatorial_sphere
-
-    def corrupted(*args):
-        routes, adj, facets, sphere = build(*args)
+    """Make ``verify_equivalence`` read a corrupted coherence graph (two
+    routes swapped, or one coherent pair cut) or flow sphere (one facet
+    dropped, or two routes swapped in every facet), picked by ``seed`` the
+    same way on every call (``corrupt_flow_side``)."""
+    def pick(adj) -> tuple[random.Random, int, int]:
         rng = random.Random(seed)
-        i, j = rng.sample(range(len(routes)), 2)
-        adj, faces = list(adj), list(sphere.maximal_faces)
+        return rng, *rng.sample(range(len(adj)), 2)
 
-        def swap(m: int) -> int:
-            return m ^ (1 << i | 1 << j) if (m >> i ^ m >> j) & 1 else m
+    def swap(m: int, i: int, j: int) -> int:
+        return m ^ (1 << i | 1 << j) if (m >> i ^ m >> j) & 1 else m
 
+    def graph(adj):
+        rng, i, j = pick(adj)
+        adj = list(adj)
         if kind == "graph-swap":
-            adj = [swap(m) for m in adj]
+            adj = [swap(m, i, j) for m in adj]
             adj[i], adj[j] = adj[j], adj[i]
         elif kind == "graph-cut":
             i = rng.choice([k for k, m in enumerate(adj) if m])
             j = rng.choice(_members(adj[i]))
             adj[i] ^= 1 << j
             adj[j] ^= 1 << i
-        elif kind == "sphere-drop":
-            del faces[rng.randrange(len(faces))]
-        elif kind == "sphere-swap":
-            faces = _canonical([swap(f) for f in faces])
-        return routes, tuple(adj), facets, replace(sphere, maximal_faces=tuple(faces))
+        return tuple(adj)
 
-    monkeypatch.setattr(planar, "equatorial_sphere", corrupted)
+    def faces(found, adj):
+        rng, i, j = pick(adj)
+        found = list(found)
+        if kind == "sphere-drop":
+            del found[rng.randrange(len(found))]
+        elif kind == "sphere-swap":
+            found = _canonical([swap(f, i, j) for f in found])
+        return tuple(found)
+
+    corrupt_flow_side(monkeypatch, graph, faces)
 
 
 def outcome(check, *args):
@@ -706,22 +748,18 @@ def test_filter_routes_name_two_filters_on_one_route():
     assert str(exc.value) == "filters [] and ['z'] both cut route ('a', 'c')"
 
 
-def test_order_sphere_f_vector_equals_flow_sphere(monkeypatch):
+def test_order_sphere_f_vector_equals_flow_sphere():
     """On the catalog planar graphs, the equatorial chain sphere that
-    ``t_eq`` walks over the filters has the f-vector of the flow side's
-    equatorial sphere."""
-    spheres = []
-
-    def kept(*args):
-        spheres.append(equatorial.t_eq(*args))
-        return spheres[-1]
-
-    monkeypatch.setattr(planar, "t_eq", kept)
+    ``t_eq`` walks over the filters, inside the facets that
+    ``maximal_equatorial_chains`` searches, has the f-vector of the flow
+    side's equatorial sphere."""
     cases = [(dag, stacked_rotations(dag)) for dag in (D1(), D2(), D3(), G(3))]
     for dag, rotations in cases + [(zigzag(), zigzag_rotations())]:
         emb = PlanarEmbedding(rotations)
-        spheres.clear()
-        maximal_equatorial_chains(planar_dual(dag, emb).poset)
+        poset = planar_dual(dag, emb).poset
+        masks, size = planar._equatorial_filter_sets(poset)
+        order = equatorial.t_eq(poset.comparability,
+                                [EquatorialFace((), m) for m in masks], size)
         decomp = topmost_route_decomposition(dag, emb, planar_framing(dag, emb))
         flow = equatorial.equatorial_sphere(dag, decomp)[3]
-        assert [s.f_vector for s in spheres] == [flow.f_vector], dag
+        assert order.f_vector == flow.f_vector, dag
