@@ -5,9 +5,16 @@ prefixes into the vertex (scanning backwards to the first divergence) and
 once along their suffixes out of it (scanning forwards).  They conflict at
 the vertex when the two comparisons point in opposite directions; a framed
 DAG's triangulation has one maximal simplex for each maximal set of
-pairwise non-conflicting routes.
+pairwise non-conflicting routes (Danilov-Karzanov-Koshevoy, *Coherent fans
+in the space of flows in framed graphs*, 2012).
 
-Route sets and simplices are int bitmasks over the route list: bit i is route i.
+Route sets and simplices are int bitmasks over the route list: bit i is
+route i.  A route is compared with every other route at once by a mask
+recursion along it: the routes that have not diverged from it are the ones
+that used each of its edges so far, and the edge where another route
+leaves it decides that route's side, so each step ORs in the routes that
+leave by an earlier (later) edge and keeps the side of those that stay
+(see ``coherence_graph``).
 """
 
 from __future__ import annotations
@@ -15,47 +22,13 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from functools import reduce
-from itertools import groupby
-from operator import and_, itemgetter
+from operator import and_
 from typing import Sequence
 
-from .dag import Dag, dimension, validate
+from .dag import Dag, dimension
 from .geometry import (Triangulation, TriangulationReport, _canonical, _mask, _members,
                        is_unimodular_simplex, normalized_volume, verify_triangulation)
 from .routes import Framing, Route, enumerate_routes, indicator_vector, is_route
-
-
-def _keys(dag: Dag, framing: Framing, route: Route) -> dict[int, tuple[tuple, tuple]]:
-    """Inner vertex v of the route -> (in-key, out-key): the in-positions of
-    the route's edges walking backwards from v to the source, and the
-    out-positions walking forwards from v to the sink.
-
-    Two routes through v are at the same vertex at every step until their
-    edges differ, and there equal positions mean equal edges, so comparing
-    two routes' keys lexicographically is the first-divergence comparison
-    of their prefixes (suffixes); equal keys mean equal prefixes
-    (suffixes)."""
-    edges = [dag.edge_by_id[e] for e in route]
-    ins = [framing.in_pos(e.head, e.id) for e in edges[:-1]]
-    outs = [framing.out_pos(e.tail, e.id) for e in edges[1:]]
-    return {e.head: (tuple(reversed(ins[:i + 1])), tuple(outs[i:]))
-            for i, e in enumerate(edges[:-1])}
-
-
-def _sides(ranked: list[tuple[tuple, int]]) -> dict[int, tuple[int, int]]:
-    """Route index -> (mask of the routes with a smaller key, mask of those
-    with a larger key), for (key, route index) pairs."""
-    ranked.sort()
-    through = _mask(i for _, i in ranked)
-    out: dict[int, tuple[int, int]] = {}
-    below = 0
-    for _, tied in groupby(ranked, key=itemgetter(0)):
-        members = [i for _, i in tied]
-        same = _mask(members)
-        for i in members:
-            out[i] = (below, through & ~(below | same))
-        below |= same
-    return out
 
 
 def coherence_graph(dag: Dag, framing: Framing,
@@ -63,22 +36,49 @@ def coherence_graph(dag: Dag, framing: Framing,
     """Adjacency of the coherence graph as int masks: bit j of entry i is
     set when ``routes[i]`` and ``routes[j]`` (i != j) are coherent.
 
-    At each inner vertex the routes through it are ranked by in-key and by
-    out-key (see ``_keys``); a route conflicts there with the routes on the
-    other side of it in both rankings, in opposite directions."""
-    at: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
+    If routes r and q conflict at v, they conflict at the vertex u where
+    their prefixes into v first diverge, scanning backwards: u is inner,
+    as prefixes that meet only at the source compare equal, and r and q
+    share every edge from u to v, so both comparisons at u meet the same
+    divergences as at v.  So r conflicts exactly with the routes q that
+    enter an inner vertex u of r by an in-edge other than r's edge e, one
+    ordered before e at u whose suffix out of u is above r's, or one after
+    e whose suffix is below.  One walk back along r from the sink ranks the
+    suffixes: with f = (u, w) r's edge out of u,
+
+        below(u) = (routes out of u by an out-edge before f) | below(w) & thru(f)
+
+    and above(u) likewise, since a route through f has not diverged from r
+    at u and compares as it does at w, and nothing is above or below r at
+    the sink."""
+    thru: dict[str, int] = defaultdict(int)         # edge -> the routes using it
     for i, r in enumerate(routes):
-        for v, (kin, kout) in _keys(dag, framing, r).items():
-            at[v][0].append((kin, i))
-            at[v][1].append((kout, i))
-    conflicts = [0] * len(routes)
-    for ins, outs in at.values():
-        by_in, by_out = _sides(ins), _sides(outs)
-        for i, (in_below, in_above) in by_in.items():
-            out_below, out_above = by_out[i]
-            conflicts[i] |= (in_below & out_above) | (in_above & out_below)
+        for eid in r:
+            thru[eid] |= 1 << i
+    # per edge into (out of) an inner vertex: the routes into (out of) it by
+    # the in-edges (out-edges) ordered before the edge, and by those after it
+    sides = []
+    for orders in (framing.in_order, framing.out_order):
+        before: dict[str, int] = {}
+        after: dict[str, int] = {}
+        for es in orders.values():
+            for side, walk in ((before, es), (after, reversed(es))):
+                acc = 0
+                for eid in walk:
+                    side[eid] = acc
+                    acc |= thru[eid]
+        sides.append((before, after))
+    (before_in, after_in), (before_out, after_out) = sides
     full = (1 << len(routes)) - 1
-    return tuple(full & ~c & ~(1 << i) for i, c in enumerate(conflicts))
+    adj = []
+    for i, r in enumerate(routes):
+        conflicts = below = above = 0
+        for e, f in zip(reversed(r[:-1]), reversed(r[1:])):    # into and out of u
+            t = thru[f]
+            below, above = before_out[f] | below & t, after_out[f] | above & t
+            conflicts |= before_in[e] & above | after_in[e] & below
+        adj.append(full & ~conflicts & ~(1 << i))
+    return tuple(adj)
 
 
 def _bron_kerbosch(adj: Sequence[int], within: int) -> list[int]:
@@ -143,14 +143,13 @@ _RIDGE_BUCKETS = 31
 
 def verify_dkk_triangulation(dag: Dag, tri: Triangulation) -> TriangulationReport:
     """``verify_triangulation`` of ``tri`` against the flow polytope of
-    ``dag``, whose dimension and normalized volume it works out once, for a
-    triangulation whose vertices are routes of ``dag``: by a route-swap
-    certificate with one unimodularity test wherever the certificate goes
-    through, and by ``verify_triangulation`` itself wherever it does not.
-    ``ValueError`` for an invalid ``dag``."""
-    if not (report := validate(dag)).ok:
-        raise ValueError(f"invalid graph: {report.violations}")
-    dim, volume = dimension(dag), normalized_volume(dag)
+    ``dag``, whose dimension and normalized volume (one Lidskii count, no
+    Ehrhart pass) it works out once, for a triangulation whose vertices are
+    routes of ``dag``: by a route-swap certificate with one unimodularity
+    test wherever the certificate goes through, and by
+    ``verify_triangulation`` itself wherever it does not.  ``ValueError``
+    for an invalid ``dag``."""
+    volume, dim = normalized_volume(dag), dimension(dag)     # validates dag
     if _swap_certificate(dag, tri, dim, volume):
         return TriangulationReport(())
     return verify_triangulation(tri, dim, volume)
@@ -170,7 +169,10 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int, volume: int) -> bo
     unimodular.
 
     Why that is sound (De Loera-Rambau-Santos, *Triangulations*, Ch. 4):
-    let V be ``volume``, the polytope P's own normalized volume.  A
+    let V be ``volume``, the polytope P's own normalized volume, which
+    ``normalized_volume`` counts by the Lidskii formula (Baldoni-Vergne,
+    2008) as the integer flows with indeg(v) - 1 units injected at each
+    inner vertex v, independently of ``tri``.  A
     swap-crossed pair has b - c = d - a, so both simplices have one
     difference lattice, and the ridge's affine functional f has
     f(b) = -f(a) < 0.  So the swap component C of the first simplex is all

@@ -14,7 +14,7 @@ from math import comb, prod
 from operator import mul
 from typing import Collection, Iterable, Sequence
 
-from .dag import Dag, dimension
+from .dag import Dag, dimension, validate
 
 Vector = tuple[int, ...]
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))     # for ``_canonical``
@@ -300,38 +300,47 @@ def lattice_counts(dag: Dag, top: int, interior: bool = False) -> tuple[int, ...
     return tuple(counts)
 
 
-def _lattice_pass(dag: Dag, lo: int, first: int, top: int) -> list[int]:
+def _lattice_pass(dag: Dag, lo: int, first: int, top: int,
+                  inject: Sequence[int] = ()) -> list[int]:
     """The counts of dilates first, ..., top (lower bound ``lo`` on every
-    edge) from one Kostant partition-function DP over the vertices.
+    edge) from one Kostant partition-function DP over the vertices, with
+    ``inject[v]`` more units leaving vertex v than enter it for each v <
+    len(inject), on top of the dilate's strength at the source.  The
+    Ehrhart dilates inject nothing; ``normalized_volume``'s Lidskii count
+    is the one dilate 0 with injections.
 
     A state is the flow still to leave the current vertex v and the inflow
-    already sent to each later inner vertex, as the base-(top + 1) digits
-    of one int: digit 0 is the flow left at v, digit i the inflow pending
-    at v + i.  The digits of a state reached at strength t sum to at most
-    t <= top, so none carries: sending x units to ``head`` adds
-    x * (base**(head - v) - 1), and once v's last head has taken what is
-    left, ``s // base`` drops v's digit.  k parallel edges that carry x
-    units with lower bound lo can do so in C(x - k*lo + k - 1, k - 1) ways.
+    already sent to each later inner vertex, as the base-B digits of one
+    int: digit 0 is the flow left at v, digit i the inflow pending at v + i.
+    Every unit a state holds entered at the source or was injected at a
+    vertex handled so far, so its digits sum to at most top + sum(inject)
+    = B - 1 and none carries: v's injection adds to digit 0 when v comes
+    up, sending x units to ``head`` adds x * (B**(head - v) - 1), and once
+    v's last head has taken what is left, ``s // B`` drops v's digit.  k
+    parallel edges that carry x units with lower bound lo can do so in
+    C(x - k*lo + k - 1, k - 1) ways.
 
     The dilates are the lanes of the weights: a weight is
     sum_j count_j << (w * j), where count_j is the number of partial flows
     of strength first + j that reach the state, and the start state t (all
     of t left at the source, nothing pending) has weight
     1 << (w * (t - first)).  A partial flow of strength t is fixed by how
-    each vertex handled so far splits its inflow f <= t over its o
+    each vertex handled so far splits its outflow f <= B - 1 over its o
     out-edges, heads not yet handled taking the rest, so there are at most
-    M = prod_v C(top + o_v - 1, o_v - 1) of them, and w = bitlen(M).  Every
+    M = prod_v C(B + o_v - 2, o_v - 1) of them, and w = bitlen(M).  Every
     count, and every sum or binomial multiple of counts the pass forms,
     counts distinct partial flows of one strength, so it is at most M <
     2**w.  The weights are only added and multiplied by binomials, which
     are not negative, so no lane borrows or carries into the next, and the
     last weight's lanes are the counts.  The states live in this call only.
     """
-    sink, base = dag.sink, top + 1
-    width = prod(comb(top + o - 1, o - 1) for o in map(dag.outdeg, range(sink)) if o
+    sink, base = dag.sink, top + sum(inject) + 1
+    width = prod(comb(base + o - 2, o - 1) for o in map(dag.outdeg, range(sink)) if o
                  ).bit_length()
-    states: dict[int, int] = {t: 1 << (width * (t - first)) for t in range(first, base)}
+    states: dict[int, int] = {t: 1 << (width * (t - first)) for t in range(first, top + 1)}
     for v in range(sink):
+        if v < len(inject) and inject[v]:
+            states = {s + inject[v]: n for s, n in states.items()}
         groups = sorted(Counter(e.head for e in dag.out_edges(v)).items())
         if not groups:                # a dead end: no flow may reach v
             states = {s // base: n for s, n in states.items() if not s % base}
@@ -357,7 +366,7 @@ def _lattice_pass(dag: Dag, lo: int, first: int, top: int) -> list[int]:
             states = nxt
     packed = states.get(0, 0)
     mask = (1 << width) - 1
-    return [packed >> (width * j) & mask for j in range(base - first)]
+    return [packed >> (width * j) & mask for j in range(top + 1 - first)]
 
 
 @dataclass(frozen=True)
@@ -395,5 +404,13 @@ def ehrhart_hstar(dag: Dag) -> HStarData:
 
 
 def normalized_volume(dag: Dag) -> int:
-    return sum(ehrhart_hstar(dag).h_star)
+    """The normalized volume of the flow polytope of ``dag`` by the Lidskii
+    formula (Baldoni-Vergne, *Kostant partition functions and flow
+    polytopes*, 2008): the number of integer flows with nothing leaving the
+    source and indeg(v) - 1 units injected at each inner vertex v, from one
+    single-lane ``_lattice_pass``.  It equals sum(h*) of ``ehrhart_hstar``.
+    ``ValueError`` for a graph that ``validate`` rejects."""
+    if not (report := validate(dag)).ok:
+        raise ValueError(f"invalid graph: {report.violations}")
+    return _lattice_pass(dag, 0, 0, 0, [0] + [dag.indeg(v) - 1 for v in dag.inner_vertices])[0]
 

@@ -112,6 +112,22 @@ RU351 = make_dag(3, [("e00", 0, 1), ("e01", 0, 1), ("e02", 0, 1), ("e03", 0, 2),
                      ("e12", 3, 4), ("e13", 3, 4)])
 
 
+def bundle_dag(inner_count: int, bundles: Sequence[tuple[int, int, int]]) -> Dag:
+    """The graph with ``count`` parallel edges tail -> head for each
+    (tail, head, count), ids e00, e01, ... in that order."""
+    steps = [(a, b) for a, b, count in bundles for _ in range(count)]
+    return make_dag(inner_count, [(f"e{j:02d}", a, b) for j, (a, b) in enumerate(steps)])
+
+
+# perfbench's gen.route_union(Random(s), n, k, p) as ru(n, k, p, s), written
+# out: RU441 (dim 11, 160 routes, 55,440 DKK simplices), RU341 (chain 4x4 with
+# e-ids: dim 12, 256 routes, 369,600) and RU452 (dim 14, 235 routes, 989,054).
+RU441 = bundle_dag(4, [(0, 1, 4), (1, 2, 2), (1, 4, 2), (2, 3, 2), (3, 4, 2), (4, 5, 4)])
+RU341 = bundle_dag(3, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 4, 4)])
+RU452 = bundle_dag(4, [(0, 1, 4), (0, 2, 1), (1, 2, 2), (1, 3, 2), (2, 3, 2), (2, 4, 1),
+                       (3, 4, 2), (3, 5, 2), (4, 5, 3)])
+
+
 def random_framing(rng: random.Random, dag: Dag) -> Framing:
     """Uniformly random in- and out-orders at every inner vertex."""
     def shuffled(edges) -> tuple[str, ...]:
@@ -567,6 +583,25 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
     return planar.EquivalenceReport(tuple(issues), decomp, len(flow_faces), len(order_faces))
 
 
+def staircase_poset(rng: random.Random, ranks: int, lo: int, hi: int) -> Poset:
+    """A graded poset with ``ranks`` ranks of lo..hi elements, covers along
+    a random monotone staircase through each pair of neighbouring ranks, as
+    perfbench's ``gen.graded_poset`` draws them: strongly planar, so
+    ``planar.poset_to_dag`` takes it."""
+    layers = [[f"{chr(97 + r)}{i}" for i in range(rng.randint(lo, hi))]
+              for r in range(ranks)]
+    covers = []
+    for low, high in zip(layers, layers[1:]):
+        i = j = 0
+        covers.append((low[0], high[0]))
+        while (i, j) != (len(low) - 1, len(high) - 1):
+            step = rng.choice([(1, 0), (0, 1), (1, 1)])
+            i = min(i + step[0], len(low) - 1)
+            j = min(j + step[1], len(high) - 1)
+            covers.append((low[i], high[j]))
+    return make_poset([p for layer in layers for p in layer], covers)
+
+
 def poset_from_json(data: Mapping) -> Poset:
     return make_poset(data["elements"], [tuple(c) for c in data["covers"]])
 
@@ -766,10 +801,12 @@ def per_dilate_count_lattice_points(dag: Dag, t: int, interior: bool = False) ->
     return states.get((), 0)
 
 
-def brute_count_lattice_points(dag: Dag, t: int, interior: bool = False) -> int:
+def brute_count_lattice_points(dag: Dag, t: int, interior: bool = False,
+                               inject: Sequence[int] = ()) -> int:
     """Integer flows of strength t (flow >= 1 on every edge when
-    ``interior``), visited one by one: the oracle for the library's
-    partition-function count."""
+    ``interior``), with ``inject[v]`` more units leaving vertex v than
+    enter it for each v < len(inject), visited one by one: the oracle for
+    the library's partition-function count."""
     lo = 1 if interior else 0
     verts = [SOURCE] + list(dag.inner_vertices)
     flow: dict[str, int] = {}
@@ -779,6 +816,7 @@ def brute_count_lattice_points(dag: Dag, t: int, interior: bool = False) -> int:
             return 1
         v = verts[v_idx]
         avail = t if v == SOURCE else sum(flow[e.id] for e in dag.in_edges(v))
+        avail += inject[v] if v < len(inject) else 0
         outs = dag.out_edges(v)
         if not outs:
             return 0 if avail else 1

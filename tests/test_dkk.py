@@ -10,12 +10,13 @@ from flowtri.dkk import (_swap_certificate, coherence_graph, dkk_triangulation,
                          exceptional_routes, max_cliques, verify_dkk_triangulation)
 from flowtri.equatorial import _all_framings, framing_count
 from flowtri.geometry import _mask, ehrhart_hstar, normalized_volume, verify_triangulation
+from flowtri.planar import planar_framing, poset_to_dag
 from flowtri.routes import decomposition_framing, enumerate_routes, route_decomposition
 from tests.conftest import (RU351, Complex, chain, conflict, corrupted,
                             equatorial_flow_triangulation, h_polynomial, members,
                             pairwise_coherence_masks, random_balanced_dag,
-                            random_framing, route_unions, set_max_cliques, trimmed,
-                            with_simplices)
+                            random_framing, route_unions, set_max_cliques,
+                            staircase_poset, trimmed, with_simplices)
 
 
 def _decomp_framing(dag):
@@ -107,6 +108,42 @@ def test_coherence_graph_and_cliques_match_oracles_random_framings(seed):
         cliques = members(max_cliques(adj, dimension(dag) + 1))
         assert list(cliques) == sorted(cliques)
         assert set(cliques) == set_max_cliques(adj)
+
+
+def assert_coherence_matches_oracle(dag, framings):
+    routes = enumerate_routes(dag)
+    for framing in framings:
+        assert coherence_graph(dag, framing, routes) == \
+            pairwise_coherence_masks(dag, framing, routes), framing
+
+
+@settings(max_examples=40, deadline=None)
+@given(dag=route_unions(), seed=st.integers(0, 2**32 - 1))
+def test_coherence_graph_matches_pairwise_oracle_route_unions(dag, seed):
+    """Route unions have long shared suffixes and bundles of parallel
+    edges, where the recursion through shared edges decides: the
+    decomposition framing and a random framing."""
+    assert_coherence_matches_oracle(dag, [_decomp_framing(dag),
+                                          random_framing(random.Random(seed), dag)])
+
+
+@pytest.mark.parametrize("k,m", [(2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (4, 3), (6, 2)])
+def test_coherence_graph_matches_pairwise_oracle_chains(k, m):
+    dag = chain(k, m)
+    rng = random.Random(k * 10 + m)
+    assert_coherence_matches_oracle(
+        dag, [_decomp_framing(dag)] + [random_framing(rng, dag) for _ in range(3)])
+
+
+def test_coherence_graph_matches_pairwise_oracle_planar_framings():
+    """The planar framings of graphs from staircase graded posets (3 ranks
+    of 2-3 elements, and 3-4 ranks of 3 elements)."""
+    rng = random.Random(2012)
+    posets = [staircase_poset(rng, 3, 2, 3) for _ in range(12)] + \
+        [staircase_poset(rng, ranks, 3, 3) for ranks in (3, 4)]
+    for p in posets:
+        dag, emb = poset_to_dag(p)
+        assert_coherence_matches_oracle(dag, [planar_framing(dag, emb)])
 
 
 def test_max_cliques_past_the_recursion_limit():

@@ -8,24 +8,24 @@ from hypothesis import strategies as st
 
 from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
                          degree_equality, dimension, gorenstein_completion,
-                         idle_edges, make_dag, random_dag, zigzag)
+                         idle_edges, make_dag, random_dag, validate, zigzag)
 from flowtri.dkk import dkk_triangulation, verify_dkk_triangulation
 from flowtri.equatorial import equatorial_sphere, joined_simplices
-from flowtri.geometry import (LANES, Triangulation, _canonical, _mask, _members,
-                              count_lattice_points, ehrhart_hstar,
+from flowtri.geometry import (LANES, Triangulation, _canonical, _lattice_pass, _mask,
+                              _members, count_lattice_points, ehrhart_hstar,
                               is_unimodular_simplex, join_with_simplex, lattice_counts,
                               normalized_volume, rank, verify_triangulation)
 from flowtri.planar import make_poset, maximal_equatorial_chains, rank_constant_filters
 from flowtri.routes import (decomposition_framing, enumerate_routes,
                             route_decomposition)
-from tests.conftest import (brute_count_lattice_points, chain,
+from tests.conftest import (RU341, RU351, RU441, RU452, brute_count_lattice_points, chain,
                             complex_euler_characteristic, complex_from_faces,
                             equatorial_flow_triangulation, equatorial_order_triangulation,
                             f_vector, h_polynomial, hstar_by_binomials,
                             interpolate_polynomial,
                             is_gorenstein, is_pure, lp_triangulation_ok, maximal_minor_gcd,
                             members, per_dilate_count_lattice_points, random_balanced_dag,
-                            ridges_in_two_facets, simplices_meet_in_common_face,
+                            ridges_in_two_facets, route_unions, simplices_meet_in_common_face,
                             smith_divisors, swapped_vertex, trimmed, with_simplices)
 
 
@@ -196,8 +196,9 @@ def test_lattice_point_dp_matches_brute_force_random(kind, seed):
 @pytest.mark.parametrize("k,m", [(12, 2), (13, 2), (6, 3), (4, 4), (3, 5), (2, 7)])
 def test_chain_counts_closed_form_at_scale(k, m):
     """chain k x m is a product of k (m-1)-simplices: L(t) = C(t+m-1, m-1)^k,
-    and C(t-1, m-1)^k points have every edge positive.  Dim 12-13, where
-    a point-by-point count would visit up to 10^10 flows."""
+    and C(t-1, m-1)^k points have every edge positive; its normalized
+    volume is the multinomial (k(m-1))! / ((m-1)!)^k.  Dim 12-13, where a
+    point-by-point count would visit up to 10^10 flows."""
     dag = chain(k, m)
     top = dimension(dag) + 1
     assert top - 1 == k * (m - 1) in (12, 13)
@@ -205,6 +206,7 @@ def test_chain_counts_closed_form_at_scale(k, m):
     interior = (0,) + tuple(comb(t - 1, m - 1) ** k for t in range(1, top + 1))
     assert lattice_counts(dag, top) == counts         # every dilate in one pass
     assert lattice_counts(dag, top, interior=True) == interior
+    assert normalized_volume(dag) == factorial(k * (m - 1)) // factorial(m - 1) ** k
     for t in range(top + 1):
         assert count_lattice_points(dag, t) == counts[t]
         assert count_lattice_points(dag, t, interior=True) == interior[t]
@@ -265,6 +267,69 @@ def test_lattice_counts_through_a_dead_end():
     assert_counts_match_brute_force(dag)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_injected_pass_matches_brute_force(seed):
+    """Random injections, lower bounds and dilate ranges on raw random_dag
+    draws (unbalanced, idle edges, dead ends): the pass against the
+    point-by-point count extended to a netflow vector."""
+    rng = random.Random(seed)
+    dag = random_dag(rng, 7)
+    inject = [0] + [rng.randint(0, 2) for _ in dag.inner_vertices]
+    top = rng.randint(0, 3)
+    first = rng.randint(0, top)
+    for lo in (0, 1):
+        assert _lattice_pass(dag, lo, first, top, inject) == [
+            brute_count_lattice_points(dag, t, bool(lo), inject)
+            for t in range(first, top + 1)], (lo, inject)
+
+
+@pytest.mark.parametrize("dag", [G(1), G(3), D1(), D2(), D3(), zigzag(), bypass(),
+                                 chain(2, 3), chain(3, 2), chain(2, 4)],
+                         ids=["G1", "G3", "D1", "D2", "D3", "zigzag", "bypass",
+                              "chain2x3", "chain3x2", "chain2x4"])
+def test_lidskii_count_matches_brute_force(dag):
+    """The flows with indeg(v) - 1 units injected at each inner vertex v
+    and none leaving the source, visited one by one."""
+    inject = [0] + [dag.indeg(v) - 1 for v in dag.inner_vertices]
+    assert normalized_volume(dag) == brute_count_lattice_points(dag, 0, False, inject)
+
+
+def assert_volume_is_hstar_sum(dag):
+    assert normalized_volume(dag) == sum(ehrhart_hstar(dag).h_star), dag
+
+
+def test_lidskii_volume_is_hstar_sum_random():
+    """200 idle-free balanced draws and 200 raw random_dag draws that
+    ``validate`` takes (mostly unbalanced, often with idle edges)."""
+    rng = random.Random(406)
+    for _ in range(200):
+        assert_volume_is_hstar_sum(random_balanced_dag(rng, max_edges=9))
+    drawn = 0
+    while drawn < 200:
+        dag = random_dag(rng, 9)
+        if validate(dag).ok:
+            assert_volume_is_hstar_sum(dag)
+            drawn += 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(route_unions())
+def test_lidskii_volume_is_hstar_sum_route_unions(dag):
+    assert_volume_is_hstar_sum(dag)
+
+
+def test_normalized_volume_rejects_an_invalid_graph():
+    """A dead inner vertex (no out-edge, then no in-edge) and a graph with
+    no source edge: ``validate`` rejects each, and so does the count."""
+    for dag in (make_dag(2, [("a", 0, 1), ("b", 0, 2), ("c", 2, 3)]),
+                make_dag(2, [("a", 0, 2), ("b", 1, 2), ("c", 2, 3)]),
+                make_dag(0, [])):
+        assert not validate(dag).ok
+        with pytest.raises(ValueError, match="invalid graph"):
+            normalized_volume(dag)
+
+
 # a route union of four s-t routes: balanced, idle-free, dim 13, 348 routes
 BIG = make_dag(6, [("e00", 0, 1), ("e01", 0, 1), ("e02", 0, 1), ("e03", 0, 1),
                    ("e04", 1, 2), ("e05", 1, 2), ("e06", 1, 3), ("e07", 1, 5),
@@ -284,6 +349,20 @@ def test_gorenstein_at_scale():
                                   133244, 12859, 334, 1)
     assert hs.codegree == BIG.outdeg(0) == 4
     assert hs.counts[-1] == 633354052800
+
+
+VOLUME_CATALOG = {"G1": G(1), "G3": G(3), "G7": G(7), "D1": D1(), "D2": D2(), "D3": D3(),
+                  "zigzag": zigzag(), "bypass": bypass(), "BIG": BIG, "RU351": RU351,
+                  "RU441": RU441, "RU341": RU341, "RU452": RU452,
+                  **{f"chain{k}x{m}": chain(k, m)
+                     for k, m in ((2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (4, 3))}}
+
+
+@pytest.mark.parametrize("name", sorted(VOLUME_CATALOG))
+def test_lidskii_volume_is_hstar_sum_catalog(name):
+    """The catalog, the chains and the route unions of ROADMAP's walls
+    (dim 10-14)."""
+    assert_volume_is_hstar_sum(VOLUME_CATALOG[name])
 
 
 def test_hstar_catalog():
