@@ -18,7 +18,7 @@ from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, make_dag,
                          stacked_rotations, zigzag, zigzag_rotations)
 from flowtri.planar import (PlanarEmbedding, embedding_to_json, make_poset,
                             poset_to_dag)
-from tests.conftest import chain
+from tests.conftest import RU351, chain
 from tests.test_geometry import BIG
 
 # A 9-element graded poset with 3 ranks of 3 elements (the perfbench
@@ -31,7 +31,8 @@ GRADED9, GRADED9_EMBEDDING = poset_to_dag(make_poset(
 GRAPHS = {"G3": G(3), "D1": D1(), "D2": D2(), "D3": D3(), "zigzag": zigzag(),
           "bypass": bypass(), "chain4x3": chain(4, 3), "chain3x3": chain(3, 3),
           "unbalanced": make_dag(1, [("a", 0, 1), ("b", 0, 1), ("c", 1, 2)]),
-          "graded9": GRADED9, "BIG": BIG, "chain4x2": chain(4, 2)}
+          "graded9": GRADED9, "BIG": BIG, "chain4x2": chain(4, 2),
+          "RU351": RU351}
 ROTATIONS = {"G3": stacked_rotations(G(3)), "D1": stacked_rotations(D1()),
              "D2": stacked_rotations(D2()), "D3": stacked_rotations(D3()),
              "zigzag": zigzag_rotations(), "graded9": GRADED9_EMBEDDING.rotations}
@@ -79,6 +80,10 @@ CASES["equatorial-exhaustive-chain3x3"] = ["equatorial", "{graph:chain3x3}",
 # coordinates, 348 routes and 460 facets; chain 4x2 has 16 routes.
 CASES["quotient-BIG"] = ["quotient", "{graph:BIG}"]
 CASES["quotient-chain4x2"] = ["quotient", "{graph:chain4x2}"]
+# A dim-10 quotient case, recorded at commit 1f76a7d: the route union RU351
+# (perfbench's gen.route_union(Random(1), 3, 5, .5), written out in
+# conftest) has 9 coordinates, 51 routes and 108 facets.
+CASES["quotient-RU351"] = ["quotient", "{graph:RU351}"]
 # Two dkk cases at scale, recorded at commit af9d1ed, where checking the
 # triangulation took about 1.1 s on chain 4x3 (2,520 simplices) and 0.02 s on
 # chain 3x3 (90 simplices).
@@ -150,6 +155,7 @@ GOLDEN = {
     'quotient-G3': (0, 'c899a5eb468e8e95e96323f2387e71a819b23dd0c98f4b6b54af3b57ce6b4e4e'),
     'quotient-bypass': (0, '2f98154fca3fc2b98d337e47bbd544982e7bfd96cffb4459817d85c66de6154a'),
     'quotient-chain4x2': (0, '02d1071e46c18c2161f3a4205aa9450ffe3e6d5fb5e37caedeaea18c85231e73'),
+    'quotient-RU351': (0, '3f2db727f5c5e0170a8631197add82b0fa636e85c09055887c9a1aa9e6a35c49'),
     'quotient-unbalanced': (1, '8977fe45fdc1d49a1963f4124c67770be2c4fd5084fd4bca52ff667c08ac0cf2'),
     'quotient-zigzag': (0, 'e1251b9f14fa860707a414a01c27cb98050d16f63e5b32d26e26056d3670f90f'),
     'quotient-zigzag-text': (0, '298d439b131393d59bfab25b075ab537e6705dc4e06ed9605e8ebe5d3b4499ef'),
