@@ -113,17 +113,22 @@ def _bron_kerbosch(adj: Sequence[int], within: int) -> list[int]:
     return out
 
 
-def max_cliques(adj: Sequence[int], size: int, within: int | None = None) -> tuple[int, ...]:
-    """All maximal cliques of the graph with int-mask adjacency ``adj``, or
-    of its subgraph on the vertex mask ``within``, as vertex masks in
-    canonical order.  Each must have ``size`` members (dimension+1 for a
-    coherence graph, see ``coherence_graph``)."""
+def _sized_cliques(adj: Sequence[int], size: int, within: int | None = None) -> list[int]:
+    """``max_cliques`` in Bron-Kerbosch order, unsorted."""
     masks = _bron_kerbosch(adj, (1 << len(adj)) - 1 if within is None else within)
     for m in masks:
         if m.bit_count() != size:
             raise AssertionError(f"maximal clique {_members(m)} has size {m.bit_count()}, "
                                  f"expected {size}")
-    return tuple(_canonical(masks))
+    return masks
+
+
+def max_cliques(adj: Sequence[int], size: int, within: int | None = None) -> tuple[int, ...]:
+    """All maximal cliques of the graph with int-mask adjacency ``adj``, or
+    of its subgraph on the vertex mask ``within``, as vertex masks in
+    canonical order.  Each must have ``size`` members (dimension+1 for a
+    coherence graph, see ``coherence_graph``)."""
+    return tuple(_canonical(_sized_cliques(adj, size, within)))
 
 
 def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:

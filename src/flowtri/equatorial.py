@@ -17,8 +17,8 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .dag import Dag, degree_equality, dimension, idle_edges
-from .dkk import coherence_graph, max_cliques
-from .geometry import _canonical, _mask, _members, join_with_simplex
+from .dkk import _sized_cliques, coherence_graph, max_cliques
+from .geometry import _canonical, _mask, _member_order, _members, join_with_simplex
 from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
                      enumerate_routes)
 
@@ -67,25 +67,25 @@ def equatorial_facets(dag: Dag, decomp: Sequence[Route],
     A transversal's avoided routes share no edge with it: the AND, over its
     edges, of the routes missing each (``_avoided_sets``, which keeps the
     first transversal per face).  It is a facet transversal when the
-    avoided routes' heads cover every inner vertex.
+    avoided routes' heads cover every inner vertex: when the avoided set
+    meets, at every inner vertex, the mask of the routes entering it.
     """
     if not degree_equality(dag):
         raise NotGorensteinError("not Gorenstein: degree equality fails")
     idle = idle_edges(dag)
     if idle:
         raise ValueError(f"idle edges present (contract them first): {idle}")
-    everyone = (1 << len(routes)) - 1
-    missing = {e.id: everyone for e in dag.edges}
-    heads = []
+    thru = {e.id: 0 for e in dag.edges}      # edge -> the routes using it
     for i, r in enumerate(routes):
         for e in r:
-            missing[e] &= ~(1 << i)
-        heads.append(_mask(dag.edge_by_id[e].head for e in r))
-    inner = _mask(dag.inner_vertices)
-    avoided = _avoided_sets(everyone, [[(e, missing[e]) for e in r] for r in decomp])
-    faces = sorted((ids, rs, m) for rs, m in avoided.items()
-                   if reduce(or_, map(heads.__getitem__, ids := _members(rs)), 0) & inner == inner)
-    return tuple(EquatorialFace(m, rs) for _, rs, m in faces)
+            thru[e] |= 1 << i
+    entering = [reduce(or_, (thru[e.id] for e in dag.in_edges(v)), 0)
+                for v in dag.inner_vertices]
+    everyone = (1 << len(routes)) - 1
+    avoided = _avoided_sets(everyone, [[(e, everyone ^ thru[e]) for e in r] for r in decomp])
+    faces = sorted(((rs, m) for rs, m in avoided.items() if all(map(rs.__and__, entering))),
+                   key=lambda face: _member_order(face[0]))
+    return tuple(EquatorialFace(m, rs) for rs, m in faces)
 
 
 def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sphere:
@@ -206,11 +206,12 @@ def differs_from_dkk(dag: Dag, routes: Sequence[Route],
                      simplices: Sequence[int]) -> DkkComparisonReport:
     """Compare the equatorial flow triangulation of ``dag``, its
     ``simplices`` as masks over ``routes``, against the framed
-    triangulations of all its framings (at most MAX_FRAMINGS)."""
+    triangulations of all its framings (at most MAX_FRAMINGS), as sets of
+    masks: each framing's cliques are compared unsorted."""
     total = framing_count(dag)
     if total > MAX_FRAMINGS:
         raise ValueError(f"exhaustive bound exceeded: {total} framings > {MAX_FRAMINGS}")
     target, size = set(simplices), dimension(dag) + 1
     matches = tuple(i for i, fr in enumerate(_all_framings(dag))
-                    if set(max_cliques(coherence_graph(dag, fr, routes), size)) == target)
+                    if set(_sized_cliques(coherence_graph(dag, fr, routes), size)) == target)
     return DkkComparisonReport(total, matches)

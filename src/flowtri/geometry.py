@@ -51,8 +51,27 @@ def _row_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[in
 
 
 def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix."""
-    return len(_row_reduce(rows)[1])
+    """Rank over Q of an integer matrix, by forward-only fraction-free
+    elimination (Bareiss) of the matrix or of its transpose, whichever has
+    fewer rows: each step eliminates the pivot's column from the rows not
+    yet used as pivots and drops that column and the rows that become 0.
+    Every entry stays a minor of the input, so each division by the
+    previous pivot is exact."""
+    m = [r for r in rows if any(r)]
+    if m and len(m) > len(m[0]):
+        m = [c for c in zip(*m) if any(c)]
+    found, prev = 0, 1
+    while m:
+        k = next((i for i, r in enumerate(m) if r[0]), None)
+        if k is None:                   # a zero column: drop it
+            m = [r[1:] for r in m]
+            continue
+        pivot = m.pop(k)
+        p, tail = pivot[0], pivot[1:]
+        m = [row for r in m
+             if any(row := [(p * a - r[0] * b) // prev for a, b in zip(r[1:], tail)])]
+        found, prev = found + 1, p
+    return found
 
 
 def is_unimodular_simplex(vertices: Sequence[Vector]) -> bool:
@@ -105,11 +124,23 @@ def _mask(indices: Iterable[int]) -> int:
     return m
 
 
+_MEMBERS_FIRST = str.maketrans("01", "10")
+
+
+def _member_order(mask: int) -> str:
+    """A sort key that orders masks of any sizes as their member tuples
+    (``_members``) do: the mask's bits from bit 0 to its highest set bit,
+    "0" for a member and "1" for a gap.  At the lowest bit two masks differ
+    in, the one holding it comes first unless the other has no member past
+    it, and then the other's key is a prefix of its key."""
+    return bin(mask)[:1:-1].translate(_MEMBERS_FIRST) if mask else ""
+
+
 def _canonical(masks: Collection[int]) -> list[int]:
     """``masks`` sorted by the bit-reversed mask, descending: the lowest bit
     two masks differ in puts the mask holding it first, so masks of one size
     sort as their member tuples do.  Not across sizes ((0, 1) comes before
-    (0,)): faces of mixed sizes sort by ``_members``."""
+    (0,)): faces of mixed sizes sort by ``_member_order``."""
     width = (max(masks, default=0).bit_length() + 7) // 8
     return sorted(masks, key=lambda m: m.to_bytes(width, "little").translate(_BIT_REVERSED),
                   reverse=True)

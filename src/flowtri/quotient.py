@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, islice, product
+from operator import mul
 from typing import Mapping, Sequence
 
 from .dag import Dag, degree_equality
@@ -27,10 +28,14 @@ def edge_labels(dag: Dag, decomp: Sequence[Route]) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class LeveledSpace:
-    """Product of per-inner-vertex blocks with route-label coordinates."""
+    """Product of per-inner-vertex blocks with route-label coordinates.
+
+    ``slots`` maps each edge to its (head slot, tail slot): the coordinates
+    of its label in its head's and its tail's block, ``dim`` for the sink's
+    and the source's end, which have no block."""
 
     blocks: tuple[tuple[int, tuple[int, ...]], ...]   # (vertex, sorted labels)
-    labels: Mapping[str, int]                         # edge_labels of the decomposition
+    slots: Mapping[str, tuple[int, int]]              # edge -> (head slot, tail slot)
 
     @cached_property
     def index(self) -> dict[tuple[int, int], int]:
@@ -51,29 +56,57 @@ class LeveledSpace:
 
 
 def leveled_space(dag: Dag, decomp: Sequence[Route]) -> LeveledSpace:
-    """One block per inner vertex, holding the labels of its in-edges; the
-    space keeps the edge labels for ``phi`` and the functionals."""
+    """One block per inner vertex, holding the labels of its in-edges, and
+    each edge's slot pair (``LeveledSpace.slots``), which the route images
+    and the functionals read."""
     labels = edge_labels(dag, decomp)
-    blocks = []
+    blocks, index = [], {}
     for v in dag.inner_vertices:
         inlv = tuple(sorted({labels[e.id] for e in dag.in_edges(v)}))
         if len(inlv) != dag.indeg(v):
             raise AssertionError(f"two in-edges of {v} carry the same route label")
         blocks.append((v, inlv))
-    return LeveledSpace(tuple(blocks), labels)
+        index.update(((v, l), len(index)) for l in inlv)
+    dim = len(index)
+    slots = {e.id: (index.get((e.head, labels[e.id]), dim),
+                    index.get((e.tail, labels[e.id]), dim)) for e in dag.edges}
+    return LeveledSpace(tuple(blocks), slots)
 
 
-def phi(dag: Dag, space: LeveledSpace, route: Route) -> tuple[int, ...]:
+def _image(slots: Mapping[str, tuple[int, int]], dim: int, route: Route) -> tuple[int, ...]:
+    """``phi`` of ``route`` from the slot table: slot ``dim`` takes the
+    source's and the sink's ends and is dropped."""
+    vec = [0] * (dim + 1)
+    for head, tail in map(slots.__getitem__, route):
+        vec[head] += 1
+        vec[tail] -= 1
+    vec.pop()
+    return tuple(vec)
+
+
+def phi(space: LeveledSpace, route: Route) -> tuple[int, ...]:
     """Linear projection of a route's indicator vector: each edge adds its
     label's basis vector in its head block and subtracts it in its tail
     block (source and sink have no block)."""
-    vec = [0] * space.dim
+    return _image(space.slots, space.dim, route)
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _prefix_masks(slots: Mapping[str, tuple[int, int]], route: Route) -> dict[str, int]:
+    """Each edge of ``route`` -> the mask of the head slots of the edges
+    before it."""
+    out, mask = {}, 0
     for eid in route:
-        e = dag.edge_by_id[eid]
-        for v, sign in ((e.head, 1), (e.tail, -1)):
-            if 1 <= v <= dag.inner_count:
-                vec[space.index[(v, space.labels[eid])]] += sign
-    return tuple(vec)
+        out[eid] = mask
+        mask |= 1 << slots[eid][0]
+    return out
+
+
+def _coefficients(mask: int, dim: int) -> tuple[int, ...]:
+    """The 0/1 tuple of the low ``dim`` bits of ``mask``, bit 0 first."""
+    return tuple(bin(mask | 1 << dim)[:2:-1].encode().translate(_BITS))
 
 
 class _Lanes:
@@ -112,8 +145,15 @@ class _Lanes:
     def pack(self, point: Sequence[int], start: int = 0) -> int:
         """Packed values of every functional at ``point``, whose entries are
         the coordinates from ``start`` on (the others are 0)."""
-        columns = self.columns
-        return sum(x * columns[k] for k, x in enumerate(point, start) if x)
+        return sum(map(mul, point, islice(self.columns, start, None)))
+
+    def tiers(self, packed: int) -> tuple[int, int]:
+        """The high bits of the lanes of ``packed`` with value >= 1, and of
+        those with value >= 2: H - 1 is added to every lane, then 1 taken
+        from each lane already >= 1, which are >= H - 1 before it, so no
+        lane borrows."""
+        positive = (packed + self.below) & self.high
+        return positive, (packed + self.below - (positive >> 8 * self.size - 1)) & self.high
 
     def unpack(self, packed: int) -> list[int]:
         """The lanes of ``packed``, from one ``to_bytes`` of the biased int:
@@ -146,16 +186,28 @@ class QuotientPolytope:
         }
 
 
-def transversal_functional(dag: Dag, space: LeveledSpace, decomp: Sequence[Route],
+def transversal_functional(space: LeveledSpace, decomp: Sequence[Route],
                            m: Transversal) -> tuple[int, ...]:
     """0/1 functional with support on (vertex, label) pairs reached by the
     pre-transversal prefix of each decomposition route (every prefix edge
     ends at an inner vertex)."""
-    coeffs = [0] * space.dim
+    mask = 0
     for route, chosen in zip(decomp, m):
-        for eid in route[:route.index(chosen)]:
-            coeffs[space.index[(dag.edge_by_id[eid].head, space.labels[eid])]] = 1
-    return tuple(coeffs)
+        mask |= _prefix_masks(space.slots, route)[chosen]
+    return _coefficients(mask, space.dim)
+
+
+def _functionals(space: LeveledSpace, decomp: Sequence[Route]
+                 ) -> dict[Transversal, tuple[int, ...]]:
+    """``transversal_functional`` of every transversal, in product order:
+    the OR of one prefix mask per decomposition route, grown route by
+    route in the same order as ``product(*decomp)``."""
+    masks = [0]
+    for route in decomp:
+        prefixes = _prefix_masks(space.slots, route).values()
+        masks = [m | p for m in masks for p in prefixes]
+    dim = space.dim
+    return {m: _coefficients(mask, dim) for m, mask in zip(product(*decomp), masks)}
 
 
 def check_transversal_identity(q: QuotientPolytope
@@ -176,7 +228,7 @@ def check_transversal_identity(q: QuotientPolytope
     value is at most max(1, max |vertex coordinate|) * max sum |G_m| in
     absolute value, below 2**(w - 1) for the lane width w."""
     dim, transversals = q.space.dim, tuple(q.functionals)
-    index = {eid: k for k, eid in enumerate(q.space.labels, dim)}
+    index = {eid: k for k, eid in enumerate(q.space.slots, dim)}
     combined = []
     for m, coeffs in q.functionals.items():
         g = list(coeffs) + [0] * len(index) + [-1]
@@ -207,29 +259,34 @@ def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
     decomposition, keyed by route index (the decomposition routes project
     to the origin), the functional of every transversal, and one facet per
     distinct functional of an equatorial facet; the dimension is
-    cross-checked."""
+    cross-checked.
+
+    The images and the functionals are read from the space's slot table:
+    one ``_image`` per route and one OR of prefix masks per transversal
+    (``_functionals``).  The images' rank is taken by forward-only Bareiss
+    elimination, with no early stop."""
     if not degree_equality(dag):
         raise NotGorensteinError("not Gorenstein: degree equality fails")
     space = leveled_space(dag, decomp)
     routes = enumerate_routes(dag)
     members = set(decomp)
+    slots, dim = space.slots, space.dim
     verts = []
     for i, r in enumerate(routes):
-        img = phi(dag, space, r)
+        img = _image(slots, dim, r)
         if r not in members:
             verts.append((i, img))
         elif any(img):
             raise AssertionError(f"decomposition route {r} does not project to 0")
     if len({c for _, c in verts}) != len(verts):
         raise AssertionError("projected vertices are not distinct")
-    functionals = {m: transversal_functional(dag, space, decomp, m)
-                   for m in product(*decomp)}
+    functionals = _functionals(space, decomp)
     seen: dict[tuple[int, ...], Transversal] = {}
     for face in equatorial_facets(dag, decomp, routes):
         seen.setdefault(functionals[face.transversal], face.transversal)
     facets = tuple((m, c) for c, m in sorted(seen.items()))
     want = space.quotient_dim
-    got = rank([list(c) for _, c in verts]) if verts else 0
+    got = rank([c for _, c in verts])
     if got != want:
         raise AssertionError(f"quotient rank {got} != expected dimension {want}")
     return QuotientPolytope(space, tuple(routes), tuple(verts), functionals, facets)
@@ -247,8 +304,13 @@ class ReflexiveReport:
 
 def _block_points(lo: Sequence[int], hi: Sequence[int]) -> list[tuple[int, ...]]:
     """Integer tuples in the box [lo, hi] whose entries sum to 0, in
-    lexicographic order."""
-    return [t for t in product(*[range(a, b + 1) for a, b in zip(lo, hi)]) if sum(t) == 0]
+    lexicographic order: each tuple of the others' box, with minus its sum
+    as the last entry when that lies in the last range."""
+    if not lo:
+        return [()]
+    first, last = -hi[-1], -lo[-1]
+    return [t + (-s,) for t in product(*[range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1])])
+            if first <= (s := sum(t)) <= last]
 
 
 def verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
@@ -262,24 +324,28 @@ def verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
     zero-sum tuples visits them in lexicographic order.  Each tuple carries
     its packed partial facet values (``_Lanes``), so a point is interior when
     the sum of its parts, plus H - 1 in every lane, has no lane's high bit
-    set.  The same lanes give each vertex's facet values, one unpack per
-    vertex.  It is exact because every facet value in the box, the vertices
-    included, is at most max |vertex coordinate| * max sum |coeff| <
-    H = 2**(w - 1) in absolute value, for the lane width w."""
-    issues = [f"facet for {m} is not integral"
-              for m, coeffs in q.facets if any(c != int(c) for c in coeffs)]
-    if issues:
-        return ReflexiveReport(tuple(issues), ())
-    dim = q.space.quotient_dim
+    set.  The same lanes check each vertex with two popcounts
+    (``_Lanes.tiers``): a vertex lies on the facets whose value is >= 1 and
+    not >= 2, and only a vertex with a value >= 2 is unpacked, to name the
+    facets it violates.  It is exact because every facet value in the box,
+    the vertices included, is at most max |vertex coordinate| *
+    max sum |coeff| < H = 2**(w - 1) in absolute value, for the lane width
+    w."""
     coords = [v for _, v in q.vertices] or [(0,) * q.space.dim]
     lo, hi = list(map(min, zip(*coords))), list(map(max, zip(*coords)))
-    lanes = _Lanes([list(map(int, c)) for _, c in q.facets], q.space.dim,
-                   max(map(abs, lo + hi), default=0))
-    at_vertex = [(i, lanes.unpack(lanes.pack(v))) for i, v in q.vertices]
-    for i, values in at_vertex:
-        if max(values, default=0) > 1:
+    try:
+        lanes = _Lanes([c for _, c in q.facets], q.space.dim, max(map(abs, lo + hi), default=0))
+    except ValueError:          # _Lanes checks each distinct coefficient once
+        return ReflexiveReport(tuple(f"facet for {m} is not integral" for m, coeffs in q.facets
+                                     if any(c != int(c) for c in coeffs)), ())
+    dim, issues, on = q.space.quotient_dim, [], []
+    for i, v in q.vertices:
+        packed = lanes.pack(v)
+        positive, above = lanes.tiers(packed)
+        if above:
             issues.extend(f"vertex {i} violates facet {m}"
-                          for (m, _), value in zip(q.facets, values) if value > 1)
+                          for (m, _), value in zip(q.facets, lanes.unpack(packed)) if value > 1)
+        on.append((i, positive.bit_count() - above.bit_count()))
     # a leading empty block adds H - 1 to every lane of every point once
     blocks, partials, pos = [[()]], [[lanes.below]], 0
     for _, labels in q.space.blocks:
@@ -296,8 +362,6 @@ def verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
                         if not (base + value) & high)
     if interior != [tuple([0] * q.space.dim)]:
         issues.append(f"interior lattice points {interior}, expected only the origin")
-    for i, values in at_vertex:
-        on = values.count(1)
-        if on < dim:
-            issues.append(f"vertex {i} lies on {on} facets, expected at least {dim}")
+    issues.extend(f"vertex {i} lies on {n} facets, expected at least {dim}"
+                  for i, n in on if n < dim)
     return ReflexiveReport(tuple(issues), tuple(interior))

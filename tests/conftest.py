@@ -18,15 +18,16 @@ from flowtri.dag import (SOURCE, Dag, contract_idle_edges, degree_equality, dime
                          gorenstein_completion, idle_edges, make_dag, random_dag,
                          validate)
 from flowtri.dkk import dkk_triangulation, exceptional_routes, verify_dkk_triangulation
-from flowtri.equatorial import (EquatorialFace, Sphere, Transversal, equatorial_sphere,
-                                joined_simplices)
+from flowtri.equatorial import (EquatorialFace, Sphere, Transversal, _all_framings,
+                                equatorial_sphere, joined_simplices)
 from flowtri.geometry import (Triangulation, Vector, _mask, _members, ehrhart_hstar,
                               euler_characteristic, h_from_f, is_unimodular_simplex,
                               normalized_volume)
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, Poset, make_poset,
                             maximal_equatorial_chains, maximal_filter_chains,
                             rank_constant_filters)
-from flowtri.quotient import QuotientPolytope, ReflexiveReport
+from flowtri.quotient import (LeveledSpace, QuotientPolytope, ReflexiveReport, _Lanes,
+                              edge_labels)
 from flowtri.routes import (Framing, Route, decomposition_framing, indicator_vector,
                             route_decomposition)
 
@@ -469,6 +470,16 @@ def product_avoided_sets(everyone: int, groups: Sequence[Sequence[tuple[str, int
             m &= keep
         first.setdefault(m, tuple(name for name, _ in choice))
     return first
+
+
+def canonical_dkk_matches(dag: Dag, routes: Sequence[Route],
+                          simplices: Sequence[int]) -> tuple[int, ...]:
+    """The framings whose triangulation has exactly ``simplices``, each
+    framing's cliques sorted canonically by ``max_cliques`` first: the
+    oracle for the unsorted comparison of ``differs_from_dkk``."""
+    target, size = set(simplices), dimension(dag) + 1
+    return tuple(i for i, fr in enumerate(_all_framings(dag))
+                 if set(dkk.max_cliques(dkk.coherence_graph(dag, fr, routes), size)) == target)
 
 
 def common_face(dag: Dag, decomp: Sequence[Route], routeset: Sequence[Route]) -> bool:
@@ -1178,6 +1189,85 @@ def box_scan_verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
     for i, v in q.vertices:
         on = sum(1 for _, coeffs in q.facets
                  if sum(c * x for c, x in zip(coeffs, v)) == 1)
+        if on < dim:
+            issues.append(f"vertex {i} lies on {on} facets, expected at least {dim}")
+    return ReflexiveReport(tuple(issues), tuple(interior))
+
+
+def gauss_jordan_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank by full fraction-free Gauss-Jordan elimination (every row
+    reduced against every pivot): the oracle for the forward-only
+    ``geometry.rank``."""
+    return len(geometry._row_reduce(rows)[1])
+
+
+def dict_phi(dag: Dag, decomp: Sequence[Route], space: LeveledSpace,
+             route: Route) -> tuple[int, ...]:
+    """The image of a route with two dict lookups per edge end, (vertex,
+    label) -> coordinate: the oracle for the slot-table ``quotient.phi``."""
+    labels = edge_labels(dag, decomp)
+    vec = [0] * space.dim
+    for eid in route:
+        e = dag.edge_by_id[eid]
+        for v, sign in ((e.head, 1), (e.tail, -1)):
+            if 1 <= v <= dag.inner_count:
+                vec[space.index[(v, labels[eid])]] += sign
+    return tuple(vec)
+
+
+def sliced_functionals(dag: Dag, decomp: Sequence[Route], space: LeveledSpace
+                       ) -> dict[Transversal, tuple[int, ...]]:
+    """Every transversal's functional in product order, each set on the
+    (head, label) pairs of the slice of each decomposition route before its
+    chosen edge: the oracle for the prefix-mask ``quotient._functionals``
+    and ``quotient.transversal_functional``."""
+    labels = edge_labels(dag, decomp)
+    out = {}
+    for m in product(*decomp):
+        coeffs = [0] * space.dim
+        for route, chosen in zip(decomp, m):
+            for eid in route[:route.index(chosen)]:
+                coeffs[space.index[(dag.edge_by_id[eid].head, labels[eid])]] = 1
+        out[m] = tuple(coeffs)
+    return out
+
+
+def filtered_block_points(lo: Sequence[int], hi: Sequence[int]) -> list[tuple[int, ...]]:
+    """The zero-sum tuples of the box [lo, hi], by filtering the whole box:
+    the oracle for ``quotient._block_points``."""
+    return [t for t in product(*[range(a, b + 1) for a, b in zip(lo, hi)]) if sum(t) == 0]
+
+
+def unpacking_verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
+    """``quotient.verify_reflexive`` with every vertex's lanes unpacked to
+    read its facet values, and each block's points filtered from its whole
+    box: the oracle for the popcount vertex check."""
+    issues = [f"facet for {m} is not integral"
+              for m, coeffs in q.facets if any(c != int(c) for c in coeffs)]
+    if issues:
+        return ReflexiveReport(tuple(issues), ())
+    dim = q.space.quotient_dim
+    coords = [v for _, v in q.vertices] or [(0,) * q.space.dim]
+    lo, hi = list(map(min, zip(*coords))), list(map(max, zip(*coords)))
+    lanes = _Lanes([list(map(int, c)) for _, c in q.facets], q.space.dim,
+                   max(map(abs, lo + hi), default=0))
+    at_vertex = [(i, lanes.unpack(lanes.pack(v))) for i, v in q.vertices]
+    for i, values in at_vertex:
+        issues.extend(f"vertex {i} violates facet {m}"
+                      for (m, _), value in zip(q.facets, values) if value > 1)
+    blocks, partials, pos = [], [], 0
+    for _, labels in q.space.blocks:
+        points = filtered_block_points(lo[pos:pos + len(labels)], hi[pos:pos + len(labels)])
+        blocks.append(points)
+        partials.append([lanes.pack(t, pos) for t in points])
+        pos += len(labels)
+    interior = [tuple(p for part in parts for p in part)
+                for parts, packed in zip(product(*blocks), product(*partials))
+                if not (sum(packed) + lanes.below) & lanes.high]
+    if interior != [tuple([0] * q.space.dim)]:
+        issues.append(f"interior lattice points {interior}, expected only the origin")
+    for i, values in at_vertex:
+        on = values.count(1)
         if on < dim:
             issues.append(f"vertex {i} lies on {on} facets, expected at least {dim}")
     return ReflexiveReport(tuple(issues), tuple(interior))

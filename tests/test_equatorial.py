@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowtri import dkk, equatorial
 from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
 from flowtri.dkk import max_cliques
 from flowtri.equatorial import (EquatorialFace, _avoided_sets, differs_from_dkk,
@@ -14,7 +15,8 @@ from flowtri.equatorial import (EquatorialFace, _avoided_sets, differs_from_dkk,
 from flowtri.geometry import (ehrhart_hstar, h_from_f, normalized_volume,
                               verify_triangulation)
 from flowtri.routes import enumerate_routes, route_decomposition
-from tests.conftest import (RU351, Complex, chain, common_face, complex_euler_characteristic,
+from tests.conftest import (RU351, Complex, canonical_dkk_matches, chain, common_face,
+                            complex_euler_characteristic,
                             equatorial_flow_triangulation, f_vector, h_polynomial, is_facet_transversal, is_pure,
                             members, old_t_eq, product_avoided_sets, random_balanced_dag,
                             ridges_in_two_facets, route_unions, routes_avoiding, set_equatorial_facets,
@@ -204,6 +206,36 @@ def test_d3_differs_from_every_dkk():
     assert rep.framings_checked == 36
     assert not rep.matching_framings
     assert not rep.is_dkk
+
+
+@pytest.mark.parametrize("name", ["D1", "D1-crossed", "D2", "D3", "zigzag"])
+def test_exhaustive_sweep_matches_sorted_cliques(name, monkeypatch):
+    """The sweep compares each framing's cliques unsorted: it finds the
+    framings the canonically sorted cliques find, and sorts nothing."""
+    dag, decomp = CATALOG[name]
+    tri = equatorial_flow_triangulation(dag, decomp or route_decomposition(dag))
+    want = canonical_dkk_matches(dag, tri.labels, tri.simplices)
+
+    def canonical(masks):
+        raise AssertionError("sorted a framing's cliques")
+
+    monkeypatch.setattr(dkk, "_canonical", canonical)
+    rep = differs_from_dkk(dag, tri.labels, tri.simplices)
+    assert rep.matching_framings == want
+    assert rep.framings_checked == framing_count(dag)
+
+
+def test_exhaustive_sweep_rejects_a_clique_of_the_wrong_size(monkeypatch):
+    """An edgeless coherence graph has one-route maximal cliques, which the
+    sweep's size check rejects."""
+    d2 = D2()
+    tri = equatorial_flow_triangulation(d2, route_decomposition(d2))
+    monkeypatch.setattr(equatorial, "coherence_graph",
+                        lambda dag, framing, routes: (0,) * len(routes))
+    size = dimension(d2) + 1
+    with pytest.raises(AssertionError,
+                       match=rf"^maximal clique \(\d+,\) has size 1, expected {size}$"):
+        differs_from_dkk(d2, tri.labels, tri.simplices)
 
 
 def test_d1_equals_its_dkk():

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
@@ -12,7 +12,7 @@ from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
 from flowtri.dkk import dkk_triangulation, verify_dkk_triangulation
 from flowtri.equatorial import equatorial_sphere, joined_simplices
 from flowtri.geometry import (LANES, Triangulation, _canonical, _lattice_pass, _mask,
-                              _members, count_lattice_points, ehrhart_hstar,
+                              _member_order, _members, count_lattice_points, ehrhart_hstar,
                               is_unimodular_simplex, join_with_simplex, lattice_counts,
                               normalized_volume, rank, verify_triangulation)
 from flowtri.planar import make_poset, maximal_equatorial_chains, rank_constant_filters
@@ -525,6 +525,15 @@ def test_canonical_order_is_the_member_order_within_a_size(masks):
     their member tuples sort; across sizes they do not."""
     assert _canonical(masks) == sorted(masks, key=_members)
     assert _canonical([_mask((0,)), _mask((0, 1))]) == [_mask((0, 1)), _mask((0,))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 70), max_size=8).map(_mask), max_size=40))
+@example([_mask((0,)), _mask((0, 1)), 0, _mask((1,)), _mask((0, 2))])
+def test_member_order_is_the_member_order_across_sizes(masks):
+    """The key ``_member_order`` sorts masks of mixed sizes, the empty one
+    included, as their member tuples sort."""
+    assert sorted(masks, key=_member_order) == sorted(masks, key=_members)
 
 
 def test_join_with_an_empty_complex_or_a_wrong_size():

@@ -1,7 +1,8 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,14 +11,16 @@ from hypothesis import strategies as st
 from flowtri import quotient
 from flowtri.dag import D1, D2, D3, G, bypass, make_dag, zigzag
 from flowtri.equatorial import equatorial_facets
-from flowtri.quotient import (check_transversal_identity, edge_labels,
+from flowtri.geometry import rank
+from flowtri.quotient import (_block_points, check_transversal_identity, edge_labels,
                               leveled_space, phi, quotient_facets,
                               ReflexiveReport, transversal_functional,
                               verify_reflexive)
 from flowtri.routes import NotGorensteinError, enumerate_routes, route_decomposition
-from tests.conftest import (box_scan_verify_reflexive, dense_pairs_and_failures,
-                            dense_transversal_identity, random_balanced_dag,
-                            scaled)
+from tests.conftest import (RU351, box_scan_verify_reflexive, chain, dense_pairs_and_failures,
+                            dense_transversal_identity, dict_phi, filtered_block_points,
+                            gauss_jordan_rank, random_balanced_dag, route_unions, scaled,
+                            sliced_functionals, unpacking_verify_reflexive)
 from tests.test_geometry import BIG
 
 
@@ -35,7 +38,7 @@ def test_phi_kills_decomposition_routes():
     for dag in (D1(), D2(), D3()):
         decomp = route_decomposition(dag)
         for r in decomp:
-            assert all(v == 0 for v in phi(dag, leveled_space(dag, decomp), r))
+            assert all(v == 0 for v in phi(leveled_space(dag, decomp), r))
 
 
 def test_quotient_d1_is_segment():
@@ -150,6 +153,142 @@ def test_identity_unpacks_nothing_when_it_holds(dag, decomp, monkeypatch):
     assert check_transversal_identity(q) == (len(q.routes) * len(q.functionals), ())
 
 
+def check_fast_paths(dag, decomp=None, dilate=True):
+    """The slot-table images and functionals, the forward-only rank, the
+    zero-sum block points and the popcount vertex check against the code
+    they replace (conftest's oracles); the vertex check also on the
+    ``scaled_functionals`` controls and, with ``dilate``, on dilations by
+    -1, 2 and 3 (whose interior scans grow with the box)."""
+    decomp = decomp or route_decomposition(dag)
+    q = quotient_facets(dag, decomp)
+    space = q.space
+    images = [dict_phi(dag, decomp, space, r) for r in q.routes]
+    assert [phi(space, r) for r in q.routes] == images
+    assert q.vertices == tuple((i, img) for i, (r, img) in enumerate(zip(q.routes, images))
+                               if r not in decomp)
+    want = sliced_functionals(dag, decomp, space)
+    assert list(q.functionals.items()) == list(want.items())
+    assert all(transversal_functional(space, decomp, m) == c for m, c in want.items())
+    rows = [c for _, c in q.vertices]
+    assert rank(rows) == gauss_jordan_rank(rows) == space.quotient_dim
+    coords = rows or [(0,) * space.dim]
+    lo, hi, pos = list(map(min, zip(*coords))), list(map(max, zip(*coords))), 0
+    for _, labels in space.blocks:
+        box = lo[pos:pos + len(labels)], hi[pos:pos + len(labels)]
+        assert _block_points(*box) == filtered_block_points(*box)
+        pos += len(labels)
+    controls = [q] + [scaled_functionals(q, f) for f in (128, 2**70)]
+    if dilate:
+        controls += [scaled(q, f) for f in (-1, 2, 3)]
+    for control in controls:
+        assert verify_reflexive(control) == unpacking_verify_reflexive(control)
+    assert verify_reflexive(q).ok
+
+
+@CATALOG
+def test_fast_paths_match_replaced_code_catalog(dag, decomp):
+    check_fast_paths(dag, decomp)
+
+
+@pytest.mark.parametrize("k,m", [(2, 3), (3, 2), (2, 4), (4, 2), (3, 3)])
+def test_fast_paths_match_replaced_code_chains(k, m):
+    check_fast_paths(chain(k, m))
+
+
+@pytest.mark.parametrize("dag", [RU351, BIG], ids=["RU351", "BIG"])
+def test_fast_paths_match_replaced_code_at_scale(dag):
+    """RU351 (dim 10, 144 transversals) and BIG (dim 13, 560): undilated,
+    since a dilated box's interior scan grows past a test's budget."""
+    check_fast_paths(dag, dilate=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dag=route_unions())
+def test_fast_paths_match_replaced_code_route_unions(dag):
+    check_fast_paths(dag)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dag=route_unions(max_inner=2))
+def test_reflexivity_matches_box_scan_oracle_route_unions(dag):
+    """At most 8 coordinates, so the dense box scan stays small; the
+    dilations run against it in the catalog and random tests."""
+    q = quotient_facets(dag, route_decomposition(dag))
+    for control in (q, scaled_functionals(q, 300)):
+        assert verify_reflexive(control) == box_scan_verify_reflexive(control)
+
+
+@settings(max_examples=200, deadline=None)
+@given(box=st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)), max_size=4))
+def test_block_points_match_filtered_box(box):
+    lo = [a for a, _ in box]
+    hi = [a + w for a, w in box]
+    assert _block_points(lo, hi) == filtered_block_points(lo, hi)
+
+
+@pytest.mark.parametrize("dag,decomp", CATALOG_CASES + [(chain(3, 3), None), (RU351, None),
+                                                        (BIG, None)],
+                         ids=CATALOG_IDS + ["chain3x3", "RU351", "BIG"])
+def test_passing_vertex_check_unpacks_nothing(dag, decomp, monkeypatch):
+    """A vertex is unpacked only to name the facets it violates, so a
+    passing ``verify_reflexive`` unpacks no lane."""
+    q = quotient_facets(dag, decomp or route_decomposition(dag))
+
+    def unpack(self, packed):
+        raise AssertionError(f"unpacked {packed}")
+
+    monkeypatch.setattr(quotient._Lanes, "unpack", unpack)
+    assert verify_reflexive(q).ok
+
+
+def test_decomposition_route_off_the_origin_raises(monkeypatch):
+    """An image step that moves every route by one unit in the first
+    coordinate breaks the first invariant of ``quotient_facets``."""
+    real = quotient._image
+    monkeypatch.setattr(quotient, "_image",
+                        lambda slots, dim, route: (1,) + real(slots, dim, route)[1:])
+    d2 = D2()
+    decomp = route_decomposition(d2)
+    with pytest.raises(AssertionError,
+                       match=rf"^decomposition route {re.escape(str(decomp[0]))} "
+                             r"does not project to 0$"):
+        quotient_facets(d2, decomp)
+
+
+def test_coinciding_vertices_raise(monkeypatch):
+    """An image step that sends every route outside the decomposition to
+    one point breaks the second invariant."""
+    d2 = D2()
+    decomp = route_decomposition(d2)
+    real = quotient._image
+
+    def image(slots, dim, route):
+        return real(slots, dim, route) if route in decomp else (1,) + (0,) * (dim - 1)
+
+    monkeypatch.setattr(quotient, "_image", image)
+    with pytest.raises(AssertionError, match="^projected vertices are not distinct$"):
+        quotient_facets(d2, decomp)
+
+
+def test_rank_below_quotient_dim_raises(monkeypatch):
+    """An image step that puts the routes outside the decomposition at
+    distinct points of one line breaks the third invariant: D2's quotient
+    has dimension 2."""
+    d2 = D2()
+    decomp = route_decomposition(d2)
+    real, step = quotient._image, count(1)
+
+    def image(slots, dim, route):
+        if route in decomp:
+            return real(slots, dim, route)
+        n = next(step)
+        return (n, -n) + (0,) * (dim - 2)
+
+    monkeypatch.setattr(quotient, "_image", image)
+    with pytest.raises(AssertionError, match="^quotient rank 1 != expected dimension 2$"):
+        quotient_facets(d2, decomp)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_reflexivity_matches_box_scan_oracle_random(seed):
@@ -235,7 +374,7 @@ def test_functional_support():
     d2 = D2()
     decomp = route_decomposition(d2)          # ((a, c, e), (b, d, f))
     space = leveled_space(d2, decomp)
-    coeffs = transversal_functional(d2, space, decomp, ("e", "b"))
+    coeffs = transversal_functional(space, decomp, ("e", "b"))
     support = {pair for pair, k in space.index.items() if coeffs[k]}
     # prefix of route 1 before e passes vertices 1 and 2 at label 1
     assert support == {(1, 1), (2, 1)}
