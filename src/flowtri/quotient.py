@@ -38,14 +38,6 @@ class LeveledSpace:
     slots: Mapping[str, tuple[int, int]]              # edge -> (head slot, tail slot)
 
     @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for v, labels in self.blocks:
-            for l in labels:
-                out[(v, l)] = len(out)
-        return out
-
-    @cached_property
     def dim(self) -> int:
         return sum(len(labels) for _, labels in self.blocks)
 
@@ -67,9 +59,11 @@ def leveled_space(dag: Dag, decomp: Sequence[Route]) -> LeveledSpace:
             raise AssertionError(f"two in-edges of {v} carry the same route label")
         blocks.append((v, inlv))
         index.update(((v, l), len(index)) for l in inlv)
-    dim = len(index)
-    slots = {e.id: (index.get((e.head, labels[e.id]), dim),
-                    index.get((e.tail, labels[e.id]), dim)) for e in dag.edges}
+    dim, slots = len(index), {}
+    for e in dag.edges:         # only the sink's end and the source's have no block
+        l = labels[e.id]
+        slots[e.id] = (index[(e.head, l)] if e.head <= dag.inner_count else dim,
+                       index[(e.tail, l)] if e.tail else dim)
     return LeveledSpace(tuple(blocks), slots)
 
 
@@ -115,23 +109,25 @@ class _Lanes:
     Lane j of a packed int holds functional j's value at one point, in a
     field of w = 8 * ``size`` bits: the int is sum_j value_j << (w * j), and
     ``columns[k]`` is that sum for the k-th unit vector, so a point's packed
-    values are sum_k x_k * columns[k] over its nonzero coordinates.  At a
-    point whose coordinates are at most ``bound`` in absolute value every
-    value is at most V = bound * max_j sum_k |coeff_j[k]|, and w is the
-    least whole number of bytes with V < H = 2**(w - 1).  Adding the bias H
-    to every lane then puts each lane in [H - V, H + V], inside [0, 2**w),
-    so no lane borrows from or carries into its neighbour: the biased int's
-    bytes are the lanes, and a lane of value >= 1 is one whose high bit is
-    set once H - 1 is added instead.  Any width is exact, 64 bits or more.
+    values are sum_k x_k * columns[k].  At a point whose coordinates are at
+    most ``bound`` in absolute value every value is at most
+    V = bound * max_j sum_k |coeff_j[k]|, plus ``spare`` for values that
+    the caller adds lane by lane, and w is the least whole number of bytes
+    with V < H = 2**(w - 1).  Adding the bias H to every lane then puts
+    each lane in [H - V, H + V], inside [0, 2**w), so no lane borrows from
+    or carries into its neighbour: the biased int's bytes are the lanes,
+    and a lane of value >= 1 is one whose high bit is set once H - 1 is
+    added instead.  Any width is exact, 64 bits or more.
     A coefficient that is not a whole number raises ``ValueError``.
     """
 
-    def __init__(self, functionals: Sequence[Sequence[int]], dim: int, bound: int) -> None:
+    def __init__(self, functionals: Sequence[Sequence[int]], dim: int, bound: int,
+                 spare: int = 0) -> None:
         values = set(chain.from_iterable(functionals))
         for c in values:
             if c != int(c):
                 raise ValueError(f"coefficient {c} is not an integer")
-        widest = max(1, bound) * max((sum(map(abs, c)) for c in functionals), default=0)
+        widest = max(1, bound) * max((sum(map(abs, c)) for c in functionals), default=0) + spare
         size = self.size = int(widest).bit_length() // 8 + 1
         half = 1 << (8 * size - 1)
         count = self.count = len(functionals)
@@ -219,30 +215,31 @@ def check_transversal_identity(q: QuotientPolytope
     ``quotient_facets``) supplies the routes, their images and the
     functionals.
 
-    One ``_Lanes`` holds G_m = (F_m, indicator of m's edges, -1) for every
-    m, so packing route s once, at (phi(s), indicator of s's edges, 1), puts
-    lhs - rhs in m's lane.  The biased lanes are the base-2**w digits of one
-    int, and digits are unique, so the identity holds for every m exactly
-    when the packed int is 0.  Only a nonzero route is unpacked, and rows
-    are built for its nonzero lanes alone.  It is exact because every lane
-    value is at most max(1, max |vertex coordinate|) * max sum |G_m| in
+    One ``_Lanes`` holds F_m for every m, with room (``spare``) for the
+    number of edges of m on s, less 1, on top.  Route s's packed int is
+    phi(s) packed, plus, for each edge of s, the int with a 1 in the lane
+    of each m holding that edge, plus -1 in every lane: lhs - rhs in m's
+    lane.  The biased lanes are the base-2**w digits of one int, and
+    digits are unique, so the identity holds for every m exactly when the
+    packed int is 0.  Only a nonzero route is unpacked, and rows are built
+    for its nonzero lanes alone.  It is exact because every lane value is
+    at most max(1, max |vertex coordinate|) * max sum |F_m| + |m| + 1 in
     absolute value, below 2**(w - 1) for the lane width w."""
-    dim, transversals = q.space.dim, tuple(q.functionals)
-    index = {eid: k for k, eid in enumerate(q.space.slots, dim)}
-    combined = []
-    for m, coeffs in q.functionals.items():
-        g = list(coeffs) + [0] * len(index) + [-1]
-        for eid in m:
-            g[index[eid]] = 1
-        combined.append(g)
+    transversals = tuple(q.functionals)
     bound = max(map(abs, chain.from_iterable(v for _, v in q.vertices)), default=0)
-    lanes = _Lanes(combined, dim + len(index) + 1, bound)
-    edge = {eid: lanes.columns[k] for eid, k in index.items()}
-    one = lanes.columns[-1]
+    lanes = _Lanes(list(q.functionals.values()), q.space.dim, bound,
+                   max(map(len, transversals), default=0) + 1)
+    size = lanes.size
+    marks = {eid: bytearray(size * len(transversals)) for eid in q.space.slots}
+    for j, m in enumerate(transversals):
+        for eid in m:
+            marks[eid][size * j] = 1
+    edge = {eid: int.from_bytes(lane_bytes, "little") for eid, lane_bytes in marks.items()}
+    minus_one = lanes.below - lanes.bias          # -1 in every lane
     images = dict(q.vertices)
     failures: list[tuple[Route, Transversal, int, int]] = []
     for i, s in enumerate(q.routes):
-        packed = sum(map(edge.__getitem__, s), one)
+        packed = sum(map(edge.__getitem__, s), minus_one)
         if i in images:
             packed += lanes.pack(images[i])
         if packed:

@@ -1201,17 +1201,23 @@ def gauss_jordan_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(geometry._row_reduce(rows)[1])
 
 
+def slot_index(space: LeveledSpace) -> dict[tuple[int, int], int]:
+    """(vertex, label) -> coordinate, block by block."""
+    return {(v, l): k for k, (v, l) in enumerate(
+        (v, l) for v, labels in space.blocks for l in labels)}
+
+
 def dict_phi(dag: Dag, decomp: Sequence[Route], space: LeveledSpace,
              route: Route) -> tuple[int, ...]:
     """The image of a route with two dict lookups per edge end, (vertex,
     label) -> coordinate: the oracle for the slot-table ``quotient.phi``."""
-    labels = edge_labels(dag, decomp)
+    labels, index = edge_labels(dag, decomp), slot_index(space)
     vec = [0] * space.dim
     for eid in route:
         e = dag.edge_by_id[eid]
         for v, sign in ((e.head, 1), (e.tail, -1)):
             if 1 <= v <= dag.inner_count:
-                vec[space.index[(v, labels[eid])]] += sign
+                vec[index[(v, labels[eid])]] += sign
     return tuple(vec)
 
 
@@ -1221,13 +1227,13 @@ def sliced_functionals(dag: Dag, decomp: Sequence[Route], space: LeveledSpace
     (head, label) pairs of the slice of each decomposition route before its
     chosen edge: the oracle for the prefix-mask ``quotient._functionals``
     and ``quotient.transversal_functional``."""
-    labels = edge_labels(dag, decomp)
+    labels, index = edge_labels(dag, decomp), slot_index(space)
     out = {}
     for m in product(*decomp):
         coeffs = [0] * space.dim
         for route, chosen in zip(decomp, m):
             for eid in route[:route.index(chosen)]:
-                coeffs[space.index[(dag.edge_by_id[eid].head, labels[eid])]] = 1
+                coeffs[index[(dag.edge_by_id[eid].head, labels[eid])]] = 1
         out[m] = tuple(coeffs)
     return out
 

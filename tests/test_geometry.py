@@ -21,7 +21,7 @@ from flowtri.routes import (decomposition_framing, enumerate_routes,
 from tests.conftest import (RU341, RU351, RU441, RU452, brute_count_lattice_points, chain,
                             complex_euler_characteristic, complex_from_faces,
                             equatorial_flow_triangulation, equatorial_order_triangulation,
-                            f_vector, h_polynomial, hstar_by_binomials,
+                            f_vector, gauss_jordan_rank, h_polynomial, hstar_by_binomials,
                             interpolate_polynomial,
                             is_gorenstein, is_pure, lp_triangulation_ok, maximal_minor_gcd,
                             members, per_dilate_count_lattice_points, random_balanced_dag,
@@ -55,6 +55,18 @@ def test_rank_matches_smith_divisor_count(rows, copies):
     combined rows so that low ranks come up."""
     rows = rows + [[a + 2 * b for a, b in zip(rows[0], r)] for r in rows[:copies]]
     assert rank(rows) == len(smith_divisors(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda width: st.lists(
+    st.lists(st.integers(-2, 2), min_size=width, max_size=width), max_size=12)),
+       st.integers(0, 6))
+def test_forward_rank_matches_gauss_jordan(rows, copies):
+    """The forward-only elimination, on the matrix or on its transpose when
+    that has fewer rows, against full Gauss-Jordan elimination: tall, wide
+    and square matrices, with combined rows so that low ranks come up."""
+    rows = rows + [[a - b for a, b in zip(rows[0], r)] for r in rows[1:copies + 1]]
+    assert rank(rows) == gauss_jordan_rank(rows)
 
 
 def test_unimodular_simplex():

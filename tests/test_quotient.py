@@ -20,7 +20,7 @@ from flowtri.routes import NotGorensteinError, enumerate_routes, route_decomposi
 from tests.conftest import (RU351, box_scan_verify_reflexive, chain, dense_pairs_and_failures,
                             dense_transversal_identity, dict_phi, filtered_block_points,
                             gauss_jordan_rank, random_balanced_dag, route_unions, scaled,
-                            sliced_functionals, unpacking_verify_reflexive)
+                            sliced_functionals, slot_index, unpacking_verify_reflexive)
 from tests.test_geometry import BIG
 
 
@@ -328,6 +328,20 @@ def _transversal_count(decomp):
     return n
 
 
+def test_identity_lanes_leave_room_for_the_edge_count():
+    """A lane holds F_m . phi(s) plus the number of edges of m on s, less
+    1: with F_(a,d) = (127, 0) on D1, route (a, d) (image (1, -1), both
+    edges on the transversal) puts 127 + 1 in a lane whose functional
+    alone fits in 8 bits, so the lane must be wider than the functionals
+    need."""
+    d1 = D1()
+    q = quotient_facets(d1, route_decomposition(d1))
+    wide = replace(q, functionals={**q.functionals, ("a", "d"): (127, 0)})
+    pairs, failures = check_transversal_identity(wide)
+    assert (pairs, failures) == dense_pairs_and_failures(wide)
+    assert (("a", "d"), ("a", "d"), 127, -1) in failures
+
+
 def test_transversal_identity_value_example():
     """The identity holds on D1, so its values show only once the vertices
     are doubled: each lhs doubles and each rhs stays."""
@@ -375,7 +389,7 @@ def test_functional_support():
     decomp = route_decomposition(d2)          # ((a, c, e), (b, d, f))
     space = leveled_space(d2, decomp)
     coeffs = transversal_functional(space, decomp, ("e", "b"))
-    support = {pair for pair, k in space.index.items() if coeffs[k]}
+    support = {pair for pair, k in slot_index(space).items() if coeffs[k]}
     # prefix of route 1 before e passes vertices 1 and 2 at label 1
     assert support == {(1, 1), (2, 1)}
 
