@@ -1,4 +1,5 @@
-"""Coherence of routes under a framing and the induced triangulation.
+"""Coherence of routes under a framing, the induced triangulation, and one
+certificate for any triangulation whose vertices are routes.
 
 Two routes sharing an inner vertex are compared twice: once along their
 prefixes into the vertex (scanning backwards to the first divergence) and
@@ -22,17 +23,17 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from functools import reduce
-from operator import and_
+from operator import and_, mul
 from typing import Sequence
 
 from .dag import Dag, dimension
-from .geometry import (Triangulation, TriangulationReport, _canonical, _mask, _members,
-                       is_unimodular_simplex, normalized_volume, verify_triangulation)
+from .geometry import (Triangulation, TriangulationReport, Vector, _canonical, _mask, _members,
+                       _row_reduce, _vertex_functionals, is_unimodular_simplex,
+                       normalized_volume)
 from .routes import Framing, Route, enumerate_routes, indicator_vector, is_route
 
 
-def coherence_graph(dag: Dag, framing: Framing,
-                    routes: Sequence[Route]) -> tuple[int, ...]:
+def coherence_graph(framing: Framing, routes: Sequence[Route]) -> tuple[int, ...]:
     """Adjacency of the coherence graph as int masks: bit j of entry i is
     set when ``routes[i]`` and ``routes[j]`` (i != j) are coherent.
 
@@ -134,7 +135,7 @@ def max_cliques(adj: Sequence[int], size: int, within: int | None = None) -> tup
 def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:
     routes = enumerate_routes(dag)
     return Triangulation(
-        simplices=max_cliques(coherence_graph(dag, framing, routes), dimension(dag) + 1),
+        simplices=max_cliques(coherence_graph(framing, routes), dimension(dag) + 1),
         labels=routes,
         coords=tuple(indicator_vector(dag, r) for r in routes),
     )
@@ -147,58 +148,99 @@ _RIDGE_BUCKETS = 31
 
 
 def verify_dkk_triangulation(dag: Dag, tri: Triangulation) -> TriangulationReport:
-    """``verify_triangulation`` of ``tri`` against the flow polytope of
-    ``dag``, whose dimension and normalized volume (one Lidskii count, no
-    Ehrhart pass) it works out once, for a triangulation whose vertices are
-    routes of ``dag``: by a route-swap certificate with one unimodularity
-    test wherever the certificate goes through, and by
-    ``verify_triangulation`` itself wherever it does not.  ``ValueError``
-    for an invalid ``dag``."""
+    """Whether ``tri`` is a unimodular triangulation of the flow polytope of
+    ``dag`` whose vertices are routes: the route-swap certificate
+    (``_swap_certificate``) against the graph's own dimension and normalized
+    volume, the latter one Lidskii count and no Ehrhart pass.  ``ValueError``
+    for an invalid ``dag``; a malformed ``tri`` is an issue, never raised."""
     volume, dim = normalized_volume(dag), dimension(dag)     # validates dag
-    if _swap_certificate(dag, tri, dim, volume):
-        return TriangulationReport(())
-    return verify_triangulation(tri, dim, volume)
+    return _swap_certificate(dag, tri, dim, volume)
 
 
-def _swap_certificate(dag: Dag, tri: Triangulation, dim: int, volume: int) -> bool:
-    """True when the route-swap certificate of ``verify_dkk_triangulation``
-    goes through, for a valid ``dag`` of dimension ``dim`` and normalized
-    volume ``volume``; False at the first step that fails.
+def _chart(dag: Dag) -> list[int]:
+    """The edge indices of a chart of aff(P), P the flow polytope of a valid
+    ``dag``: the columns that the conservation rows (one per vertex but the
+    sink) leave free, ``dimension(dag)`` of them.  The other flows follow
+    from these, so the projection onto them is one-to-one on aff(P) and
+    keeps barycentric coordinates."""
+    _, pivots = _row_reduce([[(e.head == v) - (e.tail == v) for e in dag.edges]
+                             for v in range(dag.sink)])
+    return sorted(set(range(len(dag.edges))).difference(pivots))
+
+
+def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
+                      volume: int) -> TriangulationReport:
+    """The report of ``verify_dkk_triangulation``'s certificate for a valid
+    ``dag`` of dimension ``dim`` and normalized volume ``volume``: one issue
+    per failing step, naming its label, simplex or ridge by member tuple.
 
     The certificate asks that the labels be distinct routes of ``dag``, with
     their indicator vectors as coordinates, and ``volume`` simplex masks of
-    dim + 1 routes, each ridge in at most two.  The apexes a, b of a ridge
-    in two simplices meet at an inner vertex where swapping their prefixes
-    gives routes c, d of the ridge.  The apex of a ridge in one simplex uses
-    an edge e that every route of the ridge misses.  The first simplex is
-    unimodular.
+    dim + 1 routes, each ridge in at most two.  For a ridge R in two
+    simplices, with apexes a and b, b's barycentric coordinate at a in the
+    simplex R + a is -1: a and b meet at an inner vertex where swapping
+    their prefixes gives routes c, d of R, so b = c + d - a; or, where no
+    swap crosses R, an exact step on a chart of aff(P) (``_chart``) finds
+    R + a nondegenerate and reads the coordinate off its vertex
+    functionals.  The apex of a ridge in one simplex uses an edge e that
+    every route of the ridge misses.  The first simplex is unimodular.
 
     Why that is sound (De Loera-Rambau-Santos, *Triangulations*, Ch. 4):
     let V be ``volume``, the polytope P's own normalized volume, which
     ``normalized_volume`` counts by the Lidskii formula (Baldoni-Vergne,
     2008) as the integer flows with indeg(v) - 1 units injected at each
-    inner vertex v, independently of ``tri``.  A
-    swap-crossed pair has b - c = d - a, so both simplices have one
-    difference lattice, and the ridge's affine functional f has
-    f(b) = -f(a) < 0.  So the swap component C of the first simplex is all
-    unimodular and full-dimensional (a valid graph's routes span at most
-    ``dim`` dimensions).  Each ridge of C lies in two simplices of C on
-    opposite sides, or on the facet x_e = 0 of P, as x_e >= 0 holds on
-    every route.  So C covers a generic point of P a constant k >= 1 times,
-    and |C| = k * V.  There are V simplices in all, so k = 1 and C is all
-    of them: every condition of the ridge check holds.  The proof needs V
-    to be the true volume: given twice the volume, two triangulations with
-    no ridge in common pass every other step.
+    inner vertex v, independently of ``tri``.  At an interior ridge R, b =
+    -a + sum(m_r * r) over the routes r of R with sum(m_r) = 2 (m_c = m_d =
+    1 for a swap), so the ridge's affine functional f has f(b) = -f(a), b
+    lies strictly across R, and |det| is equal on both sides.  If R + a is
+    unimodular, the m_r are integers, as b is a lattice point of aff(P); so
+    b lies in the difference lattice of R + a, and with equal |det| both
+    simplices have one difference lattice.  The step reads the same from
+    either side (a = -b + the same sum), so it holds whichever simplex the
+    ridge table meets first.  So the swap component C of the first simplex
+    (the simplices it reaches through interior ridges) is all unimodular and
+    full-dimensional (a valid graph's routes span at most ``dim``
+    dimensions).  Each ridge of C lies in two simplices of C on opposite
+    sides, or on the facet x_e = 0 of P, as x_e >= 0 holds on every route.
+    So C covers a generic point of P a constant k >= 1 times, and |C| = k *
+    V.  There are V simplices in all, so k = 1 and C is all of them: every
+    condition of the ridge check holds.  The proof needs V to be the true
+    volume: given twice the volume, two triangulations with no ridge in
+    common pass every other step.  Conversely every step holds on a
+    unimodular triangulation of P by routes: the apexes at an interior ridge
+    have barycentric coordinate -1 in each other's simplex, and a boundary
+    ridge lies on a facet x_e = 0 that its apex misses.
     """
-    labels, simplices, n = tri.labels, tri.simplices, len(tri.labels)
-    if not (simplices and len(simplices) == volume
-            and all(type(r) is tuple and all(type(e) is str for e in r)
-                    and is_route(dag, r) for r in labels)
-            and len(set(labels)) == n
-            and tuple(tri.coords) == tuple(indicator_vector(dag, r) for r in labels)
-            and all(type(m) is int and 0 <= m and not m >> n and m.bit_count() == dim + 1
-                    for m in simplices)):
-        return False
+    labels, simplices, coords, n = tri.labels, tri.simplices, tri.coords, len(tri.labels)
+    issues = [] if simplices else ["no simplices"]
+    seen: dict = {}                          # route -> its first label index
+    for i, r in enumerate(labels):
+        if not (type(r) is tuple and all(type(e) is str for e in r) and is_route(dag, r)):
+            issues.append(f"label {i} {r!r} is not a route of the graph")
+        elif (j := seen.setdefault(r, i)) != i:
+            issues.append(f"label {i} {r!r} repeats label {j}")
+        elif i < len(coords) and coords[i] != indicator_vector(dag, r):
+            issues.append(f"vertex {i} is not at the indicator vector of route {r!r}")
+    if len(coords) != n:
+        issues.append(f"{n} labels but {len(coords)} coordinate vectors")
+    for m in simplices:
+        if type(m) is not int or m < 0:
+            issues.append(f"simplex {m!r} is not a mask of vertex indices")
+        elif m.bit_count() != dim + 1:
+            issues.append(f"simplex {_members(m)} has {m.bit_count()} vertices, "
+                          f"expected {dim + 1}")
+        elif m >> n:
+            issues.append(f"simplex {_members(m)} names a vertex without coordinates")
+    malformed = bool(issues)
+    if len(simplices) != volume:
+        issues.append(f"{len(simplices)} simplices but normalized volume {volume}")
+    if malformed:
+        return TriangulationReport(tuple(issues))
+    try:
+        if not is_unimodular_simplex([coords[i] for i in _members(simplices[0])]):
+            issues.append(f"simplex {_members(simplices[0])} is not unimodular")
+    except ValueError:
+        issues.append(f"simplex {_members(simplices[0])} is degenerate")
 
     # per route: its edge set, and the edge set of its prefix into each
     # inner vertex it visits; per edge: the routes through it
@@ -224,6 +266,27 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int, volume: int) -> bo
                 return True
         return False
 
+    chart: list[Vector] = []         # every route's point on ``_chart``, from the first exact step
+
+    def exact_step(s: int, t: int, ridge: int) -> str | None:
+        """None when the apex b of simplex ``t`` at ``ridge`` has barycentric
+        coordinate -1 at the apex a of simplex ``s`` in s, else the issue."""
+        if not chart:
+            columns = _chart(dag)
+            chart.extend(tuple(x[c] for c in columns) for x in coords)
+        a, b = (simplices[s] ^ ridge).bit_length() - 1, (simplices[t] ^ ridge).bit_length() - 1
+        try:
+            (c, f), *_ = _vertex_functionals([chart[a]] + [chart[i] for i in _members(ridge)])
+        except ValueError:
+            return f"simplex {_members(simplices[s])} is degenerate"
+        at_a, at_b = (c + sum(map(mul, f, chart[v])) for v in (a, b))
+        if at_b == -at_a:
+            return None
+        pair = f"simplices {_members(simplices[s])} and {_members(simplices[t])}"
+        if at_b >= 0:
+            return f"{pair} lie on the same side of ridge {_members(ridge)}"
+        return f"{pair} differ in volume across ridge {_members(ridge)}"
+
     # the (simplex k, apex v) pairs as k * n + v, in buckets by ridge mask:
     # a ridge's owners share a bucket, and one bucket's table is held at a time
     buckets = [array("q") for _ in range(_RIDGE_BUCKETS)]
@@ -234,7 +297,8 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int, volume: int) -> bo
             rest ^= low
             buckets[(m ^ low) % _RIDGE_BUCKETS].append(k * n + low.bit_length() - 1)
     for bucket in buckets:
-        # ridge mask -> its simplex while it lies in one, -1 once in two
+        # ridge mask -> its simplex while it lies in one, minus the number
+        # of its simplices once in more
         owner: dict[int, int] = {}
         for entry in bucket:
             k, apex = divmod(entry, n)
@@ -242,18 +306,21 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int, volume: int) -> bo
             other = owner.setdefault(ridge, k)
             if other == k:
                 continue
-            if other < 0 or not swap_crosses(apex, (simplices[other] ^ ridge).bit_length() - 1,
-                                             ridge):
-                return False
-            owner[ridge] = -1
+            if other < 0:
+                owner[ridge] = other - 1
+                continue
+            owner[ridge] = -2
+            if not swap_crosses((simplices[other] ^ ridge).bit_length() - 1, apex, ridge) \
+                    and (issue := exact_step(other, k, ridge)):
+                issues.append(issue)
         for ridge, k in owner.items():
-            if k >= 0 and all(ridge & through[eid]
-                              for eid in labels[(simplices[k] ^ ridge).bit_length() - 1]):
-                return False
-    try:
-        return is_unimodular_simplex([tri.coords[i] for i in _members(simplices[0])])
-    except ValueError:
-        return False
+            if k < -2:
+                issues.append(f"ridge {_members(ridge)} lies in {-k} simplices")
+            elif k >= 0 and all(ridge & through[eid]
+                                for eid in labels[(simplices[k] ^ ridge).bit_length() - 1]):
+                issues.append(f"ridge {_members(ridge)} of simplex {_members(simplices[k])} "
+                              f"is not on the boundary")
+    return TriangulationReport(tuple(dict.fromkeys(issues)))   # each once
 
 
 def exceptional_routes(tri: Triangulation) -> tuple[Route, ...]:

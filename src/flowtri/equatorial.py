@@ -171,7 +171,7 @@ def equatorial_sphere(dag: Dag, decomp: Sequence[Route], framing: Framing | None
     (``framing``, when the caller has built it), the equatorial facets over
     the routes and the equatorial sphere T_eq."""
     routes = enumerate_routes(dag)
-    adj = coherence_graph(dag, framing or decomposition_framing(dag, decomp), routes)
+    adj = coherence_graph(framing or decomposition_framing(dag, decomp), routes)
     facets = equatorial_facets(dag, decomp, routes)
     return routes, adj, facets, t_eq(adj, facets, dimension(dag) + 1 - len(decomp))
 
@@ -213,5 +213,5 @@ def differs_from_dkk(dag: Dag, routes: Sequence[Route],
         raise ValueError(f"exhaustive bound exceeded: {total} framings > {MAX_FRAMINGS}")
     target, size = set(simplices), dimension(dag) + 1
     matches = tuple(i for i, fr in enumerate(_all_framings(dag))
-                    if set(_sized_cliques(coherence_graph(dag, fr, routes), size)) == target)
+                    if set(_sized_cliques(coherence_graph(fr, routes), size)) == target)
     return DkkComparisonReport(total, matches)

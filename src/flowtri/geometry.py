@@ -1,4 +1,4 @@
-"""Exact lattice geometry: unimodularity, triangulation checks, h-vectors
+"""Exact lattice geometry: unimodularity, vertex functionals, h-vectors
 from f-vectors and Ehrhart counting.
 
 Everything is exact integer arithmetic.  A simplex or face is an int mask
@@ -209,11 +209,15 @@ def _vertex_functionals(pts: Sequence[Vector]) -> list[tuple[int, Vector]]:
     """One integer affine functional ``(c, a)`` per vertex of a
     full-dimensional simplex in Z^d: x -> c + a.x is the vertex's
     barycentric coordinate times |det| of the difference matrix, so it
-    vanishes on the opposite facet and is positive at the vertex."""
+    vanishes on the opposite facet and is positive at the vertex.
+    ``ValueError`` when the d + 1 vertices are affinely dependent: then a
+    pivot of [differences | I] falls in the identity block."""
     u0 = pts[0]
     d = len(u0)
-    m, _ = _row_reduce([[a - b for a, b in zip(u, u0)] + [int(i == j) for j in range(d)]
-                        for i, u in enumerate(pts[1:])])
+    m, pivots = _row_reduce([[a - b for a, b in zip(u, u0)] + [int(i == j) for j in range(d)]
+                             for i, u in enumerate(pts[1:])])
+    if pivots and pivots[-1] >= d:
+        raise ValueError("affinely dependent vertices")
     scale = m[0][0] if d else 1        # [scale * I | scale * inverse]
     if scale < 0:
         scale, m = -scale, [[-x for x in row] for row in m]
@@ -221,84 +225,6 @@ def _vertex_functionals(pts: Sequence[Vector]) -> list[tuple[int, Vector]]:
     a0 = [-sum(col[k] for col in cols) for k in range(d)]
     return [(c - sum(map(mul, a, u0)), tuple(a))
             for c, a in [(scale, a0)] + [(0, col) for col in cols]]
-
-
-def verify_triangulation(tri: Triangulation, dim: int,
-                         normalized_volume: int) -> TriangulationReport:
-    """Check that the maximal simplices of ``tri`` triangulate
-    conv(tri.coords), a polytope of dimension ``dim``.
-
-    ``normalized_volume`` is the carrier's d! * (Ehrhart leading
-    coefficient); for a unimodular triangulation it must equal the number
-    of maximal simplices.  Besides purity, unimodularity and that count,
-    the ridge (pseudo-manifold) check of De Loera-Rambau-Santos,
-    *Triangulations* (2010), Ch. 4 runs in integer coordinates on a chart
-    of aff(conv(coords)): every ridge lies in at most two simplices, the
-    apexes of a ridge in two simplices lie strictly on opposite sides of
-    it, and every point lies on the apex side of a ridge in one simplex,
-    which is then on the boundary.  It needs a nonempty pure complex of
-    nondegenerate simplices whose points span ``dim`` dimensions.
-
-    Never raises on malformed input; each fault is an issue, which names a
-    simplex or ridge by its member tuple: no simplices; a simplex that is
-    not an int mask of vertices, has the wrong number of vertices or none,
-    names a vertex without coordinates, or is degenerate or not unimodular;
-    a count other than the normalized volume; points spanning another
-    dimension; a ridge in more than two simplices, between two simplices on
-    one side of it, or in one simplex and off the boundary.
-    """
-    simplices = tri.simplices
-    issues: list[str] = [] if simplices else ["no simplices"]
-    members: list[tuple[int, ...]] = []      # of the well-formed simplices
-    for s in simplices:
-        vs = _members(s) if type(s) is int and s >= 0 else s   # else named as given
-        if vs is s:
-            fault = "is not a mask of vertex indices"
-        elif len(vs) != dim + 1:
-            fault = f"has {len(vs)} vertices, expected {dim + 1}"
-        elif not vs:
-            fault = "has no vertices"
-        elif s >> len(tri.coords):
-            fault = "names a vertex without coordinates"
-        else:
-            try:
-                if not is_unimodular_simplex([tri.coords[v] for v in vs]):
-                    issues.append(f"simplex {vs} is not unimodular")
-                members.append(vs)
-                continue
-            except ValueError:
-                fault = "is degenerate"
-        issues.append(f"simplex {vs!r} {fault}")
-    if len(simplices) != normalized_volume:
-        issues.append(f"{len(simplices)} simplices but normalized volume {normalized_volume}")
-    if not members or len(members) < len(simplices):
-        return TriangulationReport(tuple(issues))
-    v0 = tri.coords[0]
-    _, pivots = _row_reduce([[a - b for a, b in zip(p, v0)] for p in tri.coords])
-    if len(pivots) != dim:
-        issues.append(f"the points span dimension {len(pivots)}, expected {dim}")
-        return TriangulationReport(tuple(issues))
-    chart = [tuple(p[c] for c in pivots) for p in tri.coords]
-    functionals = [_vertex_functionals([chart[v] for v in s]) for s in members]
-    ridges: dict[tuple, list[tuple[int, int]]] = defaultdict(list)
-    for k, s in enumerate(members):        # ridge -> (simplex, omitted position)
-        for i in range(len(s)):
-            ridges[s[:i] + s[i + 1:]].append((k, i))
-    for r, owners in ridges.items():
-        if len(owners) > 2:
-            issues.append(f"ridge {r} lies in {len(owners)} simplices")
-            continue
-        (k, i), *other = owners
-        c, a = functionals[k][i]
-        if other:
-            (l, j), = other
-            t = members[l]
-            if c + sum(map(mul, a, chart[t[j]])) >= 0:
-                issues.append(f"simplices {members[k]} and {t} lie on the same side "
-                              f"of ridge {r}")
-        elif any(c + sum(map(mul, a, x)) < 0 for x in chart):
-            issues.append(f"ridge {r} of simplex {members[k]} is not on the boundary")
-    return TriangulationReport(tuple(issues))
 
 
 # ---------------------------------------------------------------------------

@@ -567,7 +567,7 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
         if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
             issues.append(f"framings disagree at vertex {v}")
     routes, top = enumerate_routes(dag), dimension(dag) + 1
-    adj = coherence_graph(dag, df, routes)
+    adj = coherence_graph(df, routes)
     flow = sphere_facets(adj, [f.routes for f in equatorial_facets(dag, decomp, routes)],
                          top - len(decomp))
     poset = dual.poset
@@ -584,7 +584,7 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     # the only issues so far are framing disagreements; without one, the
     # decomposition framing is the planar framing
     if issues:
-        adj = coherence_graph(dag, pf, routes)
+        adj = coherence_graph(pf, routes)
     # a graph fixes its maximal cliques; a route no filter maps to keeps a
     # zero row, which no coherence graph of positive dimension has
     graph = [0] * len(routes)

@@ -21,7 +21,7 @@ from .geometry import rank
 from .routes import NotGorensteinError, Route, enumerate_routes
 
 
-def edge_labels(dag: Dag, decomp: Sequence[Route]) -> dict[str, int]:
+def edge_labels(decomp: Sequence[Route]) -> dict[str, int]:
     """Edge id -> 1-based index of the decomposition route owning it."""
     return {eid: i + 1 for i, r in enumerate(decomp) for eid in r}
 
@@ -51,7 +51,7 @@ def leveled_space(dag: Dag, decomp: Sequence[Route]) -> LeveledSpace:
     """One block per inner vertex, holding the labels of its in-edges, and
     each edge's slot pair (``LeveledSpace.slots``), which the route images
     and the functionals read."""
-    labels = edge_labels(dag, decomp)
+    labels = edge_labels(decomp)
     blocks, index = [], {}
     for v in dag.inner_vertices:
         inlv = tuple(sorted({labels[e.id] for e in dag.in_edges(v)}))

@@ -9,7 +9,6 @@ equatorial flow triangulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .dag import SOURCE, Dag, degree_equality
@@ -27,20 +26,6 @@ class Framing:
 
     in_order: Mapping[int, tuple[str, ...]]
     out_order: Mapping[int, tuple[str, ...]]
-
-    @cached_property
-    def _in_pos(self) -> dict[int, dict[str, int]]:
-        return {v: {e: i for i, e in enumerate(es)} for v, es in self.in_order.items()}
-
-    @cached_property
-    def _out_pos(self) -> dict[int, dict[str, int]]:
-        return {v: {e: i for i, e in enumerate(es)} for v, es in self.out_order.items()}
-
-    def in_pos(self, v: int, eid: str) -> int:
-        return self._in_pos[v][eid]
-
-    def out_pos(self, v: int, eid: str) -> int:
-        return self._out_pos[v][eid]
 
 
 def is_route(dag: Dag, route: Route) -> bool:

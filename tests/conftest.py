@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, gcd
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 import pytest
@@ -20,9 +21,9 @@ from flowtri.dag import (SOURCE, Dag, contract_idle_edges, degree_equality, dime
 from flowtri.dkk import dkk_triangulation, exceptional_routes, verify_dkk_triangulation
 from flowtri.equatorial import (EquatorialFace, Sphere, Transversal, _all_framings,
                                 equatorial_sphere, joined_simplices)
-from flowtri.geometry import (Triangulation, Vector, _mask, _members, ehrhart_hstar,
-                              euler_characteristic, h_from_f, is_unimodular_simplex,
-                              normalized_volume)
+from flowtri.geometry import (Triangulation, TriangulationReport, Vector, _mask, _members,
+                              ehrhart_hstar, euler_characteristic, h_from_f,
+                              is_unimodular_simplex, normalized_volume)
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, Poset, make_poset,
                             maximal_equatorial_chains, maximal_filter_chains,
                             rank_constant_filters)
@@ -328,12 +329,12 @@ def _cmp(dag: Dag, framing: Framing, p_at: Mapping[int, str],
     forwards from v (out-orders) or backwards from v (in-orders); -1 means
     p's side is the smaller one.  ``p_at`` and ``q_at`` map a vertex to the
     route's edge leaving it (forwards) or entering it (backwards)."""
-    pos, stop = (framing.out_pos, dag.sink) if forward else (framing.in_pos, SOURCE)
+    orders, stop = (framing.out_order, dag.sink) if forward else (framing.in_order, SOURCE)
     w = v
     while w != stop:
         a, b = p_at[w], q_at[w]
         if a != b:
-            return -1 if pos(w, a) < pos(w, b) else 1
+            return -1 if orders[w].index(a) < orders[w].index(b) else 1
         e = dag.edge_by_id[a]
         w = e.head if forward else e.tail
     return 0
@@ -479,7 +480,7 @@ def canonical_dkk_matches(dag: Dag, routes: Sequence[Route],
     oracle for the unsorted comparison of ``differs_from_dkk``."""
     target, size = set(simplices), dimension(dag) + 1
     return tuple(i for i, fr in enumerate(_all_framings(dag))
-                 if set(dkk.max_cliques(dkk.coherence_graph(dag, fr, routes), size)) == target)
+                 if set(dkk.max_cliques(dkk.coherence_graph(fr, routes), size)) == target)
 
 
 def common_face(dag: Dag, decomp: Sequence[Route], routeset: Sequence[Route]) -> bool:
@@ -533,7 +534,7 @@ def order_polytope_vertices(poset: Poset) -> tuple[Vector, ...]:
 def filter_triangulation(poset: Poset, simplices) -> Triangulation:
     """The triangulation with the given simplices, masks over
     ``poset.filters``, on the filters' indicator vectors: the form
-    ``geometry.verify_triangulation`` and the LP oracle check."""
+    ``verify_triangulation`` and the LP oracle check."""
     labels = tuple(tuple(sorted(f)) for f in filter_sets(poset, poset.filters))
     return Triangulation(simplices, labels, order_polytope_vertices(poset))
 
@@ -566,7 +567,7 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
         if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
             issues.append(f"framings disagree at vertex {v}")
     routes = planar.enumerate_routes(dag)
-    adj = planar.coherence_graph(dag, df, routes)
+    adj = planar.coherence_graph(df, routes)
     sphere = Sphere(planar.sphere_facets(
         adj, [f.routes for f in planar.equatorial_facets(dag, decomp, routes)],
         dimension(dag) + 1 - len(decomp)), ())
@@ -582,7 +583,7 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
 
     canon = mapped(members(planar.maximal_filter_chains(poset)))
     if issues:
-        adj = planar.coherence_graph(dag, pf, routes)
+        adj = planar.coherence_graph(pf, routes)
     compare("chain/clique", canon, set(members(planar.max_cliques(adj, dimension(dag) + 1))))
     sigma = planar.rank_constant_filters(poset)
     order_faces = mapped(members(planar.join_with_simplex(
@@ -892,7 +893,7 @@ def interpolate_polynomial(values: Sequence[int]) -> list[Fraction]:
 
 # ---------------------------------------------------------------------------
 # Exact LP (two-phase simplex with Bland's rule): the pairwise common-face
-# oracle for the ridge check in geometry.verify_triangulation.
+# oracle for the ridge check in ``verify_triangulation`` below.
 
 def _simplex_solve(A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
     """Maximize c.x subject to A x = b, x >= 0.  Returns the optimum or
@@ -1111,15 +1112,99 @@ def corrupted(dag: Dag, tri: Triangulation) -> dict[str, tuple[Triangulation, in
     }
 
 
+# ---------------------------------------------------------------------------
+# The ridge check: the oracle of the route-swap certificate
+
+def verify_triangulation(tri: Triangulation, dim: int,
+                         normalized_volume: int) -> TriangulationReport:
+    """Check that the maximal simplices of ``tri`` triangulate
+    conv(tri.coords), a polytope of dimension ``dim``: the whole-triangulation
+    oracle for ``dkk.verify_dkk_triangulation``'s per-ridge certificate, for
+    any triangulation, the order side's too.
+
+    ``normalized_volume`` is the carrier's d! * (Ehrhart leading
+    coefficient); for a unimodular triangulation it must equal the number
+    of maximal simplices.  Besides purity, unimodularity and that count,
+    the ridge (pseudo-manifold) check of De Loera-Rambau-Santos,
+    *Triangulations* (2010), Ch. 4 runs in integer coordinates on a chart
+    of aff(conv(coords)): every ridge lies in at most two simplices, the
+    apexes of a ridge in two simplices lie strictly on opposite sides of
+    it, and every point lies on the apex side of a ridge in one simplex,
+    which is then on the boundary.  It needs a nonempty pure complex of
+    nondegenerate simplices whose points span ``dim`` dimensions.
+
+    Never raises on malformed input; each fault is an issue, which names a
+    simplex or ridge by its member tuple: no simplices; a simplex that is
+    not an int mask of vertices, has the wrong number of vertices or none,
+    names a vertex without coordinates, or is degenerate or not unimodular;
+    a count other than the normalized volume; points spanning another
+    dimension; a ridge in more than two simplices, between two simplices on
+    one side of it, or in one simplex and off the boundary.
+    """
+    simplices = tri.simplices
+    issues: list[str] = [] if simplices else ["no simplices"]
+    members: list[tuple[int, ...]] = []      # of the well-formed simplices
+    for s in simplices:
+        vs = _members(s) if type(s) is int and s >= 0 else s   # else named as given
+        if vs is s:
+            fault = "is not a mask of vertex indices"
+        elif len(vs) != dim + 1:
+            fault = f"has {len(vs)} vertices, expected {dim + 1}"
+        elif not vs:
+            fault = "has no vertices"
+        elif s >> len(tri.coords):
+            fault = "names a vertex without coordinates"
+        else:
+            try:
+                if not geometry.is_unimodular_simplex([tri.coords[v] for v in vs]):
+                    issues.append(f"simplex {vs} is not unimodular")
+                members.append(vs)
+                continue
+            except ValueError:
+                fault = "is degenerate"
+        issues.append(f"simplex {vs!r} {fault}")
+    if len(simplices) != normalized_volume:
+        issues.append(f"{len(simplices)} simplices but normalized volume {normalized_volume}")
+    if not members or len(members) < len(simplices):
+        return TriangulationReport(tuple(issues))
+    v0 = tri.coords[0]
+    _, pivots = geometry._row_reduce([[a - b for a, b in zip(p, v0)] for p in tri.coords])
+    if len(pivots) != dim:
+        issues.append(f"the points span dimension {len(pivots)}, expected {dim}")
+        return TriangulationReport(tuple(issues))
+    chart = [tuple(p[c] for c in pivots) for p in tri.coords]
+    functionals = [geometry._vertex_functionals([chart[v] for v in s]) for s in members]
+    ridges: dict[tuple, list[tuple[int, int]]] = defaultdict(list)
+    for k, s in enumerate(members):        # ridge -> (simplex, omitted position)
+        for i in range(len(s)):
+            ridges[s[:i] + s[i + 1:]].append((k, i))
+    for r, owners in ridges.items():
+        if len(owners) > 2:
+            issues.append(f"ridge {r} lies in {len(owners)} simplices")
+            continue
+        (k, i), *other = owners
+        c, a = functionals[k][i]
+        if other:
+            (l, j), = other
+            t = members[l]
+            if c + sum(map(mul, a, chart[t[j]])) >= 0:
+                issues.append(f"simplices {members[k]} and {t} lie on the same side "
+                              f"of ridge {r}")
+        elif any(c + sum(map(mul, a, x)) < 0 for x in chart):
+            issues.append(f"ridge {r} of simplex {members[k]} is not on the boundary")
+    return TriangulationReport(tuple(issues))
+
+
 @pytest.fixture
 def linear_algebra_calls(monkeypatch) -> Counter:
     """Counts, while the test runs, the unimodularity tests
-    (``is_unimodular_simplex``, wherever ``geometry`` or ``dkk`` call it)
-    and the calls of ``geometry._vertex_functionals`` (one per simplex in
-    ``verify_triangulation``'s ridge check)."""
+    (``is_unimodular_simplex``) and the Bareiss inverses
+    (``_vertex_functionals``: one per simplex in ``verify_triangulation``'s
+    ridge check, one per exact step of the certificate), wherever
+    ``geometry``, ``dkk`` or the oracle call them."""
     calls: Counter = Counter()
-    for module, name in ((geometry, "is_unimodular_simplex"), (dkk, "is_unimodular_simplex"),
-                         (geometry, "_vertex_functionals")):
+    for module, name in product((geometry, dkk), ("is_unimodular_simplex",
+                                                  "_vertex_functionals")):
         def counted(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
@@ -1211,7 +1296,7 @@ def dict_phi(dag: Dag, decomp: Sequence[Route], space: LeveledSpace,
              route: Route) -> tuple[int, ...]:
     """The image of a route with two dict lookups per edge end, (vertex,
     label) -> coordinate: the oracle for the slot-table ``quotient.phi``."""
-    labels, index = edge_labels(dag, decomp), slot_index(space)
+    labels, index = edge_labels(decomp), slot_index(space)
     vec = [0] * space.dim
     for eid in route:
         e = dag.edge_by_id[eid]
@@ -1227,7 +1312,7 @@ def sliced_functionals(dag: Dag, decomp: Sequence[Route], space: LeveledSpace
     (head, label) pairs of the slice of each decomposition route before its
     chosen edge: the oracle for the prefix-mask ``quotient._functionals``
     and ``quotient.transversal_functional``."""
-    labels, index = edge_labels(dag, decomp), slot_index(space)
+    labels, index = edge_labels(decomp), slot_index(space)
     out = {}
     for m in product(*decomp):
         coeffs = [0] * space.dim

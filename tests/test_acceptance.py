@@ -12,7 +12,7 @@ from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, degree_equality,
 from flowtri.dkk import dkk_triangulation
 from flowtri.equatorial import differs_from_dkk, equatorial_facets, framing_count
 from flowtri.geometry import (Triangulation, _mask, count_lattice_points, ehrhart_hstar,
-                              normalized_volume, verify_triangulation)
+                              normalized_volume)
 from flowtri.planar import PlanarEmbedding, verify_equivalence
 from flowtri.quotient import (check_transversal_identity, quotient_facets,
                               verify_reflexive)
@@ -25,7 +25,7 @@ from tests.conftest import (Complex, complex_euler_characteristic,
                             equatorial_flow_triangulation, f_vector,
                             h_polynomial, has_route_partition, is_pure, members,
                             random_balanced_dag, ridges_in_two_facets, scaled,
-                            sphere, trimmed)
+                            sphere, trimmed, verify_triangulation)
 
 
 def report(n: int, desc: str, ok: bool) -> None:

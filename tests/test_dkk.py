@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -9,14 +10,14 @@ from flowtri.dag import D1, D2, D3, G, bypass, dimension, zigzag
 from flowtri.dkk import (_swap_certificate, coherence_graph, dkk_triangulation,
                          exceptional_routes, max_cliques, verify_dkk_triangulation)
 from flowtri.equatorial import _all_framings, framing_count
-from flowtri.geometry import _mask, ehrhart_hstar, normalized_volume, verify_triangulation
+from flowtri.geometry import Triangulation, _mask, ehrhart_hstar, normalized_volume
 from flowtri.planar import planar_framing, poset_to_dag
 from flowtri.routes import decomposition_framing, enumerate_routes, route_decomposition
 from tests.conftest import (RU351, Complex, chain, conflict, corrupted,
                             equatorial_flow_triangulation, h_polynomial, members,
                             pairwise_coherence_masks, random_balanced_dag,
                             random_framing, route_unions, set_max_cliques,
-                            staircase_poset, trimmed, with_simplices)
+                            staircase_poset, trimmed, verify_triangulation, with_simplices)
 
 
 def _decomp_framing(dag):
@@ -32,7 +33,7 @@ def test_conflict_d1():
 
 
 def _cliques(dag):
-    return max_cliques(coherence_graph(dag, _decomp_framing(dag), enumerate_routes(dag)),
+    return max_cliques(coherence_graph(_decomp_framing(dag), enumerate_routes(dag)),
                        dimension(dag) + 1)
 
 
@@ -63,7 +64,7 @@ def test_cliques_d2():
 
 def test_coherence_graph_shape():
     d3 = D3()
-    adj = coherence_graph(d3, _decomp_framing(d3), enumerate_routes(d3))
+    adj = coherence_graph(_decomp_framing(d3), enumerate_routes(d3))
     assert len(adj) == 9
     assert all(isinstance(a, int) and 0 <= a < 1 << 9 for a in adj)
     assert all(not adj[i] >> i & 1 for i in range(9))
@@ -91,7 +92,7 @@ def test_dkk_h_matches_hstar_random():
 def test_coherence_graph_matches_pairwise_oracle_every_framing(dag):
     routes = enumerate_routes(dag)
     for framing in _all_framings(dag):
-        assert coherence_graph(dag, framing, routes) == \
+        assert coherence_graph(framing, routes) == \
             pairwise_coherence_masks(dag, framing, routes), framing
 
 
@@ -103,7 +104,7 @@ def test_coherence_graph_and_cliques_match_oracles_random_framings(seed):
     routes = enumerate_routes(dag)
     for _ in range(3):
         framing = random_framing(rng, dag)
-        adj = coherence_graph(dag, framing, routes)
+        adj = coherence_graph(framing, routes)
         assert adj == pairwise_coherence_masks(dag, framing, routes)
         cliques = members(max_cliques(adj, dimension(dag) + 1))
         assert list(cliques) == sorted(cliques)
@@ -113,7 +114,7 @@ def test_coherence_graph_and_cliques_match_oracles_random_framings(seed):
 def assert_coherence_matches_oracle(dag, framings):
     routes = enumerate_routes(dag)
     for framing in framings:
-        assert coherence_graph(dag, framing, routes) == \
+        assert coherence_graph(framing, routes) == \
             pairwise_coherence_masks(dag, framing, routes), framing
 
 
@@ -155,7 +156,7 @@ def test_max_cliques_past_the_recursion_limit():
 
 def test_max_cliques_rejects_wrong_clique_size():
     d1 = D1()
-    adj = coherence_graph(d1, _decomp_framing(d1), enumerate_routes(d1))
+    adj = coherence_graph(_decomp_framing(d1), enumerate_routes(d1))
     with pytest.raises(AssertionError, match="clique"):
         max_cliques(tuple(a & 0b111 for a in adj[:-1]), dimension(d1) + 1)
 
@@ -165,11 +166,22 @@ CATALOG = {"D1": D1(), "D2": D2(), "D3": D3(), "G3": G(3), "zigzag": zigzag(),
            "chain4x2": chain(4, 2)}
 
 
+# The issues that the certificate and the ridge check both find in their
+# first pass over the simplex list, in the same words.
+SHARED_FAULT = re.compile(r"no simplices|\d+ simplices but normalized volume \d+|simplex .* "
+                          r"(has \d+ vertices, expected \d+|is not a mask of vertex indices"
+                          r"|names a vertex without coordinates)")
+
+
 def assert_same_report(dag, tri):
-    """The certificate's report is the ridge check's against the graph's own
-    dimension and normalized volume."""
-    assert verify_dkk_triangulation(dag, tri) == \
-        verify_triangulation(tri, dimension(dag), normalized_volume(dag))
+    """The certificate's verdict is the ridge check's against the graph's own
+    dimension and normalized volume, and so are the faults of the simplex
+    list that both word alike."""
+    report = verify_dkk_triangulation(dag, tri)
+    oracle = verify_triangulation(tri, dimension(dag), normalized_volume(dag))
+    assert report.ok is oracle.ok, (report.issues, oracle.issues)
+    assert [i for i in report.issues if SHARED_FAULT.fullmatch(i)] == \
+        [i for i in oracle.issues if SHARED_FAULT.fullmatch(i)]
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -199,6 +211,8 @@ def test_certificate_agrees_with_ridge_check_random(seed, dag):
 
 @pytest.mark.parametrize("name", sorted(CATALOG) + ["ru(3,5,.5,1)"])
 def test_certificate_takes_one_determinant(name, linear_algebra_calls):
+    """On a DKK triangulation a prefix swap crosses every interior ridge, so
+    no exact step runs."""
     dag = CATALOG.get(name, RU351)
     tri = dkk_triangulation(dag, _decomp_framing(dag))
     report = verify_dkk_triangulation(dag, tri)
@@ -206,12 +220,27 @@ def test_certificate_takes_one_determinant(name, linear_algebra_calls):
     assert linear_algebra_calls == {"is_unimodular_simplex": 1}
 
 
+def test_certificate_takes_exact_steps_on_the_equatorial_join(linear_algebra_calls):
+    """The join of ru(3,5,.5,1)'s equatorial sphere with the route simplex
+    (1,106 simplices, dim 10) certifies with one unimodularity test and an
+    exact step at each interior ridge that no prefix swap crosses: fewer
+    Bareiss inverses than the ridge check's one per simplex."""
+    tri = equatorial_flow_triangulation(RU351, route_decomposition(RU351))
+    assert len(tri.simplices) == normalized_volume(RU351) == 1106
+    report = verify_dkk_triangulation(RU351, tri)
+    assert report.ok, report.issues
+    assert linear_algebra_calls["is_unimodular_simplex"] == 1
+    assert 0 < linear_algebra_calls["_vertex_functionals"] < len(tri.simplices)
+
+
 @pytest.mark.parametrize("name", ["D1", "D2", "zigzag", "bypass", "chain4x2"])
-def test_certificate_falls_back_on_corruptions(name):
-    """Each corruption of the triangulation fails the certificate, and the
-    report is the ridge check's, issue for issue.  The corruptions that fake
-    the dimension or the volume cannot reach the certificate, which works
-    both out from the graph; they stay controls of the ridge check."""
+def test_certificate_rejects_corruptions(name):
+    """Each corruption of the triangulation at the graph's own dimension and
+    volume fails the certificate, with the ridge check's verdict but for a
+    label that is not a route: the ridge check never reads the labels, and
+    the certificate names the label.  The corruptions that fake the
+    dimension or the volume cannot reach the certificate, which works both
+    out from the graph; they stay controls of the ridge check."""
     dag = CATALOG[name]
     dim, volume = dimension(dag), normalized_volume(dag)
     tri = dkk_triangulation(dag, _decomp_framing(dag))
@@ -219,8 +248,31 @@ def test_certificate_falls_back_on_corruptions(name):
         if (bad_dim, bad_volume) != (dim, volume):
             assert not verify_triangulation(bad, bad_dim, bad_volume).ok, what
             continue
-        assert not _swap_certificate(dag, bad, dim, volume), what
-        assert_same_report(dag, bad)
+        report = verify_dkk_triangulation(dag, bad)
+        assert not report.ok, what
+        if what == "label not a route":
+            assert verify_triangulation(bad, dim, volume).ok
+            assert report.issues == (f"label 0 {bad.labels[0]!r} is not a route of the graph",)
+        else:
+            assert_same_report(dag, bad)
+
+
+def test_certificate_reports_every_label_and_coordinate_fault():
+    """A label that is no route, one that repeats another, coordinates off
+    a route's indicator vector and a missing coordinate vector are each an
+    issue; the certificate stops before the ridges."""
+    d1 = D1()
+    tri = dkk_triangulation(d1, _decomp_framing(d1))
+    a, b, c, d = tri.labels
+    bad = Triangulation(tri.simplices, (a, ["a", "d"], a, d),
+                        (tri.coords[0], tri.coords[1], tri.coords[2]))
+    assert verify_dkk_triangulation(d1, bad).issues == (
+        "label 1 ['a', 'd'] is not a route of the graph",
+        f"label 2 {a!r} repeats label 0",
+        "4 labels but 3 coordinate vectors")
+    moved = Triangulation(tri.simplices, tri.labels, tri.coords[:3] + (tri.coords[0],))
+    assert verify_dkk_triangulation(d1, moved).issues == (
+        f"vertex 3 is not at the indicator vector of route {d!r}",)
 
 
 # G(1) is one edge: dimension 0, one route and one simplex, the mask 1.  Each
@@ -232,12 +284,12 @@ SHAPES = {"tuple": (0,), "bool": True, "negative": -1, "past the routes": 0b10, 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_certificate_rejects_a_simplex_of_the_wrong_shape(shape):
     """The certificate takes G(1)'s one simplex and declines each wrong
-    entry in its place, and the report is the ridge check's."""
+    entry in its place, with the ridge check's verdict and words."""
     g1 = G(1)
     tri = dkk_triangulation(g1, _decomp_framing(g1))
-    assert tri.simplices == (1,) and _swap_certificate(g1, tri, 0, 1)
+    assert tri.simplices == (1,) and _swap_certificate(g1, tri, 0, 1).ok
     bad = with_simplices(tri, (SHAPES[shape],))
-    assert not _swap_certificate(g1, bad, 0, 1)
+    assert not _swap_certificate(g1, bad, 0, 1).ok
     assert not verify_triangulation(bad, 0, 1).ok
     assert_same_report(g1, bad)
 
@@ -256,37 +308,77 @@ def test_certificate_needs_swap_connected_simplices():
     other = tuple(map(_mask, ((0, 1, 2, 4), (1, 2, 3, 5), (1, 2, 4, 5), (2, 3, 5, 6),
                               (2, 4, 5, 6), (3, 5, 6, 7))))
     assert normalized_volume(cube) == 6
-    assert _swap_certificate(cube, with_simplices(kuhn, other), 3, 6)
+    assert _swap_certificate(cube, with_simplices(kuhn, other), 3, 6).ok
     both = with_simplices(kuhn, kuhn.simplices + other)
-    assert _swap_certificate(cube, both, 3, 12)
-    assert not _swap_certificate(cube, both, 3, 6)
+    assert _swap_certificate(cube, both, 3, 12).ok
     report = verify_dkk_triangulation(cube, both)
-    assert not report.ok
+    assert report.issues == ("12 simplices but normalized volume 6",)
     assert report == verify_triangulation(both, 3, 6)
 
 
-def test_certificate_falls_back_where_a_ridge_is_no_prefix_swap():
-    """Split around 100-011, the cube's triangulation has the ridge
-    {100, 011, 101} between apexes 001 and 110: 001 + 110 = 100 + 011, but
-    no prefix swap of 001 and 110 gives 100 and 011.  The ridge check then
-    certifies it."""
+# the cube chain 3x2 split around 100-011, in the route numbering above
+CUBE_SPLIT = ((0, 1, 2, 4), (1, 2, 3, 4), (1, 3, 4, 5), (2, 3, 4, 6), (3, 4, 5, 6), (3, 5, 6, 7))
+
+
+def test_certificate_takes_an_exact_step_where_a_ridge_is_no_prefix_swap(linear_algebra_calls):
+    """The split has the ridge {100, 011, 101} between apexes 001 and 110,
+    and {100, 011, 110} between 010 and 101: 001 + 110 = 100 + 011, but no
+    prefix swap of 001 and 110 gives 100 and 011.  An exact step certifies
+    each of the two."""
     cube = chain(3, 2)
-    kuhn = dkk_triangulation(cube, _decomp_framing(cube))
-    split = with_simplices(kuhn, map(_mask, ((0, 1, 2, 4), (1, 2, 3, 4), (1, 3, 4, 5),
-                                             (2, 3, 4, 6), (3, 4, 5, 6), (3, 5, 6, 7))))
-    assert not _swap_certificate(cube, split, 3, 6)
-    assert verify_dkk_triangulation(cube, split).ok
+    split = with_simplices(dkk_triangulation(cube, _decomp_framing(cube)),
+                           map(_mask, CUBE_SPLIT))
+    report = verify_dkk_triangulation(cube, split)
+    assert report.ok, report.issues
+    assert linear_algebra_calls == {"is_unimodular_simplex": 1, "_vertex_functionals": 2}
+    assert verify_triangulation(split, 3, 6).ok
 
 
-def test_certificate_rejects_a_folded_simplex():
-    """G(3)'s one simplex, listed twice, given volume 2 so that the count
-    passes: each ridge lies in both copies with its apex on one side, which
-    no swap crosses."""
+def test_certificate_rejects_a_folded_simplex(linear_algebra_calls):
+    """G(3)'s one simplex, listed twice: each ridge lies in both copies with
+    its apex on one side, which no swap crosses, and the exact step at each
+    ridge names it."""
     g3 = CATALOG["G3"]
     tri = dkk_triangulation(g3, _decomp_framing(g3))
     folded = with_simplices(tri, tri.simplices * 2)
     assert len(folded.simplices) == 2
-    assert not _swap_certificate(g3, folded, 2, 2)
+    assert _swap_certificate(g3, folded, 2, 2).issues == tuple(
+        f"simplices (0, 1, 2) and (0, 1, 2) lie on the same side of ridge {r}"
+        for r in ((0, 1), (0, 2), (1, 2)))
+    assert linear_algebra_calls["_vertex_functionals"] == 3
     report = verify_dkk_triangulation(g3, folded)
-    assert not report.ok
-    assert report == verify_triangulation(folded, 2, 1)
+    assert report.issues[0] == "2 simplices but normalized volume 1"
+    assert set(report.issues) == set(verify_triangulation(folded, 2, 1).issues)
+
+
+def test_certificate_rejects_a_ridge_across_which_the_volume_doubles():
+    """The cube cut into its four corners at 100, 010, 001 and 111 and the
+    tetrahedron {000, 011, 101, 110} of normalized volume 2 between them:
+    across each ridge of that tetrahedron the corner's apex has barycentric
+    coordinate -2, and no swap crosses it, so the exact step names the
+    ridge."""
+    cube = chain(3, 2)
+    cut = with_simplices(dkk_triangulation(cube, _decomp_framing(cube)), map(_mask, (
+        (0, 4, 5, 6), (0, 2, 3, 6), (0, 1, 3, 5), (3, 5, 6, 7), (0, 3, 5, 6))))
+    issues = verify_dkk_triangulation(cube, cut).issues
+    assert issues[0] == "5 simplices but normalized volume 6"
+    assert sorted(issues[1:]) == sorted(
+        f"simplices {corner} and (0, 3, 5, 6) differ in volume across ridge {ridge}"
+        for corner, ridge in (((0, 4, 5, 6), (0, 5, 6)), ((0, 2, 3, 6), (0, 3, 6)),
+                              ((0, 1, 3, 5), (0, 3, 5)), ((3, 5, 6, 7), (3, 5, 6))))
+    assert "simplex (0, 3, 5, 6) is not unimodular" in verify_triangulation(cut, 3, 6).issues
+
+
+def test_certificate_names_a_degenerate_simplex_at_its_exact_step():
+    """The cube's DKK triangulation with its second simplex traded for the
+    square x_0 = 0, whose four routes are affinely dependent: the first
+    simplex is unimodular, and the exact step at a ridge of the square,
+    which no swap crosses, finds the square degenerate and says so once."""
+    cube = chain(3, 2)
+    tri = dkk_triangulation(cube, _decomp_framing(cube))
+    square = _mask(i for i, x in enumerate(tri.coords) if x[0] == 0)
+    assert members([square]) == ((4, 5, 6, 7),)
+    bad = with_simplices(tri, tri.simplices[:1] + (square,) + tri.simplices[2:])
+    issues = verify_dkk_triangulation(cube, bad).issues
+    assert issues.count("simplex (4, 5, 6, 7) is degenerate") == 1
+    assert "simplex (4, 5, 6, 7) is degenerate" in verify_triangulation(bad, 3, 6).issues

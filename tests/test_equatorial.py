@@ -12,15 +12,14 @@ from flowtri.dkk import max_cliques
 from flowtri.equatorial import (EquatorialFace, _avoided_sets, differs_from_dkk,
                                 equatorial_facets, equatorial_sphere, framing_count,
                                 joined_simplices, sphere_facets, t_eq)
-from flowtri.geometry import (ehrhart_hstar, h_from_f, normalized_volume,
-                              verify_triangulation)
+from flowtri.geometry import ehrhart_hstar, h_from_f, normalized_volume
 from flowtri.routes import enumerate_routes, route_decomposition
 from tests.conftest import (RU351, Complex, canonical_dkk_matches, chain, common_face,
                             complex_euler_characteristic,
                             equatorial_flow_triangulation, f_vector, h_polynomial, is_facet_transversal, is_pure,
                             members, old_t_eq, product_avoided_sets, random_balanced_dag,
                             ridges_in_two_facets, route_unions, routes_avoiding, set_equatorial_facets,
-                            set_max_cliques, sphere, sphere_oracle, trimmed)
+                            set_max_cliques, sphere, sphere_oracle, trimmed, verify_triangulation)
 
 CATALOG = {"G3": (G(3), None), "D1": (D1(), None),
            "D1-crossed": (D1(), (("a", "d"), ("b", "c"))), "D2": (D2(), None),
@@ -231,7 +230,7 @@ def test_exhaustive_sweep_rejects_a_clique_of_the_wrong_size(monkeypatch):
     d2 = D2()
     tri = equatorial_flow_triangulation(d2, route_decomposition(d2))
     monkeypatch.setattr(equatorial, "coherence_graph",
-                        lambda dag, framing, routes: (0,) * len(routes))
+                        lambda framing, routes: (0,) * len(routes))
     size = dimension(d2) + 1
     with pytest.raises(AssertionError,
                        match=rf"^maximal clique \(\d+,\) has size 1, expected {size}$"):

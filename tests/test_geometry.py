@@ -14,7 +14,7 @@ from flowtri.equatorial import equatorial_sphere, joined_simplices
 from flowtri.geometry import (LANES, Triangulation, _canonical, _lattice_pass, _mask,
                               _member_order, _members, count_lattice_points, ehrhart_hstar,
                               is_unimodular_simplex, join_with_simplex, lattice_counts,
-                              normalized_volume, rank, verify_triangulation)
+                              normalized_volume, rank)
 from flowtri.planar import make_poset, maximal_equatorial_chains, rank_constant_filters
 from flowtri.routes import (decomposition_framing, enumerate_routes,
                             route_decomposition)
@@ -26,7 +26,8 @@ from tests.conftest import (RU341, RU351, RU441, RU452, brute_count_lattice_poin
                             is_gorenstein, is_pure, lp_triangulation_ok, maximal_minor_gcd,
                             members, per_dilate_count_lattice_points, random_balanced_dag,
                             ridges_in_two_facets, route_unions, simplices_meet_in_common_face,
-                            smith_divisors, swapped_vertex, trimmed, with_simplices)
+                            smith_divisors, swapped_vertex, trimmed, verify_triangulation,
+                            with_simplices)
 
 
 def test_smith_divisors_known_matrices():

@@ -46,3 +46,29 @@ def test_library_arithmetic_is_exact():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if _inexact(node)]
     assert found == []
+
+
+def _unread_parameters(fn: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> list[str]:
+    """The parameters of ``fn`` that its body (nested functions included)
+    never loads."""
+    args = fn.args
+    params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                              args.vararg, args.kwarg) if a]
+    body = fn.body if isinstance(fn.body, list) else [fn.body]
+    read = {node.id for stmt in body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [p for p in params if p not in read and p not in ("self", "cls")]
+
+
+def test_library_reads_every_parameter():
+    """No function or lambda has a parameter its body never reads, so no
+    caller builds an argument for nothing.  The ``cli.cmd_*`` handlers are
+    exempt: they share the dispatcher's signature."""
+    assert SOURCES
+    found = [f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p})"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             and not getattr(node, "name", "").startswith("cmd_")
+             for p in _unread_parameters(node)]
+    assert found == []

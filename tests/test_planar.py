@@ -11,7 +11,7 @@ from flowtri import dag as dagmod
 from flowtri.dag import (D1, D2, D3, G, dag_to_json, degree_equality, idle_edges,
                          stacked_rotations, zigzag, zigzag_rotations)
 from flowtri.equatorial import EquatorialFace, sphere_facets
-from flowtri.geometry import _canonical, _members, verify_triangulation
+from flowtri.geometry import _canonical, _members
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             embedding_from_json, embedding_to_json, filter_routes,
                             filters, make_poset, maximal_equatorial_chains,
@@ -28,7 +28,7 @@ from tests.conftest import (brute_order_polytope_count, canonical_triangulation,
                             old_verify_equivalence, order_polytope_vertices, order_to_flow,
                             pairwise_comparability, poset_from_json,
                             recursive_heights, recursive_up_sets,
-                            route_of_flow, subset_scan_filters)
+                            route_of_flow, subset_scan_filters, verify_triangulation)
 
 
 def posets_isomorphic(p: Poset, q: Poset) -> bool:

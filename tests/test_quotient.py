@@ -27,7 +27,7 @@ from tests.test_geometry import BIG
 def test_edge_labels_and_space_d2():
     d2 = D2()
     decomp = route_decomposition(d2)
-    labels = edge_labels(d2, decomp)
+    labels = edge_labels(decomp)
     assert labels == {"a": 1, "c": 1, "e": 1, "b": 2, "d": 2, "f": 2}
     space = leveled_space(d2, decomp)
     assert space.blocks == ((1, (1, 2)), (2, (1, 2)))

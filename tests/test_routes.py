@@ -92,7 +92,7 @@ def test_decomposition_framing_d2():
     fr = decomposition_framing(d2, route_decomposition(d2))
     assert fr.in_order == {1: ("a", "b"), 2: ("c", "d")}
     assert fr.out_order == {1: ("c", "d"), 2: ("e", "f")}
-    assert fr.in_pos(1, "b") == 1 and fr.out_pos(2, "e") == 0
+    assert fr.in_order[1].index("b") == 1 and fr.out_order[2].index("e") == 0
 
 
 def test_framing_from_json_validates():
