@@ -5,8 +5,7 @@ correspondence."""
 
 from .dag import (D1, D2, D3, Dag, Edge, G, bypass, contract_idle_edges,
                   dag_from_json, dag_to_json, degree_equality, dimension,
-                  gorenstein_completion, make_dag, stacked_rotations, validate,
-                  zigzag, zigzag_rotations)
+                  gorenstein_completion, make_dag, validate, zigzag)
 from .dkk import (coherence_graph, dkk_triangulation, exceptional_routes,
                   verify_dkk_triangulation)
 from .equatorial import differs_from_dkk, equatorial_facets, equatorial_sphere, t_eq

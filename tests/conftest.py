@@ -23,7 +23,7 @@ from flowtri.equatorial import (EquatorialFace, Sphere, Transversal, _all_framin
                                 equatorial_sphere, joined_simplices)
 from flowtri.geometry import (Triangulation, TriangulationReport, Vector, _mask, _members,
                               ehrhart_hstar, euler_characteristic, h_from_f,
-                              is_unimodular_simplex, normalized_volume)
+                              normalized_volume)
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, Poset, make_poset,
                             maximal_equatorial_chains, maximal_filter_chains,
                             rank_constant_filters)
@@ -128,6 +128,37 @@ RU441 = bundle_dag(4, [(0, 1, 4), (1, 2, 2), (1, 4, 2), (2, 3, 2), (3, 4, 2), (4
 RU341 = bundle_dag(3, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 4, 4)])
 RU452 = bundle_dag(4, [(0, 1, 4), (0, 2, 1), (1, 2, 2), (1, 3, 2), (2, 3, 2), (2, 4, 1),
                        (3, 4, 2), (3, 5, 2), (4, 5, 3)])
+
+
+def stacked_rotations(dag: Dag) -> dict[int, tuple[str, ...]]:
+    """Rotation system for catalog graphs drawn with parallel edges stacked.
+
+    Edges at each vertex are stacked by ascending id from top to bottom,
+    which matches the lexicographic conventions used throughout.  Only
+    correct for graphs whose drawing really is a stack of parallel strands
+    (G(k), D1, D2, D3).
+    """
+    rot = {}
+    for v in range(dag.sink + 1):
+        outs = sorted(e.id for e in dag.out_edges(v))
+        ins = sorted(e.id for e in dag.in_edges(v))
+        if v == SOURCE:
+            rot[v] = tuple(reversed(outs))        # bottom-to-top, ccw
+        elif v == dag.sink:
+            rot[v] = tuple(ins)                   # top-to-bottom, ccw
+        else:
+            rot[v] = tuple(reversed(outs)) + tuple(ins)
+    return rot
+
+
+def zigzag_rotations() -> dict[int, tuple[str, ...]]:
+    """Rotation system for the drawing described in ``dag.zigzag``."""
+    return {
+        0: ("1a", "2a", "3a"),
+        1: ("2b", "3b", "3a", "2a"),
+        2: ("1b", "2c", "2b", "1a"),
+        3: ("3b", "2c", "1b"),
+    }
 
 
 def random_framing(rng: random.Random, dag: Dag) -> Framing:
@@ -981,6 +1012,63 @@ def simplices_meet_in_common_face(vs: Sequence[Vector], vt: Sequence[Vector],
     return opt is None or opt == 0
 
 
+def _row_reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix.
+
+    Returns the rows and the pivot columns.  The rows are D times the
+    reduced row echelon form, pivot rows first, where D is the last pivot:
+    every division is exact because each entry is a minor of the input.
+    """
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    prev = 1
+    ncol = len(m[0]) if m else 0
+    for c in range(ncol):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p, pr = m[r][c], m[r]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], pr)]
+        prev = p
+        pivots.append(c)
+    return m, pivots
+
+
+def is_unimodular_simplex(vertices: Sequence[Vector]) -> bool:
+    """True iff the difference lattice of the vertices is saturated, that is
+    the simplex is unimodular with respect to the lattice of its affine span;
+    ``ValueError`` when the vertices are affinely dependent: the oracle of
+    the certificate's chart determinant.
+
+    Unimodular column operations (Euclid on column pairs) bring the
+    difference rows to lower-triangular form; they map Z^n onto itself, so
+    they keep whether the rows' lattice is saturated.  The rows are then
+    independent iff no diagonal entry is 0, and saturated iff each is +-1.
+    Row i is reduced once the rows before it are, and those are 0 past
+    their diagonal, so a column operation on columns >= i leaves them be.
+    """
+    v0 = vertices[0]
+    rows = [[a - b for a, b in zip(v, v0)] for v in vertices[1:]]
+    if len(rows) > len(v0):
+        raise ValueError("affinely dependent vertices")
+    unimodular = True
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(row)):
+            while row[j]:
+                q = row[i] // row[j]
+                for r in rows[i:]:
+                    r[i], r[j] = r[j], r[i] - q * r[j]
+        if not row[i]:
+            raise ValueError("affinely dependent vertices")
+        unimodular = unimodular and abs(row[i]) == 1
+    return unimodular
+
+
 def determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix, by Laplace expansion
     along the first row; 1 for the empty matrix."""
@@ -1115,6 +1203,28 @@ def corrupted(dag: Dag, tri: Triangulation) -> dict[str, tuple[Triangulation, in
 # ---------------------------------------------------------------------------
 # The ridge check: the oracle of the route-swap certificate
 
+def _vertex_functionals(pts: Sequence[Vector]) -> list[tuple[int, Vector]]:
+    """One integer affine functional ``(c, a)`` per vertex of a
+    full-dimensional simplex in Z^d: x -> c + a.x is the vertex's
+    barycentric coordinate times |det| of the difference matrix, so it
+    vanishes on the opposite facet and is positive at the vertex.
+    ``ValueError`` when the d + 1 vertices are affinely dependent: then a
+    pivot of [differences | I] falls in the identity block."""
+    u0 = pts[0]
+    d = len(u0)
+    m, pivots = _row_reduce([[a - b for a, b in zip(u, u0)] + [int(i == j) for j in range(d)]
+                             for i, u in enumerate(pts[1:])])
+    if pivots and pivots[-1] >= d:
+        raise ValueError("affinely dependent vertices")
+    scale = m[0][0] if d else 1        # [scale * I | scale * inverse]
+    if scale < 0:
+        scale, m = -scale, [[-x for x in row] for row in m]
+    cols = [[row[d + j] for row in m] for j in range(d)]
+    a0 = [-sum(col[k] for col in cols) for k in range(d)]
+    return [(c - sum(map(mul, a, u0)), tuple(a))
+            for c, a in [(scale, a0)] + [(0, col) for col in cols]]
+
+
 def verify_triangulation(tri: Triangulation, dim: int,
                          normalized_volume: int) -> TriangulationReport:
     """Check that the maximal simplices of ``tri`` triangulate
@@ -1156,7 +1266,7 @@ def verify_triangulation(tri: Triangulation, dim: int,
             fault = "names a vertex without coordinates"
         else:
             try:
-                if not geometry.is_unimodular_simplex([tri.coords[v] for v in vs]):
+                if not is_unimodular_simplex([tri.coords[v] for v in vs]):
                     issues.append(f"simplex {vs} is not unimodular")
                 members.append(vs)
                 continue
@@ -1168,12 +1278,12 @@ def verify_triangulation(tri: Triangulation, dim: int,
     if not members or len(members) < len(simplices):
         return TriangulationReport(tuple(issues))
     v0 = tri.coords[0]
-    _, pivots = geometry._row_reduce([[a - b for a, b in zip(p, v0)] for p in tri.coords])
+    _, pivots = _row_reduce([[a - b for a, b in zip(p, v0)] for p in tri.coords])
     if len(pivots) != dim:
         issues.append(f"the points span dimension {len(pivots)}, expected {dim}")
         return TriangulationReport(tuple(issues))
     chart = [tuple(p[c] for c in pivots) for p in tri.coords]
-    functionals = [geometry._vertex_functionals([chart[v] for v in s]) for s in members]
+    functionals = [_vertex_functionals([chart[v] for v in s]) for s in members]
     ridges: dict[tuple, list[tuple[int, int]]] = defaultdict(list)
     for k, s in enumerate(members):        # ridge -> (simplex, omitted position)
         for i in range(len(s)):
@@ -1197,18 +1307,15 @@ def verify_triangulation(tri: Triangulation, dim: int,
 
 @pytest.fixture
 def linear_algebra_calls(monkeypatch) -> Counter:
-    """Counts, while the test runs, the unimodularity tests
-    (``is_unimodular_simplex``) and the Bareiss inverses
-    (``_vertex_functionals``: one per simplex in ``verify_triangulation``'s
-    ridge check, one per exact step of the certificate), wherever
-    ``geometry``, ``dkk`` or the oracle call them."""
+    """Counts, while the test runs, the determinants the certificate takes
+    (``dkk.determinant``): one for the first simplex and two per exact
+    step."""
     calls: Counter = Counter()
-    for module, name in product((geometry, dkk), ("is_unimodular_simplex",
-                                                  "_vertex_functionals")):
-        def counted(*args, _name=name, _fn=getattr(module, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(module, name, counted)
+
+    def counted(rows, _fn=dkk.determinant):
+        calls["determinant"] += 1
+        return _fn(rows)
+    monkeypatch.setattr(dkk, "determinant", counted)
     return calls
 
 
@@ -1283,7 +1390,7 @@ def gauss_jordan_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank by full fraction-free Gauss-Jordan elimination (every row
     reduced against every pivot): the oracle for the forward-only
     ``geometry.rank``."""
-    return len(geometry._row_reduce(rows)[1])
+    return len(_row_reduce(rows)[1])
 
 
 def slot_index(space: LeveledSpace) -> dict[tuple[int, int], int]:

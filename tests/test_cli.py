@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from flowtri import cli
 from flowtri.cli import main
 from flowtri.dag import (D1, D2, D3, G, bypass, dag_from_json, dag_to_json,
-                         gorenstein_completion, make_dag, random_dag, stacked_rotations,
-                         zigzag, zigzag_rotations)
+                         gorenstein_completion, make_dag, random_dag, zigzag)
 from flowtri.planar import PlanarEmbedding, embedding_to_json
 from flowtri.routes import enumerate_routes
-from tests.conftest import chain, member_list_report, route_unions
+from tests.conftest import (chain, member_list_report, route_unions, stacked_rotations,
+                            zigzag_rotations)
 
 
 @pytest.fixture

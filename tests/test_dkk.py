@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtri.dag import D1, D2, D3, G, bypass, dimension, zigzag
-from flowtri.dkk import (_swap_certificate, coherence_graph, dkk_triangulation,
+from flowtri.dkk import (_chart, _swap_certificate, coherence_graph, dkk_triangulation,
                          exceptional_routes, max_cliques, verify_dkk_triangulation)
 from flowtri.equatorial import _all_framings, framing_count
-from flowtri.geometry import Triangulation, _mask, ehrhart_hstar, normalized_volume
+from flowtri.geometry import (Triangulation, _mask, _members, determinant, ehrhart_hstar,
+                              normalized_volume)
 from flowtri.planar import planar_framing, poset_to_dag
-from flowtri.routes import decomposition_framing, enumerate_routes, route_decomposition
+from flowtri.routes import (decomposition_framing, enumerate_routes, indicator_vector,
+                            route_decomposition)
 from tests.conftest import (RU351, Complex, chain, conflict, corrupted,
-                            equatorial_flow_triangulation, h_polynomial, members,
+                            equatorial_flow_triangulation, h_polynomial,
+                            is_unimodular_simplex, members,
                             pairwise_coherence_masks, random_balanced_dag,
                             random_framing, route_unions, set_max_cliques,
                             staircase_poset, trimmed, verify_triangulation, with_simplices)
@@ -212,25 +215,62 @@ def test_certificate_agrees_with_ridge_check_random(seed, dag):
 @pytest.mark.parametrize("name", sorted(CATALOG) + ["ru(3,5,.5,1)"])
 def test_certificate_takes_one_determinant(name, linear_algebra_calls):
     """On a DKK triangulation a prefix swap crosses every interior ridge, so
-    no exact step runs."""
+    no exact step runs: the first simplex's determinant is the only one."""
     dag = CATALOG.get(name, RU351)
     tri = dkk_triangulation(dag, _decomp_framing(dag))
     report = verify_dkk_triangulation(dag, tri)
     assert report.ok, report.issues
-    assert linear_algebra_calls == {"is_unimodular_simplex": 1}
+    assert linear_algebra_calls == {"determinant": 1}
 
 
 def test_certificate_takes_exact_steps_on_the_equatorial_join(linear_algebra_calls):
     """The join of ru(3,5,.5,1)'s equatorial sphere with the route simplex
-    (1,106 simplices, dim 10) certifies with one unimodularity test and an
-    exact step at each interior ridge that no prefix swap crosses: fewer
-    Bareiss inverses than the ridge check's one per simplex."""
+    (1,106 simplices, dim 10) certifies with the first simplex's
+    determinant and an exact step, two determinants, at each interior ridge
+    that no prefix swap crosses: fewer exact steps than simplices."""
     tri = equatorial_flow_triangulation(RU351, route_decomposition(RU351))
     assert len(tri.simplices) == normalized_volume(RU351) == 1106
     report = verify_dkk_triangulation(RU351, tri)
     assert report.ok, report.issues
-    assert linear_algebra_calls["is_unimodular_simplex"] == 1
-    assert 0 < linear_algebra_calls["_vertex_functionals"] < len(tri.simplices)
+    calls = linear_algebra_calls["determinant"]
+    assert calls % 2 == 1 and 0 < (calls - 1) // 2 < len(tri.simplices)
+
+
+CHART_GRAPHS = {**CATALOG, "ru(3,5,.5,1)": RU351}
+
+
+def _check_chart(dag, rng):
+    """The chart has one edge per dimension, and on it the determinant of a
+    (dim + 1)-route subset is +-1 exactly when the column pass finds the
+    subset unimodular and 0 exactly when it finds it degenerate: the
+    triangulation's first simplices, and random subsets."""
+    columns, dim = _chart(dag), dimension(dag)
+    assert len(columns) == dim
+    routes = enumerate_routes(dag)
+    coords = [indicator_vector(dag, r) for r in routes]
+    tri = dkk_triangulation(dag, random_framing(rng, dag))
+    subsets = [_members(m) for m in tri.simplices[:10]]
+    subsets += [rng.sample(range(len(routes)), dim + 1) for _ in range(20)]
+    for subset in subsets:
+        v0, *rest = [coords[i] for i in subset]
+        det = determinant([[v[c] - v0[c] for c in columns] for v in rest])
+        try:
+            unimodular = is_unimodular_simplex([v0] + rest)
+        except ValueError:
+            assert det == 0, subset
+        else:
+            assert det != 0 and (abs(det) == 1) == unimodular, subset
+
+
+@pytest.mark.parametrize("name", sorted(CHART_GRAPHS))
+def test_chart_determinant_matches_the_column_pass(name):
+    _check_chart(CHART_GRAPHS[name], random.Random(name))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dag=route_unions())
+def test_chart_determinant_matches_the_column_pass_random(seed, dag):
+    _check_chart(dag, random.Random(seed))
 
 
 @pytest.mark.parametrize("name", ["D1", "D2", "zigzag", "bypass", "chain4x2"])
@@ -330,7 +370,7 @@ def test_certificate_takes_an_exact_step_where_a_ridge_is_no_prefix_swap(linear_
                            map(_mask, CUBE_SPLIT))
     report = verify_dkk_triangulation(cube, split)
     assert report.ok, report.issues
-    assert linear_algebra_calls == {"is_unimodular_simplex": 1, "_vertex_functionals": 2}
+    assert linear_algebra_calls == {"determinant": 1 + 2 * 2}
     assert verify_triangulation(split, 3, 6).ok
 
 
@@ -345,7 +385,7 @@ def test_certificate_rejects_a_folded_simplex(linear_algebra_calls):
     assert _swap_certificate(g3, folded, 2, 2).issues == tuple(
         f"simplices (0, 1, 2) and (0, 1, 2) lie on the same side of ridge {r}"
         for r in ((0, 1), (0, 2), (1, 2)))
-    assert linear_algebra_calls["_vertex_functionals"] == 3
+    assert linear_algebra_calls == {"determinant": 1 + 2 * 3}
     report = verify_dkk_triangulation(g3, folded)
     assert report.issues[0] == "2 simplices but normalized volume 1"
     assert set(report.issues) == set(verify_triangulation(folded, 2, 1).issues)

@@ -12,8 +12,8 @@ from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
 from flowtri.dkk import dkk_triangulation, verify_dkk_triangulation
 from flowtri.equatorial import equatorial_sphere, joined_simplices
 from flowtri.geometry import (LANES, Triangulation, _canonical, _lattice_pass, _mask,
-                              _member_order, _members, count_lattice_points, ehrhart_hstar,
-                              is_unimodular_simplex, join_with_simplex, lattice_counts,
+                              _member_order, _members, count_lattice_points, determinant,
+                              ehrhart_hstar, join_with_simplex, lattice_counts,
                               normalized_volume, rank)
 from flowtri.planar import make_poset, maximal_equatorial_chains, rank_constant_filters
 from flowtri.routes import (decomposition_framing, enumerate_routes,
@@ -22,12 +22,13 @@ from tests.conftest import (RU341, RU351, RU441, RU452, brute_count_lattice_poin
                             complex_euler_characteristic, complex_from_faces,
                             equatorial_flow_triangulation, equatorial_order_triangulation,
                             f_vector, gauss_jordan_rank, h_polynomial, hstar_by_binomials,
-                            interpolate_polynomial,
-                            is_gorenstein, is_pure, lp_triangulation_ok, maximal_minor_gcd,
+                            interpolate_polynomial, is_gorenstein, is_pure,
+                            is_unimodular_simplex, lp_triangulation_ok, maximal_minor_gcd,
                             members, per_dilate_count_lattice_points, random_balanced_dag,
                             ridges_in_two_facets, route_unions, simplices_meet_in_common_face,
                             smith_divisors, swapped_vertex, trimmed, verify_triangulation,
                             with_simplices)
+from tests.conftest import determinant as laplace_determinant
 
 
 def test_smith_divisors_known_matrices():
@@ -68,6 +69,41 @@ def test_forward_rank_matches_gauss_jordan(rows, copies):
     and square matrices, with combined rows so that low ranks come up."""
     rows = rows + [[a - b for a, b in zip(rows[0], r)] for r in rows[1:copies + 1]]
     assert rank(rows) == gauss_jordan_rank(rows)
+
+
+@st.composite
+def square_matrices(draw) -> list[list[int]]:
+    """0 x 0 to 6 x 6 integer matrices, with a row or a column made 0, or a
+    row made the difference of two others, now and then, so that singular
+    matrices of every shape come up."""
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [0] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for r in rows:
+            r[j] = 0
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        rows[i] = [a - b for a, b in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_determinant_matches_laplace_expansion(rows):
+    """The signed last Bareiss pivot against Laplace expansion, sign
+    included."""
+    assert determinant(rows) == laplace_determinant(rows)
+
+
+def test_determinant_known_matrices():
+    assert determinant([]) == 1
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+    assert determinant([[1, 2], [2, 4]]) == 0
 
 
 def test_unimodular_simplex():

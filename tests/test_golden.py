@@ -14,11 +14,10 @@ import json
 import pytest
 
 from flowtri.cli import main
-from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, make_dag,
-                         stacked_rotations, zigzag, zigzag_rotations)
+from flowtri.dag import D1, D2, D3, G, bypass, dag_to_json, make_dag, zigzag
 from flowtri.planar import (PlanarEmbedding, embedding_to_json, make_poset,
                             poset_to_dag)
-from tests.conftest import RU351, chain
+from tests.conftest import RU351, chain, stacked_rotations, zigzag_rotations
 from tests.test_geometry import BIG
 
 # A 9-element graded poset with 3 ranks of 3 elements (the perfbench

@@ -1,6 +1,7 @@
 """Library-wide rules that no single module's tests would catch."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import flowtri
@@ -72,3 +73,25 @@ def test_library_reads_every_parameter():
              and not getattr(node, "name", "").startswith("cmd_")
              for p in _unread_parameters(node)]
     assert found == []
+
+
+def test_library_uses_every_private_helper():
+    """Every ``_``-prefixed function or class of the library is referenced
+    by library code outside its own body, so no helper stays behind that
+    only the tests call.  Dunder methods are exempt."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    assert trees
+
+    def references(node: ast.AST) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    everywhere = sum(map(references, trees), Counter())
+    helpers = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    assert helpers
+    unused = [node.name for node in helpers
+              if everywhere[node.name] == references(node)[node.name]]
+    assert unused == []

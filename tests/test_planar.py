@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from flowtri import cli, dkk, equatorial, geometry, planar, quotient, routes
 from flowtri import dag as dagmod
-from flowtri.dag import (D1, D2, D3, G, dag_to_json, degree_equality, idle_edges,
-                         stacked_rotations, zigzag, zigzag_rotations)
+from flowtri.dag import D1, D2, D3, G, dag_to_json, degree_equality, idle_edges, zigzag
 from flowtri.equatorial import EquatorialFace, sphere_facets
 from flowtri.geometry import _canonical, _members
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
@@ -28,7 +27,8 @@ from tests.conftest import (brute_order_polytope_count, canonical_triangulation,
                             old_verify_equivalence, order_polytope_vertices, order_to_flow,
                             pairwise_comparability, poset_from_json,
                             recursive_heights, recursive_up_sets,
-                            route_of_flow, subset_scan_filters, verify_triangulation)
+                            route_of_flow, stacked_rotations, subset_scan_filters,
+                            verify_triangulation, zigzag_rotations)
 
 
 def posets_isomorphic(p: Poset, q: Poset) -> bool:
@@ -536,7 +536,7 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     facets, never in a whole graph, and builds no join ``Triangulation``."""
     modules = (cli, dagmod, dkk, equatorial, geometry, planar, quotient, routes)
     watched = (planar.validate_embedding, planar._trace, planar.planar_framing,
-               routes.decomposition_framing, dkk.coherence_graph, dkk.max_cliques,
+               routes.decomposition_framing, dkk.coherence_graph, dkk._sized_cliques,
                equatorial.t_eq, equatorial.sphere_facets, equatorial.equatorial_facets,
                routes.enumerate_routes, planar.filter_routes, planar.rank_constant_filters)
     calls = {fn.__name__: 0 for fn in watched}
@@ -545,7 +545,7 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     def counted(fn):
         def wrapper(*args, **kwargs):
             calls[fn.__name__] += 1
-            if fn.__name__ == "max_cliques":
+            if fn.__name__ == "_sized_cliques":
                 within.append(args[2] if len(args) > 2 else kwargs.get("within"))
             return fn(*args, **kwargs)
         return wrapper
@@ -568,7 +568,7 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
         zigzag(), PlanarEmbedding(zigzag_rotations()))))
     assert cli.main(["order", str(graph), str(emb), "--max-dilate", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["equivalence"]["ok"]
-    assert calls.pop("max_cliques") == len(within) > 0 and None not in within
+    assert calls.pop("_sized_cliques") == len(within) > 0 and None not in within
     assert calls.pop("__init__") == calls.pop("t_eq") == 0
     assert calls.pop("sphere_facets") == 2
     assert calls == dict.fromkeys(calls, 1)
