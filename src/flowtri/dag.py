@@ -166,7 +166,12 @@ def contract_idle_edges(dag: Dag) -> tuple[Dag, dict[str, str | None]]:
     degrees of the one vertex that survives it, so only that vertex's edges
     can turn idle: they go on a heap of candidates, each re-checked when it
     comes off, and a step costs the merged vertex's degree and a heap pop.
+    An idle-free graph comes back as itself, with the identity map.
     """
+    if not dag.edges:
+        raise ValueError("trivial graph")
+    if not idle_edges(dag):
+        return dag, {e.id: e.id for e in dag.edges}
     # work on original vertex labels, renumber once at the end
     edges = {e.id: (e.tail, e.head) for e in dag.edges}
     mapping: dict[str, str | None] = {eid: eid for eid in edges}

@@ -7,13 +7,11 @@ over its complex's vertex list: bit i stands for vertex i.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb, prod
 from typing import Collection, Iterable, Sequence
 
-from .dag import Dag, dimension, validate
+from .dag import Dag, degree_equality, dimension, idle_edges, validate
 
 Vector = tuple[int, ...]
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))     # for ``_canonical``
@@ -230,6 +228,12 @@ def _lattice_pass(dag: Dag, lo: int, first: int, top: int,
     2**w.  The weights are only added and multiplied by binomials, which
     are not negative, so no lane borrows or carries into the next, and the
     last weight's lanes are the counts.  The states live in this call only.
+
+    Each vertex's bundles are read once into rows: a bundle of k edges
+    to ``head`` has ways[x - k*lo] = C(x - k*lo + k - 1, k - 1) for
+    k*lo <= x < B, all 1 when k = 1, and either the offset x units add to a
+    state (any bundle but the last) or the place of head's digit once v's
+    is dropped (the last, which takes all that is left).
     """
     sink, base = dag.sink, top + sum(inject) + 1
     width = prod(comb(base + o - 2, o - 1) for o in map(dag.outdeg, range(sink)) if o
@@ -238,29 +242,41 @@ def _lattice_pass(dag: Dag, lo: int, first: int, top: int,
     for v in range(sink):
         if v < len(inject) and inject[v]:
             states = {s + inject[v]: n for s, n in states.items()}
-        groups = sorted(Counter(e.head for e in dag.out_edges(v)).items())
-        if not groups:                # a dead end: no flow may reach v
+        bundles: dict[int, int] = {}
+        for e in dag.out_edges(v):
+            bundles[e.head] = bundles.get(e.head, 0) + 1
+        if not bundles:               # a dead end: no flow may reach v
             states = {s // base: n for s, n in states.items() if not s % base}
-        for j, (head, k) in enumerate(groups):
-            least = lo * k
-            # ways[x] = C(x - least + k - 1, k - 1), each from the one before
-            ways = [0] * least + list(accumulate(range(1, base - least),
-                                                 lambda c, i: c * (i + k - 1) // i, initial=1))
-            nxt: dict[int, int] = defaultdict(int)
-            if j < len(groups) - 1:   # x = least, ..., left units go to head
-                step = base ** (head - v) - 1
-                for s, n in states.items():
-                    key = s + least * step
-                    for c in ways[least:s % base + 1]:
-                        nxt[key] += n * c
+            continue
+        *rows, (head, k) = sorted(bundles.items())
+        for row_head, row_k in rows:  # x = least, ..., left units go to row_head
+            least, step = lo * row_k, base ** (row_head - v) - 1
+            ways = [comb(i + row_k - 1, row_k - 1) for i in range(base - least)]
+            nxt: dict[int, int] = {}
+            for s, n in states.items():
+                span = s % base - least + 1
+                if span <= 0:
+                    continue
+                key = s + least * step
+                if row_k == 1:
+                    for _ in range(span):
+                        nxt[key] = nxt.get(key, 0) + n
                         key += step
-            else:                     # the last head takes all that is left
-                shift = base ** (head - v - 1) if head != sink else 0
-                for s, n in states.items():
-                    left = s % base
-                    if left >= least:     # v's digit, now 0, is dropped
-                        nxt[s // base + left * shift] += n * ways[left]
+                else:
+                    for c in ways[:span]:
+                        nxt[key] = nxt.get(key, 0) + n * c
+                        key += step
             states = nxt
+        # the last head takes all that is left; v's digit, now 0, is dropped
+        least, shift = lo * k, base ** (head - v - 1) if head != sink else 0
+        ways = [comb(i + k - 1, k - 1) for i in range(base - least)]
+        nxt = {}
+        for s, n in states.items():
+            left = s % base
+            if left >= least:
+                key = s // base + left * shift
+                nxt[key] = nxt.get(key, 0) + (n * ways[left - least] if k > 1 else n)
+        states = nxt
     packed = states.get(0, 0)
     mask = (1 << width) - 1
     return [packed >> (width * j) & mask for j in range(top + 1 - first)]
@@ -282,7 +298,11 @@ def ehrhart_hstar(dag: Dag) -> HStarData:
     """L(0..d) from one ``lattice_counts`` pass, the h*-vector, its degree
     and the codegree.  h*[0] must be 1 and no entry negative, and the
     interior counts of dilates 1..codegree, from a second pass, must be
-    positive exactly at the codegree; else ``AssertionError``."""
+    positive exactly at the codegree, and on an idle-free graph h* must be
+    palindromic (Stanley 1978: P is Gorenstein) exactly when
+    ``degree_equality`` holds; else ``AssertionError``.  An idle edge can
+    unbalance a vertex without changing P, so such graphs are not
+    checked."""
     d = dimension(dag)
     counts = lattice_counts(dag, d)
     h = list(counts)            # h*(z) = (1 - z)^(d+1) * sum_t L(t) z^t, cut at z^d
@@ -297,6 +317,10 @@ def ehrhart_hstar(dag: Dag) -> HStarData:
     interior = lattice_counts(dag, codegree, interior=True)
     if any((interior[t] > 0) != (t == codegree) for t in range(1, codegree + 1)):
         raise AssertionError("codegree disagrees with interior point counts")
+    palindromic = h[:degree + 1] == h[degree::-1]
+    if not idle_edges(dag) and palindromic != degree_equality(dag):
+        raise AssertionError(f"h* {h[:degree + 1]} palindromic is {palindromic} but "
+                             f"degree_equality is {not palindromic}")
     return HStarData(counts, tuple(h), degree, codegree)
 
 

@@ -15,9 +15,8 @@ import pytest
 from hypothesis import strategies as st
 
 from flowtri import dkk, geometry, planar
-from flowtri.dag import (SOURCE, Dag, contract_idle_edges, degree_equality, dimension,
-                         gorenstein_completion, idle_edges, make_dag, random_dag,
-                         validate)
+from flowtri.dag import (SOURCE, Dag, contract_idle_edges, dimension, gorenstein_completion,
+                         make_dag, random_dag, validate)
 from flowtri.dkk import dkk_triangulation, exceptional_routes, verify_dkk_triangulation
 from flowtri.equatorial import (EquatorialFace, Sphere, Transversal, _all_framings,
                                 equatorial_sphere, joined_simplices)
@@ -302,17 +301,10 @@ def trimmed(seq) -> tuple:
 
 
 def is_gorenstein(dag: Dag) -> bool:
-    """h*-palindromicity, cross-checked against degree equality.
-
-    The combinatorial criterion (in-degree equals out-degree everywhere)
-    is only equivalent to palindromicity on idle-free graphs: an idle edge
-    can unbalance a vertex without changing the polytope.
-    """
+    """h*-palindromicity, which ``ehrhart_hstar`` cross-checks against
+    degree equality on idle-free graphs."""
     h = trimmed(ehrhart_hstar(dag).h_star)
-    palindromic = h == h[::-1]
-    if not idle_edges(dag) and degree_equality(dag) != palindromic:
-        raise AssertionError("degree equality and h*-palindromicity disagree")
-    return palindromic
+    return h == h[::-1]
 
 
 def has_route_partition(dag: Dag) -> bool:
@@ -861,8 +853,8 @@ def brute_count_lattice_points(dag: Dag, t: int, interior: bool = False,
         avail = t if v == SOURCE else sum(flow[e.id] for e in dag.in_edges(v))
         avail += inject[v] if v < len(inject) else 0
         outs = dag.out_edges(v)
-        if not outs:
-            return 0 if avail else 1
+        if not outs:                  # a dead end: nothing may reach v
+            return 0 if avail else place(v_idx + 1)
 
         def split(k: int, left: int) -> int:
             if k == len(outs) - 1:

@@ -119,6 +119,19 @@ def test_idle_edges_and_contraction():
     assert log  # at least one contraction happened
 
 
+def test_idle_free_graph_comes_back_as_itself():
+    """No edge to contract: the input object and the identity map, as the
+    rescan oracle builds them; a graph with no edges is still trivial."""
+    for dag in (G(1), G(3), D1(), D2(), D3(), zigzag(), bypass()):
+        assert not idle_edges(dag)
+        out, log = contract_idle_edges(dag)
+        assert out is dag and log == {e.id: e.id for e in dag.edges}
+        assert rescan_contract_idle_edges(dag) == (out, log)
+    for dag in (make_dag(0, []), make_dag(2, [])):
+        with pytest.raises(ValueError, match="trivial graph"):
+            contract_idle_edges(dag)
+
+
 def contraction(contract, dag):
     try:
         return contract(dag)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowtri import geometry
 from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
                          degree_equality, dimension, gorenstein_completion,
                          idle_edges, make_dag, random_dag, validate, zigzag)
@@ -18,8 +19,8 @@ from flowtri.geometry import (LANES, Triangulation, _canonical, _lattice_pass, _
 from flowtri.planar import make_poset, maximal_equatorial_chains, rank_constant_filters
 from flowtri.routes import (decomposition_framing, enumerate_routes,
                             route_decomposition)
-from tests.conftest import (RU341, RU351, RU441, RU452, brute_count_lattice_points, chain,
-                            complex_euler_characteristic, complex_from_faces,
+from tests.conftest import (RU341, RU351, RU441, RU452, brute_count_lattice_points,
+                            bundle_dag, chain, complex_euler_characteristic, complex_from_faces,
                             equatorial_flow_triangulation, equatorial_order_triangulation,
                             f_vector, gauss_jordan_rank, h_polynomial, hstar_by_binomials,
                             interpolate_polynomial, is_gorenstein, is_pure,
@@ -212,12 +213,39 @@ def assert_counts_match_brute_force(dag):
             assert count_lattice_points(dag, t, interior) == brute[t], (t, interior)
 
 
+# Bundles of 1-4 parallel edges at a vertex's first (not last) and last
+# heads.  At lo = 1, b4's four-edge bundle at s asks for more than dilates
+# 1-4 hold, and "dead-end" has no way out of vertex 1.
+BUNDLE_DAGS = {
+    "b4": bundle_dag(1, [(0, 1, 4), (0, 2, 1), (1, 2, 2)]),
+    "b3": bundle_dag(1, [(0, 1, 3), (0, 2, 2), (1, 2, 1)]),
+    "b2": bundle_dag(2, [(0, 1, 2), (0, 3, 1), (1, 2, 1), (1, 3, 2), (2, 3, 1)]),
+    "b14": bundle_dag(1, [(0, 1, 1), (0, 2, 1), (1, 2, 4)]),
+    "b23": bundle_dag(1, [(0, 1, 2), (1, 2, 3)]),
+    "dead-end": bundle_dag(2, [(0, 1, 2), (0, 2, 3), (2, 3, 2)]),
+}
+
+
 @pytest.mark.parametrize("dag", [G(1), G(2), G(3), G(4), D1(), D2(), D3(), zigzag(),
-                                 bypass(), chain(2, 3), chain(3, 2), chain(2, 4)],
+                                 bypass(), chain(2, 3), chain(3, 2), chain(2, 4),
+                                 *BUNDLE_DAGS.values()],
                          ids=["G1", "G2", "G3", "G4", "D1", "D2", "D3", "zigzag",
-                              "bypass", "chain2x3", "chain3x2", "chain2x4"])
+                              "bypass", "chain2x3", "chain3x2", "chain2x4", *BUNDLE_DAGS])
 def test_lattice_point_dp_matches_brute_force_catalog(dag):
     assert_counts_match_brute_force(dag)
+
+
+def test_bundle_counts_past_one_pass():
+    """Dilates 0..LANES + 3 of a two-bundle graph in two passes, and one
+    pass over a range that crosses LANES, against both oracles."""
+    dag = bundle_dag(1, [(0, 1, 2), (0, 2, 1), (1, 2, 1)])
+    top = LANES + 3
+    for lo in (0, 1):
+        brute = [brute_count_lattice_points(dag, t, bool(lo)) for t in range(top + 1)]
+        assert list(lattice_counts(dag, top, bool(lo))) == brute, lo
+        assert [per_dilate_count_lattice_points(dag, t, bool(lo))
+                for t in range(top + 1)] == brute, lo
+        assert _lattice_pass(dag, lo, LANES - 2, top) == brute[LANES - 2:], lo
 
 
 @settings(max_examples=40, deadline=None)
@@ -320,17 +348,18 @@ def test_lattice_counts_through_a_dead_end():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_injected_pass_matches_brute_force(seed):
     """Random injections, lower bounds and dilate ranges on raw random_dag
-    draws (unbalanced, idle edges, dead ends): the pass against the
-    point-by-point count extended to a netflow vector."""
+    draws (unbalanced, idle edges) and on the bundle graphs (a dead end
+    too): the pass against the point-by-point count extended to a netflow
+    vector."""
     rng = random.Random(seed)
-    dag = random_dag(rng, 7)
-    inject = [0] + [rng.randint(0, 2) for _ in dag.inner_vertices]
-    top = rng.randint(0, 3)
-    first = rng.randint(0, top)
-    for lo in (0, 1):
-        assert _lattice_pass(dag, lo, first, top, inject) == [
-            brute_count_lattice_points(dag, t, bool(lo), inject)
-            for t in range(first, top + 1)], (lo, inject)
+    for dag in (random_dag(rng, 7), rng.choice(list(BUNDLE_DAGS.values()))):
+        inject = [0] + [rng.randint(0, 2) for _ in dag.inner_vertices]
+        top = rng.randint(0, 3)
+        first = rng.randint(0, top)
+        for lo in (0, 1):
+            assert _lattice_pass(dag, lo, first, top, inject) == [
+                brute_count_lattice_points(dag, t, bool(lo), inject)
+                for t in range(first, top + 1)], (dag, lo, inject)
 
 
 @pytest.mark.parametrize("dag", [G(1), G(3), D1(), D2(), D3(), zigzag(), bypass(),
@@ -388,8 +417,8 @@ BIG = make_dag(6, [("e00", 0, 1), ("e01", 0, 1), ("e02", 0, 1), ("e03", 0, 1),
 
 
 def test_gorenstein_at_scale():
-    """is_gorenstein raises if palindromicity and degree equality disagree,
-    and ehrhart_hstar checks h* and the codegree against interior counts."""
+    """ehrhart_hstar checks h* and the codegree against interior counts,
+    and palindromicity against degree equality."""
     assert dimension(BIG) == 13 and len(enumerate_routes(BIG)) == 348
     assert degree_equality(BIG) and not idle_edges(BIG)
     assert is_gorenstein(BIG)
@@ -431,6 +460,32 @@ def test_hstar_catalog():
                                           ("c", 1, 2), ("d", 1, 2), ("e", 1, 2)]))
     # an idle edge can hide the balance without changing the polytope
     assert is_gorenstein(make_dag(1, [("a", 0, 1), ("b", 0, 1), ("c", 1, 2)]))
+
+
+def test_palindromy_check_fires_on_a_broken_count(monkeypatch):
+    """Negative control: a rebound ``lattice_counts`` that adds
+    z / (1 - z)^(d+1) to the Ehrhart series lifts h*_1 by one, so D1's h*
+    becomes (1, 2) with its codegree check still passing, while D1 is
+    balanced and idle-free."""
+    real = geometry.lattice_counts
+
+    def lifted(dag, top, interior=False):
+        counts, d = real(dag, top, interior), dimension(dag)
+        return counts if interior else tuple(
+            c + (comb(t - 1 + d, d) if t else 0) for t, c in enumerate(counts))
+
+    monkeypatch.setattr(geometry, "lattice_counts", lifted)
+    with pytest.raises(AssertionError, match=r"h\* \[1, 2\] palindromic is False but "
+                                             r"degree_equality is True"):
+        ehrhart_hstar(D1())
+
+
+def test_palindromy_check_skips_idle_edges():
+    """s => 1 -> t is a segment, so its h* = (1) is palindromic, while the
+    idle edge 1 -> t leaves vertex 1 unbalanced: no check, no error."""
+    dag = make_dag(1, [("a", 0, 1), ("b", 0, 1), ("c", 1, 2)])
+    assert idle_edges(dag) == ("c",) and not degree_equality(dag)
+    assert trimmed(ehrhart_hstar(dag).h_star) == (1,)
 
 
 def test_hstar_differences_match_binomial_oracle():
