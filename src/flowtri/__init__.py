@@ -13,9 +13,8 @@ from .geometry import Triangulation, count_lattice_points, ehrhart_hstar, normal
 from .planar import (PlanarEmbedding, Poset, make_poset, planar_dual,
                      planar_framing, poset_to_dag, topmost_route_decomposition,
                      verify_equivalence)
-from .quotient import (check_transversal_identity, phi, quotient_facets,
-                       transversal_functional, verify_reflexive)
-from .routes import (Framing, NotGorensteinError, decomposition_framing,
-                     enumerate_routes, route_decomposition)
+from .quotient import check_transversal_identity, phi, quotient_facets, verify_reflexive
+from .routes import (Framing, NotGorensteinError, RouteTable, decomposition_framing,
+                     enumerate_routes, route_decomposition, route_table)
 
 __version__ = "0.1.0"

@@ -303,7 +303,8 @@ def cmd_equatorial(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
         raise InputError(f"--exhaustive-dkk: {framings} framings, "
                          f"more than the bound of {eqmod.MAX_FRAMINGS}")
     report["decomposition"] = [list(r) for r in decomp]
-    labels, _, facets, sphere = eqmod.equatorial_sphere(dag, decomp)
+    table, _, facets, sphere = eqmod.equatorial_sphere(dag, decomp)
+    labels = table.routes
     report["facets"] = [{"transversal": list(f.transversal), "routes": Faces(labels, f.routes)}
                         for f in facets]
     report["sphere"] = {
@@ -311,7 +312,7 @@ def cmd_equatorial(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
         "f_vector": list(sphere.f_vector),
         "euler_characteristic": geo.euler_characteristic(sphere.f_vector),
     }
-    simplices = eqmod.joined_simplices(dag, labels, decomp, sphere)
+    simplices = eqmod.joined_simplices(dag, table, decomp, sphere)
     report["simplices"] = Faces(labels, simplices)
     h, h_star, agree = _h_against_h_star(dag, sphere.f_vector)
     report["h_vector"] = list(h)
@@ -319,7 +320,7 @@ def cmd_equatorial(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     report["h_equals_h_star"] = agree
     code = OK if agree else FAILED
     if args.exhaustive_dkk:
-        cmp = eqmod.differs_from_dkk(dag, labels, simplices)
+        cmp = eqmod.differs_from_dkk(dag, table, simplices)
         report["dkk_comparison"] = {
             "framings_checked": cmp.framings_checked,
             "matching_framings": len(cmp.matching_framings),
@@ -412,8 +413,8 @@ def cmd_fuzz(args, _, report: dict) -> tuple[dict, int]:
         balanced += 1
         try:
             decomp = rmod.route_decomposition(dag)       # certified by the peel
-            routes, _, _, sphere = eqmod.equatorial_sphere(dag, decomp)
-            eqmod.joined_simplices(dag, routes, decomp, sphere)    # checks the join's sizes
+            table, _, _, sphere = eqmod.equatorial_sphere(dag, decomp)
+            eqmod.joined_simplices(dag, table, decomp, sphere)     # checks the join's sizes
             h, h_star, agree = _h_against_h_star(dag, sphere.f_vector)
         except AssertionError as exc:     # a broken invariant, kept with its graph
             failures.append(_fuzz_failure(k, drawn, f"invariant failed: {exc}"))

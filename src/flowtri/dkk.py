@@ -21,20 +21,20 @@ leave by an earlier (later) edge and keeps the side of those that stay
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from functools import cache, reduce
 from operator import and_
 from typing import Sequence
 
 from .dag import Dag, dimension
-from .geometry import (Triangulation, TriangulationReport, _canonical, _mask, _members,
+from .geometry import (Triangulation, TriangulationReport, _canonical, _members,
                        determinant, normalized_volume)
-from .routes import Framing, Route, enumerate_routes, indicator_vector, is_route
+from .routes import (Framing, Route, RouteTable, enumerate_routes, indicator_vector, is_route,
+                     route_table)
 
 
-def coherence_graph(framing: Framing, routes: Sequence[Route]) -> tuple[int, ...]:
+def coherence_graph(framing: Framing, table: RouteTable) -> tuple[int, ...]:
     """Adjacency of the coherence graph as int masks: bit j of entry i is
-    set when ``routes[i]`` and ``routes[j]`` (i != j) are coherent.
+    set when routes i and j (i != j) of ``table`` are coherent.
 
     If routes r and q conflict at v, they conflict at the vertex u where
     their prefixes into v first diverge, scanning backwards: u is inner,
@@ -51,10 +51,7 @@ def coherence_graph(framing: Framing, routes: Sequence[Route]) -> tuple[int, ...
     and above(u) likewise, since a route through f has not diverged from r
     at u and compares as it does at w, and nothing is above or below r at
     the sink."""
-    thru: dict[str, int] = defaultdict(int)         # edge -> the routes using it
-    for i, r in enumerate(routes):
-        for eid in r:
-            thru[eid] |= 1 << i
+    routes, thru = table.routes, table.through
     # per edge into (out of) an inner vertex: the routes into (out of) it by
     # the in-edges (out-edges) ordered before the edge, and by those after it
     sides = []
@@ -132,11 +129,11 @@ def max_cliques(adj: Sequence[int], size: int) -> tuple[int, ...]:
 
 
 def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:
-    routes = enumerate_routes(dag)
+    table = route_table(dag, enumerate_routes(dag))
     return Triangulation(
-        simplices=max_cliques(coherence_graph(framing, routes), dimension(dag) + 1),
-        labels=routes,
-        coords=tuple(indicator_vector(dag, r) for r in routes),
+        simplices=max_cliques(coherence_graph(framing, table), dimension(dag) + 1),
+        labels=table.routes,
+        coords=tuple(indicator_vector(dag, r) for r in table.routes),
     )
 
 
@@ -262,19 +259,17 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
     elif abs(det) != 1:
         issues.append(f"simplex {_members(first)} is not unimodular")
 
-    # per route: its edge set, and the edge set of its prefix into each
-    # inner vertex it visits; per edge: the routes through it
-    bit = {e.id: 1 << k for k, e in enumerate(dag.edges)}
-    edges = [sum(map(bit.__getitem__, r)) for r in labels]
-    by_edges = {m: i for i, m in enumerate(edges)}
+    # the labels' table, and per label the edge mask of its prefix into each
+    # inner vertex it visits
+    table = route_table(dag, labels)
+    edges, by_edges, through = table.edges, table.index, table.through
     prefixes = []
     for r in labels:
         pre, into = 0, {}
         for eid in r[:-1]:
-            pre |= bit[eid]
+            pre |= 1 << dag.edge_index[eid]
             into[dag.edge_by_id[eid].head] = pre
         prefixes.append(into)
-    through = {eid: _mask(i for i, m in enumerate(edges) if m & b) for eid, b in bit.items()}
 
     def swap_crosses(a: int, b: int, ridge: int) -> bool:
         """Some prefix swap of routes a and b gives two routes of ``ridge``."""

@@ -21,8 +21,8 @@ from .dag import Dag, degree_equality, dimension, idle_edges
 # and restores this module's binding of it, so the name stays importable.
 from .dkk import _sized_cliques, coherence_graph, max_cliques  # noqa: F401
 from .geometry import _canonical, _mask, _member_order, _members, join_with_simplex
-from .routes import (Framing, NotGorensteinError, Route, decomposition_framing,
-                     enumerate_routes)
+from .routes import (Framing, NotGorensteinError, Route, RouteTable, decomposition_framing,
+                     enumerate_routes, route_table)
 
 Transversal = tuple[str, ...]     # entry i is the chosen edge of route i
 
@@ -62,9 +62,9 @@ def _avoided_sets(everyone: int, groups: Iterable[Sequence[tuple[str, int]]]
 
 
 def equatorial_facets(dag: Dag, decomp: Sequence[Route],
-                      routes: Sequence[Route]) -> tuple[EquatorialFace, ...]:
-    """Facets of the equatorial complex over ``routes`` (the graph's route
-    list, ``enumerate_routes(dag)``), deduplicated by avoided-route set.
+                      table: RouteTable) -> tuple[EquatorialFace, ...]:
+    """Facets of the equatorial complex over the routes of ``table`` (the
+    table of the graph's route list), deduplicated by avoided-route set.
 
     A transversal's avoided routes share no edge with it: the AND, over its
     edges, of the routes missing each (``_avoided_sets``, which keeps the
@@ -77,13 +77,10 @@ def equatorial_facets(dag: Dag, decomp: Sequence[Route],
     idle = idle_edges(dag)
     if idle:
         raise ValueError(f"idle edges present (contract them first): {idle}")
-    thru = {e.id: 0 for e in dag.edges}      # edge -> the routes using it
-    for i, r in enumerate(routes):
-        for e in r:
-            thru[e] |= 1 << i
+    thru = table.through
     entering = [reduce(or_, (thru[e.id] for e in dag.in_edges(v)), 0)
                 for v in dag.inner_vertices]
-    everyone = (1 << len(routes)) - 1
+    everyone = (1 << len(table.routes)) - 1
     avoided = _avoided_sets(everyone, [[(e, everyone ^ thru[e]) for e in r] for r in decomp])
     faces = sorted(((rs, m) for rs, m in avoided.items() if all(map(rs.__and__, entering))),
                    key=lambda face: _member_order(face[0]))
@@ -157,24 +154,25 @@ def sphere_facets(adj: Sequence[int], facets: Sequence[int], size: int) -> tuple
     return tuple(_canonical(set().union(*(_sized_cliques(adj, size, o) for o in facets or [0]))))
 
 
-def joined_simplices(dag: Dag, routes: Sequence[Route], decomp: Sequence[Route],
+def joined_simplices(dag: Dag, table: RouteTable, decomp: Sequence[Route],
                      sphere: Sphere) -> tuple[int, ...]:
     """The simplices of the join of the equatorial sphere with the route
-    simplex, as masks over the graph's route list ``routes``, each checked
-    to have dim + 1 routes."""
-    return join_with_simplex(_mask(map(routes.index, decomp)), sphere.maximal_faces,
+    simplex, as masks over the routes of ``table``, each checked to have
+    dim + 1 routes."""
+    return join_with_simplex(_mask(map(table.routes.index, decomp)), sphere.maximal_faces,
                              dimension(dag) + 1)
 
 
 def equatorial_sphere(dag: Dag, decomp: Sequence[Route]
-                      ) -> tuple[tuple[Route, ...], tuple[int, ...],
+                      ) -> tuple[RouteTable, tuple[int, ...],
                                  tuple[EquatorialFace, ...], Sphere]:
-    """The route list, the coherence graph of the decomposition framing,
-    the equatorial facets over the routes and the equatorial sphere T_eq."""
-    routes = enumerate_routes(dag)
-    adj = coherence_graph(decomposition_framing(dag, decomp), routes)
-    facets = equatorial_facets(dag, decomp, routes)
-    return routes, adj, facets, t_eq(adj, facets, dimension(dag) + 1 - len(decomp))
+    """The table of the route list, the coherence graph of the decomposition
+    framing, the equatorial facets over the routes and the equatorial sphere
+    T_eq."""
+    table = route_table(dag, enumerate_routes(dag))
+    adj = coherence_graph(decomposition_framing(dag, decomp), table)
+    facets = equatorial_facets(dag, decomp, table)
+    return table, adj, facets, t_eq(adj, facets, dimension(dag) + 1 - len(decomp))
 
 
 @dataclass(frozen=True)
@@ -203,16 +201,17 @@ def framing_count(dag: Dag) -> int:
     return prod(factorial(dag.indeg(v)) * factorial(dag.outdeg(v)) for v in dag.inner_vertices)
 
 
-def differs_from_dkk(dag: Dag, routes: Sequence[Route],
+def differs_from_dkk(dag: Dag, table: RouteTable,
                      simplices: Sequence[int]) -> DkkComparisonReport:
     """Compare the equatorial flow triangulation of ``dag``, its
-    ``simplices`` as masks over ``routes``, against the framed
-    triangulations of all its framings (at most MAX_FRAMINGS), as sets of
-    masks: each framing's cliques are compared unsorted."""
+    ``simplices`` as masks over the routes of ``table`` (the table of the
+    graph's route list), against the framed triangulations of all its
+    framings (at most MAX_FRAMINGS), as sets of masks: each framing's
+    cliques are compared unsorted."""
     total = framing_count(dag)
     if total > MAX_FRAMINGS:
         raise ValueError(f"exhaustive bound exceeded: {total} framings > {MAX_FRAMINGS}")
     target, size = set(simplices), dimension(dag) + 1
     matches = tuple(i for i, fr in enumerate(_all_framings(dag))
-                    if set(_sized_cliques(coherence_graph(fr, routes), size)) == target)
+                    if set(_sized_cliques(coherence_graph(fr, table), size)) == target)
     return DkkComparisonReport(total, matches)

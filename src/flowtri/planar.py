@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_json
 from .dkk import coherence_graph, max_cliques
 from .equatorial import _avoided_sets, equatorial_facets, sphere_facets
 from .geometry import _canonical, _mask, _members, join_with_simplex
-from .routes import Framing, Route, decomposition_framing, enumerate_routes, peel_decomposition
+from .routes import (Framing, Route, RouteTable, decomposition_framing, enumerate_routes,
+                     peel_decomposition, route_table)
 
 BOTTOM = "_bot"
 TOP = "_top"
@@ -506,20 +507,19 @@ def topmost_route_decomposition(dag: Dag, emb: PlanarEmbedding,
                                     **framing.out_order})
 
 
-def filter_routes(dual: PlanarDual, routes: Sequence[Route]) -> tuple[int, ...]:
-    """Filter index -> index in ``routes`` of the filter's route: the edges
-    it cuts, lower face out and upper face in (``_cutters``).  A filter
-    whose cut is no route, or two filters cutting one route, raise
+def filter_routes(dag: Dag, dual: PlanarDual, table: RouteTable) -> tuple[int, ...]:
+    """Filter index -> index in ``table`` of the filter's route: the edges
+    of ``dag`` it cuts, lower face out and upper face in (``_cutters``).  A
+    filter whose cut is no route, or two filters cutting one route, raise
     ``ValueError``."""
-    poset = dual.poset
+    poset, place, routes = dual.poset, dag.edge_index, table.routes
     cut: list[list[str]] = [[] for _ in poset.filters]
     for e, c in zip(dual.cover_of_edge, _cutters(poset, dual.cover_of_edge.values())):
         for i in _members(c):
             cut[i].append(e)
-    index = {frozenset(r): j for j, r in enumerate(routes)}
     filter_of: dict[int, int] = {}                    # route index -> filter cutting it
-    for i, edges in enumerate(cut):
-        j = index.get(frozenset(edges))
+    for i, edges in enumerate(cut):     # an edge ``dag`` lacks takes a bit no route has
+        j = table.index.get(_mask(place.get(e, len(place)) for e in edges))
         if j is None:
             raise ValueError(f"filter {list(poset.names(poset.filters[i]))} cuts "
                              f"{sorted(edges)}, which is not a route")
@@ -566,12 +566,12 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     for v in dag.inner_vertices:
         if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
             issues.append(f"framings disagree at vertex {v}")
-    routes, top = enumerate_routes(dag), dimension(dag) + 1
-    adj = coherence_graph(df, routes)
-    flow = sphere_facets(adj, [f.routes for f in equatorial_facets(dag, decomp, routes)],
+    table, top = route_table(dag, enumerate_routes(dag)), dimension(dag) + 1
+    routes = table.routes
+    adj = coherence_graph(df, table)
+    flow = sphere_facets(adj, [f.routes for f in equatorial_facets(dag, decomp, table)],
                          top - len(decomp))
-    poset = dual.poset
-    route_of = filter_routes(dual, routes)
+    poset, route_of = dual.poset, filter_routes(dag, dual, table)
 
     def mapped(m: int) -> int:
         return _mask(route_of[i] for i in _members(m))
@@ -584,7 +584,7 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     # the only issues so far are framing disagreements; without one, the
     # decomposition framing is the planar framing
     if issues:
-        adj = coherence_graph(pf, routes)
+        adj = coherence_graph(pf, table)
     # a graph fixes its maximal cliques; a route no filter maps to keeps a
     # zero row, which no coherence graph of positive dimension has
     graph = [0] * len(routes)

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 from .dag import Dag, degree_equality
 from .equatorial import Transversal, equatorial_facets
 from .geometry import rank
-from .routes import NotGorensteinError, Route, enumerate_routes
+from .routes import NotGorensteinError, Route, enumerate_routes, route_table
 
 
 def edge_labels(decomp: Sequence[Route]) -> dict[str, int]:
@@ -67,35 +67,20 @@ def leveled_space(dag: Dag, decomp: Sequence[Route]) -> LeveledSpace:
     return LeveledSpace(tuple(blocks), slots)
 
 
-def _image(slots: Mapping[str, tuple[int, int]], dim: int, route: Route) -> tuple[int, ...]:
-    """``phi`` of ``route`` from the slot table: slot ``dim`` takes the
-    source's and the sink's ends and is dropped."""
-    vec = [0] * (dim + 1)
-    for head, tail in map(slots.__getitem__, route):
+def phi(space: LeveledSpace, route: Route) -> tuple[int, ...]:
+    """Linear projection of a route's indicator vector: each edge adds its
+    label's basis vector in its head block and subtracts it in its tail
+    block (source and sink have no block), read from the slot table, where
+    slot ``dim`` takes the source's and the sink's ends and is dropped."""
+    vec = [0] * (space.dim + 1)
+    for head, tail in map(space.slots.__getitem__, route):
         vec[head] += 1
         vec[tail] -= 1
     vec.pop()
     return tuple(vec)
 
 
-def phi(space: LeveledSpace, route: Route) -> tuple[int, ...]:
-    """Linear projection of a route's indicator vector: each edge adds its
-    label's basis vector in its head block and subtracts it in its tail
-    block (source and sink have no block)."""
-    return _image(space.slots, space.dim, route)
-
-
 _BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _prefix_masks(slots: Mapping[str, tuple[int, int]], route: Route) -> dict[str, int]:
-    """Each edge of ``route`` -> the mask of the head slots of the edges
-    before it."""
-    out, mask = {}, 0
-    for eid in route:
-        out[eid] = mask
-        mask |= 1 << slots[eid][0]
-    return out
 
 
 def _coefficients(mask: int, dim: int) -> tuple[int, ...]:
@@ -182,25 +167,19 @@ class QuotientPolytope:
         }
 
 
-def transversal_functional(space: LeveledSpace, decomp: Sequence[Route],
-                           m: Transversal) -> tuple[int, ...]:
-    """0/1 functional with support on (vertex, label) pairs reached by the
-    pre-transversal prefix of each decomposition route (every prefix edge
-    ends at an inner vertex)."""
-    mask = 0
-    for route, chosen in zip(decomp, m):
-        mask |= _prefix_masks(space.slots, route)[chosen]
-    return _coefficients(mask, space.dim)
-
-
 def _functionals(space: LeveledSpace, decomp: Sequence[Route]
                  ) -> dict[Transversal, tuple[int, ...]]:
-    """``transversal_functional`` of every transversal, in product order:
-    the OR of one prefix mask per decomposition route, grown route by
-    route in the same order as ``product(*decomp)``."""
+    """Every transversal's 0/1 functional, in product order: its support,
+    the (vertex, label) pairs reached by the pre-transversal prefix of each
+    decomposition route (every prefix edge ends at an inner vertex), is the
+    OR of one prefix mask of head slots per route, grown route by route in
+    the same order as ``product(*decomp)``."""
     masks = [0]
     for route in decomp:
-        prefixes = _prefix_masks(space.slots, route).values()
+        prefixes, mask = [], 0
+        for eid in route:
+            prefixes.append(mask)
+            mask |= 1 << space.slots[eid][0]
         masks = [m | p for m in masks for p in prefixes]
     dim = space.dim
     return {m: _coefficients(mask, dim) for m, mask in zip(product(*decomp), masks)}
@@ -259,18 +238,17 @@ def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
     cross-checked.
 
     The images and the functionals are read from the space's slot table:
-    one ``_image`` per route and one OR of prefix masks per transversal
+    one ``phi`` per route and one OR of prefix masks per transversal
     (``_functionals``).  The images' rank is taken by forward-only Bareiss
     elimination, with no early stop."""
     if not degree_equality(dag):
         raise NotGorensteinError("not Gorenstein: degree equality fails")
     space = leveled_space(dag, decomp)
-    routes = enumerate_routes(dag)
+    table = route_table(dag, enumerate_routes(dag))
     members = set(decomp)
-    slots, dim = space.slots, space.dim
     verts = []
-    for i, r in enumerate(routes):
-        img = _image(slots, dim, r)
+    for i, r in enumerate(table.routes):
+        img = phi(space, r)
         if r not in members:
             verts.append((i, img))
         elif any(img):
@@ -279,14 +257,14 @@ def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
         raise AssertionError("projected vertices are not distinct")
     functionals = _functionals(space, decomp)
     seen: dict[tuple[int, ...], Transversal] = {}
-    for face in equatorial_facets(dag, decomp, routes):
+    for face in equatorial_facets(dag, decomp, table):
         seen.setdefault(functionals[face.transversal], face.transversal)
     facets = tuple((m, c) for c, m in sorted(seen.items()))
     want = space.quotient_dim
     got = rank([c for _, c in verts])
     if got != want:
         raise AssertionError(f"quotient rank {got} != expected dimension {want}")
-    return QuotientPolytope(space, tuple(routes), tuple(verts), functionals, facets)
+    return QuotientPolytope(space, table.routes, tuple(verts), functionals, facets)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,30 @@ def enumerate_routes(dag: Dag) -> tuple[Route, ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class RouteTable:
+    """Which routes use which edges, as int masks, built once per route list
+    by ``route_table`` and read by every layer: bit k of an edge mask is
+    ``dag.edges[k]``, bit i of a route mask is ``routes[i]``."""
+
+    routes: tuple[Route, ...]
+    edges: tuple[int, ...]          # route i -> its edge mask
+    through: Mapping[str, int]      # edge id -> the mask of the routes using it
+    index: Mapping[int, int]        # edge mask -> its route's index
+
+
+def route_table(dag: Dag, routes: Sequence[Route]) -> RouteTable:
+    """The table of ``routes``, each a route of ``dag``; every edge of
+    ``dag`` has a route mask, 0 for an edge on none of them."""
+    bit = {e.id: 1 << k for k, e in enumerate(dag.edges)}
+    through = dict.fromkeys(bit, 0)
+    for i, r in enumerate(routes):
+        for eid in r:
+            through[eid] |= 1 << i
+    edges = tuple(sum(map(bit.__getitem__, r)) for r in routes)
+    return RouteTable(tuple(routes), edges, through, {m: i for i, m in enumerate(edges)})
+
+
 def peel_decomposition(dag: Dag, prefer: Mapping[int, Sequence[str]]) -> tuple[Route, ...]:
     """Greedy peel into an ordered decomposition: from s, follow the first
     live out-edge in the order ``prefer[v]`` lists them at each vertex v,

@@ -28,8 +28,9 @@ from flowtri.planar import (BOTTOM, TOP, PlanarDual, Poset, make_poset,
                             rank_constant_filters)
 from flowtri.quotient import (LeveledSpace, QuotientPolytope, ReflexiveReport, _Lanes,
                               edge_labels)
-from flowtri.routes import (Framing, Route, decomposition_framing, indicator_vector,
-                            route_decomposition)
+from flowtri.routes import (Framing, Route, RouteTable, decomposition_framing,
+                            enumerate_routes, indicator_vector, route_decomposition,
+                            route_table)
 
 
 def random_balanced_dag(rng: random.Random, max_edges: int = 9) -> Dag:
@@ -188,6 +189,13 @@ def route_unions(draw, max_inner: int = 3, max_routes: int = 4) -> Dag:
     return make_dag(n, [(f"e{j:02d}", a, b) for j, (a, b) in enumerate(steps)])
 
 
+def all_routes(dag: Dag) -> RouteTable:
+    """The route table of the graph's whole route list, which the library's
+    readers of routes (``coherence_graph``, ``equatorial_facets`` and the
+    rest) take in place of the list."""
+    return route_table(dag, enumerate_routes(dag))
+
+
 def sphere(dag: Dag, decomp: tuple[Route, ...]) -> Sphere:
     """T_eq of a decomposition, with its f-vector."""
     return equatorial_sphere(dag, decomp)[3]
@@ -196,9 +204,9 @@ def sphere(dag: Dag, decomp: tuple[Route, ...]) -> Sphere:
 def equatorial_flow_triangulation(dag: Dag, decomp: Sequence[Route]) -> Triangulation:
     """Join of the equatorial sphere with the route simplex, on the graph's
     route list, with the routes' indicator vectors as coordinates."""
-    routes, _, _, teq = equatorial_sphere(dag, decomp)
-    return Triangulation(joined_simplices(dag, routes, decomp, teq), routes,
-                         tuple(indicator_vector(dag, r) for r in routes))
+    table, _, _, teq = equatorial_sphere(dag, decomp)
+    return Triangulation(joined_simplices(dag, table, decomp, teq), table.routes,
+                         tuple(indicator_vector(dag, r) for r in table.routes))
 
 
 def members(simplices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -226,7 +234,8 @@ def member_list_report(command: str, dag: Dag, digest: str) -> dict:
                 "simplices": route_lists(tri.labels, tri.simplices),
                 "exceptional_routes": [list(r) for r in exceptional_routes(tri)],
                 "triangulation_ok": check.ok, "issues": list(check.issues)}
-    routes, _, facets, teq = equatorial_sphere(dag, decomp)
+    table, _, facets, teq = equatorial_sphere(dag, decomp)
+    routes = table.routes
     h, h_star = h_from_f(teq.f_vector), ehrhart_hstar(dag).h_star
     return {**report, "decomposition": [list(r) for r in decomp],
             "facets": [{"transversal": list(f.transversal),
@@ -234,7 +243,7 @@ def member_list_report(command: str, dag: Dag, digest: str) -> dict:
             "sphere": {"maximal_faces": route_lists(routes, teq.maximal_faces),
                        "f_vector": list(teq.f_vector),
                        "euler_characteristic": euler_characteristic(teq.f_vector)},
-            "simplices": route_lists(routes, joined_simplices(dag, routes, decomp, teq)),
+            "simplices": route_lists(routes, joined_simplices(dag, table, decomp, teq)),
             "h_vector": list(h), "h_star": list(h_star),
             "h_equals_h_star": list(h) == list(h_star[:len(h)]) and not any(h_star[len(h):])}
 
@@ -496,14 +505,15 @@ def product_avoided_sets(everyone: int, groups: Sequence[Sequence[tuple[str, int
     return first
 
 
-def canonical_dkk_matches(dag: Dag, routes: Sequence[Route],
+def canonical_dkk_matches(dag: Dag, table: RouteTable,
                           simplices: Sequence[int]) -> tuple[int, ...]:
-    """The framings whose triangulation has exactly ``simplices``, each
-    framing's cliques sorted canonically by ``max_cliques`` first: the
-    oracle for the unsorted comparison of ``differs_from_dkk``."""
+    """The framings whose triangulation has exactly ``simplices``, masks
+    over the routes of ``table``, each framing's cliques sorted
+    canonically by ``max_cliques`` first: the oracle for the unsorted
+    comparison of ``differs_from_dkk``."""
     target, size = set(simplices), dimension(dag) + 1
     return tuple(i for i, fr in enumerate(_all_framings(dag))
-                 if set(dkk.max_cliques(dkk.coherence_graph(fr, routes), size)) == target)
+                 if set(dkk.max_cliques(dkk.coherence_graph(fr, table), size)) == target)
 
 
 def common_face(dag: Dag, decomp: Sequence[Route], routeset: Sequence[Route]) -> bool:
@@ -516,8 +526,6 @@ def common_face(dag: Dag, decomp: Sequence[Route], routeset: Sequence[Route]) ->
 def sphere_oracle(dag: Dag, decomp: tuple[Route, ...]) -> set[frozenset[int]]:
     """Maximal route sets that are coherent cliques and bury no
     decomposition route, by brute force over all route subsets."""
-    from flowtri.routes import enumerate_routes
-
     routes = enumerate_routes(dag)
     framing = decomposition_framing(dag, decomp)
     others = [i for i, r in enumerate(routes) if r not in set(decomp)]
@@ -589,13 +597,14 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
     for v in dag.inner_vertices:
         if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
             issues.append(f"framings disagree at vertex {v}")
-    routes = planar.enumerate_routes(dag)
-    adj = planar.coherence_graph(df, routes)
+    table = planar.route_table(dag, planar.enumerate_routes(dag))
+    routes = table.routes
+    adj = planar.coherence_graph(df, table)
     sphere = Sphere(planar.sphere_facets(
-        adj, [f.routes for f in planar.equatorial_facets(dag, decomp, routes)],
+        adj, [f.routes for f in planar.equatorial_facets(dag, decomp, table)],
         dimension(dag) + 1 - len(decomp)), ())
     poset = dual.poset
-    route_of = planar.filter_routes(dual, routes)
+    route_of = planar.filter_routes(dag, dual, table)
 
     def mapped(simplices) -> set[tuple[int, ...]]:
         return {tuple(sorted(route_of[i] for i in simplex)) for simplex in simplices}
@@ -606,12 +615,12 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
 
     canon = mapped(members(planar.maximal_filter_chains(poset)))
     if issues:
-        adj = planar.coherence_graph(pf, routes)
+        adj = planar.coherence_graph(pf, table)
     compare("chain/clique", canon, set(members(planar.max_cliques(adj, dimension(dag) + 1))))
     sigma = planar.rank_constant_filters(poset)
     order_faces = mapped(members(planar.join_with_simplex(
         sigma, planar.maximal_equatorial_chains(poset), len(poset.elements) + 1)))
-    flow_faces = set(members(joined_simplices(dag, routes, decomp, sphere)))
+    flow_faces = set(members(joined_simplices(dag, table, decomp, sphere)))
     compare("equatorial", order_faces, flow_faces)
     if {routes[route_of[i]] for i in _members(sigma)} != set(decomp):
         issues.append("rank-constant simplex does not map onto the route simplex")
@@ -1409,8 +1418,7 @@ def sliced_functionals(dag: Dag, decomp: Sequence[Route], space: LeveledSpace
                        ) -> dict[Transversal, tuple[int, ...]]:
     """Every transversal's functional in product order, each set on the
     (head, label) pairs of the slice of each decomposition route before its
-    chosen edge: the oracle for the prefix-mask ``quotient._functionals``
-    and ``quotient.transversal_functional``."""
+    chosen edge: the oracle for the prefix-mask ``quotient._functionals``."""
     labels, index = edge_labels(decomp), slot_index(space)
     out = {}
     for m in product(*decomp):

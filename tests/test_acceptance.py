@@ -19,7 +19,7 @@ from flowtri.quotient import (check_transversal_identity, quotient_facets,
 from flowtri.routes import (NotGorensteinError, decomposition_framing,
                             enumerate_routes, is_route_decomposition,
                             route_decomposition)
-from tests.conftest import (Complex, complex_euler_characteristic,
+from tests.conftest import (Complex, all_routes, complex_euler_characteristic,
                             dense_pairs_and_failures,
                             dense_transversal_identity,
                             equatorial_flow_triangulation, f_vector,
@@ -97,7 +97,7 @@ def test_criterion_5_not_dkk():
     d3, d1 = D3(), D1()
     dec3, dec1 = route_decomposition(d3), route_decomposition(d1)
     tri3 = equatorial_flow_triangulation(d3, dec3)
-    sweep = differs_from_dkk(d3, tri3.labels, tri3.simplices)
+    sweep = differs_from_dkk(d3, all_routes(d3), tri3.simplices)
     ok = (framing_count(d3) == 36 and sweep.framings_checked == 36
           and not sweep.matching_framings)
     ok = ok and (dkk_triangulation(d1, decomposition_framing(d1, dec1)).simplices
@@ -135,7 +135,7 @@ def test_criterion_7_reflexive_quotient():
         q = quotient_facets(dag, decomp)
         ok = ok and len(q.vertices) == 6 and len(q.facets) == 6
         ok = ok and verify_reflexive(q).ok
-        ok = ok and len(q.facets) == len(equatorial_facets(dag, decomp, q.routes))
+        ok = ok and len(q.facets) == len(equatorial_facets(dag, decomp, all_routes(dag)))
     for dag in (d1, D2(), D3()):
         q = quotient_facets(dag, route_decomposition(dag))
         want = sum(dag.indeg(v) - 1 for v in dag.inner_vertices)

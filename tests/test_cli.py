@@ -683,6 +683,27 @@ def test_cli_builds_no_indicator_vectors(capsys, monkeypatch, d2_file):
         assert (code, err) == (0, "")        # fuzz exits 1 on any failure
 
 
+@pytest.mark.parametrize("argv,builds", [(["equatorial"], 1),
+                                         (["equatorial", "--exhaustive-dkk"], 1),
+                                         (["quotient"], 1), (["dkk"], 2)],
+                         ids=["equatorial", "equatorial-exhaustive", "quotient", "dkk"])
+def test_each_run_builds_its_route_tables_once(capsys, monkeypatch, d2_file, argv, builds):
+    """``equatorial`` builds one route table per run, which the coherence
+    graph, the facets, the join and every framing of the sweep read, and
+    ``quotient`` one; ``dkk`` builds two: the triangulation's, and the
+    certificate's over the triangulation's labels."""
+    real, calls = cli.rmod.route_table, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (cli.rmod, cli.dkkmod, cli.eqmod, cli.qmod, cli.plmod):
+        monkeypatch.setattr(module, "route_table", counted)
+    code, _, err = run(capsys, [argv[0], d2_file, *argv[1:]])
+    assert (code, err, len(calls)) == (0, "", builds)
+
+
 def test_text_format_keeps_nested_lists_apart(capsys, tmp_path):
     a, c, b, d = "acbd"
     nested = [[[a, c], [b, d]], [[a, c, b, d]], [a, c, b, d], [[], [a, c, b, d]], []]

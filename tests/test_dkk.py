@@ -15,7 +15,7 @@ from flowtri.geometry import (Triangulation, _mask, _members, determinant, ehrha
 from flowtri.planar import planar_framing, poset_to_dag
 from flowtri.routes import (decomposition_framing, enumerate_routes, indicator_vector,
                             route_decomposition)
-from tests.conftest import (RU351, Complex, chain, conflict, corrupted,
+from tests.conftest import (RU351, Complex, all_routes, chain, conflict, corrupted,
                             equatorial_flow_triangulation, h_polynomial,
                             is_unimodular_simplex, members,
                             pairwise_coherence_masks, random_balanced_dag,
@@ -36,7 +36,7 @@ def test_conflict_d1():
 
 
 def _cliques(dag):
-    return max_cliques(coherence_graph(_decomp_framing(dag), enumerate_routes(dag)),
+    return max_cliques(coherence_graph(_decomp_framing(dag), all_routes(dag)),
                        dimension(dag) + 1)
 
 
@@ -67,7 +67,7 @@ def test_cliques_d2():
 
 def test_coherence_graph_shape():
     d3 = D3()
-    adj = coherence_graph(_decomp_framing(d3), enumerate_routes(d3))
+    adj = coherence_graph(_decomp_framing(d3), all_routes(d3))
     assert len(adj) == 9
     assert all(isinstance(a, int) and 0 <= a < 1 << 9 for a in adj)
     assert all(not adj[i] >> i & 1 for i in range(9))
@@ -93,10 +93,10 @@ def test_dkk_h_matches_hstar_random():
 @pytest.mark.parametrize("dag", [D1(), D2(), D3(), zigzag()],
                          ids=["D1", "D2", "D3", "zigzag"])
 def test_coherence_graph_matches_pairwise_oracle_every_framing(dag):
-    routes = enumerate_routes(dag)
+    table = all_routes(dag)
     for framing in _all_framings(dag):
-        assert coherence_graph(framing, routes) == \
-            pairwise_coherence_masks(dag, framing, routes), framing
+        assert coherence_graph(framing, table) == \
+            pairwise_coherence_masks(dag, framing, table.routes), framing
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,21 +104,21 @@ def test_coherence_graph_matches_pairwise_oracle_every_framing(dag):
 def test_coherence_graph_and_cliques_match_oracles_random_framings(seed):
     rng = random.Random(seed)
     dag = random_balanced_dag(rng, max_edges=10)
-    routes = enumerate_routes(dag)
+    table = all_routes(dag)
     for _ in range(3):
         framing = random_framing(rng, dag)
-        adj = coherence_graph(framing, routes)
-        assert adj == pairwise_coherence_masks(dag, framing, routes)
+        adj = coherence_graph(framing, table)
+        assert adj == pairwise_coherence_masks(dag, framing, table.routes)
         cliques = members(max_cliques(adj, dimension(dag) + 1))
         assert list(cliques) == sorted(cliques)
         assert set(cliques) == set_max_cliques(adj)
 
 
 def assert_coherence_matches_oracle(dag, framings):
-    routes = enumerate_routes(dag)
+    table = all_routes(dag)
     for framing in framings:
-        assert coherence_graph(framing, routes) == \
-            pairwise_coherence_masks(dag, framing, routes), framing
+        assert coherence_graph(framing, table) == \
+            pairwise_coherence_masks(dag, framing, table.routes), framing
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,7 +159,7 @@ def test_max_cliques_past_the_recursion_limit():
 
 def test_max_cliques_rejects_wrong_clique_size():
     d1 = D1()
-    adj = coherence_graph(_decomp_framing(d1), enumerate_routes(d1))
+    adj = coherence_graph(_decomp_framing(d1), all_routes(d1))
     with pytest.raises(AssertionError, match="clique"):
         max_cliques(tuple(a & 0b111 for a in adj[:-1]), dimension(d1) + 1)
 
@@ -313,6 +313,19 @@ def test_certificate_reports_every_label_and_coordinate_fault():
     moved = Triangulation(tri.simplices, tri.labels, tri.coords[:3] + (tri.coords[0],))
     assert verify_dkk_triangulation(d1, moved).issues == (
         f"vertex 3 is not at the indicator vector of route {d!r}",)
+
+
+def test_certificate_names_a_label_with_an_edge_the_graph_lacks():
+    """The certificate builds its route table from the labels only after
+    checking them, so a label naming an edge the graph lacks, or one that
+    is no sequence at all, is an issue and raises nothing."""
+    d1 = D1()
+    tri = dkk_triangulation(d1, _decomp_framing(d1))
+    a, b, _, d = tri.labels
+    for label in (("a", "x"), 7):
+        bad = Triangulation(tri.simplices, (a, b, label, d), tri.coords)
+        assert verify_dkk_triangulation(d1, bad).issues == (
+            f"label 2 {label!r} is not a route of the graph",)
 
 
 # G(1) is one edge: dimension 0, one route and one simplex, the mask 1.  Each

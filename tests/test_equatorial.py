@@ -14,7 +14,7 @@ from flowtri.equatorial import (EquatorialFace, _avoided_sets, differs_from_dkk,
                                 joined_simplices, sphere_facets, t_eq)
 from flowtri.geometry import ehrhart_hstar, h_from_f, normalized_volume
 from flowtri.routes import enumerate_routes, route_decomposition
-from tests.conftest import (RU351, Complex, canonical_dkk_matches, chain, common_face,
+from tests.conftest import (RU351, Complex, all_routes, canonical_dkk_matches, chain, common_face,
                             complex_euler_characteristic,
                             equatorial_flow_triangulation, f_vector, h_polynomial, is_facet_transversal, is_pure,
                             members, old_t_eq, product_avoided_sets, random_balanced_dag,
@@ -91,15 +91,14 @@ def test_is_facet_transversal():
 
 def test_equatorial_facets_counts():
     for dag, want in ((D1(), 2), (D2(), 6), (D3(), 6)):
-        facets = equatorial_facets(dag, route_decomposition(dag),
-                                   enumerate_routes(dag))
+        facets = equatorial_facets(dag, route_decomposition(dag), all_routes(dag))
         assert len(facets) == want
 
 
 def test_facets_require_idle_free_graph():
     dag = make_dag(1, [("a", 0, 1), ("b", 1, 2)])
     with pytest.raises(ValueError):
-        equatorial_facets(dag, (("a", "b"),), enumerate_routes(dag))
+        equatorial_facets(dag, (("a", "b"),), all_routes(dag))
 
 
 def test_equatorial_facets_match_set_oracle_catalog():
@@ -108,9 +107,9 @@ def test_equatorial_facets_match_set_oracle_catalog():
     growth merges choices there."""
     for dag, decomp in (*CATALOG.values(), CHAINS["chain4x3"], (RU351, None)):
         decomp = decomp or route_decomposition(dag)
-        routes = enumerate_routes(dag)
-        assert (equatorial_facets(dag, decomp, routes)
-                == set_equatorial_facets(dag, decomp, routes))
+        table = all_routes(dag)
+        assert (equatorial_facets(dag, decomp, table)
+                == set_equatorial_facets(dag, decomp, table.routes))
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,9 +117,9 @@ def test_equatorial_facets_match_set_oracle_catalog():
 def test_equatorial_facets_match_set_oracle_random(seed, dag):
     for g in (random_balanced_dag(random.Random(seed)), dag):
         decomp = route_decomposition(g)
-        routes = enumerate_routes(g)
-        assert (equatorial_facets(g, decomp, routes)
-                == set_equatorial_facets(g, decomp, routes))
+        table = all_routes(g)
+        assert (equatorial_facets(g, decomp, table)
+                == set_equatorial_facets(g, decomp, table.routes))
 
 
 def test_sphere_d1_is_two_points():
@@ -201,7 +200,7 @@ def test_d3_differs_from_every_dkk():
     assert framing_count(d3) == 36
     decomp = route_decomposition(d3)
     tri = equatorial_flow_triangulation(d3, decomp)
-    rep = differs_from_dkk(d3, tri.labels, tri.simplices)
+    rep = differs_from_dkk(d3, all_routes(d3), tri.simplices)
     assert rep.framings_checked == 36
     assert not rep.matching_framings
     assert not rep.is_dkk
@@ -213,13 +212,13 @@ def test_exhaustive_sweep_matches_sorted_cliques(name, monkeypatch):
     framings the canonically sorted cliques find, and sorts nothing."""
     dag, decomp = CATALOG[name]
     tri = equatorial_flow_triangulation(dag, decomp or route_decomposition(dag))
-    want = canonical_dkk_matches(dag, tri.labels, tri.simplices)
+    want = canonical_dkk_matches(dag, all_routes(dag), tri.simplices)
 
     def canonical(masks):
         raise AssertionError("sorted a framing's cliques")
 
     monkeypatch.setattr(dkk, "_canonical", canonical)
-    rep = differs_from_dkk(dag, tri.labels, tri.simplices)
+    rep = differs_from_dkk(dag, all_routes(dag), tri.simplices)
     assert rep.matching_framings == want
     assert rep.framings_checked == framing_count(dag)
 
@@ -230,18 +229,18 @@ def test_exhaustive_sweep_rejects_a_clique_of_the_wrong_size(monkeypatch):
     d2 = D2()
     tri = equatorial_flow_triangulation(d2, route_decomposition(d2))
     monkeypatch.setattr(equatorial, "coherence_graph",
-                        lambda framing, routes: (0,) * len(routes))
+                        lambda framing, table: (0,) * len(table.routes))
     size = dimension(d2) + 1
     with pytest.raises(AssertionError,
                        match=rf"^maximal clique \(\d+,\) has size 1, expected {size}$"):
-        differs_from_dkk(d2, tri.labels, tri.simplices)
+        differs_from_dkk(d2, all_routes(d2), tri.simplices)
 
 
 def test_d1_equals_its_dkk():
     d1 = D1()
     decomp = route_decomposition(d1)
     tri = equatorial_flow_triangulation(d1, decomp)
-    rep = differs_from_dkk(d1, tri.labels, tri.simplices)
+    rep = differs_from_dkk(d1, all_routes(d1), tri.simplices)
     assert rep.is_dkk
 
 
@@ -297,8 +296,8 @@ def test_sphere_facets_of_the_empty_sphere():
 def test_sphere_h_equals_join_h_catalog(name):
     dag, decomp = CATALOG[name]
     decomp = decomp or route_decomposition(dag)
-    routes, _, _, s = equatorial_sphere(dag, decomp)
-    join = joined_simplices(dag, routes, decomp, s)
+    table, _, _, s = equatorial_sphere(dag, decomp)
+    join = joined_simplices(dag, table, decomp, s)
     assert h_from_f(s.f_vector) == h_polynomial(Complex(members(s.maximal_faces))) == \
         h_polynomial(Complex(members(join)))
 

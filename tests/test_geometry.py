@@ -649,9 +649,9 @@ def test_join_with_an_empty_complex_or_a_wrong_size():
     assert join_with_simplex(simplex, (), 3) == join_with_simplex(simplex, (0,), 3) == (simplex,)
     g3 = G(3)
     decomp = route_decomposition(g3)
-    routes, _, _, sphere = equatorial_sphere(g3, decomp)
+    table, _, _, sphere = equatorial_sphere(g3, decomp)
     assert members(sphere.maximal_faces) == ((),)
-    assert members(joined_simplices(g3, routes, decomp, sphere)) == ((0, 1, 2),)
+    assert members(joined_simplices(g3, table, decomp, sphere)) == ((0, 1, 2),)
     chain3 = make_poset("abc", [("a", "b"), ("b", "c")])
     assert maximal_equatorial_chains(chain3) == ()
     sigma = rank_constant_filters(chain3)

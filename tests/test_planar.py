@@ -19,7 +19,7 @@ from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             topmost_route_decomposition,
                             validate_embedding, verify_equivalence)
 from flowtri.routes import Framing, Route, decomposition_framing, enumerate_routes
-from tests.conftest import (brute_order_polytope_count, canonical_triangulation,
+from tests.conftest import (all_routes, brute_order_polytope_count, canonical_triangulation,
                             equatorial_by_jumps, equatorial_by_map,
                             equatorial_order_triangulation, extension_filter_chains,
                             filter_chains, filter_sets, flow_to_order,
@@ -527,7 +527,7 @@ def test_equivalence_failure_texts(dag, rotations, pair, join_face, clique_face,
 def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     """One ``flowtri order`` run validates and traces the embedding once,
     builds the planar and the decomposition framing, one coherence graph,
-    one route list, one filter comparability table, one table of the
+    one route list and its route table, one filter comparability table, one table of the
     filters holding each element and one filter -> route map once each,
     finds the rank-constant filters and the flow side's equatorial facets
     once, and finds an equatorial sphere's facets once per side, routes
@@ -538,7 +538,8 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     watched = (planar.validate_embedding, planar._trace, planar.planar_framing,
                routes.decomposition_framing, dkk.coherence_graph, dkk._sized_cliques,
                equatorial.t_eq, equatorial.sphere_facets, equatorial.equatorial_facets,
-               routes.enumerate_routes, planar.filter_routes, planar.rank_constant_filters)
+               routes.enumerate_routes, routes.route_table, planar.filter_routes,
+               planar.rank_constant_filters)
     calls = {fn.__name__: 0 for fn in watched}
     within = []                       # the vertex mask of every clique search
 
@@ -714,8 +715,8 @@ def test_filter_routes_match_the_flow_walk_oracle():
             pass
     big = G(1010)
     for dag, emb in cases + graded + [(big, PlanarEmbedding(stacked_rotations(big)))]:
-        dual, rs = planar_dual(dag, emb), enumerate_routes(dag)
-        assert filter_routes(dual, rs) == flow_walk_routes(dual, dag, rs), dag
+        dual, table = planar_dual(dag, emb), all_routes(dag)
+        assert filter_routes(dag, dual, table) == flow_walk_routes(dual, dag, table.routes), dag
     assert len(dual.poset.filters) == 1010
 
 

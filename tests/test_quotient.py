@@ -12,12 +12,11 @@ from flowtri import quotient
 from flowtri.dag import D1, D2, D3, G, bypass, make_dag, zigzag
 from flowtri.equatorial import equatorial_facets
 from flowtri.geometry import rank
-from flowtri.quotient import (_block_points, check_transversal_identity, edge_labels,
-                              leveled_space, phi, quotient_facets,
-                              ReflexiveReport, transversal_functional,
-                              verify_reflexive)
+from flowtri.quotient import (_block_points, _functionals, check_transversal_identity,
+                              edge_labels, leveled_space, phi, quotient_facets,
+                              ReflexiveReport, verify_reflexive)
 from flowtri.routes import NotGorensteinError, enumerate_routes, route_decomposition
-from tests.conftest import (RU351, box_scan_verify_reflexive, chain, dense_pairs_and_failures,
+from tests.conftest import (RU351, all_routes, box_scan_verify_reflexive, chain, dense_pairs_and_failures,
                             dense_transversal_identity, dict_phi, filtered_block_points,
                             gauss_jordan_rank, random_balanced_dag, route_unions, scaled,
                             sliced_functionals, slot_index, unpacking_verify_reflexive)
@@ -55,7 +54,7 @@ def test_quotient_hexagons():
         assert len(q.vertices) == 6
         assert len(q.facets) == 6
         assert len(q.facets) == len(equatorial_facets(
-            dag, route_decomposition(dag), enumerate_routes(dag)))
+            dag, route_decomposition(dag), all_routes(dag)))
 
 
 def test_quotient_reflexive():
@@ -168,7 +167,6 @@ def check_fast_paths(dag, decomp=None, dilate=True):
                                if r not in decomp)
     want = sliced_functionals(dag, decomp, space)
     assert list(q.functionals.items()) == list(want.items())
-    assert all(transversal_functional(space, decomp, m) == c for m, c in want.items())
     rows = [c for _, c in q.vertices]
     assert rank(rows) == gauss_jordan_rank(rows) == space.quotient_dim
     coords = rows or [(0,) * space.dim]
@@ -244,9 +242,8 @@ def test_passing_vertex_check_unpacks_nothing(dag, decomp, monkeypatch):
 def test_decomposition_route_off_the_origin_raises(monkeypatch):
     """An image step that moves every route by one unit in the first
     coordinate breaks the first invariant of ``quotient_facets``."""
-    real = quotient._image
-    monkeypatch.setattr(quotient, "_image",
-                        lambda slots, dim, route: (1,) + real(slots, dim, route)[1:])
+    real = quotient.phi
+    monkeypatch.setattr(quotient, "phi", lambda space, route: (1,) + real(space, route)[1:])
     d2 = D2()
     decomp = route_decomposition(d2)
     with pytest.raises(AssertionError,
@@ -260,12 +257,12 @@ def test_coinciding_vertices_raise(monkeypatch):
     one point breaks the second invariant."""
     d2 = D2()
     decomp = route_decomposition(d2)
-    real = quotient._image
+    real = quotient.phi
 
-    def image(slots, dim, route):
-        return real(slots, dim, route) if route in decomp else (1,) + (0,) * (dim - 1)
+    def image(space, route):
+        return real(space, route) if route in decomp else (1,) + (0,) * (space.dim - 1)
 
-    monkeypatch.setattr(quotient, "_image", image)
+    monkeypatch.setattr(quotient, "phi", image)
     with pytest.raises(AssertionError, match="^projected vertices are not distinct$"):
         quotient_facets(d2, decomp)
 
@@ -276,15 +273,15 @@ def test_rank_below_quotient_dim_raises(monkeypatch):
     has dimension 2."""
     d2 = D2()
     decomp = route_decomposition(d2)
-    real, step = quotient._image, count(1)
+    real, step = quotient.phi, count(1)
 
-    def image(slots, dim, route):
+    def image(space, route):
         if route in decomp:
-            return real(slots, dim, route)
+            return real(space, route)
         n = next(step)
-        return (n, -n) + (0,) * (dim - 2)
+        return (n, -n) + (0,) * (space.dim - 2)
 
-    monkeypatch.setattr(quotient, "_image", image)
+    monkeypatch.setattr(quotient, "phi", image)
     with pytest.raises(AssertionError, match="^quotient rank 1 != expected dimension 2$"):
         quotient_facets(d2, decomp)
 
@@ -388,7 +385,8 @@ def test_functional_support():
     d2 = D2()
     decomp = route_decomposition(d2)          # ((a, c, e), (b, d, f))
     space = leveled_space(d2, decomp)
-    coeffs = transversal_functional(space, decomp, ("e", "b"))
+    coeffs = _functionals(space, decomp)[("e", "b")]
+    assert coeffs == sliced_functionals(d2, decomp, space)[("e", "b")]
     support = {pair for pair, k in slot_index(space).items() if coeffs[k]}
     # prefix of route 1 before e passes vertices 1 and 2 at label 1
     assert support == {(1, 1), (2, 1)}

@@ -1,14 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowtri.dag import (D1, D2, D3, G, bypass, gorenstein_completion,
                          make_dag, random_dag, zigzag)
 from flowtri.routes import (NotGorensteinError, decomposition_framing,
                             enumerate_routes, indicator_vector, is_route,
-                            is_route_decomposition, route_decomposition)
-from tests.conftest import (framing_from_json, has_route_partition,
-                            random_balanced_dag, route_vertices)
+                            is_route_decomposition, route_decomposition, route_table)
+from tests.conftest import (RU351, chain, framing_from_json, has_route_partition,
+                            random_balanced_dag, route_unions, route_vertices)
 
 
 def test_enumerate_routes_catalog():
@@ -30,6 +32,40 @@ def test_enumerate_routes_is_sorted_and_complete():
         assert len(routes) == paths[dag.sink]
         assert all(is_route(dag, r) for r in routes)
         assert all(a < b for a, b in zip(routes, routes[1:]))
+
+
+def assert_table_matches_routes(dag, labels):
+    """Each field of ``route_table(dag, labels)`` against a recomputation
+    route by route: an edge mask from the route's indicator vector, a route
+    mask from the routes holding the edge."""
+    table = route_table(dag, labels)
+    assert table.routes == tuple(labels)
+    want = [sum(x << k for k, x in enumerate(indicator_vector(dag, r))) for r in labels]
+    assert table.edges == tuple(want)
+    assert table.index == {m: i for i, m in enumerate(want)} and len(table.index) == len(labels)
+    assert table.through == {e.id: sum(1 << i for i, r in enumerate(labels) if e.id in r)
+                             for e in dag.edges}
+    assert list(table.through) == [e.id for e in dag.edges]
+
+
+@pytest.mark.parametrize("dag", [D1(), D2(), D3(), G(3), zigzag(), bypass(), chain(3, 3), RU351],
+                         ids=["D1", "D2", "D3", "G3", "zigzag", "bypass", "chain3x3", "RU351"])
+def test_route_table_matches_per_route_recomputation_catalog(dag):
+    """The route list, the list in a permuted order (as the certificate's
+    labels may come) and every other route, which leaves some edges on
+    none of the labels."""
+    routes = enumerate_routes(dag)
+    permuted = random.Random(len(routes)).sample(routes, len(routes))
+    for labels in (routes, permuted, routes[::2]):
+        assert_table_matches_routes(dag, labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dag=route_unions(), seed=st.integers(0, 2**32 - 1))
+def test_route_table_matches_per_route_recomputation_route_unions(dag, seed):
+    routes = enumerate_routes(dag)
+    assert_table_matches_routes(dag, routes)
+    assert_table_matches_routes(dag, random.Random(seed).sample(routes, len(routes)))
 
 
 def test_is_route():
