@@ -21,15 +21,37 @@ leave by an earlier (later) edge and keeps the side of those that stay
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 from functools import cache, reduce
 from operator import and_
 from typing import Sequence
 
 from .dag import Dag, dimension
-from .geometry import (Triangulation, TriangulationReport, _canonical, _members,
-                       determinant, normalized_volume)
-from .routes import (Framing, Route, RouteTable, enumerate_routes, indicator_vector, is_route,
-                     route_table)
+from .geometry import _canonical, _members, determinant, normalized_volume
+from .routes import Framing, Route, RouteTable, enumerate_routes, is_route, route_table
+
+
+@dataclass(frozen=True)
+class Triangulation:
+    """A triangulation stored by its maximal simplices, whose vertices are
+    fixed by their labels: a route's vertex is its indicator vector
+    (Danilov-Karzanov-Koshevoy 2012).
+
+    ``simplices`` are int masks over the vertices (bit i is vertex i);
+    ``labels[i]`` names vertex i (a route).
+    """
+
+    simplices: tuple[int, ...]
+    labels: tuple
+
+
+@dataclass(frozen=True)
+class TriangulationReport:
+    issues: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.issues
 
 
 def coherence_graph(framing: Framing, table: RouteTable) -> tuple[int, ...]:
@@ -130,11 +152,8 @@ def max_cliques(adj: Sequence[int], size: int) -> tuple[int, ...]:
 
 def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:
     table = route_table(dag, enumerate_routes(dag))
-    return Triangulation(
-        simplices=max_cliques(coherence_graph(framing, table), dimension(dag) + 1),
-        labels=table.routes,
-        coords=tuple(indicator_vector(dag, r) for r in table.routes),
-    )
+    return Triangulation(max_cliques(coherence_graph(framing, table), dimension(dag) + 1),
+                         table.routes)
 
 
 # The certificate builds its ridge table in this many parts, one at a time,
@@ -181,11 +200,12 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
     ``dag`` of dimension ``dim`` and normalized volume ``volume``: one issue
     per failing step, naming its label, simplex or ridge by member tuple.
 
-    The certificate asks that the labels be distinct routes of ``dag``, with
-    their indicator vectors as coordinates, and ``volume`` simplex masks of
+    The certificate asks that the labels be distinct routes of ``dag`` (a
+    route's vertex is its indicator vector) and ``volume`` simplex masks of
     dim + 1 routes, each ridge in at most two.  On the chart of aff(P)
     (``_chart``), let D_x be the determinant of the rows r - x over the
-    routes r of a ridge R.  For a ridge R in two simplices, with apexes a
+    routes r of a ridge R: bit c of a route's edge mask is its coordinate
+    on chart column c.  For a ridge R in two simplices, with apexes a
     and b, D_b = -D_a != 0: a and b meet at an inner vertex where swapping
     their prefixes gives routes c, d of R, so b = c + d - a; or, where no
     swap crosses R, an exact step takes the two determinants.  The apex of
@@ -217,7 +237,7 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
     have barycentric coordinate -1 in each other's simplex, and a boundary
     ridge lies on a facet x_e = 0 that its apex misses.
     """
-    labels, simplices, coords, n = tri.labels, tri.simplices, tri.coords, len(tri.labels)
+    labels, simplices, n = tri.labels, tri.simplices, len(tri.labels)
     issues = [] if simplices else ["no simplices"]
     seen: dict = {}                          # route -> its first label index
     for i, r in enumerate(labels):
@@ -225,10 +245,6 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
             issues.append(f"label {i} {r!r} is not a route of the graph")
         elif (j := seen.setdefault(r, i)) != i:
             issues.append(f"label {i} {r!r} repeats label {j}")
-        elif i < len(coords) and coords[i] != indicator_vector(dag, r):
-            issues.append(f"vertex {i} is not at the indicator vector of route {r!r}")
-    if len(coords) != n:
-        issues.append(f"{n} labels but {len(coords)} coordinate vectors")
     for m in simplices:
         if type(m) is not int or m < 0:
             issues.append(f"simplex {m!r} is not a mask of vertex indices")
@@ -242,8 +258,19 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
         issues.append(f"{len(simplices)} simplices but normalized volume {volume}")
     if malformed:
         return TriangulationReport(tuple(issues))
+    # the labels' table, and per label the edge mask of its prefix into each
+    # inner vertex it visits
+    table = route_table(dag, labels)
+    edges, by_edges, through = table.edges, table.index, table.through
+    prefixes = []
+    for r in labels:
+        pre, into = 0, {}
+        for eid in r[:-1]:
+            pre |= 1 << dag.edge_index[eid]
+            into[dag.edge_by_id[eid].head] = pre
+        prefixes.append(into)
     columns = _chart(dag)
-    point = cache(lambda i: tuple(coords[i][c] for c in columns))   # route i on the chart
+    point = cache(lambda i: tuple(edges[i] >> c & 1 for c in columns))   # route i on the chart
 
     def det_from(x: int, ridge: int) -> int:
         """D_x at ``ridge``: the determinant of the rows r - x on the chart,
@@ -258,18 +285,6 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
         issues.append(f"simplex {_members(first)} is degenerate")
     elif abs(det) != 1:
         issues.append(f"simplex {_members(first)} is not unimodular")
-
-    # the labels' table, and per label the edge mask of its prefix into each
-    # inner vertex it visits
-    table = route_table(dag, labels)
-    edges, by_edges, through = table.edges, table.index, table.through
-    prefixes = []
-    for r in labels:
-        pre, into = 0, {}
-        for eid in r[:-1]:
-            pre |= 1 << dag.edge_index[eid]
-            into[dag.edge_by_id[eid].head] = pre
-        prefixes.append(into)
 
     def swap_crosses(a: int, b: int, ridge: int) -> bool:
         """Some prefix swap of routes a and b gives two routes of ``ridge``."""

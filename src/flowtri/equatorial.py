@@ -20,7 +20,7 @@ from .dag import Dag, degree_equality, dimension, idle_edges
 # ``max_cliques`` is not called here, but the benchmark's self-check wraps
 # and restores this module's binding of it, so the name stays importable.
 from .dkk import _sized_cliques, coherence_graph, max_cliques  # noqa: F401
-from .geometry import _canonical, _mask, _member_order, _members, join_with_simplex
+from .geometry import _canonical, _mask, _members, join_with_simplex
 from .routes import (Framing, NotGorensteinError, Route, RouteTable, decomposition_framing,
                      enumerate_routes, route_table)
 
@@ -83,7 +83,7 @@ def equatorial_facets(dag: Dag, decomp: Sequence[Route],
     everyone = (1 << len(table.routes)) - 1
     avoided = _avoided_sets(everyone, [[(e, everyone ^ thru[e]) for e in r] for r in decomp])
     faces = sorted(((rs, m) for rs, m in avoided.items() if all(map(rs.__and__, entering))),
-                   key=lambda face: _member_order(face[0]))
+                   key=lambda face: _members(face[0]))
     return tuple(EquatorialFace(m, rs) for rs, m in faces)
 
 

@@ -13,7 +13,6 @@ from typing import Collection, Iterable, Sequence
 
 from .dag import Dag, degree_equality, dimension, idle_edges, validate
 
-Vector = tuple[int, ...]
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))     # for ``_canonical``
 
 
@@ -84,23 +83,11 @@ def _mask(indices: Iterable[int]) -> int:
     return m
 
 
-_MEMBERS_FIRST = str.maketrans("01", "10")
-
-
-def _member_order(mask: int) -> str:
-    """A sort key that orders masks of any sizes as their member tuples
-    (``_members``) do: the mask's bits from bit 0 to its highest set bit,
-    "0" for a member and "1" for a gap.  At the lowest bit two masks differ
-    in, the one holding it comes first unless the other has no member past
-    it, and then the other's key is a prefix of its key."""
-    return bin(mask)[:1:-1].translate(_MEMBERS_FIRST) if mask else ""
-
-
 def _canonical(masks: Collection[int]) -> list[int]:
     """``masks`` sorted by the bit-reversed mask, descending: the lowest bit
     two masks differ in puts the mask holding it first, so masks of one size
     sort as their member tuples do.  Not across sizes ((0, 1) comes before
-    (0,)): faces of mixed sizes sort by ``_member_order``."""
+    (0,)): faces of mixed sizes sort by ``_members``."""
     width = (max(masks, default=0).bit_length() + 7) // 8
     return sorted(masks, key=lambda m: m.to_bytes(width, "little").translate(_BIT_REVERSED),
                   reverse=True)
@@ -109,14 +96,20 @@ def _canonical(masks: Collection[int]) -> list[int]:
 def join_with_simplex(simplex: int, faces: Sequence[int], size: int) -> tuple[int, ...]:
     """The join of the simplex mask ``simplex`` with the complex of the
     maximal ``faces``: simplex | F for each face F (the simplex alone for no
-    faces), in canonical order; each must have ``size`` vertices, else
-    ``AssertionError``."""
-    joined = [simplex | f for f in faces or (0,)]
+    faces), in the faces' order; each must have ``size`` vertices, else
+    ``AssertionError``.
+
+    Callers pass faces of size - |simplex| vertices in canonical order, so
+    the size check rejects a face that meets the simplex, and the join
+    comes out in canonical order with no sort: simplex | F and simplex | F'
+    differ where F and F' do, so the lowest bit they differ in puts them in
+    the faces' order."""
+    joined = tuple(simplex | f for f in faces or (0,))
     for f in joined:
         if f.bit_count() != size:
             raise AssertionError(f"join simplex {_members(f)} has size {f.bit_count()}, "
                                  f"expected {size}")
-    return tuple(_canonical(joined))
+    return joined
 
 
 def euler_characteristic(fv: Sequence[int]) -> int:
@@ -136,33 +129,6 @@ def h_from_f(fv: Sequence[int]) -> tuple[int, ...]:
     while len(h) > 1 and h[-1] == 0:
         h.pop()
     return tuple(h)
-
-
-# ---------------------------------------------------------------------------
-# Triangulations
-
-@dataclass(frozen=True)
-class Triangulation:
-    """A simplicial complex, stored by its maximal simplices, whose vertices
-    carry exact lattice coordinates.
-
-    ``simplices`` are int masks over the vertices (bit i is vertex i);
-    ``labels[i]`` names vertex i (e.g. a route); ``coords[i]`` is its
-    integer coordinate vector in the carrier polytope's ambient space.
-    """
-
-    simplices: tuple[int, ...]
-    labels: tuple
-    coords: tuple[Vector, ...]
-
-
-@dataclass(frozen=True)
-class TriangulationReport:
-    issues: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
 
 
 # ---------------------------------------------------------------------------

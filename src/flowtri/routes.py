@@ -1,4 +1,4 @@
-"""Routes, route decompositions, framings and indicator vectors.
+"""Routes, route tables, route decompositions and framings.
 
 A route is stored as the tuple of its edge ids from source to sink; a
 decomposition is an ordered tuple of routes.  The linear order of a
@@ -133,11 +133,3 @@ def decomposition_framing(dag: Dag, decomp: Sequence[Route]) -> Framing:
         ins[v] = tuple(sorted((e.id for e in dag.in_edges(v)), key=lambda i: owner[i]))
         outs[v] = tuple(sorted((e.id for e in dag.out_edges(v)), key=lambda i: owner[i]))
     return Framing(ins, outs)
-
-
-def indicator_vector(dag: Dag, route: Route) -> tuple[int, ...]:
-    """0/1 vector over the edge coordinate order of the DAG."""
-    chi = [0] * len(dag.edges)
-    for eid in route:
-        chi[dag.edge_index[eid]] = 1
-    return tuple(chi)

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from flowtri import dkk, geometry, planar
 from flowtri.dag import (SOURCE, Dag, contract_idle_edges, dimension, gorenstein_completion,
                          make_dag, random_dag, validate)
-from flowtri.dkk import dkk_triangulation, exceptional_routes, verify_dkk_triangulation
+from flowtri.dkk import (Triangulation, TriangulationReport, dkk_triangulation,
+                        exceptional_routes, verify_dkk_triangulation)
 from flowtri.equatorial import (EquatorialFace, Sphere, Transversal, _all_framings,
                                 equatorial_sphere, joined_simplices)
-from flowtri.geometry import (Triangulation, TriangulationReport, Vector, _mask, _members,
-                              ehrhart_hstar, euler_characteristic, h_from_f,
+from flowtri.geometry import (_mask, _members, ehrhart_hstar, euler_characteristic, h_from_f,
                               normalized_volume)
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, Poset, make_poset,
                             maximal_equatorial_chains, maximal_filter_chains,
@@ -29,8 +29,9 @@ from flowtri.planar import (BOTTOM, TOP, PlanarDual, Poset, make_poset,
 from flowtri.quotient import (LeveledSpace, QuotientPolytope, ReflexiveReport, _Lanes,
                               edge_labels)
 from flowtri.routes import (Framing, Route, RouteTable, decomposition_framing,
-                            enumerate_routes, indicator_vector, route_decomposition,
-                            route_table)
+                            enumerate_routes, route_decomposition, route_table)
+
+Vector = tuple[int, ...]
 
 
 def random_balanced_dag(rng: random.Random, max_edges: int = 9) -> Dag:
@@ -203,10 +204,24 @@ def sphere(dag: Dag, decomp: tuple[Route, ...]) -> Sphere:
 
 def equatorial_flow_triangulation(dag: Dag, decomp: Sequence[Route]) -> Triangulation:
     """Join of the equatorial sphere with the route simplex, on the graph's
-    route list, with the routes' indicator vectors as coordinates."""
+    route list."""
     table, _, _, teq = equatorial_sphere(dag, decomp)
-    return Triangulation(joined_simplices(dag, table, decomp, teq), table.routes,
-                         tuple(indicator_vector(dag, r) for r in table.routes))
+    return Triangulation(joined_simplices(dag, table, decomp, teq), table.routes)
+
+
+def indicator_vector(dag: Dag, route: Route) -> Vector:
+    """0/1 vector over the edge coordinate order of the DAG: the vertex of
+    the flow polytope that the route is."""
+    chi = [0] * len(dag.edges)
+    for eid in route:
+        chi[dag.edge_index[eid]] = 1
+    return tuple(chi)
+
+
+def route_vectors(dag: Dag, routes: Iterable[Route]) -> tuple[Vector, ...]:
+    """The indicator vectors of ``routes``: the coordinates of a route
+    triangulation's vertices, which the geometric oracles below take."""
+    return tuple(indicator_vector(dag, r) for r in routes)
 
 
 def members(simplices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -564,10 +579,10 @@ def order_polytope_vertices(poset: Poset) -> tuple[Vector, ...]:
 
 def filter_triangulation(poset: Poset, simplices) -> Triangulation:
     """The triangulation with the given simplices, masks over
-    ``poset.filters``, on the filters' indicator vectors: the form
-    ``verify_triangulation`` and the LP oracle check."""
+    ``poset.filters``, labelled by the filters; its vertices are
+    ``order_polytope_vertices(poset)``."""
     labels = tuple(tuple(sorted(f)) for f in filter_sets(poset, poset.filters))
-    return Triangulation(simplices, labels, order_polytope_vertices(poset))
+    return Triangulation(simplices, labels)
 
 
 def canonical_triangulation(poset: Poset) -> Triangulation:
@@ -1145,59 +1160,63 @@ def smith_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
 
 def with_simplices(tri: Triangulation, simplices: Iterable[int]) -> Triangulation:
     """``tri`` with the given simplex masks in place of its own."""
-    return Triangulation(tuple(simplices), tri.labels, tri.coords)
+    return Triangulation(tuple(simplices), tri.labels)
 
 
-def swapped_vertex(tri: Triangulation) -> Triangulation:
+def swapped_vertex(tri: Triangulation, coords: Sequence[Vector]) -> Triangulation:
     """The first simplex with one vertex swapped for another route, chosen
-    so that the new simplex is still unimodular."""
+    so that the new simplex is still unimodular on the vertices
+    ``coords``."""
     s = tri.simplices[0]
-    for v, w in product(_members(s), range(len(tri.coords))):
+    for v, w in product(_members(s), range(len(coords))):
         if s >> w & 1:
             continue
         new = s ^ 1 << v | 1 << w
         try:
-            if is_unimodular_simplex([tri.coords[i] for i in _members(new)]):
+            if is_unimodular_simplex([coords[i] for i in _members(new)]):
                 return with_simplices(tri, (new,) + tri.simplices[1:])
         except ValueError:
             continue
     raise AssertionError("no unimodular swap")
 
 
-def corrupted(dag: Dag, tri: Triangulation) -> dict[str, tuple[Triangulation, int, int]]:
+def corrupted(dag: Dag, tri: Triangulation
+              ) -> dict[str, tuple[Triangulation, tuple[Vector, ...], int, int]]:
     """Negative controls for a triangulation of ``dag``'s flow polytope
-    whose vertices are routes: name -> (triangulation, dim, normalized
-    volume).  A dropped or duplicated simplex comes twice, the second time
-    with the volume its count matches, so the count alone cannot reject it.
-    The first simplex's mask is also made to lose its lowest vertex, to
-    trade it for a vertex past the coordinates, or to be its member tuple,
-    and the coordinates of its two lowest vertices are made equal."""
+    whose vertices are routes: name -> (triangulation, the coordinates the
+    oracles read, dim, normalized volume).  A dropped or duplicated simplex
+    comes twice, the second time with the volume its count matches, so the
+    count alone cannot reject it.  The first simplex's mask is also made to
+    lose its lowest vertex, to trade it for a vertex past the labels, or to
+    be its member tuple; the label of its second vertex is made the first
+    one's, which puts the two vertices on one point; and vertex 0 is moved
+    off its route, which only the coordinates can say."""
     dim, vol = dimension(dag), normalized_volume(dag)
+    coords = route_vectors(dag, tri.labels)
     first, rest = tri.simplices[0], tri.simplices[1:]
     dropped = with_simplices(tri, rest)
     doubled = with_simplices(tri, tri.simplices + (first,))
     low = first & -first
     a, b = _members(first)[:2]
-    coords = list(tri.coords)
-    coords[b] = coords[a]
+    labels = list(tri.labels)
+    labels[b] = labels[a]
     return {
-        "dropped": (dropped, dim, vol),
-        "dropped, count matched": (dropped, dim, vol - 1),
-        "duplicated": (doubled, dim, vol),
-        "duplicated, count matched": (doubled, dim, vol + 1),
-        "vertex replaced": (swapped_vertex(tri), dim, vol),
-        "vertex past coords": (with_simplices(tri, (first ^ low | 1 << len(coords),) + rest),
-                               dim, vol),
-        "wrong bit count": (with_simplices(tri, (first ^ low,) + rest), dim, vol),
-        "not an int": (with_simplices(tri, (_members(first),) + rest), dim, vol),
-        "affinely dependent": (Triangulation(tri.simplices, tri.labels, tuple(coords)),
-                               dim, vol),
-        "tampered coords": (Triangulation(tri.simplices, tri.labels, (
-            tuple(1 - x for x in tri.coords[0]),) + tri.coords[1:]), dim, vol),
+        "dropped": (dropped, coords, dim, vol),
+        "dropped, count matched": (dropped, coords, dim, vol - 1),
+        "duplicated": (doubled, coords, dim, vol),
+        "duplicated, count matched": (doubled, coords, dim, vol + 1),
+        "vertex replaced": (swapped_vertex(tri, coords), coords, dim, vol),
+        "vertex past the labels": (with_simplices(tri, (first ^ low | 1 << len(coords),) + rest),
+                                   coords, dim, vol),
+        "wrong bit count": (with_simplices(tri, (first ^ low,) + rest), coords, dim, vol),
+        "not an int": (with_simplices(tri, (_members(first),) + rest), coords, dim, vol),
+        "repeated label": (Triangulation(tri.simplices, tuple(labels)),
+                           route_vectors(dag, labels), dim, vol),
+        "tampered coords": (tri, (tuple(1 - x for x in coords[0]),) + coords[1:], dim, vol),
         "label not a route": (Triangulation(tri.simplices, (
-            tri.labels[0] + tri.labels[0][-1:],) + tri.labels[1:], tri.coords), dim, vol),
-        "wrong dim": (tri, dim + 1, vol),
-        "wrong volume": (tri, dim, vol + 1),
+            tri.labels[0] + tri.labels[0][-1:],) + tri.labels[1:]), coords, dim, vol),
+        "wrong dim": (tri, coords, dim + 1, vol),
+        "wrong volume": (tri, coords, dim, vol + 1),
     }
 
 
@@ -1226,12 +1245,13 @@ def _vertex_functionals(pts: Sequence[Vector]) -> list[tuple[int, Vector]]:
             for c, a in [(scale, a0)] + [(0, col) for col in cols]]
 
 
-def verify_triangulation(tri: Triangulation, dim: int,
+def verify_triangulation(tri: Triangulation, coords: Sequence[Vector], dim: int,
                          normalized_volume: int) -> TriangulationReport:
-    """Check that the maximal simplices of ``tri`` triangulate
-    conv(tri.coords), a polytope of dimension ``dim``: the whole-triangulation
-    oracle for ``dkk.verify_dkk_triangulation``'s per-ridge certificate, for
-    any triangulation, the order side's too.
+    """Check that the maximal simplices of ``tri``, vertex i at
+    ``coords[i]``, triangulate conv(coords), a polytope of dimension
+    ``dim``: the whole-triangulation oracle for
+    ``dkk.verify_dkk_triangulation``'s per-ridge certificate, for any
+    triangulation, the order side's too.
 
     ``normalized_volume`` is the carrier's d! * (Ehrhart leading
     coefficient); for a unimodular triangulation it must equal the number
@@ -1263,11 +1283,11 @@ def verify_triangulation(tri: Triangulation, dim: int,
             fault = f"has {len(vs)} vertices, expected {dim + 1}"
         elif not vs:
             fault = "has no vertices"
-        elif s >> len(tri.coords):
+        elif s >> len(coords):
             fault = "names a vertex without coordinates"
         else:
             try:
-                if not is_unimodular_simplex([tri.coords[v] for v in vs]):
+                if not is_unimodular_simplex([coords[v] for v in vs]):
                     issues.append(f"simplex {vs} is not unimodular")
                 members.append(vs)
                 continue
@@ -1278,12 +1298,12 @@ def verify_triangulation(tri: Triangulation, dim: int,
         issues.append(f"{len(simplices)} simplices but normalized volume {normalized_volume}")
     if not members or len(members) < len(simplices):
         return TriangulationReport(tuple(issues))
-    v0 = tri.coords[0]
-    _, pivots = _row_reduce([[a - b for a, b in zip(p, v0)] for p in tri.coords])
+    v0 = coords[0]
+    _, pivots = _row_reduce([[a - b for a, b in zip(p, v0)] for p in coords])
     if len(pivots) != dim:
         issues.append(f"the points span dimension {len(pivots)}, expected {dim}")
         return TriangulationReport(tuple(issues))
-    chart = [tuple(p[c] for c in pivots) for p in tri.coords]
+    chart = [tuple(p[c] for c in pivots) for p in coords]
     functionals = [_vertex_functionals([chart[v] for v in s]) for s in members]
     ridges: dict[tuple, list[tuple[int, int]]] = defaultdict(list)
     for k, s in enumerate(members):        # ridge -> (simplex, omitted position)
@@ -1320,20 +1340,22 @@ def linear_algebra_calls(monkeypatch) -> Counter:
     return calls
 
 
-def lp_triangulation_ok(tri: Triangulation, dim: int, normalized_volume: int) -> bool:
-    """The pairwise verdict on a triangulation: purity, unimodularity,
+def lp_triangulation_ok(tri: Triangulation, coords: Sequence[Vector], dim: int,
+                        normalized_volume: int) -> bool:
+    """The pairwise verdict on a triangulation, vertex i at ``coords[i]``:
+    purity, unimodularity,
     simplex count equal to the normalized volume, and one exact LP per pair
     of simplices showing that they meet in a common face."""
     simplices = members(tri.simplices)
     if any(len(s) != dim + 1 for s in simplices) or len(simplices) != normalized_volume:
         return False
     try:
-        if not all(is_unimodular_simplex([tri.coords[v] for v in s]) for s in simplices):
+        if not all(is_unimodular_simplex([coords[v] for v in s]) for s in simplices):
             return False
     except ValueError:
         return False
     return all(simplices_meet_in_common_face(
-        [tri.coords[v] for v in s], [tri.coords[v] for v in t],
+        [coords[v] for v in s], [coords[v] for v in t],
         [(s.index(v), t.index(v)) for v in s if v in t])
         for s, t in combinations(simplices, 2))
 

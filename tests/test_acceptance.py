@@ -9,10 +9,9 @@ import pytest
 from flowtri.cli import main
 from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, degree_equality,
                          dimension, random_dag)
-from flowtri.dkk import dkk_triangulation
+from flowtri.dkk import Triangulation, dkk_triangulation
 from flowtri.equatorial import differs_from_dkk, equatorial_facets, framing_count
-from flowtri.geometry import (Triangulation, _mask, count_lattice_points, ehrhart_hstar,
-                              normalized_volume)
+from flowtri.geometry import _mask, count_lattice_points, ehrhart_hstar, normalized_volume
 from flowtri.planar import PlanarEmbedding, verify_equivalence
 from flowtri.quotient import (check_transversal_identity, quotient_facets,
                               verify_reflexive)
@@ -24,7 +23,7 @@ from tests.conftest import (Complex, all_routes, complex_euler_characteristic,
                             dense_transversal_identity,
                             equatorial_flow_triangulation, f_vector,
                             h_polynomial, has_route_partition, is_pure, members,
-                            random_balanced_dag, ridges_in_two_facets, scaled,
+                            random_balanced_dag, ridges_in_two_facets, route_vectors, scaled,
                             sphere, stacked_rotations, trimmed, verify_triangulation)
 
 
@@ -174,15 +173,14 @@ def test_criterion_10_negative_controls(tmp_path, capsys):
     d2 = D2()
     decomp = route_decomposition(d2)
     tri = equatorial_flow_triangulation(d2, decomp)
-    missing = Triangulation(tri.simplices[1:], tri.labels,
-                            tri.coords)      # dropped simplex: volume short
+    missing = Triangulation(tri.simplices[1:], tri.labels)      # dropped simplex: volume short
     d1 = D1()
     square = equatorial_flow_triangulation(d1, route_decomposition(d1))
     overlap = Triangulation((_mask((0, 1, 2)), _mask((0, 1, 3))),
-                            square.labels, square.coords)  # interiors overlap
-    bad_tri = not verify_triangulation(missing, dimension(d2),
+                            square.labels)  # interiors overlap
+    bad_tri = not verify_triangulation(missing, route_vectors(d2, tri.labels), dimension(d2),
                                        normalized_volume(d2)).ok and \
-        not verify_triangulation(overlap, dimension(d1),
+        not verify_triangulation(overlap, route_vectors(d1, square.labels), dimension(d1),
                                  normalized_volume(d1)).ok
 
     doubled = scaled(quotient_facets(d2, decomp), 2)

@@ -671,18 +671,6 @@ def test_equatorial_streams_its_report(tmp_path, monkeypatch):
     assert max(map(len, writes)) < len(out) / 10
 
 
-def test_cli_builds_no_indicator_vectors(capsys, monkeypatch, d2_file):
-    """``equatorial`` and ``fuzz`` use the join's masks and size check only:
-    no module that binds ``indicator_vector`` calls it for them."""
-    def refuse(*_):
-        raise AssertionError("indicator vector built")
-    for module in (cli.rmod, cli.dkkmod):
-        monkeypatch.setattr(module, "indicator_vector", refuse)
-    for argv in (["equatorial", d2_file, "--exhaustive-dkk"], ["fuzz", "--count", "6"]):
-        code, _, err = run(capsys, argv)
-        assert (code, err) == (0, "")        # fuzz exits 1 on any failure
-
-
 @pytest.mark.parametrize("argv,builds", [(["equatorial"], 1),
                                          (["equatorial", "--exhaustive-dkk"], 1),
                                          (["quotient"], 1), (["dkk"], 2)],

@@ -7,19 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtri.dag import D1, D2, D3, G, bypass, dimension, zigzag
-from flowtri.dkk import (_chart, _swap_certificate, coherence_graph, dkk_triangulation,
-                         exceptional_routes, max_cliques, verify_dkk_triangulation)
+from flowtri.dkk import (Triangulation, _chart, _swap_certificate, coherence_graph,
+                         dkk_triangulation, exceptional_routes, max_cliques,
+                         verify_dkk_triangulation)
 from flowtri.equatorial import _all_framings, framing_count
-from flowtri.geometry import (Triangulation, _mask, _members, determinant, ehrhart_hstar,
-                              normalized_volume)
+from flowtri.geometry import _mask, _members, determinant, ehrhart_hstar, normalized_volume
 from flowtri.planar import planar_framing, poset_to_dag
-from flowtri.routes import (decomposition_framing, enumerate_routes, indicator_vector,
-                            route_decomposition)
+from flowtri.routes import decomposition_framing, enumerate_routes, route_decomposition
 from tests.conftest import (RU351, Complex, all_routes, chain, conflict, corrupted,
                             equatorial_flow_triangulation, h_polynomial,
                             is_unimodular_simplex, members,
                             pairwise_coherence_masks, random_balanced_dag,
-                            random_framing, route_unions, set_max_cliques,
+                            random_framing, route_unions, route_vectors, set_max_cliques,
                             staircase_poset, trimmed, verify_triangulation, with_simplices)
 
 
@@ -77,7 +76,8 @@ def test_coherence_graph_shape():
 def test_dkk_is_unimodular_triangulation():
     for dag in (D1(), D2(), D3()):
         tri = dkk_triangulation(dag, _decomp_framing(dag))
-        rep = verify_triangulation(tri, dimension(dag), normalized_volume(dag))
+        rep = verify_triangulation(tri, route_vectors(dag, tri.labels), dimension(dag),
+                                   normalized_volume(dag))
         assert rep.ok, rep.issues
 
 
@@ -177,11 +177,13 @@ SHARED_FAULT = re.compile(r"no simplices|\d+ simplices but normalized volume \d+
 
 
 def assert_same_report(dag, tri):
-    """The certificate's verdict is the ridge check's against the graph's own
-    dimension and normalized volume, and so are the faults of the simplex
-    list that both word alike."""
+    """The certificate's verdict is the ridge check's, on the labels'
+    indicator vectors, against the graph's own dimension and normalized
+    volume, and so are the faults of the simplex list that both word
+    alike."""
     report = verify_dkk_triangulation(dag, tri)
-    oracle = verify_triangulation(tri, dimension(dag), normalized_volume(dag))
+    oracle = verify_triangulation(tri, route_vectors(dag, tri.labels), dimension(dag),
+                                  normalized_volume(dag))
     assert report.ok is oracle.ok, (report.issues, oracle.issues)
     assert [i for i in report.issues if SHARED_FAULT.fullmatch(i)] == \
         [i for i in oracle.issues if SHARED_FAULT.fullmatch(i)]
@@ -247,7 +249,7 @@ def _check_chart(dag, rng):
     columns, dim = _chart(dag), dimension(dag)
     assert len(columns) == dim
     routes = enumerate_routes(dag)
-    coords = [indicator_vector(dag, r) for r in routes]
+    coords = route_vectors(dag, routes)
     tri = dkk_triangulation(dag, random_framing(rng, dag))
     subsets = [_members(m) for m in tri.simplices[:10]]
     subsets += [rng.sample(range(len(routes)), dim + 1) for _ in range(20)]
@@ -278,41 +280,45 @@ def test_certificate_rejects_corruptions(name):
     """Each corruption of the triangulation at the graph's own dimension and
     volume fails the certificate, with the ridge check's verdict but for a
     label that is not a route: the ridge check never reads the labels, and
-    the certificate names the label.  The corruptions that fake the
-    dimension or the volume cannot reach the certificate, which works both
-    out from the graph; they stay controls of the ridge check."""
+    the certificate names the label.  Two equal labels put two vertices on
+    one point, which the certificate names as a repeated label.  The
+    corruptions that fake the dimension or the volume, or move a vertex off
+    its label's indicator vector, cannot reach the certificate, which works
+    out the first two from the graph and reads each vertex off its label;
+    they stay controls of the ridge check."""
     dag = CATALOG[name]
     dim, volume = dimension(dag), normalized_volume(dag)
     tri = dkk_triangulation(dag, _decomp_framing(dag))
-    for what, (bad, bad_dim, bad_volume) in corrupted(dag, tri).items():
-        if (bad_dim, bad_volume) != (dim, volume):
-            assert not verify_triangulation(bad, bad_dim, bad_volume).ok, what
+    for what, (bad, coords, bad_dim, bad_volume) in corrupted(dag, tri).items():
+        if (bad_dim, bad_volume) != (dim, volume) or coords != route_vectors(dag, bad.labels):
+            assert not verify_triangulation(bad, coords, bad_dim, bad_volume).ok, what
             continue
         report = verify_dkk_triangulation(dag, bad)
         assert not report.ok, what
         if what == "label not a route":
-            assert verify_triangulation(bad, dim, volume).ok
+            assert verify_triangulation(bad, coords, dim, volume).ok
             assert report.issues == (f"label 0 {bad.labels[0]!r} is not a route of the graph",)
-        else:
-            assert_same_report(dag, bad)
+            continue
+        if what == "repeated label":
+            a, b = _members(tri.simplices[0])[:2]
+            assert report.issues == (f"label {b} {tri.labels[a]!r} repeats label {a}",)
+        assert_same_report(dag, bad)
 
 
 def test_certificate_reports_every_label_and_coordinate_fault():
-    """A label that is no route, one that repeats another, coordinates off
-    a route's indicator vector and a missing coordinate vector are each an
+    """A label that is no route, one that repeats another, and a simplex
+    naming a vertex past the labels, which has no coordinates, are each an
     issue; the certificate stops before the ridges."""
     d1 = D1()
     tri = dkk_triangulation(d1, _decomp_framing(d1))
-    a, b, c, d = tri.labels
-    bad = Triangulation(tri.simplices, (a, ["a", "d"], a, d),
-                        (tri.coords[0], tri.coords[1], tri.coords[2]))
+    a = tri.labels[0]
+    assert members(tri.simplices) == ((0, 1, 3), (0, 2, 3))
+    bad = Triangulation(tri.simplices, (a, ["a", "d"], a))
     assert verify_dkk_triangulation(d1, bad).issues == (
         "label 1 ['a', 'd'] is not a route of the graph",
         f"label 2 {a!r} repeats label 0",
-        "4 labels but 3 coordinate vectors")
-    moved = Triangulation(tri.simplices, tri.labels, tri.coords[:3] + (tri.coords[0],))
-    assert verify_dkk_triangulation(d1, moved).issues == (
-        f"vertex 3 is not at the indicator vector of route {d!r}",)
+        "simplex (0, 1, 3) names a vertex without coordinates",
+        "simplex (0, 2, 3) names a vertex without coordinates")
 
 
 def test_certificate_names_a_label_with_an_edge_the_graph_lacks():
@@ -323,7 +329,7 @@ def test_certificate_names_a_label_with_an_edge_the_graph_lacks():
     tri = dkk_triangulation(d1, _decomp_framing(d1))
     a, b, _, d = tri.labels
     for label in (("a", "x"), 7):
-        bad = Triangulation(tri.simplices, (a, b, label, d), tri.coords)
+        bad = Triangulation(tri.simplices, (a, b, label, d))
         assert verify_dkk_triangulation(d1, bad).issues == (
             f"label 2 {label!r} is not a route of the graph",)
 
@@ -343,7 +349,7 @@ def test_certificate_rejects_a_simplex_of_the_wrong_shape(shape):
     assert tri.simplices == (1,) and _swap_certificate(g1, tri, 0, 1).ok
     bad = with_simplices(tri, (SHAPES[shape],))
     assert not _swap_certificate(g1, bad, 0, 1).ok
-    assert not verify_triangulation(bad, 0, 1).ok
+    assert not verify_triangulation(bad, route_vectors(g1, bad.labels), 0, 1).ok
     assert_same_report(g1, bad)
 
 
@@ -355,6 +361,7 @@ def test_certificate_needs_swap_connected_simplices():
     ``verify_dkk_triangulation`` works out, declines it."""
     cube = chain(3, 2)
     kuhn = dkk_triangulation(cube, _decomp_framing(cube))
+    coords = route_vectors(cube, kuhn.labels)
     # route i takes edge b{k}.{bit k of i, from the top}: 0 = 000, ..., 7 = 111
     assert all({0, 7} <= set(s) for s in members(kuhn.simplices))
     # cut off the corners 000 and 111, and split the rest around 010-101
@@ -366,7 +373,7 @@ def test_certificate_needs_swap_connected_simplices():
     assert _swap_certificate(cube, both, 3, 12).ok
     report = verify_dkk_triangulation(cube, both)
     assert report.issues == ("12 simplices but normalized volume 6",)
-    assert report == verify_triangulation(both, 3, 6)
+    assert report == verify_triangulation(both, coords, 3, 6)
 
 
 # the cube chain 3x2 split around 100-011, in the route numbering above
@@ -384,7 +391,7 @@ def test_certificate_takes_an_exact_step_where_a_ridge_is_no_prefix_swap(linear_
     report = verify_dkk_triangulation(cube, split)
     assert report.ok, report.issues
     assert linear_algebra_calls == {"determinant": 1 + 2 * 2}
-    assert verify_triangulation(split, 3, 6).ok
+    assert verify_triangulation(split, route_vectors(cube, split.labels), 3, 6).ok
 
 
 def test_certificate_rejects_a_folded_simplex(linear_algebra_calls):
@@ -401,7 +408,8 @@ def test_certificate_rejects_a_folded_simplex(linear_algebra_calls):
     assert linear_algebra_calls == {"determinant": 1 + 2 * 3}
     report = verify_dkk_triangulation(g3, folded)
     assert report.issues[0] == "2 simplices but normalized volume 1"
-    assert set(report.issues) == set(verify_triangulation(folded, 2, 1).issues)
+    oracle = verify_triangulation(folded, route_vectors(g3, folded.labels), 2, 1)
+    assert set(report.issues) == set(oracle.issues)
 
 
 def test_certificate_rejects_a_ridge_across_which_the_volume_doubles():
@@ -419,7 +427,8 @@ def test_certificate_rejects_a_ridge_across_which_the_volume_doubles():
         f"simplices {corner} and (0, 3, 5, 6) differ in volume across ridge {ridge}"
         for corner, ridge in (((0, 4, 5, 6), (0, 5, 6)), ((0, 2, 3, 6), (0, 3, 6)),
                               ((0, 1, 3, 5), (0, 3, 5)), ((3, 5, 6, 7), (3, 5, 6))))
-    assert "simplex (0, 3, 5, 6) is not unimodular" in verify_triangulation(cut, 3, 6).issues
+    oracle = verify_triangulation(cut, route_vectors(cube, cut.labels), 3, 6)
+    assert "simplex (0, 3, 5, 6) is not unimodular" in oracle.issues
 
 
 def test_certificate_names_a_degenerate_simplex_at_its_exact_step():
@@ -429,9 +438,10 @@ def test_certificate_names_a_degenerate_simplex_at_its_exact_step():
     which no swap crosses, finds the square degenerate and says so once."""
     cube = chain(3, 2)
     tri = dkk_triangulation(cube, _decomp_framing(cube))
-    square = _mask(i for i, x in enumerate(tri.coords) if x[0] == 0)
+    coords = route_vectors(cube, tri.labels)
+    square = _mask(i for i, x in enumerate(coords) if x[0] == 0)
     assert members([square]) == ((4, 5, 6, 7),)
     bad = with_simplices(tri, tri.simplices[:1] + (square,) + tri.simplices[2:])
     issues = verify_dkk_triangulation(cube, bad).issues
     assert issues.count("simplex (4, 5, 6, 7) is degenerate") == 1
-    assert "simplex (4, 5, 6, 7) is degenerate" in verify_triangulation(bad, 3, 6).issues
+    assert "simplex (4, 5, 6, 7) is degenerate" in verify_triangulation(bad, coords, 3, 6).issues

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,13 +13,14 @@ from flowtri.dkk import max_cliques
 from flowtri.equatorial import (EquatorialFace, _avoided_sets, differs_from_dkk,
                                 equatorial_facets, equatorial_sphere, framing_count,
                                 joined_simplices, sphere_facets, t_eq)
-from flowtri.geometry import ehrhart_hstar, h_from_f, normalized_volume
+from flowtri.geometry import _mask, _members, ehrhart_hstar, h_from_f, normalized_volume
 from flowtri.routes import enumerate_routes, route_decomposition
 from tests.conftest import (RU351, Complex, all_routes, canonical_dkk_matches, chain, common_face,
                             complex_euler_characteristic,
                             equatorial_flow_triangulation, f_vector, h_polynomial, is_facet_transversal, is_pure,
                             members, old_t_eq, product_avoided_sets, random_balanced_dag,
-                            ridges_in_two_facets, route_unions, routes_avoiding, set_equatorial_facets,
+                            ridges_in_two_facets, route_unions, route_vectors, routes_avoiding,
+                            set_equatorial_facets,
                             set_max_cliques, sphere, sphere_oracle, trimmed, verify_triangulation)
 
 CATALOG = {"G3": (G(3), None), "D1": (D1(), None),
@@ -122,6 +124,31 @@ def test_equatorial_facets_match_set_oracle_random(seed, dag):
                 == set_equatorial_facets(g, decomp, table.routes))
 
 
+def assert_facets_keep_the_first_transversal(dag, decomp=None):
+    """Each facet keeps the first transversal, in ``product(*decomp)``
+    order, whose avoided routes are the facet's routes, and the facets come
+    in the member-tuple order of their routes, across sizes."""
+    decomp = decomp or route_decomposition(dag)
+    table = all_routes(dag)
+    facets = equatorial_facets(dag, decomp, table)
+    first: dict[int, tuple] = {}
+    for m in product(*decomp):
+        first.setdefault(_mask(routes_avoiding(table.routes, m)), m)
+    assert [f.transversal for f in facets] == [first[f.routes] for f in facets]
+    assert [_members(f.routes) for f in facets] == sorted(_members(f.routes) for f in facets)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG | CHAINS) + ["ru(3,5,.5,1)"])
+def test_facets_keep_the_first_transversal_catalog(name):
+    assert_facets_keep_the_first_transversal(*(CATALOG | CHAINS).get(name, (RU351, None)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dag=route_unions())
+def test_facets_keep_the_first_transversal_route_unions(dag):
+    assert_facets_keep_the_first_transversal(dag)
+
+
 def test_sphere_d1_is_two_points():
     d1 = D1()
     s = sphere(d1, route_decomposition(d1))
@@ -183,7 +210,8 @@ def test_join_triangulation_d1():
 def test_join_triangulation_verifies():
     for dag in (D1(), D2(), D3(), G(3)):
         tri = equatorial_flow_triangulation(dag, route_decomposition(dag))
-        rep = verify_triangulation(tri, dimension(dag), normalized_volume(dag))
+        rep = verify_triangulation(tri, route_vectors(dag, tri.labels), dimension(dag),
+                                   normalized_volume(dag))
         assert rep.ok, rep.issues
         assert trimmed(h_polynomial(Complex(members(tri.simplices)))) == \
             trimmed(ehrhart_hstar(dag).h_star)

@@ -3,19 +3,18 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtri import geometry
 from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
                          degree_equality, dimension, gorenstein_completion,
                          idle_edges, make_dag, random_dag, validate, zigzag)
-from flowtri.dkk import dkk_triangulation, verify_dkk_triangulation
+from flowtri.dkk import Triangulation, dkk_triangulation, verify_dkk_triangulation
 from flowtri.equatorial import equatorial_sphere, joined_simplices
-from flowtri.geometry import (LANES, Triangulation, _canonical, _lattice_pass, _mask,
-                              _member_order, _members, count_lattice_points, determinant,
-                              ehrhart_hstar, join_with_simplex, lattice_counts,
-                              normalized_volume, rank)
+from flowtri.geometry import (LANES, _canonical, _lattice_pass, _mask, _members,
+                              count_lattice_points, determinant, ehrhart_hstar,
+                              join_with_simplex, lattice_counts, normalized_volume, rank)
 from flowtri.planar import make_poset, maximal_equatorial_chains, rank_constant_filters
 from flowtri.routes import (decomposition_framing, enumerate_routes,
                             route_decomposition)
@@ -26,7 +25,8 @@ from tests.conftest import (RU341, RU351, RU441, RU452, brute_count_lattice_poin
                             interpolate_polynomial, is_gorenstein, is_pure,
                             is_unimodular_simplex, lp_triangulation_ok, maximal_minor_gcd,
                             members, per_dilate_count_lattice_points, random_balanced_dag,
-                            ridges_in_two_facets, route_unions, simplices_meet_in_common_face,
+                            ridges_in_two_facets, route_unions, route_vectors,
+                            simplices_meet_in_common_face,
                             smith_divisors, swapped_vertex, trimmed, verify_triangulation,
                             with_simplices)
 from tests.conftest import determinant as laplace_determinant
@@ -513,7 +513,8 @@ def test_verify_triangulation_accepts_dkk():
         framing = decomposition_framing(dag, route_decomposition(dag))
         tri = dkk_triangulation(dag, framing)
         dim = len(dag.edges) - dag.inner_count - 1
-        assert verify_triangulation(tri, dim, normalized_volume(dag)).ok
+        assert verify_triangulation(tri, route_vectors(dag, tri.labels), dim,
+                                    normalized_volume(dag)).ok
 
 
 def dkk_and_equatorial(dag):
@@ -525,10 +526,11 @@ def dkk_and_equatorial(dag):
     return [dkk] if eq.simplices == dkk.simplices else [dkk, eq]
 
 
-def assert_ridge_check_matches_lp(tri, dim, volume, ok):
-    """The ridge check and the pairwise-LP oracle both give verdict ``ok``."""
-    assert verify_triangulation(tri, dim, volume).ok is ok
-    assert lp_triangulation_ok(tri, dim, volume) is ok
+def assert_ridge_check_matches_lp(tri, coords, dim, volume, ok):
+    """The ridge check and the pairwise-LP oracle both give verdict ``ok``
+    on the vertices ``coords``."""
+    assert verify_triangulation(tri, coords, dim, volume).ok is ok
+    assert lp_triangulation_ok(tri, coords, dim, volume) is ok
 
 
 @pytest.mark.parametrize("dag", [D1(), D2(), D3(), zigzag(), bypass(), G(3), chain(2, 3),
@@ -537,7 +539,8 @@ def assert_ridge_check_matches_lp(tri, dim, volume, ok):
                               "chain3x2", "chain4x2", "chain2x4"])
 def test_ridge_check_matches_lp_oracle_catalog(dag):
     for tri in dkk_and_equatorial(dag):
-        assert_ridge_check_matches_lp(tri, dimension(dag), normalized_volume(dag), True)
+        assert_ridge_check_matches_lp(tri, route_vectors(dag, tri.labels), dimension(dag),
+                                      normalized_volume(dag), True)
 
 
 @settings(max_examples=10, deadline=None)
@@ -545,7 +548,8 @@ def test_ridge_check_matches_lp_oracle_catalog(dag):
 def test_ridge_check_matches_lp_oracle_random(seed):
     dag = random_balanced_dag(random.Random(seed), max_edges=8)
     for tri in dkk_and_equatorial(dag):
-        assert_ridge_check_matches_lp(tri, dimension(dag), normalized_volume(dag), True)
+        assert_ridge_check_matches_lp(tri, route_vectors(dag, tri.labels), dimension(dag),
+                                      normalized_volume(dag), True)
 
 
 @pytest.mark.parametrize("dag", [D2(), zigzag(), chain(4, 2)],
@@ -553,21 +557,23 @@ def test_ridge_check_matches_lp_oracle_random(seed):
 def test_ridge_check_and_lp_oracle_reject_corruptions(dag):
     dim, vol = dimension(dag), normalized_volume(dag)
     for tri in dkk_and_equatorial(dag):
+        coords = route_vectors(dag, tri.labels)
         dropped = with_simplices(tri, tri.simplices[1:])
         doubled = with_simplices(tri, tri.simplices + tri.simplices[:1])
-        for bad in (dropped, doubled, swapped_vertex(tri)):
-            assert_ridge_check_matches_lp(bad, dim, vol, False)
+        for bad in (dropped, doubled, swapped_vertex(tri, coords)):
+            assert_ridge_check_matches_lp(bad, coords, dim, vol, False)
         # the ridges alone catch them even when the count is made to match
         assert any("not on the boundary" in i for i in
-                   verify_triangulation(dropped, dim, vol - 1).issues)
+                   verify_triangulation(dropped, coords, dim, vol - 1).issues)
         assert any("lies in 3 simplices" in i for i in
-                   verify_triangulation(doubled, dim, vol + 1).issues)
+                   verify_triangulation(doubled, coords, dim, vol + 1).issues)
     d1 = D1()
     square = equatorial_flow_triangulation(d1, route_decomposition(d1))
+    coords = route_vectors(d1, square.labels)
     overlap = with_simplices(square, map(_mask, ((0, 1, 2), (0, 1, 3))))
-    assert_ridge_check_matches_lp(overlap, 2, 2, False)
+    assert_ridge_check_matches_lp(overlap, coords, 2, 2, False)
     assert "simplices (0, 1, 2) and (0, 1, 3) lie on the same side of ridge (0, 1)" \
-        in verify_triangulation(overlap, 2, 2).issues
+        in verify_triangulation(overlap, coords, 2, 2).issues
 
 
 @pytest.mark.parametrize("k,m", [(5, 2), (3, 3)])
@@ -579,33 +585,33 @@ def test_verify_triangulation_at_scale(k, m):
     tri = dkk_triangulation(dag, decomposition_framing(dag, route_decomposition(dag)))
     count = factorial(k * (m - 1)) // factorial(m - 1) ** k
     assert len(tri.simplices) == count == normalized_volume(dag)
-    assert verify_triangulation(tri, dimension(dag), count).ok
+    assert verify_triangulation(tri, route_vectors(dag, tri.labels), dimension(dag), count).ok
 
 
 def test_verify_triangulation_reports_malformed_input():
     d1 = D1()
     square = equatorial_flow_triangulation(d1, route_decomposition(d1))
-    empty = verify_triangulation(with_simplices(square, ()), 2, 2)
+    coords = route_vectors(d1, square.labels)
+    empty = verify_triangulation(with_simplices(square, ()), coords, 2, 2)
     assert empty.issues == ("no simplices", "0 simplices but normalized volume 2")
     short = verify_triangulation(with_simplices(square, map(_mask, ((0, 1, 2), (1, 3), ()))),
-                                 2, 2)
+                                 coords, 2, 2)
     assert short.issues[:2] == ("simplex (1, 3) has 2 vertices, expected 3",
                                 "simplex () has 0 vertices, expected 3")
     two = tuple(map(_mask, ((0, 1, 2), (0, 1, 3))))
     # vertex 3 put on vertex 0
-    flat = Triangulation(two, square.labels, square.coords[:3] + square.coords[:1])
-    assert verify_triangulation(flat, 2, 2).issues == ("simplex (0, 1, 3) is degenerate",)
+    flat = verify_triangulation(Triangulation(two, square.labels), coords[:3] + coords[:1], 2, 2)
+    assert flat.issues == ("simplex (0, 1, 3) is degenerate",)
     stray = verify_triangulation(with_simplices(square, map(_mask, ((0, 1, 2), (0, 1, 9)))),
-                                 2, 2)
+                                 coords, 2, 2)
     assert stray.issues == ("simplex (0, 1, 9) names a vertex without coordinates",)
-    lifted = Triangulation(square.simplices, square.labels, square.coords + ((2, 0, 0, 0),))
-    assert verify_triangulation(lifted, 2, 2).issues == (
-        "the points span dimension 3, expected 2",)
-    point = (with_simplices(square, (0,)), -1, 1)
+    lifted = verify_triangulation(square, coords + ((2, 0, 0, 0),), 2, 2)
+    assert lifted.issues == ("the points span dimension 3, expected 2",)
+    point = (with_simplices(square, (0,)), coords, -1, 1)
     assert verify_triangulation(*point).issues == ("simplex () has no vertices",)
     cases = [point]
     for entry in ((0, 1, 3), True, -11, "0b1011"):     # no int mask of vertices
-        case = (with_simplices(square, (two[0], entry)), 2, 2)
+        case = (with_simplices(square, (two[0], entry)), coords, 2, 2)
         assert verify_triangulation(*case).issues == (
             f"simplex {entry!r} is not a mask of vertex indices",)
         cases.append(case)
@@ -615,9 +621,10 @@ def test_verify_triangulation_reports_malformed_input():
         verify_dkk_triangulation(make_dag(1, [("a", 0, 2)]), square)
     cube = chain(3, 2)
     tri = dkk_triangulation(cube, decomposition_framing(cube, route_decomposition(cube)))
-    face = _mask(i for i, x in enumerate(tri.coords) if x[0] == 1)   # a square
+    coords = route_vectors(cube, tri.labels)
+    face = _mask(i for i, x in enumerate(coords) if x[0] == 1)   # a square
     assert face.bit_count() == 4
-    bad = verify_triangulation(with_simplices(tri, (face,) + tri.simplices[1:]), 3, 6)
+    bad = verify_triangulation(with_simplices(tri, (face,) + tri.simplices[1:]), coords, 3, 6)
     assert bad.issues == (f"simplex {_members(face)} is degenerate",)
 
 
@@ -629,15 +636,6 @@ def test_canonical_order_is_the_member_order_within_a_size(masks):
     their member tuples sort; across sizes they do not."""
     assert _canonical(masks) == sorted(masks, key=_members)
     assert _canonical([_mask((0,)), _mask((0, 1))]) == [_mask((0, 1)), _mask((0,))]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.sets(st.integers(0, 70), max_size=8).map(_mask), max_size=40))
-@example([_mask((0,)), _mask((0, 1)), 0, _mask((1,)), _mask((0, 2))])
-def test_member_order_is_the_member_order_across_sizes(masks):
-    """The key ``_member_order`` sorts masks of mixed sizes, the empty one
-    included, as their member tuples sort."""
-    assert sorted(masks, key=_member_order) == sorted(masks, key=_members)
 
 
 def test_join_with_an_empty_complex_or_a_wrong_size():

@@ -28,7 +28,7 @@ from tests.conftest import (all_routes, brute_order_polytope_count, canonical_tr
                             pairwise_comparability, poset_from_json,
                             recursive_heights, recursive_up_sets,
                             route_of_flow, stacked_rotations, subset_scan_filters,
-                            verify_triangulation, zigzag_rotations)
+                            verify_triangulation, with_simplices, zigzag_rotations)
 
 
 def posets_isomorphic(p: Poset, q: Poset) -> bool:
@@ -282,7 +282,7 @@ def test_canonical_triangulation_counts():
     tri = canonical_triangulation(p)
     assert len(tri.simplices) == linear_extension_count(p)
     assert all(len(s) == 5 for s in members(tri.simplices))
-    assert verify_triangulation(tri, 4, len(tri.simplices)).ok
+    assert verify_triangulation(tri, order_polytope_vertices(p), 4, len(tri.simplices)).ok
     assert linear_extension_count(chain(3)) == 1
     assert linear_extension_count(antichain(3)) == 6
 
@@ -334,7 +334,8 @@ def test_rw_triangulation_matches_canonical_volume():
               make_poset("abcd", [("a", "c"), ("b", "c"), ("a", "d")])):
         eq_tri = equatorial_order_triangulation(p)
         n = len(p.elements)
-        assert verify_triangulation(eq_tri, n, linear_extension_count(p)).ok
+        assert verify_triangulation(eq_tri, order_polytope_vertices(p), n,
+                                    linear_extension_count(p)).ok
 
 
 def test_ridge_check_matches_lp_oracle_order_polytopes():
@@ -346,10 +347,11 @@ def test_ridge_check_matches_lp_oracle_order_polytopes():
               for q in (antichain(2), antichain(3), chain(3), p)]
     for tri, q in cases:
         n, volume = len(q.elements), linear_extension_count(q)
-        assert verify_triangulation(tri, n, volume).ok
-        assert lp_triangulation_ok(tri, n, volume)
-        dropped = geometry.Triangulation(tri.simplices[1:], tri.labels, tri.coords)
-        assert not verify_triangulation(dropped, n, volume - 1).ok
+        coords = order_polytope_vertices(q)
+        assert verify_triangulation(tri, coords, n, volume).ok
+        assert lp_triangulation_ok(tri, coords, n, volume)
+        dropped = with_simplices(tri, tri.simplices[1:])
+        assert not verify_triangulation(dropped, coords, n, volume - 1).ok
 
 
 def test_order_polytope_count_matches_flow_count():
@@ -561,8 +563,7 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
         calls[table.func.__name__] = 0
         monkeypatch.setattr(table, "func", counted(table.func))
     calls["__init__"] = 0
-    monkeypatch.setattr(geometry.Triangulation, "__init__",
-                        counted(geometry.Triangulation.__init__))
+    monkeypatch.setattr(dkk.Triangulation, "__init__", counted(dkk.Triangulation.__init__))
     graph, emb = tmp_path / "zigzag.json", tmp_path / "emb.json"
     graph.write_text(json.dumps(dag_to_json(zigzag())))
     emb.write_text(json.dumps(embedding_to_json(

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from flowtri.dag import (D1, D2, D3, G, bypass, gorenstein_completion,
                          make_dag, random_dag, zigzag)
 from flowtri.routes import (NotGorensteinError, decomposition_framing,
-                            enumerate_routes, indicator_vector, is_route,
+                            enumerate_routes, is_route,
                             is_route_decomposition, route_decomposition, route_table)
 from tests.conftest import (RU351, chain, framing_from_json, has_route_partition,
-                            random_balanced_dag, route_unions, route_vertices)
+                            indicator_vector, random_balanced_dag, route_unions,
+                            route_vertices)
 
 
 def test_enumerate_routes_catalog():
