@@ -61,10 +61,10 @@ def _avoided_sets(everyone: int, groups: Iterable[Sequence[tuple[str, int]]]
     return sets
 
 
-def equatorial_facets(dag: Dag, decomp: Sequence[Route],
-                      table: RouteTable) -> tuple[EquatorialFace, ...]:
+def _facet_masks(dag: Dag, decomp: Sequence[Route], table: RouteTable) -> dict[int, Transversal]:
     """Facets of the equatorial complex over the routes of ``table`` (the
-    table of the graph's route list), deduplicated by avoided-route set.
+    table of the graph's route list): each facet's route mask -> its first
+    transversal, in ``_avoided_sets`` order.
 
     A transversal's avoided routes share no edge with it: the AND, over its
     edges, of the routes missing each (``_avoided_sets``, which keeps the
@@ -82,8 +82,14 @@ def equatorial_facets(dag: Dag, decomp: Sequence[Route],
                 for v in dag.inner_vertices]
     everyone = (1 << len(table.routes)) - 1
     avoided = _avoided_sets(everyone, [[(e, everyone ^ thru[e]) for e in r] for r in decomp])
-    faces = sorted(((rs, m) for rs, m in avoided.items() if all(map(rs.__and__, entering))),
-                   key=lambda face: _members(face[0]))
+    return {rs: m for rs, m in avoided.items() if all(map(rs.__and__, entering))}
+
+
+def equatorial_facets(dag: Dag, decomp: Sequence[Route],
+                      table: RouteTable) -> tuple[EquatorialFace, ...]:
+    """The equatorial facets of ``_facet_masks``, in the order of their
+    member tuples, for the reports and the walk that name them."""
+    faces = sorted(_facet_masks(dag, decomp, table).items(), key=lambda face: _members(face[0]))
     return tuple(EquatorialFace(m, rs) for rs, m in faces)
 
 
@@ -148,9 +154,10 @@ def sphere_facets(adj: Sequence[int], facets: Sequence[int], size: int) -> tuple
     also for an O that holds no sphere facet), sorted once.  A face of
     T_eq is a clique inside some O, and the cliques inside O triangulate
     the face O of the polytope (it is the DKK triangulation of that face),
-    so they are the sphere's facets in O.  With no facets the empty face is
-    the one face, as in ``t_eq``.  The order side passes filters in place
-    of routes (``planar.maximal_equatorial_chains``)."""
+    so they are the sphere's facets in O, in whatever order the facets
+    come.  With no facets the empty face is the one face, as in ``t_eq``.
+    ``planar.verify_equivalence`` also passes the order side's facets,
+    mapped onto the routes, with the filters' graph."""
     return tuple(_canonical(set().union(*(_sized_cliques(adj, size, o) for o in facets or [0]))))
 
 

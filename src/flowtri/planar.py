@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_json
-from .dkk import coherence_graph, max_cliques
-from .equatorial import _avoided_sets, equatorial_facets, sphere_facets
+from .dkk import _sized_cliques, coherence_graph
+from .equatorial import _avoided_sets, _facet_masks, sphere_facets
 from .geometry import _canonical, _mask, _members, join_with_simplex
 from .routes import (Framing, Route, RouteTable, decomposition_framing, enumerate_routes,
                      peel_decomposition, route_table)
@@ -103,14 +103,6 @@ class Poset:
         fs = self.filters
         return {BOTTOM: 0, TOP: (1 << len(fs)) - 1,
                 **{p: _mask(i for i, f in enumerate(fs) if f & b) for p, b in self.bits.items()}}
-
-    @cached_property
-    def comparability(self) -> tuple[int, ...]:
-        """Adjacency masks of the filters' comparability graph: bit j of
-        entry i is set when one of filters i != j holds the other."""
-        fs = self.filters
-        return tuple(_mask(j for j, n in enumerate(fs) if m & n in (m, n)) & ~(1 << i)
-                     for i, m in enumerate(fs))
 
     def names(self, f: int) -> tuple[str, ...]:
         """The elements of filter mask ``f``, by name."""
@@ -441,13 +433,6 @@ def planar_framing(dag: Dag, emb: PlanarEmbedding) -> Framing:
 # ---------------------------------------------------------------------------
 # Simplices of the order polytope's triangulations, as filter chains
 
-def maximal_filter_chains(poset: Poset) -> tuple[int, ...]:
-    """Complete chains of filters from the empty set to everything, one per
-    linear extension of the poset, as canonical masks over ``poset.filters``:
-    the maximal cliques of the filters' comparability graph."""
-    return max_cliques(poset.comparability, len(poset.elements) + 1)
-
-
 def rank_constant_filters(poset: Poset) -> int:
     """The rank-constant simplex: the mask over ``poset.filters`` of the
     unions of the top ranks, everything down to nothing."""
@@ -481,19 +466,6 @@ def _equatorial_filter_sets(poset: Poset) -> tuple[list[int], int]:
         into[h[b] - 2].append((a, ~c))
     uncut = _avoided_sets((1 << len(poset.filters) - 1) - 1 & ~1, into)    # proper filters
     return [m for m in uncut if not any(m != o and m & o == m for o in uncut)], len(h) - ranks
-
-
-def maximal_equatorial_chains(poset: Poset) -> tuple[int, ...]:
-    """Inclusion-maximal equatorial chains of nonempty proper filters, as
-    canonical masks over ``poset.filters``.
-
-    A chain is equatorial when its summed indicator map is level (no filter
-    cuts it) on some cover into each rank j >= 2, one cover per rank.  So
-    the chains are the cliques of the filters' comparability graph inside
-    an ``_equatorial_filter_sets`` facet; the empty face alone means none.
-    """
-    facets, size = _equatorial_filter_sets(poset)
-    return tuple(f for f in sphere_facets(poset.comparability, facets, size) if f)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +502,28 @@ def filter_routes(dag: Dag, dual: PlanarDual, table: RouteTable) -> tuple[int, .
     return tuple(filter_of)                           # keyed in filter order
 
 
+def _filter_graph(poset: Poset, route_of: Sequence[int], count: int) -> list[int]:
+    """The filters' comparability graph on ``count`` routes, filter i at
+    route ``route_of[i]`` (``filter_routes``): its row is the routes of
+    the filters that hold all of filter i or none of the elements outside
+    it, but not its own.  Each element's holders (``Poset.holders``) are
+    mapped onto the routes once, and a row is one AND per element, kept
+    within the routes some filter cuts; the others keep a zero row."""
+    cut = _mask(route_of)
+    held = [(b, _mask(route_of[i] for i in _members(poset.holders[p])))
+            for p, b in poset.bits.items()]
+    graph = [0] * count
+    for f, r in zip(poset.filters, route_of):
+        above = below = cut
+        for b, routes in held:
+            if f & b:
+                above &= routes
+            else:
+                below &= ~routes
+        graph[r] = (above | below) & ~(1 << r)
+    return graph
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     issues: tuple[str, ...]
@@ -554,10 +548,12 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     simplex for simplex, and that the rank-constant simplex maps onto the
     route simplex.
 
-    Each half compares what generates it: the mapped comparability graph
-    with the coherence graph, then the mapped rank-constant simplex and
-    order sphere with the route simplex and the flow sphere (both spheres
-    by ``sphere_facets``).  Cliques and joins only name what differs.
+    Each half compares what generates it: the filters' comparability graph,
+    built on the routes (``_filter_graph``), with the coherence graph, then
+    the mapped rank-constant simplex and order sphere with the route simplex
+    and the flow sphere (both spheres by ``sphere_facets``, the flow side's
+    inside the facet masks of ``_facet_masks``).  Cliques and joins only
+    name what differs.
     """
     issues: list[str] = []
     pf = planar_framing(dag, emb)
@@ -569,8 +565,7 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     table, top = route_table(dag, enumerate_routes(dag)), dimension(dag) + 1
     routes = table.routes
     adj = coherence_graph(df, table)
-    flow = sphere_facets(adj, [f.routes for f in equatorial_facets(dag, decomp, table)],
-                         top - len(decomp))
+    flow = sphere_facets(adj, list(_facet_masks(dag, decomp, table)), top - len(decomp))
     poset, route_of = dual.poset, filter_routes(dag, dual, table)
 
     def mapped(m: int) -> int:
@@ -586,13 +581,13 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     if issues:
         adj = coherence_graph(pf, table)
     # a graph fixes its maximal cliques; a route no filter maps to keeps a
-    # zero row, which no coherence graph of positive dimension has
-    graph = [0] * len(routes)
-    for i, row in enumerate(poset.comparability):
-        graph[route_of[i]] = mapped(row)
+    # zero row, which no coherence graph of positive dimension has, and the
+    # filter chains are the cliques among the routes the filters cut
+    graph = _filter_graph(poset, route_of, len(routes))
     if graph != list(adj):
-        compare("chain/clique", set(map(mapped, maximal_filter_chains(poset))),
-                set(max_cliques(adj, top)))
+        compare("chain/clique",
+                set(_sized_cliques(graph, len(poset.elements) + 1, _mask(route_of))),
+                set(_sized_cliques(adj, top)))
 
     sigma, simplex = mapped(rank_constant_filters(poset)), _mask(map(routes.index, decomp))
     facets, size = _equatorial_filter_sets(poset)

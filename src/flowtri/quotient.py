@@ -16,7 +16,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .dag import Dag, degree_equality
-from .equatorial import Transversal, equatorial_facets
+from .equatorial import Transversal, _facet_masks
 from .geometry import rank
 from .routes import NotGorensteinError, Route, enumerate_routes, route_table
 
@@ -240,7 +240,14 @@ def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
     The images and the functionals are read from the space's slot table:
     one ``phi`` per route and one OR of prefix masks per transversal
     (``_functionals``).  The images' rank is taken by forward-only Bareiss
-    elimination, with no early stop."""
+    elimination, with no early stop.
+
+    The facets are read in ``_facet_masks`` order, and the transversal kept
+    per functional does not depend on that order: by the identity
+    F_m . phi(s) = 1 - |m & s| (``check_transversal_identity``), the facet
+    of m is the set of routes s where F_m is 1, so two facets share a
+    functional only where that identity fails, and otherwise each facet
+    keeps its own first transversal."""
     if not degree_equality(dag):
         raise NotGorensteinError("not Gorenstein: degree equality fails")
     space = leveled_space(dag, decomp)
@@ -257,8 +264,8 @@ def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
         raise AssertionError("projected vertices are not distinct")
     functionals = _functionals(space, decomp)
     seen: dict[tuple[int, ...], Transversal] = {}
-    for face in equatorial_facets(dag, decomp, table):
-        seen.setdefault(functionals[face.transversal], face.transversal)
+    for m in _facet_masks(dag, decomp, table).values():
+        seen.setdefault(functionals[m], m)
     facets = tuple((m, c) for c, m in sorted(seen.items()))
     want = space.quotient_dim
     got = rank([c for _, c in verts])

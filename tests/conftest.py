@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import pytest
 from hypothesis import strategies as st
 
-from flowtri import dkk, geometry, planar
+from flowtri import dkk, equatorial, geometry, planar
 from flowtri.dag import (SOURCE, Dag, contract_idle_edges, dimension, gorenstein_completion,
                          make_dag, random_dag, validate)
 from flowtri.dkk import (Triangulation, TriangulationReport, dkk_triangulation,
@@ -23,9 +23,7 @@ from flowtri.equatorial import (EquatorialFace, Sphere, Transversal, _all_framin
                                 equatorial_sphere, joined_simplices)
 from flowtri.geometry import (_mask, _members, ehrhart_hstar, euler_characteristic, h_from_f,
                               normalized_volume)
-from flowtri.planar import (BOTTOM, TOP, PlanarDual, Poset, make_poset,
-                            maximal_equatorial_chains, maximal_filter_chains,
-                            rank_constant_filters)
+from flowtri.planar import BOTTOM, TOP, PlanarDual, Poset, make_poset, rank_constant_filters
 from flowtri.quotient import (LeveledSpace, QuotientPolytope, ReflexiveReport, _Lanes,
                               edge_labels)
 from flowtri.routes import (Framing, Route, RouteTable, decomposition_framing,
@@ -560,6 +558,29 @@ def sphere_oracle(dag: Dag, decomp: tuple[Route, ...]) -> set[frozenset[int]]:
 # ---------------------------------------------------------------------------
 # Poset and framing helpers used by the tests only
 
+def maximal_filter_chains(poset: Poset) -> tuple[int, ...]:
+    """Complete chains of filters from the empty set to everything, one per
+    linear extension of the poset, as canonical masks over ``poset.filters``:
+    the maximal cliques of the filters' comparability graph, built pair by
+    pair (``pairwise_comparability``)."""
+    return dkk.max_cliques(pairwise_comparability(poset.filters), len(poset.elements) + 1)
+
+
+def maximal_equatorial_chains(poset: Poset) -> tuple[int, ...]:
+    """Inclusion-maximal equatorial chains of nonempty proper filters, as
+    canonical masks over ``poset.filters``.
+
+    A chain is equatorial when its summed indicator map is level (no filter
+    cuts it) on some cover into each rank j >= 2, one cover per rank.  So
+    the chains are the cliques of the filters' comparability graph inside
+    a ``planar._equatorial_filter_sets`` facet (``equatorial.sphere_facets``);
+    the empty face alone means none.
+    """
+    facets, size = planar._equatorial_filter_sets(poset)
+    return tuple(f for f in equatorial.sphere_facets(pairwise_comparability(poset.filters),
+                                                     facets, size) if f)
+
+
 def linear_extension_count(poset: Poset) -> int:
     return len(maximal_filter_chains(poset))
 
@@ -601,10 +622,11 @@ def equatorial_order_triangulation(poset: Poset) -> Triangulation:
 def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.EquivalenceReport:
     """``planar.verify_equivalence`` by listing both sides in full: the
     maximal cliques of both graphs and both joins, mapped and compared
-    simplex for simplex.  It reads every step it shares with
-    ``verify_equivalence`` through the ``planar`` module, so a test that
-    patches one there patches both.  The oracle for the generator
-    comparison."""
+    simplex for simplex, the order side's from the filter-space oracles
+    above.  It reads every step it shares with ``verify_equivalence``
+    through the ``planar`` module, so a test that patches one there patches
+    both, and the flow side's facets from ``equatorial.equatorial_facets``.
+    The oracle for the generator comparison."""
     issues: list[str] = []
     pf = planar.planar_framing(dag, emb)
     decomp = planar.topmost_route_decomposition(dag, emb, pf)
@@ -616,7 +638,7 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
     routes = table.routes
     adj = planar.coherence_graph(df, table)
     sphere = Sphere(planar.sphere_facets(
-        adj, [f.routes for f in planar.equatorial_facets(dag, decomp, table)],
+        adj, [f.routes for f in equatorial.equatorial_facets(dag, decomp, table)],
         dimension(dag) + 1 - len(decomp)), ())
     poset = dual.poset
     route_of = planar.filter_routes(dag, dual, table)
@@ -628,13 +650,13 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
         for s in sorted(order - flow) + sorted(flow - order):
             issues.append(f"{what} triangulations differ at {[routes[i] for i in s]}")
 
-    canon = mapped(members(planar.maximal_filter_chains(poset)))
+    canon = mapped(members(maximal_filter_chains(poset)))
     if issues:
         adj = planar.coherence_graph(pf, table)
-    compare("chain/clique", canon, set(members(planar.max_cliques(adj, dimension(dag) + 1))))
+    compare("chain/clique", canon, set(members(dkk.max_cliques(adj, dimension(dag) + 1))))
     sigma = planar.rank_constant_filters(poset)
     order_faces = mapped(members(planar.join_with_simplex(
-        sigma, planar.maximal_equatorial_chains(poset), len(poset.elements) + 1)))
+        sigma, maximal_equatorial_chains(poset), len(poset.elements) + 1)))
     flow_faces = set(members(joined_simplices(dag, table, decomp, sphere)))
     compare("equatorial", order_faces, flow_faces)
     if {routes[route_of[i]] for i in _members(sigma)} != set(decomp):

@@ -18,13 +18,15 @@ from flowtri.quotient import (check_transversal_identity, quotient_facets,
 from flowtri.routes import (NotGorensteinError, decomposition_framing,
                             enumerate_routes, is_route_decomposition,
                             route_decomposition)
-from tests.conftest import (Complex, all_routes, complex_euler_characteristic,
+from tests.conftest import (RU341, RU351, RU441, RU452, Complex, all_routes,
+                            complex_euler_characteristic,
                             dense_pairs_and_failures,
                             dense_transversal_identity,
                             equatorial_flow_triangulation, f_vector,
                             h_polynomial, has_route_partition, is_pure, members,
                             random_balanced_dag, ridges_in_two_facets, route_vectors, scaled,
                             sphere, stacked_rotations, trimmed, verify_triangulation)
+from tests.test_geometry import BIG
 
 
 def report(n: int, desc: str, ok: bool) -> None:
@@ -135,12 +137,17 @@ def test_criterion_7_reflexive_quotient():
         ok = ok and len(q.vertices) == 6 and len(q.facets) == 6
         ok = ok and verify_reflexive(q).ok
         ok = ok and len(q.facets) == len(equatorial_facets(dag, decomp, all_routes(dag)))
+    for dag in (BIG, RU351, RU441, RU341, RU452):    # no two facets share a functional
+        decomp = route_decomposition(dag)
+        ok = ok and len(quotient_facets(dag, decomp).facets) == len(
+            equatorial_facets(dag, decomp, all_routes(dag)))
     for dag in (d1, D2(), D3()):
         q = quotient_facets(dag, route_decomposition(dag))
         want = sum(dag.indeg(v) - 1 for v in dag.inner_vertices)
         ok = ok and sum(len(ls) - 1 for _, ls in q.space.blocks) == want
     report(7, "quotient polytopes: segment for D1, hexagons for D2/D3, all"
-              " reflexive with matching facet counts and dimensions", ok)
+              " reflexive with matching facet counts and dimensions; one facet"
+              " per equatorial facet on BIG and four route unions too", ok)
 
 
 def test_criterion_8_codegree_is_route_count():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from flowtri import dkk, equatorial
 from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
 from flowtri.dkk import max_cliques
-from flowtri.equatorial import (EquatorialFace, _avoided_sets, differs_from_dkk,
+from flowtri.equatorial import (EquatorialFace, _avoided_sets, _facet_masks, differs_from_dkk,
                                 equatorial_facets, equatorial_sphere, framing_count,
                                 joined_simplices, sphere_facets, t_eq)
 from flowtri.geometry import _mask, _members, ehrhart_hstar, h_from_f, normalized_volume
@@ -147,6 +147,31 @@ def test_facets_keep_the_first_transversal_catalog(name):
 @given(dag=route_unions())
 def test_facets_keep_the_first_transversal_route_unions(dag):
     assert_facets_keep_the_first_transversal(dag)
+
+
+def assert_facet_masks_match_the_facets(dag, decomp=None):
+    """``_facet_masks`` maps each facet's route mask to the transversal that
+    its ``equatorial_facets`` record and the set oracle keep, and lists the
+    transversals in ``product(*decomp)`` order."""
+    decomp = decomp or route_decomposition(dag)
+    table = all_routes(dag)
+    masks = _facet_masks(dag, decomp, table)
+    assert masks == {f.routes: f.transversal for f in equatorial_facets(dag, decomp, table)}
+    assert masks == {f.routes: f.transversal
+                     for f in set_equatorial_facets(dag, decomp, table.routes)}
+    rank = {m: i for i, m in enumerate(product(*decomp))}
+    assert sorted(masks.values(), key=rank.__getitem__) == list(masks.values())
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG | CHAINS) + ["ru(3,5,.5,1)"])
+def test_facet_masks_match_the_facets_catalog(name):
+    assert_facet_masks_match_the_facets(*(CATALOG | CHAINS).get(name, (RU351, None)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dag=route_unions())
+def test_facet_masks_match_the_facets_route_unions(dag):
+    assert_facet_masks_match_the_facets(dag)
 
 
 def test_sphere_d1_is_two_points():

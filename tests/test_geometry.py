@@ -15,7 +15,7 @@ from flowtri.equatorial import equatorial_sphere, joined_simplices
 from flowtri.geometry import (LANES, _canonical, _lattice_pass, _mask, _members,
                               count_lattice_points, determinant, ehrhart_hstar,
                               join_with_simplex, lattice_counts, normalized_volume, rank)
-from flowtri.planar import make_poset, maximal_equatorial_chains, rank_constant_filters
+from flowtri.planar import make_poset, rank_constant_filters
 from flowtri.routes import (decomposition_framing, enumerate_routes,
                             route_decomposition)
 from tests.conftest import (RU341, RU351, RU441, RU452, brute_count_lattice_points,
@@ -23,7 +23,8 @@ from tests.conftest import (RU341, RU351, RU441, RU452, brute_count_lattice_poin
                             equatorial_flow_triangulation, equatorial_order_triangulation,
                             f_vector, gauss_jordan_rank, h_polynomial, hstar_by_binomials,
                             interpolate_polynomial, is_gorenstein, is_pure,
-                            is_unimodular_simplex, lp_triangulation_ok, maximal_minor_gcd,
+                            is_unimodular_simplex, lp_triangulation_ok,
+                            maximal_equatorial_chains, maximal_minor_gcd,
                             members, per_dilate_count_lattice_points, random_balanced_dag,
                             ridges_in_two_facets, route_unions, route_vectors,
                             simplices_meet_in_common_face,

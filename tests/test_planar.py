@@ -10,11 +10,10 @@ from flowtri import cli, dkk, equatorial, geometry, planar, quotient, routes
 from flowtri import dag as dagmod
 from flowtri.dag import D1, D2, D3, G, dag_to_json, degree_equality, idle_edges, zigzag
 from flowtri.equatorial import EquatorialFace, sphere_facets
-from flowtri.geometry import _canonical, _members
+from flowtri.geometry import _canonical, _mask, _members
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             embedding_from_json, embedding_to_json, filter_routes,
-                            filters, make_poset, maximal_equatorial_chains,
-                            maximal_filter_chains, planar_dual, planar_framing,
+                            filters, make_poset, planar_dual, planar_framing,
                             poset_to_dag, poset_to_json, rank_constant_filters,
                             topmost_route_decomposition,
                             validate_embedding, verify_equivalence)
@@ -23,11 +22,13 @@ from tests.conftest import (all_routes, brute_order_polytope_count, canonical_tr
                             equatorial_by_jumps, equatorial_by_map,
                             equatorial_order_triangulation, extension_filter_chains,
                             filter_chains, filter_sets, flow_to_order,
-                            linear_extension_count, lp_triangulation_ok, members,
+                            linear_extension_count, lp_triangulation_ok,
+                            maximal_equatorial_chains, maximal_filter_chains, members,
                             old_verify_equivalence, order_polytope_vertices, order_to_flow,
                             pairwise_comparability, poset_from_json,
                             recursive_heights, recursive_up_sets,
-                            route_of_flow, stacked_rotations, subset_scan_filters,
+                            route_of_flow, stacked_rotations, staircase_poset,
+                            subset_scan_filters,
                             verify_triangulation, with_simplices, zigzag_rotations)
 
 
@@ -131,17 +132,12 @@ def test_cyclic_cover_relation_raises_from_heights():
 
 
 def test_comparability_table_matches_pairwise_oracle(monkeypatch):
-    """``Poset.comparability`` equals the pair-by-pair comparability graph
-    of the filters, and so does the graph ``maximal_equatorial_chains``
-    hands to ``sphere_facets``, on graded and ungraded posets with their
-    elements shuffled and on a 600-element chain."""
-    adjacency = []
-
-    def kept(adj, facets, size):
-        adjacency.append(adj)
-        return equatorial.sphere_facets(adj, facets, size)
-
-    monkeypatch.setattr(planar, "sphere_facets", kept)
+    """``planar._filter_graph``, each filter at the route of its own index,
+    equals the pair-by-pair comparability graph of the filters, on graded
+    and ungraded posets with their elements shuffled and on a 600-element
+    chain; and the graph ``verify_equivalence`` hands to ``sphere_facets``
+    for the order side is that graph mapped through ``filter_routes``, on
+    the catalog graphs."""
     rng = random.Random(12)
     posets = [random_poset(rng) for _ in range(40)] + \
         [random_graded_poset(rng) for _ in range(40)]
@@ -151,11 +147,75 @@ def test_comparability_table_matches_pairwise_oracle(monkeypatch):
                 for p in catalog_duals() + posets]
     assert sum(p.graded for p in shuffled) >= 45 and not all(p.graded for p in shuffled)
     for p in shuffled + [long_chain]:
-        assert p.comparability == pairwise_comparability(p.filters), p
-        if p.graded:
-            adjacency.clear()
-            maximal_equatorial_chains(p)
-            assert adjacency == [pairwise_comparability(p.filters)], p
+        count = len(p.filters)
+        assert planar._filter_graph(p, range(count), count) == \
+            list(pairwise_comparability(p.filters)), p
+
+    adjacency = []
+
+    def kept(adj, facets, size):
+        adjacency.append(adj)
+        return equatorial.sphere_facets(adj, facets, size)
+
+    monkeypatch.setattr(planar, "sphere_facets", kept)
+    for dag, emb in catalog_embeddings():
+        dual, table = planar_dual(dag, emb), all_routes(dag)
+        adjacency.clear()
+        assert verify_equivalence(dag, emb, dual).ok
+        route_of = filter_routes(dag, dual, table)
+        assert adjacency[1:] == [mapped_comparability(dual.poset, route_of, len(table.routes))]
+
+
+def mapped_comparability(poset, route_of, count) -> list[int]:
+    """``pairwise_comparability`` of the filters carried onto ``count``
+    routes, filter i to route ``route_of[i]``, row by row: the oracle for
+    ``planar._filter_graph``."""
+    graph = [0] * count
+    for i, row in enumerate(pairwise_comparability(poset.filters)):
+        graph[route_of[i]] = _mask(route_of[j] for j in _members(row))
+    return graph
+
+
+def catalog_embeddings():
+    cases = [(dag, PlanarEmbedding(stacked_rotations(dag))) for dag in (D1(), D2(), D3(), G(3))]
+    return cases + [(zigzag(), PlanarEmbedding(zigzag_rotations()))]
+
+
+def check_filter_graph(dag, emb) -> None:
+    """``planar._filter_graph`` on the routes of ``dag`` is the mapped
+    pair-by-pair comparability graph (``mapped_comparability``) and, the
+    graph being strongly planar, the coherence graph of its planar
+    framing."""
+    dual, table = planar_dual(dag, emb), all_routes(dag)
+    route_of, count = filter_routes(dag, dual, table), len(table.routes)
+    graph = planar._filter_graph(dual.poset, route_of, count)
+    assert graph == mapped_comparability(dual.poset, route_of, count), dag
+    assert graph == list(dkk.coherence_graph(planar_framing(dag, emb), table)), dag
+
+
+def test_filter_graph_matches_mapped_pairwise_catalog():
+    for dag, emb in catalog_embeddings():
+        check_filter_graph(dag, emb)
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=st.integers(0, 2**32 - 1))
+def test_filter_graph_matches_mapped_pairwise_graded(draw):
+    try:
+        dag, emb = poset_to_dag(random_graded_poset(random.Random(draw)))
+    except ValueError:                  # a Hasse drawing with crossing covers
+        assume(False)
+    check_filter_graph(dag, emb)
+
+
+@pytest.mark.parametrize("ranks", [3, 4], ids=["12-elements", "16-elements"])
+def test_filter_graph_matches_mapped_pairwise_at_scale(ranks):
+    """perfbench's ``gen.graded_poset(Random(1), ranks, 4, 4)``: 12 elements
+    and 16 (700 routes), the graph alone, since the 16-element sphere has
+    73,088,748 facets."""
+    poset = staircase_poset(random.Random(1), ranks, 4, 4)
+    assert len(poset.elements) == 4 * ranks
+    check_filter_graph(*poset_to_dag(poset))
 
 
 def test_filters_sort_like_their_names():
@@ -439,9 +499,7 @@ def skew_decomposition_framing(monkeypatch, dag) -> int:
 
 
 def catalog_duals():
-    duals = [truncated_dual(dag, PlanarEmbedding(stacked_rotations(dag)))
-             for dag in (D1(), D2(), D3(), G(3))]
-    return duals + [truncated_dual(zigzag(), PlanarEmbedding(zigzag_rotations()))]
+    return [truncated_dual(dag, emb) for dag, emb in catalog_embeddings()]
 
 
 def test_pruned_equatorial_chains_match_unpruned_oracle():
@@ -461,11 +519,12 @@ def test_order_sphere_facets_match_t_eq():
     rng = random.Random(26)
     for p in catalog_duals() + [random_graded_poset(rng) for _ in range(60)]:
         masks, size = planar._equatorial_filter_sets(p)
-        walked = equatorial.t_eq(p.comparability, [EquatorialFace((), m) for m in masks], size)
-        assert sphere_facets(p.comparability, masks, size) == walked.maximal_faces, p
+        graph = pairwise_comparability(p.filters)
+        walked = equatorial.t_eq(graph, [EquatorialFace((), m) for m in masks], size)
+        assert sphere_facets(graph, masks, size) == walked.maximal_faces, p
         for k in range(len(masks) if size else 0):
             with pytest.raises(AssertionError, match="has size 0, expected"):
-                sphere_facets(p.comparability, masks[:k] + [0] + masks[k + 1:], size)
+                sphere_facets(graph, masks[:k] + [0] + masks[k + 1:], size)
 
 
 @pytest.mark.parametrize("dag,rotations", [(zigzag(), zigzag_rotations()),
@@ -529,19 +588,21 @@ def test_equivalence_failure_texts(dag, rotations, pair, join_face, clique_face,
 def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     """One ``flowtri order`` run validates and traces the embedding once,
     builds the planar and the decomposition framing, one coherence graph,
-    one route list and its route table, one filter comparability table, one table of the
-    filters holding each element and one filter -> route map once each,
-    finds the rank-constant filters and the flow side's equatorial facets
-    once, and finds an equatorial sphere's facets once per side, routes
-    then filters, without walking either sphere.  A passing run compares
-    graphs and spheres, so it searches cliques only inside equatorial
-    facets, never in a whole graph, and builds no join ``Triangulation``."""
+    one route list and its route table, one table of the filters holding
+    each element, one filter -> route map and one filter graph on the
+    routes once each, and no filter comparability table; finds the
+    rank-constant filters and the flow side's equatorial facet masks once,
+    with no sorted ``equatorial_facets`` list, and finds an equatorial
+    sphere's facets once per side, routes then filters, without walking
+    either sphere.  A passing run compares graphs and spheres, so it
+    searches cliques only inside equatorial facets, never in a whole graph,
+    and builds no join ``Triangulation``."""
     modules = (cli, dagmod, dkk, equatorial, geometry, planar, quotient, routes)
     watched = (planar.validate_embedding, planar._trace, planar.planar_framing,
                routes.decomposition_framing, dkk.coherence_graph, dkk._sized_cliques,
                equatorial.t_eq, equatorial.sphere_facets, equatorial.equatorial_facets,
-               routes.enumerate_routes, routes.route_table, planar.filter_routes,
-               planar.rank_constant_filters)
+               equatorial._facet_masks, routes.enumerate_routes, routes.route_table,
+               planar.filter_routes, planar._filter_graph, planar.rank_constant_filters)
     calls = {fn.__name__: 0 for fn in watched}
     within = []                       # the vertex mask of every clique search
 
@@ -559,9 +620,10 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
             for name, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, name, wrapper)
-    for table in (Poset.__dict__["comparability"], Poset.__dict__["holders"]):
-        calls[table.func.__name__] = 0
-        monkeypatch.setattr(table, "func", counted(table.func))
+    assert not hasattr(Poset, "comparability")
+    holders = Poset.__dict__["holders"]
+    calls[holders.func.__name__] = 0
+    monkeypatch.setattr(holders, "func", counted(holders.func))
     calls["__init__"] = 0
     monkeypatch.setattr(dkk.Triangulation, "__init__", counted(dkk.Triangulation.__init__))
     graph, emb = tmp_path / "zigzag.json", tmp_path / "emb.json"
@@ -571,7 +633,7 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["order", str(graph), str(emb), "--max-dilate", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["equivalence"]["ok"]
     assert calls.pop("_sized_cliques") == len(within) > 0 and None not in within
-    assert calls.pop("__init__") == calls.pop("t_eq") == 0
+    assert calls.pop("__init__") == calls.pop("t_eq") == calls.pop("equatorial_facets") == 0
     assert calls.pop("sphere_facets") == 2
     assert calls == dict.fromkeys(calls, 1)
 
@@ -760,7 +822,7 @@ def test_order_sphere_f_vector_equals_flow_sphere():
         emb = PlanarEmbedding(rotations)
         poset = planar_dual(dag, emb).poset
         masks, size = planar._equatorial_filter_sets(poset)
-        order = equatorial.t_eq(poset.comparability,
+        order = equatorial.t_eq(pairwise_comparability(poset.filters),
                                 [EquatorialFace((), m) for m in masks], size)
         decomp = topmost_route_decomposition(dag, emb, planar_framing(dag, emb))
         flow = equatorial.equatorial_sphere(dag, decomp)[3]

@@ -57,6 +57,27 @@ def test_quotient_hexagons():
             dag, route_decomposition(dag), all_routes(dag)))
 
 
+def assert_one_facet_per_equatorial_facet(dag):
+    """No two equatorial facets share a functional, so the quotient keeps
+    each facet's own transversal, whatever order it reads the facets in."""
+    decomp = route_decomposition(dag)
+    q = quotient_facets(dag, decomp)
+    facets = equatorial_facets(dag, decomp, all_routes(dag))
+    assert len(q.facets) == len(facets)
+    assert {m for m, _ in q.facets} == {f.transversal for f in facets}
+
+
+@pytest.mark.parametrize("dag", [RU351, BIG], ids=["RU351", "BIG"])
+def test_quotient_facet_count_matches_equatorial_facets_at_scale(dag):
+    assert_one_facet_per_equatorial_facet(dag)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dag=route_unions())
+def test_quotient_facet_count_matches_equatorial_facets_route_unions(dag):
+    assert_one_facet_per_equatorial_facet(dag)
+
+
 def test_quotient_reflexive():
     for dag in (D1(), D2(), D3()):
         q = quotient_facets(dag, route_decomposition(dag))
