@@ -102,39 +102,53 @@ def coherence_graph(framing: Framing, table: RouteTable) -> tuple[int, ...]:
 
 def _bron_kerbosch(adj: Sequence[int], within: int) -> list[int]:
     """Maximal cliques inside the vertex mask ``within``, on int bitsets,
-    with Tomita's pivot: a vertex of P | X with the most neighbours in P
-    (Tomita-Tanaka-Takahashi 2006).  The (R, P, X) triples wait on an
-    explicit stack, so a clique of any size costs no recursion."""
+    with Tomita's pivot (Tomita-Tanaka-Takahashi 2006) on an explicit
+    stack of (R, P, X) triples, so a clique of any size costs no recursion.
+
+    Any pivot u of P | X keeps the same cliques: a maximal clique holding
+    R holds u or a vertex of P that u misses, so those are the branches.
+    The most neighbours in P gives the fewest, and the scan stops at the
+    first vertex missing at most one vertex of P, as each vertex of P
+    misses itself.  A child with an empty P is settled as it is made: a
+    clique when its X is empty too, else dropped (a vertex of X extends
+    it), so every stacked triple has a nonempty P.  Masks are read from
+    the top bit down (``bit_length``): isolating the low bit takes a
+    negative int, which CPython's bitwise ops complement."""
+    if not within:
+        return [0]
     out: list[int] = []
     stack = [(0, within, 0)]
     while stack:
         r, p, x = stack.pop()
-        if not p:
-            if not x:
-                out.append(r)
-            continue
+        need = p.bit_count() - 1         # a pivot missing at most one vertex of P
         best = pivot = -1
         rest = p | x
         while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
+            u = rest.bit_length() - 1
+            rest ^= 1 << u
             if (n := (adj[u] & p).bit_count()) > best:
                 best, pivot = n, u
+                if n >= need:
+                    break
         cand = p & ~adj[pivot]
         while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            stack.append((r | low, p & adj[v], x & adj[v]))
-            p ^= low
-            x |= low
+            v = cand.bit_length() - 1
+            bit = 1 << v
+            cand ^= bit
+            a = adj[v]
+            if q := p & a:
+                stack.append((r | bit, q, x & a))
+            elif not x & a:
+                out.append(r | bit)
+            p ^= bit
+            x |= bit
     return out
 
 
 def _sized_cliques(adj: Sequence[int], size: int, within: int | None = None) -> list[int]:
-    """``max_cliques`` in Bron-Kerbosch order, unsorted, of the subgraph on
-    the vertex mask ``within`` (default: the whole graph)."""
+    """``max_cliques`` of the subgraph on the vertex mask ``within``
+    (default: the whole graph), unsorted: in the order ``_bron_kerbosch``
+    finds them, which every caller sorts or puts in a set."""
     masks = _bron_kerbosch(adj, (1 << len(adj)) - 1 if within is None else within)
     for m in masks:
         if m.bit_count() != size:

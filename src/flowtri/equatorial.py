@@ -20,7 +20,7 @@ from .dag import Dag, degree_equality, dimension, idle_edges
 # ``max_cliques`` is not called here, but the benchmark's self-check wraps
 # and restores this module's binding of it, so the name stays importable.
 from .dkk import _sized_cliques, coherence_graph, max_cliques  # noqa: F401
-from .geometry import _canonical, _mask, _members, join_with_simplex
+from .geometry import _mask, _members, join_with_simplex
 from .routes import (Framing, NotGorensteinError, Route, RouteTable, decomposition_framing,
                      enumerate_routes, route_table)
 
@@ -98,7 +98,7 @@ def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sph
     ``adj`` (the decomposition framing's triangulation) restricted to the
     equatorial complex with the given facets, whose facets have ``size``
     routes (dim+1-k for k decomposition routes).  ``sphere_facets`` finds
-    the same facets without the walk and its checks.
+    the same facets, as an unordered set, without the walk and its checks.
 
     A clique is a face exactly when the AND of its routes' facet masks is
     nonzero, so one depth-first search over higher-index common neighbours
@@ -146,19 +146,22 @@ def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sph
     return Sphere(tuple(kept), tuple(counts))
 
 
-def sphere_facets(adj: Sequence[int], facets: Sequence[int], size: int) -> tuple[int, ...]:
+def sphere_facets(adj: Sequence[int], facets: Sequence[int], size: int) -> set[int]:
     """The maximal faces of ``t_eq(adj, facets, size)``, given the facets'
-    route masks, in canonical order, found without walking the faces: the
-    maximal cliques of ``adj`` inside each facet O (``dkk._sized_cliques``,
-    unsorted), which must all have ``size`` routes (else ``AssertionError``,
-    also for an O that holds no sphere facet), sorted once.  A face of
-    T_eq is a clique inside some O, and the cliques inside O triangulate
-    the face O of the polytope (it is the DKK triangulation of that face),
-    so they are the sphere's facets in O, in whatever order the facets
-    come.  With no facets the empty face is the one face, as in ``t_eq``.
-    ``planar.verify_equivalence`` also passes the order side's facets,
-    mapped onto the routes, with the filters' graph."""
-    return tuple(_canonical(set().union(*(_sized_cliques(adj, size, o) for o in facets or [0]))))
+    route masks, as a set with no order, found without walking the faces:
+    the maximal cliques of ``adj`` inside each facet O
+    (``dkk._sized_cliques``), which must all have ``size`` routes (else
+    ``AssertionError``, also for an O that holds no sphere facet).  A face
+    of T_eq is a clique inside some O, and the cliques inside O
+    triangulate the face O of the polytope (it is the DKK triangulation of
+    that face), so they are the sphere's facets in O.  With no facets the
+    empty face is the one face, as in ``t_eq``.  ``planar.verify_equivalence``
+    also passes the order side's facets, mapped onto the routes, with the
+    filters' graph; a caller that prints an order sorts."""
+    out: set[int] = set()
+    for o in facets or [0]:          # one facet's list at a time, not all at once
+        out.update(_sized_cliques(adj, size, o))
+    return out
 
 
 def joined_simplices(dag: Dag, table: RouteTable, decomp: Sequence[Route],

@@ -552,8 +552,9 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     built on the routes (``_filter_graph``), with the coherence graph, then
     the mapped rank-constant simplex and order sphere with the route simplex
     and the flow sphere (both spheres by ``sphere_facets``, the flow side's
-    inside the facet masks of ``_facet_masks``).  Cliques and joins only
-    name what differs.
+    inside the facet masks of ``_facet_masks``), the spheres as sets.
+    Cliques and joins only name what differs; each sphere is sorted into
+    canonical order for its join, as ``join_with_simplex`` asks.
     """
     issues: list[str] = []
     pf = planar_framing(dag, emb)
@@ -593,10 +594,10 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     facets, size = _equatorial_filter_sets(poset)
     chains = sphere_facets(graph, list(map(mapped, facets)), size)
     # no sphere face holds a decomposition route, so joining is one to one
-    if sigma == simplex and set(chains) == set(flow):
+    if sigma == simplex and chains == flow:
         return EquivalenceReport(tuple(issues), decomp, len(flow), len(flow))
-    order_faces = set(join_with_simplex(sigma, chains, len(poset.elements) + 1))
-    flow_faces = set(join_with_simplex(simplex, flow, top))
+    order_faces = set(join_with_simplex(sigma, _canonical(chains), len(poset.elements) + 1))
+    flow_faces = set(join_with_simplex(simplex, _canonical(flow), top))
     compare("equatorial", order_faces, flow_faces)
     if sigma != simplex:
         issues.append("rank-constant simplex does not map onto the route simplex")

@@ -21,8 +21,8 @@ from flowtri.dkk import (Triangulation, TriangulationReport, dkk_triangulation,
                         exceptional_routes, verify_dkk_triangulation)
 from flowtri.equatorial import (EquatorialFace, Sphere, Transversal, _all_framings,
                                 equatorial_sphere, joined_simplices)
-from flowtri.geometry import (_mask, _members, ehrhart_hstar, euler_characteristic, h_from_f,
-                              normalized_volume)
+from flowtri.geometry import (_canonical, _mask, _members, ehrhart_hstar, euler_characteristic,
+                              h_from_f, normalized_volume)
 from flowtri.planar import BOTTOM, TOP, PlanarDual, Poset, make_poset, rank_constant_filters
 from flowtri.quotient import (LeveledSpace, QuotientPolytope, ReflexiveReport, _Lanes,
                               edge_labels)
@@ -577,8 +577,8 @@ def maximal_equatorial_chains(poset: Poset) -> tuple[int, ...]:
     the empty face alone means none.
     """
     facets, size = planar._equatorial_filter_sets(poset)
-    return tuple(f for f in equatorial.sphere_facets(pairwise_comparability(poset.filters),
-                                                     facets, size) if f)
+    return tuple(f for f in _canonical(equatorial.sphere_facets(
+        pairwise_comparability(poset.filters), facets, size)) if f)
 
 
 def linear_extension_count(poset: Poset) -> int:
@@ -637,9 +637,9 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
     table = planar.route_table(dag, planar.enumerate_routes(dag))
     routes = table.routes
     adj = planar.coherence_graph(df, table)
-    sphere = Sphere(planar.sphere_facets(
+    sphere = Sphere(tuple(_canonical(planar.sphere_facets(
         adj, [f.routes for f in equatorial.equatorial_facets(dag, decomp, table)],
-        dimension(dag) + 1 - len(decomp)), ())
+        dimension(dag) + 1 - len(decomp)))), ())
     poset = dual.poset
     route_of = planar.filter_routes(dag, dual, table)
 

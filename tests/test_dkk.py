@@ -3,12 +3,12 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowtri.dag import D1, D2, D3, G, bypass, dimension, zigzag
-from flowtri.dkk import (Triangulation, _chart, _swap_certificate, coherence_graph,
-                         dkk_triangulation, exceptional_routes, max_cliques,
+from flowtri.dkk import (Triangulation, _chart, _sized_cliques, _swap_certificate,
+                         coherence_graph, dkk_triangulation, exceptional_routes, max_cliques,
                          verify_dkk_triangulation)
 from flowtri.equatorial import _all_framings, framing_count
 from flowtri.geometry import _mask, _members, determinant, ehrhart_hstar, normalized_volume
@@ -113,6 +113,46 @@ def test_coherence_graph_and_cliques_match_oracles_random_framings(seed):
         assert list(cliques) == sorted(cliques)
         assert set(cliques) == set_max_cliques(adj)
 
+
+
+@st.composite
+def graphs(draw) -> tuple[int, ...]:
+    """A simple graph on 0-9 vertices as int-mask adjacency, each pair an
+    edge or not."""
+    n = draw(st.integers(0, 9))
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return tuple(adj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(adj=graphs(), within=st.integers(0, 2**9 - 1))
+@example(adj=(0b1000, 0b0100, 0b0010, 0b0001), within=0b1111)   # a branch X dominates
+@example(adj=(0b10, 0b01, 0, 0), within=0b1111)                 # isolated vertices
+@example(adj=(0b110, 0b101, 0b011), within=0)                   # the empty clique
+def test_sized_cliques_match_the_set_oracle_on_any_graph(adj, within):
+    """On any graph and vertex mask, ``_sized_cliques`` finds each maximal
+    clique of the induced subgraph once (``set_max_cliques`` on it), and
+    raises, naming one, exactly when some has a size other than the one
+    asked for; the empty mask has the empty clique."""
+    within &= (1 << len(adj)) - 1
+    keep = _members(within)
+    sub = [_mask(k for k, w in enumerate(keep) if adj[v] >> w & 1) for v in keep]
+    want = {tuple(keep[k] for k in c) for c in set_max_cliques(sub)}
+    for size in range(len(adj) + 2):
+        wrong = {f"maximal clique {c} has size {len(c)}, expected {size}"
+                 for c in want if len(c) != size}
+        if wrong:
+            with pytest.raises(AssertionError) as exc:
+                _sized_cliques(adj, size, within)
+            assert str(exc.value) in wrong
+        else:
+            got = members(_sized_cliques(adj, size, within))
+            assert len(got) == len(want) and set(got) == want
 
 def assert_coherence_matches_oracle(dag, framings):
     table = all_routes(dag)

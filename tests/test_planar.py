@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -521,7 +522,7 @@ def test_order_sphere_facets_match_t_eq():
         masks, size = planar._equatorial_filter_sets(p)
         graph = pairwise_comparability(p.filters)
         walked = equatorial.t_eq(graph, [EquatorialFace((), m) for m in masks], size)
-        assert sphere_facets(graph, masks, size) == walked.maximal_faces, p
+        assert tuple(_canonical(sphere_facets(graph, masks, size))) == walked.maximal_faces, p
         for k in range(len(masks) if size else 0):
             with pytest.raises(AssertionError, match="has size 0, expected"):
                 sphere_facets(graph, masks[:k] + [0] + masks[k + 1:], size)
@@ -596,7 +597,9 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     sphere's facets once per side, routes then filters, without walking
     either sphere.  A passing run compares graphs and spheres, so it
     searches cliques only inside equatorial facets, never in a whole graph,
-    and builds no join ``Triangulation``."""
+    builds no join ``Triangulation``, and sorts nothing into canonical
+    order but the levels of ``planar.filters``: the spheres are compared as
+    sets."""
     modules = (cli, dagmod, dkk, equatorial, geometry, planar, quotient, routes)
     watched = (planar.validate_embedding, planar._trace, planar.planar_framing,
                routes.decomposition_framing, dkk.coherence_graph, dkk._sized_cliques,
@@ -620,6 +623,15 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
             for name, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, name, wrapper)
+    sorts = []                        # the function making each canonical sort
+
+    def canonical(masks):
+        sorts.append(sys._getframe(1).f_code.co_name)
+        return _canonical(masks)
+
+    for mod in modules:
+        if vars(mod).get("_canonical") is _canonical:
+            monkeypatch.setattr(mod, "_canonical", canonical)
     assert not hasattr(Poset, "comparability")
     holders = Poset.__dict__["holders"]
     calls[holders.func.__name__] = 0
@@ -636,6 +648,8 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     assert calls.pop("__init__") == calls.pop("t_eq") == calls.pop("equatorial_facets") == 0
     assert calls.pop("sphere_facets") == 2
     assert calls == dict.fromkeys(calls, 1)
+    elements = planar_dual(zigzag(), PlanarEmbedding(zigzag_rotations())).poset.elements
+    assert sorts == ["filters"] * (len(elements) + 1)      # one sort per filter size
 
 
 def corrupt_flow_side(monkeypatch, graph=None, faces=None) -> None:
@@ -643,7 +657,8 @@ def corrupt_flow_side(monkeypatch, graph=None, faces=None) -> None:
     from every ``planar.coherence_graph`` call, with the flow sphere still
     found on the sound graph ``adj``, or the flow sphere's facets
     ``faces(facets, adj)``: what ``planar.sphere_facets`` finds on a
-    coherence graph, not on the order side's graphs."""
+    coherence graph, not on the order side's graphs, handed to ``faces`` in
+    canonical order and handed on as a set, as ``sphere_facets`` gives it."""
     build, search = planar.coherence_graph, planar.sphere_facets
     sound: dict[int, tuple] = {}      # id of a graph handed out -> (it, the sound graph)
 
@@ -658,7 +673,7 @@ def corrupt_flow_side(monkeypatch, graph=None, faces=None) -> None:
             return search(adj, masks, size)
         adj = sound[id(adj)][1]
         got = search(adj, masks, size)
-        return faces(got, adj) if faces else got
+        return set(faces(_canonical(got), adj)) if faces else got
 
     monkeypatch.setattr(planar, "coherence_graph", coherence)
     monkeypatch.setattr(planar, "sphere_facets", spheres)
