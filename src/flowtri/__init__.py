@@ -15,6 +15,6 @@ from .planar import (PlanarEmbedding, Poset, make_poset, planar_dual,
                      verify_equivalence)
 from .quotient import check_transversal_identity, phi, quotient_facets, verify_reflexive
 from .routes import (Framing, NotGorensteinError, RouteTable, decomposition_framing,
-                     enumerate_routes, route_decomposition, route_table)
+                     enumerate_routes, graph_table, route_decomposition, route_table)
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .dag import Dag, dimension
 from .geometry import _canonical, _members, determinant, normalized_volume
-from .routes import Framing, Route, RouteTable, enumerate_routes, is_route, route_table
+from .routes import Framing, Route, RouteTable, graph_table, is_route, route_table
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def max_cliques(adj: Sequence[int], size: int) -> tuple[int, ...]:
 
 
 def dkk_triangulation(dag: Dag, framing: Framing) -> Triangulation:
-    table = route_table(dag, enumerate_routes(dag))
+    table = graph_table(dag)
     return Triangulation(max_cliques(coherence_graph(framing, table), dimension(dag) + 1),
                          table.routes)
 

@@ -20,9 +20,9 @@ from .dag import Dag, degree_equality, dimension, idle_edges
 # ``max_cliques`` is not called here, but the benchmark's self-check wraps
 # and restores this module's binding of it, so the name stays importable.
 from .dkk import _sized_cliques, coherence_graph, max_cliques  # noqa: F401
-from .geometry import _mask, _members, join_with_simplex
+from .geometry import _canonical, _mask, _members, join_with_simplex
 from .routes import (Framing, NotGorensteinError, Route, RouteTable, decomposition_framing,
-                     enumerate_routes, route_table)
+                     graph_table)
 
 Transversal = tuple[str, ...]     # entry i is the chosen edge of route i
 
@@ -87,10 +87,14 @@ def _facet_masks(dag: Dag, decomp: Sequence[Route], table: RouteTable) -> dict[i
 
 def equatorial_facets(dag: Dag, decomp: Sequence[Route],
                       table: RouteTable) -> tuple[EquatorialFace, ...]:
-    """The equatorial facets of ``_facet_masks``, in the order of their
-    member tuples, for the reports and the walk that name them."""
-    faces = sorted(_facet_masks(dag, decomp, table).items(), key=lambda face: _members(face[0]))
-    return tuple(EquatorialFace(m, rs) for rs, m in faces)
+    """The equatorial facets of ``_facet_masks`` for the decomposition
+    ``decomp``, in ``_canonical`` order: their member tuples' order, as no
+    facet's routes R hold another's.  R covers every vertex, so an edge off
+    R's transversal m (k edges) joins a prefix of R to a suffix of R, and R
+    spans the face x_m = 0, the flow polytope of the graph less m, of
+    dimension |E| - k - |V| + 1 = dim - k: one such face in another is it."""
+    facets = _facet_masks(dag, decomp, table)
+    return tuple(EquatorialFace(facets[rs], rs) for rs in _canonical(facets))
 
 
 def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sphere:
@@ -101,7 +105,7 @@ def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sph
     the same facets, as an unordered set, without the walk and its checks.
 
     A clique is a face exactly when the AND of its routes' facet masks is
-    nonzero, so one depth-first search over higher-index common neighbours
+    nonzero, so one depth-first search over lower-bit common neighbours
     walks every face once, counting the f-vector as it goes.  A face's
     extensions are its common neighbours lying in a facet of that AND.  The
     search certifies the sphere, else raises: every face below ``size`` has
@@ -124,7 +128,7 @@ def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sph
         span = spans.get(shared)
         if span is None:
             span = spans[shared] = reduce(or_, (facets[f].routes for f in _members(shared)), 0)
-        grow = common & span & -(1 << face.bit_length())    # past the face's top route
+        grow = common & span & (face & -face) - 1       # below the face's lowest route
         if k == size:
             if grow:
                 raise AssertionError(f"face {_members(face)} of T_eq extends past {size} routes")
@@ -136,12 +140,12 @@ def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sph
             raise AssertionError(f"ridge {_members(face)} of T_eq lies in {ext} facets, not 2")
         if not ext:
             raise AssertionError(f"face {_members(face)} of T_eq is maximal below {size} routes")
-        while grow:                      # highest first: faces pop in canonical order
-            r = grow.bit_length() - 1
+        while grow:                      # lowest first: faces pop in canonical order
+            r = (grow & -grow).bit_length() - 1
             grow ^= 1 << r
             stack.append((face | 1 << r, k + 1, shared & inc[r], common & adj[r]))
     if covered != every_facet:
-        missed = _members(every_facet & ~covered)[0]
+        missed = _members(every_facet & ~covered)[-1]
         raise AssertionError(f"facet {facets[missed].transversal} holds no facet of T_eq")
     return Sphere(tuple(kept), tuple(counts))
 
@@ -179,7 +183,7 @@ def equatorial_sphere(dag: Dag, decomp: Sequence[Route]
     """The table of the route list, the coherence graph of the decomposition
     framing, the equatorial facets over the routes and the equatorial sphere
     T_eq."""
-    table = route_table(dag, enumerate_routes(dag))
+    table = graph_table(dag)
     adj = coherence_graph(decomposition_framing(dag, decomp), table)
     facets = equatorial_facets(dag, decomp, table)
     return table, adj, facets, t_eq(adj, facets, dimension(dag) + 1 - len(decomp))

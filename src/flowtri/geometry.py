@@ -13,8 +13,6 @@ from typing import Collection, Iterable, Sequence
 
 from .dag import Dag, degree_equality, dimension, idle_edges, validate
 
-_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))     # for ``_canonical``
-
 
 # ---------------------------------------------------------------------------
 # Integer linear algebra
@@ -66,12 +64,12 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
 # Simplicial complexes
 
 def _members(mask: int) -> tuple[int, ...]:
-    """The indices of the set bits of ``mask``, ascending."""
+    """The indices of the set bits of ``mask``, descending: a face over
+    ``routes.graph_table`` lists its routes in enumeration order."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        out.append(top := mask.bit_length() - 1)
+        mask ^= 1 << top
     return tuple(out)
 
 
@@ -84,26 +82,18 @@ def _mask(indices: Iterable[int]) -> int:
 
 
 def _canonical(masks: Collection[int]) -> list[int]:
-    """``masks`` sorted by the bit-reversed mask, descending: the lowest bit
-    two masks differ in puts the mask holding it first, so masks of one size
-    sort as their member tuples do.  Not across sizes ((0, 1) comes before
-    (0,)): faces of mixed sizes sort by ``_members``."""
-    width = (max(masks, default=0).bit_length() + 7) // 8
-    return sorted(masks, key=lambda m: m.to_bytes(width, "little").translate(_BIT_REVERSED),
-                  reverse=True)
+    """``masks`` descending as ints: masks of one size in the order of their
+    ``_members`` tuples.  Not across sizes: (1, 0) comes before (1,)."""
+    return sorted(masks, reverse=True)
 
 
 def join_with_simplex(simplex: int, faces: Sequence[int], size: int) -> tuple[int, ...]:
     """The join of the simplex mask ``simplex`` with the complex of the
     maximal ``faces``: simplex | F for each face F (the simplex alone for no
     faces), in the faces' order; each must have ``size`` vertices, else
-    ``AssertionError``.
-
-    Callers pass faces of size - |simplex| vertices in canonical order, so
-    the size check rejects a face that meets the simplex, and the join
-    comes out in canonical order with no sort: simplex | F and simplex | F'
-    differ where F and F' do, so the lowest bit they differ in puts them in
-    the faces' order."""
+    ``AssertionError``.  Callers pass faces of size - |simplex| in canonical
+    order, so the check rejects a face meeting the simplex, and simplex | F
+    is simplex + F: the join keeps the faces' int order, canonical order."""
     joined = tuple(simplex | f for f in faces or (0,))
     for f in joined:
         if f.bit_count() != size:

@@ -20,8 +20,8 @@ from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_j
 from .dkk import _sized_cliques, coherence_graph
 from .equatorial import _avoided_sets, _facet_masks, sphere_facets
 from .geometry import _canonical, _mask, _members, join_with_simplex
-from .routes import (Framing, Route, RouteTable, decomposition_framing, enumerate_routes,
-                     peel_decomposition, route_table)
+from .routes import (Framing, Route, RouteTable, decomposition_framing, graph_table,
+                     peel_decomposition)
 
 BOTTOM = "_bot"
 TOP = "_top"
@@ -88,9 +88,10 @@ class Poset:
 
     @cached_property
     def bits(self) -> dict[str, int]:
-        """p -> its bit in a filter mask: bit k stands for the k-th element
-        by name."""
-        return {p: 1 << k for k, p in enumerate(sorted(self.elements))}
+        """p -> its bit in a filter mask, the first element by name on the
+        top bit, so ``filters`` lists a level in its members' name order."""
+        names = sorted(self.elements)
+        return {p: 1 << len(names) - 1 - k for k, p in enumerate(names)}
 
     @cached_property
     def filters(self) -> tuple[int, ...]:
@@ -563,7 +564,7 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     for v in dag.inner_vertices:
         if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
             issues.append(f"framings disagree at vertex {v}")
-    table, top = route_table(dag, enumerate_routes(dag)), dimension(dag) + 1
+    table, top = graph_table(dag), dimension(dag) + 1
     routes = table.routes
     adj = coherence_graph(df, table)
     flow = sphere_facets(adj, list(_facet_masks(dag, decomp, table)), top - len(decomp))
@@ -573,7 +574,7 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
         return _mask(route_of[i] for i in _members(m))
 
     def compare(what: str, order: set[int], flow: set[int]) -> None:
-        # route indices follow the route order, so simplices sort as routes do
+        # the table lists the routes last-first, so simplices sort as routes do
         for s in _canonical(order - flow) + _canonical(flow - order):
             issues.append(f"{what} triangulations differ at {[routes[i] for i in _members(s)]}")
 

@@ -66,8 +66,8 @@ def enumerate_routes(dag: Dag) -> tuple[Route, ...]:
 @dataclass(frozen=True)
 class RouteTable:
     """Which routes use which edges, as int masks, built once per route list
-    by ``route_table`` and read by every layer: bit k of an edge mask is
-    ``dag.edges[k]``, bit i of a route mask is ``routes[i]``."""
+    (the graph's last-first: ``graph_table``) and read by every layer: bit k
+    of an edge mask is ``dag.edges[k]``, bit i of a route mask is ``routes[i]``."""
 
     routes: tuple[Route, ...]
     edges: tuple[int, ...]          # route i -> its edge mask
@@ -85,6 +85,11 @@ def route_table(dag: Dag, routes: Sequence[Route]) -> RouteTable:
             through[eid] |= 1 << i
     edges = tuple(sum(map(bit.__getitem__, r)) for r in routes)
     return RouteTable(tuple(routes), edges, through, {m: i for i, m in enumerate(edges)})
+
+
+def graph_table(dag: Dag) -> RouteTable:
+    """The table of every route of ``dag``, the last of ``enumerate_routes`` first."""
+    return route_table(dag, enumerate_routes(dag)[::-1])
 
 
 def peel_decomposition(dag: Dag, prefer: Mapping[int, Sequence[str]]) -> tuple[Route, ...]:

@@ -18,7 +18,7 @@ from flowtri import dkk, equatorial, geometry, planar
 from flowtri.dag import (SOURCE, Dag, contract_idle_edges, dimension, gorenstein_completion,
                          make_dag, random_dag, validate)
 from flowtri.dkk import (Triangulation, TriangulationReport, dkk_triangulation,
-                        exceptional_routes, verify_dkk_triangulation)
+                        exceptional_routes)
 from flowtri.equatorial import (EquatorialFace, Sphere, Transversal, _all_framings,
                                 equatorial_sphere, joined_simplices)
 from flowtri.geometry import (_canonical, _mask, _members, ehrhart_hstar, euler_characteristic,
@@ -27,7 +27,7 @@ from flowtri.planar import BOTTOM, TOP, PlanarDual, Poset, make_poset, rank_cons
 from flowtri.quotient import (LeveledSpace, QuotientPolytope, ReflexiveReport, _Lanes,
                               edge_labels)
 from flowtri.routes import (Framing, Route, RouteTable, decomposition_framing,
-                            enumerate_routes, route_decomposition, route_table)
+                            enumerate_routes, graph_table, route_decomposition)
 
 Vector = tuple[int, ...]
 
@@ -189,10 +189,18 @@ def route_unions(draw, max_inner: int = 3, max_routes: int = 4) -> Dag:
 
 
 def all_routes(dag: Dag) -> RouteTable:
-    """The route table of the graph's whole route list, which the library's
-    readers of routes (``coherence_graph``, ``equatorial_facets`` and the
-    rest) take in place of the list."""
-    return route_table(dag, enumerate_routes(dag))
+    """The route table of the graph's whole route list, routes last-first
+    (``routes.graph_table``), which the library's readers of routes
+    (``coherence_graph``, ``equatorial_facets`` and the rest) take in place
+    of the list."""
+    return graph_table(dag)
+
+
+def route_mask(dag: Dag, labels: Sequence[Route], indices: Iterable[int]) -> int:
+    """The mask over ``labels`` of the routes with the given indices in
+    ``enumerate_routes`` order: how a test names routes by number."""
+    routes = enumerate_routes(dag)
+    return _mask(labels.index(routes[i]) for i in indices)
 
 
 def sphere(dag: Dag, decomp: tuple[Route, ...]) -> Sphere:
@@ -229,11 +237,14 @@ def members(simplices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(_members, simplices))
 
 
-def member_list_report(command: str, dag: Dag, digest: str) -> dict:
+def member_list_report(command: str, dag: Dag, digest: str,
+                       check: TriangulationReport | None) -> dict:
     """The report ``flowtri dkk`` or ``flowtri equatorial`` prints for
     ``dag`` and the default decomposition, with every simplex and face a
     list of route lists (lists of edge ids), built from library calls as
-    the CLI built it before its reports held faces as masks."""
+    the CLI built it before its reports held faces as masks.  ``check`` is
+    the certificate's report on the ``dkk`` triangulation, which the CLI's
+    run has already made, so the certificate does not run twice."""
     decomp = route_decomposition(dag)
     report: dict = {"command": command, "digest": digest}
 
@@ -242,7 +253,6 @@ def member_list_report(command: str, dag: Dag, digest: str) -> dict:
 
     if command == "dkk":
         tri = dkk_triangulation(dag, decomposition_framing(dag, decomp))
-        check = verify_dkk_triangulation(dag, tri)
         return {**report, "routes": len(tri.labels),
                 "simplices": route_lists(tri.labels, tri.simplices),
                 "exceptional_routes": [list(r) for r in exceptional_routes(tri)],
@@ -465,16 +475,18 @@ def complex_from_faces(faces: Iterable[Iterable]) -> Complex:
     vertices = sorted({v for f in fs for v in f})
     bit = {v: 1 << k for k, v in enumerate(vertices)}
     kept = maximal_masks(sum(map(bit.__getitem__, f)) for f in fs)
-    return Complex(tuple(sorted(tuple(vertices[k] for k in _members(m)) for m in kept)))
+    return Complex(tuple(sorted(tuple(vertices[k] for k in reversed(_members(m))) for m in kept)))
 
 
 def old_t_eq(cliques: Iterable[Sequence[int]],
              facets: Sequence[EquatorialFace]) -> Complex:
     """T_eq as every intersection of a maximal clique of the coherence graph
     with a facet's route set, filtered to the maximal ones: the oracle for
-    ``equatorial.t_eq``."""
+    ``equatorial.t_eq``.  Its faces are member tuples in the order the
+    graph's route table gives (``routes.graph_table``, routes last-first):
+    indices descending, and faces of one size in reverse tuple order."""
     pieces = {c & f.routes for c in set(map(_mask, cliques)) for f in facets}
-    return Complex(tuple(sorted(map(_members, maximal_masks(pieces)))))
+    return Complex(tuple(sorted(map(_members, maximal_masks(pieces)), reverse=True)))
 
 
 def routes_avoiding(routes: Sequence[Route], m: Transversal) -> frozenset[int]:
@@ -500,8 +512,9 @@ def set_equatorial_facets(dag: Dag, decomp: Sequence[Route],
         avoided = routes_avoiding(routes, m)
         if is_facet_transversal(dag, routes, avoided):
             seen.setdefault(avoided, m)
-    return tuple(EquatorialFace(m, _mask(rs))
-                 for rs, m in sorted(seen.items(), key=lambda kv: sorted(kv[0])))
+    # a route list sorts as its routes' edge-id tuples do, in enumeration order
+    return tuple(EquatorialFace(m, _mask(rs)) for rs, m in
+                 sorted(seen.items(), key=lambda kv: sorted(routes[i] for i in kv[0])))
 
 
 def product_avoided_sets(everyone: int, groups: Sequence[Sequence[tuple[str, int]]]
@@ -538,8 +551,9 @@ def common_face(dag: Dag, decomp: Sequence[Route], routeset: Sequence[Route]) ->
 
 def sphere_oracle(dag: Dag, decomp: tuple[Route, ...]) -> set[frozenset[int]]:
     """Maximal route sets that are coherent cliques and bury no
-    decomposition route, by brute force over all route subsets."""
-    routes = enumerate_routes(dag)
+    decomposition route, by brute force over all route subsets, as sets of
+    indices into the graph's route table (``all_routes``)."""
+    routes = all_routes(dag).routes
     framing = decomposition_framing(dag, decomp)
     others = [i for i, r in enumerate(routes) if r not in set(decomp)]
     good: list[frozenset[int]] = []
@@ -586,9 +600,10 @@ def linear_extension_count(poset: Poset) -> int:
 
 
 def filter_sets(poset: Poset, masks: Iterable[int]) -> tuple[frozenset[str], ...]:
-    """Filter masks as sets of element names, bit k standing for the k-th
-    element by name: the form the frozenset oracles below take."""
-    names = sorted(poset.elements)
+    """Filter masks as sets of element names, the first element by name on
+    the top bit and the last on bit 0: the form the frozenset oracles below
+    take."""
+    names = sorted(poset.elements, reverse=True)
     return tuple(frozenset(p for k, p in enumerate(names) if f >> k & 1) for f in masks)
 
 
@@ -634,7 +649,7 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
     for v in dag.inner_vertices:
         if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
             issues.append(f"framings disagree at vertex {v}")
-    table = planar.route_table(dag, planar.enumerate_routes(dag))
+    table = planar.graph_table(dag)
     routes = table.routes
     adj = planar.coherence_graph(df, table)
     sphere = Sphere(tuple(_canonical(planar.sphere_facets(
@@ -643,21 +658,23 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
     poset = dual.poset
     route_of = planar.filter_routes(dag, dual, table)
 
-    def mapped(simplices) -> set[tuple[int, ...]]:
-        return {tuple(sorted(route_of[i] for i in simplex)) for simplex in simplices}
+    # simplices as sorted route tuples: routes sort in enumeration order,
+    # and simplices of one size in the order of their member tuples
+    def named(simplices, index=range(len(routes))) -> set[tuple[Route, ...]]:
+        return {tuple(sorted(routes[index[i]] for i in simplex)) for simplex in simplices}
 
     def compare(what: str, order: set, flow: set) -> None:
         for s in sorted(order - flow) + sorted(flow - order):
-            issues.append(f"{what} triangulations differ at {[routes[i] for i in s]}")
+            issues.append(f"{what} triangulations differ at {list(s)}")
 
-    canon = mapped(members(maximal_filter_chains(poset)))
+    canon = named(members(maximal_filter_chains(poset)), route_of)
     if issues:
         adj = planar.coherence_graph(pf, table)
-    compare("chain/clique", canon, set(members(dkk.max_cliques(adj, dimension(dag) + 1))))
+    compare("chain/clique", canon, named(members(dkk.max_cliques(adj, dimension(dag) + 1))))
     sigma = planar.rank_constant_filters(poset)
-    order_faces = mapped(members(planar.join_with_simplex(
-        sigma, maximal_equatorial_chains(poset), len(poset.elements) + 1)))
-    flow_faces = set(members(joined_simplices(dag, table, decomp, sphere)))
+    order_faces = named(members(planar.join_with_simplex(
+        sigma, maximal_equatorial_chains(poset), len(poset.elements) + 1)), route_of)
+    flow_faces = named(members(joined_simplices(dag, table, decomp, sphere)))
     compare("equatorial", order_faces, flow_faces)
     if {routes[route_of[i]] for i in _members(sigma)} != set(decomp):
         issues.append("rank-constant simplex does not map onto the route simplex")

@@ -11,7 +11,7 @@ from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, degree_equality,
                          dimension, random_dag)
 from flowtri.dkk import Triangulation, dkk_triangulation
 from flowtri.equatorial import differs_from_dkk, equatorial_facets, framing_count
-from flowtri.geometry import _mask, count_lattice_points, ehrhart_hstar, normalized_volume
+from flowtri.geometry import count_lattice_points, ehrhart_hstar, normalized_volume
 from flowtri.planar import PlanarEmbedding, verify_equivalence
 from flowtri.quotient import (check_transversal_identity, quotient_facets,
                               verify_reflexive)
@@ -24,7 +24,8 @@ from tests.conftest import (RU341, RU351, RU441, RU452, Complex, all_routes,
                             dense_transversal_identity,
                             equatorial_flow_triangulation, f_vector,
                             h_polynomial, has_route_partition, is_pure, members,
-                            random_balanced_dag, ridges_in_two_facets, route_vectors, scaled,
+                            random_balanced_dag, ridges_in_two_facets, route_mask,
+                            route_vectors, scaled,
                             sphere, stacked_rotations, trimmed, verify_triangulation)
 from tests.test_geometry import BIG
 
@@ -183,7 +184,8 @@ def test_criterion_10_negative_controls(tmp_path, capsys):
     missing = Triangulation(tri.simplices[1:], tri.labels)      # dropped simplex: volume short
     d1 = D1()
     square = equatorial_flow_triangulation(d1, route_decomposition(d1))
-    overlap = Triangulation((_mask((0, 1, 2)), _mask((0, 1, 3))),
+    overlap = Triangulation((route_mask(d1, square.labels, (0, 1, 2)),
+                             route_mask(d1, square.labels, (0, 1, 3))),
                             square.labels)  # interiors overlap
     bad_tri = not verify_triangulation(missing, route_vectors(d2, tri.labels), dimension(d2),
                                        normalized_volume(d2)).ok and \

@@ -13,13 +13,14 @@ from flowtri.dkk import (Triangulation, _chart, _sized_cliques, _swap_certificat
 from flowtri.equatorial import _all_framings, framing_count
 from flowtri.geometry import _mask, _members, determinant, ehrhart_hstar, normalized_volume
 from flowtri.planar import planar_framing, poset_to_dag
-from flowtri.routes import decomposition_framing, enumerate_routes, route_decomposition
+from flowtri.routes import decomposition_framing, route_decomposition
 from tests.conftest import (RU351, Complex, all_routes, chain, conflict, corrupted,
                             equatorial_flow_triangulation, h_polynomial,
                             is_unimodular_simplex, members,
                             pairwise_coherence_masks, random_balanced_dag,
-                            random_framing, route_unions, route_vectors, set_max_cliques,
-                            staircase_poset, trimmed, verify_triangulation, with_simplices)
+                            random_framing, route_mask, route_unions, route_vectors,
+                            set_max_cliques, staircase_poset, trimmed, verify_triangulation,
+                            with_simplices)
 
 
 def _decomp_framing(dag):
@@ -41,7 +42,7 @@ def _cliques(dag):
 
 def test_cliques_d1():
     d1 = D1()
-    routes = enumerate_routes(d1)
+    routes = all_routes(d1).routes
     cliques = _cliques(d1)
     named = {frozenset(routes[i] for i in c) for c in members(cliques)}
     assert named == {
@@ -110,8 +111,9 @@ def test_coherence_graph_and_cliques_match_oracles_random_framings(seed):
         adj = coherence_graph(framing, table)
         assert adj == pairwise_coherence_masks(dag, framing, table.routes)
         cliques = members(max_cliques(adj, dimension(dag) + 1))
-        assert list(cliques) == sorted(cliques)
-        assert set(cliques) == set_max_cliques(adj)
+        # members descend, so canonical order is reverse tuple order
+        assert list(cliques) == sorted(cliques, reverse=True)
+        assert {tuple(sorted(c)) for c in cliques} == set_max_cliques(adj)
 
 
 
@@ -194,7 +196,7 @@ def test_max_cliques_past_the_recursion_limit():
     k = sys.getrecursionlimit() + 10
     everyone = (1 << k) - 1
     assert members(max_cliques(tuple(everyone & ~(1 << i) for i in range(k)), k)) == \
-        (tuple(range(k)),)
+        (tuple(range(k - 1, -1, -1)),)
 
 
 def test_max_cliques_rejects_wrong_clique_size():
@@ -288,9 +290,9 @@ def _check_chart(dag, rng):
     triangulation's first simplices, and random subsets."""
     columns, dim = _chart(dag), dimension(dag)
     assert len(columns) == dim
-    routes = enumerate_routes(dag)
-    coords = route_vectors(dag, routes)
     tri = dkk_triangulation(dag, random_framing(rng, dag))
+    routes = tri.labels
+    coords = route_vectors(dag, routes)
     subsets = [_members(m) for m in tri.simplices[:10]]
     subsets += [rng.sample(range(len(routes)), dim + 1) for _ in range(20)]
     for subset in subsets:
@@ -341,7 +343,7 @@ def test_certificate_rejects_corruptions(name):
             continue
         if what == "repeated label":
             a, b = _members(tri.simplices[0])[:2]
-            assert report.issues == (f"label {b} {tri.labels[a]!r} repeats label {a}",)
+            assert report.issues == (f"label {a} {tri.labels[a]!r} repeats label {b}",)
         assert_same_report(dag, bad)
 
 
@@ -352,13 +354,13 @@ def test_certificate_reports_every_label_and_coordinate_fault():
     d1 = D1()
     tri = dkk_triangulation(d1, _decomp_framing(d1))
     a = tri.labels[0]
-    assert members(tri.simplices) == ((0, 1, 3), (0, 2, 3))
+    assert members(tri.simplices) == ((3, 2, 0), (3, 1, 0))
     bad = Triangulation(tri.simplices, (a, ["a", "d"], a))
     assert verify_dkk_triangulation(d1, bad).issues == (
         "label 1 ['a', 'd'] is not a route of the graph",
         f"label 2 {a!r} repeats label 0",
-        "simplex (0, 1, 3) names a vertex without coordinates",
-        "simplex (0, 2, 3) names a vertex without coordinates")
+        "simplex (3, 2, 0) names a vertex without coordinates",
+        "simplex (3, 1, 0) names a vertex without coordinates")
 
 
 def test_certificate_names_a_label_with_an_edge_the_graph_lacks():
@@ -402,11 +404,13 @@ def test_certificate_needs_swap_connected_simplices():
     cube = chain(3, 2)
     kuhn = dkk_triangulation(cube, _decomp_framing(cube))
     coords = route_vectors(cube, kuhn.labels)
-    # route i takes edge b{k}.{bit k of i, from the top}: 0 = 000, ..., 7 = 111
-    assert all({0, 7} <= set(s) for s in members(kuhn.simplices))
+    # route i of ``enumerate_routes`` takes edge b{k}.{bit k of i, from the
+    # top}: 0 = 000, ..., 7 = 111
+    corners = route_mask(cube, kuhn.labels, (0, 7))
+    assert all(s & corners == corners for s in kuhn.simplices)
     # cut off the corners 000 and 111, and split the rest around 010-101
-    other = tuple(map(_mask, ((0, 1, 2, 4), (1, 2, 3, 5), (1, 2, 4, 5), (2, 3, 5, 6),
-                              (2, 4, 5, 6), (3, 5, 6, 7))))
+    other = tuple(route_mask(cube, kuhn.labels, s) for s in (
+        (0, 1, 2, 4), (1, 2, 3, 5), (1, 2, 4, 5), (2, 3, 5, 6), (2, 4, 5, 6), (3, 5, 6, 7)))
     assert normalized_volume(cube) == 6
     assert _swap_certificate(cube, with_simplices(kuhn, other), 3, 6).ok
     both = with_simplices(kuhn, kuhn.simplices + other)
@@ -426,8 +430,8 @@ def test_certificate_takes_an_exact_step_where_a_ridge_is_no_prefix_swap(linear_
     prefix swap of 001 and 110 gives 100 and 011.  An exact step certifies
     each of the two."""
     cube = chain(3, 2)
-    split = with_simplices(dkk_triangulation(cube, _decomp_framing(cube)),
-                           map(_mask, CUBE_SPLIT))
+    tri = dkk_triangulation(cube, _decomp_framing(cube))
+    split = with_simplices(tri, (route_mask(cube, tri.labels, s) for s in CUBE_SPLIT))
     report = verify_dkk_triangulation(cube, split)
     assert report.ok, report.issues
     assert linear_algebra_calls == {"determinant": 1 + 2 * 2}
@@ -443,8 +447,8 @@ def test_certificate_rejects_a_folded_simplex(linear_algebra_calls):
     folded = with_simplices(tri, tri.simplices * 2)
     assert len(folded.simplices) == 2
     assert _swap_certificate(g3, folded, 2, 2).issues == tuple(
-        f"simplices (0, 1, 2) and (0, 1, 2) lie on the same side of ridge {r}"
-        for r in ((0, 1), (0, 2), (1, 2)))
+        f"simplices (2, 1, 0) and (2, 1, 0) lie on the same side of ridge {r}"
+        for r in ((1, 0), (2, 0), (2, 1)))
     assert linear_algebra_calls == {"determinant": 1 + 2 * 3}
     report = verify_dkk_triangulation(g3, folded)
     assert report.issues[0] == "2 simplices but normalized volume 1"
@@ -459,16 +463,25 @@ def test_certificate_rejects_a_ridge_across_which_the_volume_doubles():
     coordinate -2, and no swap crosses it, so the exact step names the
     ridge."""
     cube = chain(3, 2)
-    cut = with_simplices(dkk_triangulation(cube, _decomp_framing(cube)), map(_mask, (
+    tri = dkk_triangulation(cube, _decomp_framing(cube))
+
+    def printed(routes: tuple[int, ...]) -> tuple[int, ...]:
+        """The member tuple an issue prints for routes numbered as in
+        ``test_certificate_needs_swap_connected_simplices``."""
+        return _members(route_mask(cube, tri.labels, routes))
+
+    cut = with_simplices(tri, (route_mask(cube, tri.labels, s) for s in (
         (0, 4, 5, 6), (0, 2, 3, 6), (0, 1, 3, 5), (3, 5, 6, 7), (0, 3, 5, 6))))
     issues = verify_dkk_triangulation(cube, cut).issues
     assert issues[0] == "5 simplices but normalized volume 6"
+    middle = printed((0, 3, 5, 6))
     assert sorted(issues[1:]) == sorted(
-        f"simplices {corner} and (0, 3, 5, 6) differ in volume across ridge {ridge}"
+        f"simplices {printed(corner)} and {middle} differ in volume across ridge "
+        f"{printed(ridge)}"
         for corner, ridge in (((0, 4, 5, 6), (0, 5, 6)), ((0, 2, 3, 6), (0, 3, 6)),
                               ((0, 1, 3, 5), (0, 3, 5)), ((3, 5, 6, 7), (3, 5, 6))))
     oracle = verify_triangulation(cut, route_vectors(cube, cut.labels), 3, 6)
-    assert "simplex (0, 3, 5, 6) is not unimodular" in oracle.issues
+    assert f"simplex {middle} is not unimodular" in oracle.issues
 
 
 def test_certificate_names_a_degenerate_simplex_at_its_exact_step():
@@ -480,8 +493,8 @@ def test_certificate_names_a_degenerate_simplex_at_its_exact_step():
     tri = dkk_triangulation(cube, _decomp_framing(cube))
     coords = route_vectors(cube, tri.labels)
     square = _mask(i for i, x in enumerate(coords) if x[0] == 0)
-    assert members([square]) == ((4, 5, 6, 7),)
+    assert members([square]) == ((3, 2, 1, 0),)
     bad = with_simplices(tri, tri.simplices[:1] + (square,) + tri.simplices[2:])
     issues = verify_dkk_triangulation(cube, bad).issues
-    assert issues.count("simplex (4, 5, 6, 7) is degenerate") == 1
-    assert "simplex (4, 5, 6, 7) is degenerate" in verify_triangulation(bad, coords, 3, 6).issues
+    assert issues.count("simplex (3, 2, 1, 0) is degenerate") == 1
+    assert "simplex (3, 2, 1, 0) is degenerate" in verify_triangulation(bad, coords, 3, 6).issues

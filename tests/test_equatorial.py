@@ -136,7 +136,9 @@ def assert_facets_keep_the_first_transversal(dag, decomp=None):
     for m in product(*decomp):
         first.setdefault(_mask(routes_avoiding(table.routes, m)), m)
     assert [f.transversal for f in facets] == [first[f.routes] for f in facets]
-    assert [_members(f.routes) for f in facets] == sorted(_members(f.routes) for f in facets)
+    # a route list sorts as its routes' edge-id tuples do, in enumeration order
+    named = [sorted(table.routes[i] for i in _members(f.routes)) for f in facets]
+    assert named == sorted(named)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG | CHAINS) + ["ru(3,5,.5,1)"])
@@ -185,7 +187,7 @@ def test_sphere_d1_is_two_points():
 
 def test_sphere_d3_is_hexagon():
     d3 = D3()
-    routes = enumerate_routes(d3)
+    routes = all_routes(d3).routes
     s = sphere(d3, route_decomposition(d3))
     faces = Complex(members(s.maximal_faces))
     assert s.f_vector == f_vector(faces) == (1, 6, 6)
@@ -224,9 +226,8 @@ def test_sphere_properties_random():
 
 def test_join_triangulation_d1():
     d1 = D1()
-    routes = enumerate_routes(d1)
     tri = equatorial_flow_triangulation(d1, route_decomposition(d1))
-    named = {frozenset(routes[i] for i in s) for s in members(tri.simplices)}
+    named = {frozenset(tri.labels[i] for i in s) for s in members(tri.simplices)}
     assert named == {
         frozenset({("a", "d"), ("a", "c"), ("b", "d")}),
         frozenset({("b", "c"), ("a", "c"), ("b", "d")}),
@@ -246,7 +247,7 @@ def test_join_triangulation_verifies():
 def test_no_inner_vertices_gives_plain_simplex():
     g3 = G(3)
     tri = equatorial_flow_triangulation(g3, route_decomposition(g3))
-    assert members(tri.simplices) == ((0, 1, 2),)
+    assert members(tri.simplices) == ((2, 1, 0),)
 
 
 def test_d3_differs_from_every_dkk():
@@ -399,8 +400,8 @@ def test_t_eq_with_a_clique_dropped_raises_or_keeps_the_sphere(name):
 
 @pytest.mark.parametrize("adj,masks,size,message", [
     ((0b110, 0b101, 0b011), (0b111,), 2, "extends past 2 routes"),
-    ((0b000, 0b100, 0b010), (0b111,), 3, "face (0,) of T_eq is maximal below 3"),
-    ((0b10, 0b01, 0b00), (0b111,), 2, "lies in 1 facets, not 2"),
+    ((0b010, 0b001, 0b000), (0b111,), 3, "face (2,) of T_eq is maximal below 3"),
+    ((0b000, 0b100, 0b010), (0b111,), 2, "lies in 1 facets, not 2"),
     ((0b00, 0b00), (0b11, 0b00), 1, "facet ('m1',) holds no facet"),
 ], ids=["extends", "maximal", "ridge", "cover"])
 def test_t_eq_names_the_broken_clause(adj, masks, size, message):

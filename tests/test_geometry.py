@@ -26,7 +26,7 @@ from tests.conftest import (RU341, RU351, RU441, RU452, brute_count_lattice_poin
                             is_unimodular_simplex, lp_triangulation_ok,
                             maximal_equatorial_chains, maximal_minor_gcd,
                             members, per_dilate_count_lattice_points, random_balanced_dag,
-                            ridges_in_two_facets, route_unions, route_vectors,
+                            ridges_in_two_facets, route_mask, route_unions, route_vectors,
                             simplices_meet_in_common_face,
                             smith_divisors, swapped_vertex, trimmed, verify_triangulation,
                             with_simplices)
@@ -571,9 +571,10 @@ def test_ridge_check_and_lp_oracle_reject_corruptions(dag):
     d1 = D1()
     square = equatorial_flow_triangulation(d1, route_decomposition(d1))
     coords = route_vectors(d1, square.labels)
-    overlap = with_simplices(square, map(_mask, ((0, 1, 2), (0, 1, 3))))
+    overlap = with_simplices(square, (route_mask(d1, square.labels, s)
+                                      for s in ((0, 1, 2), (0, 1, 3))))
     assert_ridge_check_matches_lp(overlap, coords, 2, 2, False)
-    assert "simplices (0, 1, 2) and (0, 1, 3) lie on the same side of ridge (0, 1)" \
+    assert "simplices (3, 2, 1) and (3, 2, 0) lie on the same side of ridge (3, 2)" \
         in verify_triangulation(overlap, coords, 2, 2).issues
 
 
@@ -597,15 +598,15 @@ def test_verify_triangulation_reports_malformed_input():
     assert empty.issues == ("no simplices", "0 simplices but normalized volume 2")
     short = verify_triangulation(with_simplices(square, map(_mask, ((0, 1, 2), (1, 3), ()))),
                                  coords, 2, 2)
-    assert short.issues[:2] == ("simplex (1, 3) has 2 vertices, expected 3",
+    assert short.issues[:2] == ("simplex (3, 1) has 2 vertices, expected 3",
                                 "simplex () has 0 vertices, expected 3")
     two = tuple(map(_mask, ((0, 1, 2), (0, 1, 3))))
     # vertex 3 put on vertex 0
     flat = verify_triangulation(Triangulation(two, square.labels), coords[:3] + coords[:1], 2, 2)
-    assert flat.issues == ("simplex (0, 1, 3) is degenerate",)
+    assert flat.issues == ("simplex (3, 1, 0) is degenerate",)
     stray = verify_triangulation(with_simplices(square, map(_mask, ((0, 1, 2), (0, 1, 9)))),
                                  coords, 2, 2)
-    assert stray.issues == ("simplex (0, 1, 9) names a vertex without coordinates",)
+    assert stray.issues == ("simplex (9, 1, 0) names a vertex without coordinates",)
     lifted = verify_triangulation(square, coords + ((2, 0, 0, 0),), 2, 2)
     assert lifted.issues == ("the points span dimension 3, expected 2",)
     point = (with_simplices(square, (0,)), coords, -1, 1)
@@ -633,10 +634,17 @@ def test_verify_triangulation_reports_malformed_input():
 @given(st.integers(0, 40).flatmap(lambda size: st.lists(
     st.sets(st.integers(0, 100), min_size=size, max_size=size).map(_mask), max_size=40)))
 def test_canonical_order_is_the_member_order_within_a_size(masks):
-    """Masks of one size sort by their bit-reversed value, descending, as
-    their member tuples sort; across sizes they do not."""
-    assert _canonical(masks) == sorted(masks, key=_members)
-    assert _canonical([_mask((0,)), _mask((0, 1))]) == [_mask((0, 1)), _mask((0,))]
+    """Masks of one size over a table of 101 routes listed last-first (bit i
+    is route 100 - i) sort descending as ints, as the tuples of their
+    routes sort, and ``_members`` lists those routes' bits; across sizes
+    they do not: routes (0, 1) come before route (0,)."""
+    def routes_of(m: int) -> tuple[int, ...]:
+        return tuple(100 - i for i in range(100, -1, -1) if m >> i & 1)
+
+    assert _canonical(masks) == sorted(masks, key=routes_of)
+    assert [tuple(100 - i for i in _members(m)) for m in masks] == list(map(routes_of, masks))
+    first, both = _mask((100,)), _mask((100, 99))
+    assert _canonical([first, both]) == [both, first]
 
 
 def test_join_with_an_empty_complex_or_a_wrong_size():
@@ -650,12 +658,12 @@ def test_join_with_an_empty_complex_or_a_wrong_size():
     decomp = route_decomposition(g3)
     table, _, _, sphere = equatorial_sphere(g3, decomp)
     assert members(sphere.maximal_faces) == ((),)
-    assert members(joined_simplices(g3, table, decomp, sphere)) == ((0, 1, 2),)
+    assert members(joined_simplices(g3, table, decomp, sphere)) == ((2, 1, 0),)
     chain3 = make_poset("abc", [("a", "b"), ("b", "c")])
     assert maximal_equatorial_chains(chain3) == ()
     sigma = rank_constant_filters(chain3)
     assert equatorial_order_triangulation(chain3).simplices == (sigma,)
-    with pytest.raises(AssertionError, match=r"join simplex \(0, 1, 2\) has size 3"):
+    with pytest.raises(AssertionError, match=r"join simplex \(2, 1, 0\) has size 3"):
         join_with_simplex(_mask((0,)), (_mask((1,)), _mask((1, 2))), 2)
     with pytest.raises(AssertionError, match="expected 2"):
         join_with_simplex(_mask((0,)), (), 2)

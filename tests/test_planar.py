@@ -27,7 +27,7 @@ from tests.conftest import (all_routes, brute_order_polytope_count, canonical_tr
                             maximal_equatorial_chains, maximal_filter_chains, members,
                             old_verify_equivalence, order_polytope_vertices, order_to_flow,
                             pairwise_comparability, poset_from_json,
-                            recursive_heights, recursive_up_sets,
+                            recursive_heights, recursive_up_sets, route_mask,
                             route_of_flow, stacked_rotations, staircase_poset,
                             subset_scan_filters,
                             verify_triangulation, with_simplices, zigzag_rotations)
@@ -67,10 +67,12 @@ def antichain(n):
 
 
 def index_chains(poset: Poset, chains) -> tuple[tuple[int, ...], ...]:
-    """Chains of filters as ascending tuples of ``poset.filters`` indices,
-    in lexicographic order."""
+    """Chains of filters as descending tuples of ``poset.filters`` indices,
+    in reverse lexicographic order: the member tuples of masks over the
+    filters, in ``geometry._canonical`` order."""
     idx = {f: i for i, f in enumerate(filter_sets(poset, poset.filters))}
-    return tuple(sorted(tuple(sorted(idx[f] for f in c)) for c in chains))
+    return tuple(sorted((tuple(sorted((idx[f] for f in c), reverse=True)) for c in chains),
+                        reverse=True))
 
 
 def test_make_poset_reduces_transitively():
@@ -242,7 +244,7 @@ def test_rank_constant_filters_are_the_unions_of_the_top_ranks():
         h = p.heights
         want = [sum(b for q, b in p.bits.items() if h[q] > j)
                 for j in range(max(h.values(), default=0) + 1)]
-        assert [p.filters[i] for i in reversed(_members(rank_constant_filters(p)))] == want, p
+        assert [p.filters[i] for i in _members(rank_constant_filters(p))] == want, p
 
 
 def test_600_element_chain_without_recursion():
@@ -350,7 +352,7 @@ def test_canonical_triangulation_counts():
 
 def test_rank_constant_filters():
     p = chain(2)                      # p0 < p1
-    sigma = reversed(_members(rank_constant_filters(p)))
+    sigma = _members(rank_constant_filters(p))
     assert filter_sets(p, [p.filters[i] for i in sigma]) == (
         frozenset({"p0", "p1"}), frozenset({"p1"}), frozenset())
     with pytest.raises(ValueError):
@@ -363,7 +365,7 @@ def test_equatorial_chains_antichain_2():
     assert equatorial_by_map(p, [frozenset({"q1"})])
     assert not equatorial_by_map(p, [frozenset({"q0"}), frozenset({"q0", "q1"})])
     assert filter_sets(p, p.filters[1:3]) == (frozenset({"q0"}), frozenset({"q1"}))
-    assert members(maximal_equatorial_chains(p)) == ((1,), (2,))
+    assert members(maximal_equatorial_chains(p)) == ((2,), (1,))
 
 
 def test_equatorial_chain_rejects_bad_chains():
@@ -573,7 +575,7 @@ def test_equivalence_failure_texts(dag, rotations, pair, join_face, clique_face,
 
     def pair_cut(adj):
         adj = list(adj)
-        i, j = pair
+        i, j = _members(route_mask(dag, all_routes(dag).routes, pair))
         assert adj[i] >> j & 1
         adj[i] ^= 1 << j
         adj[j] ^= 1 << i
