@@ -238,13 +238,14 @@ def members(simplices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def member_list_report(command: str, dag: Dag, digest: str,
-                       check: TriangulationReport | None) -> dict:
+                       certified: tuple[Triangulation, TriangulationReport] | None) -> dict:
     """The report ``flowtri dkk`` or ``flowtri equatorial`` prints for
     ``dag`` and the default decomposition, with every simplex and face a
     list of route lists (lists of edge ids), built from library calls as
-    the CLI built it before its reports held faces as masks.  ``check`` is
-    the certificate's report on the ``dkk`` triangulation, which the CLI's
-    run has already made, so the certificate does not run twice."""
+    the CLI built it before its reports held faces as masks.  ``certified``
+    is the triangulation the CLI's ``dkk`` run handed the certificate and
+    the certificate's report, which is reused once that triangulation is
+    checked to be the one built here, so the certificate does not run twice."""
     decomp = route_decomposition(dag)
     report: dict = {"command": command, "digest": digest}
 
@@ -253,6 +254,8 @@ def member_list_report(command: str, dag: Dag, digest: str,
 
     if command == "dkk":
         tri = dkk_triangulation(dag, decomposition_framing(dag, decomp))
+        checked, check = certified
+        assert checked == tri, "the certificate ran on another triangulation"
         return {**report, "routes": len(tri.labels),
                 "simplices": route_lists(tri.labels, tri.simplices),
                 "exceptional_routes": [list(r) for r in exceptional_routes(tri)],
