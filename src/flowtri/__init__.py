@@ -9,10 +9,9 @@ from .dag import (D1, D2, D3, Dag, Edge, G, bypass, contract_idle_edges,
 from .dkk import (Triangulation, coherence_graph, dkk_triangulation, exceptional_routes,
                   verify_dkk_triangulation)
 from .equatorial import differs_from_dkk, equatorial_facets, equatorial_sphere, t_eq
-from .geometry import count_lattice_points, ehrhart_hstar, normalized_volume
-from .planar import (PlanarEmbedding, Poset, make_poset, planar_dual,
-                     planar_framing, poset_to_dag, topmost_route_decomposition,
-                     verify_equivalence)
+from .geometry import ehrhart_hstar, normalized_volume
+from .planar import (PlanarEmbedding, Poset, make_poset, planar_dual, poset_to_dag,
+                     topmost_route_decomposition, verify_equivalence)
 from .quotient import check_transversal_identity, phi, quotient_facets, verify_reflexive
 from .routes import (Framing, NotGorensteinError, RouteTable, decomposition_framing,
                      enumerate_routes, graph_table, route_decomposition, route_table)

@@ -262,7 +262,7 @@ def cmd_analyze(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     report["dimension"] = dagmod.dimension(dag)
     hs = geo.ehrhart_hstar(dag)
     # the integer flows of strength 1 are the routes; a point (dim 0) has no L(1)
-    report["routes"] = hs.counts[1] if len(hs.counts) > 1 else geo.count_lattice_points(dag, 1)
+    report["routes"] = hs.counts[1] if len(hs.counts) > 1 else geo.lattice_counts(dag, 1)[1]
     report["ehrhart"] = hs.to_json()
     return report, OK
 
@@ -305,8 +305,8 @@ def cmd_equatorial(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     report["decomposition"] = [list(r) for r in decomp]
     table, _, facets, sphere = eqmod.equatorial_sphere(dag, decomp)
     labels = table.routes
-    report["facets"] = [{"transversal": list(f.transversal), "routes": Faces(labels, f.routes)}
-                        for f in facets]
+    report["facets"] = [{"transversal": list(m), "routes": Faces(labels, rs)}
+                        for rs, m in facets.items()]
     report["sphere"] = {
         "maximal_faces": Faces(labels, sphere.maximal_faces),
         "f_vector": list(sphere.f_vector),

@@ -14,7 +14,7 @@ from functools import reduce
 from itertools import permutations, product
 from math import factorial, prod
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .dag import Dag, degree_equality, dimension, idle_edges
 # ``max_cliques`` is not called here, but the benchmark's self-check wraps
@@ -27,12 +27,6 @@ from .routes import (Framing, NotGorensteinError, Route, RouteTable, decompositi
 Transversal = tuple[str, ...]     # entry i is the chosen edge of route i
 
 MAX_FRAMINGS = 100_000            # bound on the exhaustive framing sweep
-
-
-@dataclass(frozen=True)
-class EquatorialFace:
-    transversal: Transversal
-    routes: int                   # mask over the route list: bit i is route i
 
 
 @dataclass(frozen=True)
@@ -86,23 +80,24 @@ def _facet_masks(dag: Dag, decomp: Sequence[Route], table: RouteTable) -> dict[i
 
 
 def equatorial_facets(dag: Dag, decomp: Sequence[Route],
-                      table: RouteTable) -> tuple[EquatorialFace, ...]:
-    """The equatorial facets of ``_facet_masks`` for the decomposition
-    ``decomp``, in ``_canonical`` order: their member tuples' order, as no
-    facet's routes R hold another's.  R covers every vertex, so an edge off
-    R's transversal m (k edges) joins a prefix of R to a suffix of R, and R
-    spans the face x_m = 0, the flow polytope of the graph less m, of
-    dimension |E| - k - |V| + 1 = dim - k: one such face in another is it."""
+                      table: RouteTable) -> dict[int, Transversal]:
+    """The facet map of ``_facet_masks`` for ``decomp``, keyed in
+    ``_canonical`` order: their member tuples' order, as no facet's routes R
+    hold another's.  R covers every vertex, so an edge off R's transversal m
+    (k edges) joins a prefix of R to a suffix of R, and R spans the face
+    x_m = 0, the flow polytope of the graph less m, of dimension
+    |E| - k - |V| + 1 = dim - k: one such face in another is it."""
     facets = _facet_masks(dag, decomp, table)
-    return tuple(EquatorialFace(facets[rs], rs) for rs in _canonical(facets))
+    return {rs: facets[rs] for rs in _canonical(facets)}
 
 
-def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sphere:
+def t_eq(adj: Sequence[int], facets: Mapping[int, Transversal], size: int) -> Sphere:
     """The equatorial sphere: the clique complex of the coherence graph
     ``adj`` (the decomposition framing's triangulation) restricted to the
-    equatorial complex with the given facets, whose facets have ``size``
-    routes (dim+1-k for k decomposition routes).  ``sphere_facets`` finds
-    the same facets, as an unordered set, without the walk and its checks.
+    equatorial complex of the facet map ``facets`` (route mask -> first
+    choice), whose facets have ``size`` routes (dim+1-k for k decomposition
+    routes).  ``sphere_facets`` finds the same facets in the same map, as an
+    unordered set, without the walk and its checks.
 
     A clique is a face exactly when the AND of its routes' facet masks is
     nonzero, so one depth-first search over lower-bit common neighbours
@@ -112,22 +107,23 @@ def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sph
     an extension, every face of size-1 (a ridge) has exactly two, no face
     of ``size`` has one, and every equatorial facet holds a sphere facet.
     """
+    masks = tuple(facets)
     inc = [0] * len(adj)                 # route -> mask of the facets holding it
-    for k, f in enumerate(facets):
-        for i in _members(f.routes):
+    for k, f in enumerate(masks):
+        for i in _members(f):
             inc[i] |= 1 << k
     spans: dict[int, int] = {}           # AND of facet masks -> routes in those facets
     counts = [0] * (size + 1)
     kept: list[int] = []
     covered = 0
-    every_facet, everyone = (1 << len(facets)) - 1, (1 << len(adj)) - 1
+    every_facet, everyone = (1 << len(masks)) - 1, (1 << len(adj)) - 1
     stack = [(0, 0, every_facet, everyone)]
     while stack:
         face, k, shared, common = stack.pop()     # k = the face's size
         counts[k] += 1
         span = spans.get(shared)
         if span is None:
-            span = spans[shared] = reduce(or_, (facets[f].routes for f in _members(shared)), 0)
+            span = spans[shared] = reduce(or_, (masks[f] for f in _members(shared)), 0)
         grow = common & span & (face & -face) - 1       # below the face's lowest route
         if k == size:
             if grow:
@@ -146,13 +142,14 @@ def t_eq(adj: Sequence[int], facets: Sequence[EquatorialFace], size: int) -> Sph
             stack.append((face | 1 << r, k + 1, shared & inc[r], common & adj[r]))
     if covered != every_facet:
         missed = _members(every_facet & ~covered)[-1]
-        raise AssertionError(f"facet {facets[missed].transversal} holds no facet of T_eq")
+        raise AssertionError(f"facet {facets[masks[missed]]} holds no facet of T_eq")
     return Sphere(tuple(kept), tuple(counts))
 
 
-def sphere_facets(adj: Sequence[int], facets: Sequence[int], size: int) -> set[int]:
+def sphere_facets(adj: Sequence[int], facets: Collection[int], size: int) -> set[int]:
     """The maximal faces of ``t_eq(adj, facets, size)``, given the facets'
-    route masks, as a set with no order, found without walking the faces:
+    route masks (any sized collection, so ``t_eq``'s facet map as it is),
+    as a set with no order, found without walking the faces:
     the maximal cliques of ``adj`` inside each facet O
     (``dkk._sized_cliques``), which must all have ``size`` routes (else
     ``AssertionError``, also for an O that holds no sphere facet).  A face
@@ -160,8 +157,8 @@ def sphere_facets(adj: Sequence[int], facets: Sequence[int], size: int) -> set[i
     triangulate the face O of the polytope (it is the DKK triangulation of
     that face), so they are the sphere's facets in O.  With no facets the
     empty face is the one face, as in ``t_eq``.  ``planar.verify_equivalence``
-    also passes the order side's facets, mapped onto the routes, with the
-    filters' graph; a caller that prints an order sorts."""
+    passes the flow side's facet map and the order side's, mapped onto the
+    routes, with the filters' graph; a caller that prints an order sorts."""
     out: set[int] = set()
     for o in facets or [0]:          # one facet's list at a time, not all at once
         out.update(_sized_cliques(adj, size, o))
@@ -179,10 +176,10 @@ def joined_simplices(dag: Dag, table: RouteTable, decomp: Sequence[Route],
 
 def equatorial_sphere(dag: Dag, decomp: Sequence[Route]
                       ) -> tuple[RouteTable, tuple[int, ...],
-                                 tuple[EquatorialFace, ...], Sphere]:
+                                 dict[int, Transversal], Sphere]:
     """The table of the route list, the coherence graph of the decomposition
-    framing, the equatorial facets over the routes and the equatorial sphere
-    T_eq."""
+    framing, the equatorial facet map over the routes (``equatorial_facets``)
+    and the equatorial sphere T_eq."""
     table = graph_table(dag)
     adj = coherence_graph(decomposition_framing(dag, decomp), table)
     facets = equatorial_facets(dag, decomp, table)

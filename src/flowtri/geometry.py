@@ -124,12 +124,6 @@ def h_from_f(fv: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Ehrhart counting for flow polytopes
 
-def count_lattice_points(dag: Dag, t: int, interior: bool = False) -> int:
-    """Integer flows of strength t, ``lattice_counts(dag, t, interior)[t]``;
-    0 for t < 0."""
-    return lattice_counts(dag, t, interior)[t] if t >= 0 else 0
-
-
 # Dilates per pass.  Lane j of a start weight costs w * j bits, so a pass's
 # start weights hold w * LANES**2 / 2 bits; past LANES dilates a new pass
 # begins.  On G(1010) (dimension 1009) a process running ``ehrhart_hstar``

@@ -250,8 +250,10 @@ def _trace(edge_ends: Mapping[str, tuple], rotations: Mapping) -> Trace:
     return orbits, face_of
 
 
-def validate_embedding(dag: Dag, emb: PlanarEmbedding) -> Trace:
-    """Check the rotation system and return its face trace."""
+def validate_embedding(dag: Dag, emb: PlanarEmbedding) -> tuple[Trace, Framing]:
+    """Check the rotation system; return its face trace and the planar
+    framing, the top-to-bottom orders on in(v) and out(v) split off each
+    inner vertex's rotation where its out-edges begin."""
     rots = emb.rotations
     if set(rots) != set(range(dag.sink + 1)):
         raise ValueError("rotation system must cover every vertex")
@@ -260,12 +262,19 @@ def validate_embedding(dag: Dag, emb: PlanarEmbedding) -> Trace:
             sorted(e.id for e in dag.out_edges(v))
         if sorted(rots[v]) != sorted(incident):
             raise ValueError(f"rotation at {v} is not a permutation of its edges")
+    ins: dict[int, tuple[str, ...]] = {}
+    outs: dict[int, tuple[str, ...]] = {}
     for v in dag.inner_vertices:
-        kinds = [dag.edge_by_id[e].tail == v for e in rots[v]]   # True = outgoing
-        flips = sum(kinds[i] != kinds[i - 1] for i in range(len(kinds)))
-        if flips != 2:
+        rot = rots[v]
+        is_out = [dag.edge_by_id[e].tail == v for e in rot]
+        starts = [i for i in range(len(rot)) if is_out[i] and not is_out[i - 1]]
+        if len(starts) != 1:            # one run of out-edges, one of in-edges
             raise ValueError(f"in/out edges are not contiguous at {v}")
-    return _trace({e.id: (e.tail, e.head) for e in dag.edges}, rots)
+        cyc = rot[starts[0]:] + rot[:starts[0]]
+        k = dag.outdeg(v)
+        outs[v] = tuple(reversed(cyc[:k]))    # rotation lists them bottom-up
+        ins[v] = tuple(cyc[k:])
+    return _trace({e.id: (e.tail, e.head) for e in dag.edges}, rots), Framing(ins, outs)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +282,12 @@ def validate_embedding(dag: Dag, emb: PlanarEmbedding) -> Trace:
 
 @dataclass(frozen=True)
 class PlanarDual:
+    """The dual poset, each edge's cover, and the planar framing that
+    ``validate_embedding`` read off the rotations."""
+
     poset: Poset
     cover_of_edge: dict[str, tuple[str, str]]  # edge -> (face below, face above)
+    framing: Framing
 
 
 def planar_dual(dag: Dag, emb: PlanarEmbedding) -> PlanarDual:
@@ -282,9 +295,10 @@ def planar_dual(dag: Dag, emb: PlanarEmbedding) -> PlanarDual:
 
     The unbounded face plays bottom for the lowest edges and top for the
     highest ones; it is reported via the markers, never as an element.
-    This is where an embedding is validated and its faces traced.
+    This is where an embedding is validated, its faces traced and its
+    planar framing read.
     """
-    orbits, face_of = validate_embedding(dag, emb)
+    (orbits, face_of), framing = validate_embedding(dag, emb)
     outer = face_of[(emb.rotations[SOURCE][-1], 1)]
     names: dict[int, str] = {}
     used: set[str] = set()
@@ -306,7 +320,7 @@ def planar_dual(dag: Dag, emb: PlanarEmbedding) -> PlanarDual:
                      if c[0] != BOTTOM and c[1] != TOP})
     poset = Poset(tuple(sorted(names.values())), tuple(covers))
     poset.heights                 # strips minimal faces; raises on a cyclic dual
-    return PlanarDual(poset, cover_of_edge)
+    return PlanarDual(poset, cover_of_edge, framing)
 
 
 # ---------------------------------------------------------------------------
@@ -412,26 +426,6 @@ def _layered_rotations(poset: Poset, edges) -> dict[str, tuple[str, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Planar framing and the integral equivalences
-
-def planar_framing(dag: Dag, emb: PlanarEmbedding) -> Framing:
-    """Top-to-bottom orders on in(v) and out(v) read off the rotations of
-    a validated embedding (see ``planar_dual``)."""
-    ins: dict[int, tuple[str, ...]] = {}
-    outs: dict[int, tuple[str, ...]] = {}
-    for v in dag.inner_vertices:
-        rot = emb.rotations[v]
-        is_out = [dag.edge_by_id[e].tail == v for e in rot]
-        start = next(i for i in range(len(rot))
-                     if is_out[i] and not is_out[i - 1])
-        cyc = rot[start:] + rot[:start]
-        k = dag.outdeg(v)
-        outs[v] = tuple(reversed(cyc[:k]))    # rotation lists them bottom-up
-        ins[v] = tuple(cyc[k:])
-    return Framing(ins, outs)
-
-
-# ---------------------------------------------------------------------------
 # Simplices of the order polytope's triangulations, as filter chains
 
 def rank_constant_filters(poset: Poset) -> int:
@@ -455,18 +449,20 @@ def _cutters(poset: Poset, pairs: Iterable[tuple[str, str]]) -> list[int]:
     return [held[b] & ~held[a] for a, b in pairs]
 
 
-def _equatorial_filter_sets(poset: Poset) -> tuple[list[int], int]:
-    """The order side's equatorial facets, masks over ``poset.filters``:
-    the inclusion-maximal sets of proper filters cutting no cover of a
-    choice (``_avoided_sets``); and n - r, their sphere facets' size."""
+def _equatorial_filter_sets(poset: Poset) -> tuple[dict[int, tuple[str, ...]], int]:
+    """The order side's facet map: each inclusion-maximal set of proper
+    filters cutting no cover of a choice, a mask over ``poset.filters`` ->
+    the first choice of covers ``a<b``, one into each rank j >= 2, reaching
+    it (``_avoided_sets``); and n - r, their sphere facets' size."""
     if not poset.graded:
         raise ValueError("poset is not graded")
     h, ranks = poset.heights, max(poset.heights.values(), default=0)
-    into: list[list] = [[] for _ in range(ranks - 1)]    # rank j: (name, filters not cutting)
+    into: list[list] = [[] for _ in range(ranks - 1)]    # rank j: (cover, filters not cutting)
     for (a, b), c in zip(poset.covers, _cutters(poset, poset.covers)):
-        into[h[b] - 2].append((a, ~c))
+        into[h[b] - 2].append((f"{a}<{b}", ~c))
     uncut = _avoided_sets((1 << len(poset.filters) - 1) - 1 & ~1, into)    # proper filters
-    return [m for m in uncut if not any(m != o and m & o == m for o in uncut)], len(h) - ranks
+    return ({m: t for m, t in uncut.items() if not any(m != o and m & o == m for o in uncut)},
+            len(h) - ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +536,7 @@ class EquivalenceReport:
 def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
                        dual: PlanarDual) -> EquivalenceReport:
     """End-to-end comparison of the two sides of the duality, given the
-    embedding's dual from ``planar_dual``.
+    embedding's dual from ``planar_dual``, whose planar framing it reads.
 
     Checks that the topmost decomposition's framing is the planar framing,
     that complete filter chains map onto the planar framing's clique
@@ -552,23 +548,24 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     Each half compares what generates it: the filters' comparability graph,
     built on the routes (``_filter_graph``), with the coherence graph, then
     the mapped rank-constant simplex and order sphere with the route simplex
-    and the flow sphere (both spheres by ``sphere_facets``, the flow side's
-    inside the facet masks of ``_facet_masks``), the spheres as sets.
+    and the flow sphere (both spheres by ``sphere_facets``, each inside its
+    side's facet map: ``_facet_masks`` as it comes, and the order side's
+    mapped onto the routes key by key), the spheres as sets.
     Cliques and joins only name what differs; each sphere is sorted into
     canonical order for its join, as ``join_with_simplex`` asks.
     """
     issues: list[str] = []
-    pf = planar_framing(dag, emb)
+    table, top = graph_table(dag), dimension(dag) + 1
+    routes = table.routes
+    # raises on another graph's dual before its framing is read
+    poset, route_of, pf = dual.poset, filter_routes(dag, dual, table), dual.framing
     decomp = topmost_route_decomposition(dag, emb, pf)
     df = decomposition_framing(dag, decomp)
     for v in dag.inner_vertices:
         if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
             issues.append(f"framings disagree at vertex {v}")
-    table, top = graph_table(dag), dimension(dag) + 1
-    routes = table.routes
     adj = coherence_graph(df, table)
-    flow = sphere_facets(adj, list(_facet_masks(dag, decomp, table)), top - len(decomp))
-    poset, route_of = dual.poset, filter_routes(dag, dual, table)
+    flow = sphere_facets(adj, _facet_masks(dag, decomp, table), top - len(decomp))
 
     def mapped(m: int) -> int:
         return _mask(route_of[i] for i in _members(m))
@@ -593,7 +590,8 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
 
     sigma, simplex = mapped(rank_constant_filters(poset)), _mask(map(routes.index, decomp))
     facets, size = _equatorial_filter_sets(poset)
-    chains = sphere_facets(graph, list(map(mapped, facets)), size)
+    # ``filter_routes`` maps filters one to one, so no two mapped keys collide
+    chains = sphere_facets(graph, {mapped(m): t for m, t in facets.items()}, size)
     # no sphere face holds a decomposition route, so joining is one to one
     if sigma == simplex and chains == flow:
         return EquivalenceReport(tuple(issues), decomp, len(flow), len(flow))

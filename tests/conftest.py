@@ -19,7 +19,7 @@ from flowtri.dag import (SOURCE, Dag, contract_idle_edges, dimension, gorenstein
                          make_dag, random_dag, validate)
 from flowtri.dkk import (Triangulation, TriangulationReport, dkk_triangulation,
                         exceptional_routes)
-from flowtri.equatorial import (EquatorialFace, Sphere, Transversal, _all_framings,
+from flowtri.equatorial import (Sphere, Transversal, _all_framings,
                                 equatorial_sphere, joined_simplices)
 from flowtri.geometry import (_canonical, _mask, _members, ehrhart_hstar, euler_characteristic,
                               h_from_f, normalized_volume)
@@ -264,8 +264,8 @@ def member_list_report(command: str, dag: Dag, digest: str,
     routes = table.routes
     h, h_star = h_from_f(teq.f_vector), ehrhart_hstar(dag).h_star
     return {**report, "decomposition": [list(r) for r in decomp],
-            "facets": [{"transversal": list(f.transversal),
-                        "routes": route_lists(routes, [f.routes])[0]} for f in facets],
+            "facets": [{"transversal": list(m), "routes": route_lists(routes, [rs])[0]}
+                       for rs, m in facets.items()],
             "sphere": {"maximal_faces": route_lists(routes, teq.maximal_faces),
                        "f_vector": list(teq.f_vector),
                        "euler_characteristic": euler_characteristic(teq.f_vector)},
@@ -482,13 +482,13 @@ def complex_from_faces(faces: Iterable[Iterable]) -> Complex:
 
 
 def old_t_eq(cliques: Iterable[Sequence[int]],
-             facets: Sequence[EquatorialFace]) -> Complex:
+             facets: Iterable[int]) -> Complex:
     """T_eq as every intersection of a maximal clique of the coherence graph
-    with a facet's route set, filtered to the maximal ones: the oracle for
-    ``equatorial.t_eq``.  Its faces are member tuples in the order the
+    with a facet's route mask (a key of the facet map), filtered to the
+    maximal ones: the oracle for ``equatorial.t_eq``.  Its faces are member tuples in the order the
     graph's route table gives (``routes.graph_table``, routes last-first):
     indices descending, and faces of one size in reverse tuple order."""
-    pieces = {c & f.routes for c in set(map(_mask, cliques)) for f in facets}
+    pieces = {c & f for c in set(map(_mask, cliques)) for f in facets}
     return Complex(tuple(sorted(map(_members, maximal_masks(pieces)), reverse=True)))
 
 
@@ -507,17 +507,18 @@ def is_facet_transversal(dag: Dag, routes: Sequence[Route],
 
 
 def set_equatorial_facets(dag: Dag, decomp: Sequence[Route],
-                          routes: Sequence[Route]) -> tuple[EquatorialFace, ...]:
-    """The equatorial facets by a Python set per transversal: the oracle for
-    the mask-based ``equatorial.equatorial_facets``."""
+                          routes: Sequence[Route]) -> dict[int, Transversal]:
+    """The equatorial facet map by a Python set per transversal, each
+    facet's route mask -> its first transversal: the oracle for the
+    mask-based ``equatorial.equatorial_facets``, keyed in its order."""
     seen: dict[frozenset[int], Transversal] = {}
     for m in product(*decomp):
         avoided = routes_avoiding(routes, m)
         if is_facet_transversal(dag, routes, avoided):
             seen.setdefault(avoided, m)
     # a route list sorts as its routes' edge-id tuples do, in enumeration order
-    return tuple(EquatorialFace(m, _mask(rs)) for rs, m in
-                 sorted(seen.items(), key=lambda kv: sorted(routes[i] for i in kv[0])))
+    return {_mask(rs): m for rs, m in
+            sorted(seen.items(), key=lambda kv: sorted(routes[i] for i in kv[0]))}
 
 
 def product_avoided_sets(everyone: int, groups: Sequence[Sequence[tuple[str, int]]]
@@ -646,7 +647,7 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
     both, and the flow side's facets from ``equatorial.equatorial_facets``.
     The oracle for the generator comparison."""
     issues: list[str] = []
-    pf = planar.planar_framing(dag, emb)
+    pf = dual.framing
     decomp = planar.topmost_route_decomposition(dag, emb, pf)
     df = planar.decomposition_framing(dag, decomp)
     for v in dag.inner_vertices:
@@ -656,7 +657,7 @@ def old_verify_equivalence(dag: Dag, emb, dual: PlanarDual) -> planar.Equivalenc
     routes = table.routes
     adj = planar.coherence_graph(df, table)
     sphere = Sphere(tuple(_canonical(planar.sphere_facets(
-        adj, [f.routes for f in equatorial.equatorial_facets(dag, decomp, table)],
+        adj, equatorial.equatorial_facets(dag, decomp, table),
         dimension(dag) + 1 - len(decomp)))), ())
     poset = dual.poset
     route_of = planar.filter_routes(dag, dual, table)

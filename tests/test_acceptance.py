@@ -11,7 +11,7 @@ from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, degree_equality,
                          dimension, random_dag)
 from flowtri.dkk import Triangulation, dkk_triangulation
 from flowtri.equatorial import differs_from_dkk, equatorial_facets, framing_count
-from flowtri.geometry import count_lattice_points, ehrhart_hstar, normalized_volume
+from flowtri.geometry import ehrhart_hstar, lattice_counts, normalized_volume
 from flowtri.planar import PlanarEmbedding, verify_equivalence
 from flowtri.quotient import (check_transversal_identity, quotient_facets,
                               verify_reflexive)
@@ -156,7 +156,7 @@ def test_criterion_8_codegree_is_route_count():
     for dag in (D1(), D2(), D3(), G(1), G(2), G(3), G(4)):
         codeg = dag.outdeg(0)
         first = next(t for t in range(1, codeg + 2)
-                     if count_lattice_points(dag, t, interior=True) > 0)
+                     if lattice_counts(dag, t, interior=True)[t] > 0)
         ok = ok and first == codeg == ehrhart_hstar(dag).codegree
     report(8, "smallest dilate with an interior lattice point = outdeg(s):"
               " 2 (D1, D2), 3 (D3), k (Gk)", ok)
@@ -169,7 +169,7 @@ def test_criterion_9_strongly_planar_equivalence():
         emb = PlanarEmbedding(stacked_rotations(dag))
         dual = planar_dual(dag, emb)
         ok = ok and order_polytope_count(dual.poset, 4) == [
-            count_lattice_points(dag, t) for t in range(1, 5)]
+            lattice_counts(dag, t)[t] for t in range(1, 5)]
         rep = verify_equivalence(dag, emb, dual)
         ok = ok and rep.ok
     report(9, "stacked D1/D2: flow and order polytope lattice counts agree"

@@ -12,7 +12,7 @@ from flowtri.dkk import (Triangulation, _chart, _sized_cliques, _swap_certificat
                          verify_dkk_triangulation)
 from flowtri.equatorial import _all_framings, framing_count
 from flowtri.geometry import _mask, _members, determinant, ehrhart_hstar, normalized_volume
-from flowtri.planar import planar_framing, poset_to_dag
+from flowtri.planar import poset_to_dag, validate_embedding
 from flowtri.routes import decomposition_framing, route_decomposition
 from tests.conftest import (RU351, Complex, all_routes, chain, conflict, corrupted,
                             equatorial_flow_triangulation, h_polynomial,
@@ -189,7 +189,7 @@ def test_coherence_graph_matches_pairwise_oracle_planar_framings():
         [staircase_poset(rng, ranks, 3, 3) for ranks in (3, 4)]
     for p in posets:
         dag, emb = poset_to_dag(p)
-        assert_coherence_matches_oracle(dag, [planar_framing(dag, emb)])
+        assert_coherence_matches_oracle(dag, [validate_embedding(dag, emb)[1]])
 
 
 def test_max_cliques_past_the_recursion_limit():

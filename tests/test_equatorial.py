@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from flowtri import dkk, equatorial
 from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
 from flowtri.dkk import max_cliques
-from flowtri.equatorial import (EquatorialFace, _avoided_sets, _facet_masks, differs_from_dkk,
+from flowtri.equatorial import (_avoided_sets, _facet_masks, differs_from_dkk,
                                 equatorial_facets, equatorial_sphere, framing_count,
                                 joined_simplices, sphere_facets, t_eq)
 from flowtri.geometry import _canonical, _mask, _members, ehrhart_hstar, h_from_f, normalized_volume
@@ -41,15 +41,14 @@ def sphere_inputs(dag, decomp=None):
 
 def assert_t_eq_matches_oracle(dag, decomp=None):
     """``t_eq`` matches the clique x facet oracle, and the clique search
-    inside each facet (``sphere_facets``) finds the facets ``t_eq`` walks
-    to, which sorted are ``t_eq``'s canonical order."""
+    inside each facet (``sphere_facets``, on the same facet map) finds the
+    facets ``t_eq`` walks to, which sorted are ``t_eq``'s canonical order."""
     adj, facets, size = sphere_inputs(dag, decomp)
     got = t_eq(adj, facets, size)
     want = old_t_eq(members(max_cliques(adj, dimension(dag) + 1)), facets)
     assert members(got.maximal_faces) == want.maximal_faces
     assert got.f_vector == f_vector(want)
-    assert tuple(_canonical(sphere_facets(adj, [f.routes for f in facets], size))) == \
-        got.maximal_faces
+    assert tuple(_canonical(sphere_facets(adj, facets, size))) == got.maximal_faces
 
 
 @settings(max_examples=300, deadline=None)
@@ -111,8 +110,8 @@ def test_equatorial_facets_match_set_oracle_catalog():
     for dag, decomp in (*CATALOG.values(), CHAINS["chain4x3"], (RU351, None)):
         decomp = decomp or route_decomposition(dag)
         table = all_routes(dag)
-        assert (equatorial_facets(dag, decomp, table)
-                == set_equatorial_facets(dag, decomp, table.routes))
+        assert (list(equatorial_facets(dag, decomp, table).items())
+                == list(set_equatorial_facets(dag, decomp, table.routes).items()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,8 +120,8 @@ def test_equatorial_facets_match_set_oracle_random(seed, dag):
     for g in (random_balanced_dag(random.Random(seed)), dag):
         decomp = route_decomposition(g)
         table = all_routes(g)
-        assert (equatorial_facets(g, decomp, table)
-                == set_equatorial_facets(g, decomp, table.routes))
+        assert (list(equatorial_facets(g, decomp, table).items())
+                == list(set_equatorial_facets(g, decomp, table.routes).items()))
 
 
 def assert_facets_keep_the_first_transversal(dag, decomp=None):
@@ -135,9 +134,9 @@ def assert_facets_keep_the_first_transversal(dag, decomp=None):
     first: dict[int, tuple] = {}
     for m in product(*decomp):
         first.setdefault(_mask(routes_avoiding(table.routes, m)), m)
-    assert [f.transversal for f in facets] == [first[f.routes] for f in facets]
+    assert list(facets.values()) == [first[rs] for rs in facets]
     # a route list sorts as its routes' edge-id tuples do, in enumeration order
-    named = [sorted(table.routes[i] for i in _members(f.routes)) for f in facets]
+    named = [sorted(table.routes[i] for i in _members(rs)) for rs in facets]
     assert named == sorted(named)
 
 
@@ -154,14 +153,13 @@ def test_facets_keep_the_first_transversal_route_unions(dag):
 
 def assert_facet_masks_match_the_facets(dag, decomp=None):
     """``_facet_masks`` maps each facet's route mask to the transversal that
-    its ``equatorial_facets`` record and the set oracle keep, and lists the
+    ``equatorial_facets`` and the set oracle keep, and lists the
     transversals in ``product(*decomp)`` order."""
     decomp = decomp or route_decomposition(dag)
     table = all_routes(dag)
     masks = _facet_masks(dag, decomp, table)
-    assert masks == {f.routes: f.transversal for f in equatorial_facets(dag, decomp, table)}
-    assert masks == {f.routes: f.transversal
-                     for f in set_equatorial_facets(dag, decomp, table.routes)}
+    assert masks == equatorial_facets(dag, decomp, table)
+    assert masks == set_equatorial_facets(dag, decomp, table.routes)
     rank = {m: i for i, m in enumerate(product(*decomp))}
     assert sorted(masks.values(), key=rank.__getitem__) == list(masks.values())
 
@@ -326,7 +324,7 @@ def test_sphere_facets_raise_on_an_emptied_facet(name):
     """With any one facet's mask emptied, that facet holds no sphere facet,
     and ``sphere_facets`` raises (the sphere of size 0 is the test below)."""
     adj, facets, size = sphere_inputs(*(CATALOG | CHAINS)[name])
-    masks = [f.routes for f in facets]
+    masks = list(facets)
     assert size or name == "G3"
     for k in range(len(masks) if size else 0):
         with pytest.raises(AssertionError, match=f"has size 0, expected {size}"):
@@ -338,13 +336,13 @@ def test_sphere_facets_of_the_empty_sphere():
     whose facet is the empty route set, and with no facets at all, where a
     positive size raises in both."""
     adj, facets, size = sphere_inputs(G(3))
-    assert size == 0 and [f.routes for f in facets] == [0]
-    assert sphere_facets(adj, [0], 0) == {0} and t_eq(adj, facets, 0).maximal_faces == (0,)
-    assert sphere_facets(adj, [], 0) == {0} and t_eq(adj, [], 0).maximal_faces == (0,)
+    assert size == 0 and list(facets) == [0]
+    assert sphere_facets(adj, facets, 0) == {0} and t_eq(adj, facets, 0).maximal_faces == (0,)
+    assert sphere_facets(adj, {}, 0) == {0} and t_eq(adj, {}, 0).maximal_faces == (0,)
     with pytest.raises(AssertionError, match="has size 0, expected 2"):
-        sphere_facets(adj, [], 2)
+        sphere_facets(adj, {}, 2)
     with pytest.raises(AssertionError, match="maximal below 2"):
-        t_eq(adj, [], 2)
+        t_eq(adj, {}, 2)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -379,12 +377,10 @@ def test_t_eq_with_a_clique_dropped_raises_or_keeps_the_sphere(name):
                 cut[i] &= ~(1 << j)
                 cut[j] &= ~(1 << i)
                 corrupted.append((tuple(cut), facets))
-    for k, f in enumerate(facets):
-        for i in range(len(adj)):
-            if f.routes >> i & 1:
-                cut = list(facets)
-                cut[k] = EquatorialFace(f.transversal, f.routes & ~(1 << i))
-                corrupted.append((adj, cut))
+    for f in facets:           # no facet holds another, so a cut mask stays a new key
+        for i in _members(f):
+            cut = {f & ~(1 << i) if g == f else g: m for g, m in facets.items()}
+            corrupted.append((adj, cut))
     raised = 0
     for cut_adj, cut_facets in corrupted:
         try:
@@ -406,6 +402,6 @@ def test_t_eq_with_a_clique_dropped_raises_or_keeps_the_sphere(name):
 ], ids=["extends", "maximal", "ridge", "cover"])
 def test_t_eq_names_the_broken_clause(adj, masks, size, message):
     """Each clause of the certificate on a small input that breaks it."""
-    facets = [EquatorialFace((f"m{k}",), m) for k, m in enumerate(masks)]
+    facets = {m: (f"m{k}",) for k, m in enumerate(masks)}
     with pytest.raises(AssertionError, match=re.escape(message)):
         t_eq(adj, facets, size)

@@ -12,9 +12,9 @@ from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
                          idle_edges, make_dag, random_dag, validate, zigzag)
 from flowtri.dkk import Triangulation, dkk_triangulation, verify_dkk_triangulation
 from flowtri.equatorial import equatorial_sphere, joined_simplices
-from flowtri.geometry import (LANES, _canonical, _lattice_pass, _mask, _members,
-                              count_lattice_points, determinant, ehrhart_hstar,
-                              join_with_simplex, lattice_counts, normalized_volume, rank)
+from flowtri.geometry import (LANES, _canonical, _lattice_pass, _mask, _members, determinant,
+                              ehrhart_hstar, join_with_simplex, lattice_counts,
+                              normalized_volume, rank)
 from flowtri.planar import make_poset, rank_constant_filters
 from flowtri.routes import (decomposition_framing, enumerate_routes,
                             route_decomposition)
@@ -194,16 +194,16 @@ def test_interpolate_round_trip(coeffs):
 
 def test_lattice_point_counts_catalog():
     d1 = D1()
-    assert [count_lattice_points(d1, t) for t in range(1, 4)] == [4, 9, 16]
-    assert count_lattice_points(d1, 2, interior=True) == 1
-    assert count_lattice_points(d1, 1, interior=True) == 0
-    assert count_lattice_points(G(3), 1) == 3
-    assert count_lattice_points(G(3), 3, interior=True) == 1
+    assert [lattice_counts(d1, t)[t] for t in range(1, 4)] == [4, 9, 16]
+    assert lattice_counts(d1, 2, interior=True)[2] == 1
+    assert lattice_counts(d1, 1, interior=True)[1] == 0
+    assert lattice_counts(G(3), 1)[1] == 3
+    assert lattice_counts(G(3), 3, interior=True)[3] == 1
 
 
 def assert_counts_match_brute_force(dag):
     """For every t <= d + 1, the one-pass counts, the per-dilate DP and
-    ``count_lattice_points`` against the point-by-point count."""
+    ``lattice_counts(dag, t, interior)[t]`` against the point-by-point count."""
     top = dimension(dag) + 1
     for interior in (False, True):
         brute = tuple(brute_count_lattice_points(dag, t, interior) for t in range(top + 1))
@@ -211,7 +211,7 @@ def assert_counts_match_brute_force(dag):
         assert tuple(per_dilate_count_lattice_points(dag, t, interior)
                      for t in range(top + 1)) == brute, interior
         for t in range(top + 1):
-            assert count_lattice_points(dag, t, interior) == brute[t], (t, interior)
+            assert lattice_counts(dag, t, interior)[t] == brute[t], (t, interior)
 
 
 # Bundles of 1-4 parallel edges at a vertex's first (not last) and last
@@ -286,8 +286,8 @@ def test_chain_counts_closed_form_at_scale(k, m):
     assert lattice_counts(dag, top, interior=True) == interior
     assert normalized_volume(dag) == factorial(k * (m - 1)) // factorial(m - 1) ** k
     for t in range(top + 1):
-        assert count_lattice_points(dag, t) == counts[t]
-        assert count_lattice_points(dag, t, interior=True) == interior[t]
+        assert lattice_counts(dag, t)[t] == counts[t]
+        assert lattice_counts(dag, t, interior=True)[t] == interior[t]
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 12])
@@ -330,7 +330,7 @@ def test_hstar_of_a_simplex_of_dimension_1009():
 def test_lattice_counts_at_the_ends(dag):
     """No dilate below 0, and dilate 0 holds the zero flow alone, which is
     not interior on a graph with edges."""
-    assert count_lattice_points(dag, -1) == count_lattice_points(dag, -1, interior=True) == 0
+    assert lattice_counts(dag, -1, interior=True) == ()
     assert lattice_counts(dag, -1) == ()
     assert lattice_counts(dag, 0) == (1,)
     assert lattice_counts(dag, 0, interior=True) == (0,)

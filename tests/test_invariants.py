@@ -1,6 +1,10 @@
 """Library-wide rules that no single module's tests would catch."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -95,3 +99,37 @@ def test_library_uses_every_private_helper():
     unused = [node.name for node in helpers
               if everywhere[node.name] == references(node)[node.name]]
     assert unused == []
+
+
+MODULES = ("cli", "dag", "routes", "dkk", "equatorial", "geometry", "quotient", "planar")
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _resolves(head: object, parts: list[str]) -> bool:
+    """Each part is an attribute of what the parts before it name, or, on a
+    dataclass, one of its fields (which the class itself does not hold)."""
+    for part in parts:
+        if hasattr(head, part):
+            head = getattr(head, part)
+        elif inspect.isclass(head) and dataclasses.is_dataclass(head) and \
+                part in {f.name for f in dataclasses.fields(head)}:
+            head = None                   # a field: nothing further to resolve
+        else:
+            return False
+    return True
+
+
+def test_readme_names_live_code():
+    """Every dotted name inside backticks in README.md whose head is a
+    ``flowtri`` module (``geometry._members``, ``flowtri.dag.G``) or a
+    library class (``Poset.holders``) resolves to a live attribute or
+    dataclass field, so README names no function that is gone."""
+    modules = {m: importlib.import_module(f"flowtri.{m}") for m in MODULES}
+    classes = {name: value for mod in modules.values() for name, value in vars(mod).items()
+               if inspect.isclass(value) and value.__module__.startswith("flowtri.")}
+    heads = {**modules, **classes, "flowtri": flowtri}
+    names = [name for span in re.findall(r"`([^`]+)`", README.read_text())
+             for name in re.findall(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
+             if name.split(".")[0] in heads]
+    assert len(names) > 20
+    assert [n for n in names if not _resolves(heads[n.split(".")[0]], n.split(".")[1:])] == []

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from flowtri import cli, dkk, equatorial, geometry, planar, quotient, routes
 from flowtri import dag as dagmod
 from flowtri.dag import D1, D2, D3, G, dag_to_json, degree_equality, idle_edges, zigzag
-from flowtri.equatorial import EquatorialFace, sphere_facets
+from flowtri.equatorial import sphere_facets
 from flowtri.geometry import _canonical, _mask, _members
 from flowtri.planar import (BOTTOM, TOP, PlanarDual, PlanarEmbedding, Poset,
                             embedding_from_json, embedding_to_json, filter_routes,
-                            filters, make_poset, planar_dual, planar_framing,
+                            filters, make_poset, planar_dual,
                             poset_to_dag, poset_to_json, rank_constant_filters,
                             topmost_route_decomposition,
                             validate_embedding, verify_equivalence)
@@ -193,7 +193,7 @@ def check_filter_graph(dag, emb) -> None:
     route_of, count = filter_routes(dag, dual, table), len(table.routes)
     graph = planar._filter_graph(dual.poset, route_of, count)
     assert graph == mapped_comparability(dual.poset, route_of, count), dag
-    assert graph == list(dkk.coherence_graph(planar_framing(dag, emb), table)), dag
+    assert graph == list(dkk.coherence_graph(dual.framing, table)), dag
 
 
 def test_filter_graph_matches_mapped_pairwise_catalog():
@@ -300,7 +300,7 @@ def test_poset_to_dag_round_trip():
 def test_planar_framing_is_decomposition_framing():
     d2 = D2()
     emb = PlanarEmbedding(stacked_rotations(d2))
-    pf = planar_framing(d2, emb)
+    pf = planar_dual(d2, emb).framing
     decomp = topmost_route_decomposition(d2, emb, pf)
     df = decomposition_framing(d2, decomp)
     assert pf.in_order == df.in_order and pf.out_order == df.out_order
@@ -309,7 +309,7 @@ def test_planar_framing_is_decomposition_framing():
 def test_topmost_decomposition_d2():
     d2 = D2()
     emb = PlanarEmbedding(stacked_rotations(d2))
-    decomp = topmost_route_decomposition(d2, emb, planar_framing(d2, emb))
+    decomp = topmost_route_decomposition(d2, emb, planar_dual(d2, emb).framing)
     # topmost strand first: highest edges carry the smallest ids at s
     assert decomp == (("a", "c", "e"), ("b", "d", "f"))
 
@@ -329,7 +329,7 @@ def test_flow_order_round_trip():
 def test_empty_filter_is_topmost_route():
     for dag in (D1(), D2(), G(3)):
         emb = PlanarEmbedding(stacked_rotations(dag))
-        decomp = topmost_route_decomposition(dag, emb, planar_framing(dag, emb))
+        decomp = topmost_route_decomposition(dag, emb, planar_dual(dag, emb).framing)
         assert filter_of_route(planar_dual(dag, emb), decomp[0]) == frozenset()
 
 
@@ -418,14 +418,14 @@ def test_ridge_check_matches_lp_oracle_order_polytopes():
 
 
 def test_order_polytope_count_matches_flow_count():
-    from flowtri.geometry import count_lattice_points
+    from flowtri.geometry import lattice_counts
     for dag in (D1(), D2(), G(3), zigzag()):
         emb = PlanarEmbedding(
             zigzag_rotations() if dag.inner_count == 2 and len(dag.edges) == 7
             else stacked_rotations(dag))
         p = truncated_dual(dag, emb)
         for t in range(1, 4):
-            assert brute_order_polytope_count(p, t) == count_lattice_points(dag, t)
+            assert brute_order_polytope_count(p, t) == lattice_counts(dag, t)[t]
 
 
 def random_poset(rng: random.Random, max_size: int = 7) -> Poset:
@@ -517,14 +517,20 @@ def test_pruned_equatorial_chains_match_unpruned_oracle():
 def test_order_sphere_facets_match_t_eq():
     """On the order side, the clique search inside each facet of
     ``_equatorial_filter_sets`` finds the facets ``t_eq`` walks to on the
-    filters' comparability graph, on the catalog duals and random graded
-    posets; with any one facet's mask emptied it raises."""
+    filters' comparability graph, both reading the same facet map, on the
+    catalog duals and random graded posets; each facet's choice names one
+    cover ``a<b`` into each rank from the second up; with any one facet's
+    mask emptied it raises."""
     rng = random.Random(26)
     for p in catalog_duals() + [random_graded_poset(rng) for _ in range(60)]:
-        masks, size = planar._equatorial_filter_sets(p)
+        facets, size = planar._equatorial_filter_sets(p)
+        rank_into = {f"{a}<{b}": p.heights[b] for a, b in p.covers}
+        ranks = list(range(2, max(p.heights.values(), default=0) + 1))
+        assert all([rank_into[c] for c in t] == ranks for t in facets.values()), p
         graph = pairwise_comparability(p.filters)
-        walked = equatorial.t_eq(graph, [EquatorialFace((), m) for m in masks], size)
-        assert tuple(_canonical(sphere_facets(graph, masks, size))) == walked.maximal_faces, p
+        walked = equatorial.t_eq(graph, facets, size)
+        assert tuple(_canonical(sphere_facets(graph, facets, size))) == walked.maximal_faces, p
+        masks = list(facets)
         for k in range(len(masks) if size else 0):
             with pytest.raises(AssertionError, match="has size 0, expected"):
                 sphere_facets(graph, masks[:k] + [0] + masks[k + 1:], size)
@@ -603,8 +609,8 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     order but the levels of ``planar.filters``: the spheres are compared as
     sets."""
     modules = (cli, dagmod, dkk, equatorial, geometry, planar, quotient, routes)
-    watched = (planar.validate_embedding, planar._trace, planar.planar_framing,
-               routes.decomposition_framing, dkk.coherence_graph, dkk._sized_cliques,
+    watched = (planar.validate_embedding, planar._trace, routes.decomposition_framing,
+               dkk.coherence_graph, dkk._sized_cliques,
                equatorial.t_eq, equatorial.sphere_facets, equatorial.equatorial_facets,
                equatorial._facet_masks, routes.enumerate_routes, routes.route_table,
                planar.filter_routes, planar._filter_graph, planar.rank_constant_filters)
@@ -823,7 +829,7 @@ def test_filter_routes_name_two_filters_on_one_route():
     emb = PlanarEmbedding(stacked_rotations(d1))
     dual = planar_dual(d1, emb)
     padded = PlanarDual(Poset(dual.poset.elements + ("z",), dual.poset.covers),
-                        dual.cover_of_edge)
+                        dual.cover_of_edge, dual.framing)
     with pytest.raises(ValueError) as exc:
         verify_equivalence(d1, emb, padded)
     assert str(exc.value) == "filters [] and ['z'] both cut route ('a', 'c')"
@@ -833,14 +839,16 @@ def test_order_sphere_f_vector_equals_flow_sphere():
     """On the catalog planar graphs, the equatorial chain sphere that
     ``t_eq`` walks over the filters, inside the facets that
     ``maximal_equatorial_chains`` searches, has the f-vector of the flow
-    side's equatorial sphere."""
+    side's equatorial sphere, and ``sphere_facets`` finds its facets in the
+    same facet map."""
     cases = [(dag, stacked_rotations(dag)) for dag in (D1(), D2(), D3(), G(3))]
     for dag, rotations in cases + [(zigzag(), zigzag_rotations())]:
         emb = PlanarEmbedding(rotations)
-        poset = planar_dual(dag, emb).poset
-        masks, size = planar._equatorial_filter_sets(poset)
-        order = equatorial.t_eq(pairwise_comparability(poset.filters),
-                                [EquatorialFace((), m) for m in masks], size)
-        decomp = topmost_route_decomposition(dag, emb, planar_framing(dag, emb))
+        dual = planar_dual(dag, emb)
+        facets, size = planar._equatorial_filter_sets(dual.poset)
+        graph = pairwise_comparability(dual.poset.filters)
+        order = equatorial.t_eq(graph, facets, size)
+        assert set(order.maximal_faces) == sphere_facets(graph, facets, size), dag
+        decomp = topmost_route_decomposition(dag, emb, dual.framing)
         flow = equatorial.equatorial_sphere(dag, decomp)[3]
         assert order.f_vector == flow.f_vector, dag

@@ -64,7 +64,7 @@ def assert_one_facet_per_equatorial_facet(dag):
     q = quotient_facets(dag, decomp)
     facets = equatorial_facets(dag, decomp, all_routes(dag))
     assert len(q.facets) == len(facets)
-    assert {m for m, _ in q.facets} == {f.transversal for f in facets}
+    assert {m for m, _ in q.facets} == set(facets.values())
 
 
 @pytest.mark.parametrize("dag", [RU351, BIG], ids=["RU351", "BIG"])
