@@ -8,7 +8,7 @@ from .dag import (D1, D2, D3, Dag, Edge, G, bypass, contract_idle_edges,
                   gorenstein_completion, make_dag, validate, zigzag)
 from .dkk import (Triangulation, coherence_graph, dkk_triangulation, exceptional_routes,
                   verify_dkk_triangulation)
-from .equatorial import differs_from_dkk, equatorial_facets, equatorial_sphere, t_eq
+from .equatorial import equatorial_facets, equatorial_sphere, matching_framings, t_eq
 from .geometry import ehrhart_hstar, normalized_volume
 from .planar import (PlanarEmbedding, Poset, make_poset, planar_dual, poset_to_dag,
                      topmost_route_decomposition, verify_equivalence)

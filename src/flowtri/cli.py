@@ -305,8 +305,8 @@ def cmd_equatorial(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     report["decomposition"] = [list(r) for r in decomp]
     table, _, facets, sphere = eqmod.equatorial_sphere(dag, decomp)
     labels = table.routes
-    report["facets"] = [{"transversal": list(m), "routes": Faces(labels, rs)}
-                        for rs, m in facets.items()]
+    report["facets"] = [{"transversal": list(facets[rs]), "routes": Faces(labels, rs)}
+                        for rs in geo._canonical(facets)]
     report["sphere"] = {
         "maximal_faces": Faces(labels, sphere.maximal_faces),
         "f_vector": list(sphere.f_vector),
@@ -320,11 +320,11 @@ def cmd_equatorial(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     report["h_equals_h_star"] = agree
     code = OK if agree else FAILED
     if args.exhaustive_dkk:
-        cmp = eqmod.differs_from_dkk(dag, table, simplices)
+        matches = eqmod.matching_framings(dag, table, simplices)
         report["dkk_comparison"] = {
-            "framings_checked": cmp.framings_checked,
-            "matching_framings": len(cmp.matching_framings),
-            "verdict": ("is a DKK triangulation" if cmp.is_dkk
+            "framings_checked": framings,
+            "matching_framings": len(matches),
+            "verdict": ("is a DKK triangulation" if matches
                         else "not a DKK triangulation for any framing"),
         }
     return report, code

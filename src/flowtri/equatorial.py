@@ -20,7 +20,7 @@ from .dag import Dag, degree_equality, dimension, idle_edges
 # ``max_cliques`` is not called here, but the benchmark's self-check wraps
 # and restores this module's binding of it, so the name stays importable.
 from .dkk import _sized_cliques, coherence_graph, max_cliques  # noqa: F401
-from .geometry import _canonical, _mask, _members, join_with_simplex
+from .geometry import _mask, _members, join_with_simplex
 from .routes import (Framing, NotGorensteinError, Route, RouteTable, decomposition_framing,
                      graph_table)
 
@@ -55,16 +55,25 @@ def _avoided_sets(everyone: int, groups: Iterable[Sequence[tuple[str, int]]]
     return sets
 
 
-def _facet_masks(dag: Dag, decomp: Sequence[Route], table: RouteTable) -> dict[int, Transversal]:
+def equatorial_facets(dag: Dag, decomp: Sequence[Route],
+                      table: RouteTable) -> dict[int, Transversal]:
     """Facets of the equatorial complex over the routes of ``table`` (the
     table of the graph's route list): each facet's route mask -> its first
-    transversal, in ``_avoided_sets`` order.
+    transversal, in ``_avoided_sets`` order.  The one caller that prints
+    the map, ``cli.cmd_equatorial``, sorts it.
 
     A transversal's avoided routes share no edge with it: the AND, over its
     edges, of the routes missing each (``_avoided_sets``, which keeps the
     first transversal per face).  It is a facet transversal when the
     avoided routes' heads cover every inner vertex: when the avoided set
     meets, at every inner vertex, the mask of the routes entering it.
+
+    No facet's routes R hold another's, so the facets' int order
+    (``geometry._canonical``) is their member tuples' order.  R covers
+    every vertex, so an edge off R's transversal m (k edges) joins a prefix
+    of R to a suffix of R, and R spans the face x_m = 0, the flow polytope
+    of the graph less m, of dimension |E| - k - |V| + 1 = dim - k: one such
+    face in another is it.
     """
     if not degree_equality(dag):
         raise NotGorensteinError("not Gorenstein: degree equality fails")
@@ -77,18 +86,6 @@ def _facet_masks(dag: Dag, decomp: Sequence[Route], table: RouteTable) -> dict[i
     everyone = (1 << len(table.routes)) - 1
     avoided = _avoided_sets(everyone, [[(e, everyone ^ thru[e]) for e in r] for r in decomp])
     return {rs: m for rs, m in avoided.items() if all(map(rs.__and__, entering))}
-
-
-def equatorial_facets(dag: Dag, decomp: Sequence[Route],
-                      table: RouteTable) -> dict[int, Transversal]:
-    """The facet map of ``_facet_masks`` for ``decomp``, keyed in
-    ``_canonical`` order: their member tuples' order, as no facet's routes R
-    hold another's.  R covers every vertex, so an edge off R's transversal m
-    (k edges) joins a prefix of R to a suffix of R, and R spans the face
-    x_m = 0, the flow polytope of the graph less m, of dimension
-    |E| - k - |V| + 1 = dim - k: one such face in another is it."""
-    facets = _facet_masks(dag, decomp, table)
-    return {rs: facets[rs] for rs in _canonical(facets)}
 
 
 def t_eq(adj: Sequence[int], facets: Mapping[int, Transversal], size: int) -> Sphere:
@@ -178,22 +175,12 @@ def equatorial_sphere(dag: Dag, decomp: Sequence[Route]
                       ) -> tuple[RouteTable, tuple[int, ...],
                                  dict[int, Transversal], Sphere]:
     """The table of the route list, the coherence graph of the decomposition
-    framing, the equatorial facet map over the routes (``equatorial_facets``)
-    and the equatorial sphere T_eq."""
+    framing, the equatorial facet map over the routes (``equatorial_facets``,
+    unordered) and the equatorial sphere T_eq."""
     table = graph_table(dag)
     adj = coherence_graph(decomposition_framing(dag, decomp), table)
     facets = equatorial_facets(dag, decomp, table)
     return table, adj, facets, t_eq(adj, facets, dimension(dag) + 1 - len(decomp))
-
-
-@dataclass(frozen=True)
-class DkkComparisonReport:
-    framings_checked: int
-    matching_framings: tuple[int, ...]   # indices into the framing sweep
-
-    @property
-    def is_dkk(self) -> bool:
-        return bool(self.matching_framings)
 
 
 def _all_framings(dag: Dag) -> Iterator[Framing]:
@@ -212,17 +199,17 @@ def framing_count(dag: Dag) -> int:
     return prod(factorial(dag.indeg(v)) * factorial(dag.outdeg(v)) for v in dag.inner_vertices)
 
 
-def differs_from_dkk(dag: Dag, table: RouteTable,
-                     simplices: Sequence[int]) -> DkkComparisonReport:
-    """Compare the equatorial flow triangulation of ``dag``, its
-    ``simplices`` as masks over the routes of ``table`` (the table of the
-    graph's route list), against the framed triangulations of all its
-    framings (at most MAX_FRAMINGS), as sets of masks: each framing's
-    cliques are compared unsorted."""
+def matching_framings(dag: Dag, table: RouteTable,
+                      simplices: Sequence[int]) -> tuple[int, ...]:
+    """The indices, in the order ``_all_framings`` sweeps them, of the
+    framings of ``dag`` whose framed triangulation is the equatorial flow
+    triangulation ``simplices``, masks over the routes of ``table`` (the
+    table of the graph's route list), compared as sets of masks: each
+    framing's cliques are compared unsorted.  Raises ``ValueError`` past
+    MAX_FRAMINGS framings."""
     total = framing_count(dag)
     if total > MAX_FRAMINGS:
         raise ValueError(f"exhaustive bound exceeded: {total} framings > {MAX_FRAMINGS}")
     target, size = set(simplices), dimension(dag) + 1
-    matches = tuple(i for i, fr in enumerate(_all_framings(dag))
-                    if set(_sized_cliques(coherence_graph(fr, table), size)) == target)
-    return DkkComparisonReport(total, matches)
+    return tuple(i for i, fr in enumerate(_all_framings(dag))
+                 if set(_sized_cliques(coherence_graph(fr, table), size)) == target)

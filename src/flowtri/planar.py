@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_json
 from .dkk import _sized_cliques, coherence_graph
-from .equatorial import _avoided_sets, _facet_masks, sphere_facets
+from .equatorial import _avoided_sets, equatorial_facets, sphere_facets
 from .geometry import _canonical, _mask, _members, join_with_simplex
 from .routes import (Framing, Route, RouteTable, decomposition_framing, graph_table,
                      peel_decomposition)
@@ -549,7 +549,7 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     built on the routes (``_filter_graph``), with the coherence graph, then
     the mapped rank-constant simplex and order sphere with the route simplex
     and the flow sphere (both spheres by ``sphere_facets``, each inside its
-    side's facet map: ``_facet_masks`` as it comes, and the order side's
+    side's facet map: ``equatorial_facets`` as it comes, and the order side's
     mapped onto the routes key by key), the spheres as sets.
     Cliques and joins only name what differs; each sphere is sorted into
     canonical order for its join, as ``join_with_simplex`` asks.
@@ -565,7 +565,7 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
         if pf.in_order[v] != df.in_order[v] or pf.out_order[v] != df.out_order[v]:
             issues.append(f"framings disagree at vertex {v}")
     adj = coherence_graph(df, table)
-    flow = sphere_facets(adj, _facet_masks(dag, decomp, table), top - len(decomp))
+    flow = sphere_facets(adj, equatorial_facets(dag, decomp, table), top - len(decomp))
 
     def mapped(m: int) -> int:
         return _mask(route_of[i] for i in _members(m))

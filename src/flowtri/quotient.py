@@ -15,10 +15,10 @@ from itertools import chain, islice, product
 from operator import mul
 from typing import Mapping, Sequence
 
-from .dag import Dag, degree_equality
-from .equatorial import Transversal, _facet_masks
+from .dag import Dag
+from .equatorial import Transversal, equatorial_facets
 from .geometry import rank
-from .routes import NotGorensteinError, Route, enumerate_routes, route_table
+from .routes import Route, enumerate_routes, route_table
 
 
 def edge_labels(decomp: Sequence[Route]) -> dict[str, int]:
@@ -242,16 +242,16 @@ def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
     (``_functionals``).  The images' rank is taken by forward-only Bareiss
     elimination, with no early stop.
 
-    The facets are read in ``_facet_masks`` order, and the transversal kept
-    per functional does not depend on that order: by the identity
+    The facet map (``equatorial_facets``, which also checks that the graph
+    is Gorenstein) is built first and read as it comes; the transversal
+    kept per functional does not depend on its order: by the identity
     F_m . phi(s) = 1 - |m & s| (``check_transversal_identity``), the facet
     of m is the set of routes s where F_m is 1, so two facets share a
     functional only where that identity fails, and otherwise each facet
     keeps its own first transversal."""
-    if not degree_equality(dag):
-        raise NotGorensteinError("not Gorenstein: degree equality fails")
-    space = leveled_space(dag, decomp)
     table = route_table(dag, enumerate_routes(dag))
+    facet_map = equatorial_facets(dag, decomp, table)
+    space = leveled_space(dag, decomp)
     members = set(decomp)
     verts = []
     for i, r in enumerate(table.routes):
@@ -264,7 +264,7 @@ def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
         raise AssertionError("projected vertices are not distinct")
     functionals = _functionals(space, decomp)
     seen: dict[tuple[int, ...], Transversal] = {}
-    for m in _facet_masks(dag, decomp, table).values():
+    for m in facet_map.values():
         seen.setdefault(functionals[m], m)
     facets = tuple((m, c) for c, m in sorted(seen.items()))
     want = space.quotient_dim

@@ -264,8 +264,8 @@ def member_list_report(command: str, dag: Dag, digest: str,
     routes = table.routes
     h, h_star = h_from_f(teq.f_vector), ehrhart_hstar(dag).h_star
     return {**report, "decomposition": [list(r) for r in decomp],
-            "facets": [{"transversal": list(m), "routes": route_lists(routes, [rs])[0]}
-                       for rs, m in facets.items()],
+            "facets": [{"transversal": list(facets[rs]), "routes": route_lists(routes, [rs])[0]}
+                       for rs in _canonical(facets)],
             "sphere": {"maximal_faces": route_lists(routes, teq.maximal_faces),
                        "f_vector": list(teq.f_vector),
                        "euler_characteristic": euler_characteristic(teq.f_vector)},
@@ -510,7 +510,8 @@ def set_equatorial_facets(dag: Dag, decomp: Sequence[Route],
                           routes: Sequence[Route]) -> dict[int, Transversal]:
     """The equatorial facet map by a Python set per transversal, each
     facet's route mask -> its first transversal: the oracle for the
-    mask-based ``equatorial.equatorial_facets``, keyed in its order."""
+    mask-based ``equatorial.equatorial_facets``, keyed in the order of the
+    facets' route lists."""
     seen: dict[frozenset[int], Transversal] = {}
     for m in product(*decomp):
         avoided = routes_avoiding(routes, m)
@@ -540,7 +541,7 @@ def canonical_dkk_matches(dag: Dag, table: RouteTable,
     """The framings whose triangulation has exactly ``simplices``, masks
     over the routes of ``table``, each framing's cliques sorted
     canonically by ``max_cliques`` first: the oracle for the unsorted
-    comparison of ``differs_from_dkk``."""
+    comparison of ``matching_framings``."""
     target, size = set(simplices), dimension(dag) + 1
     return tuple(i for i, fr in enumerate(_all_framings(dag))
                  if set(dkk.max_cliques(dkk.coherence_graph(fr, table), size)) == target)

@@ -10,7 +10,7 @@ from flowtri.cli import main
 from flowtri.dag import (D1, D2, D3, G, bypass, dag_to_json, degree_equality,
                          dimension, random_dag)
 from flowtri.dkk import Triangulation, dkk_triangulation
-from flowtri.equatorial import differs_from_dkk, equatorial_facets, framing_count
+from flowtri.equatorial import equatorial_facets, framing_count, matching_framings
 from flowtri.geometry import ehrhart_hstar, lattice_counts, normalized_volume
 from flowtri.planar import PlanarEmbedding, verify_equivalence
 from flowtri.quotient import (check_transversal_identity, quotient_facets,
@@ -99,9 +99,8 @@ def test_criterion_5_not_dkk():
     d3, d1 = D3(), D1()
     dec3, dec1 = route_decomposition(d3), route_decomposition(d1)
     tri3 = equatorial_flow_triangulation(d3, dec3)
-    sweep = differs_from_dkk(d3, all_routes(d3), tri3.simplices)
-    ok = (framing_count(d3) == 36 and sweep.framings_checked == 36
-          and not sweep.matching_framings)
+    ok = (framing_count(d3) == 36
+          and matching_framings(d3, all_routes(d3), tri3.simplices) == ())
     ok = ok and (dkk_triangulation(d1, decomposition_framing(d1, dec1)).simplices
                  == equatorial_flow_triangulation(d1, dec1).simplices)
     report(5, "D3 equatorial flow triangulation differs from all 36 framed"

@@ -622,10 +622,14 @@ def test_faces_render_as_their_member_lists(pair):
 
 
 def printed_and_member_list_report(command: str, dag) -> tuple[str, str]:
-    """The stdout of ``flowtri <command>`` on ``dag``, and ``json.dumps`` of
-    the report with member lists that ``member_list_report`` rebuilds, given
-    the triangulation and verdict of the certificate run the CLI made, and
-    checked for canonical face order."""
+    """The stdout of ``flowtri <command>`` on ``dag``, and the report with
+    member lists that ``member_list_report`` rebuilds, given the
+    triangulation and verdict of the certificate run the CLI made, and
+    checked for canonical face order.  The report is rendered by
+    ``cli._write_json``, which ``test_json_writer_matches_json_dumps`` pins
+    to ``json.dumps(value, indent=2, sort_keys=True)`` on plain values:
+    ``json.dumps`` with an indent takes the pure-Python encoder, most of
+    the check's time on large draws."""
     raw = json.dumps(dag_to_json(dag)).encode()
     out = io.StringIO()
     certify = cli.dkkmod.verify_dkk_triangulation
@@ -648,7 +652,9 @@ def printed_and_member_list_report(command: str, dag) -> tuple[str, str]:
     report = member_list_report(command, dag, hashlib.sha256(raw).hexdigest()[:16],
                                 checks[0] if checks else None)
     assert_in_canonical_order(command, dag, report)
-    return out.getvalue(), json.dumps(report, indent=2, sort_keys=True) + "\n"
+    expected = io.StringIO()
+    cli._write_json(report, expected.write)
+    return out.getvalue(), expected.getvalue() + "\n"
 
 
 @pytest.mark.parametrize("command", ["dkk", "equatorial"])

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from flowtri import dkk, equatorial
 from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
 from flowtri.dkk import max_cliques
-from flowtri.equatorial import (_avoided_sets, _facet_masks, differs_from_dkk,
-                                equatorial_facets, equatorial_sphere, framing_count,
-                                joined_simplices, sphere_facets, t_eq)
+from flowtri.equatorial import (_avoided_sets, equatorial_facets, equatorial_sphere,
+                                framing_count, joined_simplices, matching_framings,
+                                sphere_facets, t_eq)
 from flowtri.geometry import _canonical, _mask, _members, ehrhart_hstar, h_from_f, normalized_volume
 from flowtri.routes import enumerate_routes, route_decomposition
 from tests.conftest import (RU351, Complex, all_routes, canonical_dkk_matches, chain, common_face,
@@ -110,8 +110,8 @@ def test_equatorial_facets_match_set_oracle_catalog():
     for dag, decomp in (*CATALOG.values(), CHAINS["chain4x3"], (RU351, None)):
         decomp = decomp or route_decomposition(dag)
         table = all_routes(dag)
-        assert (list(equatorial_facets(dag, decomp, table).items())
-                == list(set_equatorial_facets(dag, decomp, table.routes).items()))
+        assert (equatorial_facets(dag, decomp, table)
+                == set_equatorial_facets(dag, decomp, table.routes))
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,14 +120,15 @@ def test_equatorial_facets_match_set_oracle_random(seed, dag):
     for g in (random_balanced_dag(random.Random(seed)), dag):
         decomp = route_decomposition(g)
         table = all_routes(g)
-        assert (list(equatorial_facets(g, decomp, table).items())
-                == list(set_equatorial_facets(g, decomp, table.routes).items()))
+        assert (equatorial_facets(g, decomp, table)
+                == set_equatorial_facets(g, decomp, table.routes))
 
 
 def assert_facets_keep_the_first_transversal(dag, decomp=None):
     """Each facet keeps the first transversal, in ``product(*decomp)``
-    order, whose avoided routes are the facet's routes, and the facets come
-    in the member-tuple order of their routes, across sizes."""
+    order, whose avoided routes are the facet's routes, and ``_canonical``,
+    the printer's sort, puts the facets in the member-tuple order of their
+    routes, across sizes."""
     decomp = decomp or route_decomposition(dag)
     table = all_routes(dag)
     facets = equatorial_facets(dag, decomp, table)
@@ -136,7 +137,7 @@ def assert_facets_keep_the_first_transversal(dag, decomp=None):
         first.setdefault(_mask(routes_avoiding(table.routes, m)), m)
     assert list(facets.values()) == [first[rs] for rs in facets]
     # a route list sorts as its routes' edge-id tuples do, in enumeration order
-    named = [sorted(table.routes[i] for i in _members(rs)) for rs in facets]
+    named = [sorted(table.routes[i] for i in _members(rs)) for rs in _canonical(facets)]
     assert named == sorted(named)
 
 
@@ -152,13 +153,12 @@ def test_facets_keep_the_first_transversal_route_unions(dag):
 
 
 def assert_facet_masks_match_the_facets(dag, decomp=None):
-    """``_facet_masks`` maps each facet's route mask to the transversal that
-    ``equatorial_facets`` and the set oracle keep, and lists the
-    transversals in ``product(*decomp)`` order."""
+    """``equatorial_facets`` maps each facet's route mask to the transversal
+    that the set oracle keeps, and lists the transversals in
+    ``product(*decomp)`` order, the order ``_avoided_sets`` builds."""
     decomp = decomp or route_decomposition(dag)
     table = all_routes(dag)
-    masks = _facet_masks(dag, decomp, table)
-    assert masks == equatorial_facets(dag, decomp, table)
+    masks = equatorial_facets(dag, decomp, table)
     assert masks == set_equatorial_facets(dag, decomp, table.routes)
     rank = {m: i for i, m in enumerate(product(*decomp))}
     assert sorted(masks.values(), key=rank.__getitem__) == list(masks.values())
@@ -253,10 +253,7 @@ def test_d3_differs_from_every_dkk():
     assert framing_count(d3) == 36
     decomp = route_decomposition(d3)
     tri = equatorial_flow_triangulation(d3, decomp)
-    rep = differs_from_dkk(d3, all_routes(d3), tri.simplices)
-    assert rep.framings_checked == 36
-    assert not rep.matching_framings
-    assert not rep.is_dkk
+    assert matching_framings(d3, all_routes(d3), tri.simplices) == ()
 
 
 @pytest.mark.parametrize("name", ["D1", "D1-crossed", "D2", "D3", "zigzag"])
@@ -271,9 +268,7 @@ def test_exhaustive_sweep_matches_sorted_cliques(name, monkeypatch):
         raise AssertionError("sorted a framing's cliques")
 
     monkeypatch.setattr(dkk, "_canonical", canonical)
-    rep = differs_from_dkk(dag, all_routes(dag), tri.simplices)
-    assert rep.matching_framings == want
-    assert rep.framings_checked == framing_count(dag)
+    assert matching_framings(dag, all_routes(dag), tri.simplices) == want
 
 
 def test_exhaustive_sweep_rejects_a_clique_of_the_wrong_size(monkeypatch):
@@ -286,15 +281,14 @@ def test_exhaustive_sweep_rejects_a_clique_of_the_wrong_size(monkeypatch):
     size = dimension(d2) + 1
     with pytest.raises(AssertionError,
                        match=rf"^maximal clique \(\d+,\) has size 1, expected {size}$"):
-        differs_from_dkk(d2, all_routes(d2), tri.simplices)
+        matching_framings(d2, all_routes(d2), tri.simplices)
 
 
 def test_d1_equals_its_dkk():
     d1 = D1()
     decomp = route_decomposition(d1)
     tri = equatorial_flow_triangulation(d1, decomp)
-    rep = differs_from_dkk(d1, all_routes(d1), tri.simplices)
-    assert rep.is_dkk
+    assert matching_framings(d1, all_routes(d1), tri.simplices)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

@@ -101,6 +101,45 @@ def test_library_uses_every_private_helper():
     assert unused == []
 
 
+# The private names one library module may take from another: the mask
+# helpers, the sized clique search and the avoided-set growth.
+SHARED_PRIVATE = {("geometry", "_members"), ("geometry", "_mask"), ("geometry", "_canonical"),
+                  ("dkk", "_sized_cliques"), ("equatorial", "_avoided_sets")}
+
+
+def _private_imports(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """Each (module, name, line) where the module of ``tree`` takes a
+    ``_``-prefixed, non-dunder name from another library module: by
+    ``from .x import _y``, or as ``m._y`` for a module bound by
+    ``from . import x as m``."""
+    bound: dict[str, str] = {}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    bound[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.append((node.module, alias.name, node.lineno))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in bound and node.attr.startswith("_") \
+                and not node.attr.endswith("__"):
+            found.append((bound[node.value.id], node.attr, node.lineno))
+    return found
+
+
+def test_library_shares_only_listed_private_names():
+    """No library module reads another's private name outside
+    ``SHARED_PRIVATE``, so a helper's callers stay inside its module."""
+    found = {path.name: _private_imports(ast.parse(path.read_text(), str(path)))
+             for path in SOURCES}
+    assert ("equatorial", "_avoided_sets") in {(m, n) for uses in found.values()
+                                               for m, n, _ in uses}
+    assert [f"{name}:{line} {mod}.{attr}" for name, uses in found.items()
+            for mod, attr, line in uses if (mod, attr) not in SHARED_PRIVATE] == []
+
+
 MODULES = ("cli", "dag", "routes", "dkk", "equatorial", "geometry", "quotient", "planar")
 README = Path(__file__).parents[1] / "README.md"
 

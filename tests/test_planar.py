@@ -600,8 +600,8 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     one route list and its route table, one table of the filters holding
     each element, one filter -> route map and one filter graph on the
     routes once each, and no filter comparability table; finds the
-    rank-constant filters and the flow side's equatorial facet masks once,
-    with no sorted ``equatorial_facets`` list, and finds an equatorial
+    rank-constant filters and the flow side's equatorial facet map
+    (``equatorial_facets``) once, and finds an equatorial
     sphere's facets once per side, routes then filters, without walking
     either sphere.  A passing run compares graphs and spheres, so it
     searches cliques only inside equatorial facets, never in a whole graph,
@@ -612,7 +612,7 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     watched = (planar.validate_embedding, planar._trace, routes.decomposition_framing,
                dkk.coherence_graph, dkk._sized_cliques,
                equatorial.t_eq, equatorial.sphere_facets, equatorial.equatorial_facets,
-               equatorial._facet_masks, routes.enumerate_routes, routes.route_table,
+               routes.enumerate_routes, routes.route_table,
                planar.filter_routes, planar._filter_graph, planar.rank_constant_filters)
     calls = {fn.__name__: 0 for fn in watched}
     within = []                       # the vertex mask of every clique search
@@ -653,7 +653,7 @@ def test_order_computes_each_planar_fact_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["order", str(graph), str(emb), "--max-dilate", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["equivalence"]["ok"]
     assert calls.pop("_sized_cliques") == len(within) > 0 and None not in within
-    assert calls.pop("__init__") == calls.pop("t_eq") == calls.pop("equatorial_facets") == 0
+    assert calls.pop("__init__") == calls.pop("t_eq") == 0
     assert calls.pop("sphere_facets") == 2
     assert calls == dict.fromkeys(calls, 1)
     elements = planar_dual(zigzag(), PlanarEmbedding(zigzag_rotations())).poset.elements
