@@ -113,7 +113,7 @@ class Faces(NamedTuple):
     def lists(self) -> list:
         """The member lists the faces print as."""
         if type(self.masks) is int:
-            return [list(self.routes[i]) for i in geo._members(self.masks)]
+            return [self.routes[i] for i in geo._members(self.masks)]
         return [Faces(self.routes, m).lists() for m in self.masks]
 
 
@@ -124,12 +124,13 @@ def _write_json(value, write) -> None:
     """Write ``value`` as ``json.dumps`` renders it with indent 2 and sorted
     keys, with each ``Faces`` rendered as its member lists.
 
-    Only exact dict, list, str, int, bool and None values and ``Faces`` are
-    accepted (floats, tuples and subclasses raise ``TypeError``).  A list
-    whose items are all str or all int is rendered by one join.  Each route
-    of a ``Faces`` is rendered once per depth, memoised by the route list's
-    id and depth, so routes shared by many faces cost one rendering, and a
-    face is one join over its members' texts (an empty face is ``[]``).
+    Only exact dict, list, tuple (rendered as a list), str, int, bool and
+    None values and ``Faces`` are accepted; floats, sets and subclasses
+    raise ``TypeError``.  A list or tuple whose items are all str or all int
+    is rendered by one join.  Each route of a ``Faces`` is rendered once per
+    depth, memoised by the route list's id and depth, so routes shared by
+    many faces cost one rendering, and a face is one join over its members'
+    texts (an empty face is ``[]``).
     ``value`` keeps every memoised route list alive for the call.
     Pieces are joined into one ``write`` per few thousand, a face counting
     as two pieces per route, so an unbuffered stdout does not take a system
@@ -180,7 +181,7 @@ def _write_json(value, write) -> None:
                 flush()
             put("\n" + "  " * depth + "]")
             return
-        if kind is list and value:
+        if kind in (list, tuple) and value:
             kinds = set(map(type, value))
             encode = _LEAF_ENCODERS.get(kinds.pop()) if len(kinds) == 1 else None
             inner = "\n" + "  " * (depth + 1)
@@ -203,7 +204,7 @@ def _write_json(value, write) -> None:
                 walk(item, depth + 1)
             put("\n" + "  " * depth + "}")
         else:
-            put("[]" if kind is list else "{}" if kind is dict else _scalar(value))
+            put("[]" if kind in (list, tuple) else "{}" if kind is dict else _scalar(value))
             return
         if len(parts) > WRITE_PIECES:
             flush()
@@ -214,11 +215,11 @@ def _write_json(value, write) -> None:
 
 def _write_text(value, write) -> None:
     """Write ``value`` as indented text: a dict as one ``key: value`` line
-    per key, sorted, and a list as one ``- item`` line per item.  A nonempty
-    dict or list goes on the lines after its key, two spaces deeper, or
+    per key, sorted, and a list or tuple as one ``- item`` line per item.  A
+    nonempty one goes on the lines after its key, two spaces deeper, or
     starts on its item's ``- `` line, so every item of a nested list keeps
     its own marker.  Other values print as ``str`` does; an empty list or
-    dict prints as ``[]`` or ``{}``, and ``Faces`` as their member lists."""
+    tuple as ``[]``, an empty dict as ``{}``, and ``Faces`` as their lists."""
     def render(value, indent: str, lead: str) -> None:
         # ``lead`` begins the first line: ``indent``, or the parent item's marker
         is_dict = type(value) is dict
@@ -227,8 +228,8 @@ def _write_text(value, write) -> None:
             if type(v) is Faces:
                 v = v.lists()
             kind = type(v)
-            if kind not in (dict, list) or not v:
-                write(f"{head} {'[]' if kind is list else '{}' if kind is dict else v}\n")
+            if kind not in (dict, list, tuple) or not v:
+                write(f"{head} {'{}' if kind is dict else '[]' if kind in (list, tuple) else v}\n")
             elif is_dict:
                 write(head + "\n")
                 render(v, indent + "  ", indent + "  ")
@@ -249,12 +250,12 @@ def _emit(report: dict, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_analyze(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
+def cmd_analyze(args, dag: dagmod.Dag, report: dict) -> int:
     try:
         contracted, mapping = dagmod.contract_idle_edges(dag)
         report["contraction"] = {
             "edges_removed": len(dag.edges) - len(contracted.edges),
-            "edge_map": {k: v for k, v in sorted(mapping.items())},
+            "edge_map": mapping,
         }
     except ValueError:
         report["contraction"] = "graph contracts to a single edge-free point"
@@ -263,29 +264,30 @@ def cmd_analyze(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     hs = geo.ehrhart_hstar(dag)
     # the integer flows of strength 1 are the routes; a point (dim 0) has no L(1)
     report["routes"] = hs.counts[1] if len(hs.counts) > 1 else geo.lattice_counts(dag, 1)[1]
-    report["ehrhart"] = hs.to_json()
-    return report, OK
+    report["ehrhart"] = {"L": hs.counts, "h_star": hs.h_star,
+                         "degree": hs.degree, "codegree": hs.codegree}
+    return OK
 
 
-def cmd_decompose(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
+def cmd_decompose(args, dag: dagmod.Dag, report: dict) -> int:
     decomp = rmod.route_decomposition(dag)
-    report["decomposition"] = [list(r) for r in decomp]
+    report["decomposition"] = decomp
     report["size"] = len(decomp)
     report["outdeg_source"] = dag.outdeg(0)
-    return report, OK
+    return OK
 
 
-def cmd_dkk(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
+def cmd_dkk(args, dag: dagmod.Dag, report: dict) -> int:
     decomp = _load_decomposition(dag, args.decomposition)
     framing = rmod.decomposition_framing(dag, decomp)
     tri = dkkmod.dkk_triangulation(dag, framing)
     report["routes"] = len(tri.labels)
     report["simplices"] = Faces(tri.labels, tri.simplices)
-    report["exceptional_routes"] = [list(r) for r in dkkmod.exceptional_routes(tri)]
+    report["exceptional_routes"] = dkkmod.exceptional_routes(tri)
     check = dkkmod.verify_dkk_triangulation(dag, tri)
     report["triangulation_ok"] = check.ok
-    report["issues"] = list(check.issues)
-    return report, OK if check.ok else FAILED
+    report["issues"] = check.issues
+    return OK if check.ok else FAILED
 
 
 def _h_against_h_star(dag: dagmod.Dag, fv) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
@@ -293,30 +295,30 @@ def _h_against_h_star(dag: dagmod.Dag, fv) -> tuple[tuple[int, ...], tuple[int, 
     the route simplex, a cone), the graph's h*, and whether they agree."""
     h = geo.h_from_f(fv)
     h_star = geo.ehrhart_hstar(dag).h_star
-    return h, h_star, list(h) == list(h_star[:len(h)]) and not any(h_star[len(h):])
+    return h, h_star, h == h_star[:len(h)] and not any(h_star[len(h):])
 
 
-def cmd_equatorial(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
+def cmd_equatorial(args, dag: dagmod.Dag, report: dict) -> int:
     decomp = _load_decomposition(dag, args.decomposition)
     _require_idle_free(dag)
     if args.exhaustive_dkk and (framings := eqmod.framing_count(dag)) > eqmod.MAX_FRAMINGS:
         raise InputError(f"--exhaustive-dkk: {framings} framings, "
                          f"more than the bound of {eqmod.MAX_FRAMINGS}")
-    report["decomposition"] = [list(r) for r in decomp]
+    report["decomposition"] = decomp
     table, _, facets, sphere = eqmod.equatorial_sphere(dag, decomp)
     labels = table.routes
-    report["facets"] = [{"transversal": list(facets[rs]), "routes": Faces(labels, rs)}
+    report["facets"] = [{"transversal": facets[rs], "routes": Faces(labels, rs)}
                         for rs in geo._canonical(facets)]
     report["sphere"] = {
         "maximal_faces": Faces(labels, sphere.maximal_faces),
-        "f_vector": list(sphere.f_vector),
+        "f_vector": sphere.f_vector,
         "euler_characteristic": geo.euler_characteristic(sphere.f_vector),
     }
     simplices = eqmod.joined_simplices(dag, table, decomp, sphere)
     report["simplices"] = Faces(labels, simplices)
     h, h_star, agree = _h_against_h_star(dag, sphere.f_vector)
-    report["h_vector"] = list(h)
-    report["h_star"] = list(h_star)
+    report["h_vector"] = h
+    report["h_star"] = h_star
     report["h_equals_h_star"] = agree
     code = OK if agree else FAILED
     if args.exhaustive_dkk:
@@ -327,28 +329,33 @@ def cmd_equatorial(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
             "verdict": ("is a DKK triangulation" if matches
                         else "not a DKK triangulation for any framing"),
         }
-    return report, code
+    return code
 
 
-def cmd_quotient(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
+def cmd_quotient(args, dag: dagmod.Dag, report: dict) -> int:
     decomp = _load_decomposition(dag, args.decomposition)
     _require_idle_free(dag)
     q = qmod.quotient_facets(dag, decomp)
-    report["polytope"] = q.to_json()
+    blocks = q.space.blocks
+    report["polytope"] = {
+        "blocks": {str(v): labels for v, labels in blocks},
+        "vertices": {str(i): c for i, c in q.vertices},
+        "facets": [{"coeffs": c, "rhs": 1, "transversal": m} for m, c in q.facets],
+        "subspace": [f"sum of block {v} = 0" for v, _ in blocks],
+    }
     report["dimension"] = q.space.quotient_dim
     refl = qmod.verify_reflexive(q)
     report["reflexive"] = refl.ok
-    report["reflexive_issues"] = list(refl.issues)
+    report["reflexive_issues"] = refl.issues
     pairs, failures = qmod.check_transversal_identity(q)
     report["identity_pairs"] = pairs
     report["identity_failures"] = [
-        {"route": list(s), "transversal": list(m), "lhs": lhs, "rhs": rhs}
+        {"route": s, "transversal": m, "lhs": lhs, "rhs": rhs}
         for s, m, lhs, rhs in failures]
-    good = refl.ok and not failures
-    return report, OK if good else FAILED
+    return OK if refl.ok and not failures else FAILED
 
 
-def cmd_order(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
+def cmd_order(args, dag: dagmod.Dag, report: dict) -> int:
     if args.max_dilate < 0:
         raise InputError(f"--max-dilate {args.max_dilate} is negative")
     try:
@@ -359,7 +366,7 @@ def cmd_order(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     poset = dual.poset
     report["poset"] = plmod.poset_to_json(poset)
     report["graded"] = poset.graded
-    report["ranks"] = dict(sorted(poset.heights.items())) if poset.graded else {}
+    report["ranks"] = poset.heights if poset.graded else {}
     flows = geo.lattice_counts(dag, args.max_dilate)
     counts = [{"t": t, "flow": flows[t], "order": order}
               for t, order in enumerate(plmod.order_polytope_count(poset, args.max_dilate), 1)]
@@ -368,17 +375,17 @@ def cmd_order(args, dag: dagmod.Dag, report: dict) -> tuple[dict, int]:
     report["lattice_counts_agree"] = counts_ok
     if not dagmod.degree_equality(dag):
         report["equivalence"] = "skipped: degree equality fails"
-        return report, OK if counts_ok else FAILED
+        return OK if counts_ok else FAILED
     _require_idle_free(dag)
     ver = plmod.verify_equivalence(dag, emb, dual)
     report["equivalence"] = {
         "ok": ver.ok,
-        "issues": list(ver.issues),
-        "decomposition": [list(r) for r in ver.decomposition],
+        "issues": ver.issues,
+        "decomposition": ver.decomposition,
         "flow_simplices": ver.flow_simplices,
         "order_simplices": ver.order_simplices,
     }
-    return report, OK if counts_ok and ver.ok else FAILED
+    return OK if counts_ok and ver.ok else FAILED
 
 
 def _fuzz_failure(k: int, drawn: dagmod.Dag, message: str) -> dict:
@@ -387,7 +394,7 @@ def _fuzz_failure(k: int, drawn: dagmod.Dag, message: str) -> dict:
             "graph": json.dumps(dagmod.dag_to_json(drawn), separators=(",", ":"))}
 
 
-def cmd_fuzz(args, _, report: dict) -> tuple[dict, int]:
+def cmd_fuzz(args, _, report: dict) -> int:
     if args.max_edges < 4:            # 3 inner vertices need 4 edges
         raise InputError(f"--max-edges {args.max_edges} is below 4")
     if args.max_edges > MAX_FUZZ_EDGES:
@@ -423,7 +430,7 @@ def cmd_fuzz(args, _, report: dict) -> tuple[dict, int]:
             failures.append(_fuzz_failure(k, drawn, f"h-vector {h} != h* {h_star}"))
     report.update(seed=args.seed, graphs=args.count, balanced_checked=balanced,
                   failures=failures)
-    return report, OK if not failures else FAILED
+    return OK if not failures else FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +467,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; the only place where exceptions become exit codes,
-    and the one place that reads the graph file and builds the report header."""
+    """Run one subcommand, which fills a copy of the report header and returns
+    its exit code; the only place where exceptions become exit codes, and the
+    one place that reads the graph file and builds the report header."""
     try:
         args = _parser().parse_args(argv)
         header: dict = {"command": args.command}
         dag = None
         if args.command != "fuzz":
             dag, header["digest"] = _load_graph(args.graph)
+        report = dict(header)
         # looked up on every call, so a rebound cmd_* takes effect
-        report, code = globals()[f"cmd_{args.command}"](args, dag, dict(header))
+        code = globals()[f"cmd_{args.command}"](args, dag, report)
     except InputError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return INVALID

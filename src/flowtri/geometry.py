@@ -234,14 +234,11 @@ def _lattice_pass(dag: Dag, lo: int, first: int, top: int,
 
 @dataclass(frozen=True)
 class HStarData:
+    """The Ehrhart data of a flow polytope; ``cli.cmd_analyze`` prints it."""
     counts: tuple[int, ...]           # L(0), ..., L(d)
     h_star: tuple[int, ...]
     degree: int
     codegree: int
-
-    def to_json(self) -> dict:
-        return {"L": list(self.counts), "h_star": list(self.h_star),
-                "degree": self.degree, "codegree": self.codegree}
 
 
 def ehrhart_hstar(dag: Dag) -> HStarData:

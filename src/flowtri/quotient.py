@@ -150,21 +150,12 @@ class _Lanes:
 
 @dataclass(frozen=True)
 class QuotientPolytope:
+    """The quotient's vertices and facets; ``cli.cmd_quotient`` prints them."""
     space: LeveledSpace
     routes: tuple[Route, ...]                            # enumerate_routes(dag)
     vertices: tuple[tuple[int, tuple[int, ...]], ...]   # (route index, coords)
     functionals: Mapping[Transversal, tuple[int, ...]]  # every transversal, lexicographic
     facets: tuple[tuple[Transversal, tuple[int, ...]], ...]  # (m, functionals[m])
-
-    def to_json(self) -> dict:
-        blocks = {str(v): list(labels) for v, labels in self.space.blocks}
-        return {
-            "blocks": blocks,
-            "vertices": {str(i): list(c) for i, c in self.vertices},
-            "facets": [{"coeffs": list(c), "rhs": 1, "transversal": list(m)}
-                       for m, c in self.facets],
-            "subspace": [f"sum of block {v} = 0" for v, _ in self.space.blocks],
-        }
 
 
 def _functionals(space: LeveledSpace, decomp: Sequence[Route]

@@ -547,6 +547,17 @@ def canonical_dkk_matches(dag: Dag, table: RouteTable,
                  if set(dkk.max_cliques(dkk.coherence_graph(fr, table), size)) == target)
 
 
+def one_skeleton(simplices: Iterable[int], n: int) -> tuple[int, ...]:
+    """The 1-skeleton of the complex with facets ``simplices``, masks over
+    ``n`` routes, as int-mask adjacency (``dkk.coherence_graph``'s shape):
+    bit j of entry i is set when routes i != j share a facet."""
+    adj = [0] * n
+    for s in simplices:
+        for i in _members(s):
+            adj[i] |= s & ~(1 << i)
+    return tuple(adj)
+
+
 def common_face(dag: Dag, decomp: Sequence[Route], routeset: Sequence[Route]) -> bool:
     """True iff no decomposition route is buried in the union of the given
     routes' edges (equivalently the set avoids some union of transversals)."""

@@ -11,6 +11,7 @@ import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -432,10 +433,30 @@ def test_broken_invariant_exits_1_with_json_error(capsys, d2_file, monkeypatch):
 
 def test_rebound_subcommand_takes_effect(capsys, d1_file, monkeypatch):
     run(capsys, ["analyze", d1_file])          # the parser is built by now
-    monkeypatch.setattr(cli, "cmd_analyze",
-                        lambda args, dag, report: ({"stub": args.graph}, 0))
+
+    def stub(args, dag, report):
+        report["stub"] = args.graph
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_analyze", stub)
     code, out, _ = run(capsys, ["analyze", d1_file])
-    assert code == 0 and json.loads(out) == {"stub": d1_file}
+    report = json.loads(out)
+    assert code == 0 and report["stub"] == d1_file
+    assert set(report) == {"command", "digest", "stub"}
+
+
+def test_not_gorenstein_report_is_the_header_and_the_error(capsys, d1_file, monkeypatch):
+    """A subcommand that fills part of its report and then meets a graph that
+    is not Gorenstein prints the header and the error, nothing it filled."""
+    def half_done(args, dag, report):
+        report["dimension"] = 1
+        raise cli.rmod.NotGorensteinError("not Gorenstein: stub")
+
+    monkeypatch.setattr(cli, "cmd_analyze", half_done)
+    code, out, err = run(capsys, ["analyze", d1_file])
+    report = json.loads(out)
+    assert (code, err, report["error"]) == (1, "", "not Gorenstein: stub")
+    assert set(report) == {"command", "digest", "error"}
 
 
 def test_byte_identical_output(capsys, d2_file):
@@ -532,9 +553,12 @@ LEAF_LIST = st.lists(TEXT, min_size=1, max_size=4) | st.lists(st.integers(), min
 
 
 def json_trees(leaf):
+    """JSON trees whose lists may come as tuples, which print as lists."""
     return st.recursive(
         leaf, lambda kids: st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
         | st.lists(st.integers() | st.booleans(), max_size=4)
+        | st.lists(st.integers() | st.booleans(), max_size=4).map(tuple)
         | st.dictionaries(TEXT, kids, max_size=4)
         | st.dictionaries(st.integers() | st.booleans(), kids, max_size=4)
         | st.dictionaries(st.none(), kids, max_size=1),
@@ -550,8 +574,8 @@ SHARED_TREES = json_trees(SCALAR | st.just(PLACEHOLDER))
 def put_shared(tree, shared):
     if tree is PLACEHOLDER:
         return shared
-    if isinstance(tree, list):
-        return [put_shared(t, shared) for t in tree]
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(put_shared(t, shared) for t in tree)
     if isinstance(tree, dict):
         return {k: put_shared(t, shared) for k, t in tree.items()}
     return tree
@@ -576,7 +600,13 @@ class Name(str):
     pass
 
 
-@pytest.mark.parametrize("bad", [1.5, {1, 2}, Name("x"), Fraction(1, 2)])
+class Pair(NamedTuple):
+    """A tuple subclass that is not ``Faces``."""
+    a: int
+    b: int
+
+
+@pytest.mark.parametrize("bad", [1.5, {1, 2}, Name("x"), Fraction(1, 2), Pair(1, 2)])
 def test_json_writer_rejects_other_types(bad):
     for value in (bad, [bad], {"k": [bad, 1]}):
         with pytest.raises(TypeError):
@@ -740,6 +770,7 @@ def test_text_format_keeps_nested_lists_apart(capsys, tmp_path):
     a, c, b, d = "acbd"
     nested = [[[a, c], [b, d]], [[a, c, b, d]], [a, c, b, d], [[], [a, c, b, d]], []]
     assert len({text_of({"x": v}) for v in nested}) == len(nested)
+    assert text_of({"x": ((a, c), (b, d)), "y": ()}) == text_of({"x": nested[0], "y": []})
     assert text_of({"x": [[a, c], [b, d]], "y": []}) == (
         "x:\n  - - a\n    - c\n  - - b\n    - d\ny: []\n")
     assert text_of({"f": [{"r": [[a]], "t": [c]}, {"r": [], "t": [d]}]}) == (

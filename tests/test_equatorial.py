@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 from flowtri import dkk, equatorial
 from flowtri.dag import D1, D2, D3, G, bypass, dimension, make_dag, zigzag
 from flowtri.dkk import max_cliques
-from flowtri.equatorial import (_avoided_sets, equatorial_facets, equatorial_sphere,
-                                framing_count, joined_simplices, matching_framings,
-                                sphere_facets, t_eq)
+from flowtri.equatorial import (_all_framings, _avoided_sets, equatorial_facets,
+                                equatorial_sphere, framing_count, joined_simplices,
+                                matching_framings, sphere_facets, t_eq)
 from flowtri.geometry import _canonical, _mask, _members, ehrhart_hstar, h_from_f, normalized_volume
 from flowtri.routes import enumerate_routes, route_decomposition
 from tests.conftest import (RU351, Complex, all_routes, canonical_dkk_matches, chain, common_face,
                             complex_euler_characteristic,
                             equatorial_flow_triangulation, f_vector, h_polynomial, is_facet_transversal, is_pure,
-                            members, old_t_eq, product_avoided_sets, random_balanced_dag,
+                            members, old_t_eq, one_skeleton, product_avoided_sets,
+                            random_balanced_dag,
                             ridges_in_two_facets, route_unions, route_vectors, routes_avoiding,
                             set_equatorial_facets,
                             set_max_cliques, sphere, sphere_oracle, trimmed, verify_triangulation)
@@ -282,6 +283,35 @@ def test_exhaustive_sweep_rejects_a_clique_of_the_wrong_size(monkeypatch):
     with pytest.raises(AssertionError,
                        match=rf"^maximal clique \(\d+,\) has size 1, expected {size}$"):
         matching_framings(d2, all_routes(d2), tri.simplices)
+
+
+@pytest.mark.parametrize("dag", [chain(3, 3), RU351], ids=["chain3x3", "ru(3,5,.5,1)"])
+def test_join_off_its_clique_complex_is_dkk_for_no_framing(dag):
+    """A framed triangulation is the clique complex of its coherence graph
+    (Danilov-Karzanov-Koshevoy 2012), so it is fixed by its 1-skeleton.
+    These joins are not the clique complex of their 1-skeleton, so no
+    framing gives them: one clique search decides what a sweep of 1,296
+    and 82,944 framings decides."""
+    tri = equatorial_flow_triangulation(dag, route_decomposition(dag))
+    n = len(tri.labels)
+    cliques = dkk._bron_kerbosch(one_skeleton(tri.simplices, n), (1 << n) - 1)
+    assert set(cliques) != set(tri.simplices)
+
+
+def test_flag_join_matches_the_framings_with_its_1_skeleton():
+    """Chain 4x2's join is the clique complex of its 1-skeleton, and the
+    framings it comes from are those whose coherence graph is that
+    1-skeleton."""
+    dag = chain(4, 2)
+    table = all_routes(dag)
+    tri = equatorial_flow_triangulation(dag, route_decomposition(dag))
+    n = len(table.routes)
+    skeleton = one_skeleton(tri.simplices, n)
+    assert set(dkk._bron_kerbosch(skeleton, (1 << n) - 1)) == set(tri.simplices)
+    matches = matching_framings(dag, table, tri.simplices)
+    assert len(matches) == 2
+    assert matches == tuple(i for i, fr in enumerate(_all_framings(dag))
+                            if dkk.coherence_graph(fr, table) == skeleton)
 
 
 def test_d1_equals_its_dkk():

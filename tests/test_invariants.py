@@ -23,6 +23,21 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_report_format_lives_in_cli():
+    """No library class knows its report's shape: ``cli`` builds each
+    report block from the record's fields.  The module-level data formats
+    (``dag_to_json``, ``embedding_to_json``, ``poset_to_json``) stay."""
+    assert SOURCES
+    found = [f"{path.name}:{node.lineno} {node.name}.{item.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ClassDef)
+             for item in node.body
+             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and item.name == "to_json"]
+    assert found == []
+
+
 def _inexact(node: ast.AST) -> bool:
     """True division, a float literal, a ``float(...)`` call or any mention
     of ``Fraction``."""
