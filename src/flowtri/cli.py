@@ -5,12 +5,13 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import dag as dagmod
 from . import dkk as dkkmod
@@ -120,6 +121,16 @@ class Faces(NamedTuple):
 WRITE_PIECES = 4096     # pieces joined into one ``write``
 
 
+@functools.cache
+def _record_template(names: tuple[str, ...], depth: int) -> str:
+    """The ``%`` template of a dict at ``depth`` with the sorted str keys
+    ``names``: one ``%s`` per key's value text, the key texts escaped."""
+    inner = "\n" + "  " * (depth + 1)
+    return ("{" + inner + ("," + inner).join(
+        encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names)
+        + "\n" + "  " * depth + "}")
+
+
 def _write_json(value, write) -> None:
     """Write ``value`` as ``json.dumps`` renders it with indent 2 and sorted
     keys, with each ``Faces`` rendered as its member lists.
@@ -130,13 +141,29 @@ def _write_json(value, write) -> None:
     is rendered by one join.  Each route of a ``Faces`` is rendered once per
     depth, memoised by the route list's id and depth, so routes shared by
     many faces cost one rendering, and a face is one join over its members'
-    texts (an empty face is ``[]``).
-    ``value`` keeps every memoised route list alive for the call.
+    texts (an empty face is ``[]``); the face renderer is memoised the same
+    way.  ``value`` keeps every memoised route list alive for the call.
+
+    A list or tuple of records, nonempty dicts that share one set of str
+    keys, is rendered a column at a time: each key's values, taken from
+    every record, are rendered by one type test for the column, and each
+    record is one ``%`` of the template its sorted keys give
+    (``_record_template``, built once per key tuple and depth).  A column
+    batches when all its values are str, or all int (one ``map`` of the
+    encoder); when all are lists or tuples whose items are all str, or all
+    int (one join each); or when all are ``Faces`` of one mask over one
+    route list (one face renderer).  Any other column, such as one of
+    bools, of nested lists or records, or of ``Faces`` sequences (which
+    stream, below), sends its whole list to the per-value walk, as does a
+    list whose dicts differ in keys, are empty or have a key that is not a
+    str.
+
     Pieces are joined into one ``write`` per few thousand, a face counting
-    as two pieces per route, so an unbuffered stdout does not take a system
-    call per piece and no write holds more than a slice of the output.
+    as two pieces per route and a record as one per key plus one, so an
+    unbuffered stdout does not take a system call per piece and no write
+    holds more than a slice of the output.
     """
-    route_memo: dict[tuple[int, int], list[str]] = {}
+    face_memo: dict[tuple[int, int], Callable[[int], str]] = {}
     parts: list[str] = []
     put = parts.append
 
@@ -146,19 +173,71 @@ def _write_json(value, write) -> None:
 
     def face_text(routes, depth: int):
         """The function from a mask to its face's text at ``depth``."""
-        key = (id(routes), depth + 1)
-        texts = route_memo.get(key)
-        if texts is None:
+        key = (id(routes), depth)
+        face = face_memo.get(key)
+        if face is None:
             inner = "\n" + "  " * (depth + 2)
             close = "\n" + "  " * (depth + 1) + "]"
-            texts = route_memo[key] = [
-                "[" + inner + ("," + inner).join(map(encode_basestring_ascii, r)) + close
-                if r else "[]" for r in routes]
-        get = texts.__getitem__
+            get = ["[" + inner + ("," + inner).join(map(encode_basestring_ascii, r)) + close
+                   if r else "[]" for r in routes].__getitem__
+            inner = "\n" + "  " * (depth + 1)
+            opened, sep, close = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
+            members = geo._members
+            face = face_memo[key] = (
+                lambda m: opened + sep.join(map(get, members(m))) + close if m else "[]")
+        return face
+
+    def column(values: list, depth: int) -> list[str] | None:
+        """The texts of ``values`` at ``depth``, or None if they do not batch."""
+        kinds = set(map(type, values))
+        if kinds <= {list, tuple}:
+            items = set(map(type, itertools.chain.from_iterable(values)))
+            if not items:
+                return ["[]"] * len(values)
+            encode = _LEAF_ENCODERS.get(items.pop()) if len(items) == 1 else None
+            if encode is None:
+                return None
+            inner = "\n" + "  " * (depth + 1)
+            opened, sep, close = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
+            return [opened + sep.join(map(encode, v)) + close if v else "[]" for v in values]
+        kind = kinds.pop() if len(kinds) == 1 else None
+        encode = _LEAF_ENCODERS.get(kind)
+        if encode is not None:
+            return list(map(encode, values))
+        if kind is Faces:
+            routes, masks = zip(*values)
+            if len(set(map(id, routes))) == 1 and set(map(type, masks)) == {int}:
+                return list(map(face_text(routes[0], depth), masks))
+        return None
+
+    def records(value, depth: int):
+        """The texts of the records in ``value`` at ``depth``, or None."""
+        if set(map(type, itertools.chain.from_iterable(value))) != {str}:
+            return None
+        shapes = set(map(tuple, value))
+        names = sorted(shapes.pop())
+        if any(sorted(shape) != names for shape in shapes):
+            return None
+        columns = []
+        for name in names:
+            texts = column([record[name] for record in value], depth + 1)
+            if texts is None:
+                return None
+            columns.append(texts)
+        return map(_record_template(tuple(names), depth).__mod__, zip(*columns))
+
+    def put_list(texts, count: int, weight: int, depth: int) -> None:
+        """Put the ``count`` item texts ``texts`` as a list at ``depth``,
+        flushed every ``WRITE_PIECES`` pieces at ``weight`` pieces an item."""
         inner = "\n" + "  " * (depth + 1)
-        opened, sep, close = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
-        members = geo._members
-        return lambda m: opened + sep.join(map(get, members(m))) + close if m else "[]"
+        step = WRITE_PIECES // weight + 1
+        put("[" + inner)
+        for lo in range(0, count, step):
+            if lo:
+                put("," + inner)
+            put(("," + inner).join(itertools.islice(texts, step)))
+            flush()
+        put("\n" + "  " * depth + "]")
 
     def walk(value, depth: int) -> None:
         kind = type(value)
@@ -166,28 +245,23 @@ def _write_json(value, write) -> None:
             masks = value.masks
             if type(masks) is int:
                 put(face_text(value.routes, depth)(masks))
-                return
-            if not masks:
+            elif masks:
+                put_list(map(face_text(value.routes, depth + 1), masks), len(masks),
+                         2 * masks[0].bit_count() + 2, depth)
+            else:
                 put("[]")
-                return
-            face = face_text(value.routes, depth + 1)
-            inner = "\n" + "  " * (depth + 1)
-            step = WRITE_PIECES // (2 * masks[0].bit_count() + 2) + 1
-            put("[" + inner)
-            for lo in range(0, len(masks), step):
-                if lo:
-                    put("," + inner)
-                put(("," + inner).join(map(face, masks[lo:lo + step])))
-                flush()
-            put("\n" + "  " * depth + "]")
             return
         if kind in (list, tuple) and value:
             kinds = set(map(type, value))
-            encode = _LEAF_ENCODERS.get(kinds.pop()) if len(kinds) == 1 else None
+            only = kinds.pop() if len(kinds) == 1 else None
+            encode = _LEAF_ENCODERS.get(only)
             inner = "\n" + "  " * (depth + 1)
             if encode is not None:
                 put("[" + inner + ("," + inner).join(map(encode, value))
                     + "\n" + "  " * depth + "]")
+                return
+            if only is dict and (texts := records(value, depth + 1)) is not None:
+                put_list(texts, len(value), len(value[0]) + 1, depth)
                 return
             put("[" + inner)
             for i, item in enumerate(value):

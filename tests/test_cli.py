@@ -596,6 +596,46 @@ def test_json_writer_matches_json_dumps(value):
     assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True)
 
 
+# Lists of records, dicts sharing one key set, which the writer renders a
+# column at a time from one ``%`` template per key set: keys that a template
+# must escape, non-str keys, rows in any key order, empty dicts, and columns
+# of one leaf type, of mixed types, of leaf lists and of nested values.
+STR_KEY = st.sampled_from(["%", "%s", "%%d", '"', "\\", "é", "☃", "", "a"]) | TEXT
+STR_KEYS = st.lists(STR_KEY, unique=True, max_size=4)
+OTHER_KEYS = (st.lists(st.integers(-3, 3) | st.booleans(), unique=True, max_size=3)
+              | st.lists(st.none(), max_size=1))
+LEAF_COLUMNS = st.sampled_from([
+    TEXT, st.integers(), st.lists(TEXT, max_size=3),
+    st.lists(st.integers(), max_size=3).map(tuple), st.lists(st.integers(), max_size=0)])
+OTHER_COLUMNS = st.sampled_from([
+    st.booleans(), SCALAR, st.lists(st.integers() | TEXT, max_size=3),
+    st.lists(st.lists(st.integers(), max_size=2), min_size=1, max_size=2),
+    st.dictionaries(TEXT, SCALAR, max_size=2), json_trees(SCALAR)])
+
+
+@st.composite
+def record_lists(draw):
+    """A list of records, which may hold one column the writer does not
+    batch, and one row short of a key."""
+    keys = draw(OTHER_KEYS if draw(st.integers(0, 4)) == 0 else STR_KEYS)
+    values = {key: draw(LEAF_COLUMNS) for key in keys}
+    if keys and draw(st.booleans()):
+        values[draw(st.sampled_from(keys))] = draw(OTHER_COLUMNS)
+    rows = [{key: draw(values[key]) for key in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(0, 6)))]
+    if rows and keys and draw(st.integers(0, 3)) == 0:
+        rows.append({key: value for key, value in rows[0].items() if key != keys[0]})
+    return draw(st.sampled_from([rows, tuple(rows), {"k": [rows, {"%s": rows}]}]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_lists())
+def test_json_writer_renders_record_lists(value):
+    out = io.StringIO()
+    cli._write_json(value, out.write)
+    assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True)
+
+
 class Name(str):
     pass
 
@@ -613,6 +653,12 @@ def test_json_writer_rejects_other_types(bad):
             cli._write_json(value, io.StringIO().write)
 
 
+def test_json_writer_rejects_str_subclass_keys_in_records():
+    for value in ([{Name("k"): 1}], [{"k": 1}, {Name("k"): 2}], [{"k": 1, Name("j"): 2}]):
+        with pytest.raises(TypeError):
+            cli._write_json(value, io.StringIO().write)
+
+
 # Faces as flat int masks over one route list, shared at several depths:
 # the writer renders each route once per depth and each face by one join.
 ROUTE_LIST = st.lists(st.lists(TEXT, max_size=3), max_size=6)
@@ -625,14 +671,22 @@ def faces_reports(draw) -> tuple[dict, dict]:
     mask = st.integers(0, (1 << len(routes)) - 1)
     one, many = draw(mask), draw(st.lists(mask, max_size=4))
 
-    def lists(m: int) -> list:          # top bit first, as a graph's table lists routes
+    def lists(m: int, routes=routes) -> list:   # top bit first, as a graph's table lists routes
         return [routes[i] for i in range(len(routes) - 1, -1, -1) if m >> i & 1]
 
-    def report(face, faces) -> dict:
+    def report(face, faces, twin) -> dict:
+        """``twin`` is ``face`` over another route list."""
         return {"one": face(one), "many": faces(many), "empty": [face(0), faces([])],
-                "deeper": [[faces(many)], {"0": face(one)}]}
-    return (report(lambda m: cli.Faces(routes, m), lambda ms: cli.Faces(routes, ms)),
-            report(lists, lambda ms: list(map(lists, ms))))
+                "deeper": [[faces(many)], {"0": face(one)}],
+                # records of one face over one route list, as equatorial's facets
+                "records": [{"routes": face(m), "transversal": [str(i)]}
+                            for i, m in enumerate(many)],
+                "twins": [{"routes": face(one)}, {"routes": twin(one)}],
+                "sequences": [{"faces": faces(many), "n": 0}, {"faces": faces([one]), "n": 1}]}
+    other = [[*r, "x"] for r in routes]
+    return (report(lambda m: cli.Faces(routes, m), lambda ms: cli.Faces(routes, ms),
+                   lambda m: cli.Faces(other, m)),
+            report(lists, lambda ms: list(map(lists, ms)), lambda m: lists(m, other)))
 
 
 def text_of(value) -> str:
