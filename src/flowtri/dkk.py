@@ -272,17 +272,14 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
         issues.append(f"{len(simplices)} simplices but normalized volume {volume}")
     if malformed:
         return TriangulationReport(tuple(issues))
-    # the labels' table, and per label the edge mask of its prefix into each
-    # inner vertex it visits
+    # the labels' table; upto[v], the mask of the edges with head <= v, so a
+    # route's prefix into an inner vertex v it visits is its edge mask &
+    # upto[v] (every edge ascends); and per label the mask of those vertices
     table = route_table(dag, labels)
     edges, by_edges, through = table.edges, table.index, table.through
-    prefixes = []
-    for r in labels:
-        pre, into = 0, {}
-        for eid in r[:-1]:
-            pre |= 1 << dag.edge_index[eid]
-            into[dag.edge_by_id[eid].head] = pre
-        prefixes.append(into)
+    upto = [sum(1 << k for k, e in enumerate(dag.edges) if e.head <= v)
+            for v in range(dag.sink + 1)]
+    visited = [sum(1 << dag.edge_by_id[eid].head for eid in r[:-1]) for r in labels]
     columns = _chart(dag)
     point = cache(lambda i: tuple(edges[i] >> c & 1 for c in columns))   # route i on the chart
 
@@ -302,10 +299,11 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
 
     def swap_crosses(a: int, b: int, ridge: int) -> bool:
         """Some prefix swap of routes a and b gives two routes of ``ridge``."""
-        pa, pb = prefixes[a], prefixes[b]
-        for v in pa.keys() & pb.keys():
-            c = by_edges.get(pa[v] | (edges[b] ^ pb[v]))
-            d = by_edges.get(pb[v] | (edges[a] ^ pa[v]))
+        ea, eb = edges[a], edges[b]
+        for v in _members(visited[a] & visited[b]):
+            pa, pb = ea & upto[v], eb & upto[v]
+            c = by_edges.get(pa | (eb ^ pb))
+            d = by_edges.get(pb | (ea ^ pa))
             if c is not None and d is not None and ridge >> c & ridge >> d & 1:
                 return True
         return False

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, product
+from math import prod
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .dag import Dag
 from .equatorial import Transversal, equatorial_facets
@@ -96,9 +97,8 @@ class _Lanes:
     ``columns[k]`` is that sum for the k-th unit vector, so a point's packed
     values are sum_k x_k * columns[k].  At a point whose coordinates are at
     most ``bound`` in absolute value every value is at most
-    V = bound * max_j sum_k |coeff_j[k]|, plus ``spare`` for values that
-    the caller adds lane by lane, and w is the least whole number of bytes
-    with V < H = 2**(w - 1).  Adding the bias H to every lane then puts
+    V = bound * max_j sum_k |coeff_j[k]|, and w is the least whole number
+    of bytes with V < H = 2**(w - 1).  Adding the bias H to every lane then puts
     each lane in [H - V, H + V], inside [0, 2**w), so no lane borrows from
     or carries into its neighbour: the biased int's bytes are the lanes,
     and a lane of value >= 1 is one whose high bit is set once H - 1 is
@@ -106,13 +106,12 @@ class _Lanes:
     A coefficient that is not a whole number raises ``ValueError``.
     """
 
-    def __init__(self, functionals: Sequence[Sequence[int]], dim: int, bound: int,
-                 spare: int = 0) -> None:
+    def __init__(self, functionals: Sequence[Sequence[int]], dim: int, bound: int) -> None:
         values = set(chain.from_iterable(functionals))
         for c in values:
             if c != int(c):
                 raise ValueError(f"coefficient {c} is not an integer")
-        widest = max(1, bound) * max((sum(map(abs, c)) for c in functionals), default=0) + spare
+        widest = max(1, bound) * max((sum(map(abs, c)) for c in functionals), default=0)
         size = self.size = int(widest).bit_length() // 8 + 1
         half = 1 << (8 * size - 1)
         count = self.count = len(functionals)
@@ -152,28 +151,27 @@ class _Lanes:
 class QuotientPolytope:
     """The quotient's vertices and facets; ``cli.cmd_quotient`` prints them."""
     space: LeveledSpace
+    decomp: tuple[Route, ...]                            # the decomposition routes R_i
     routes: tuple[Route, ...]                            # enumerate_routes(dag)
     vertices: tuple[tuple[int, tuple[int, ...]], ...]   # (route index, coords)
-    functionals: Mapping[Transversal, tuple[int, ...]]  # every transversal, lexicographic
-    facets: tuple[tuple[Transversal, tuple[int, ...]], ...]  # (m, functionals[m])
+    facets: tuple[tuple[Transversal, tuple[int, ...]], ...]  # (m, F_m)
 
 
-def _functionals(space: LeveledSpace, decomp: Sequence[Route]
-                 ) -> dict[Transversal, tuple[int, ...]]:
-    """Every transversal's 0/1 functional, in product order: its support,
-    the (vertex, label) pairs reached by the pre-transversal prefix of each
+def _functionals(space: LeveledSpace, decomp: Sequence[Route],
+                 transversals: Iterable[Transversal]) -> dict[Transversal, tuple[int, ...]]:
+    """The 0/1 functional F_m of each of ``transversals``: its support, the
+    (vertex, label) pairs reached by the pre-transversal prefix of each
     decomposition route (every prefix edge ends at an inner vertex), is the
-    OR of one prefix mask of head slots per route, grown route by route in
-    the same order as ``product(*decomp)``."""
-    masks = [0]
+    union of one prefix mask of head slots per route: masks of distinct
+    labels, so disjoint, and summed."""
+    before = {}
     for route in decomp:
-        prefixes, mask = [], 0
+        mask = 0
         for eid in route:
-            prefixes.append(mask)
+            before[eid] = mask
             mask |= 1 << space.slots[eid][0]
-        masks = [m | p for m in masks for p in prefixes]
-    dim = space.dim
-    return {m: _coefficients(mask, dim) for m, mask in zip(product(*decomp), masks)}
+    return {m: _coefficients(sum(map(before.__getitem__, m)), space.dim)
+            for m in transversals}
 
 
 def check_transversal_identity(q: QuotientPolytope
@@ -181,55 +179,52 @@ def check_transversal_identity(q: QuotientPolytope
     """The facet identity F_m . phi(s) = 1 - (number of edges of m on s) for
     every route s and every transversal m: the number of (s, m) pairs, and
     the failing rows (s, m, lhs, rhs), routes in enumeration order and
-    transversals in lexicographic order within each route.  ``q`` (from
+    transversals in product order within each route.  ``q`` (from
     ``quotient_facets``) supplies the routes, their images and the
-    functionals.
+    decomposition R_1, ..., R_k.
 
-    One ``_Lanes`` holds F_m for every m, with room (``spare``) for the
-    number of edges of m on s, less 1, on top.  Route s's packed int is
-    phi(s) packed, plus, for each edge of s, the int with a 1 in the lane
-    of each m holding that edge, plus -1 in every lane: lhs - rhs in m's
-    lane.  The biased lanes are the base-2**w digits of one int, and
-    digits are unique, so the identity holds for every m exactly when the
-    packed int is 0.  Only a nonzero route is unpacked, and rows are built
-    for its nonzero lanes alone.  It is exact because every lane value is
-    at most max(1, max |vertex coordinate|) * max sum |F_m| + |m| + 1 in
-    absolute value, below 2**(w - 1) for the lane width w."""
-    transversals = tuple(q.functionals)
-    bound = max(map(abs, chain.from_iterable(v for _, v in q.vertices)), default=0)
-    lanes = _Lanes(list(q.functionals.values()), q.space.dim, bound,
-                   max(map(len, transversals), default=0) + 1)
-    size = lanes.size
-    marks = {eid: bytearray(size * len(transversals)) for eid in q.space.slots}
-    for j, m in enumerate(transversals):
-        for eid in m:
-            marks[eid][size * j] = 1
-    edge = {eid: int.from_bytes(lane_bytes, "little") for eid, lane_bytes in marks.items()}
-    minus_one = lanes.below - lanes.bias          # -1 in every lane
-    images = dict(q.vertices)
+    F_m is 1 on the head slots of R_i's edges before m_i, for each i: slots
+    that are distinct, as R_i enters each inner vertex once and the routes'
+    labels differ.  So, with x the image of s, F_m . x - (1 - |m & s|) =
+    sum_i b_i(s, m_i) - 1, where b_i(s, e) is the sum of x over the head
+    slots of R_i's edges before e, plus [e in s].  That is 0 for every m
+    exactly when each b_i(s, .) is constant along R_i and the constants,
+    [R_i's first edge in s], sum to 1: if b_i takes two values, the two
+    transversals that differ only there differ in value, so one fails; if
+    the constants sum to c != 1, every m fails by c - 1.  So one pass over
+    the decomposition's edges decides route s, exactly for every pair: the
+    step from e to the next edge f of R_i, through v = head(e), changes b_i
+    by x[(v, i)] + [f in s] - [e in s].  Only a failing route walks the
+    transversals, with exact ints, to list its rows.
+
+    At the true image every step is 0, as phi(s) at slot (v, i) is
+    [s enters v by R_i's edge] - [s leaves v by R_i's edge]: R_i's edges
+    are the ones labelled i.  And the constants sum to 1, as s begins with
+    one source edge, which begins exactly one R_i."""
+    decomp, images, slots = q.decomp, dict(q.vertices), q.space.slots
+    steps = [(slots[e][0], e, f) for route in decomp for e, f in zip(route, route[1:])]
+    origin = (0,) * q.space.dim
     failures: list[tuple[Route, Transversal, int, int]] = []
     for i, s in enumerate(q.routes):
-        packed = sum(map(edge.__getitem__, s), minus_one)
-        if i in images:
-            packed += lanes.pack(images[i])
-        if packed:
-            used = set(s)
-            for m, diff in zip(transversals, lanes.unpack(packed)):
-                if diff:
-                    rhs = 1 - len(used.intersection(m))
-                    failures.append((s, m, rhs + diff, rhs))
-    return len(q.routes) * len(transversals), tuple(failures)
+        x, on = images.get(i, origin), set(s)
+        if sum(r[0] in on for r in decomp) == 1 and all(
+                x[k] == (e in on) - (f in on) for k, e, f in steps):
+            continue
+        for m, coeffs in _functionals(q.space, decomp, product(*decomp)).items():
+            lhs, rhs = sum(map(mul, coeffs, x)), 1 - len(on.intersection(m))
+            if lhs != rhs:
+                failures.append((s, m, lhs, rhs))
+    return len(q.routes) * prod(map(len, decomp)), tuple(failures)
 
 
 def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
     """Full vertex/facet description: the images of the routes outside the
     decomposition, keyed by route index (the decomposition routes project
-    to the origin), the functional of every transversal, and one facet per
-    distinct functional of an equatorial facet; the dimension is
-    cross-checked.
+    to the origin), and one facet per distinct functional of an equatorial
+    facet's transversal; the dimension is cross-checked.
 
     The images and the functionals are read from the space's slot table:
-    one ``phi`` per route and one OR of prefix masks per transversal
+    one ``phi`` per route and one sum of prefix masks per facet transversal
     (``_functionals``).  The images' rank is taken by forward-only Bareiss
     elimination, with no early stop.
 
@@ -253,16 +248,15 @@ def quotient_facets(dag: Dag, decomp: Sequence[Route]) -> QuotientPolytope:
             raise AssertionError(f"decomposition route {r} does not project to 0")
     if len({c for _, c in verts}) != len(verts):
         raise AssertionError("projected vertices are not distinct")
-    functionals = _functionals(space, decomp)
     seen: dict[tuple[int, ...], Transversal] = {}
-    for m in facet_map.values():
-        seen.setdefault(functionals[m], m)
+    for m, c in _functionals(space, decomp, facet_map.values()).items():
+        seen.setdefault(c, m)
     facets = tuple((m, c) for c, m in sorted(seen.items()))
     want = space.quotient_dim
     got = rank([c for _, c in verts])
     if got != want:
         raise AssertionError(f"quotient rank {got} != expected dimension {want}")
-    return QuotientPolytope(space, table.routes, tuple(verts), functionals, facets)
+    return QuotientPolytope(space, tuple(decomp), table.routes, tuple(verts), facets)
 
 
 @dataclass(frozen=True)

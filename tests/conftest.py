@@ -1491,18 +1491,19 @@ def dict_phi(dag: Dag, decomp: Sequence[Route], space: LeveledSpace,
     return tuple(vec)
 
 
-def sliced_functionals(dag: Dag, decomp: Sequence[Route], space: LeveledSpace
+def sliced_functionals(space: LeveledSpace, decomp: Sequence[Route]
                        ) -> dict[Transversal, tuple[int, ...]]:
     """Every transversal's functional in product order, each set on the
-    (head, label) pairs of the slice of each decomposition route before its
-    chosen edge: the oracle for the prefix-mask ``quotient._functionals``."""
-    labels, index = edge_labels(decomp), slot_index(space)
+    head slots of the slice of each decomposition route before its chosen
+    edge: the oracle for the prefix-mask ``quotient._functionals`` and,
+    through ``dense_transversal_identity``, for the prefix sums of
+    ``quotient.check_transversal_identity``."""
     out = {}
     for m in product(*decomp):
         coeffs = [0] * space.dim
         for route, chosen in zip(decomp, m):
             for eid in route[:route.index(chosen)]:
-                coeffs[index[(dag.edge_by_id[eid].head, labels[eid])]] = 1
+                coeffs[space.slots[eid][0]] = 1
         out[m] = tuple(coeffs)
     return out
 
@@ -1550,16 +1551,17 @@ def unpacking_verify_reflexive(q: QuotientPolytope) -> ReflexiveReport:
 
 def dense_transversal_identity(q: QuotientPolytope
                                ) -> tuple[tuple[Route, Transversal, int, int], ...]:
-    """The facet identity's rows with every functional dotted densely with
-    every route image, one row per (route, transversal) pair: the oracle
-    for the library's packed zero test."""
+    """The facet identity's rows with every transversal's sliced functional
+    dotted densely with every route image, one row per (route, transversal)
+    pair: the oracle for the library's route-by-route test."""
     images = dict(q.vertices)
     origin = (0,) * q.space.dim
+    functionals = sliced_functionals(q.space, q.decomp)
     rows = []
     for i, s in enumerate(q.routes):
         img, used = images.get(i, origin), set(s)
-        for m, coeffs in q.functionals.items():
-            lhs = sum(c * x for c, x in zip(coeffs, img))
+        for m, coeffs in functionals.items():
+            lhs = sum(map(mul, coeffs, img))
             rows.append((s, m, lhs, 1 - len(used.intersection(m))))
     return tuple(rows)
 

@@ -3,6 +3,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import count, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -93,7 +94,7 @@ def test_scaled_quotient_fails_reflexivity():
 
 
 def check_against_oracles(q):
-    """The block-by-block scan and the packed identity test against the
+    """The block-by-block scan and the route-by-route identity test against the
     dense box scan and dense dot products, on q and on its dilations by 2
     and 3; the dilations must fail unless q has no vertex to dilate."""
     assert check_transversal_identity(q) == dense_pairs_and_failures(q)
@@ -121,19 +122,18 @@ def test_reflexivity_matches_box_scan_oracle_catalog(dag, decomp):
 
 
 def scaled_functionals(q, factor):
-    """Every functional and facet coefficient times ``factor``."""
-    functionals = {m: tuple(factor * c for c in coeffs) for m, coeffs in q.functionals.items()}
-    return replace(q, functionals=functionals,
-                   facets=tuple((m, functionals[m]) for m, _ in q.facets))
+    """Every facet coefficient times ``factor``: a reflexivity control."""
+    return replace(q, facets=tuple((m, tuple(factor * c for c in coeffs))
+                                   for m, coeffs in q.facets))
 
 
 @CATALOG
 def test_packed_lanes_at_width_edges(dag, decomp):
-    """Negative, wide and wider-than-64-bit lanes against the dense oracles:
-    vertices scaled by -1, 200 and 2**70 for the identity test, coefficients
-    scaled by 300 and 2**70 for the interior scan.  A value of 128 or 2**63
-    fills a whole 8- or 64-bit lane, so those factors catch a lane one bit
-    too narrow."""
+    """Negative, wide and wider-than-64-bit values against the dense
+    oracles: vertices scaled by -1, 128, 200, 2**63 and 2**70 for the
+    identity test, coefficients scaled by 128, 300, 2**63 and 2**70 for the
+    interior scan.  A value of 128 or 2**63 fills a whole 8- or 64-bit
+    lane, so those factors catch a lane one bit too narrow."""
     q = quotient_facets(dag, decomp or route_decomposition(dag))
     for factor in (-1, 128, 200, 2**63, 2**70):
         bad = scaled(q, factor)
@@ -141,36 +141,36 @@ def test_packed_lanes_at_width_edges(dag, decomp):
     for factor in (128, 300, 2**63, 2**70):
         wide = scaled_functionals(q, factor)
         assert verify_reflexive(wide) == box_scan_verify_reflexive(wide)
-        assert check_transversal_identity(wide) == dense_pairs_and_failures(wide)
 
 
 @CATALOG
 def test_identity_keeps_a_single_lane_difference(dag, decomp):
-    """One coefficient of one functional raised or lowered by 1 or by 2**64
-    changes the identity in that transversal's lane alone, and only at the
-    routes whose image is nonzero at that coordinate: the failures must be
-    exactly the oracle's."""
+    """One coordinate of one route image raised or lowered by 1 or by 2**64,
+    on every coordinate of every image, breaks the identity at that route
+    alone, for the transversals whose functional is nonzero there: the
+    failures must be exactly the dense oracle's."""
     q = quotient_facets(dag, decomp or route_decomposition(dag))
-    for m, coeffs in q.functionals.items():
+    for j, (i, image) in enumerate(q.vertices):
         for k in range(q.space.dim):
             for delta in (1, -1, 2**64, -2**64):
-                bumped = dict(q.functionals)
-                bumped[m] = coeffs[:k] + (coeffs[k] + delta,) + coeffs[k + 1:]
-                bad = replace(q, functionals=bumped)
+                vertices = list(q.vertices)
+                vertices[j] = (i, image[:k] + (image[k] + delta,) + image[k + 1:])
+                bad = replace(q, vertices=tuple(vertices))
                 assert check_transversal_identity(bad) == dense_pairs_and_failures(bad)
 
 
 @pytest.mark.parametrize("dag,decomp", CATALOG_CASES + [(BIG, None)],
                          ids=CATALOG_IDS + ["BIG"])
 def test_identity_unpacks_nothing_when_it_holds(dag, decomp, monkeypatch):
-    """Every route's packed int is 0, so no lane is ever unpacked."""
+    """Every route passes its one pass over the decomposition's steps, so
+    no transversal is walked."""
     q = quotient_facets(dag, decomp or route_decomposition(dag))
 
-    def unpack(self, packed):
-        raise AssertionError(f"unpacked {packed}")
+    def walk(*routes):
+        raise AssertionError(f"walked the transversals of {routes}")
 
-    monkeypatch.setattr(quotient._Lanes, "unpack", unpack)
-    assert check_transversal_identity(q) == (len(q.routes) * len(q.functionals), ())
+    monkeypatch.setattr(quotient, "product", walk)
+    assert check_transversal_identity(q) == (len(q.routes) * prod(map(len, q.decomp)), ())
 
 
 def check_fast_paths(dag, decomp=None, dilate=True):
@@ -186,8 +186,8 @@ def check_fast_paths(dag, decomp=None, dilate=True):
     assert [phi(space, r) for r in q.routes] == images
     assert q.vertices == tuple((i, img) for i, (r, img) in enumerate(zip(q.routes, images))
                                if r not in decomp)
-    want = sliced_functionals(dag, decomp, space)
-    assert list(q.functionals.items()) == list(want.items())
+    want = sliced_functionals(space, decomp)
+    assert all(coeffs == want[m] for m, coeffs in q.facets)
     rows = [c for _, c in q.vertices]
     assert rank(rows) == gauss_jordan_rank(rows) == space.quotient_dim
     coords = rows or [(0,) * space.dim]
@@ -201,6 +201,7 @@ def check_fast_paths(dag, decomp=None, dilate=True):
         controls += [scaled(q, f) for f in (-1, 2, 3)]
     for control in controls:
         assert verify_reflexive(control) == unpacking_verify_reflexive(control)
+        assert check_transversal_identity(control) == dense_pairs_and_failures(control)
     assert verify_reflexive(q).ok
 
 
@@ -323,7 +324,7 @@ def test_quotient_at_scale():
     report = verify_reflexive(q)
     assert report.ok, report.issues
     assert report.interior_points == ((0,) * q.space.dim,)
-    assert check_transversal_identity(q) == (348 * len(q.functionals), ())
+    assert check_transversal_identity(q) == (348 * prod(map(len, q.decomp)), ())
 
 
 def test_transversal_identity_exhaustive_catalog():
@@ -335,29 +336,8 @@ def test_transversal_identity_exhaustive_catalog():
             assert lhs == rhs, (s, m, lhs, rhs)
         assert [(s, m) for s, m, _, _ in rows] == list(
             product(enumerate_routes(dag), product(*decomp)))
-        pairs = len(enumerate_routes(dag)) * _transversal_count(decomp)
+        pairs = len(enumerate_routes(dag)) * prod(map(len, decomp))
         assert check_transversal_identity(q) == dense_pairs_and_failures(q) == (pairs, ())
-
-
-def _transversal_count(decomp):
-    n = 1
-    for r in decomp:
-        n *= len(r)
-    return n
-
-
-def test_identity_lanes_leave_room_for_the_edge_count():
-    """A lane holds F_m . phi(s) plus the number of edges of m on s, less
-    1: with F_(a,d) = (127, 0) on D1, route (a, d) (image (1, -1), both
-    edges on the transversal) puts 127 + 1 in a lane whose functional
-    alone fits in 8 bits, so the lane must be wider than the functionals
-    need."""
-    d1 = D1()
-    q = quotient_facets(d1, route_decomposition(d1))
-    wide = replace(q, functionals={**q.functionals, ("a", "d"): (127, 0)})
-    pairs, failures = check_transversal_identity(wide)
-    assert (pairs, failures) == dense_pairs_and_failures(wide)
-    assert (("a", "d"), ("a", "d"), 127, -1) in failures
 
 
 def test_transversal_identity_value_example():
@@ -371,6 +351,10 @@ def test_transversal_identity_value_example():
     assert (("a", "d"), ("a", "d"), -2, -1) in failures
     # and dodges the transversal (c, b) entirely: rhs = 1
     assert (("a", "d"), ("c", "b"), 2, 1) in failures
+    # an empty "route" begins no decomposition route: the constants sum to 0
+    q = quotient_facets(d1, decomp)
+    _, failures = check_transversal_identity(replace(q, routes=q.routes + ((),)))
+    assert failures == tuple(((), m, 0, 1) for m in product(*decomp))
 
 
 def test_non_integral_facet_is_reported_not_raised():
@@ -387,27 +371,12 @@ def test_non_integral_facet_is_reported_not_raised():
     assert verify_reflexive(q).ok
 
 
-def test_identity_rejects_a_non_integral_functional():
-    """A halved functional raises ValueError naming the coefficient; one of
-    integral Fractions checks like ints."""
-    d2 = D2()
-    q = quotient_facets(d2, route_decomposition(d2))
-    m, coeffs = next((m, c) for m, c in q.functionals.items() if 1 in c)
-    halved = replace(q, functionals={**q.functionals,
-                                     m: tuple(Fraction(c, 2) for c in coeffs)})
-    with pytest.raises(ValueError, match="coefficient 1/2 is not an integer"):
-        check_transversal_identity(halved)
-    whole = replace(q, functionals={k: tuple(map(Fraction, c))
-                                    for k, c in q.functionals.items()})
-    assert check_transversal_identity(whole) == check_transversal_identity(q)
-
-
 def test_functional_support():
     d2 = D2()
     decomp = route_decomposition(d2)          # ((a, c, e), (b, d, f))
     space = leveled_space(d2, decomp)
-    coeffs = _functionals(space, decomp)[("e", "b")]
-    assert coeffs == sliced_functionals(d2, decomp, space)[("e", "b")]
+    coeffs = _functionals(space, decomp, [("e", "b")])[("e", "b")]
+    assert coeffs == sliced_functionals(space, decomp)[("e", "b")]
     support = {pair for pair, k in slot_index(space).items() if coeffs[k]}
     # prefix of route 1 before e passes vertices 1 and 2 at label 1
     assert support == {(1, 1), (2, 1)}
