@@ -114,7 +114,7 @@ class Faces(NamedTuple):
     def lists(self) -> list:
         """The member lists the faces print as."""
         if type(self.masks) is int:
-            return [self.routes[i] for i in geo._members(self.masks)]
+            return geo._pick(self.masks, self.routes)
         return [Faces(self.routes, m).lists() for m in self.masks]
 
 
@@ -140,9 +140,9 @@ def _write_json(value, write) -> None:
     raise ``TypeError``.  A list or tuple whose items are all str or all int
     is rendered by one join.  Each route of a ``Faces`` is rendered once per
     depth, memoised by the route list's id and depth, so routes shared by
-    many faces cost one rendering, and a face is one join over its members'
-    texts (an empty face is ``[]``); the face renderer is memoised the same
-    way.  ``value`` keeps every memoised route list alive for the call.
+    many faces cost one rendering; a face is one join of the route texts
+    ``geometry._pick`` reads off its mask (``[]`` if empty), by a renderer
+    memoised alike.  ``value`` keeps every memoised route list alive.
 
     A list or tuple of records, nonempty dicts that share one set of str
     keys, is rendered a column at a time: each key's values, taken from
@@ -178,13 +178,13 @@ def _write_json(value, write) -> None:
         if face is None:
             inner = "\n" + "  " * (depth + 2)
             close = "\n" + "  " * (depth + 1) + "]"
-            get = ["[" + inner + ("," + inner).join(map(encode_basestring_ascii, r)) + close
-                   if r else "[]" for r in routes].__getitem__
+            texts = ["[" + inner + ("," + inner).join(map(encode_basestring_ascii, r)) + close
+                     if r else "[]" for r in routes]
             inner = "\n" + "  " * (depth + 1)
             opened, sep, close = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
-            members = geo._members
+            pick = geo._pick
             face = face_memo[key] = (
-                lambda m: opened + sep.join(map(get, members(m))) + close if m else "[]")
+                lambda m: opened + sep.join(pick(m, texts)) + close if m else "[]")
         return face
 
     def column(values: list, depth: int) -> list[str] | None:

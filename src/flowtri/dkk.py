@@ -27,7 +27,7 @@ from operator import and_
 from typing import Sequence
 
 from .dag import Dag, dimension
-from .geometry import _canonical, _members, determinant, normalized_volume
+from .geometry import _canonical, _members, _pick, determinant, normalized_volume
 from .routes import Framing, Route, RouteTable, graph_table, is_route, route_table
 
 
@@ -361,4 +361,4 @@ def _swap_certificate(dag: Dag, tri: Triangulation, dim: int,
 def exceptional_routes(tri: Triangulation) -> tuple[Route, ...]:
     """Routes lying in every maximal simplex (the AND of the masks) of a
     framed triangulation, i.e. the routes coherent with every other route."""
-    return tuple(tri.labels[i] for i in _members(reduce(and_, tri.simplices)))
+    return tuple(_pick(reduce(and_, tri.simplices), tri.labels))

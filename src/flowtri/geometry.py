@@ -73,6 +73,16 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _pick(mask: int, items: Sequence) -> list:
+    """``items[i]`` for each set bit i of ``mask``, in ``_members`` order,
+    read off the mask in one loop rather than through its index tuple."""
+    out = []
+    while mask:
+        out.append(items[top := mask.bit_length() - 1])
+        mask ^= 1 << top
+    return out
+
+
 def _mask(indices: Iterable[int]) -> int:
     """The mask with bit i set for each i in ``indices``."""
     m = 0

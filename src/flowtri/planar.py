@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .dag import SOURCE, Dag, dimension, make_dag, vertex_from_json, vertex_to_json
 from .dkk import _sized_cliques, coherence_graph
 from .equatorial import _avoided_sets, equatorial_facets, sphere_facets
-from .geometry import _canonical, _mask, _members, join_with_simplex
+from .geometry import _canonical, _mask, _members, _pick, join_with_simplex
 from .routes import (Framing, Route, RouteTable, decomposition_framing, graph_table,
                      peel_decomposition)
 
@@ -507,7 +507,7 @@ def _filter_graph(poset: Poset, route_of: Sequence[int], count: int) -> list[int
     mapped onto the routes once, and a row is one AND per element, kept
     within the routes some filter cuts; the others keep a zero row."""
     cut = _mask(route_of)
-    held = [(b, _mask(route_of[i] for i in _members(poset.holders[p])))
+    held = [(b, _mask(_pick(poset.holders[p], route_of)))
             for p, b in poset.bits.items()]
     graph = [0] * count
     for f, r in zip(poset.filters, route_of):
@@ -568,12 +568,12 @@ def verify_equivalence(dag: Dag, emb: PlanarEmbedding,
     flow = sphere_facets(adj, equatorial_facets(dag, decomp, table), top - len(decomp))
 
     def mapped(m: int) -> int:
-        return _mask(route_of[i] for i in _members(m))
+        return _mask(_pick(m, route_of))
 
     def compare(what: str, order: set[int], flow: set[int]) -> None:
         # the table lists the routes last-first, so simplices sort as routes do
         for s in _canonical(order - flow) + _canonical(flow - order):
-            issues.append(f"{what} triangulations differ at {[routes[i] for i in _members(s)]}")
+            issues.append(f"{what} triangulations differ at {_pick(s, routes)}")
 
     # the only issues so far are framing disagreements; without one, the
     # decomposition framing is the planar framing

@@ -200,7 +200,9 @@ def check_transversal_identity(q: QuotientPolytope
     At the true image every step is 0, as phi(s) at slot (v, i) is
     [s enters v by R_i's edge] - [s leaves v by R_i's edge]: R_i's edges
     are the ones labelled i.  And the constants sum to 1, as s begins with
-    one source edge, which begins exactly one R_i."""
+    one source edge, which begins exactly one R_i.  ``quotient_facets`` sets
+    each image to ``phi`` over the same slot table, so on its output this
+    check cannot fail: it guards only images altered after construction."""
     decomp, images, slots = q.decomp, dict(q.vertices), q.space.slots
     steps = [(slots[e][0], e, f) for route in decomp for e, f in zip(route, route[1:])]
     origin = (0,) * q.space.dim

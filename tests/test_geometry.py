@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowtri import geometry
@@ -12,8 +12,8 @@ from flowtri.dag import (D1, D2, D3, G, bypass, contract_idle_edges,
                          idle_edges, make_dag, random_dag, validate, zigzag)
 from flowtri.dkk import Triangulation, dkk_triangulation, verify_dkk_triangulation
 from flowtri.equatorial import equatorial_sphere, joined_simplices
-from flowtri.geometry import (LANES, _canonical, _lattice_pass, _mask, _members, determinant,
-                              ehrhart_hstar, join_with_simplex, lattice_counts,
+from flowtri.geometry import (LANES, _canonical, _lattice_pass, _mask, _members, _pick,
+                              determinant, ehrhart_hstar, join_with_simplex, lattice_counts,
                               normalized_volume, rank)
 from flowtri.planar import make_poset, rank_constant_filters
 from flowtri.routes import (decomposition_framing, enumerate_routes,
@@ -645,6 +645,19 @@ def test_canonical_order_is_the_member_order_within_a_size(masks):
     assert [tuple(100 - i for i in _members(m)) for m in masks] == list(map(routes_of, masks))
     first, both = _mask((100,)), _mask((100, 99))
     assert _canonical([first, both]) == [both, first]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 200)).map(_mask))
+@example(0)
+@example(1)
+@example(1 << 200)                                  # the lone top bit
+@example(_mask((0, 63, 64, 65, 127, 128, 129, 200)))
+def test_pick_reads_the_members_items(mask):
+    """``_pick`` lists the items at ``_members``' indices, in that order,
+    on masks of up to 201 bits, past one and two 64-bit words."""
+    items = [f"r{i}" for i in range(201)]
+    assert _pick(mask, items) == [items[i] for i in _members(mask)]
 
 
 def test_join_with_an_empty_complex_or_a_wrong_size():
