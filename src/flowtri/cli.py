@@ -93,12 +93,8 @@ def _scalar(value) -> str:
     encode = _LEAF_ENCODERS.get(type(value))
     if encode is not None:
         return encode(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -115,7 +111,7 @@ class Faces(NamedTuple):
         """The member lists the faces print as."""
         if type(self.masks) is int:
             return geo._pick(self.masks, self.routes)
-        return [Faces(self.routes, m).lists() for m in self.masks]
+        return [geo._pick(m, self.routes) for m in self.masks]
 
 
 WRITE_PIECES = 4096     # pieces joined into one ``write``
@@ -123,45 +119,35 @@ WRITE_PIECES = 4096     # pieces joined into one ``write``
 
 @functools.cache
 def _record_template(names: tuple[str, ...], depth: int) -> str:
-    """The ``%`` template of a dict at ``depth`` with the sorted str keys
-    ``names``: one ``%s`` per key's value text, the key texts escaped."""
-    inner = "\n" + "  " * (depth + 1)
-    return ("{" + inner + ("," + inner).join(
-        encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names)
-        + "\n" + "  " * depth + "}")
+    """The ``%`` template of a dict at ``depth`` with the sorted keys ``names``."""
+    inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth + "}"
+    return "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names) + close
 
 
 def _write_json(value, write) -> None:
     """Write ``value`` as ``json.dumps`` renders it with indent 2 and sorted
-    keys, with each ``Faces`` rendered as its member lists.
+    keys, each ``Faces`` as its member lists.  Only exact dict, list, tuple
+    (rendered as a list), str, int, bool and None values and ``Faces`` are
+    accepted; floats, sets and subclasses raise ``TypeError``.
 
-    Only exact dict, list, tuple (rendered as a list), str, int, bool and
-    None values and ``Faces`` are accepted; floats, sets and subclasses
-    raise ``TypeError``.  A list or tuple whose items are all str or all int
-    is rendered by one join.  Each route of a ``Faces`` is rendered once per
-    depth, memoised by the route list's id and depth, so routes shared by
-    many faces cost one rendering; a face is one join of the route texts
-    ``geometry._pick`` reads off its mask (``[]`` if empty), by a renderer
-    memoised alike.  ``value`` keeps every memoised route list alive.
+    ``text`` renders one value, a list's items and a dict's values (by
+    sorted key) as one ``column``.  A column batches when its values are all
+    str, or all int (one ``map``); all lists or tuples (one join each, of
+    their items' texts if all str or all int, else of the column of all
+    their items one depth down); all dicts with one set of exact str keys
+    (one column per key, and one ``%`` of ``_record_template`` per dict); or
+    all ``Faces`` of one mask over one route list.  Any other column goes
+    value by value.  Faces are rendered by a renderer memoised per route
+    list id and depth (``value`` keeps the lists alive): each route is
+    rendered once, and a face is one join of the route texts
+    ``geometry._pick`` reads off its mask.
 
-    A list or tuple of records, nonempty dicts that share one set of str
-    keys, is rendered a column at a time: each key's values, taken from
-    every record, are rendered by one type test for the column, and each
-    record is one ``%`` of the template its sorted keys give
-    (``_record_template``, built once per key tuple and depth).  A column
-    batches when all its values are str, or all int (one ``map`` of the
-    encoder); when all are lists or tuples whose items are all str, or all
-    int (one join each); or when all are ``Faces`` of one mask over one
-    route list (one face renderer).  Any other column, such as one of
-    bools, of nested lists or records, or of ``Faces`` sequences (which
-    stream, below), sends its whole list to the per-value walk, as does a
-    list whose dicts differ in keys, are empty or have a key that is not a
-    str.
-
-    Pieces are joined into one ``write`` per few thousand, a face counting
-    as two pieces per route and a record as one per key plus one, so an
-    unbuffered stdout does not take a system call per piece and no write
-    holds more than a slice of the output.
+    ``emit`` writes the report and the dicts directly in it key by key, and
+    a sequence of faces in slices of about ``WRITE_PIECES`` pieces (a face
+    counts two per route), writing after each slice and whenever more than
+    ``WRITE_PIECES`` pieces wait.  So an unbuffered stdout takes no system
+    call per piece, and no write holds more than a slice of a large report.
     """
     face_memo: dict[tuple[int, int], Callable[[int], str]] = {}
     parts: list[str] = []
@@ -176,8 +162,7 @@ def _write_json(value, write) -> None:
         key = (id(routes), depth)
         face = face_memo.get(key)
         if face is None:
-            inner = "\n" + "  " * (depth + 2)
-            close = "\n" + "  " * (depth + 1) + "]"
+            inner, close = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1) + "]"
             texts = ["[" + inner + ("," + inner).join(map(encode_basestring_ascii, r)) + close
                      if r else "[]" for r in routes]
             inner = "\n" + "  " * (depth + 1)
@@ -187,103 +172,83 @@ def _write_json(value, write) -> None:
                 lambda m: opened + sep.join(pick(m, texts)) + close if m else "[]")
         return face
 
-    def column(values: list, depth: int) -> list[str] | None:
-        """The texts of ``values`` at ``depth``, or None if they do not batch."""
+    def key_text(key) -> str:
+        return encode_basestring_ascii(key if type(key) is str else _scalar(key)) + ": "
+
+    def text(value, depth: int) -> str:
+        """The text of ``value`` at ``depth``."""
+        kind = type(value)
+        encode = _LEAF_ENCODERS.get(kind)
+        if encode is not None:
+            return encode(value)
+        if kind is Faces and type(value.masks) is int:
+            return face_text(value.routes, depth)(value.masks)
+        opened, closed = "{}" if kind is dict else "[]"
+        if kind is Faces and value.masks:
+            texts = map(face_text(value.routes, depth + 1), value.masks)
+        elif kind in (list, tuple) and value:
+            texts = column(value, depth + 1)
+        elif kind is dict and value:
+            keys = sorted(value)
+            texts = map(str.__add__, map(key_text, keys),
+                        column([value[k] for k in keys], depth + 1))
+        else:
+            return opened + closed if kind in (dict, list, tuple, Faces) else _scalar(value)
+        inner = "\n" + "  " * (depth + 1)
+        return opened + inner + ("," + inner).join(texts) + "\n" + "  " * depth + closed
+
+    def column(values: Sequence, depth: int) -> list[str]:
+        """The texts of ``values``, each at ``depth``."""
         kinds = set(map(type, values))
-        if kinds <= {list, tuple}:
-            items = set(map(type, itertools.chain.from_iterable(values)))
-            if not items:
-                return ["[]"] * len(values)
-            encode = _LEAF_ENCODERS.get(items.pop()) if len(items) == 1 else None
-            if encode is None:
-                return None
-            inner = "\n" + "  " * (depth + 1)
-            opened, sep, close = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
-            return [opened + sep.join(map(encode, v)) + close if v else "[]" for v in values]
-        kind = kinds.pop() if len(kinds) == 1 else None
+        kind = kinds.pop() if len(kinds) == 1 else list if kinds == {list, tuple} else None
         encode = _LEAF_ENCODERS.get(kind)
         if encode is not None:
             return list(map(encode, values))
+        if kind in (list, tuple):
+            inner = "\n" + "  " * (depth + 1)
+            opened, sep, close = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
+            items = set(map(type, itertools.chain.from_iterable(values)))
+            encode = _LEAF_ENCODERS.get(items.pop()) if len(items) == 1 else None
+            if encode is not None:
+                return [opened + sep.join(map(encode, v)) + close if v else "[]" for v in values]
+            texts = iter(column(list(itertools.chain.from_iterable(values)), depth + 1))
+            return [opened + sep.join(itertools.islice(texts, len(v))) + close if v else "[]"
+                    for v in values]
+        if kind is dict and set(map(type, itertools.chain.from_iterable(values))) == {str}:
+            shapes = set(map(tuple, values))
+            names = sorted(shapes.pop())
+            if all(sorted(shape) == names for shape in shapes):
+                template = _record_template(tuple(names), depth)
+                columns = [column([v[name] for v in values], depth + 1) for name in names]
+                return list(map(template.__mod__, zip(*columns)))
         if kind is Faces:
             routes, masks = zip(*values)
             if len(set(map(id, routes))) == 1 and set(map(type, masks)) == {int}:
                 return list(map(face_text(routes[0], depth), masks))
-        return None
+        return [text(v, depth) for v in values]
 
-    def records(value, depth: int):
-        """The texts of the records in ``value`` at ``depth``, or None."""
-        if set(map(type, itertools.chain.from_iterable(value))) != {str}:
-            return None
-        shapes = set(map(tuple, value))
-        names = sorted(shapes.pop())
-        if any(sorted(shape) != names for shape in shapes):
-            return None
-        columns = []
-        for name in names:
-            texts = column([record[name] for record in value], depth + 1)
-            if texts is None:
-                return None
-            columns.append(texts)
-        return map(_record_template(tuple(names), depth).__mod__, zip(*columns))
-
-    def put_list(texts, count: int, weight: int, depth: int) -> None:
-        """Put the ``count`` item texts ``texts`` as a list at ``depth``,
-        flushed every ``WRITE_PIECES`` pieces at ``weight`` pieces an item."""
+    def emit(value, depth: int) -> None:
+        """Put ``value`` at ``depth`` and write what is due."""
         inner = "\n" + "  " * (depth + 1)
-        step = WRITE_PIECES // weight + 1
-        put("[" + inner)
-        for lo in range(0, count, step):
-            if lo:
-                put("," + inner)
-            put(("," + inner).join(itertools.islice(texts, step)))
-            flush()
-        put("\n" + "  " * depth + "]")
-
-    def walk(value, depth: int) -> None:
-        kind = type(value)
-        if kind is Faces:
-            masks = value.masks
-            if type(masks) is int:
-                put(face_text(value.routes, depth)(masks))
-            elif masks:
-                put_list(map(face_text(value.routes, depth + 1), masks), len(masks),
-                         2 * masks[0].bit_count() + 2, depth)
-            else:
-                put("[]")
-            return
-        if kind in (list, tuple) and value:
-            kinds = set(map(type, value))
-            only = kinds.pop() if len(kinds) == 1 else None
-            encode = _LEAF_ENCODERS.get(only)
-            inner = "\n" + "  " * (depth + 1)
-            if encode is not None:
-                put("[" + inner + ("," + inner).join(map(encode, value))
-                    + "\n" + "  " * depth + "]")
-                return
-            if only is dict and (texts := records(value, depth + 1)) is not None:
-                put_list(texts, len(value), len(value[0]) + 1, depth)
-                return
-            put("[" + inner)
-            for i, item in enumerate(value):
-                if i:
-                    put("," + inner)
-                walk(item, depth + 1)
-            put("\n" + "  " * depth + "]")
-        elif kind is dict and value:
-            inner = "\n" + "  " * (depth + 1)
-            put("{" + inner)
-            for i, (k, item) in enumerate(sorted(value.items())):
-                name = k if type(k) is str else _scalar(k)
-                put(("," + inner if i else "") + encode_basestring_ascii(name) + ": ")
-                walk(item, depth + 1)
+        if type(value) is dict and value and depth < 2:
+            for i, key in enumerate(sorted(value)):
+                put(("," if i else "{") + inner + key_text(key))
+                emit(value[key], depth + 1)
             put("\n" + "  " * depth + "}")
+        elif type(value) is Faces and type(masks := value.masks) is not int and masks:
+            face = face_text(value.routes, depth + 1)
+            step = WRITE_PIECES // (2 * masks[0].bit_count() + 2) + 1
+            for lo in range(0, len(masks), step):
+                put(("," if lo else "[") + inner)
+                put(("," + inner).join(map(face, masks[lo:lo + step])))
+                flush()
+            put("\n" + "  " * depth + "]")
         else:
-            put("[]" if kind in (list, tuple) else "{}" if kind is dict else _scalar(value))
-            return
+            put(text(value, depth))
         if len(parts) > WRITE_PIECES:
             flush()
 
-    walk(value, 0)
+    emit(value, 0)
     flush()
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowtri import cli
@@ -590,6 +590,11 @@ def shared_json(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(shared_json() | json_trees(SCALAR))
+@example([{1: "a"}, {True: "b"}])              # equal key tuples, printed "1" and "true"
+@example([{"k": 1}, {"k": "x"}, {"k": None}])  # a record column of mixed scalars
+@example({"0": (1, 2), "1": (), "10": (3,)})   # shaped like quotient's polytope.vertices
+@example([[["a"], []], [["b", "c"]]])          # a column of lists of lists
+@example([{}, {}])                             # empty records
 def test_json_writer_matches_json_dumps(value):
     out = io.StringIO()
     cli._write_json(value, out.write)
@@ -776,9 +781,11 @@ def assert_in_canonical_order(command: str, dag, report: dict) -> None:
         assert named == sorted(named), named
 
 
-def test_equatorial_streams_its_report(tmp_path, monkeypatch):
-    """The report of chain 4x3 (3.4 MB) leaves in many writes, none of them
-    holding a tenth of it."""
+@pytest.mark.parametrize("command", ["dkk", "equatorial"])
+def test_equatorial_streams_its_report(tmp_path, monkeypatch, command):
+    """The report of chain 4x3 (1.8 MB from ``dkk``, 3.4 MB from
+    ``equatorial``) leaves in many writes, none of them holding a tenth of
+    it."""
     path = tmp_path / "chain4x3.json"
     path.write_text(json.dumps(dag_to_json(chain(4, 3))))
     writes: list[str] = []
@@ -792,9 +799,10 @@ def test_equatorial_streams_its_report(tmp_path, monkeypatch):
             pass
 
     monkeypatch.setattr(sys, "stdout", Recorder())
-    assert main(["equatorial", str(path)]) == 0
+    assert main([command, str(path)]) == 0
     out = "".join(writes)
-    assert len(out) > 3_000_000 and len(json.loads(out)["simplices"]) == 2520
+    size = {"dkk": 1_800_000, "equatorial": 3_000_000}[command]
+    assert len(out) > size and len(json.loads(out)["simplices"]) == 2520
     assert max(map(len, writes)) < len(out) / 10
 
 
